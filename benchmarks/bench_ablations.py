@@ -1,4 +1,4 @@
-"""Ablation benchmarks for the design choices called out in DESIGN.md.
+"""Ablation benchmarks for design choices of the device model and simulator.
 
 * PARA probability scaling: how the adjacent-row refresh probability (and
   therefore overhead) changes with the target bit error rate.

@@ -5,8 +5,9 @@ system performance -- for the five state-of-the-art mechanisms and the ideal
 refresh-based mechanism, sweeping HC_first from 200k down to 64.
 
 The simulated interval is much shorter than the paper's 200M-instruction
-runs, so absolute overheads differ (see EXPERIMENTS.md); the qualitative
-results the paper draws its conclusions from are asserted below.
+runs, so absolute overheads differ (run with ``-s`` to print the regenerated
+panels); the qualitative results the paper draws its conclusions from are
+asserted below.
 
 The sweep runs on the event-driven simulator fast path (the default
 ``step_mode``), which is bit-identical to the cycle-by-cycle reference --

@@ -1,8 +1,9 @@
 """Shared configuration for the benchmark harnesses.
 
 Every benchmark regenerates one table or figure of the paper.  The simulated
-chips are far smaller than real devices so the harnesses finish in seconds;
-EXPERIMENTS.md records how each regenerated artefact compares with the paper.
+chips are far smaller than real devices so the harnesses finish in seconds.
+Run a harness with ``-s`` to see its printed tables, which set each
+regenerated artefact next to the paper's numbers where the paper gives them.
 
 The harnesses share one session-scoped :class:`repro.ExperimentSession` over
 the Table 1 benchmark population, backed by a :class:`repro.ResultStore`:

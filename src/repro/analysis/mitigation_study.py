@@ -12,30 +12,33 @@ paper's error bars.  Mechanisms are only evaluated at the ``HC_first``
 values where their published designs apply (Section 6.1): ProHIT and MRLoc
 at 2000 only, increased refresh rate and non-ideal TWiCe at 32k and above.
 
-In the default event step mode the sweep's independent simulations run as
-sim-major :class:`~repro.sim.batch.SimulationBatch` groups through the
-vectorized kernel (see :mod:`repro.sim.kernel`); the batch path is pinned
-bit-identical to the per-simulation loops, so results and cached digests
-are unaffected by the routing.
+One implementation, three steps
+-------------------------------
+The evaluation is split into one *baseline* unit per workload mix (the
+no-mitigation run plus the per-core alone-IPC runs), one *cell* unit per
+evaluable (mechanism, HC_first, mix) grid point, and an aggregation that
+turns the unit payloads into the per-point statistics.  Every entry point
+goes through the same three functions (:func:`_simulate_baseline`,
+:func:`_simulate_cell`, :func:`_aggregate`):
 
-Sharded execution
------------------
-The registered studies declare a work-unit decomposition (see
-:mod:`repro.experiments.study`): one *baseline* unit per workload mix (the
-no-mitigation run plus the per-core alone-IPC runs) and one *cell* unit per
-evaluable (mechanism, HC_first, mix) grid point.  Every unit rebuilds its
-mix's traces deterministically from the config, simulates independently,
-and returns raw IPCs/overheads; the merge recomputes the exact floating
-point operations of :func:`run_mitigation_study` in the same order, so the
-sharded payload is bit-identical to the monolithic one while sessions gain
-per-cell caching, crash resume and process-pool sharding of the grid.
+* the registered studies declare the units as their work-unit
+  decomposition (see :mod:`repro.experiments.study`), so sessions cache,
+  resume and shard the grid cell by cell;
+* calling a registered study's function directly decomposes the config,
+  runs every unit in turn and merges;
+* :func:`run_mitigation_study` takes the system and workload mixes as
+  objects, builds each mix's traces once and feeds them to the same
+  functions.
+
+Each simulation is run through ``step_mode`` (``"event"`` by default, or
+the bit-identical ``"cycle"`` oracle).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.study import WorkUnit, register_study
 from repro.mitigations.base import MitigationConfig
@@ -44,6 +47,7 @@ from repro.sim.batch import SimulationBatch
 from repro.sim.config import SystemConfig
 from repro.sim.metrics import normalized_performance, weighted_speedup
 from repro.sim.system import Simulation
+from repro.sim.trace import TraceRecord
 from repro.sim.workloads import WorkloadMix, make_workload_mixes
 
 #: Default HC_first sweep of Figure 10 (200k down to 64).
@@ -192,8 +196,8 @@ class MitigationBaselineUnit:
     """Payload of one baseline work unit: the no-mitigation run of one mix.
 
     Carries the raw per-core IPCs of the shared baseline run and the
-    alone-run IPC of every core, from which the merge recomputes the mix's
-    baseline weighted speedup exactly as the monolithic sweep does.
+    alone-run IPC of every core, from which the aggregation computes the
+    mix's baseline weighted speedup.
     """
 
     mix: int
@@ -220,9 +224,9 @@ def _cached_mix_traces(
 
     Every work unit of one mix needs the same deterministic traces; caching
     them per process means a worker draining several units of a mix pays
-    for trace synthesis once, like the monolithic sweep does.  Traces are
-    safe to share between simulations: ``Simulation`` copies the per-core
-    record lists it consumes and the records themselves are immutable.
+    for trace synthesis once.  Traces are safe to share between
+    simulations: ``Simulation`` copies the per-core record lists it
+    consumes and the records themselves are immutable.
     """
     system_config = SystemConfig(rows_per_bank=rows_per_bank)
     mixes = make_workload_mixes(
@@ -239,13 +243,17 @@ def _cached_mix_traces(
     )
 
 
-def _evaluation_points(config: MitigationStudyConfig) -> List[Tuple[str, int]]:
-    """The (mechanism, HC_first) grid points the config evaluates, in order."""
+def _evaluation_points(
+    mechanisms: Sequence[str],
+    hcfirst_values: Sequence[int],
+    respect_design_constraints: bool,
+) -> List[Tuple[str, int]]:
+    """The (mechanism, HC_first) grid points a sweep evaluates, in order."""
     return [
         (mechanism, hcfirst)
-        for mechanism in config.mechanisms
-        for hcfirst in config.hcfirst_values
-        if not config.respect_design_constraints or is_evaluable(mechanism, hcfirst)
+        for mechanism in mechanisms
+        for hcfirst in hcfirst_values
+        if not respect_design_constraints or is_evaluable(mechanism, hcfirst)
     ]
 
 
@@ -273,7 +281,9 @@ def _fig10_decompose(study_name: str):
             "step_mode": config.step_mode,
         }
         units: List[WorkUnit] = []
-        points = _evaluation_points(config)
+        points = _evaluation_points(
+            config.mechanisms, config.hcfirst_values, config.respect_design_constraints
+        )
         for mix in range(config.num_mixes):
             units.append(
                 WorkUnit(
@@ -302,80 +312,69 @@ def _fig10_decompose(study_name: str):
     return decompose
 
 
-def _run_mitigation_unit(
-    _chip: None, config: MitigationStudyConfig, unit: WorkUnit
-) -> object:
-    """Execute one Figure 10 work unit (a baseline or a grid cell)."""
-    params = unit.param_dict
-    mix_index = params["mix"]
-    system_config = SystemConfig(rows_per_bank=config.rows_per_bank)
-    traces = list(
-        _cached_mix_traces(
-            config.num_mixes,
-            mix_index,
-            config.rows_per_bank,
-            config.requests_per_core,
-            config.seed,
-        )
+def _simulate_baseline(
+    system_config: SystemConfig,
+    traces: Sequence[Sequence[TraceRecord]],
+    mix: int,
+    dram_cycles: int,
+    step_mode: str,
+) -> MitigationBaselineUnit:
+    """The no-mitigation run of one mix plus every core's alone run."""
+    baseline = Simulation(system_config, traces, step_mode=step_mode).run(dram_cycles)
+    alone = SimulationBatch(
+        system_config, [[trace] for trace in traces], backend=step_mode
+    ).run(dram_cycles)
+    return MitigationBaselineUnit(
+        mix=mix,
+        core_ipcs=tuple(baseline.core_ipcs),
+        alone_ipcs=tuple(result.core_ipcs[0] for result in alone),
     )
-    if params["kind"] == "baseline":
-        baseline = Simulation(
-            system_config, traces, mitigation=None, step_mode=config.step_mode
-        ).run(config.dram_cycles)
-        if config.step_mode == "event":
-            # The per-core alone runs are independent single-core sims of
-            # one config: batch them through the kernel (bit-identical to
-            # the per-simulation loop, so cached unit payloads are stable).
-            alone_ipcs = tuple(
-                result.core_ipcs[0]
-                for result in SimulationBatch(
-                    system_config, [[trace] for trace in traces]
-                ).run(config.dram_cycles)
-            )
-        else:
-            alone_ipcs = tuple(
-                Simulation(
-                    system_config, [trace], mitigation=None, step_mode=config.step_mode
-                )
-                .run(config.dram_cycles)
-                .core_ipcs[0]
-                for trace in traces
-            )
-        return MitigationBaselineUnit(
-            mix=mix_index, core_ipcs=tuple(baseline.core_ipcs), alone_ipcs=alone_ipcs
-        )
+
+
+def _simulate_cell(
+    system_config: SystemConfig,
+    traces: Sequence[Sequence[TraceRecord]],
+    mechanism: str,
+    hcfirst: int,
+    mix: int,
+    dram_cycles: int,
+    seed: int,
+    time_scale: float,
+    step_mode: str,
+) -> MitigationCellUnit:
+    """One mix under one mechanism configured for one HC_first."""
     mitigation = build_mechanism(
-        params["mechanism"],
+        mechanism,
         MitigationConfig(
-            hcfirst=params["hcfirst"],
+            hcfirst=hcfirst,
             banks=system_config.banks,
             rows_per_bank=system_config.rows_per_bank,
             timings=system_config.timings,
-            seed=config.seed + mix_index,
-            time_scale=config.time_scale,
+            seed=seed + mix,
+            time_scale=time_scale,
         ),
     )
     result = Simulation(
-        system_config, traces, mitigation=mitigation, step_mode=config.step_mode
-    ).run(config.dram_cycles)
+        system_config, traces, mitigation=mitigation, step_mode=step_mode
+    ).run(dram_cycles)
     return MitigationCellUnit(
-        mechanism=params["mechanism"],
-        hcfirst=params["hcfirst"],
-        mix=mix_index,
+        mechanism=mechanism,
+        hcfirst=hcfirst,
+        mix=mix,
         core_ipcs=tuple(result.core_ipcs),
         bandwidth_overhead_percent=result.bandwidth_overhead_percent,
     )
 
 
-def _merge_mitigation_units(
-    config: MitigationStudyConfig, payloads: Sequence[object]
-) -> "MitigationStudyResult":
-    """Reassemble the Figure 10 payload from unit payloads.
+def _aggregate(
+    points: Sequence[Tuple[str, int]], num_mixes: int, payloads: Sequence[object]
+) -> MitigationStudyResult:
+    """Per-point statistics across mixes, computed from unit payloads.
 
-    Walks the config axes in the monolithic sweep's loop order and repeats
-    its floating-point operations exactly (same values, same order), so the
-    merged result is bit-identical to :func:`run_mitigation_study` no matter
-    which executor ran the units or in which order they completed.
+    Walks ``points`` in order and each point's mixes in index order, so the
+    result does not depend on the order of ``payloads`` -- which is what
+    makes a merged payload independent of the executor that ran the units
+    and of the order they completed in.
     """
     baselines: Dict[int, MitigationBaselineUnit] = {}
     cells: Dict[Tuple[str, int, int], MitigationCellUnit] = {}
@@ -392,10 +391,10 @@ def _merge_mitigation_units(
         for mix, unit in baselines.items()
     }
     study = MitigationStudyResult()
-    for mechanism_name, hcfirst in _evaluation_points(config):
+    for mechanism_name, hcfirst in points:
         performances: List[float] = []
         overheads: List[float] = []
-        for mix in range(config.num_mixes):
+        for mix in range(num_mixes):
             cell = cells[(mechanism_name, hcfirst, mix)]
             baseline = baselines[mix]
             speedup = weighted_speedup(cell.core_ipcs, baseline.alone_ipcs)
@@ -419,6 +418,53 @@ def _merge_mitigation_units(
     return study
 
 
+def _run_mitigation_unit(
+    _chip: None, config: MitigationStudyConfig, unit: WorkUnit
+) -> object:
+    """Execute one Figure 10 work unit (a baseline or a grid cell)."""
+    params = unit.param_dict
+    mix = params["mix"]
+    system_config = SystemConfig(rows_per_bank=config.rows_per_bank)
+    traces = list(
+        _cached_mix_traces(
+            config.num_mixes, mix, config.rows_per_bank, config.requests_per_core, config.seed
+        )
+    )
+    if params["kind"] == "baseline":
+        return _simulate_baseline(
+            system_config, traces, mix, config.dram_cycles, config.step_mode
+        )
+    return _simulate_cell(
+        system_config,
+        traces,
+        params["mechanism"],
+        params["hcfirst"],
+        mix,
+        config.dram_cycles,
+        config.seed,
+        config.time_scale,
+        config.step_mode,
+    )
+
+
+def _merge_mitigation_units(
+    config: MitigationStudyConfig, payloads: Sequence[object]
+) -> MitigationStudyResult:
+    """Reassemble the Figure 10 payload from unit payloads."""
+    points = _evaluation_points(
+        config.mechanisms, config.hcfirst_values, config.respect_design_constraints
+    )
+    return _aggregate(points, config.num_mixes, payloads)
+
+
+def _run_units_in_turn(study_name: str, config: MitigationStudyConfig) -> MitigationStudyResult:
+    """Decompose ``config``, run every unit in this process, and merge."""
+    units = _fig10_decompose(study_name)(config)
+    return _merge_mitigation_units(
+        config, [_run_mitigation_unit(None, config, unit) for unit in units]
+    )
+
+
 @register_study(
     "fig10-mitigations",
     config=MitigationStudyConfig,
@@ -429,24 +475,9 @@ def _merge_mitigation_units(
 )
 def run_mitigation_study_for_config(
     _chip: None, config: MitigationStudyConfig
-) -> "MitigationStudyResult":
+) -> MitigationStudyResult:
     """Mitigation overhead versus HC_first (Figure 10), population-level."""
-    system_config = SystemConfig(rows_per_bank=config.rows_per_bank)
-    mixes = make_workload_mixes(
-        num_mixes=config.num_mixes, cores=system_config.cores, seed=config.seed
-    )
-    return run_mitigation_study(
-        system_config=system_config,
-        workload_mixes=mixes,
-        hcfirst_values=config.hcfirst_values,
-        mechanisms=config.mechanisms,
-        dram_cycles=config.dram_cycles,
-        requests_per_core=config.requests_per_core,
-        seed=config.seed,
-        respect_design_constraints=config.respect_design_constraints,
-        time_scale=config.time_scale,
-        step_mode=config.step_mode,
-    )
+    return _run_units_in_turn("fig10-mitigations", config)
 
 
 @register_study(
@@ -459,9 +490,9 @@ def run_mitigation_study_for_config(
 )
 def run_full_mitigation_study(
     _chip: None, config: FullMitigationStudyConfig
-) -> "MitigationStudyResult":
+) -> MitigationStudyResult:
     """Figure 10 at paper scale: all 48 workload mixes, Table 6 geometry."""
-    return run_mitigation_study_for_config(_chip, config)
+    return _run_units_in_turn("fig10-mitigations-full", config)
 
 
 def run_mitigation_study(
@@ -486,6 +517,7 @@ def run_mitigation_study(
     workload_mixes:
         Multi-programmed mixes to evaluate; defaults to a small random set.
         The paper uses 48 mixes; the default here is sized for a quick run.
+        No mixes give an empty result.
     hcfirst_values, mechanisms:
         The sweep axes of Figure 10.
     dram_cycles, requests_per_core:
@@ -501,126 +533,43 @@ def run_mitigation_study(
         the overhead of counter-based mechanisms on short runs.
     step_mode:
         Simulation stepping strategy; the default event-driven mode and the
-        ``"cycle"`` reference produce bit-identical studies.  In event mode
-        the sweep's independent simulations are grouped into
-        :class:`~repro.sim.batch.SimulationBatch` runs (all baselines in one
-        batch, each grid point's mixes in one batch), stepping through the
-        vectorized kernel when :func:`repro.sim.kernel.kernel_enabled`
-        allows and through the per-simulation event loop otherwise --
-        either way the payload is unchanged.
+        ``"cycle"`` reference produce bit-identical studies.
 
-    Traces are generated once per mix and shared by every evaluation point
-    (every ``Simulation`` copies the per-core record lists it needs, and the
-    records themselves are immutable), so the sweep pays for trace synthesis
-    ``num_mixes`` times instead of once per (mechanism, HC_first, mix) run.
+    Runs the same baseline and cell units as the registered studies, mix by
+    mix: each mix's traces are generated once and shared by its baseline and
+    every evaluation point (every ``Simulation`` copies the per-core record
+    lists it needs, and the records themselves are immutable).
     """
     config = system_config or SystemConfig(rows_per_bank=4096)
     mixes = list(workload_mixes) if workload_mixes is not None else make_workload_mixes(
         num_mixes=4, cores=config.cores, seed=seed
     )
-    traces_per_mix = [
-        mix.build_traces(
+    if not mixes:
+        return MitigationStudyResult()
+    points = _evaluation_points(mechanisms, hcfirst_values, respect_design_constraints)
+    payloads: List[object] = []
+    for mix, workload in enumerate(mixes):
+        traces = workload.build_traces(
             banks=config.banks,
             rows_per_bank=config.rows_per_bank,
             columns_per_row=config.columns_per_row,
             requests_per_core=requests_per_core,
             seed=seed,
         )
-        for mix in mixes
-    ]
+        payloads.append(_simulate_baseline(config, traces, mix, dram_cycles, step_mode))
+        for mechanism, hcfirst in points:
+            payloads.append(
+                _simulate_cell(
+                    config,
+                    traces,
+                    mechanism,
+                    hcfirst,
+                    mix,
+                    dram_cycles,
+                    seed,
+                    time_scale,
+                    step_mode,
+                )
+            )
+    return _aggregate(points, len(mixes), payloads)
 
-    # Baselines (no mitigation) and alone IPCs are shared across all points.
-    # In event mode the independent simulations of each group run as one
-    # SimulationBatch through the sim-major kernel (bit-identical to the
-    # per-simulation event loop, so the study payload -- and any cached
-    # digest of it -- is unchanged); the cycle oracle keeps the scalar loop.
-    use_batch = step_mode == "event"
-    if use_batch:
-        baselines = SimulationBatch(config, traces_per_mix).run(dram_cycles)
-        alone_ipcs_per_mix = [
-            [
-                result.core_ipcs[0]
-                for result in SimulationBatch(
-                    config, [[trace] for trace in traces]
-                ).run(dram_cycles)
-            ]
-            for traces in traces_per_mix
-        ]
-    else:
-        baselines = []
-        alone_ipcs_per_mix = []
-        for traces in traces_per_mix:
-            baselines.append(
-                Simulation(config, traces, mitigation=None, step_mode=step_mode).run(
-                    dram_cycles
-                )
-            )
-            alone_ipcs_per_mix.append(
-                [
-                    Simulation(config, [trace], mitigation=None, step_mode=step_mode)
-                    .run(dram_cycles)
-                    .core_ipcs[0]
-                    for trace in traces
-                ]
-            )
-    baseline_speedups = [
-        weighted_speedup(result.core_ipcs, alone)
-        for result, alone in zip(baselines, alone_ipcs_per_mix)
-    ]
-
-    study = MitigationStudyResult()
-    for mechanism_name in mechanisms:
-        for hcfirst in hcfirst_values:
-            if respect_design_constraints and not is_evaluable(mechanism_name, hcfirst):
-                continue
-            mitigations = [
-                build_mechanism(
-                    mechanism_name,
-                    MitigationConfig(
-                        hcfirst=hcfirst,
-                        banks=config.banks,
-                        rows_per_bank=config.rows_per_bank,
-                        timings=config.timings,
-                        seed=seed + mix_index,
-                        time_scale=time_scale,
-                    ),
-                )
-                for mix_index in range(len(traces_per_mix))
-            ]
-            if use_batch:
-                # One batch per grid point: all of the point's mixes step in
-                # lockstep through the kernel.
-                results = SimulationBatch(
-                    config, traces_per_mix, mitigations=mitigations
-                ).run(dram_cycles)
-            else:
-                results = [
-                    Simulation(
-                        config, traces, mitigation=mitigation, step_mode=step_mode
-                    ).run(dram_cycles)
-                    for traces, mitigation in zip(traces_per_mix, mitigations)
-                ]
-            performances: List[float] = []
-            overheads: List[float] = []
-            for mix_index, result in enumerate(results):
-                speedup = weighted_speedup(result.core_ipcs, alone_ipcs_per_mix[mix_index])
-                performances.append(
-                    normalized_performance(speedup, baseline_speedups[mix_index])
-                )
-                overheads.append(result.bandwidth_overhead_percent)
-            if not performances:
-                continue
-            study.points.append(
-                MitigationStudyPoint(
-                    mechanism=mechanism_name,
-                    hcfirst=hcfirst,
-                    normalized_performance_avg=sum(performances) / len(performances),
-                    normalized_performance_min=min(performances),
-                    normalized_performance_max=max(performances),
-                    bandwidth_overhead_avg=sum(overheads) / len(overheads),
-                    bandwidth_overhead_min=min(overheads),
-                    bandwidth_overhead_max=max(overheads),
-                    workloads_evaluated=len(performances),
-                )
-            )
-    return study

@@ -1,7 +1,8 @@
 """Behavioural DRAM device substrate with a circuit-level RowHammer model.
 
 This package replaces the 1580 real DRAM chips characterized by the paper
-with a calibrated stochastic device model (see DESIGN.md section 2).  The
+with a calibrated stochastic device model (see :mod:`repro.dram.vulnerability`
+for the per-configuration profiles calibrated to the paper's results).  The
 observable interface of a :class:`~repro.dram.chip.DramChip` is the same set
 of operations the paper's testing infrastructure performs on real chips:
 write a row, activate (hammer) a row, refresh, and read a row back.

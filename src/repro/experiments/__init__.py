@@ -42,8 +42,9 @@ buys three things at once:
 The Figure 10 studies (``fig10-mitigations``, ``fig10-mitigations-full``)
 shard into one baseline unit per workload mix plus one cell unit per
 evaluable (mechanism, HC_first, mix) grid point -- 48 + 47 x 48 units at
-paper scale -- and merge bit-identically to the monolithic
-:func:`~repro.analysis.mitigation_study.run_mitigation_study`.  The
+paper scale -- and merge bit-identically to
+:func:`~repro.analysis.mitigation_study.run_mitigation_study`, which runs
+the same units in turn.  The
 chip-grid characterization studies shard along their grid axes
 (``alg1-characterization`` per hammer count, ``fig4-coverage`` per data
 pattern), each unit measuring a fresh hermetic chip copy.

@@ -15,7 +15,9 @@ each other's work, across processes and across runs.
 Decomposed studies are cached at *work-unit* granularity: every shard of
 the grid gets its own entry (the key gains the unit's digest), so a sweep
 killed halfway resumes from its completed units, and editing one axis of a
-config invalidates only the entries whose unit parameters changed.
+config invalidates only the entries whose unit parameters changed.  An
+entry that cannot be read back is renamed out of the way and recomputed,
+never a crash.
 """
 
 from __future__ import annotations
@@ -94,16 +96,22 @@ def chip_digest(chip: Optional[DramChip]) -> str:
 
 @dataclass
 class StoreStats:
-    """Hit/miss counters of one :class:`ResultStore`."""
+    """Hit/miss counters of one :class:`ResultStore`.
+
+    ``corrupt`` counts unreadable entries that :meth:`ResultStore.get`
+    quarantined; each of them was also counted as a miss.
+    """
 
     hits: int = 0
     misses: int = 0
     puts: int = 0
+    corrupt: int = 0
 
     def reset(self) -> None:
         self.hits = 0
         self.misses = 0
         self.puts = 0
+        self.corrupt = 0
 
 
 class ResultStore:
@@ -123,6 +131,9 @@ class ResultStore:
 
     #: Name of the advisory lock file kept at the store root.
     LOCK_FILENAME = ".lock"
+    #: Suffix appended to an unreadable entry's filename to quarantine it
+    #: (the renamed file no longer matches the ``*.pkl`` entry glob).
+    QUARANTINE_SUFFIX = ".corrupt"
 
     def __init__(self, root: Optional[Union[str, os.PathLike]] = None) -> None:
         self.root = Path(root) if root is not None else None
@@ -190,19 +201,37 @@ class ResultStore:
     # Cache operations
     # ------------------------------------------------------------------
     def get(self, key: CacheKey) -> Optional[StudyResult]:
-        """Fetch a cached result, or ``None`` on a miss."""
+        """Fetch a cached result, or ``None`` on a miss.
+
+        An on-disk entry that cannot be unpickled -- a torn write, an empty
+        file, or a pickle of a class the code no longer has -- is
+        quarantined, counted in ``stats.corrupt`` and reported as a miss,
+        so the caller recomputes the result and :meth:`put` rewrites it.
+        """
         result = self._memory.get(key)
         if result is None:
             path = self._path(key)
             if path is not None and path.exists():
-                with path.open("rb") as handle:
-                    result = pickle.load(handle)
-                self._memory[key] = result
+                try:
+                    with path.open("rb") as handle:
+                        result = pickle.load(handle)
+                except (pickle.UnpicklingError, EOFError, AttributeError, ImportError):
+                    self._quarantine(path)
+                else:
+                    self._memory[key] = result
         if result is None:
             self.stats.misses += 1
             return None
         self.stats.hits += 1
         return dataclasses.replace(result, from_cache=True)
+
+    def _quarantine(self, path: Path) -> None:
+        """Move an unreadable entry out of the store's ``*.pkl`` namespace."""
+        with self._write_lock():
+            # Another reader may have quarantined it first.
+            with contextlib.suppress(FileNotFoundError):
+                path.replace(path.with_name(path.name + self.QUARANTINE_SUFFIX))
+        self.stats.corrupt += 1
 
     def put(self, key: CacheKey, result: StudyResult) -> None:
         """Store a freshly executed result in memory and (if rooted) on disk."""

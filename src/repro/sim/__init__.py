@@ -1,4 +1,4 @@
-"""Cycle-level DDR4 memory-system simulator with two fast execution paths.
+"""Cycle-level DDR4 memory-system simulator with an event-queue fast path.
 
 This package replaces the paper's Ramulator + SPEC CPU2006 setup (Table 6)
 with a pure-Python equivalent:
@@ -18,39 +18,15 @@ with a pure-Python equivalent:
   workload mixes used in the evaluation.
 * :mod:`repro.sim.metrics` -- weighted speedup and bandwidth-overhead metrics.
 * :mod:`repro.sim.system` -- the top-level multi-core simulation harness.
-* :mod:`repro.sim.batch` / :mod:`repro.sim.kernel` -- sim-major batched
-  runs: many independent simulations stepped in lockstep through a numpy
-  structure-of-arrays kernel.
+* :mod:`repro.sim.batch` -- :class:`~repro.sim.batch.SimulationBatch`, a
+  group of independent simulations of one system run one after another
+  (the Figure 10 study's per-core alone-IPC runs).
 
 Execution model
 ---------------
-There are three ways to execute a simulation, all bit-identical (the
-differential and golden suites enforce this per mechanism):
-
-* ``Simulation(step_mode="cycle")`` -- the per-cycle scanning oracle;
-* ``Simulation(step_mode="event")`` -- the event-queue fast path (the
-  default, ~4-5x the oracle);
-* ``SimulationBatch(..., backend="kernel")`` -- many simulations at once
-  through the batch kernel (~5.5x the oracle at batch size 64; see
-  ``docs/kernel_spike.md`` for why vectorization only pays *across*
-  simulations).
-
-Which path runs when
---------------------
-A single :class:`~repro.sim.system.Simulation` picks between ``"cycle"``
-and ``"event"`` via ``step_mode``; it never uses the kernel (numpy on one
-controller's bank arrays is slower than the tuned scalar scan).  Grouped
-runs -- the Figure 10 study's baselines, alone-IPC runs and grid cells --
-go through :class:`~repro.sim.batch.SimulationBatch`, which uses the
-kernel when :func:`repro.sim.kernel.kernel_enabled` allows (numpy
-importable, ``REPRO_SIM_KERNEL`` not set to ``off``/``0``/``false``...)
-and otherwise falls back to running each simulation through the event
-path.  The fallback never raises and produces the same results, so
-``REPRO_SIM_KERNEL=off`` doubles as a CI leg that re-pins every
-kernel-parameterized test against the event path.
-
 A :class:`~repro.sim.system.Simulation` runs in one of two bit-identical
-step modes:
+step modes (the golden and differential suites enforce this per
+mechanism):
 
 * ``step_mode="cycle"`` -- the reference implementation ticks the controller
   and every core at every DRAM cycle, scheduling by scanning the request
@@ -98,30 +74,9 @@ calls ``port.schedule_timer(cycle)``; the controller then dispatches
 :meth:`~repro.mitigations.base.MitigationMechanism.on_timer` at that cycle
 in **both** step modes and folds the timer into every event horizon, so the
 fast-forward can never jump over it.  Re-arm the (one-shot) timer from
-inside ``on_timer`` for periodic work.
-
-The legacy route -- overriding
-:meth:`~repro.mitigations.base.MitigationMechanism.next_event_cycle` -- is
-still honoured through a compat shim: such mechanisms are detected at
-attach time and polled on every horizon computation, with the old contract
-(the returned cycle is processed, dispatch is the mechanism's own
-responsibility).  New code should prefer the port API: it is cheaper (no
-per-tick poll) and the controller owns the dispatch.
-
-How a mitigation stays kernel-compatible
-----------------------------------------
-The batch kernel never vectorizes mechanism code: controllers remain the
-authoritative state and every ``on_activate`` / ``on_refresh`` /
-``on_timer`` hook runs as ordinary scalar Python in oracle order, with
-the per-simulation quiet horizon clamped to ``min(next_refresh,
-earliest_completion, next_timer)`` so a fast-forward can never jump a
-mechanism's event.  A mechanism is therefore kernel-compatible exactly
-when it is event-compatible: interact with the simulation only through
-the hook and :class:`~repro.sim.controller.MitigationEventPort` APIs
-(plus ``mitigation_busy_cycles`` accounting), and never assume the
-controller is ticked on every cycle.  All shipped mechanisms -- including
-the RNG-driven (PARA) and timer-driven (scrubber) ones -- run unmodified
-under all three paths.
+inside ``on_timer`` for periodic work.  This port is the only timer API: a
+mechanism must interact with the simulation through its hooks and the port
+alone, and never assume the controller is ticked on every cycle.
 """
 
 from repro.sim.config import SystemConfig

@@ -114,28 +114,12 @@ class BankState:
 
 @dataclass(slots=True)
 class RankState:
-    """Rank-level constraints shared by all banks: tRRD, tFAW and the data bus.
-
-    The ``k_*`` fields are batch-kernel mirrors, attached by
-    :class:`repro.sim.kernel.BatchKernel` when this rank's controller is part
-    of a :class:`~repro.sim.batch.SimulationBatch`: ``k_next`` / ``k_bus`` /
-    ``k_faw`` are the batch's per-simulation ``(S,)`` arrays (indexed by
-    ``k_s``), and ``k_ring`` is this simulation's row of the last-four-ACT
-    ring.  The ring records the four most recent activate cycles *ever*
-    (oldest first), so ``k_faw + tFAW`` is exactly the tFAW admission bound
-    without the deque's expiry bookkeeping.  All stay ``None`` outside a
-    batch, in which case the guarded writes cost one attribute check.
-    """
+    """Rank-level constraints shared by all banks: tRRD, tFAW and the data bus."""
 
     timings: DramTimings
     next_activate: int = 0
     data_bus_free: int = 0
     recent_activates: Deque[int] = field(default_factory=deque)
-    k_next: Optional[object] = None
-    k_bus: Optional[object] = None
-    k_faw: Optional[object] = None
-    k_ring: Optional[object] = None
-    k_s: int = 0
 
     def can_activate(self, cycle: int) -> bool:
         """Whether any bank in the rank may receive an ACT this cycle."""
@@ -149,15 +133,6 @@ class RankState:
         self.next_activate = cycle + self.timings.trrd_l
         self.recent_activates.append(cycle)
         self._expire(cycle)
-        ring = self.k_ring
-        if ring is not None:
-            s = self.k_s
-            self.k_next[s] = self.next_activate
-            ring[0] = ring[1]
-            ring[1] = ring[2]
-            ring[2] = ring[3]
-            ring[3] = cycle
-            self.k_faw[s] = ring[0]
 
     def can_use_data_bus(self, cycle: int) -> bool:
         """Whether the shared data bus is free for a new burst."""
@@ -167,8 +142,6 @@ class RankState:
         """Occupy the data bus for one burst starting after CAS latency."""
         start = cycle + self.timings.tcl
         self.data_bus_free = max(self.data_bus_free, start + self.timings.burst_cycles)
-        if self.k_bus is not None:
-            self.k_bus[self.k_s] = self.data_bus_free
 
     def _expire(self, cycle: int) -> None:
         window_start = cycle - self.timings.tfaw

@@ -29,11 +29,9 @@ The harness offers two bit-identical execution strategies selected by the
   regression suite (``tests/sim/test_golden_trace.py``) enforces this for
   every mitigation mechanism.
 
-There is deliberately no ``step_mode="kernel"``: the vectorized batch
-kernel only pays for itself across many simulations (see
-``docs/kernel_spike.md``), so it lives behind
-:class:`repro.sim.batch.SimulationBatch`, which produces the same
-bit-identical :class:`SimulationResult` values for a whole group of runs.
+These are the simulator's only two execution paths;
+:class:`repro.sim.batch.SimulationBatch` runs a group of simulations
+through one of them in turn.
 """
 
 from __future__ import annotations

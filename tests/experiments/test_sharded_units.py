@@ -4,9 +4,10 @@ The unit layer's core guarantee: a decomposed study's merged payload is a
 pure function of (study, config, chip) -- bit-identical no matter which
 executor ran the units, how many workers it used, or in what order the
 units completed.  This suite pins that guarantee for the simulator-backed
-Figure 10 studies (including equality with the monolithic reference
-implementation) and for the chip-grid studies, on a tiny tier-1 config;
-a fuller sweep runs behind the ``slow`` marker.
+Figure 10 studies (including equality with the object-taking public entry
+point :func:`~repro.analysis.mitigation_study.run_mitigation_study`) and
+for the chip-grid studies, on a tiny tier-1 config; a fuller sweep runs
+behind the ``slow`` marker.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from repro.analysis.mitigation_study import (
     DEFAULT_MECHANISMS,
     FullMitigationStudyConfig,
     MitigationStudyConfig,
+    run_mitigation_study,
 )
 from repro.core.characterization import CharacterizationConfig
 from repro.core.coverage import CoverageStudyConfig
@@ -34,6 +36,8 @@ from repro.experiments import (
 )
 from repro.experiments.executors import execute_task
 from repro.mitigations.registry import is_evaluable
+from repro.sim.config import SystemConfig
+from repro.sim.workloads import make_workload_mixes
 
 #: Tiny but representative sim-backed sweep: a probabilistic mechanism, a
 #: tuned-point mechanism and the oracle, over one small mix.
@@ -79,6 +83,19 @@ def points_of(study_payload):
     return [point.to_dict() for point in study_payload.points]
 
 
+def run_public_entry_point(num_mixes, rows_per_bank, seed, **axes):
+    """The same sweep through ``run_mitigation_study``'s object arguments."""
+    system_config = SystemConfig(rows_per_bank=rows_per_bank)
+    return run_mitigation_study(
+        system_config=system_config,
+        workload_mixes=make_workload_mixes(
+            num_mixes=num_mixes, cores=system_config.cores, seed=seed
+        ),
+        seed=seed,
+        **axes,
+    )
+
+
 class TestFig10ShardedDeterminism:
     @pytest.mark.parametrize("step_mode", ["event", "cycle"])
     def test_parallel_matches_serial_bit_for_bit(self, step_mode):
@@ -96,13 +113,24 @@ class TestFig10ShardedDeterminism:
         assert points_of(reference.single()) == points_of(shuffled.single())
 
     def test_sharded_matches_monolithic_oracle(self):
-        """The merged payload reproduces the monolithic reference function
-        bit for bit: same floats, same point order."""
-        spec = get_study("fig10-mitigations")
-        config = MitigationStudyConfig(step_mode="event", **TINY_FIG10)
-        monolithic = spec.run(None, config)
+        """The session's merged payload equals what the public entry point
+        computes from system and mix objects: same floats, same order."""
+        public = run_public_entry_point(**TINY_FIG10)
         sharded = run_fig10(SerialExecutor(), "event").single()
-        assert points_of(monolithic) == points_of(sharded)
+        assert points_of(public) == points_of(sharded)
+
+    def test_public_entry_point_matches_session_in_cycle_mode(self):
+        public = run_public_entry_point(step_mode="cycle", **TINY_FIG10)
+        sharded = run_fig10(SerialExecutor(), "cycle").single()
+        assert points_of(public) == points_of(sharded)
+
+    def test_registered_function_matches_session(self):
+        """Calling the registered study function directly runs the same
+        units in turn and merges them like the session does."""
+        config = MitigationStudyConfig(step_mode="event", **TINY_FIG10)
+        direct = get_study("fig10-mitigations").run(None, config)
+        sharded = run_fig10(SerialExecutor(), "event").single()
+        assert points_of(direct) == points_of(sharded)
 
 
 class TestChipGridShardedDeterminism:
@@ -205,8 +233,6 @@ class TestFullSweepShardedDeterminism:
         assert points_of(serial.single()) == points_of(parallel.single())
 
     def test_sharded_matches_monolithic_oracle(self):
-        spec = get_study("fig10-mitigations")
-        config = MitigationStudyConfig(step_mode="event", **self.SWEEP)
-        monolithic = spec.run(None, config)
+        public = run_public_entry_point(**self.SWEEP)
         sharded = run_fig10(SerialExecutor(), "event", **self.SWEEP).single()
-        assert points_of(monolithic) == points_of(sharded)
+        assert points_of(public) == points_of(sharded)

@@ -127,7 +127,7 @@ class TestServiceMatchesSerial:
 
     def test_selftest_many_workers_any_batch(self):
         """Worker count and batch size are invisible in the payloads."""
-        config = ServiceSelfTestConfig(units=9, rounds=200, unit_sleep_s=0.05, seed=11)
+        config = ServiceSelfTestConfig(units=9, rounds=200, unit_sleep_s=0.2, seed=11)
         serial = ExperimentSession(executor=SerialExecutor(), seed=2).run(
             "service-selftest", config
         )
@@ -141,8 +141,10 @@ class TestServiceMatchesSerial:
                 status = probe.status()
         assert service.single() == serial.single()
         assert service.single().combined_digest == serial.single().combined_digest
-        # Units sleep 50ms each, so the sweep genuinely spread across the
-        # fleet: at least two of the three workers completed units.
+        # Workers that found no work wait 0.5 s before asking again, so one
+        # early worker could drain a short sweep alone.  Units sleep 200 ms
+        # each (1.8 s for one worker), so the sweep genuinely spreads across
+        # the fleet: at least two of the three workers completed units.
         busy = [w for w in status["workers"].values() if w["units_completed"] >= 1]
         assert len(busy) >= 2
 

@@ -189,28 +189,8 @@ class TestCoreHorizon:
 
 
 class TestMitigationTimerHook:
-    def test_autonomous_timer_bounds_horizon(self, system):
-        """A mechanism with its own timer must cap the controller horizon."""
-        from repro.mitigations.base import MitigationConfig, MitigationMechanism
-
-        class TimerMechanism(MitigationMechanism):
-            name = "timer"
-
-            def on_activate(self, bank, row, cycle):
-                return []
-
-            def next_event_cycle(self, cycle):
-                return cycle + 17
-
-        mechanism = TimerMechanism(
-            MitigationConfig(hcfirst=1_000, banks=system.banks, rows_per_bank=system.rows_per_bank)
-        )
-        controller = MemoryController(system, mitigation=mechanism)
-        assert controller.next_event_cycle(0) == 17
-        horizon = controller.tick(0)
-        assert horizon == 17
-
     def test_default_mechanisms_have_no_autonomous_timer(self, system):
+        """No shipped mechanism registers a timer, so none moves the horizon."""
         from repro.mitigations.base import MitigationConfig
         from repro.mitigations.registry import available_mechanisms, build_mechanism
 
@@ -221,4 +201,5 @@ class TestMitigationTimerHook:
                     hcfirst=50_000, banks=system.banks, rows_per_bank=system.rows_per_bank
                 ),
             )
-            assert mechanism.next_event_cycle(123) is None
+            controller = MemoryController(system, mitigation=mechanism)
+            assert controller.next_event_cycle(0) == controller.timings.trefi

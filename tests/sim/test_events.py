@@ -10,8 +10,7 @@ Three layers:
   scan-based reference scheduler, on randomized request soups.
 * The mitigation timer event-registration API
   (:meth:`~repro.mitigations.base.MitigationMechanism.register_events` /
-  ``on_timer``), including bit-identity across step modes and the legacy
-  ``next_event_cycle`` compat shim.
+  ``on_timer``), including bit-identity across step modes.
 """
 
 import dataclasses
@@ -21,7 +20,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.mitigations.base import MitigationConfig, MitigationMechanism
-from repro.sim.batch import SimulationBatch
 from repro.sim.config import SystemConfig
 from repro.sim.controller import MemoryController
 from repro.sim.events import NEVER, EventQueue
@@ -309,6 +307,56 @@ class ScrubberMechanism(MitigationMechanism):
         return []
 
 
+class LateTimerMechanism(MitigationMechanism):
+    """Test mechanism: arms one-shot timers mid-run, from ``on_activate``.
+
+    Each timer is scheduled ``delay`` cycles after an activation, while the
+    controller may already hold a quiet horizon past it -- the event path
+    must pull its horizon in rather than jump over the new timer.
+    """
+
+    name = "test-late-timer"
+
+    def __init__(self, config, delay=37, timers=5):
+        super().__init__(config)
+        self.delay = delay
+        self.timers = timers
+        self.armed_at = []
+        self.fired_at = []
+        self._port = None
+
+    def register_events(self, port):
+        self._port = port
+
+    def on_activate(self, bank, row, cycle):
+        if self._port.timer_cycle == NEVER and len(self.armed_at) < self.timers:
+            self.armed_at.append(cycle)
+            self._port.schedule_timer(cycle + self.delay)
+        return []
+
+    def on_timer(self, cycle):
+        self.fired_at.append(cycle)
+        return self._request([(0, 1)])
+
+
+def timer_traces(config, seed=11):
+    mix = make_workload_mixes(num_mixes=1, cores=config.cores, seed=seed)[0]
+    return mix.build_traces(
+        banks=config.banks,
+        rows_per_bank=config.rows_per_bank,
+        columns_per_row=config.columns_per_row,
+        requests_per_core=400,
+        seed=seed,
+    )
+
+
+def assert_runs_identical(results):
+    assert dataclasses.asdict(results["cycle"].controller_stats) == dataclasses.asdict(
+        results["event"].controller_stats
+    )
+    assert results["cycle"].core_ipcs == results["event"].core_ipcs
+
+
 class TestMitigationTimerRegistration:
     def _mechanism(self, config, period=700):
         return ScrubberMechanism(
@@ -340,20 +388,13 @@ class TestMitigationTimerRegistration:
             simulation = Simulation(config, traces, mitigation=mechanism, step_mode=mode)
             results[mode] = simulation.run(5_000)
             fired[mode] = list(mechanism.fired_at)
-        # The batch kernel must dispatch the registered timers identically
-        # (its mitigation-timer array mirrors this port-scheduled state).
-        mechanism = self._mechanism(config)
-        batch = SimulationBatch(config, [traces], mitigations=[mechanism], backend="kernel")
-        results["kernel"] = batch.run(5_000)[0]
-        fired["kernel"] = list(mechanism.fired_at)
-        assert fired["cycle"] == fired["event"] == fired["kernel"]
+        assert fired["cycle"] == fired["event"]
         assert fired["event"] == [700 * n for n in range(1, 8)]
         assert results["cycle"].controller_stats.mitigation_refreshes > 0
-        for mode in ("event", "kernel"):
-            assert dataclasses.asdict(
-                results["cycle"].controller_stats
-            ) == dataclasses.asdict(results[mode].controller_stats)
-            assert results["cycle"].core_ipcs == results[mode].core_ipcs
+        assert dataclasses.asdict(results["cycle"].controller_stats) == dataclasses.asdict(
+            results["event"].controller_stats
+        )
+        assert results["cycle"].core_ipcs == results["event"].core_ipcs
 
     def test_registered_timer_bounds_horizon(self):
         config = SystemConfig(
@@ -376,37 +417,45 @@ class TestMitigationTimerRegistration:
         assert mechanism._port.timer_cycle == NEVER
         assert controller.next_event_cycle(0) == config.timings.trefi
 
-    def test_port_exempts_mechanism_from_legacy_polling(self):
+    def test_timer_armed_mid_run_fires_on_time_in_both_modes(self):
         config = SystemConfig(
-            cores=1, banks=4, rows_per_bank=64, read_queue_depth=8, write_queue_depth=8
+            cores=2, banks=4, rows_per_bank=256, read_queue_depth=8, write_queue_depth=8
         )
-        mechanism = self._mechanism(config)
-        assert not mechanism.has_autonomous_timer_poll()
-        controller = MemoryController(config, mitigation=mechanism)
-        assert not controller._poll_mitigation
-
-    def test_legacy_next_event_cycle_override_still_polled(self):
-        class LegacyTimer(MitigationMechanism):
-            name = "legacy-timer"
-
-            def on_activate(self, bank, row, cycle):
-                return []
-
-            def next_event_cycle(self, cycle):
-                return cycle + 17
-
-        config = SystemConfig(
-            cores=1, banks=4, rows_per_bank=64, read_queue_depth=8, write_queue_depth=8
-        )
-        mechanism = LegacyTimer(
-            MitigationConfig(
-                hcfirst=2_000,
-                banks=config.banks,
-                rows_per_bank=config.rows_per_bank,
-                timings=config.timings,
+        traces = timer_traces(config)
+        results, fired = {}, {}
+        for mode in ("cycle", "event"):
+            mechanism = LateTimerMechanism(
+                MitigationConfig(
+                    hcfirst=2_000,
+                    banks=config.banks,
+                    rows_per_bank=config.rows_per_bank,
+                    timings=config.timings,
+                )
             )
+            results[mode] = Simulation(
+                config, traces, mitigation=mechanism, step_mode=mode
+            ).run(5_000)
+            assert mechanism.fired_at == [cycle + 37 for cycle in mechanism.armed_at]
+            fired[mode] = mechanism.fired_at
+        assert fired["cycle"] == fired["event"]
+        assert len(fired["event"]) == 5
+        assert results["event"].controller_stats.mitigation_refreshes == 5
+        assert_runs_identical(results)
+
+    def test_timer_on_refresh_boundaries_fires_in_both_modes(self):
+        """A timer due on the same cycle as each periodic refresh command."""
+        config = SystemConfig(
+            cores=2, banks=4, rows_per_bank=256, read_queue_depth=8, write_queue_depth=8
         )
-        assert mechanism.has_autonomous_timer_poll()
-        controller = MemoryController(config, mitigation=mechanism)
-        assert controller._poll_mitigation
-        assert controller.next_event_cycle(0) == 17
+        trefi = config.timings.trefi
+        traces = timer_traces(config)
+        results, fired = {}, {}
+        for mode in ("cycle", "event"):
+            mechanism = self._mechanism(config, period=trefi)
+            results[mode] = Simulation(
+                config, traces, mitigation=mechanism, step_mode=mode
+            ).run(3 * trefi + 1)
+            fired[mode] = mechanism.fired_at
+        assert fired["cycle"] == fired["event"] == [trefi, 2 * trefi, 3 * trefi]
+        assert results["event"].controller_stats.refresh_commands >= 3
+        assert_runs_identical(results)

@@ -1,17 +1,12 @@
 """Golden-trace regression suite: event-driven mode vs the cycle reference.
 
-Both fast paths -- the event-driven mode (``step_mode="event"``) and the
-sim-major batch kernel (:class:`repro.sim.batch.SimulationBatch` with
-``backend="kernel"``) -- must be *bit-identical* to the cycle-by-cycle
-reference (``step_mode="cycle"``): every
+The event-driven fast path (``step_mode="event"``) must be *bit-identical*
+to the cycle-by-cycle reference (``step_mode="cycle"``): every
 :class:`~repro.sim.system.SimulationResult` field, every counter.  The
 reference scheduler makes its decisions by scanning the request queues and
 ``BankState`` objects directly, independently of the incremental bookkeeping
-(per-bank pending/hit counters, flat bank mirrors, quiet-until cache,
-batch-kernel array mirrors) the fast paths rely on, so these tests validate
-that machinery end to end.  Every golden is parameterized over both fast
-paths; under ``REPRO_SIM_KERNEL=off`` (the CI fallback leg) the kernel
-variant degrades to the event path, keeping the fallback itself covered.
+(per-bank pending/hit counters, flat bank mirrors, quiet-until cache) the
+fast path relies on, so these tests validate that machinery end to end.
 
 The tier-1 tests here run each mitigation mechanism on a tiny fixed-seed
 workload; the ``slow`` marker covers the full Table 6 system over several
@@ -24,7 +19,6 @@ import pytest
 
 from repro.mitigations.base import MitigationConfig
 from repro.mitigations.registry import available_mechanisms, build_mechanism
-from repro.sim.batch import SimulationBatch
 from repro.sim.config import SystemConfig
 from repro.sim.system import Simulation
 from repro.sim.trace import AggressorTraceGenerator, SyntheticTraceGenerator
@@ -41,8 +35,8 @@ GOLDEN_SYSTEM = SystemConfig(
 )
 
 GOLDEN_SEED = 7
-#: Both fast paths every golden is pinned against the cycle oracle.
-FAST_MODES = ("event", "kernel")
+#: The fast path every golden is pinned against the cycle oracle.
+FAST_MODES = ("event",)
 #: Long enough to cross at least one tREFI boundary (periodic refresh).
 GOLDEN_CYCLES = 10_000
 
@@ -68,33 +62,24 @@ def run_both(
 ):
     """Run the same workload through the cycle oracle and one fast path."""
 
-    def build_mitigation():
-        if mitigation_name is None:
-            return None
-        return build_mechanism(
-            mitigation_name,
-            MitigationConfig(
-                hcfirst=hcfirst,
-                banks=config.banks,
-                rows_per_bank=config.rows_per_bank,
-                timings=config.timings,
-                seed=GOLDEN_SEED,
-            ),
+    def run(step_mode):
+        mitigation = None
+        if mitigation_name is not None:
+            mitigation = build_mechanism(
+                mitigation_name,
+                MitigationConfig(
+                    hcfirst=hcfirst,
+                    banks=config.banks,
+                    rows_per_bank=config.rows_per_bank,
+                    timings=config.timings,
+                    seed=GOLDEN_SEED,
+                ),
+            )
+        return Simulation(config, traces, mitigation=mitigation, step_mode=step_mode).run(
+            dram_cycles
         )
 
-    reference = Simulation(
-        config, traces, mitigation=build_mitigation(), step_mode="cycle"
-    ).run(dram_cycles)
-    if fast_mode == "kernel":
-        batch = SimulationBatch(
-            config, [traces], mitigations=[build_mitigation()], backend="kernel"
-        )
-        fast = batch.run(dram_cycles)[0]
-    else:
-        fast = Simulation(
-            config, traces, mitigation=build_mitigation(), step_mode="event"
-        ).run(dram_cycles)
-    return reference, fast
+    return run("cycle"), run(fast_mode)
 
 
 def assert_bit_identical(reference, fast):
@@ -219,14 +204,9 @@ class TestGoldenTraces:
     def test_internal_bookkeeping_consistent_after_event_run(self, fast_mode):
         """The fast path's indexed structures must equal scan-derived truth."""
         traces = build_traces(GOLDEN_SYSTEM)
-        if fast_mode == "kernel":
-            batch = SimulationBatch(GOLDEN_SYSTEM, [traces], backend="kernel")
-            batch.run(GOLDEN_CYCLES)
-            controller = batch.controllers[0]
-        else:
-            simulation = Simulation(GOLDEN_SYSTEM, traces, step_mode="event")
-            simulation.run(GOLDEN_CYCLES)
-            controller = simulation.controller
+        simulation = Simulation(GOLDEN_SYSTEM, traces, step_mode=fast_mode)
+        simulation.run(GOLDEN_CYCLES)
+        controller = simulation.controller
         live_reads = controller.queued_reads()
         live_writes = controller.queued_writes()
         assert controller.read_len == len(live_reads)

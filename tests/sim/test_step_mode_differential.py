@@ -1,18 +1,13 @@
-"""Kernel-vs-oracle differential suite (hypothesis).
+"""Event-vs-cycle differential suite (hypothesis).
 
 Random trace soups over random system geometries and mechanism draws run
-through all three execution paths -- the sim-major batch kernel
-(:class:`repro.sim.batch.SimulationBatch` with ``backend="kernel"``), the
-event-driven fast path, and the ``step_mode="cycle"`` oracle -- asserting
-bit-identical statistics across the three.  A separate adversarial class
-drives refresh-boundary and tFAW-pressure schedules: request bursts timed
-at ``n * tREFI`` edges (with a fast-refresh timing variant so runs cross
-many boundaries), runs that end exactly on / one before / one after a
-boundary, and zero-bubble round-robin activate storms.
-
-The kernel variant degrades to the event path under
-``REPRO_SIM_KERNEL=off`` (the CI fallback leg), so this suite then pins
-the fallback instead of vacuously passing.
+through both execution paths -- the event-driven fast path and the
+``step_mode="cycle"`` oracle -- asserting bit-identical statistics.  A
+separate adversarial class drives refresh-boundary and tFAW-pressure
+schedules: request bursts timed at ``n * tREFI`` edges (with a
+fast-refresh timing variant so runs cross many boundaries), runs that end
+exactly on / one before / one after a boundary, and zero-bubble
+round-robin activate storms.
 """
 
 import dataclasses
@@ -22,7 +17,6 @@ from hypothesis import strategies as st
 
 from repro.mitigations.base import MitigationConfig
 from repro.mitigations.registry import available_mechanisms, build_mechanism
-from repro.sim.batch import SimulationBatch
 from repro.sim.config import SystemConfig
 from repro.sim.system import Simulation
 from repro.sim.timing import DramTimings
@@ -62,22 +56,20 @@ def build_mitigation(config, mechanism_name, hcfirst, seed):
     )
 
 
-def assert_all_modes_identical(config, trace_sets, mechanism_name, hcfirst, seed, cycles):
-    """One batch through the kernel vs per-simulation event and cycle runs."""
-    mitigations = [
-        build_mitigation(config, mechanism_name, hcfirst, seed) for _ in trace_sets
-    ]
-    batch = SimulationBatch(config, trace_sets, mitigations=mitigations, backend="kernel")
-    kernel_fps = [fingerprint(result) for result in batch.run(cycles)]
-    for mode in ("event", "cycle"):
-        for traces, kernel_fp in zip(trace_sets, kernel_fps):
-            simulation = Simulation(
+def assert_modes_identical(config, traces, mechanism_name, hcfirst, seed, cycles):
+    """The event path and the cycle oracle give identical fingerprints."""
+    event, cycle = (
+        fingerprint(
+            Simulation(
                 config,
                 traces,
                 mitigation=build_mitigation(config, mechanism_name, hcfirst, seed),
                 step_mode=mode,
-            )
-            assert fingerprint(simulation.run(cycles)) == kernel_fp, mode
+            ).run(cycles)
+        )
+        for mode in ("event", "cycle")
+    )
+    assert event == cycle
 
 
 @st.composite
@@ -117,19 +109,7 @@ class TestRandomSoups:
     @given(system_and_soup())
     def test_random_soup_all_modes_identical(self, drawn):
         config, traces, mechanism, hcfirst, seed = drawn
-        assert_all_modes_identical(config, [traces], mechanism, hcfirst, seed, 2_000)
-
-    @settings(max_examples=10, deadline=None)
-    @given(system_and_soup(), st.integers(2, 4))
-    def test_random_soup_batched_sims_identical(self, drawn, copies):
-        """Several simulations of one soup in one batch (rotated traces so
-        the lockstep simulations genuinely diverge)."""
-        config, traces, mechanism, hcfirst, seed = drawn
-        trace_sets = [
-            [trace[shift:] + trace[:shift] for trace in traces]
-            for shift in range(copies)
-        ]
-        assert_all_modes_identical(config, trace_sets, mechanism, hcfirst, seed, 1_500)
+        assert_modes_identical(config, traces, mechanism, hcfirst, seed, 2_000)
 
 
 def burst_trace(banks, rows, start_bubbles, burst_len, stride=1):
@@ -186,7 +166,7 @@ class TestAdversarialBoundaries:
             burst_trace(config.banks, config.rows_per_bank, lead, 40, stride=1),
             burst_trace(config.banks, config.rows_per_bank, lead, 40, stride=3),
         ]
-        assert_all_modes_identical(config, [traces], mechanism, 200, 0, 3 * trefi)
+        assert_modes_identical(config, traces, mechanism, 200, 0, 3 * trefi)
 
     @settings(max_examples=12, deadline=None)
     @given(end_offset=st.integers(-2, 2), boundary=st.integers(1, 3))
@@ -198,7 +178,7 @@ class TestAdversarialBoundaries:
             burst_trace(config.banks, config.rows_per_bank, 0, 60, stride=1),
             burst_trace(config.banks, config.rows_per_bank, 200, 60, stride=2),
         ]
-        assert_all_modes_identical(config, [traces], "PARA", 64, 1, cycles)
+        assert_modes_identical(config, traces, "PARA", 64, 1, cycles)
 
     def test_tfaw_activate_storm(self):
         """Zero-bubble round-robin over all banks with no row reuse: every
@@ -217,4 +197,4 @@ class TestAdversarialBoundaries:
             ]
             for _ in range(2)
         ]
-        assert_all_modes_identical(config, [traces], None, 2_000, 0, 2_500)
+        assert_modes_identical(config, traces, None, 2_000, 0, 2_500)

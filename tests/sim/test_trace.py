@@ -4,7 +4,6 @@ workload mixes rely on."""
 
 import pytest
 
-from repro.sim.core import flatten_trace
 from repro.sim.trace import AggressorTraceGenerator, SyntheticTraceGenerator
 
 
@@ -115,16 +114,3 @@ class TestAggressorTraceGenerator:
 
     def test_deterministic(self):
         assert self.make().generate(150) == self.make().generate(150)
-
-
-class TestFlattenRoundTrip:
-    def test_flatten_preserves_every_field(self):
-        records = make_generator().generate(300)
-        bubbles, is_write, banks, rows, columns = flatten_trace(records)
-        assert len(bubbles) == len(records)
-        for index, record in enumerate(records):
-            assert bubbles[index] == record.bubble_instructions
-            assert is_write[index] == record.is_write
-            assert banks[index] == record.bank
-            assert rows[index] == record.row
-            assert columns[index] == record.column
