@@ -11,8 +11,9 @@ asserted below.
 
 The sweep runs on the event-driven simulator fast path (the default
 ``step_mode``), which is bit-identical to the cycle-by-cycle reference --
-see ``tests/sim/test_golden_trace.py`` and ``benchmarks/bench_sim_speed.py``
-for the equivalence and speedup evidence.
+see ``tests/sim/test_golden_trace.py`` and
+``tests/sim/test_step_mode_differential.py`` for the equivalence evidence,
+and ``perfbench/``'s ``fig10-grid`` workload for its end-to-end speed.
 
 The study executes *sharded* through an :class:`repro.ExperimentSession`:
 one work unit per workload-mix baseline and per (mechanism, HC_first, mix)

@@ -27,19 +27,13 @@ what the hammer/refresh kernels operate on --
   row, so any access order yields the same values.
 
 One ``activate`` / ``hammer_pair`` disturbs every victim row of the blast
-radius in a single vectorized op, and
-:class:`~repro.dram.population.ChipPopulation` extends the same arrays
-with a leading chip axis to hammer a whole Table 1 population at once.
+radius in a single vectorized op.
 
-The pre-refactor object-at-a-time API is preserved as thin views:
-``write_row`` / ``read_row`` index single rows of the arrays, and the
-``chip._rows`` mapping used by white-box tests yields live row views whose
-``bits`` / ``check_bits`` / ``epoch`` read (and, for ``bits``, write)
-through to the columns.  :class:`~repro.dram.reference.ReferenceDramChip`
-retains the original dict-of-rows implementation as the oracle the
-differential suite pins the vectorized kernels against, and
-:func:`~repro.dram.chip.state_digest` hashes any backend's observable raw
-state for those comparisons.
+Single-row operations (``write_row`` / ``read_row``) index one row of the
+arrays. :class:`~repro.dram.reference.ReferenceDramChip` keeps a
+dict-of-rows implementation as the oracle the differential suite pins the
+vectorized kernels against, and :func:`~repro.dram.chip.state_digest`
+hashes any backend's observable raw state for those comparisons.
 """
 
 from repro.dram.spec import DramType, DramTypeSpec, SPECS, spec_for
@@ -62,7 +56,6 @@ from repro.dram.chip import DramChip, state_digest
 from repro.dram.reference import ReferenceDramChip
 from repro.dram.module import DramModule
 from repro.dram.population import (
-    ChipPopulation,
     make_chip,
     make_module,
     make_population,
@@ -89,7 +82,6 @@ __all__ = [
     "DramChip",
     "ReferenceDramChip",
     "state_digest",
-    "ChipPopulation",
     "DramModule",
     "make_chip",
     "make_module",

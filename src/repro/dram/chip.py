@@ -31,11 +31,10 @@ Chip state is columnar: each touched bank owns one
 :class:`~repro.dram.columnar.BankColumns` of whole-bank numpy arrays (bits,
 refresh epochs, wordline exposure, lazily sampled thresholds / coupling
 classes / noise), so an aggressor application disturbs every victim row of
-the blast radius in one vectorized op instead of per-row dict updates.  The
-legacy per-row mapping survives as the read/write *view* ``chip._rows``
-(used by white-box tests), and :class:`~repro.dram.reference.ReferenceDramChip`
-retains the original dict-of-rows implementation as the bit-identity oracle
-for the differential suite.
+the blast radius in one vectorized op instead of per-row dict updates.
+:class:`~repro.dram.reference.ReferenceDramChip` retains the original
+dict-of-rows implementation as the bit-identity oracle for the differential
+suite.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -92,77 +91,6 @@ class ChipStats:
         self.row_writes += other.row_writes
         self.row_reads += other.row_reads
         self.bit_flips_induced += other.bit_flips_induced
-
-
-class _RowStateView:
-    """Live view of one written row's storage.
-
-    Mirrors the old per-row ``_RowState`` object: ``bits`` is a writable
-    view into the bank's bit matrix (white-box tests flip bits through it),
-    ``check_bits`` / ``epoch`` read the corresponding columns.
-    """
-
-    __slots__ = ("_columns", "_row")
-
-    def __init__(self, columns: BankColumns, row: int) -> None:
-        self._columns = columns
-        self._row = row
-
-    @property
-    def bits(self) -> np.ndarray:
-        return self._columns.bits[self._row]
-
-    @property
-    def check_bits(self) -> Optional[np.ndarray]:
-        if self._columns.check_bits is None:
-            return None
-        return self._columns.check_bits[self._row]
-
-    @property
-    def epoch(self) -> int:
-        return int(self._columns.epoch[self._row])
-
-
-class _RowsView:
-    """Read-only mapping facade over the written rows of all banks.
-
-    Keyed by ``(bank, row)`` like the old ``_rows`` dict; raises ``KeyError``
-    for rows that have never been written.
-    """
-
-    __slots__ = ("_chip",)
-
-    def __init__(self, chip: "DramChip") -> None:
-        self._chip = chip
-
-    def __getitem__(self, key: Tuple[int, int]) -> _RowStateView:
-        bank, row = key
-        columns = self._chip._banks.get(bank)
-        if columns is None or not columns.written[row]:
-            raise KeyError(key)
-        return _RowStateView(columns, int(row))
-
-    def get(self, key: Tuple[int, int], default=None):
-        try:
-            return self[key]
-        except KeyError:
-            return default
-
-    def __contains__(self, key: Tuple[int, int]) -> bool:
-        return self.get(key) is not None
-
-    def __iter__(self) -> Iterator[Tuple[int, int]]:
-        for bank, columns in sorted(self._chip._banks.items()):
-            for row in np.nonzero(columns.written)[0]:
-                yield (bank, int(row))
-
-    def __len__(self) -> int:
-        return sum(
-            int(columns.written.sum()) for columns in self._chip._banks.values()
-        )
-
-    def __bool__(self) -> bool:
-        return any(columns.written.any() for columns in self._chip._banks.values())
 
 
 class _CalibratedChip:
@@ -392,9 +320,8 @@ class DramChip(_CalibratedChip):
     chip_id:
         Free-form identifier used in reports.
 
-    State is columnar (:class:`~repro.dram.columnar.BankColumns` per touched
-    bank); ``chip._rows`` remains available as a live mapping view for
-    white-box tests.
+    State is columnar: one :class:`~repro.dram.columnar.BankColumns` per
+    touched bank, in ``chip._banks``.
     """
 
     def __init__(
@@ -408,7 +335,6 @@ class DramChip(_CalibratedChip):
         super().__init__(profile, geometry, seed, hcfirst_target, chip_id)
         self._banks: Dict[int, BankColumns] = {}
         self._num_wordlines = self.remapper.num_wordlines(self.geometry.rows_per_bank)
-        self._rows = _RowsView(self)
 
     def _bank(self, bank: int) -> BankColumns:
         columns = self._banks.get(bank)

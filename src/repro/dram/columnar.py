@@ -16,10 +16,11 @@ implementation did.  Because the streams are independent, materializing a
 row's thresholds into ``BankColumns.thresholds[row]`` lazily -- in whatever
 order rows happen to be touched -- produces bit-identical values to the
 old per-row dict cache.  The module-level ``sample_*_row`` helpers are the
-single source of truth for those draws; :class:`~repro.dram.chip.DramChip`
-and :class:`~repro.dram.population.ChipPopulation` both call them, which is
-what keeps the object-at-a-time view and the fused population arrays
-bit-identical by construction (and what the differential suite pins).
+single source of truth for those draws; :class:`BankColumns` (for
+:class:`~repro.dram.chip.DramChip`) and
+:class:`~repro.dram.reference.ReferenceDramChip` both call them, which is
+what keeps the columnar chip and the oracle bit-identical by construction
+(and what the differential suite pins).
 
 Array layout (per bank; ``R`` rows, ``B`` row bits, ``W`` wordlines)
 --------------------------------------------------------------------

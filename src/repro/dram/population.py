@@ -1,4 +1,4 @@
-"""Chip and module population generation, and fused population hammering.
+"""Chip and module population generation.
 
 The paper characterizes 1580 chips from 300 modules (Table 1); appendix
 Tables 7 and 8 list every DDR4 and DDR3 module with its metadata and minimum
@@ -6,15 +6,11 @@ Tables 7 and 8 list every DDR4 and DDR3 module with its metadata and minimum
 
 * factory helpers (:func:`make_chip`, :func:`make_module`,
   :func:`make_population`) that build simulated populations matching the
-  paper's sample sizes (optionally scaled down for quick experiments),
+  paper's sample sizes (optionally scaled down for quick experiments), and
 * the paper's population inventory as data
   (:data:`TABLE1_POPULATION`, :data:`TABLE7_DDR4_MODULES`,
   :data:`TABLE8_DDR3_MODULES`) so the population benchmark can regenerate
-  Table 1 and the appendix tables directly, and
-* :class:`ChipPopulation`, the fused batch backend that drives every chip
-  of one configuration through the same operation sequence with
-  chip-major numpy arrays -- one vectorized disturb over all chips at once,
-  bit-identical per chip to running the chips individually.
+  Table 1 and the appendix tables directly.
 """
 
 from __future__ import annotations
@@ -22,19 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
-from repro.dram.chip import ChipStats, DramChip, RowData, _CalibratedChip
-from repro.dram.columnar import sample_class_row, sample_noise_row, sample_threshold_row
+from repro.dram.chip import DramChip
 from repro.dram.geometry import ChipGeometry
 from repro.dram.module import DramModule
-from repro.dram.vulnerability import (
-    PROFILES,
-    TypeNode,
-    VulnerabilityProfile,
-    profile_for,
-)
-from repro.utils.rng import derive_seed, make_rng
+from repro.dram.vulnerability import TypeNode, profile_for
+from repro.utils.rng import derive_seed
 
 TypeNodeLike = Union[TypeNode, str]
 
@@ -204,6 +192,9 @@ def make_population(
         Geometry shared by all chips (defaults to the small test geometry).
     configurations:
         Restrict the population to these (type-node, manufacturer) pairs.
+        Every pair must name a :data:`TABLE1_POPULATION` row (manufacturer
+        letters are case-sensitive); otherwise ``ValueError`` lists the
+        pairs that match none.
 
     Returns
     -------
@@ -212,9 +203,13 @@ def make_population(
     population: Dict[Tuple[TypeNode, str], List[DramChip]] = {}
     entries: Iterable[PopulationEntry]
     if configurations is not None:
-        wanted = {
+        wanted = [
             (TypeNode(tn) if isinstance(tn, str) else tn, mfr) for tn, mfr in configurations
-        }
+        ]
+        known = {(e.type_node, e.manufacturer) for e in TABLE1_POPULATION}
+        unknown = [f"{tn.value}/{mfr}" for tn, mfr in wanted if (tn, mfr) not in known]
+        if unknown:
+            raise ValueError(f"configurations not in Table 1: {', '.join(unknown)}")
         entries = [e for e in TABLE1_POPULATION if (e.type_node, e.manufacturer) in wanted]
     else:
         entries = TABLE1_POPULATION
@@ -258,420 +253,3 @@ def population_summary() -> Dict[str, Dict[str, Tuple[int, int]]]:
             entry.modules,
         )
     return summary
-
-
-class _PopulationBank:
-    """Chip-major state of one bank across every chip of a population.
-
-    ``C`` chips, ``R`` rows, ``B`` row bits, ``W`` wordlines.  Data and
-    calibration that can diverge across chips (stored bits, thresholds,
-    classes, noise) carry a leading chip axis; bookkeeping that every chip
-    shares because the chips see the same operation sequence (written
-    flags, refresh epochs, wordline exposure, ECC check bits -- flips never
-    touch check bits) is stored once.
-    """
-
-    __slots__ = (
-        "bits",
-        "check_bits",
-        "written",
-        "epoch",
-        "exposure",
-        "exposure_present",
-        "thresholds",
-        "thr_sampled",
-        "req_victim",
-        "req_aggressor",
-        "req_parity",
-        "cls_sampled",
-        "noise",
-        "noise_epoch",
-    )
-
-    def __init__(
-        self, num_chips: int, rows: int, row_bits: int, wordlines: int, check_bits_per_row: int
-    ) -> None:
-        self.bits = np.zeros((num_chips, rows, row_bits), dtype=np.uint8)
-        self.check_bits: Optional[np.ndarray] = (
-            np.zeros((rows, check_bits_per_row), dtype=np.uint8)
-            if check_bits_per_row
-            else None
-        )
-        self.written = np.zeros(rows, dtype=bool)
-        self.epoch = np.zeros(rows, dtype=np.int64)
-        self.exposure = np.zeros(wordlines, dtype=np.float64)
-        self.exposure_present = np.zeros(wordlines, dtype=bool)
-        self.thresholds: Optional[np.ndarray] = None
-        self.thr_sampled = np.zeros(rows, dtype=bool)
-        self.req_victim: Optional[np.ndarray] = None
-        self.req_aggressor: Optional[np.ndarray] = None
-        self.req_parity: Optional[np.ndarray] = None
-        self.cls_sampled = np.zeros(rows, dtype=bool)
-        self.noise: Optional[np.ndarray] = None
-        self.noise_epoch: Optional[np.ndarray] = None
-
-
-class ChipPopulation:
-    """Batch hammering backend over many chips of one configuration.
-
-    Drives every chip through the *same* operation sequence -- the shape of
-    the paper's characterization loops, which apply one access pattern to a
-    whole population -- with chip-major numpy arrays, so one
-    ``hammer_pair`` disturbs all chips in a single vectorized op.  Per chip
-    the results are bit-identical to executing the operations on the chips
-    individually: every stochastic stream is drawn through the shared
-    :mod:`repro.dram.columnar` per-row samplers with the chip's own seed
-    and calibration, and the op semantics mirror
-    :class:`~repro.dram.chip.DramChip` exactly (the population smoke
-    benchmark asserts this for the full Table 1 population).
-
-    Parameters
-    ----------
-    chips:
-        Non-empty sequence of *pristine* chips sharing one profile,
-        geometry, and remapper (chip seeds, ``HC_first`` targets, and
-        planted cells may differ).  The chips themselves are not touched;
-        the population captures their calibration and simulates them.
-    """
-
-    def __init__(self, chips: Sequence[_CalibratedChip]) -> None:
-        if not chips:
-            raise ValueError("ChipPopulation needs at least one chip")
-        first = chips[0]
-        for chip in chips:
-            if chip.profile != first.profile:
-                raise ValueError("all population chips must share one profile")
-            if chip.geometry != first.geometry:
-                raise ValueError("all population chips must share one geometry")
-            if chip.remapper.name != first.remapper.name:
-                raise ValueError("all population chips must share one remapper")
-            if not chip.is_pristine:
-                raise ValueError(f"chip {chip.chip_id!r} is not pristine")
-        self.chips = list(chips)
-        self.profile = first.profile
-        self.geometry = first.geometry
-        self.remapper = first.remapper
-        self._ondie_ecc = first._ondie_ecc
-        self._num_wordlines = self.remapper.num_wordlines(self.geometry.rows_per_bank)
-        self._column_parity = first._column_parity
-        self._seeds = [chip.seed for chip in chips]
-        self._scales = [chip._threshold_scale for chip in chips]
-        self._floors = [chip._threshold_floor for chip in chips]
-        self._planted = [chip._planted_cell for chip in chips]
-        self._banks: Dict[int, _PopulationBank] = {}
-        # The op sequence is shared, so one counter set covers every chip;
-        # only induced flips diverge.
-        self.stats = ChipStats()
-        self._flips = np.zeros(len(self.chips), dtype=np.int64)
-
-    def __len__(self) -> int:
-        return len(self.chips)
-
-    @property
-    def flips_per_chip(self) -> np.ndarray:
-        """Copy of the per-chip induced-bit-flip counters."""
-        return self._flips.copy()
-
-    def chip_stats(self, chip_index: int) -> ChipStats:
-        """Counters one chip would have accumulated running standalone."""
-        return ChipStats(
-            activations=self.stats.activations,
-            refreshes=self.stats.refreshes,
-            row_writes=self.stats.row_writes,
-            row_reads=self.stats.row_reads,
-            bit_flips_induced=int(self._flips[chip_index]),
-        )
-
-    def _bank(self, bank: int) -> _PopulationBank:
-        columns = self._banks.get(bank)
-        if columns is None:
-            check_bits = (
-                self._ondie_ecc.check_bits_per_row(self.geometry.row_bits)
-                if self._ondie_ecc is not None
-                else 0
-            )
-            columns = _PopulationBank(
-                len(self.chips),
-                self.geometry.rows_per_bank,
-                self.geometry.row_bits,
-                self._num_wordlines,
-                check_bits,
-            )
-            self._banks[bank] = columns
-        return columns
-
-    # ------------------------------------------------------------------
-    # Data path (broadcast to every chip)
-    # ------------------------------------------------------------------
-    def write_row(self, bank: int, row: int, data: RowData) -> None:
-        """Write one row of every chip (same payload, as in a pattern fill)."""
-        self.write_rows(bank, [row], [data])
-
-    def write_rows(self, bank: int, rows: Sequence[int], data) -> None:
-        """Batch-write rows of every chip; mirrors ``DramChip.write_rows``."""
-        rows = [int(row) for row in rows]
-        if isinstance(data, (int, np.integer)):
-            data = [data] * len(rows)
-        if len(data) != len(rows):
-            raise ValueError(f"expected {len(rows)} row payloads, got {len(data)}")
-        if not rows:
-            return
-        coerce = self.chips[0]._coerce_row_bits
-        if len(set(rows)) != len(rows):
-            for row, row_data in zip(rows, data):
-                self.write_rows(bank, [row], [row_data])
-            return
-        for row in rows:
-            self.geometry.validate_address(bank, row)
-        bits = np.stack([coerce(row_data) for row_data in data])
-        columns = self._bank(bank)
-        index = np.asarray(rows, dtype=np.intp)
-        columns.bits[:, index, :] = bits[None, :, :]
-        if self._ondie_ecc is not None:
-            columns.check_bits[index] = self._ondie_ecc.encode_row(
-                bits.reshape(-1)
-            ).reshape(len(rows), -1)
-        columns.epoch[index] = np.where(columns.written[index], columns.epoch[index] + 1, 1)
-        columns.written[index] = True
-        wordlines = np.asarray(
-            [self.remapper.logical_to_physical(row) for row in rows], dtype=np.intp
-        )
-        columns.exposure[wordlines] = 0.0
-        columns.exposure_present[wordlines] = True
-        self.stats.row_writes += len(rows)
-
-    def fill_bank(self, bank: int, victim_byte: int, aggressor_byte: Optional[int] = None) -> None:
-        """Fill a bank of every chip; mirrors ``DramChip.fill_bank``."""
-        rows = range(self.geometry.rows_per_bank)
-        if aggressor_byte is None:
-            data: List[RowData] = [victim_byte] * self.geometry.rows_per_bank
-        else:
-            data = [
-                victim_byte
-                if self.remapper.logical_to_physical(row) % 2 == 0
-                else aggressor_byte
-                for row in rows
-            ]
-        self.write_rows(bank, rows, data)
-
-    def read_row_raw(self, bank: int, row: int) -> np.ndarray:
-        """Raw stored bits of one row across chips, shape ``(chips, row_bits)``."""
-        self.geometry.validate_address(bank, row)
-        columns = self._banks.get(bank)
-        if columns is None or not columns.written[row]:
-            return np.zeros((len(self.chips), self.geometry.row_bits), dtype=np.uint8)
-        return columns.bits[:, row, :].copy()
-
-    def read_row(self, bank: int, row: int) -> np.ndarray:
-        """ECC-decoded row bytes across chips, shape ``(chips, row_bytes)``."""
-        self.geometry.validate_address(bank, row)
-        self.stats.row_reads += 1
-        columns = self._banks.get(bank)
-        if columns is None or not columns.written[row]:
-            return np.zeros((len(self.chips), self.geometry.row_bytes), dtype=np.uint8)
-        bits = columns.bits[:, row, :]
-        if self._ondie_ecc is not None and columns.check_bits is not None:
-            check = np.broadcast_to(
-                columns.check_bits[row], (len(self.chips), columns.check_bits.shape[1])
-            )
-            decoded, _corrected = self._ondie_ecc.decode_row(
-                bits.reshape(-1), np.ascontiguousarray(check).reshape(-1)
-            )
-            bits = decoded.reshape(len(self.chips), -1)
-        return np.packbits(bits, axis=1)
-
-    # ------------------------------------------------------------------
-    # Refresh
-    # ------------------------------------------------------------------
-    def refresh_row(self, bank: int, row: int) -> None:
-        """Refresh one logical row of every chip."""
-        self.geometry.validate_address(bank, row)
-        columns = self._banks.get(bank)
-        if columns is not None:
-            wordline = self.remapper.logical_to_physical(row)
-            columns.exposure[wordline] = 0.0
-            columns.exposure_present[wordline] = False
-            for logical in self.remapper.physical_to_logical(wordline):
-                if 0 <= logical < self.geometry.rows_per_bank and columns.written[logical]:
-                    columns.epoch[logical] += 1
-        self.stats.refreshes += 1
-
-    def refresh_all(self) -> None:
-        """Refresh every row of every chip."""
-        for columns in self._banks.values():
-            columns.exposure.fill(0.0)
-            columns.exposure_present.fill(False)
-            columns.epoch[columns.written] += 1
-        self.stats.refreshes += 1
-
-    # ------------------------------------------------------------------
-    # Activation / hammering
-    # ------------------------------------------------------------------
-    def activate(self, bank: int, row: int, count: int = 1) -> np.ndarray:
-        """Activate a row of every chip; returns per-chip new flips ``(chips,)``."""
-        self.geometry.validate_address(bank, row)
-        if count <= 0:
-            return np.zeros(len(self.chips), dtype=np.int64)
-        self.stats.activations += count
-        return self._apply_aggressor(bank, row, count)
-
-    def hammer_pair(self, bank: int, row_a: int, row_b: int, count: int) -> np.ndarray:
-        """Double-sided hammer on every chip; returns per-chip new flips."""
-        self.geometry.validate_address(bank, row_a)
-        self.geometry.validate_address(bank, row_b)
-        if count <= 0:
-            return np.zeros(len(self.chips), dtype=np.int64)
-        self.stats.activations += 2 * count
-        flips = self._apply_aggressor(bank, row_a, count)
-        flips = flips + self._apply_aggressor(bank, row_b, count)
-        return flips
-
-    # ------------------------------------------------------------------
-    # Lazy per-chip calibration columns
-    # ------------------------------------------------------------------
-    def _thresholds_for(self, columns: _PopulationBank, bank: int, index: np.ndarray) -> np.ndarray:
-        if columns.thresholds is None:
-            columns.thresholds = np.empty(
-                (len(self.chips), self.geometry.rows_per_bank, self.geometry.row_bits),
-                dtype=np.float64,
-            )
-        slope = self.profile.flip_slope
-        for row in index:
-            row = int(row)
-            if columns.thr_sampled[row]:
-                continue
-            for chip_index in range(len(self.chips)):
-                columns.thresholds[chip_index, row] = sample_threshold_row(
-                    self._seeds[chip_index],
-                    bank,
-                    row,
-                    self.geometry.row_bits,
-                    self._scales[chip_index],
-                    slope,
-                    self._floors[chip_index],
-                    self._planted[chip_index],
-                )
-            columns.thr_sampled[row] = True
-        return columns.thresholds[:, index, :]
-
-    def _classes_for(
-        self, columns: _PopulationBank, bank: int, index: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if columns.req_victim is None:
-            shape = (len(self.chips), self.geometry.rows_per_bank, self.geometry.row_bits)
-            columns.req_victim = np.empty(shape, dtype=np.uint8)
-            columns.req_aggressor = np.empty(shape, dtype=np.uint8)
-            columns.req_parity = np.empty(shape, dtype=np.uint8)
-        for row in index:
-            row = int(row)
-            if columns.cls_sampled[row]:
-                continue
-            for chip_index in range(len(self.chips)):
-                rv, ra, rp = sample_class_row(
-                    self._seeds[chip_index],
-                    bank,
-                    row,
-                    self.geometry.row_bits,
-                    self.profile,
-                    self._planted[chip_index],
-                )
-                columns.req_victim[chip_index, row] = rv
-                columns.req_aggressor[chip_index, row] = ra
-                columns.req_parity[chip_index, row] = rp
-            columns.cls_sampled[row] = True
-        return (
-            columns.req_victim[:, index, :],
-            columns.req_aggressor[:, index, :],
-            columns.req_parity[:, index, :],
-        )
-
-    def _noise_for(self, columns: _PopulationBank, bank: int, index: np.ndarray) -> np.ndarray:
-        if columns.noise is None:
-            columns.noise = np.empty(
-                (len(self.chips), self.geometry.rows_per_bank, self.geometry.row_bits),
-                dtype=np.float64,
-            )
-            columns.noise_epoch = np.full(self.geometry.rows_per_bank, -1, dtype=np.int64)
-        sigma = self.profile.threshold_noise_sigma
-        for row in index:
-            row = int(row)
-            epoch = int(columns.epoch[row])
-            if columns.noise_epoch[row] == epoch:
-                continue
-            for chip_index in range(len(self.chips)):
-                columns.noise[chip_index, row] = sample_noise_row(
-                    self._seeds[chip_index],
-                    bank,
-                    row,
-                    epoch,
-                    self.geometry.row_bits,
-                    sigma,
-                )
-            columns.noise_epoch[row] = epoch
-        return columns.noise[:, index, :]
-
-    # ------------------------------------------------------------------
-    # Disturbance kernel (vectorized across chips)
-    # ------------------------------------------------------------------
-    def _wordline_bits(self, columns: _PopulationBank, wordline: int) -> np.ndarray:
-        """Stored bits of the (first) logical row on a wordline, per chip."""
-        for logical in self.remapper.physical_to_logical(wordline):
-            if not 0 <= logical < self.geometry.rows_per_bank:
-                continue
-            if columns.written[logical]:
-                return columns.bits[:, logical, :]
-            break
-        return np.zeros((len(self.chips), self.geometry.row_bits), dtype=np.uint8)
-
-    def _apply_aggressor(self, bank: int, aggressor_row: int, count: int) -> np.ndarray:
-        columns = self._bank(bank)
-        aggressor_wordline = self.remapper.logical_to_physical(aggressor_row)
-        columns.exposure[aggressor_wordline] = 0.0
-        columns.exposure_present[aggressor_wordline] = True
-        aggressor_bits = self._wordline_bits(columns, aggressor_wordline)
-
-        victim_rows: List[int] = []
-        victim_exposure: List[float] = []
-        for distance, coupling in self.profile.distance_coupling.items():
-            for victim_wordline in (
-                aggressor_wordline - distance,
-                aggressor_wordline + distance,
-            ):
-                if not 0 <= victim_wordline < self._num_wordlines:
-                    continue
-                columns.exposure[victim_wordline] += coupling * count
-                columns.exposure_present[victim_wordline] = True
-                exposure = float(columns.exposure[victim_wordline])
-                for logical in self.remapper.physical_to_logical(victim_wordline):
-                    if 0 <= logical < self.geometry.rows_per_bank and columns.written[logical]:
-                        victim_rows.append(logical)
-                        victim_exposure.append(exposure)
-        if not victim_rows:
-            return np.zeros(len(self.chips), dtype=np.int64)
-
-        index = np.asarray(victim_rows, dtype=np.intp)
-        exposure = np.asarray(victim_exposure, dtype=np.float64)
-        effective = self._thresholds_for(columns, bank, index)
-        if self.profile.threshold_noise_sigma > 0:
-            effective = effective * self._noise_for(columns, bank, index)
-        eligible = effective <= exposure[None, :, None]
-        if not eligible.any():
-            return np.zeros(len(self.chips), dtype=np.int64)
-        required_victim, required_aggressor, required_parity = self._classes_for(
-            columns, bank, index
-        )
-        match = (
-            eligible
-            & (columns.bits[:, index, :] == required_victim)
-            & (aggressor_bits[:, None, :] == required_aggressor)
-            & (
-                (required_parity == 2)
-                | (self._column_parity[None, None, :] == required_parity)
-            )
-        )
-        per_chip = match.sum(axis=(1, 2)).astype(np.int64)
-        if per_chip.any():
-            columns.bits[:, index, :] ^= match.astype(np.uint8)
-        self._flips += per_chip
-        self.stats.bit_flips_induced += int(per_chip.sum())
-        return per_chip

@@ -33,7 +33,7 @@ buys three things at once:
   decomposition order over pure data;
 * **resume** -- a killed sweep replays its completed units from the store
   and re-executes exactly the missing ones (see
-  ``benchmarks/smoke_sharded_resume.py``);
+  ``tests/experiments/test_unit_cache_resume.py``);
 * **surgical invalidation** -- a unit's params embed every config field
   its payload depends on, so editing one axis of a sweep (say, adding a
   mechanism to the Figure 10 grid) re-executes only the units the edit

@@ -8,7 +8,7 @@ retry/quarantine machinery).  Because the payloads are pure functions of
 the config, any executor -- serial, process pool, or a multi-host worker
 fleet with workers dying mid-sweep -- must produce bit-identical results,
 which makes this study the canonical end-to-end probe for
-:mod:`repro.service` (the CI loopback smoke and the fault-injection tests
+:mod:`repro.service` (the loopback end-to-end and fault-injection tests
 are built on it).
 """
 

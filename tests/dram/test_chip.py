@@ -1,5 +1,8 @@
 """Tests for the behavioural DRAM chip model."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -122,6 +125,24 @@ class TestHammering:
         assert ddr4_chip.stats.activations == 205
 
 
+def test_deleted_chip_is_freed_without_the_cycle_collector(small_geometry):
+    """A chip holds no reference cycle, so refcounting frees it on ``del``.
+
+    Sessions run every unit on a hermetic chip copy; those copies must not
+    wait for the cyclic garbage collector to give their bank arrays back.
+    """
+    chip = make_chip("LPDDR4-1y", "A", seed=1, geometry=small_geometry)
+    chip.fill_bank(0, 0x00, 0xFF)
+    chip.hammer_pair(0, 10, 12, 1_000)
+    ref = weakref.ref(chip)
+    gc.disable()
+    try:
+        del chip
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
 class TestCalibration:
     def test_hcfirst_target_override(self, small_geometry):
         chip = make_chip("DDR4-new", "A", seed=1, geometry=small_geometry, hcfirst_target=33_000)
@@ -159,8 +180,7 @@ class TestOnDieEcc:
     def test_single_injected_error_hidden_by_ecc(self, lpddr4_chip):
         lpddr4_chip.write_row(0, 3, 0x00)
         # Corrupt one stored bit directly (bypassing the hammer model).
-        state = lpddr4_chip._rows[(0, 3)]
-        state.bits[17] ^= 1
+        lpddr4_chip._banks[0].bits[3, 17] ^= 1
         visible = lpddr4_chip.read_row(0, 3)
         assert np.all(visible == 0x00)
         raw = lpddr4_chip.read_row_raw(0, 3)

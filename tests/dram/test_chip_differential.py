@@ -1,8 +1,7 @@
-"""Differential tests: columnar chip backends versus the reference oracle.
+"""Differential tests: the columnar chip backend versus the reference oracle.
 
-The columnar :class:`~repro.dram.chip.DramChip` (and the chip-major
-:class:`~repro.dram.population.ChipPopulation` built on the same samplers)
-promise *bit identity* with the retained object-at-a-time
+The columnar :class:`~repro.dram.chip.DramChip` promises *bit identity*
+with the retained object-at-a-time
 :class:`~repro.dram.reference.ReferenceDramChip`.  This suite checks the
 promise two ways:
 
@@ -10,10 +9,10 @@ promise two ways:
   writes, hammers, activates, refreshes and reads -- through both backends
   in lockstep, comparing every return value and the final raw state,
   stats, and :func:`~repro.dram.chip.state_digest`; and
-* deterministic *flip-inducing* sequences (worst-case stripe fill plus a
-  far-above-threshold double-sided hammer against a low planted
-  ``HC_first``) confirm the equivalence holds where it matters most: on
-  chips that actually flip bits, across ECC/remapper/coupling variants.
+* deterministic *flip-inducing* sequences (worst-case stripe fill plus
+  double-sided hammers up to far above a low planted ``HC_first``) confirm
+  the equivalence holds where it matters most: on chips that actually flip
+  bits, in every Table 1 configuration (ECC/remapper/coupling variants).
 
 Random soups alone rarely accumulate enough exposure to flip anything, so
 the hypothesis strategy biases hammer counts high and refreshes low, and
@@ -26,7 +25,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.dram.chip import DramChip, state_digest
 from repro.dram.geometry import ChipGeometry
-from repro.dram.population import ChipPopulation
 from repro.dram.reference import ReferenceDramChip
 from repro.dram.vulnerability import available_configurations, profile_for
 
@@ -167,66 +165,30 @@ def _prepare_worst_case(chip):
 
 
 # ----------------------------------------------------------------------
-# Population differential: ChipPopulation vs per-chip execution
+# Every configuration through a flip-inducing hammer sweep
 # ----------------------------------------------------------------------
-class TestPopulationDifferential:
-    @pytest.mark.parametrize("type_node,manufacturer", CONFIG_CASES)
-    def test_population_matches_individual_chips(self, type_node, manufacturer):
-        profile = profile_for(type_node, manufacturer)
-        seeds = [101, 202, 303]
-        chips = [
-            DramChip(profile, geometry=GEOMETRY, seed=s, hcfirst_target=HCFIRST_TARGET)
-            for s in seeds
-        ]
-        population = ChipPopulation(chips)
-        singles = [
-            ReferenceDramChip(profile, geometry=GEOMETRY, seed=s, hcfirst_target=HCFIRST_TARGET)
-            for s in seeds
-        ]
+#: Accumulating hammer counts (no refresh in between), from below the
+#: planted ``HCFIRST_TARGET`` to far above it.
+SWEEP_HAMMER_COUNTS = (500, 1_000, 2_000, 40_000)
 
-        # One shared sequence for every chip (the population contract):
-        # chip 0's worst-case stripe layout, broadcast to all.
-        bank, victim, aggressors, _fill = _prepare_worst_case(singles[0])
-        rows = list(range(GEOMETRY.rows_per_bank))
-        data = [int(np.packbits(singles[0].read_row_raw(bank, row))[0]) for row in rows]
-        for single in singles[1:]:
-            single.write_rows(bank, rows, data)
-        population.write_rows(bank, rows, data)
 
-        population.refresh_row(bank, victim)
-        pop_flips = population.hammer_pair(bank, aggressors[0], aggressors[-1], 40_000)
-        single_flips = []
-        for single in singles:
-            single.refresh_row(bank, victim)
-            single_flips.append(single.hammer_pair(bank, aggressors[0], aggressors[-1], 40_000))
-
-        assert list(pop_flips) == single_flips
-        assert sum(single_flips) > 0, "sequence must induce flips somewhere"
-        assert np.array_equal(population.flips_per_chip, np.array(single_flips))
-        for index, single in enumerate(singles):
-            for row in rows:
-                assert np.array_equal(
-                    population.read_row_raw(bank, row)[index],
-                    single.read_row_raw(bank, row),
-                )
-                assert np.array_equal(
-                    population.read_row(bank, row)[index], single.read_row(bank, row)
-                )
-            stats = population.chip_stats(index)
-            assert stats.bit_flips_induced == single.stats.bit_flips_induced
-            assert stats.activations == single.stats.activations
-            assert stats.row_writes == single.stats.row_writes
-
-    def test_population_rejects_mixed_or_dirty_chips(self):
-        profile_a = profile_for(*_ALL_CONFIGS[0])
-        profile_b = profile_for(*_ALL_CONFIGS[-1])
-        chip_a = DramChip(profile_a, geometry=GEOMETRY, seed=1)
-        chip_b = DramChip(profile_b, geometry=GEOMETRY, seed=2)
-        with pytest.raises(ValueError):
-            ChipPopulation([])
-        with pytest.raises(ValueError):
-            ChipPopulation([chip_a, chip_b])
-        dirty = DramChip(profile_a, geometry=GEOMETRY, seed=3)
-        dirty.write_row(0, 0, 0xAB)
-        with pytest.raises(ValueError):
-            ChipPopulation([chip_a, dirty])
+@pytest.mark.parametrize(
+    "type_node,manufacturer",
+    [pytest.param(tn, mfr, id=f"{tn.value}-{mfr}") for tn, mfr in _ALL_CONFIGS],
+)
+def test_hammer_sweep_is_bit_identical(type_node, manufacturer):
+    """Double-sided hammer every interior victim; both backends flip alike."""
+    columnar, reference = build_pair(type_node, manufacturer, seed=2020)
+    flips = []
+    for chip in (columnar, reference):
+        bank, _victim, _aggressors, _fill = _prepare_worst_case(chip)
+        flips.append(
+            [
+                chip.hammer_pair(bank, victim - 1, victim + 1, count)
+                for count in SWEEP_HAMMER_COUNTS
+                for victim in range(2, GEOMETRY.rows_per_bank - 2)
+            ]
+        )
+    assert flips[0] == flips[1]
+    assert sum(flips[0]) > 0, "the sweep must induce flips for the test to bite"
+    assert_same_state(columnar, reference)

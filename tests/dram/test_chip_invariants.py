@@ -156,7 +156,10 @@ def test_ondie_ecc_read_path_round_trips(type_node, manufacturer, seed, chip_cla
         # A single raw bit error in a word is corrected by the SEC code.
         data = rng.integers(0, 256, size=chip.geometry.row_bytes, dtype=np.uint8)
         chip.write_row(0, 30, data)
-        state = chip._rows[(0, 30)]
-        state.bits[5] ^= 1  # inject one raw error
+        # Inject one raw error into the stored bits of each backend.
+        if isinstance(chip, DramChip):
+            chip._banks[0].bits[30, 5] ^= 1
+        else:
+            chip._rows[(0, 30)].bits[5] ^= 1
         corrected = chip.read_row(0, 30)
         assert np.array_equal(corrected, data)

@@ -80,6 +80,19 @@ class TestFactories:
             (TypeNode.LPDDR4_1Y, "C"),
         }
 
+    def test_make_population_rejects_pairs_not_in_table1(self):
+        # LPDDR4-1y has no manufacturer B in Table 1; letters are case-sensitive.
+        with pytest.raises(ValueError) as excinfo:
+            make_population(
+                chips_per_config=1,
+                geometry=SMALL,
+                configurations=[("DDR4-new", "A"), ("LPDDR4-1y", "B"), ("DDR3-old", "a")],
+            )
+        message = str(excinfo.value)
+        assert "LPDDR4-1y/B" in message
+        assert "DDR3-old/a" in message
+        assert "DDR4-new/A" not in message
+
     def test_population_chips_are_deterministic(self):
         one = make_population(chips_per_config=1, seed=5, geometry=SMALL)
         two = make_population(chips_per_config=1, seed=5, geometry=SMALL)

@@ -35,8 +35,6 @@ GOLDEN_SYSTEM = SystemConfig(
 )
 
 GOLDEN_SEED = 7
-#: The fast path every golden is pinned against the cycle oracle.
-FAST_MODES = ("event",)
 #: Long enough to cross at least one tREFI boundary (periodic refresh).
 GOLDEN_CYCLES = 10_000
 
@@ -58,9 +56,8 @@ def run_both(
     mitigation_name=None,
     hcfirst=2_000,
     dram_cycles=GOLDEN_CYCLES,
-    fast_mode="event",
 ):
-    """Run the same workload through the cycle oracle and one fast path."""
+    """Run the same workload through the cycle oracle and the event path."""
 
     def run(step_mode):
         mitigation = None
@@ -79,7 +76,7 @@ def run_both(
             dram_cycles
         )
 
-    return run("cycle"), run(fast_mode)
+    return run("cycle"), run("event")
 
 
 def assert_bit_identical(reference, fast):
@@ -97,11 +94,10 @@ def assert_bit_identical(reference, fast):
         assert dataclasses.asdict(ref_core) == dataclasses.asdict(fast_core)
 
 
-@pytest.mark.parametrize("fast_mode", FAST_MODES)
 class TestGoldenTraces:
-    def test_baseline_golden(self, fast_mode):
+    def test_baseline_golden(self):
         traces = build_traces(GOLDEN_SYSTEM)
-        reference, fast = run_both(GOLDEN_SYSTEM, traces, fast_mode=fast_mode)
+        reference, fast = run_both(GOLDEN_SYSTEM, traces)
         assert_bit_identical(reference, fast)
         # The run must have exercised the memory system, not idled through it.
         assert reference.controller_stats.reads_serviced > 0
@@ -109,17 +105,15 @@ class TestGoldenTraces:
         assert reference.controller_stats.refresh_commands > 0
 
     @pytest.mark.parametrize("mechanism", available_mechanisms())
-    def test_mechanism_golden(self, mechanism, fast_mode):
+    def test_mechanism_golden(self, mechanism):
         """Each mitigation mechanism is bit-identical across step modes."""
         traces = build_traces(GOLDEN_SYSTEM)
-        reference, fast = run_both(
-            GOLDEN_SYSTEM, traces, mitigation_name=mechanism, fast_mode=fast_mode
-        )
+        reference, fast = run_both(GOLDEN_SYSTEM, traces, mitigation_name=mechanism)
         assert_bit_identical(reference, fast)
         assert reference.mitigation_name == fast.mitigation_name != "none"
 
     @pytest.mark.parametrize("mechanism", ["PARA", "Ideal", "TWiCe-ideal"])
-    def test_mechanism_golden_vulnerable_chip(self, mechanism, fast_mode):
+    def test_mechanism_golden_vulnerable_chip(self, mechanism):
         """Low HC_first means constant victim-refresh traffic; still identical."""
         traces = build_traces(GOLDEN_SYSTEM)
         reference, fast = run_both(
@@ -127,19 +121,18 @@ class TestGoldenTraces:
             traces,
             mitigation_name=mechanism,
             hcfirst=8,
-            fast_mode=fast_mode,
         )
         assert_bit_identical(reference, fast)
         assert reference.controller_stats.mitigation_refreshes > 0
 
-    def test_single_core_golden(self, fast_mode):
+    def test_single_core_golden(self):
         """Single-core (alone-IPC) runs take different fast paths; identical."""
         traces = build_traces(GOLDEN_SYSTEM)
         for trace in traces:
-            reference, fast = run_both(GOLDEN_SYSTEM, [trace], fast_mode=fast_mode)
+            reference, fast = run_both(GOLDEN_SYSTEM, [trace])
             assert_bit_identical(reference, fast)
 
-    def test_slow_cpu_golden(self, fast_mode):
+    def test_slow_cpu_golden(self):
         """A CPU clocked below the DRAM bus (ratio < 1) stays bit-identical.
 
         Some processed DRAM cycles then carry zero CPU ticks, so the tick
@@ -157,14 +150,12 @@ class TestGoldenTraces:
         )
         assert config.cpu_cycles_per_dram_cycle < 1
         traces = build_traces(config)
-        reference, fast = run_both(config, traces, fast_mode=fast_mode)
+        reference, fast = run_both(config, traces)
         assert_bit_identical(reference, fast)
-        reference, fast = run_both(
-            config, traces, mitigation_name="PARA", hcfirst=512, fast_mode=fast_mode
-        )
+        reference, fast = run_both(config, traces, mitigation_name="PARA", hcfirst=512)
         assert_bit_identical(reference, fast)
 
-    def test_attacker_trace_golden(self, fast_mode):
+    def test_attacker_trace_golden(self):
         """A RowHammer attacker plus a background core, with PARA active."""
         attacker = AggressorTraceGenerator(
             target_bank=1,
@@ -184,11 +175,10 @@ class TestGoldenTraces:
             [attacker, background],
             mitigation_name="PARA",
             hcfirst=512,
-            fast_mode=fast_mode,
         )
         assert_bit_identical(reference, fast)
 
-    def test_refresh_rate_scaling_golden(self, fast_mode):
+    def test_refresh_rate_scaling_golden(self):
         """IncreasedRefresh rescales tREFI; the horizon must track it."""
         traces = build_traces(GOLDEN_SYSTEM)
         reference, fast = run_both(
@@ -196,15 +186,14 @@ class TestGoldenTraces:
             traces,
             mitigation_name="IncreasedRefresh",
             hcfirst=40_000,
-            fast_mode=fast_mode,
         )
         assert_bit_identical(reference, fast)
         assert reference.controller_stats.refresh_commands > 0
 
-    def test_internal_bookkeeping_consistent_after_event_run(self, fast_mode):
+    def test_internal_bookkeeping_consistent_after_event_run(self):
         """The fast path's indexed structures must equal scan-derived truth."""
         traces = build_traces(GOLDEN_SYSTEM)
-        simulation = Simulation(GOLDEN_SYSTEM, traces, step_mode=fast_mode)
+        simulation = Simulation(GOLDEN_SYSTEM, traces, step_mode="event")
         simulation.run(GOLDEN_CYCLES)
         controller = simulation.controller
         live_reads = controller.queued_reads()
@@ -265,9 +254,8 @@ class TestGoldenTraces:
 class TestGoldenTracesFullSystem:
     """Table 6 system over Figure 10 mixes -- the acceptance-criterion sweep."""
 
-    @pytest.mark.parametrize("fast_mode", FAST_MODES)
     @pytest.mark.parametrize("mechanism", [None] + available_mechanisms())
-    def test_full_system_golden(self, mechanism, fast_mode):
+    def test_full_system_golden(self, mechanism):
         config = SystemConfig(rows_per_bank=2048)
         mixes = make_workload_mixes(num_mixes=2, cores=config.cores, seed=1)
         hcfirst = 2_000 if mechanism in (None, "ProHIT", "MRLoc") else 50_000
@@ -285,6 +273,5 @@ class TestGoldenTracesFullSystem:
                 mitigation_name=mechanism,
                 hcfirst=hcfirst,
                 dram_cycles=12_000,
-                fast_mode=fast_mode,
             )
             assert_bit_identical(reference, fast)
