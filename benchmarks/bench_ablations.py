@@ -13,8 +13,12 @@ from conftest import BENCH_GEOMETRY, print_banner
 
 from repro.analysis.report import format_table
 from repro.core.calibration import hammer_count_for_flip_rate
-from repro.core.probability import flip_probability_study
-from repro.core.word_density import single_flip_fraction, word_density
+from repro.core.probability import ProbabilityStudyConfig, run_flip_probability_study
+from repro.core.word_density import (
+    WordDensityStudyConfig,
+    run_word_density,
+    single_flip_fraction,
+)
 from repro.dram.population import make_chip
 from repro.dram.vulnerability import PROFILES, VulnerabilityProfile, profile_for
 from repro.mitigations.base import MitigationConfig
@@ -74,9 +78,10 @@ def test_ablation_on_die_ecc(benchmark):
 
             chip = DramChip(profile, geometry=BENCH_GEOMETRY, seed=77, hcfirst_target=12_000)
             hammer_count = hammer_count_for_flip_rate(chip, target_rate=5e-3) or 150_000
-            density = word_density(chip, hammer_count=hammer_count)
-            probability = flip_probability_study(
-                chip, hammer_counts=(50_000, 100_000, 150_000), iterations=4
+            density = run_word_density(chip, WordDensityStudyConfig(hammer_count=hammer_count))
+            probability = run_flip_probability_study(
+                chip,
+                ProbabilityStudyConfig(hammer_counts=(50_000, 100_000, 150_000), iterations=4),
             )
             results[label] = (
                 single_flip_fraction(density),

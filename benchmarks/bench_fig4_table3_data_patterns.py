@@ -10,7 +10,7 @@ from conftest import print_banner
 from repro.analysis.figures import build_figure4_coverage
 from repro.analysis.report import format_table
 from repro.analysis.tables import PAPER_TABLE3_WORST_PATTERNS, build_table3_worst_patterns
-from repro.core.coverage import pattern_coverage
+from repro.core.coverage import CoverageStudyConfig, run_pattern_coverage
 from repro.core.data_patterns import STANDARD_PATTERNS
 
 
@@ -24,7 +24,8 @@ def test_fig4_coverage_and_table3_worst_patterns(benchmark, representative_chips
     }
 
     def run():
-        return [pattern_coverage(chip, hammer_count=150_000) for chip in chips.values()]
+        config = CoverageStudyConfig(hammer_count=150_000)
+        return [run_pattern_coverage(chip, config) for chip in chips.values()]
 
     coverage_results = benchmark.pedantic(run, rounds=1, iterations=1)
     figure4 = build_figure4_coverage(coverage_results)

@@ -10,7 +10,7 @@ from conftest import print_banner
 
 from repro.analysis.figures import build_figure9_ecc
 from repro.analysis.report import format_table
-from repro.core.ecc_analysis import ecc_word_analysis
+from repro.core.ecc_analysis import EccWordStudyConfig, run_ecc_word_analysis
 
 
 def test_fig9_ecc_headroom(benchmark, representative_chips):
@@ -21,10 +21,8 @@ def test_fig9_ecc_headroom(benchmark, representative_chips):
     }
 
     def run():
-        return [
-            ecc_word_analysis(chip, hammer_limit=300_000, flips_per_word=(1, 2, 3))
-            for chip in chips.values()
-        ]
+        config = EccWordStudyConfig(hammer_limit=300_000, flips_per_word=(1, 2, 3))
+        return [run_ecc_word_analysis(chip, config) for chip in chips.values()]
 
     analyses = benchmark.pedantic(run, rounds=1, iterations=1)
     figure9 = build_figure9_ecc(analyses)

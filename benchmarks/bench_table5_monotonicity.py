@@ -9,7 +9,7 @@ from conftest import print_banner
 
 from repro.analysis.report import format_table
 from repro.analysis.tables import PAPER_TABLE5_MONOTONIC_PERCENT, build_table5_monotonicity
-from repro.core.probability import flip_probability_study
+from repro.core.probability import ProbabilityStudyConfig, run_flip_probability_study
 
 HAMMER_COUNTS = (50_000, 75_000, 100_000, 125_000, 150_000)
 ITERATIONS = 6
@@ -21,12 +21,8 @@ def test_table5_flip_probability_monotonicity(benchmark, representative_chips):
     }
 
     def run():
-        return [
-            flip_probability_study(
-                chip, hammer_counts=HAMMER_COUNTS, iterations=ITERATIONS
-            )
-            for chip in chips.values()
-        ]
+        config = ProbabilityStudyConfig(hammer_counts=HAMMER_COUNTS, iterations=ITERATIONS)
+        return [run_flip_probability_study(chip, config) for chip in chips.values()]
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)
     table5 = build_table5_monotonicity(results)

@@ -19,21 +19,20 @@ registry (``fig4-coverage``, ``fig5-hc-sweep``, ``fig6-spatial``,
 ``fig7-word-density``, ``fig8-hcfirst``, ``fig9-ecc-words``,
 ``table5-flip-probability``, ``alg1-characterization``) so a whole
 population can be driven through one
-:class:`~repro.experiments.session.ExperimentSession`; the free functions
-remain as thin compatibility wrappers.
+:class:`~repro.experiments.session.ExperimentSession`: one
+``(chip, config)`` function per study, callable directly.
 """
 
 from repro.core.data_patterns import DataPattern, STANDARD_PATTERNS, pattern_by_name
 from repro.core.hammer import BitFlip, DoubleSidedHammer, HammerResult
 from repro.core.characterization import RowHammerCharacterizer, CharacterizationConfig
-from repro.core.coverage import CoverageStudyConfig, pattern_coverage
-from repro.core.sweeps import SweepStudyConfig, hammer_count_sweep
-from repro.core.spatial import SpatialStudyConfig, spatial_distribution
-from repro.core.word_density import WordDensityStudyConfig, word_density
-from repro.core.first_flip import HCFirstResult, HCFirstStudyConfig, find_hcfirst
-from repro.core.ecc_analysis import EccWordStudyConfig, ecc_word_analysis
-from repro.core.probability import ProbabilityStudyConfig, flip_probability_study
-from repro.core.results import ChipSummary
+from repro.core.coverage import CoverageStudyConfig, run_pattern_coverage
+from repro.core.sweeps import SweepStudyConfig, run_hammer_count_sweep
+from repro.core.spatial import SpatialStudyConfig, run_spatial_distribution
+from repro.core.word_density import WordDensityStudyConfig, run_word_density
+from repro.core.first_flip import HCFirstResult, HCFirstStudyConfig, run_hcfirst_search
+from repro.core.ecc_analysis import EccWordStudyConfig, run_ecc_word_analysis
+from repro.core.probability import ProbabilityStudyConfig, run_flip_probability_study
 
 __all__ = [
     "DataPattern",
@@ -45,19 +44,18 @@ __all__ = [
     "RowHammerCharacterizer",
     "CharacterizationConfig",
     "CoverageStudyConfig",
-    "pattern_coverage",
+    "run_pattern_coverage",
     "SweepStudyConfig",
-    "hammer_count_sweep",
+    "run_hammer_count_sweep",
     "SpatialStudyConfig",
-    "spatial_distribution",
+    "run_spatial_distribution",
     "WordDensityStudyConfig",
-    "word_density",
+    "run_word_density",
     "HCFirstResult",
     "HCFirstStudyConfig",
-    "find_hcfirst",
+    "run_hcfirst_search",
     "EccWordStudyConfig",
-    "ecc_word_analysis",
+    "run_ecc_word_analysis",
     "ProbabilityStudyConfig",
-    "flip_probability_study",
-    "ChipSummary",
+    "run_flip_probability_study",
 ]

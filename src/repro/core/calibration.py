@@ -14,7 +14,7 @@ import math
 from typing import Optional, Sequence
 
 from repro.core.characterization import RowHammerCharacterizer
-from repro.core.data_patterns import DataPattern, worst_case_pattern
+from repro.core.data_patterns import DataPattern, resolve_pattern
 from repro.dram.chip import DramChip
 
 
@@ -27,9 +27,8 @@ def measure_flip_rate(
 ) -> float:
     """Measure the chip's aggregate flip rate at one hammer count."""
     characterizer = RowHammerCharacterizer(chip)
-    if data_pattern is None:
-        data_pattern = worst_case_pattern(chip.profile)
-    victims = list(victims) if victims is not None else characterizer.default_victims(bank)
+    data_pattern = resolve_pattern(data_pattern, chip.profile)
+    victims = characterizer.victims(bank, victims)
     outcomes = characterizer.hammer_all_victims(
         hammer_count, data_pattern=data_pattern, bank=bank, victims=victims
     )

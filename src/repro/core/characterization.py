@@ -13,7 +13,7 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.core.data_patterns import DataPattern, STANDARD_PATTERNS, worst_case_pattern
+from repro.core.data_patterns import DataPattern, resolve_pattern, worst_case_pattern
 from repro.core.hammer import BitFlip, DoubleSidedHammer, HammerResult
 from repro.dram.chip import DramChip
 from repro.experiments.study import WorkUnit, register_study
@@ -193,15 +193,13 @@ def run_characterization(
 ) -> "CharacterizationResult":
     """Algorithm 1: the full characterization loop over one chip.
 
-    Through a session this study runs *sharded*: one hermetic work unit per
-    hammer count, each against a fresh copy of the chip.  Because per-write
-    refresh-epoch noise then restarts per unit instead of accumulating
-    across the sweep, the sharded payload is not bit-identical to this
-    monolithic reference -- each hammer count is instead measured from the
+    Called directly, it runs Algorithm 1's loop over the whole grid on the
+    given chip.  Through a session the study runs *sharded*: one hermetic
+    work unit per hammer count, each against a fresh copy of the chip.
+    Because per-write refresh-epoch noise then restarts per unit instead of
+    accumulating across the sweep, the sharded payload is not bit-identical
+    to the direct call -- each hammer count is instead measured from the
     same pristine state, which is the semantics the sharded study defines.
-    Each unit executes on the columnar chip core (vectorized pattern
-    writes, disturbs, and read-back diffs), bit-identical per unit to the
-    pre-columnar implementation, so cached unit digests replay unchanged.
     """
     return RowHammerCharacterizer(chip).run(config)
 
@@ -224,6 +222,10 @@ class RowHammerCharacterizer:
     def default_victims(self, bank: int = 0) -> List[int]:
         """All victim rows whose neighbourhood fits entirely in the bank."""
         return self.hammer.testable_victims(bank)
+
+    def victims(self, bank: int, victims: Optional[Sequence[int]] = None) -> List[int]:
+        """The given victim rows, or every testable row of ``bank`` for ``None``."""
+        return list(victims) if victims is not None else self.default_victims(bank)
 
     def _resolve(self, config: CharacterizationConfig) -> Tuple[
         Tuple[DataPattern, ...], Tuple[int, ...], Tuple[int, ...]
@@ -276,9 +278,8 @@ class RowHammerCharacterizer:
         victims: Optional[Sequence[int]] = None,
     ) -> List[HammerResult]:
         """Hammer every victim row once at a fixed hammer count."""
-        if data_pattern is None:
-            data_pattern = worst_case_pattern(self.chip.profile)
-        victims = victims if victims is not None else self.default_victims(bank)
+        data_pattern = resolve_pattern(data_pattern, self.chip.profile)
+        victims = self.victims(bank, victims)
         return [
             self.hammer.hammer_victim(bank, victim, hammer_count, data_pattern=data_pattern)
             for victim in victims

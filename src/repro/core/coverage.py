@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.core.characterization import RowHammerCharacterizer
-from repro.core.data_patterns import DataPattern, STANDARD_PATTERNS, pattern_by_name
+from repro.core.data_patterns import STANDARD_PATTERNS, pattern_by_name
 from repro.core.results import CoverageResult
 from repro.dram.chip import DramChip
 from repro.experiments.study import WorkUnit, register_study
@@ -24,7 +24,8 @@ class CoverageStudyConfig:
     """Parameters of the Figure 4 / Table 3 data-pattern coverage study.
 
     ``patterns`` holds standard-pattern names; the default is the paper's
-    eight patterns in plotting order.
+    eight patterns in plotting order.  Unique flips are aggregated over
+    ``iterations`` repeats per pattern (the paper uses ten).
     """
 
     hammer_count: int = DramChip.TEST_LIMIT_HC
@@ -40,6 +41,8 @@ class CoverageStudyConfig:
             raise ValueError("iterations must be at least 1")
         if not self.patterns:
             raise ValueError("at least one data pattern is required")
+        for name in self.patterns:
+            pattern_by_name(name)
 
 
 # ----------------------------------------------------------------------
@@ -82,11 +85,7 @@ def _run_coverage_unit(
     """Hammer every victim with one pattern and collect its unique flips."""
     pattern = pattern_by_name(unit.param_dict["pattern"])
     characterizer = RowHammerCharacterizer(chip)
-    victims = (
-        list(config.victims)
-        if config.victims is not None
-        else characterizer.default_victims(config.bank)
-    )
+    victims = characterizer.victims(config.bank, config.victims)
     cells: Set[Tuple[int, int, int]] = set()
     for _iteration in range(config.iterations):
         for result in characterizer.hammer_all_victims(
@@ -134,99 +133,12 @@ def _merge_coverage(
 def run_pattern_coverage(chip: DramChip, config: CoverageStudyConfig) -> CoverageResult:
     """Per-data-pattern bit-flip coverage (Figure 4 / Table 3).
 
-    Through a session this study runs *sharded*: one hermetic work unit per
-    data pattern, each against a fresh copy of the chip, so every pattern's
-    flip set is measured from the same pristine state (per-write
+    Called directly, the pattern units run one after another on the given
+    chip.  Through a session the study runs *sharded*: one hermetic work
+    unit per data pattern, each against a fresh copy of the chip, so every
+    pattern's flip set is measured from the same pristine state (per-write
     refresh-epoch noise does not accumulate across patterns as it does in
-    this monolithic reference loop).  Each unit executes on the columnar
-    chip core -- pattern writes, disturbs, and read-back diffs are whole-
-    neighbourhood vectorized ops -- with results bit-identical to the
-    pre-columnar implementation, so cached unit digests replay unchanged.
+    the direct call).
     """
-    return pattern_coverage(
-        chip,
-        hammer_count=config.hammer_count,
-        patterns=tuple(pattern_by_name(name) for name in config.patterns),
-        iterations=config.iterations,
-        bank=config.bank,
-        victims=config.victims,
-    )
-
-
-def pattern_coverage(
-    chip: DramChip,
-    hammer_count: int = DramChip.TEST_LIMIT_HC,
-    patterns: Sequence[DataPattern] = STANDARD_PATTERNS,
-    iterations: int = 1,
-    bank: int = 0,
-    victims: Optional[Sequence[int]] = None,
-) -> CoverageResult:
-    """Measure per-pattern coverage of all observable RowHammer bit flips.
-
-    Parameters
-    ----------
-    chip:
-        Chip under test.
-    hammer_count:
-        Hammer count used for every pattern (the paper uses 150k).
-    patterns:
-        Data patterns to compare (the paper's eight standard patterns).
-    iterations:
-        How many times to repeat the test per pattern; the paper uses ten
-        iterations and aggregates unique flips across them.
-    bank, victims:
-        Victim rows to test; defaults to every testable row of bank 0.
-    """
-    characterizer = RowHammerCharacterizer(chip)
-    victims = list(victims) if victims is not None else characterizer.default_victims(bank)
-
-    cells_by_pattern: Dict[str, Set[Tuple[int, int, int]]] = {}
-    for pattern in patterns:
-        cells: Set[Tuple[int, int, int]] = set()
-        for _iteration in range(iterations):
-            for result in characterizer.hammer_all_victims(
-                hammer_count, data_pattern=pattern, bank=bank, victims=victims
-            ):
-                cells.update(flip.cell for flip in result.flips)
-        cells_by_pattern[pattern.name] = cells
-
-    all_cells: Set[Tuple[int, int, int]] = set()
-    for cells in cells_by_pattern.values():
-        all_cells.update(cells)
-
-    coverage = {
-        name: (len(cells) / len(all_cells) if all_cells else 0.0)
-        for name, cells in cells_by_pattern.items()
-    }
-    return CoverageResult(
-        chip_id=chip.chip_id,
-        type_node=chip.profile.type_node.value,
-        manufacturer=chip.profile.manufacturer,
-        hammer_count=hammer_count,
-        unique_flips_total=len(all_cells),
-        coverage_by_pattern=coverage,
-        flips_by_pattern={name: len(cells) for name, cells in cells_by_pattern.items()},
-    )
-
-
-def worst_case_patterns_by_configuration(
-    coverage_results: Iterable[CoverageResult],
-) -> Dict[Tuple[str, str], Optional[str]]:
-    """Aggregate Table 3: worst-case pattern per (type-node, manufacturer).
-
-    When multiple chips of the same configuration are present, the pattern
-    that wins most often is reported (the paper observes the worst-case
-    pattern is consistent within a configuration -- Observation 3).
-    """
-    votes: Dict[Tuple[str, str], Dict[str, int]] = {}
-    for result in coverage_results:
-        key = (result.type_node, result.manufacturer)
-        winner = result.worst_case_pattern
-        if winner is None:
-            continue
-        votes.setdefault(key, {})
-        votes[key][winner] = votes[key].get(winner, 0) + 1
-    table: Dict[Tuple[str, str], Optional[str]] = {}
-    for key, counts in votes.items():
-        table[key] = max(counts, key=counts.get) if counts else None
-    return table
+    units = _decompose_coverage(config)
+    return _merge_coverage(config, [_run_coverage_unit(chip, config, unit) for unit in units])

@@ -21,7 +21,7 @@ RowStripe1      RS1   0xFF         0x00
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, Tuple, Union
 
 from repro.dram.vulnerability import VulnerabilityProfile
 
@@ -128,3 +128,29 @@ def worst_case_pattern(profile: VulnerabilityProfile) -> DataPattern:
         )
         _WORST_CASE_CACHE[key] = cached
     return cached
+
+
+def check_pattern(pattern: Union[str, DataPattern, None]) -> None:
+    """Raise ``ValueError`` for a pattern name :func:`pattern_by_name` does not know.
+
+    Study configs call this at construction, so a misspelt name fails
+    before any hammering instead of when its work unit runs.
+    """
+    if isinstance(pattern, str):
+        pattern_by_name(pattern)
+
+
+def resolve_pattern(
+    pattern: Union[str, DataPattern, None], profile: VulnerabilityProfile
+) -> DataPattern:
+    """The data pattern a study config selects for one chip.
+
+    ``None`` means the chip's worst-case pattern, a name is looked up with
+    :func:`pattern_by_name`, and a :class:`DataPattern` (for example a
+    non-standard :meth:`DataPattern.inverse`) passes through.
+    """
+    if pattern is None:
+        return worst_case_pattern(profile)
+    if isinstance(pattern, DataPattern):
+        return pattern
+    return pattern_by_name(pattern)

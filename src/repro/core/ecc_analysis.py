@@ -17,10 +17,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.characterization import RowHammerCharacterizer
-from repro.core.data_patterns import DataPattern, pattern_by_name, worst_case_pattern
+from repro.core.data_patterns import DataPattern, check_pattern, resolve_pattern
 from repro.core.results import EccWordAnalysis
 from repro.core.search import descend_and_search
 from repro.dram.chip import DramChip
@@ -45,7 +45,7 @@ class EccWordStudyConfig:
     word_bits: int = 64
     flips_per_word: Tuple[int, ...] = (1, 2, 3)
     hammer_limit: int = 300_000
-    data_pattern: Optional[str] = None
+    data_pattern: Union[str, DataPattern, None] = None
     bank: int = 0
     victims: Optional[Tuple[int, ...]] = None
     relative_precision: float = 0.03
@@ -58,76 +58,51 @@ class EccWordStudyConfig:
             raise ValueError("hammer_limit must be positive")
         if not self.flips_per_word or any(n < 1 for n in self.flips_per_word):
             raise ValueError("flips_per_word must hold positive counts")
+        if not 0 < self.relative_precision < 1:
+            raise ValueError("relative_precision must be within (0, 1)")
+        if self.max_candidates < 1:
+            raise ValueError("max_candidates must be at least 1")
+        check_pattern(self.data_pattern)
 
 
 @register_study("fig9-ecc-words", config=EccWordStudyConfig)
 def run_ecc_word_analysis(chip: DramChip, config: EccWordStudyConfig) -> EccWordAnalysis:
-    """Hammer count to land 1, 2 and 3 flips in one word (Figure 9)."""
-    data_pattern = (
-        pattern_by_name(config.data_pattern) if config.data_pattern is not None else None
-    )
-    return ecc_word_analysis(
-        chip,
-        word_bits=config.word_bits,
-        flips_per_word=config.flips_per_word,
-        hammer_limit=config.hammer_limit,
-        data_pattern=data_pattern,
-        bank=config.bank,
-        victims=config.victims,
-        relative_precision=config.relative_precision,
-        max_candidates=config.max_candidates,
-    )
+    """Hammer count to land 1, 2 and 3 flips in one word (Figure 9).
 
+    For each requested per-word flip count the search screens all victims
+    at the hammer limit, keeps the victims whose words accumulate the most
+    flips, and binary-searches the minimal hammer count.
 
-def ecc_word_analysis(
-    chip: DramChip,
-    word_bits: int = 64,
-    flips_per_word: Sequence[int] = (1, 2, 3),
-    hammer_limit: int = 300_000,
-    data_pattern: Optional[DataPattern] = None,
-    bank: int = 0,
-    victims: Optional[Sequence[int]] = None,
-    relative_precision: float = 0.03,
-    max_candidates: int = 8,
-) -> EccWordAnalysis:
-    """Find the hammer count at which the first word with N flips appears.
-
-    The search screens all victims at the hammer limit, keeps the victims
-    whose words accumulate the most flips, and binary-searches the minimal
-    hammer count for each requested per-word flip count.
-
-    Note that the paper excludes LPDDR4 chips from this analysis because
-    their on-die ECC already obfuscates the visible flips; callers can still
-    run it on LPDDR4 chips, in which case the result describes the flips
-    visible *after* on-die ECC.
+    The paper excludes LPDDR4 chips from this analysis because their
+    on-die ECC already obfuscates the visible flips; on an LPDDR4 chip the
+    result describes the flips visible *after* on-die ECC.
     """
     characterizer = RowHammerCharacterizer(chip)
     hammer = characterizer.hammer
-    if data_pattern is None:
-        data_pattern = worst_case_pattern(chip.profile)
-    victims = list(victims) if victims is not None else characterizer.default_victims(bank)
+    data_pattern = resolve_pattern(config.data_pattern, chip.profile)
+    victims = characterizer.victims(config.bank, config.victims)
 
     analysis = EccWordAnalysis(
         chip_id=chip.chip_id,
         type_node=chip.profile.type_node.value,
         manufacturer=chip.profile.manufacturer,
-        word_bits=word_bits,
+        word_bits=config.word_bits,
         hc_first_word_with={},
     )
-    for target in flips_per_word:
+    for target in config.flips_per_word:
 
         def reaches_target(victim: int, hammer_count: int, target=target) -> bool:
             outcome = hammer.hammer_victim(
-                bank, victim, hammer_count, data_pattern=data_pattern
+                config.bank, victim, hammer_count, data_pattern=data_pattern
             )
-            return _max_flips_in_any_word([outcome], word_bits) >= target
+            return _max_flips_in_any_word([outcome], config.word_bits) >= target
 
         best, _victim, _examined = descend_and_search(
             victims,
             reaches_target,
-            hammer_limit=hammer_limit,
-            relative_precision=relative_precision,
-            max_candidates=max_candidates,
+            hammer_limit=config.hammer_limit,
+            relative_precision=config.relative_precision,
+            max_candidates=config.max_candidates,
         )
         analysis.hc_first_word_with[int(target)] = best
     return analysis

@@ -15,11 +15,10 @@ characterization engineer would use:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple, Union
 
 from repro.core.characterization import RowHammerCharacterizer
-from repro.core.data_patterns import DataPattern, pattern_by_name, worst_case_pattern
-from repro.core.hammer import DoubleSidedHammer
+from repro.core.data_patterns import DataPattern, check_pattern, resolve_pattern
 from repro.core.search import descend_and_search
 from repro.dram.chip import DramChip
 from repro.experiments.study import register_study
@@ -27,10 +26,17 @@ from repro.experiments.study import register_study
 
 @dataclass(frozen=True)
 class HCFirstStudyConfig:
-    """Parameters of the ``HC_first`` search (Figure 8 / Tables 2 and 4)."""
+    """Parameters of the ``HC_first`` search (Figure 8 / Tables 2 and 4).
+
+    ``hammer_limit`` is the highest hammer count tried (the paper's 150k
+    keeps the core loop within one refresh window).  ``max_candidates``
+    caps how many victims survive the geometric descent into the binary
+    search of precision ``relative_precision`` (see
+    :func:`repro.core.search.descend_and_search`).
+    """
 
     hammer_limit: int = DramChip.TEST_LIMIT_HC
-    data_pattern: Optional[str] = None
+    data_pattern: Union[str, DataPattern, None] = None
     bank: int = 0
     victims: Optional[Tuple[int, ...]] = None
     relative_precision: float = 0.02
@@ -43,6 +49,7 @@ class HCFirstStudyConfig:
             raise ValueError("relative_precision must be within (0, 1)")
         if self.max_candidates < 1:
             raise ValueError("max_candidates must be at least 1")
+        check_pattern(self.data_pattern)
 
 
 @dataclass
@@ -79,66 +86,28 @@ class HCFirstResult:
 
 @register_study("fig8-hcfirst", config=HCFirstStudyConfig)
 def run_hcfirst_search(chip: DramChip, config: HCFirstStudyConfig) -> HCFirstResult:
-    """Minimum hammer count causing the first bit flip (Figure 8 / Table 4)."""
-    data_pattern = (
-        pattern_by_name(config.data_pattern) if config.data_pattern is not None else None
-    )
-    return find_hcfirst(
-        chip,
-        hammer_limit=config.hammer_limit,
-        data_pattern=data_pattern,
-        bank=config.bank,
-        victims=config.victims,
-        relative_precision=config.relative_precision,
-        max_candidates=config.max_candidates,
-    )
+    """Minimum hammer count causing the first bit flip (Figure 8 / Table 4).
 
-
-def find_hcfirst(
-    chip: DramChip,
-    hammer_limit: int = DramChip.TEST_LIMIT_HC,
-    data_pattern: Optional[DataPattern] = None,
-    bank: int = 0,
-    victims: Optional[Sequence[int]] = None,
-    relative_precision: float = 0.02,
-    max_candidates: int = 16,
-) -> HCFirstResult:
-    """Find the chip's ``HC_first`` (Section 5.5).
-
-    Parameters
-    ----------
-    chip:
-        Chip under test.
-    hammer_limit:
-        Maximum hammer count to try (the paper's limit is 150k so the core
-        loop stays within one refresh window).
-    data_pattern:
-        Data pattern to use; defaults to the chip's worst-case pattern.
-    bank, victims:
-        Victim rows to examine; defaults to every testable row of bank 0.
-    relative_precision:
-        Precision of the per-victim binary search.
-    max_candidates:
-        Cap on how many surviving victim rows are binary-searched after the
-        geometric descent (see
-        :func:`repro.core.search.descend_and_search`).
+    Implements the search of Section 5.5 with
+    :func:`repro.core.search.descend_and_search` over the victim rows.
     """
     characterizer = RowHammerCharacterizer(chip)
     hammer = characterizer.hammer
-    if data_pattern is None:
-        data_pattern = worst_case_pattern(chip.profile)
-    victims = list(victims) if victims is not None else characterizer.default_victims(bank)
+    data_pattern = resolve_pattern(config.data_pattern, chip.profile)
+    victims = characterizer.victims(config.bank, config.victims)
 
     def any_flip(victim: int, hammer_count: int) -> bool:
-        result = hammer.hammer_victim(bank, victim, hammer_count, data_pattern=data_pattern)
+        result = hammer.hammer_victim(
+            config.bank, victim, hammer_count, data_pattern=data_pattern
+        )
         return result.num_bit_flips > 0
 
     best_hc, best_victim, examined = descend_and_search(
         victims,
         any_flip,
-        hammer_limit=hammer_limit,
-        relative_precision=relative_precision,
-        max_candidates=max_candidates,
+        hammer_limit=config.hammer_limit,
+        relative_precision=config.relative_precision,
+        max_candidates=config.max_candidates,
     )
     return HCFirstResult(
         chip_id=chip.chip_id,
@@ -146,22 +115,7 @@ def find_hcfirst(
         manufacturer=chip.profile.manufacturer,
         hcfirst=best_hc,
         victim_row=best_victim,
-        hammer_limit=hammer_limit,
+        hammer_limit=config.hammer_limit,
         data_pattern=data_pattern.name,
         candidates_examined=examined,
     )
-
-
-def population_hcfirst(
-    chips: Iterable[DramChip],
-    hammer_limit: int = DramChip.TEST_LIMIT_HC,
-    **kwargs,
-) -> List[HCFirstResult]:
-    """Run the ``HC_first`` search over a population of chips."""
-    return [find_hcfirst(chip, hammer_limit=hammer_limit, **kwargs) for chip in chips]
-
-
-def minimum_hcfirst(results: Sequence[HCFirstResult]) -> Optional[int]:
-    """Smallest ``HC_first`` across a set of results (Table 4 cells)."""
-    values = [r.hcfirst for r in results if r.hcfirst is not None]
-    return min(values) if values else None

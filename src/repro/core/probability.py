@@ -13,10 +13,10 @@ the same ECC word start failing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.core.characterization import RowHammerCharacterizer
-from repro.core.data_patterns import DataPattern, pattern_by_name, worst_case_pattern
+from repro.core.data_patterns import DataPattern, check_pattern, resolve_pattern
 from repro.core.results import ProbabilityResult
 from repro.dram.chip import DramChip
 from repro.experiments.study import register_study
@@ -27,11 +27,15 @@ DEFAULT_PROBABILITY_HC_SWEEP: Tuple[int, ...] = (25_000, 50_000, 75_000, 100_000
 
 @dataclass(frozen=True)
 class ProbabilityStudyConfig:
-    """Parameters of the Table 5 flip-probability monotonicity study."""
+    """Parameters of the Table 5 flip-probability monotonicity study.
+
+    The paper sweeps 25k-150k hammers in 5k steps and estimates each
+    cell's flip probability from 20 iterations per hammer count.
+    """
 
     hammer_counts: Tuple[int, ...] = DEFAULT_PROBABILITY_HC_SWEEP
     iterations: int = 10
-    data_pattern: Optional[str] = None
+    data_pattern: Union[str, DataPattern, None] = None
     bank: int = 0
     victims: Optional[Tuple[int, ...]] = None
 
@@ -40,63 +44,31 @@ class ProbabilityStudyConfig:
             raise ValueError("hammer_counts must hold positive values")
         if self.iterations < 1:
             raise ValueError("iterations must be at least 1")
+        check_pattern(self.data_pattern)
 
 
 @register_study("table5-flip-probability", config=ProbabilityStudyConfig)
 def run_flip_probability_study(
     chip: DramChip, config: ProbabilityStudyConfig
 ) -> ProbabilityResult:
-    """Single-cell flip-probability monotonicity (Table 5)."""
-    data_pattern = (
-        pattern_by_name(config.data_pattern) if config.data_pattern is not None else None
-    )
-    return flip_probability_study(
-        chip,
-        hammer_counts=config.hammer_counts,
-        iterations=config.iterations,
-        data_pattern=data_pattern,
-        bank=config.bank,
-        victims=config.victims,
-    )
+    """Single-cell flip-probability monotonicity (Table 5).
 
-
-def flip_probability_study(
-    chip: DramChip,
-    hammer_counts: Sequence[int] = DEFAULT_PROBABILITY_HC_SWEEP,
-    iterations: int = 10,
-    data_pattern: Optional[DataPattern] = None,
-    bank: int = 0,
-    victims: Optional[Sequence[int]] = None,
-) -> ProbabilityResult:
-    """Measure per-cell flip probabilities across a hammer-count sweep.
-
-    Parameters
-    ----------
-    chip:
-        Chip under test.
-    hammer_counts:
-        Hammer counts to sweep (ascending); the paper sweeps 25k-150k in 5k
-        steps.
-    iterations:
-        Hammer repetitions per hammer count used to estimate each cell's
-        flip probability (the paper uses 20).
-    data_pattern, bank, victims:
-        As in the other studies.
+    Hammers every victim ``iterations`` times per hammer count (ascending)
+    and counts, per cell, the iterations in which it flipped.
     """
     characterizer = RowHammerCharacterizer(chip)
     hammer = characterizer.hammer
-    if data_pattern is None:
-        data_pattern = worst_case_pattern(chip.profile)
-    victims = list(victims) if victims is not None else characterizer.default_victims(bank)
-    hammer_counts = tuple(sorted(hammer_counts))
+    data_pattern = resolve_pattern(config.data_pattern, chip.profile)
+    victims = characterizer.victims(config.bank, config.victims)
+    hammer_counts = tuple(sorted(config.hammer_counts))
 
     # flip_counts[cell][hc_index] = number of iterations in which the cell flipped
     flip_counts: Dict[Tuple[int, int, int], List[int]] = {}
     for hc_index, hammer_count in enumerate(hammer_counts):
-        for _iteration in range(iterations):
+        for _iteration in range(config.iterations):
             for victim in victims:
                 outcome = hammer.hammer_victim(
-                    bank, victim, hammer_count, data_pattern=data_pattern
+                    config.bank, victim, hammer_count, data_pattern=data_pattern
                 )
                 for flip in outcome.flips:
                     counts = flip_counts.setdefault(flip.cell, [0] * len(hammer_counts))
@@ -105,7 +77,7 @@ def flip_probability_study(
     cells_observed = len(flip_counts)
     cells_monotonic = 0
     for counts in flip_counts.values():
-        probabilities = [count / iterations for count in counts]
+        probabilities = [count / config.iterations for count in counts]
         if all(b >= a for a, b in zip(probabilities, probabilities[1:])):
             cells_monotonic += 1
 
@@ -114,19 +86,7 @@ def flip_probability_study(
         type_node=chip.profile.type_node.value,
         manufacturer=chip.profile.manufacturer,
         hammer_counts=hammer_counts,
-        iterations=iterations,
+        iterations=config.iterations,
         cells_observed=cells_observed,
         cells_monotonic=cells_monotonic,
     )
-
-
-def monotonic_fraction_summary(
-    results: Iterable[ProbabilityResult],
-) -> Dict[Tuple[str, str], float]:
-    """Average monotonic fraction per (type-node, manufacturer) -- Table 5 cells."""
-    grouped: Dict[Tuple[str, str], List[float]] = {}
-    for result in results:
-        grouped.setdefault((result.type_node, result.manufacturer), []).append(
-            result.monotonic_fraction
-        )
-    return {key: sum(values) / len(values) for key, values in grouped.items()}

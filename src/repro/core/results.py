@@ -14,24 +14,6 @@ from repro.core.data_patterns import DataPattern
 
 
 @dataclass
-class ChipSummary:
-    """Aggregate characterization summary of one chip."""
-
-    chip_id: str
-    type_node: str
-    manufacturer: str
-    hcfirst: Optional[int] = None
-    worst_pattern: Optional[str] = None
-    total_flips_at_max_hc: int = 0
-    max_hammer_count: int = 0
-    rowhammerable: bool = False
-
-    def to_dict(self) -> Dict[str, object]:
-        """Serialize to plain Python types."""
-        return asdict(self)
-
-
-@dataclass
 class SweepPoint:
     """One point of a hammer-count sweep: HC versus observed flip statistics."""
 

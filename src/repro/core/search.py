@@ -102,6 +102,8 @@ def descend_and_search(
     """
     if descent_factor <= 1.0:
         raise ValueError("descent_factor must be greater than 1")
+    if max_candidates < 1:
+        raise ValueError("max_candidates must be at least 1")
     level = hammer_limit
     satisfied = [victim for victim in victims if evaluate(victim, level)]
     if not satisfied:

@@ -10,11 +10,11 @@ in newer (LPDDR4) technology nodes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.calibration import resolve_hammer_count
 from repro.core.characterization import RowHammerCharacterizer
-from repro.core.data_patterns import DataPattern, pattern_by_name, worst_case_pattern
+from repro.core.data_patterns import DataPattern, check_pattern, resolve_pattern
 from repro.core.results import SpatialResult
 from repro.dram.chip import DramChip
 from repro.experiments.study import register_study
@@ -33,7 +33,7 @@ class SpatialStudyConfig:
 
     hammer_count: Optional[int] = None
     target_rate: Optional[float] = None
-    data_pattern: Optional[str] = None
+    data_pattern: Union[str, DataPattern, None] = None
     bank: int = 0
     victims: Optional[Tuple[int, ...]] = None
 
@@ -42,46 +42,25 @@ class SpatialStudyConfig:
             raise ValueError("hammer_count must be positive")
         if self.target_rate is not None and self.target_rate <= 0:
             raise ValueError("target_rate must be positive")
+        check_pattern(self.data_pattern)
 
 
 @register_study("fig6-spatial", config=SpatialStudyConfig)
 def run_spatial_distribution(chip: DramChip, config: SpatialStudyConfig) -> SpatialResult:
-    """Spatial distribution of bit flips around the victim (Figure 6)."""
-    data_pattern = (
-        pattern_by_name(config.data_pattern) if config.data_pattern is not None else None
-    )
-    hammer_count = resolve_hammer_count(
-        chip, config.hammer_count, config.target_rate, data_pattern, config.bank, config.victims
-    )
-    return spatial_distribution(
-        chip,
-        hammer_count=hammer_count,
-        data_pattern=data_pattern,
-        bank=config.bank,
-        victims=config.victims,
-    )
+    """Spatial distribution of bit flips around the victim (Figure 6).
 
-
-def spatial_distribution(
-    chip: DramChip,
-    hammer_count: Optional[int] = None,
-    data_pattern: Optional[DataPattern] = None,
-    bank: int = 0,
-    victims: Optional[Sequence[int]] = None,
-) -> SpatialResult:
-    """Histogram observed bit flips by row offset from the victim.
-
-    The paper normalizes chips to a common bit-flip rate of 1e-6 by picking
-    a chip-specific hammer count; with the simulator's (much smaller) chips
-    the default instead uses the 150k test ceiling, which yields enough
-    flips for a stable histogram.  Pass ``hammer_count`` to override.
+    Histograms the observed bit flips by row offset from the victim.  The
+    paper normalizes chips to a common bit-flip rate of 1e-6; without a
+    ``target_rate`` or ``hammer_count`` the study uses the 150k test
+    ceiling, which yields enough flips on the simulator's much smaller
+    chips for a stable histogram.
     """
     characterizer = RowHammerCharacterizer(chip)
-    if data_pattern is None:
-        data_pattern = worst_case_pattern(chip.profile)
-    if hammer_count is None:
-        hammer_count = DramChip.TEST_LIMIT_HC
-    victims = list(victims) if victims is not None else characterizer.default_victims(bank)
+    data_pattern = resolve_pattern(config.data_pattern, chip.profile)
+    victims = characterizer.victims(config.bank, config.victims)
+    hammer_count = resolve_hammer_count(
+        chip, config.hammer_count, config.target_rate, data_pattern, config.bank, victims
+    )
 
     flips_by_offset: Dict[int, int] = {}
     max_offset = chip.profile.blast_radius + 1
@@ -91,7 +70,7 @@ def spatial_distribution(
         flips_by_offset[offset] = 0
 
     outcomes = characterizer.hammer_all_victims(
-        hammer_count, data_pattern=data_pattern, bank=bank, victims=victims
+        hammer_count, data_pattern=data_pattern, bank=config.bank, victims=victims
     )
     for outcome in outcomes:
         for flip in outcome.flips:

@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.core.characterization import RowHammerCharacterizer
-from repro.core.data_patterns import DataPattern, pattern_by_name, worst_case_pattern
+from repro.core.data_patterns import DataPattern, check_pattern, resolve_pattern
 from repro.core.results import SweepPoint, SweepResult
 from repro.dram.chip import DramChip
 from repro.experiments.study import register_study
@@ -33,12 +33,13 @@ DEFAULT_HAMMER_COUNTS: Tuple[int, ...] = (
 class SweepStudyConfig:
     """Parameters of the Figure 5 hammer-count sweep.
 
-    ``data_pattern`` names a standard pattern; ``None`` means the chip's
-    worst-case pattern.  ``victims`` of ``None`` means every testable row.
+    ``data_pattern`` is a standard pattern name or a :class:`DataPattern`;
+    ``None`` means the chip's worst-case pattern.  ``victims`` of ``None``
+    means every testable row.
     """
 
     hammer_counts: Tuple[int, ...] = DEFAULT_HAMMER_COUNTS
-    data_pattern: Optional[str] = None
+    data_pattern: Union[str, DataPattern, None] = None
     bank: int = 0
     victims: Optional[Tuple[int, ...]] = None
 
@@ -47,35 +48,21 @@ class SweepStudyConfig:
             raise ValueError("at least one hammer count is required")
         if any(hc <= 0 for hc in self.hammer_counts):
             raise ValueError("hammer counts must be positive")
+        check_pattern(self.data_pattern)
 
 
 @register_study("fig5-hc-sweep", config=SweepStudyConfig)
 def run_hammer_count_sweep(chip: DramChip, config: SweepStudyConfig) -> SweepResult:
     """Hammer-count versus bit-flip-rate sweep (Figure 5, Observations 4-5).
 
-    Runs as one whole-study work unit (the sweep's points share mutated
-    chip state, so the hammer-count axis must stay sequential); within it
-    every per-victim hammer executes on the columnar chip core as
-    vectorized whole-neighbourhood ops, bit-identical to the pre-columnar
-    implementation, so cached study digests replay unchanged.
+    The flip rate is the number of observed bit flips divided by the number
+    of bits in the tested victim rows, matching the paper's definition
+    (footnote 6).  Runs as one whole-study work unit: the sweep's points
+    share mutated chip state, so the hammer-count axis stays sequential.
     """
-    data_pattern = (
-        pattern_by_name(config.data_pattern) if config.data_pattern is not None else None
-    )
-    return _sweep(chip, config.hammer_counts, data_pattern, config.bank, config.victims)
-
-
-def _sweep(
-    chip: DramChip,
-    hammer_counts: Sequence[int],
-    data_pattern: Optional[DataPattern],
-    bank: int,
-    victims: Optional[Sequence[int]],
-) -> SweepResult:
     characterizer = RowHammerCharacterizer(chip)
-    if data_pattern is None:
-        data_pattern = worst_case_pattern(chip.profile)
-    victims = list(victims) if victims is not None else characterizer.default_victims(bank)
+    data_pattern = resolve_pattern(config.data_pattern, chip.profile)
+    victims = characterizer.victims(config.bank, config.victims)
     cells_tested = characterizer.cells_tested(victims)
 
     result = SweepResult(
@@ -84,33 +71,15 @@ def _sweep(
         manufacturer=chip.profile.manufacturer,
         data_pattern=data_pattern.name,
     )
-    for hammer_count in sorted(hammer_counts):
+    for hammer_count in sorted(config.hammer_counts):
         outcomes = characterizer.hammer_all_victims(
-            hammer_count, data_pattern=data_pattern, bank=bank, victims=victims
+            hammer_count, data_pattern=data_pattern, bank=config.bank, victims=victims
         )
         flips = sum(outcome.num_bit_flips for outcome in outcomes)
         result.points.append(
             SweepPoint(hammer_count=hammer_count, bit_flips=flips, cells_tested=cells_tested)
         )
     return result
-
-
-def hammer_count_sweep(
-    chip: DramChip,
-    hammer_counts: Sequence[int] = DEFAULT_HAMMER_COUNTS,
-    data_pattern: Optional[DataPattern] = None,
-    bank: int = 0,
-    victims: Optional[Sequence[int]] = None,
-) -> SweepResult:
-    """Sweep the hammer count and record the aggregate bit-flip rate.
-
-    The flip rate is the number of observed bit flips divided by the number
-    of bits in the tested victim rows, matching the paper's definition
-    (footnote 6).  Backward-compatible wrapper sharing its implementation
-    with the registered ``"fig5-hc-sweep"`` study; unlike the config-driven
-    study it accepts arbitrary (non-standard) :class:`DataPattern` objects.
-    """
-    return _sweep(chip, hammer_counts, data_pattern, bank, victims)
 
 
 def loglog_slope(sweep: SweepResult) -> Optional[float]:

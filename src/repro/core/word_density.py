@@ -10,11 +10,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.core.calibration import resolve_hammer_count
 from repro.core.characterization import RowHammerCharacterizer
-from repro.core.data_patterns import DataPattern, pattern_by_name, worst_case_pattern
+from repro.core.data_patterns import DataPattern, check_pattern, resolve_pattern
 from repro.core.results import WordDensityResult
 from repro.dram.chip import DramChip
 from repro.experiments.study import register_study
@@ -32,7 +32,7 @@ class WordDensityStudyConfig:
     hammer_count: Optional[int] = None
     target_rate: Optional[float] = None
     word_bits: int = 64
-    data_pattern: Optional[str] = None
+    data_pattern: Union[str, DataPattern, None] = None
     bank: int = 0
     victims: Optional[Tuple[int, ...]] = None
 
@@ -43,48 +43,28 @@ class WordDensityStudyConfig:
             raise ValueError("target_rate must be positive")
         if self.word_bits <= 0:
             raise ValueError("word_bits must be positive")
+        check_pattern(self.data_pattern)
 
 
 @register_study("fig7-word-density", config=WordDensityStudyConfig)
 def run_word_density(chip: DramChip, config: WordDensityStudyConfig) -> WordDensityResult:
-    """Bit-flip density per data word (Figure 7)."""
-    data_pattern = (
-        pattern_by_name(config.data_pattern) if config.data_pattern is not None else None
-    )
-    hammer_count = resolve_hammer_count(
-        chip, config.hammer_count, config.target_rate, data_pattern, config.bank, config.victims
-    )
-    return word_density(
-        chip,
-        hammer_count=hammer_count,
-        word_bits=config.word_bits,
-        data_pattern=data_pattern,
-        bank=config.bank,
-        victims=config.victims,
-    )
+    """Bit-flip density per data word (Figure 7).
 
-
-def word_density(
-    chip: DramChip,
-    hammer_count: Optional[int] = None,
-    word_bits: int = 64,
-    data_pattern: Optional[DataPattern] = None,
-    bank: int = 0,
-    victims: Optional[Sequence[int]] = None,
-) -> WordDensityResult:
-    """Histogram the number of bit flips per ``word_bits``-bit word."""
+    Histograms the number of bit flips per ``word_bits``-bit word over the
+    words holding at least one flip.
+    """
     characterizer = RowHammerCharacterizer(chip)
-    if data_pattern is None:
-        data_pattern = worst_case_pattern(chip.profile)
-    if hammer_count is None:
-        hammer_count = DramChip.TEST_LIMIT_HC
-    victims = list(victims) if victims is not None else characterizer.default_victims(bank)
+    data_pattern = resolve_pattern(config.data_pattern, chip.profile)
+    victims = characterizer.victims(config.bank, config.victims)
+    hammer_count = resolve_hammer_count(
+        chip, config.hammer_count, config.target_rate, data_pattern, config.bank, victims
+    )
 
     outcomes = characterizer.hammer_all_victims(
-        hammer_count, data_pattern=data_pattern, bank=bank, victims=victims
+        hammer_count, data_pattern=data_pattern, bank=config.bank, victims=victims
     )
     word_counts = Counter(
-        (flip.bank, flip.row, flip.bit_index // word_bits)
+        (flip.bank, flip.row, flip.bit_index // config.word_bits)
         for outcome in outcomes
         for flip in outcome.flips
     )

@@ -202,7 +202,7 @@ class _CalibratedChip:
 
         Exposed for calibration tests and examples; a real characterization
         discovers this location through testing (see
-        :func:`repro.core.first_flip.find_hcfirst`).
+        :func:`repro.core.first_flip.run_hcfirst_search`).
         """
         return self._planted_cell
 

@@ -242,14 +242,3 @@ def flatten_population(
     for config_chips in population.values():
         chips.extend(config_chips)
     return chips
-
-
-def population_summary() -> Dict[str, Dict[str, Tuple[int, int]]]:
-    """Summarize Table 1 as ``{type_node: {manufacturer: (chips, modules)}}``."""
-    summary: Dict[str, Dict[str, Tuple[int, int]]] = {}
-    for entry in TABLE1_POPULATION:
-        summary.setdefault(entry.type_node.value, {})[entry.manufacturer] = (
-            entry.chips,
-            entry.modules,
-        )
-    return summary

@@ -20,7 +20,7 @@ the study payload in decomposition order::
                     decompose=my_decompose, unit_runner=my_unit_runner,
                     merge=my_merge)
     def run_my_sweep(chip, config):
-        ...  # monolithic reference implementation
+        ...  # direct calls, e.g. run the units in turn
 
 Sessions then fan the *units* (not whole studies) through the executor and
 cache each unit individually, keyed by the unit's content digest.  That

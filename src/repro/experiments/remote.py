@@ -27,11 +27,12 @@ cache.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Dict, Iterator, List, Optional, Sequence
 
 from repro.experiments.executors import Executor, StudyTask, TaskOutcome
-from repro.experiments.store import chip_digest
-from repro.experiments.study import config_digest
+from repro.experiments.store import cache_key
+from repro.experiments.study import WHOLE_STUDY_UNIT, config_digest
 from repro.service.client import PoisonedUnitError, ServiceClient
 from repro.service.protocol import pack_blob, unpack_blob
 
@@ -105,23 +106,13 @@ class ServiceExecutor(Executor):
     def _unit_spec(index: int, task: StudyTask) -> dict:
         """The JSON unit dict shipped in a submit message for one task."""
         unit = task.unit
-        if unit is None or unit.is_whole_study:
-            digest = "whole-study"
-            unit_digest_key = ""
-        else:
-            digest = unit.digest
-            unit_digest_key = unit.digest
+        digest = WHOLE_STUDY_UNIT if unit is None or unit.is_whole_study else unit.digest
         cache = None
         if task.chip is None or task.chip.is_pristine:
-            # Mirror of ResultStore.key_for: lets the scheduler checkpoint
-            # this unit's result server-side under the exact key a local
-            # session would use.
-            cache = {
-                "study": task.study,
-                "config_digest": "" if unit_digest_key else config_digest(task.config),
-                "chip_digest": chip_digest(task.chip),
-                "unit_digest": unit_digest_key,
-            }
+            # Lets the scheduler checkpoint this unit's result server-side
+            # under the exact key a local session would use.
+            key = cache_key(task.study, config_digest(task.config), task.chip, unit)
+            cache = dataclasses.asdict(key)
         return {
             "key": f"{index:06d}-{digest}",
             "index": index,

@@ -94,6 +94,32 @@ def chip_digest(chip: Optional[DramChip]) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
+def cache_key(
+    study: str,
+    config_digest: str,
+    chip: Optional[DramChip],
+    unit: Optional[WorkUnit] = None,
+) -> CacheKey:
+    """Cache key for one study result (optionally one work unit of it).
+
+    The one keying rule of every store: sessions use it through
+    :meth:`ResultStore.key_for`, and the service executor ships it to a
+    scheduler that checkpoints into its own store.  The implicit
+    whole-study unit maps to the unit-less key, so undecomposed studies
+    hit the same cache entries they always did.  Real units drop the
+    config digest from the key (their own digest embeds the unit-relevant
+    config scope), so two configs sharing a grid cell share its cache entry.
+    """
+    if unit is None or unit.is_whole_study:
+        return CacheKey(study=study, config_digest=config_digest, chip_digest=chip_digest(chip))
+    return CacheKey(
+        study=study,
+        config_digest="",
+        chip_digest=chip_digest(chip),
+        unit_digest=unit.digest,
+    )
+
+
 @dataclass
 class StoreStats:
     """Hit/miss counters of one :class:`ResultStore`.
@@ -173,24 +199,8 @@ class ResultStore:
         chip: Optional[DramChip],
         unit: Optional[WorkUnit] = None,
     ) -> CacheKey:
-        """Cache key for one study result (optionally one work unit of it).
-
-        The implicit whole-study unit maps to the unit-less key, so
-        undecomposed studies hit the same cache entries they always did.
-        Real units drop the config digest from the key (their own digest
-        embeds the unit-relevant config scope), so two configs sharing a
-        grid cell share its cache entry.
-        """
-        if unit is None or unit.is_whole_study:
-            return CacheKey(
-                study=study, config_digest=config_digest, chip_digest=chip_digest(chip)
-            )
-        return CacheKey(
-            study=study,
-            config_digest="",
-            chip_digest=chip_digest(chip),
-            unit_digest=unit.digest,
-        )
+        """Cache key for one study result (see :func:`cache_key`)."""
+        return cache_key(study, config_digest, chip, unit)
 
     def _path(self, key: CacheKey) -> Optional[Path]:
         if self.root is None:

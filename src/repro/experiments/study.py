@@ -155,8 +155,9 @@ class RegisteredStudy:
 
     A study may also declare a work-unit decomposition (``decompose_fn`` /
     ``unit_runner_fn`` / ``merge_fn``, see the module docstring); sessions
-    then execute and cache the study shard by shard.  ``fn`` remains the
-    monolithic reference implementation, callable directly.
+    then execute and cache the study shard by shard.  ``fn`` stays callable
+    directly: the Figure 4 and Figure 10 studies' ``fn`` runs their units
+    one after another in this process, and Algorithm 1's runs its loop.
     """
 
     name: str
@@ -363,8 +364,8 @@ def register_study(
         study's :class:`WorkUnit` shards, ``unit_runner(chip, config, unit)``
         executes one shard hermetically, and ``merge(config, payloads)``
         deterministically reassembles the study payload from shard payloads
-        in decomposition order.  The decorated ``fn`` stays registered as
-        the monolithic reference implementation.
+        in decomposition order.  The decorated ``fn`` stays registered for
+        direct calls (see :class:`RegisteredStudy`).
     """
     provided = (decompose is not None, unit_runner is not None, merge is not None)
     if any(provided) and not all(provided):

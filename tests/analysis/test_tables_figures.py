@@ -48,6 +48,7 @@ class TestTables:
         table = build_table1_population()
         assert table["DDR4-new"]["A"] == (264, 43)
         assert table["LPDDR4-1y"]["C"] == (144, 36)
+        assert "C" not in table["LPDDR4-1x"]
 
     def test_table2_fractions(self):
         results = [

@@ -65,6 +65,18 @@ class TestDescendAndSearch:
         with pytest.raises(ValueError):
             descend_and_search([1], lambda v, hc: True, hammer_limit=100, descent_factor=1.0)
 
+    def test_rejects_max_candidates_below_one(self):
+        # Zero candidates would search nothing and report "never satisfied".
+        calls = []
+
+        def evaluate(victim, hc):
+            calls.append(hc)
+            return True
+
+        with pytest.raises(ValueError, match="max_candidates"):
+            descend_and_search([1, 2], evaluate, hammer_limit=100, max_candidates=0)
+        assert calls == []
+
     def test_respects_max_candidates(self):
         def evaluate(victim, hc):
             return hc >= 500

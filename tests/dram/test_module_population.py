@@ -11,7 +11,6 @@ from repro.dram.population import (
     make_chip,
     make_module,
     make_population,
-    population_summary,
 )
 from repro.dram.vulnerability import TypeNode
 
@@ -36,11 +35,6 @@ class TestTableData:
         assert min(ddr4_minima) == pytest.approx(10.0)
         ddr3_minima = [r.min_hcfirst_k for r in TABLE8_DDR3_MODULES if r.min_hcfirst_k]
         assert min(ddr3_minima) == pytest.approx(22.4)
-
-    def test_population_summary_shape(self):
-        summary = population_summary()
-        assert summary["DDR4-new"]["A"] == (264, 43)
-        assert "C" not in summary["LPDDR4-1x"]
 
 
 class TestFactories:

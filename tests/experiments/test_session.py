@@ -7,10 +7,16 @@ with zero chip activations (verified through ChipStats).
 
 from __future__ import annotations
 
+import copy
+
 import pytest
 
+from repro.core.ecc_analysis import EccWordStudyConfig
 from repro.core.first_flip import HCFirstStudyConfig
+from repro.core.probability import ProbabilityStudyConfig
+from repro.core.spatial import SpatialStudyConfig
 from repro.core.sweeps import SweepStudyConfig
+from repro.core.word_density import WordDensityStudyConfig
 from repro.dram.geometry import ChipGeometry
 from repro.dram.population import flatten_population, make_chip, make_population
 from repro.experiments import (
@@ -18,6 +24,7 @@ from repro.experiments import (
     ParallelExecutor,
     ResultStore,
     SerialExecutor,
+    get_study,
     register_study,
     unregister_study,
 )
@@ -153,6 +160,30 @@ class TestExecutorDeterminism:
             ParallelExecutor(max_workers=0)
         with pytest.raises(ValueError):
             ParallelExecutor(chunksize=0)
+
+
+class TestDirectCall:
+    """Each undecomposed chip study's registered function, called directly
+    on a copy of a pristine chip, returns the payload a session run does."""
+
+    @pytest.mark.parametrize(
+        "study,config",
+        [
+            ("fig5-hc-sweep", SWEEP),
+            ("fig6-spatial", SpatialStudyConfig(target_rate=5e-3)),
+            ("fig7-word-density", WordDensityStudyConfig(hammer_count=100_000)),
+            ("fig8-hcfirst", HCFirstStudyConfig(max_candidates=4)),
+            ("fig9-ecc-words", EccWordStudyConfig(hammer_limit=250_000, max_candidates=4)),
+            (
+                "table5-flip-probability",
+                ProbabilityStudyConfig(hammer_counts=(60_000, 150_000), iterations=2),
+            ),
+        ],
+    )
+    def test_direct_call_equals_session_payload(self, study, config):
+        chip = make_chip("DDR4-new", "A", seed=1, geometry=GEOMETRY, hcfirst_target=20_000)
+        direct = get_study(study).fn(copy.deepcopy(chip), config)
+        assert direct == ExperimentSession(chip, seed=1).run(study, config).single()
 
 
 class TestResultStore:

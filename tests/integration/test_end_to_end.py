@@ -5,9 +5,9 @@ import pytest
 
 from repro.analysis.figures import build_figure8_hcfirst_distribution
 from repro.analysis.tables import build_table2_rowhammerable, build_table4_min_hcfirst
-from repro.core.first_flip import find_hcfirst, population_hcfirst
 from repro.dram.geometry import ChipGeometry
 from repro.dram.population import make_chip, make_population
+from repro.experiments import ExperimentSession
 from repro.mitigations.base import MitigationConfig
 from repro.mitigations.registry import build_mechanism
 from repro.sim.config import SystemConfig
@@ -31,9 +31,7 @@ class TestCharacterizationPipeline:
             geometry=GEOMETRY,
             configurations=[("DDR4-old", "A"), ("DDR4-new", "A"), ("LPDDR4-1y", "A")],
         )
-        results = []
-        for chips in population.values():
-            results.extend(population_hcfirst(chips))
+        results = ExperimentSession(population).run("fig8-hcfirst").payloads()
         table = build_table4_min_hcfirst(results)
         ddr4_old = table["DDR4-old"]["A"]
         ddr4_new = table["DDR4-new"]["A"]
@@ -44,7 +42,7 @@ class TestCharacterizationPipeline:
         chips = [
             make_chip("DDR3-old", "C", seed=seed, geometry=GEOMETRY) for seed in range(3)
         ]
-        results = population_hcfirst(chips)
+        results = ExperimentSession(chips).run("fig8-hcfirst").payloads()
         table = build_table2_rowhammerable(results)
         hammerable, total = table["DDR3-old"]["C"]
         assert total == 3
@@ -54,7 +52,7 @@ class TestCharacterizationPipeline:
         chips = [
             make_chip("LPDDR4-1y", "A", seed=seed, geometry=GEOMETRY) for seed in range(3)
         ]
-        results = population_hcfirst(chips)
+        results = ExperimentSession(chips).run("fig8-hcfirst").payloads()
         figure = build_figure8_hcfirst_distribution(results)
         stats = figure[("LPDDR4-1y", "A")]
         assert stats is not None

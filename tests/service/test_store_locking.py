@@ -14,6 +14,8 @@ import time
 
 import pytest
 
+from repro.dram.geometry import ChipGeometry
+from repro.dram.population import make_chip
 from repro.experiments import ExperimentSession, SerialExecutor, ServiceExecutor
 from repro.experiments.store import CacheKey, ResultStore, fcntl
 from repro.experiments.study import StudyResult
@@ -98,25 +100,30 @@ class TestAdvisoryLocking:
                 assert cached.from_cache
 
 
+def run_through_service(store_root, study, config=None, population=None):
+    """Run ``study`` on a one-worker scheduler that checkpoints into ``store_root``."""
+    with SchedulerThread(store=ResultStore(store_root)) as scheduler:
+        host, port = scheduler.address
+        stop = threading.Event()
+        worker = ServiceWorker(host, port, name="ck", stop_event=stop)
+        thread = threading.Thread(target=worker.run, daemon=True)
+        thread.start()
+        try:
+            return ExperimentSession(
+                population, executor=ServiceExecutor(host, port), seed=7
+            ).run(study, config)
+        finally:
+            stop.set()
+            thread.join(timeout=10.0)
+
+
 class TestSchedulerCheckpointing:
     def test_local_session_replays_service_run_from_shared_store(self, tmp_path):
         """The scheduler checkpoints completed units into its store; a local
         serial session sharing the directory replays them all from cache."""
         root = tmp_path / "shared-store"
         config = ServiceSelfTestConfig(units=5, rounds=100, seed=6)
-        with SchedulerThread(store=ResultStore(root)) as scheduler:
-            host, port = scheduler.address
-            stop = threading.Event()
-            worker = ServiceWorker(host, port, name="ck", stop_event=stop)
-            thread = threading.Thread(target=worker.run, daemon=True)
-            thread.start()
-            try:
-                service = ExperimentSession(
-                    executor=ServiceExecutor(host, port), seed=7
-                ).run("service-selftest", config)
-            finally:
-                stop.set()
-                thread.join(timeout=10.0)
+        service = run_through_service(root, "service-selftest", config)
         assert service.executed == service.units_total == config.units
         # Every unit now sits in the shared store directory.
         shared = ResultStore(root)
@@ -129,4 +136,22 @@ class TestSchedulerCheckpointing:
         ).run("service-selftest", config)
         assert local.executed == 0
         assert local.cache_hits == local.units_total == config.units
+        assert local.single() == service.single()
+
+    def test_local_session_replays_undecomposed_service_run(self, tmp_path):
+        """An undecomposed per-chip study is checkpointed as one whole-study
+        entry under the key a local session looks up."""
+        root = tmp_path / "shared-store"
+        chip = make_chip(
+            "DDR4-new", "A", seed=4, geometry=ChipGeometry(banks=1, rows_per_bank=32, row_bytes=16)
+        )
+        service = run_through_service(root, "fig8-hcfirst", population=chip)
+        assert service.executed == service.units_total == 1
+        shared = ResultStore(root)
+        assert len(shared.entry_paths("fig8-hcfirst")) == 1
+        local = ExperimentSession(
+            chip, executor=SerialExecutor(), store=shared, seed=7
+        ).run("fig8-hcfirst")
+        assert local.executed == 0
+        assert local.cache_hits == local.units_total == 1
         assert local.single() == service.single()
