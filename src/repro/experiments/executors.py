@@ -36,7 +36,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Iterator, List, Optional, Sequence
+from typing import Any, Iterator, Optional, Sequence
 
 from repro.dram.chip import ChipStats, DramChip
 from repro.experiments.study import StudyResult, WorkUnit, config_digest, get_study
@@ -52,15 +52,15 @@ class StudyTask:
     consumers can reproduce any task in isolation.
 
     ``unit`` selects one shard of a decomposed study (see
-    :class:`~repro.experiments.study.WorkUnit`); ``None`` runs the whole
-    study, which keeps direct executor users working unchanged.
+    :class:`~repro.experiments.study.WorkUnit`); an undecomposed study runs
+    as its single implicit whole-study unit.
     """
 
     study: str
     config: Any
     chip: Optional[DramChip]
     seed: int
-    unit: Optional[WorkUnit] = None
+    unit: WorkUnit
 
 
 @dataclass
@@ -92,10 +92,7 @@ def execute_task(task: StudyTask) -> TaskOutcome:
     if chip is not None:
         chip.stats.reset()
     started = time.perf_counter()
-    if task.unit is not None:
-        payload = spec.run_unit(chip, task.config, task.unit)
-    else:
-        payload = spec.run(chip, task.config)
+    payload = spec.run_unit(chip, task.config, task.unit)
     elapsed = time.perf_counter() - started
     result = StudyResult(
         study=task.study,
@@ -106,8 +103,8 @@ def execute_task(task: StudyTask) -> TaskOutcome:
         seed=task.seed,
         payload=payload,
         elapsed_s=elapsed,
-        unit_id=task.unit.unit_id if task.unit is not None else None,
-        unit_digest=task.unit.digest if task.unit is not None else None,
+        unit_id=task.unit.unit_id,
+        unit_digest=task.unit.digest,
     )
     return TaskOutcome(result=result, stats=chip.stats if chip is not None else None)
 
@@ -115,26 +112,20 @@ def execute_task(task: StudyTask) -> TaskOutcome:
 class Executor:
     """Base class of execution backends.
 
-    Subclasses implement :meth:`run_tasks`, which must return one outcome
-    per task *in task order* -- the session relies on this to keep results
-    aligned with chips and to make parallel runs reproduce serial runs.
-
-    :meth:`iter_outcomes` is the streaming form of the same contract: it
-    yields outcomes in task order *as they complete*, which is what lets
-    the session checkpoint every finished work unit into the result store
-    before the batch is done (a killed run then resumes from the units that
-    made it to disk).  The base implementation degrades to the batch call;
-    the built-in backends stream for real.
+    Subclasses implement :meth:`iter_outcomes`, which must yield one
+    outcome per task *in task order* -- the session relies on this to keep
+    results aligned with chips and to make parallel runs reproduce serial
+    runs -- and should yield each outcome *as soon as* its in-order turn
+    completes.  That is what lets the session checkpoint every finished
+    work unit into the result store before the batch is done (a killed run
+    then resumes from the units that made it to disk).
     """
 
     name = "base"
 
-    def run_tasks(self, tasks: Sequence[StudyTask]) -> List[TaskOutcome]:
-        raise NotImplementedError
-
     def iter_outcomes(self, tasks: Sequence[StudyTask]) -> Iterator[TaskOutcome]:
         """Yield one outcome per task in task order, eagerly as available."""
-        yield from self.run_tasks(tasks)
+        raise NotImplementedError
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"{type(self).__name__}()"
@@ -144,9 +135,6 @@ class SerialExecutor(Executor):
     """Runs every task sequentially in the calling process."""
 
     name = "serial"
-
-    def run_tasks(self, tasks: Sequence[StudyTask]) -> List[TaskOutcome]:
-        return list(self.iter_outcomes(tasks))
 
     def iter_outcomes(self, tasks: Sequence[StudyTask]) -> Iterator[TaskOutcome]:
         for task in tasks:
@@ -175,9 +163,6 @@ class ParallelExecutor(Executor):
             raise ValueError("chunksize must be at least 1")
         self.max_workers = max_workers
         self.chunksize = chunksize
-
-    def run_tasks(self, tasks: Sequence[StudyTask]) -> List[TaskOutcome]:
-        return list(self.iter_outcomes(tasks))
 
     def iter_outcomes(self, tasks: Sequence[StudyTask]) -> Iterator[TaskOutcome]:
         tasks = list(tasks)

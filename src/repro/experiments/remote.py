@@ -28,7 +28,7 @@ cache.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, Optional, Sequence
 
 from repro.experiments.executors import Executor, StudyTask, TaskOutcome
 from repro.experiments.store import cache_key
@@ -65,9 +65,6 @@ class ServiceExecutor(Executor):
         self.port = port
         self.label = label
         self.client_name = client_name
-
-    def run_tasks(self, tasks: Sequence[StudyTask]) -> List[TaskOutcome]:
-        return list(self.iter_outcomes(tasks))
 
     def iter_outcomes(self, tasks: Sequence[StudyTask]) -> Iterator[TaskOutcome]:
         tasks = list(tasks)
@@ -106,7 +103,7 @@ class ServiceExecutor(Executor):
     def _unit_spec(index: int, task: StudyTask) -> dict:
         """The JSON unit dict shipped in a submit message for one task."""
         unit = task.unit
-        digest = WHOLE_STUDY_UNIT if unit is None or unit.is_whole_study else unit.digest
+        digest = WHOLE_STUDY_UNIT if unit.is_whole_study else unit.digest
         cache = None
         if task.chip is None or task.chip.is_pristine:
             # Lets the scheduler checkpoint this unit's result server-side

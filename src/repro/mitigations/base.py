@@ -102,6 +102,14 @@ class MitigationMechanism(ABC):
     :meth:`on_refresh` / :meth:`refresh_interval_multiplier`) and report the
     victim rows they want refreshed; the memory controller performs the
     refreshes and charges their cost to the mechanism.
+
+    A mechanism acts only through these hooks, and the controller calls
+    each of them (and :meth:`on_victim_refreshed`) at one of its own events:
+    a demand activation, a periodic refresh command or a victim refresh.
+    PARA and MRLoc draw their RNG per activation; ProHIT refreshes its top
+    hot entry and TWiCe prunes its table per refresh command.  The
+    event-driven simulator skips the cycles between events, so a mechanism
+    must never assume the controller is ticked on every cycle.
     """
 
     #: short name used in reports and the registry
@@ -125,7 +133,11 @@ class MitigationMechanism(ABC):
         """
 
     def on_refresh(self, cycle: int) -> List[Tuple[int, int]]:
-        """Called at every periodic refresh command; may return victim rows."""
+        """Called at every periodic refresh command; may return victim rows.
+
+        This is the hook for periodic work: refresh commands recur every
+        tREFI (scaled by :meth:`refresh_interval_multiplier`).
+        """
         return []
 
     def on_victim_refreshed(self, bank: int, row: int, cycle: int) -> None:
@@ -134,34 +146,6 @@ class MitigationMechanism(ABC):
     def refresh_interval_multiplier(self) -> float:
         """Scaling applied to tREFI (< 1 refreshes more often, 1 = nominal)."""
         return 1.0
-
-    # ------------------------------------------------------------------
-    # Autonomous timers (the event-registration API)
-    # ------------------------------------------------------------------
-    def register_events(self, port) -> None:
-        """Called once when the mechanism is attached to a controller.
-
-        ``port`` is a
-        :class:`repro.sim.controller.MitigationEventPort`: a mechanism that
-        schedules autonomous work (say, a background scrubber) keeps a
-        reference and calls ``port.schedule_timer(cycle)``; the controller
-        then dispatches :meth:`on_timer` at that cycle in **both** step
-        modes and folds the timer into every event horizon, so the
-        event-driven fast-forward can never jump over it.  The timer is
-        one-shot: re-arm it from inside :meth:`on_timer` for periodic work.
-
-        All evaluated mechanisms act only inside :meth:`on_activate` and
-        :meth:`on_refresh` -- both of which fire at controller events that
-        are already part of the horizon (PARA draws its RNG per activation,
-        TWiCe advances its table epochs and ProHIT/MRLoc pop their queues
-        per refresh command) -- so the default registers nothing.
-        """
-
-    def on_timer(self, cycle: int) -> List[Tuple[int, int]]:
-        """Dispatched when a timer registered through ``register_events``
-        fires; may return (bank, row) victim rows to refresh and re-arm the
-        timer through the retained port."""
-        return []
 
     # ------------------------------------------------------------------
     # Reporting helpers

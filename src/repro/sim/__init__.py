@@ -34,14 +34,15 @@ mechanism):
   (``tests/sim/test_golden_trace.py``).
 * ``step_mode="event"`` (default) -- the event-queue fast path.  All state
   changes happen at *events*: command issues, read-data completions,
-  periodic refreshes, mitigation timers, and trace injections by the cores.
-  The run loop is keyed on one :class:`~repro.sim.events.EventQueue`:
+  periodic refreshes, and trace injections by the cores.  The run loop is
+  keyed on one :class:`~repro.sim.events.EventQueue`:
 
   - The **memory controller**'s horizon is the byproduct of its quiescent
-    tick.  Scheduling state is *indexed*, not scanned: per-bank FIFOs,
-    per-(bank, row) hit buckets and flat head-of-index sequence mirrors
-    give the FR-FCFS choice (and, on a failed scan, the earliest future
-    issue opportunity) in O(banks with work), with no queue scans.  Bank
+    tick.  Scheduling state is *indexed*, not scanned: each demand queue
+    keeps per-bank FIFOs, per-(bank, row) hit buckets and flat
+    head-of-index sequence mirrors, which give the FR-FCFS choice (and, on
+    a failed scan, the earliest future issue opportunity) in O(banks with
+    work), with no queue scans.  Bank
     and rank timer changes are pushed into flat mirrors at mutation time
     (:meth:`~repro.sim.controller.MemoryController._sync_bank`) rather
     than re-polled, and the quiet-horizon cache is lowered incrementally
@@ -62,28 +63,28 @@ mechanism):
   ``"cycle"`` mode; the golden regression suite enforces this for every
   mitigation mechanism.
 
-How a mitigation registers a timer event
-----------------------------------------
-Mechanisms that act only inside ``on_activate``/``on_refresh`` need no
-extra work: activations and refresh commands are already events.  A
-mechanism that schedules autonomous work at cycles of its own choosing
-(say, a background scrubber) overrides
-:meth:`repro.mitigations.base.MitigationMechanism.register_events`, keeps
-the :class:`~repro.sim.controller.MitigationEventPort` it receives, and
-calls ``port.schedule_timer(cycle)``; the controller then dispatches
-:meth:`~repro.mitigations.base.MitigationMechanism.on_timer` at that cycle
-in **both** step modes and folds the timer into every event horizon, so the
-fast-forward can never jump over it.  Re-arm the (one-shot) timer from
-inside ``on_timer`` for periodic work.  This port is the only timer API: a
-mechanism must interact with the simulation through its hooks and the port
-alone, and never assume the controller is ticked on every cycle.
+How a mitigation interacts with the simulation
+----------------------------------------------
+A mechanism acts only through three methods of
+:class:`~repro.mitigations.base.MitigationMechanism`:
+
+* ``on_activate``, called at every demand activation;
+* ``on_refresh``, called at every periodic refresh command;
+* ``refresh_interval_multiplier``, a fixed tREFI scaling read once, when
+  the controller is built.
+
+Activations and refresh commands are controller events, so the event path
+never jumps over a hook call, and both step modes call the hooks at the
+same cycles with the same arguments.  A mechanism must not assume the
+controller is ticked on every cycle; periodic work belongs in
+``on_refresh``.
 """
 
 from repro.sim.config import SystemConfig
 from repro.sim.timing import DramTimings, DDR4_2400
 from repro.sim.requests import MemoryRequest, RequestType
 from repro.sim.events import EventQueue, EventQueueStats, NEVER
-from repro.sim.controller import ControllerStats, MemoryController, MitigationEventPort
+from repro.sim.controller import ControllerStats, MemoryController
 from repro.sim.core import SimpleCore
 from repro.sim.trace import SyntheticTraceGenerator, TraceRecord
 from repro.sim.workloads import BenchmarkProfile, SPEC_LIKE_BENCHMARKS, make_workload_mixes
@@ -101,7 +102,6 @@ __all__ = [
     "NEVER",
     "MemoryController",
     "ControllerStats",
-    "MitigationEventPort",
     "SimpleCore",
     "SyntheticTraceGenerator",
     "TraceRecord",

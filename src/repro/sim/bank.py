@@ -89,28 +89,6 @@ class BankState:
         self.next_write = max(self.next_write, cycle)
         self.busy_until = max(self.busy_until, cycle)
 
-    # ------------------------------------------------------------------
-    # Event horizon
-    # ------------------------------------------------------------------
-    def next_event_cycle(self) -> int:
-        """Earliest cycle at which any command to this bank could become legal.
-
-        While the bank is closed the only possible command is an ACT; while a
-        row is open the possibilities are a column access to it or a PRE.  The
-        returned cycle is a lower bound on the bank's next state change, so an
-        event-driven simulation loop may jump the clock to the minimum of
-        these horizons without missing a command opportunity (the bank's
-        timers only move when a command is issued, i.e. at an event).
-
-        This is the bank-level horizon primitive; the memory controller
-        sharpens it per queued request -- selecting the one relevant timer
-        for a hit, conflict, or activation candidate -- from flat mirrors of
-        these same fields (see ``MemoryController._sync_bank``).
-        """
-        if self.open_row is None:
-            return self.next_activate
-        return min(self.next_precharge, self.next_read, self.next_write)
-
 
 @dataclass(slots=True)
 class RankState:

@@ -19,18 +19,17 @@ class SystemConfig:
 
     The defaults reproduce Table 6.  ``rows_per_bank`` can be reduced for
     faster experiments; mitigation mechanisms size their tracking structures
-    from it.
+    from it.  The simulator models one channel, one rank and no cache (the
+    traces are last-level-cache misses), so those Table 6 parameters have
+    no field.
     """
 
     cores: int = 8
     cpu_freq_ghz: float = 4.0
     issue_width: int = 4
     instruction_window: int = 128
-    cache_line_bytes: int = 64
     read_queue_depth: int = 64
     write_queue_depth: int = 64
-    channels: int = 1
-    ranks: int = 1
     banks: int = 16
     rows_per_bank: int = 16384
     columns_per_row: int = 128
@@ -43,24 +42,13 @@ class SystemConfig:
             raise ValueError("banks and rows_per_bank must be positive")
         if self.issue_width <= 0 or self.instruction_window <= 0:
             raise ValueError("issue_width and instruction_window must be positive")
+        if self.read_queue_depth <= 0 or self.write_queue_depth <= 0:
+            raise ValueError("read_queue_depth and write_queue_depth must be positive")
+        if not self.cpu_freq_ghz > 0:
+            raise ValueError("cpu_freq_ghz must be positive")
 
     @property
     def cpu_cycles_per_dram_cycle(self) -> float:
         """CPU clock cycles per DRAM bus cycle (the simulation ticks in DRAM cycles)."""
         dram_freq_ghz = 1.0 / self.timings.tck_ns
         return self.cpu_freq_ghz / dram_freq_ghz
-
-    @property
-    def total_rows(self) -> int:
-        """Total DRAM rows across all banks."""
-        return self.banks * self.rows_per_bank
-
-
-#: Configuration used for quick tests: fewer banks and rows, smaller queues.
-SMALL_SYSTEM = SystemConfig(
-    cores=2,
-    banks=4,
-    rows_per_bank=512,
-    read_queue_depth=16,
-    write_queue_depth=16,
-)

@@ -15,31 +15,33 @@ The controller also accounts separately for the DRAM bank-time consumed by
 demand traffic, by nominal refresh, and by the mitigation mechanism, which
 is what the bandwidth-overhead metric of Figure 10a reports.
 
-Indexed bank buckets
---------------------
-The fast scheduler never scans the request queues.  Each demand queue is
-indexed three ways, maintained incrementally at enqueue/issue time:
+Per-queue index
+---------------
+The fast scheduler never scans the request queues.  Each demand queue
+(reads, writes) is one :class:`DemandQueue` that indexes its requests three
+ways, maintained incrementally at enqueue/issue time:
 
-* **per-bank FIFOs** (``_read_fifo`` / ``_write_fifo``) keep each bank's
-  pending requests in arrival order, so the oldest request of a bank is a
-  head read;
-* **per-(bank, row) buckets** (``_read_rows`` / ``_write_rows``) keep the
-  requests targeting one row in arrival order, so when a bank opens a row
-  its hit set -- and the oldest hit -- is one dictionary lookup;
-* **head-of-index sequence mirrors** (``_read_head_seq`` / ``_read_hit_seq``
-  and the write twins) expose each bank's oldest live request and oldest
-  live row hit as flat integers, so the FR-FCFS selection loop touches only
-  int arrays (bank classification comes from the pending/hit counters and
-  the mirrored open rows and command timers) and the deques behind the
-  index are touched exactly once per issued command.
+* **per-bank FIFOs** keep each bank's pending requests in arrival order, so
+  the oldest request of a bank is a head read;
+* **per-(bank, row) buckets** keep the requests targeting one row in arrival
+  order, so when a bank opens a row its hit set -- and the oldest hit -- is
+  one dictionary lookup;
+* **head-of-index sequence mirrors** expose each bank's oldest live request
+  and oldest live row hit as flat integers, so the FR-FCFS selection loop
+  touches only int arrays (bank classification comes from the pending/hit
+  counters and the mirrored open rows and command timers) and the deques
+  behind the index are touched exactly once per issued command.
+
+Every scheduling helper takes the queue it works on, so each decision has
+one body for reads and writes.
 
 Issued requests are removed lazily: they carry a ``popped`` tombstone flag
 and are dropped when they surface at a deque head (every head read --
 selection, hit recount, issue-time head advance -- cleans the dead prefix,
 and live counts bound the garbage to the queue depth), while live sizes are
-tracked in plain integer counters (``read_len`` / ``write_len``).  The flat
-``read_queue`` / ``write_queue`` lists are retained as the *reference*
-scheduler's representation and are compacted periodically in fast mode.
+tracked in a plain integer counter (``DemandQueue.length``).  The flat
+arrival-order ``DemandQueue.requests`` list is the *reference* scheduler's
+representation and is compacted periodically in fast mode.
 
 FR-FCFS over the index: the oldest ready row hit is the minimum, over
 hit-ready banks, of each bank's row-bucket head sequence number; the
@@ -52,22 +54,14 @@ scan-based reference scheduler for every mechanism.
 Event horizon
 -------------
 All controller state changes happen at *events*: a command issue, a read
-completion, a periodic refresh, or a mitigation timer.
-:meth:`MemoryController.next_event_cycle` returns the earliest future cycle
-at which any of those could occur, computed from the same per-bank index in
-O(banks with work).  Between two events, ticking the controller is a no-op
-by construction; the ``_quiet_until`` cache remembers a proven horizon and
-is *incrementally lowered* when cores enqueue new work (each new request
-contributes its own bank-local bound) instead of being discarded, so an
-enqueue no longer forces a full rescan.
-
-Mitigation timers
------------------
-A mechanism that schedules autonomous work registers a timer through the
-:class:`MitigationEventPort` handed to its ``register_events`` hook; the
-controller dispatches ``on_timer`` at the registered cycle in **both** step
-modes and folds the timer into every horizon.  This is the only timer API;
-mechanisms that register no timer cost nothing on the horizon path.
+completion or a periodic refresh.  A quiescent :meth:`MemoryController.tick`
+returns the earliest future cycle at which any of those could occur, a
+byproduct of its failed scheduling scan over the same per-bank index.
+Between two events, ticking the controller is a no-op by construction; the
+``_quiet_until`` cache remembers a proven horizon and is *incrementally
+lowered* when cores enqueue new work (each new request contributes its own
+bank-local bound) instead of being discarded, so an enqueue does not force
+a full rescan (:meth:`MemoryController.post_enqueue_horizon`).
 """
 
 from __future__ import annotations
@@ -111,36 +105,45 @@ class ControllerStats:
         return self.read_latency_total / self.read_latency_samples
 
 
-class MitigationEventPort:
-    """Timer-registration surface the controller hands to a mitigation.
+class DemandQueue:
+    """One demand queue (reads or writes) and its FR-FCFS index.
 
-    A mechanism receives one of these through its ``register_events`` hook
-    and may (re)schedule a single autonomous timer; the controller
-    guarantees ``on_timer(cycle)`` is dispatched at the registered cycle in
-    both step modes and that no event-driven fast-forward jumps over it.
+    Per-bank lists are indexed by bank, row-keyed dicts by
+    ``bank * rows_per_bank + row`` (see the module docstring).
     """
 
-    __slots__ = ("_controller",)
+    __slots__ = (
+        "is_write", "depth", "requests", "length", "dead", "pops",
+        "fifo", "rows", "row_count", "pending", "hits", "head_seq", "hit_seq",
+    )
 
-    def __init__(self, controller: "MemoryController") -> None:
-        self._controller = controller
-
-    def schedule_timer(self, cycle: int) -> None:
-        """Arrange for ``on_timer`` to be dispatched at ``cycle``."""
-        controller = self._controller
-        controller._mitigation_timer = cycle
-        if cycle < controller._quiet_until:
-            controller._quiet_until = cycle
-
-    def cancel_timer(self) -> None:
-        """Drop the pending timer, if any."""
-        self._controller._mitigation_timer = _NEVER
-
-    @property
-    def timer_cycle(self) -> int:
-        """Currently registered timer cycle (:data:`~repro.sim.events.NEVER`
-        when none is pending)."""
-        return self._controller._mitigation_timer
+    def __init__(self, is_write: bool, depth: int, banks: int) -> None:
+        self.is_write = is_write
+        #: Capacity: :meth:`MemoryController.enqueue` refuses a request once
+        #: ``length`` reaches it.
+        self.depth = depth
+        #: Arrival-order list: the reference scheduler's representation.  The
+        #: fast path leaves issued requests in place as tombstones
+        #: (``request.popped``, counted in ``dead``) and compacts lazily;
+        #: ``length`` is the live size.
+        self.requests: List[MemoryRequest] = []
+        self.length = 0
+        self.dead = 0
+        #: Issued column commands.  This is the queue's core-visible wake
+        #: channel: a core blocked on a full queue can only resume after a pop.
+        self.pops = 0
+        self.fifo: List[Deque[MemoryRequest]] = [deque() for _ in range(banks)]
+        self.rows: Dict[int, Deque[MemoryRequest]] = {}
+        self.row_count: Dict[int, int] = {}
+        #: Per bank: how many queued requests target it, and how many of them
+        #: are row hits (target the bank's currently open row).
+        self.pending = [0] * banks
+        self.hits = [0] * banks
+        #: Per bank: the arrival sequence number of its oldest live request
+        #: (FIFO head) and of its oldest live row hit (open-row bucket head);
+        #: ``NEVER`` when none.
+        self.head_seq = [_NEVER] * banks
+        self.hit_seq = [_NEVER] * banks
 
 
 class MemoryController:
@@ -184,20 +187,12 @@ class MemoryController:
         self._bank_next_read = [0] * banks
         self._bank_next_write = [0] * banks
         self.rank = RankState(timings)
-        #: Flat queue lists in arrival order: the reference scheduler's
-        #: representation.  The fast path leaves issued requests in place as
-        #: tombstones (``request.popped``) and compacts lazily; use
-        #: :meth:`queued_reads` / :meth:`queued_writes` for live views and
-        #: ``read_len`` / ``write_len`` for live sizes.
-        self.read_queue: List[MemoryRequest] = []
-        self.write_queue: List[MemoryRequest] = []
+        #: The two demand queues.  Their ``length`` and ``pops`` are what a
+        #: core blocked on a full queue waits on.
+        self.reads = DemandQueue(False, config.read_queue_depth, banks)
+        self.writes = DemandQueue(True, config.write_queue_depth, banks)
+        self._queues = (self.reads, self.writes)
         self.victim_queue: List[MemoryRequest] = []
-        #: Live request counts of the demand queues (the flat lists may
-        #: additionally hold tombstones in fast mode).
-        self.read_len = 0
-        self.write_len = 0
-        self._read_dead = 0
-        self._write_dead = 0
         self._pending_completions: List[Tuple[int, MemoryRequest]] = []
         #: Earliest cycle at which a pending read's data returns (``NEVER``
         #: when none are in flight).  Public for the event loop, which must
@@ -207,38 +202,11 @@ class MemoryController:
         self._next_refresh = timings.trefi
         self._refresh_until = 0
         self.stats = ControllerStats()
-        # Per-bank demand-queue occupancy, maintained incrementally: how many
-        # queued requests target each bank, and how many of them are row hits
-        # (target the bank's currently open row).
-        self._read_pending = [0] * banks
-        self._read_hits = [0] * banks
-        self._write_pending = [0] * banks
-        self._write_hits = [0] * banks
-        # Indexed bank buckets (see module docstring): per-bank FIFOs,
-        # per-(bank, row) arrival buckets with live counts, and the bank
-        # classification bitmasks.
-        self._read_fifo: List[Deque[MemoryRequest]] = [deque() for _ in range(banks)]
-        self._write_fifo: List[Deque[MemoryRequest]] = [deque() for _ in range(banks)]
-        self._read_rows: Dict[int, Deque[MemoryRequest]] = {}
-        self._write_rows: Dict[int, Deque[MemoryRequest]] = {}
-        self._read_row_count: Dict[int, int] = {}
-        self._write_row_count: Dict[int, int] = {}
         self._row_stride = config.rows_per_bank
         self._bank_count = banks
         self._tcl = timings.tcl
         self._tfaw = timings.tfaw
-        self._read_depth = config.read_queue_depth
-        self._write_depth = config.write_queue_depth
         self._write_drain_level = config.write_queue_depth // 2
-        # Head-of-index mirrors: per bank, the arrival sequence number of its
-        # oldest live request (FIFO head) and of its oldest live row hit
-        # (open-row bucket head); ``NEVER`` when none.  The FR-FCFS selection
-        # loop reads only these flat integer arrays; the deques behind them
-        # are touched once per actual issue.
-        self._read_head_seq = [_NEVER] * banks
-        self._write_head_seq = [_NEVER] * banks
-        self._read_hit_seq = [_NEVER] * banks
-        self._write_hit_seq = [_NEVER] * banks
         #: Controller-local arrival counter; FR-FCFS age comparisons use the
         #: ``seq`` it stamps on every accepted request.
         self._seq = 0
@@ -249,25 +217,11 @@ class MemoryController:
         #: Number of requests accepted into the queues; the simulation loop
         #: compares snapshots of this to detect whether cores injected work.
         self.enqueue_count = 0
-        #: Core-visible wake events, split per channel: a stalled core can
-        #: only resume after the queue it is blocked on pops (these two
-        #: counters) or one of its own reads completes
-        #: (:meth:`due_completion_cores`), which is what lets the simulation
-        #: loop keep stall classifications lazily deferred between exactly
-        #: the right events.
-        self.read_pops = 0
-        self.write_pops = 0
         #: Optional observers for co-simulation with a behavioural chip model:
         #: called as ``hook(bank, row, cycle)`` on every demand activation /
         #: victim refresh the controller issues.
         self.activate_hook = None
         self.victim_refresh_hook = None
-        # Mitigation timer slot (the event-registration API).
-        self._mitigation_timer = _NEVER
-        if mitigation is not None:
-            register = getattr(mitigation, "register_events", None)
-            if register is not None:
-                register(MitigationEventPort(self))
 
     def _sync_bank(self, bank_index: int) -> None:
         """Refresh the flat per-bank mirrors after a bank mutation."""
@@ -295,101 +249,73 @@ class MemoryController:
 
     def _clear_bank_hits(self, bank_index: int) -> None:
         """Zero both queues' hit accounting for a bank that closed its row."""
-        self._read_hits[bank_index] = 0
-        self._write_hits[bank_index] = 0
-        self._read_hit_seq[bank_index] = _NEVER
-        self._write_hit_seq[bank_index] = _NEVER
+        for queue in self._queues:
+            queue.hits[bank_index] = 0
+            queue.hit_seq[bank_index] = _NEVER
 
     # ------------------------------------------------------------------
     # Enqueue interface (used by cores)
     # ------------------------------------------------------------------
-    def can_accept(self, request: MemoryRequest) -> bool:
-        """Whether the appropriate request queue has space."""
-        if request.is_read:
-            return self.read_len < self.config.read_queue_depth
-        if request.is_write:
-            return self.write_len < self.config.write_queue_depth
-        return True
-
     def enqueue(self, request: MemoryRequest, cycle: int) -> bool:
         """Add a request to the controller; returns ``False`` if the queue is full."""
-        bank = request.bank
-        row = request.row
         request_type = request.request_type
         if request_type is RequestType.READ:
-            if self.read_len >= self._read_depth:
-                return False
-            request.arrival_cycle = cycle
-            self.enqueue_count += 1
-            self._seq = seq = self._seq + 1
-            request.seq = seq
-            self.read_queue.append(request)
-            self._read_fifo[bank].append(request)
-            key = bank * self._row_stride + row
-            bucket = self._read_rows.get(key)
-            if bucket is None:
-                self._read_rows[key] = bucket = deque()
-            bucket.append(request)
-            self._read_row_count[key] = self._read_row_count.get(key, 0) + 1
-            self.read_len += 1
-            pending = self._read_pending[bank]
-            self._read_pending[bank] = pending + 1
-            if not pending:
-                self._read_head_seq[bank] = seq
-            if self._bank_open_row[bank] == row:
-                new_hits = self._read_hits[bank] + 1
-                self._read_hits[bank] = new_hits
-                if new_hits == 1:
-                    self._read_hit_seq[bank] = seq
-            if self._quiet_until > cycle:
-                self._fold_enqueue_bound(bank, row, False, cycle)
+            queue = self.reads
         elif request_type is RequestType.WRITE:
-            if self.write_len >= self._write_depth:
-                return False
-            request.arrival_cycle = cycle
-            self.enqueue_count += 1
-            self._seq = seq = self._seq + 1
-            request.seq = seq
-            self.write_queue.append(request)
-            self._write_fifo[bank].append(request)
-            key = bank * self._row_stride + row
-            bucket = self._write_rows.get(key)
-            if bucket is None:
-                self._write_rows[key] = bucket = deque()
-            bucket.append(request)
-            self._write_row_count[key] = self._write_row_count.get(key, 0) + 1
-            self.write_len += 1
-            pending = self._write_pending[bank]
-            self._write_pending[bank] = pending + 1
-            if not pending:
-                self._write_head_seq[bank] = seq
-            if self._bank_open_row[bank] == row:
-                new_hits = self._write_hits[bank] + 1
-                self._write_hits[bank] = new_hits
-                if new_hits == 1:
-                    self._write_hit_seq[bank] = seq
-            if self._quiet_until > cycle:
-                if self.write_len == self._write_drain_level:
-                    # Crossing the drain threshold turns every write bank
-                    # into an issue candidate at once; recomputing all their
-                    # bounds is not worth it for this rare edge, so force a
-                    # full rescan instead.
-                    self._quiet_until = 0
-                elif not self.read_len or self.write_len >= self._write_drain_level:
-                    self._fold_enqueue_bound(bank, row, True, cycle)
-                # Otherwise writes are not draining: the new request adds no
-                # issue opportunity until a (horizon-tracked) event changes
-                # that.
-            # Posted write: the core considers it done once buffered.
-            request.complete(cycle)
+            queue = self.writes
         else:
             self.victim_queue.append(request)
             request.arrival_cycle = cycle
             self.enqueue_count += 1
             self._quiet_until = 0
+            return True
+        if queue.length >= queue.depth:
+            return False
+        bank = request.bank
+        row = request.row
+        request.arrival_cycle = cycle
+        self.enqueue_count += 1
+        self._seq = seq = self._seq + 1
+        request.seq = seq
+        queue.requests.append(request)
+        queue.fifo[bank].append(request)
+        key = bank * self._row_stride + row
+        bucket = queue.rows.get(key)
+        if bucket is None:
+            queue.rows[key] = bucket = deque()
+        bucket.append(request)
+        queue.row_count[key] = queue.row_count.get(key, 0) + 1
+        queue.length += 1
+        pending = queue.pending[bank]
+        queue.pending[bank] = pending + 1
+        if not pending:
+            queue.head_seq[bank] = seq
+        if self._bank_open_row[bank] == row:
+            new_hits = queue.hits[bank] + 1
+            queue.hits[bank] = new_hits
+            if new_hits == 1:
+                queue.hit_seq[bank] = seq
+        if not queue.is_write:
+            if self._quiet_until > cycle:
+                self._fold_enqueue_bound(bank, row, queue, cycle)
+            return True
+        if self._quiet_until > cycle:
+            if queue.length == self._write_drain_level:
+                # Crossing the drain threshold turns every write bank into an
+                # issue candidate at once; recomputing all their bounds is not
+                # worth it for this rare edge, so force a full rescan instead.
+                self._quiet_until = 0
+            elif not self.reads.length or queue.length >= self._write_drain_level:
+                self._fold_enqueue_bound(bank, row, queue, cycle)
+            # Otherwise writes are not draining: the new request adds no
+            # issue opportunity until a (horizon-tracked) event changes that.
+        # Posted write: the core considers it done once buffered.
+        request.complete(cycle)
         return True
 
-    def _fold_enqueue_bound(self, bank: int, row: int, is_write: bool, cycle: int) -> None:
+    def _fold_enqueue_bound(
+        self, bank: int, row: int, queue: DemandQueue, cycle: int
+    ) -> None:
         """Lower ``_quiet_until`` by the new request's bank-local issue bound.
 
         Mirrors the scheduler's per-bank classification for the one affected
@@ -400,13 +326,15 @@ class MemoryController:
         """
         open_row = self._bank_open_row[bank]
         if open_row == row:
-            bound = self._bank_next_write[bank] if is_write else self._bank_next_read[bank]
+            if queue.is_write:
+                bound = self._bank_next_write[bank]
+            else:
+                bound = self._bank_next_read[bank]
             bus_ready = self.rank.data_bus_ready_cycle()
             if bus_ready > bound:
                 bound = bus_ready
         elif open_row is not None:
-            hits = self._write_hits[bank] if is_write else self._read_hits[bank]
-            if hits:
+            if queue.hits[bank]:
                 # The bank's open row still has pending hits in this queue;
                 # the precharge this request is waiting for is blocked until
                 # they drain, which takes an (already horizon-tracked) event.
@@ -430,19 +358,11 @@ class MemoryController:
     def outstanding_requests(self) -> int:
         """Number of requests currently queued or in flight."""
         return (
-            self.read_len
-            + self.write_len
+            self.reads.length
+            + self.writes.length
             + len(self.victim_queue)
             + len(self._pending_completions)
         )
-
-    def queued_reads(self) -> List[MemoryRequest]:
-        """Live read queue in arrival order (tombstones filtered)."""
-        return [request for request in self.read_queue if not request.popped]
-
-    def queued_writes(self) -> List[MemoryRequest]:
-        """Live write queue in arrival order (tombstones filtered)."""
-        return [request for request in self.write_queue if not request.popped]
 
     # ------------------------------------------------------------------
     # Main tick
@@ -451,12 +371,11 @@ class MemoryController:
         """Advance the controller by one DRAM cycle.
 
         Returns ``None`` when an event occurred this cycle (a completion, a
-        refresh command, a mitigation timer, or a command issue); otherwise
-        the cycle was quiescent and the return value is the controller's
-        event horizon -- the earliest future cycle at which its state can
-        change, computed as a byproduct of the failed scheduling scan.  The
-        event-driven loop uses this to fast-forward without a second scan;
-        cycle-mode callers simply ignore the return value.
+        refresh command, or a command issue); otherwise the cycle was
+        quiescent and the return value is the controller's event horizon --
+        the earliest future cycle at which its state can change, computed as
+        a byproduct of the failed scheduling scan.  The event-driven loop
+        uses this to fast-forward without a second scan.
         """
         self.stats.cycles = cycle + 1
         if cycle < self._quiet_until:
@@ -465,16 +384,15 @@ class MemoryController:
             return self._quiet_until
         completed = cycle >= self.earliest_completion_cycle and self._complete_due(cycle)
         refreshed = cycle >= self._next_refresh and self._maybe_refresh(cycle)
-        fired = self._mitigation_timer <= cycle and self._fire_mitigation_timer(cycle)
         if cycle < self._refresh_until:
             # The rank is busy with an all-bank refresh; nothing can issue
             # before it ends.
-            if completed or refreshed or fired:
+            if completed or refreshed:
                 return None
             issue_horizon = self._refresh_until
         else:
             issue_horizon = self._schedule(cycle)
-            if issue_horizon is None or completed or refreshed or fired:
+            if issue_horizon is None or completed or refreshed:
                 self._quiet_until = 0
                 return None
         horizon = self._next_refresh
@@ -482,8 +400,6 @@ class MemoryController:
             horizon = issue_horizon
         if self.earliest_completion_cycle < horizon:
             horizon = self.earliest_completion_cycle
-        if self._mitigation_timer < horizon:
-            horizon = self._mitigation_timer
         floor = cycle + 1
         horizon = horizon if horizon > floor else floor
         self._quiet_until = horizon
@@ -507,9 +423,9 @@ class MemoryController:
     # request queues and reading the BankState objects directly -- the
     # simple, obviously-correct FR-FCFS formulation this simulator started
     # with.  It deliberately does NOT consult the indexed structures the
-    # fast path relies on (per-bank FIFOs and row buckets, bank bitmasks,
-    # flat bank mirrors, the quiet-until cache), so the golden regression
-    # suite genuinely validates that machinery against an independent
+    # fast path relies on (per-bank FIFOs and row buckets, flat bank
+    # mirrors, the quiet-until cache), so the golden regression suite
+    # genuinely validates that machinery against an independent
     # implementation instead of comparing it with itself.  Issued commands
     # still run through the shared bookkeeping helpers, which keeps the
     # indexed structures consistent either way (asserted by the consistency
@@ -520,8 +436,6 @@ class MemoryController:
         self._complete_due(cycle)
         if cycle >= self._next_refresh:
             self._maybe_refresh(cycle)
-        if self._mitigation_timer <= cycle:
-            self._fire_mitigation_timer(cycle)
         if cycle < self._refresh_until:
             return  # the rank is busy with an all-bank refresh
         self._schedule_reference(cycle)
@@ -531,13 +445,11 @@ class MemoryController:
         # correctness-critical work.
         if self.victim_queue and self._issue_victim_refresh_reference(cycle):
             return
-        if self._issue_from_queue_reference(self.read_queue, cycle, is_write=False):
+        if self._issue_from_queue_reference(self.reads, cycle):
             return
         # Drain writes when there is no read work to do or the queue is deep.
-        drain_writes = not self.read_len or self.write_len >= self._write_drain_level
-        if drain_writes and self._issue_from_queue_reference(
-            self.write_queue, cycle, is_write=True
-        ):
+        drain_writes = not self.reads.length or self.writes.length >= self._write_drain_level
+        if drain_writes and self._issue_from_queue_reference(self.writes, cycle):
             return
 
     def _issue_victim_refresh_reference(self, cycle: int) -> bool:
@@ -568,31 +480,31 @@ class MemoryController:
                 return True
         return False
 
-    def _issue_from_queue_reference(
-        self, queue: List[MemoryRequest], cycle: int, is_write: bool
-    ) -> bool:
-        if not queue:
+    def _issue_from_queue_reference(self, queue: DemandQueue, cycle: int) -> bool:
+        requests = queue.requests
+        if not requests:
             return False
+        is_write = queue.is_write
         # First ready: a request whose row is already open and can issue its
         # column access now (row hit).
-        for index, request in enumerate(queue):
+        for index, request in enumerate(requests):
             bank = self.banks[request.bank]
             if (
                 bank.open_row == request.row
                 and bank.can_column_access(cycle, is_write)
                 and self.rank.can_use_data_bus(cycle)
             ):
-                self._issue_column_reference(queue, index, cycle, is_write)
+                self._issue_column_reference(queue, index, cycle)
                 return True
         # Then oldest first: progress the oldest request towards opening its row.
-        for request in queue:
+        for request in requests:
             bank_index = request.bank
             bank = self.banks[bank_index]
             if bank.open_row == request.row:
                 continue  # waiting for column timing; nothing to issue
             if bank.open_row is not None:
                 if bank.can_precharge(cycle) and not self._row_has_pending_hit(
-                    bank_index, bank.open_row, queue
+                    bank_index, bank.open_row, requests
                 ):
                     bank.precharge(cycle)
                     self._sync_bank(bank_index)
@@ -613,6 +525,25 @@ class MemoryController:
                 return True
         return False
 
+    def _row_has_pending_hit(
+        self, bank_index: int, open_row: int, requests: List[MemoryRequest]
+    ) -> bool:
+        """Whether any queued request still targets the bank's open row.
+
+        Reference-scheduler helper: scans the flat queue (tombstones never
+        arise in reference mode, which pops the list eagerly).
+        """
+        for request in requests:
+            if request.bank == bank_index and request.row == open_row:
+                return True
+        return False
+
+    def _issue_column_reference(self, queue: DemandQueue, index: int, cycle: int) -> None:
+        """Reference-path column issue: eager flat-list pop, shared accounting."""
+        request = queue.requests.pop(index)
+        self._account_pop(request, queue)
+        self._perform_column(request, cycle, queue)
+
     # ------------------------------------------------------------------
     # Refresh handling
     # ------------------------------------------------------------------
@@ -627,13 +558,9 @@ class MemoryController:
         for bank in self.banks:
             bank.block_until(end)
         # Every bank is closed now; no queued request is a row hit any more.
-        for bank_index in range(self.config.banks):
+        for bank_index in range(self._bank_count):
             self._sync_bank(bank_index)
-        for bank_index in range(self.config.banks):
-            self._read_hits[bank_index] = 0
-            self._write_hits[bank_index] = 0
-            self._read_hit_seq[bank_index] = _NEVER
-            self._write_hit_seq[bank_index] = _NEVER
+            self._clear_bank_hits(bank_index)
         self._refresh_until = end
         self._next_refresh += timings.trefi
         self.stats.refresh_commands += 1
@@ -644,22 +571,7 @@ class MemoryController:
         return True
 
     # ------------------------------------------------------------------
-    # Mitigation timers (the event-registration API)
-    # ------------------------------------------------------------------
-    def _fire_mitigation_timer(self, cycle: int) -> bool:
-        """Dispatch a due autonomous mitigation timer (both step modes)."""
-        self._mitigation_timer = _NEVER
-        if self.mitigation is not None:
-            on_timer = getattr(self.mitigation, "on_timer", None)
-            if on_timer is not None:
-                # The mechanism may re-arm its timer through the port from
-                # inside the dispatch.
-                for bank, row in on_timer(cycle):
-                    self._enqueue_victim_refresh(bank, row, cycle)
-        return True
-
-    # ------------------------------------------------------------------
-    # Scheduling (FR-FCFS over the indexed bank buckets)
+    # Scheduling (FR-FCFS over the per-queue index)
     # ------------------------------------------------------------------
     #
     # The scheduling helpers double as the horizon computation: each returns
@@ -686,15 +598,16 @@ class MemoryController:
                 return None
             if victim_horizon < horizon:
                 horizon = victim_horizon
-        read_horizon = self._issue_demand(cycle, False, rank_activate)
+        reads = self.reads
+        read_horizon = self._issue_demand(cycle, reads, rank_activate)
         if read_horizon is None:
             return None
         if read_horizon < horizon:
             horizon = read_horizon
         # Drain writes when there is no read work to do or the queue is deep.
-        drain_writes = not self.read_len or self.write_len >= self._write_drain_level
-        if drain_writes:
-            write_horizon = self._issue_demand(cycle, True, rank_activate)
+        writes = self.writes
+        if not reads.length or writes.length >= self._write_drain_level:
+            write_horizon = self._issue_demand(cycle, writes, rank_activate)
             if write_horizon is None:
                 return None
             if write_horizon < horizon:
@@ -738,7 +651,7 @@ class MemoryController:
         return horizon
 
     def _issue_demand(
-        self, cycle: int, is_write: bool, rank_activate: int
+        self, cycle: int, queue: DemandQueue, rank_activate: int
     ) -> Optional[int]:
         """Issue the FR-FCFS choice of one demand queue, or return its horizon.
 
@@ -748,22 +661,13 @@ class MemoryController:
         head-of-index sequence numbers); the deques behind the index are
         touched exactly once, for the single issued command.
         """
-        if is_write:
-            if not self.write_len:
-                return _NEVER
-            pending = self._write_pending
-            hits = self._write_hits
-            column_timers = self._bank_next_write
-            head_seqs = self._write_head_seq
-            hit_seqs = self._write_hit_seq
-        else:
-            if not self.read_len:
-                return _NEVER
-            pending = self._read_pending
-            hits = self._read_hits
-            column_timers = self._bank_next_read
-            head_seqs = self._read_head_seq
-            hit_seqs = self._read_hit_seq
+        if not queue.length:
+            return _NEVER
+        pending = queue.pending
+        hits = queue.hits
+        head_seqs = queue.head_seq
+        hit_seqs = queue.hit_seq
+        column_timers = self._bank_next_write if queue.is_write else self._bank_next_read
         open_rows = self._bank_open_row
         activate_timers = self._bank_next_activate
         precharge_timers = self._bank_next_precharge
@@ -827,7 +731,7 @@ class MemoryController:
                 horizon = bound
         # First ready: the oldest hit among hit-ready banks.
         if best_hit_bank >= 0:
-            self._issue_column_fast(best_hit_bank, cycle, is_write)
+            self._issue_column_fast(best_hit_bank, cycle, queue)
             return None
         # Then oldest first: the oldest request among issuable banks.
         if best_old_bank >= 0:
@@ -840,7 +744,7 @@ class MemoryController:
                 self._clear_bank_hits(best_old_bank)
                 self.stats.row_conflicts += 1
                 return None
-            fifo = self._write_fifo[best_old_bank] if is_write else self._read_fifo[best_old_bank]
+            fifo = queue.fifo[best_old_bank]
             head = fifo[0]
             while head.popped:
                 fifo.popleft()
@@ -859,53 +763,30 @@ class MemoryController:
         return horizon
 
     def _recount_hits(self, bank_index: int, open_row: int) -> None:
-        """Refresh the per-bank hit accounting after a bank opened ``open_row``.
+        """Refresh both queues' hit accounting after a bank opened ``open_row``.
 
         The live per-(bank, row) bucket counts make this O(1) -- no queue
         scans; the oldest hit is the bucket head (cleaned of tombstones
         here so the selection loop can trust the mirrored sequence number).
         """
         key = bank_index * self._row_stride + open_row
-        count = self._read_row_count.get(key, 0)
-        self._read_hits[bank_index] = count
-        if count:
-            bucket = self._read_rows[key]
-            head = bucket[0]
-            while head.popped:
-                bucket.popleft()
+        for queue in self._queues:
+            count = queue.row_count.get(key, 0)
+            queue.hits[bank_index] = count
+            if count:
+                bucket = queue.rows[key]
                 head = bucket[0]
-            self._read_hit_seq[bank_index] = head.seq
-        else:
-            self._read_hit_seq[bank_index] = _NEVER
-        count = self._write_row_count.get(key, 0)
-        self._write_hits[bank_index] = count
-        if count:
-            bucket = self._write_rows[key]
-            head = bucket[0]
-            while head.popped:
-                bucket.popleft()
-                head = bucket[0]
-            self._write_hit_seq[bank_index] = head.seq
-        else:
-            self._write_hit_seq[bank_index] = _NEVER
-
-    def _row_has_pending_hit(
-        self, bank_index: int, open_row: int, queue: List[MemoryRequest]
-    ) -> bool:
-        """Whether any queued request still targets the bank's open row.
-
-        Reference-scheduler helper: scans the flat queue (tombstones never
-        arise in reference mode, which pops the list eagerly).
-        """
-        for request in queue:
-            if request.bank == bank_index and request.row == open_row:
-                return True
-        return False
+                while head.popped:
+                    bucket.popleft()
+                    head = bucket[0]
+                queue.hit_seq[bank_index] = head.seq
+            else:
+                queue.hit_seq[bank_index] = _NEVER
 
     # ------------------------------------------------------------------
     # Column issue (shared bookkeeping of both schedulers)
     # ------------------------------------------------------------------
-    def _account_pop(self, request: MemoryRequest, is_write: bool) -> None:
+    def _account_pop(self, request: MemoryRequest, queue: DemandQueue) -> None:
         """Remove an issued request from the live accounting structures.
 
         Shared by both schedulers.  The head-of-index sequence mirrors are
@@ -917,87 +798,64 @@ class MemoryController:
         request.popped = True
         bank = request.bank
         key = bank * self._row_stride + request.row
-        if is_write:
-            self.write_len -= 1
-            self._write_pending[bank] -= 1
-            self._write_hits[bank] -= 1
-            remaining = self._write_row_count[key] - 1
-            if remaining:
-                self._write_row_count[key] = remaining
-            else:
-                # Prune the emptied bucket (and any tombstones it retains),
-                # bounding the row-bucket dicts by live queue contents.
-                del self._write_row_count[key]
-                del self._write_rows[key]
+        queue.length -= 1
+        queue.pending[bank] -= 1
+        queue.hits[bank] -= 1
+        remaining = queue.row_count[key] - 1
+        if remaining:
+            queue.row_count[key] = remaining
         else:
-            self.read_len -= 1
-            self._read_pending[bank] -= 1
-            self._read_hits[bank] -= 1
-            remaining = self._read_row_count[key] - 1
-            if remaining:
-                self._read_row_count[key] = remaining
-            else:
-                del self._read_row_count[key]
-                del self._read_rows[key]
+            # Prune the emptied bucket (and any tombstones it retains),
+            # bounding the row-bucket dicts by live queue contents.
+            del queue.row_count[key]
+            del queue.rows[key]
 
-    def _perform_column(self, request: MemoryRequest, cycle: int, is_write: bool) -> None:
+    def _perform_column(self, request: MemoryRequest, cycle: int, queue: DemandQueue) -> None:
         """Issue the column access for a dequeued row-hit request."""
+        is_write = queue.is_write
         bank = self.banks[request.bank]
         data_done = bank.column_access(cycle, is_write)
         self._sync_bank_column(request.bank)
         self.rank.occupy_data_bus(cycle)
         self.stats.row_hits += 1
         self.stats.demand_busy_cycles += self.timings.burst_cycles
+        queue.pops += 1
         if is_write:
-            self.write_pops += 1
             self.stats.writes_serviced += 1
             return
-        self.read_pops += 1
         self.stats.reads_serviced += 1
         self._pending_completions.append((data_done, request))
         if data_done < self.earliest_completion_cycle:
             self.earliest_completion_cycle = data_done
 
-    def _issue_column_fast(self, bank: int, cycle: int, is_write: bool) -> None:
+    def _issue_column_fast(self, bank: int, cycle: int, queue: DemandQueue) -> None:
         """Fast-path column issue of ``bank``'s oldest row hit.
 
         Dequeues the open-row bucket head, advances the head-of-index
         sequence mirrors, tombstones the flat list entry (compacting once
         enough accumulate), and performs the shared physical issue.
         """
-        if is_write:
-            rows = self._write_rows
-            fifo = self._write_fifo[bank]
-            hits = self._write_hits
-            head_seqs = self._write_head_seq
-            hit_seqs = self._write_hit_seq
-            pending = self._write_pending
-        else:
-            rows = self._read_rows
-            fifo = self._read_fifo[bank]
-            hits = self._read_hits
-            head_seqs = self._read_head_seq
-            hit_seqs = self._read_hit_seq
-            pending = self._read_pending
-        bucket = rows[bank * self._row_stride + self._bank_open_row[bank]]
+        bucket = queue.rows[bank * self._row_stride + self._bank_open_row[bank]]
         request = bucket[0]
         while request.popped:
             bucket.popleft()
             request = bucket[0]
         bucket.popleft()
-        self._account_pop(request, is_write)
+        self._account_pop(request, queue)
         # Advance the oldest-hit mirror to the next live hit, if any.
-        if hits[bank]:
+        if queue.hits[bank]:
             head = bucket[0]
             while head.popped:
                 bucket.popleft()
                 head = bucket[0]
-            hit_seqs[bank] = head.seq
+            queue.hit_seq[bank] = head.seq
         else:
-            hit_seqs[bank] = _NEVER
+            queue.hit_seq[bank] = _NEVER
         # Advance the oldest-request mirror if the FIFO head was issued.
-        if pending[bank]:
+        head_seqs = queue.head_seq
+        if queue.pending[bank]:
             if head_seqs[bank] == request.seq:
+                fifo = queue.fifo[bank]
                 head = fifo[0]
                 while head.popped:
                     fifo.popleft()
@@ -1005,31 +863,12 @@ class MemoryController:
                 head_seqs[bank] = head.seq
         else:
             head_seqs[bank] = _NEVER
-        if is_write:
-            self._write_dead += 1
-            if (
-                self._write_dead >= _COMPACT_MIN_DEAD
-                and self._write_dead * 2 >= len(self.write_queue)
-            ):
-                self.write_queue[:] = [r for r in self.write_queue if not r.popped]
-                self._write_dead = 0
-        else:
-            self._read_dead += 1
-            if (
-                self._read_dead >= _COMPACT_MIN_DEAD
-                and self._read_dead * 2 >= len(self.read_queue)
-            ):
-                self.read_queue[:] = [r for r in self.read_queue if not r.popped]
-                self._read_dead = 0
-        self._perform_column(request, cycle, is_write)
-
-    def _issue_column_reference(
-        self, queue: List[MemoryRequest], index: int, cycle: int, is_write: bool
-    ) -> None:
-        """Reference-path column issue: eager flat-list pop, shared accounting."""
-        request = queue.pop(index)
-        self._account_pop(request, is_write)
-        self._perform_column(request, cycle, is_write)
+        queue.dead = dead = queue.dead + 1
+        requests = queue.requests
+        if dead >= _COMPACT_MIN_DEAD and dead * 2 >= len(requests):
+            requests[:] = [r for r in requests if not r.popped]
+            queue.dead = 0
+        self._perform_column(request, cycle, queue)
 
     def due_completion_cores(self, cycle: int) -> List[int]:
         """Core ids whose pending read data returns at or before ``cycle``.
@@ -1063,125 +902,6 @@ class MemoryController:
         self._pending_completions = still_pending
         self.earliest_completion_cycle = earliest
         return completed
-
-    # ------------------------------------------------------------------
-    # Event horizon
-    # ------------------------------------------------------------------
-    def next_event_cycle(self, cycle: int) -> int:
-        """Earliest future cycle at which controller state can change.
-
-        Ticking the controller at any cycle in ``(cycle, horizon)`` is
-        guaranteed to complete no request, issue no command, fire no timer
-        and trigger no refresh, so an event-driven loop can jump directly to
-        the horizon.  This is the *pure* (non-mutating) horizon oracle; the
-        simulation loop itself consumes the equivalent value a quiescent
-        :meth:`tick` returns as a byproduct of its failed scheduling scan,
-        and ``tests/sim/test_event_horizon.py`` pins the two implementations
-        to each other.  The computation folds in, exactly:
-
-        * the periodic refresh schedule (``_next_refresh``, which already
-          reflects a mitigation's increased refresh rate),
-        * pending read-data completions,
-        * per-bank issue opportunities (bank timers, rank tRRD/tFAW, and
-          data-bus occupancy, classified from the indexed bank buckets for
-          every bank with queued demand or victim work), and
-        * a mitigation timer registered through the
-          :class:`MitigationEventPort`.
-        """
-        floor = cycle + 1
-        horizon = self._next_refresh
-        if self.earliest_completion_cycle < horizon:
-            horizon = self.earliest_completion_cycle
-        if self._mitigation_timer < horizon:
-            horizon = self._mitigation_timer
-        if horizon <= floor:
-            return floor
-        issue = self._next_issue_cycle(floor)
-        if issue < horizon:
-            horizon = issue
-        return horizon if horizon > floor else floor
-
-    def _next_issue_cycle(self, floor: int) -> int:
-        """Earliest cycle (at or after ``floor``) at which any queued request
-        could have a command issued for it.
-
-        Mirrors :meth:`_schedule` case by case; every per-bank bound uses
-        only timers that move when commands issue, so the bound stays valid
-        until the next event.  Scheduling is suspended while an all-bank
-        refresh occupies the rank, so no issue can predate ``_refresh_until``.
-        """
-        base = self._refresh_until if self._refresh_until > floor else floor
-        horizon = self._next_refresh  # an issue opportunity always recurs by then
-        banks = self.banks
-        rank = self.rank
-        rank_activate = rank.next_activate
-        recent = rank.recent_activates
-        if len(recent) >= 4:
-            faw_bound = recent[0] + self._tfaw
-            if faw_bound > rank_activate:
-                rank_activate = faw_bound
-        for request in self.victim_queue:
-            bank = banks[request.bank]
-            if bank.open_row is not None:
-                ready = bank.next_precharge
-            else:
-                ready = bank.next_activate
-                if rank_activate > ready:
-                    ready = rank_activate
-            if ready < horizon:
-                if ready <= base:
-                    return base
-                horizon = ready
-        horizon = self._demand_horizon(False, base, horizon, rank_activate)
-        if horizon <= base:
-            return base
-        drain_writes = not self.read_len or self.write_len >= self._write_drain_level
-        if drain_writes:
-            horizon = self._demand_horizon(True, base, horizon, rank_activate)
-        return horizon if horizon > base else base
-
-    def _demand_horizon(
-        self, is_write: bool, base: int, horizon: int, rank_activate: int
-    ) -> int:
-        """Fold one demand queue's earliest issue opportunity into ``horizon``.
-
-        Per-bank classification over the index -- identical bounds to the
-        ones :meth:`_issue_demand` derives from a failed scan.
-        """
-        if is_write:
-            if not self.write_len:
-                return horizon
-            pending = self._write_pending
-            hits = self._write_hits
-            column_timers = self._bank_next_write
-        else:
-            if not self.read_len:
-                return horizon
-            pending = self._read_pending
-            hits = self._read_hits
-            column_timers = self._bank_next_read
-        open_rows = self._bank_open_row
-        activate_timers = self._bank_next_activate
-        precharge_timers = self._bank_next_precharge
-        bus_ready = self.rank.data_bus_free - self._tcl
-        for bank_index, pending_here in enumerate(pending):
-            if not pending_here:
-                continue
-            if hits[bank_index]:
-                ready = column_timers[bank_index]
-                if bus_ready > ready:
-                    ready = bus_ready
-            elif open_rows[bank_index] is not None:
-                ready = precharge_timers[bank_index]
-            else:
-                ready = activate_timers[bank_index]
-                if rank_activate > ready:
-                    ready = rank_activate
-            if ready < horizon:
-                if ready <= base:
-                    return base
-                horizon = ready
-        return horizon
 
     # ------------------------------------------------------------------
     # Mitigation integration

@@ -95,11 +95,12 @@ class SimpleCore:
         self._max_ticks_per_cycle = max(
             1, int(math.ceil(config.cpu_cycles_per_dram_cycle))
         )
-        # Cached hot config scalars (attribute chains cost on the tick path).
+        # Cached hot config scalars and controller queues (attribute chains
+        # cost on the tick path).
         self._issue_width = config.issue_width
         self._window_limit = config.instruction_window
-        self._read_depth = config.read_queue_depth
-        self._write_depth = config.write_queue_depth
+        self._reads = controller.reads
+        self._writes = controller.writes
 
     # ------------------------------------------------------------------
     # Execution
@@ -233,13 +234,14 @@ class SimpleCore:
         read-queue pop, or a completion of one of this core's own reads.
         """
         record = self.trace[self._trace_index]
-        controller = self.controller
         if record.is_write:
-            if controller.write_len >= self._write_depth:
+            writes = self._writes
+            if writes.length >= writes.depth:
                 self.blocked_channel = 0
                 return True
             return False
-        if controller.read_len >= self._read_depth:
+        reads = self._reads
+        if reads.length >= reads.depth:
             self.blocked_channel = 1
             return True
         window = self._window
@@ -308,33 +310,14 @@ class SimpleCore:
                 popped += 1
         return mode
 
-    def next_event_cycle(self, cycle: int) -> int:
-        """DRAM cycle before which this core is guaranteed not to interact
-        with the memory controller.
-
-        A core whose next memory request is blocked returns :data:`NEVER`
-        (only a controller event can wake it, and retiring leftover bubbles
-        never touches the controller); a core with ``n`` buffered bubble
-        instructions cannot reach its next memory request for
-        ``n // issue_width`` CPU ticks, which is converted into DRAM cycles
-        conservatively; an issuing core returns ``cycle + 1``.
-
-        This is the *polling* horizon: it is only valid until the next
-        controller event (a wake can unblock the core).  A persistent event
-        entry must use :meth:`wake_bound` instead.
-        """
-        if self._record_blocked():
-            return NEVER
-        if self._bubbles_remaining > 0:
-            safe_ticks = self._bubbles_remaining // self._issue_width
-            return cycle + 1 + safe_ticks // self._max_ticks_per_cycle
-        return cycle + 1
-
     def wake_bound(self, cycle: int) -> int:
-        """Wake-entry bound: like :meth:`next_event_cycle` but valid *across*
-        controller wake events.
+        """DRAM cycle before which this core cannot interact with the memory
+        controller, valid *across* controller wake events.
 
-        A blocked core still holding buffered bubbles reports its bubble
+        A core with ``n`` buffered bubble instructions cannot reach its next
+        memory request for ``n // issue_width`` CPU ticks, converted into DRAM
+        cycles conservatively; an issuing core returns ``cycle + 1``.  A
+        blocked core still holding buffered bubbles reports its bubble
         bound rather than :data:`NEVER`: a wake may unblock it mid-bubble
         without any loop-visible core transition (it never stalls, so it is
         never deferred and no wake reschedules it), and the bubble bound is

@@ -1,14 +1,11 @@
 """Indexed priority event queue for the event-driven simulator.
 
 The event-driven fast path of :mod:`repro.sim.system` is keyed on a single
-:class:`EventQueue`: every core owns a *wake entry* in the queue, and the
-run loop repeatedly drains the earliest entry instead of polling every
-component for its ``next_event_cycle()`` horizon.  The memory controller's
-horizon rides along directly (the byproduct of its quiescent tick), and a
-mitigation's autonomous timer -- registered through
-:meth:`repro.mitigations.base.MitigationMechanism.register_events` -- is
-folded into that horizon by the controller, so only core indices ever
-appear as queue keys.
+:class:`EventQueue`: every core owns a *wake entry* in the queue (keyed on
+:meth:`repro.sim.core.SimpleCore.wake_bound`), and the run loop repeatedly
+drains the earliest entry instead of polling every core each cycle.  The
+memory controller's horizon rides along directly (the byproduct of its
+quiescent tick), so only core indices ever appear as queue keys.
 
 Design
 ------
@@ -78,8 +75,7 @@ class EventQueue:
     """Indexed min-priority queue of (cycle, key) events.
 
     Keys are arbitrary hashable component identities (the simulation loop
-    uses core indices for its wake entries; mitigation timers live in the
-    controller's dedicated timer slot, not here).  Each key owns at most one
+    uses core indices for its wake entries).  Each key owns at most one
     live entry; scheduling a key again *moves* its entry.
     """
 

@@ -18,8 +18,8 @@ The harness offers two bit-identical execution strategies selected by the
 * ``"event"`` (default) -- the fast path: between events the system is
   quiescent by construction, so the loop is keyed on an indexed
   :class:`~repro.sim.events.EventQueue`.  The controller's horizon (bank and
-  rank timers, refresh, read completions, mitigation timers) is the
-  byproduct of its quiescent tick; every core owns a *wake entry* in the
+  rank timers, refresh, read completions) is the byproduct of its
+  quiescent tick; every core owns a *wake entry* in the
   queue that is revalidated lazily when it surfaces, instead of being
   re-polled each step.  The loop jumps the clock to the earliest confirmed
   event, accounting skipped cycles in bulk (CPU-cycle debt, stall cycles,
@@ -196,6 +196,8 @@ class Simulation:
         core_items = list(enumerate(cores))
         core_count = len(cores)
         lone_core = cores[0] if core_count == 1 else None
+        reads = controller.reads
+        writes = controller.writes
         events = self.event_queue
         cpu_ratio = self.config.cpu_cycles_per_dram_cycle
         cpu_cycle_debt = 0.0
@@ -205,8 +207,8 @@ class Simulation:
         deferred_count = 0
         synced_ticks = [0] * core_count
         tick_total = 0
-        last_read_pops = controller.read_pops
-        last_write_pops = controller.write_pops
+        last_read_pops = reads.pops
+        last_write_pops = writes.pops
         #: Non-deferred cores in index order (the reference interleaving);
         #: rebuilt whenever the deferred set changes.
         active_items = list(core_items)
@@ -274,17 +276,17 @@ class Simulation:
                 # only unblock write-blocked cores, a drained read queue
                 # read-blocked ones.  Settle them so the tick phase
                 # reclassifies; everyone else stays lazily deferred.
-                pops = controller.write_pops
+                pops = writes.pops
                 if pops != last_write_pops:
                     last_write_pops = pops
                     settle_channel(0)
-                pops = controller.read_pops
+                pops = reads.pops
                 if pops != last_read_pops:
                     last_read_pops = pops
                     settle_channel(1)
             else:
-                last_write_pops = controller.write_pops
-                last_read_pops = controller.read_pops
+                last_write_pops = writes.pops
+                last_read_pops = reads.pops
             cpu_cycle_debt += cpu_ratio
             ticks = int(cpu_cycle_debt)
             cpu_cycle_debt -= ticks

@@ -27,14 +27,12 @@ class RecoveringExecutor(Executor):
         self.attempts = attempts
         self.requeues = requeues
 
-    def run_tasks(self, tasks):
-        outcomes = []
+    def iter_outcomes(self, tasks):
         for task in tasks:
             outcome = execute_task(task)
             outcome.attempts = self.attempts
             outcome.requeues = self.requeues
-            outcomes.append(outcome)
-        return outcomes
+            yield outcome
 
 
 class TestSessionRecoveryCounters:

@@ -63,11 +63,12 @@ class ShuffledCompletionExecutor(Executor):
     def __init__(self, seed: int = 0) -> None:
         self.seed = seed
 
-    def run_tasks(self, tasks):
+    def iter_outcomes(self, tasks):
         order = list(range(len(tasks)))
         random.Random(self.seed).shuffle(order)
         outcomes = {index: execute_task(tasks[index]) for index in order}
-        return [outcomes[index] for index in range(len(tasks))]
+        for index in range(len(tasks)):
+            yield outcomes[index]
 
 
 def run_fig10(executor, step_mode, **overrides):

@@ -220,3 +220,25 @@ class TestSystem:
             Simulation(small_system, [trace]).run(0)
         with pytest.raises(ValueError):
             SimpleCore(0, [], small_system, MemoryController(small_system))
+
+
+class TestSystemConfigValidation:
+    @pytest.mark.parametrize(
+        "settings, error",
+        [
+            # A zero-depth queue would never accept a request, and a stopped
+            # CPU never issues one: runs would report zero work, not fail.
+            ({"read_queue_depth": 0}, ValueError),
+            ({"write_queue_depth": -4}, ValueError),
+            ({"cpu_freq_ghz": 0.0}, ValueError),
+            ({"cpu_freq_ghz": -1.0}, ValueError),
+            # The simulator models one channel, one rank and no cache, so
+            # these Table 6 parameters are not settings it could ignore.
+            ({"channels": 4}, TypeError),
+            ({"ranks": 2}, TypeError),
+            ({"cache_line_bytes": 128}, TypeError),
+        ],
+    )
+    def test_rejects_settings_the_simulator_cannot_run(self, settings, error):
+        with pytest.raises(error):
+            SystemConfig(**settings)

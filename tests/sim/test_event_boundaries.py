@@ -14,14 +14,16 @@ off-by-one this suite pins).  The edges exercised here:
 * the refresh window: horizons during an all-bank refresh, a quiet cache
   that expires exactly at its own horizon, and runs that end on a tREFI
   boundary;
-* a hypothesis run-forward property: at every quiescent cycle of a random
-  run the pure ``next_event_cycle`` oracle must point strictly past the
-  present, and replaying the reference scheduler up to the horizon must
-  find no observable event before it (deep copies are unusable here --
-  completion callbacks close over live cores -- so soundness is checked
-  by running forward, not by forking the state).
+* a hypothesis run-forward property: at every point of a random run driven
+  by the reference scheduler, the horizon the fast path's :meth:`tick`
+  reports for the next cycle (taken on a deep copy, so the run itself
+  stays on the reference path) must point strictly past that cycle, and
+  replaying the reference scheduler up to the horizon must find no
+  observable event before it.  The requests carry no completion
+  callbacks, so the copy shares no state with the run.
 """
 
+import copy
 import dataclasses
 
 from hypothesis import given, settings
@@ -56,8 +58,8 @@ def _observable(controller):
     stats.pop("cycles")
     return (
         stats,
-        controller.read_len,
-        controller.write_len,
+        controller.reads.length,
+        controller.writes.length,
         len(controller.victim_queue),
         len(controller._pending_completions),
         [dataclasses.asdict(bank) for bank in controller.banks],
@@ -104,27 +106,23 @@ class TestBankTimerEdges:
         assert bank.can_column_access(timings.trcd, is_write=False)
         assert not bank.can_precharge(timings.tras - 1)
         assert bank.can_precharge(timings.tras)
-        # While open, the horizon is the earliest of the open-row commands.
-        assert bank.next_event_cycle() == min(
-            bank.next_precharge, bank.next_read, bank.next_write
-        )
         bank.precharge(timings.tras)
         # Activate legal exactly at the tRC/tRP-derived expiry.
         assert not bank.can_activate(bank.next_activate - 1)
         assert bank.can_activate(bank.next_activate)
-        assert bank.next_event_cycle() == bank.next_activate
 
 
 class TestHorizonAtCurrentCycle:
-    def test_pure_oracle_never_returns_the_present(self):
-        """Even with every timer expired at ``cycle``, the pure horizon is
-        strictly in the future (the ``horizon <= floor`` clamp)."""
+    def test_tick_horizon_never_returns_the_present(self):
+        """One cycle before the refresh boundary the horizon is the boundary
+        itself; on the boundary the refresh fires; inside the refresh window
+        the horizon is strictly in the future."""
         controller = MemoryController(SMALL)
         trefi = SMALL.timings.trefi
-        # Sit exactly on the refresh boundary: _next_refresh == cycle.
-        assert controller.next_event_cycle(trefi) == trefi + 1
-        # And one cycle before: the horizon is the boundary itself.
-        assert controller.next_event_cycle(trefi - 1) == trefi
+        assert controller.tick(trefi - 1) == trefi
+        assert controller.tick(trefi) is None  # the refresh command
+        inside = controller.tick(trefi + 1)
+        assert inside is not None and inside > trefi + 1
 
     def test_quiet_cache_expires_on_its_own_horizon(self):
         """A quiescent tick's horizon is where the next tick must process:
@@ -180,21 +178,31 @@ _SOUP = st.lists(
 )
 
 
+def _next_horizon(controller, cycle):
+    """First cycle after ``cycle`` at which the fast path says state may
+    change: the horizon of ``tick(cycle + 1)``, or ``cycle + 1`` when that
+    tick fires an event.  Taken on a copy, so the controller itself stays
+    on the reference path."""
+    horizon = copy.deepcopy(controller).tick(cycle + 1)
+    if horizon is None:
+        return cycle + 1  # an event fires on the very next cycle
+    assert horizon > cycle + 1
+    return horizon
+
+
 class TestRunForwardSoundness:
     @settings(max_examples=40, deadline=None)
     @given(_SOUP)
-    def test_oracle_horizon_is_sound_and_future(self, soup):
-        """At every quiescent point: ``cycle < horizon``, and replaying the
-        reference scheduler strictly before the horizon changes nothing
-        observable."""
+    def test_tick_horizon_is_sound_and_future(self, soup):
+        """At every point: replaying the reference scheduler strictly before
+        the fast path's horizon changes nothing observable."""
         controller = MemoryController(SMALL)
         cycle = 0
         checked = 0
         for gap, is_write, bank, row in soup:
             target = cycle + gap
             while cycle < target:
-                horizon = controller.next_event_cycle(cycle)
-                assert horizon > cycle
+                horizon = _next_horizon(controller, cycle)
                 before = _observable(controller)
                 # Tick reference strictly up to the horizon (bounded to the
                 # enqueue target): every cycle must be a no-op.
@@ -210,8 +218,7 @@ class TestRunForwardSoundness:
             controller.enqueue(_request(kind, bank, row), cycle)
         # Drain with the same invariant until idle (bounded).
         for _ in range(4):
-            horizon = controller.next_event_cycle(cycle)
-            assert horizon > cycle
+            horizon = _next_horizon(controller, cycle)
             before = _observable(controller)
             while cycle + 1 < horizon:
                 cycle += 1

@@ -1,15 +1,17 @@
-"""Unit tests for the event-horizon API of the event-driven fast path.
+"""Unit tests for the horizons the event-driven fast path jumps by.
 
-``BankState``, ``RankState``, ``MemoryController`` and ``SimpleCore`` each
-expose a ``next_event_cycle`` horizon; the simulation loop jumps the clock
-to the minimum.  A horizon that undershoots merely costs a wasted wake-up; a
-horizon that overshoots would skip an event and corrupt results, so these
-tests pin the exact values for known component states.
+The simulation loop jumps the clock to the minimum of the controller's
+horizon -- the return value of a quiescent :meth:`MemoryController.tick`,
+or :meth:`MemoryController.post_enqueue_horizon` after cores enqueued --
+and the cores' wake entries (:meth:`SimpleCore.wake_bound`), whose rank
+inputs come from ``RankState``.  A horizon that undershoots merely costs a
+wasted wake-up; a horizon that overshoots would skip an event and corrupt
+results, so these tests pin the exact values for known component states.
 """
 
 import pytest
 
-from repro.sim.bank import BankState, RankState
+from repro.sim.bank import RankState
 from repro.sim.config import SystemConfig
 from repro.sim.controller import MemoryController
 from repro.sim.core import NEVER, SimpleCore
@@ -27,22 +29,7 @@ def read_request(bank, row):
     return MemoryRequest(request_type=RequestType.READ, bank=bank, row=row)
 
 
-class TestBankHorizon:
-    def test_closed_bank_horizon_is_activate_timer(self):
-        bank = BankState(DDR4_2400)
-        bank.activate(0, 5)
-        bank.precharge(DDR4_2400.tras)
-        assert bank.open_row is None
-        assert bank.next_event_cycle() == bank.next_activate
-
-    def test_open_bank_horizon_is_earliest_command(self):
-        bank = BankState(DDR4_2400)
-        bank.activate(0, 5)
-        expected = min(bank.next_precharge, bank.next_read, bank.next_write)
-        assert bank.next_event_cycle() == expected
-        # Directly after ACT the column timers (tRCD) expire before tRAS.
-        assert bank.next_event_cycle() == DDR4_2400.trcd
-
+class TestRankHorizon:
     def test_rank_next_activate_includes_tfaw(self):
         rank = RankState(DDR4_2400)
         for cycle in (0, 6, 12, 18):  # tRRD_L apart, all inside the tFAW window
@@ -64,13 +51,17 @@ class TestBankHorizon:
 class TestControllerHorizon:
     def test_idle_controller_horizon_is_next_refresh(self, system):
         controller = MemoryController(system)
-        assert controller.next_event_cycle(0) == system.timings.trefi
+        assert controller.tick(0) == system.timings.trefi
 
-    def test_queued_request_bounds_horizon(self, system):
+    def test_queued_request_pulls_post_enqueue_horizon_in(self, system):
         controller = MemoryController(system)
+        assert controller.tick(0) == system.timings.trefi
+        # A core enqueues after the tick, as in the event loop.  A fresh bank
+        # can activate at once, so the next cycle must be processed.
         controller.enqueue(read_request(0, 5), cycle=0)
-        # A fresh bank can activate immediately: the horizon is the next cycle.
-        assert controller.next_event_cycle(0) == 1
+        assert controller.post_enqueue_horizon(0) is None
+        assert controller.tick(1) is None
+        assert controller.stats.demand_activates == 1
 
     def test_pending_completion_bounds_horizon(self, system):
         controller = MemoryController(system)
@@ -81,29 +72,34 @@ class TestControllerHorizon:
             cycle += 1
         done_cycle = controller._pending_completions[0][0]
         assert controller.earliest_completion_cycle == done_cycle
-        assert controller.next_event_cycle(cycle) <= done_cycle
+        horizon = controller.tick(cycle)
+        assert horizon is not None and cycle < horizon <= done_cycle
 
-    def test_quiescent_tick_returns_valid_horizon(self, system):
-        """The fused tick's horizon byproduct must match the standalone oracle
-        and the next actual event."""
+    def test_jumping_by_tick_horizons_matches_cycle_reference(self, system):
+        """Jumping to each quiescent tick's horizon ends in the same state as
+        ticking the reference scheduler on every cycle."""
         controller = MemoryController(system)
-        controller.enqueue(read_request(0, 5), cycle=0)
+        reference = MemoryController(system)
+        for row in (5, 9, 5):
+            controller.enqueue(read_request(0, row), cycle=0)
+            reference.enqueue(read_request(0, row), cycle=0)
         cycle = 0
-        checked = 0
+        jumps = 0
         while cycle < 600:
+            last_tick = cycle
             horizon = controller.tick(cycle)
             if horizon is None:
                 cycle += 1
                 continue
-            # The byproduct agrees with the standalone computation...
-            assert horizon == controller.next_event_cycle(cycle)
-            # ...and jumping to it hits an event or a legal no-op boundary:
-            # no cycle strictly between may contain an event, which the
-            # reference scheduler would expose as a state change.
             assert horizon > cycle
-            checked += 1
+            jumps += 1
             cycle = horizon
-        assert checked > 0
+        for reference_cycle in range(last_tick + 1):
+            reference.tick_reference(reference_cycle)
+        assert jumps > 0
+        assert controller.stats.reads_serviced == 3
+        assert controller.stats == reference.stats
+        assert controller.banks == reference.banks
 
     def test_never_overshoots_an_issue(self, system):
         """Ticking at the horizon must find work if the quiescent scan
@@ -126,7 +122,7 @@ class TestCoreHorizon:
     def test_bubble_rich_core_reports_safe_span(self, system):
         records = [TraceRecord(10_000, 0, 1, 0, False)]
         core, _controller = self.make_core(system, records)
-        horizon = core.next_event_cycle(0)
+        horizon = core.wake_bound(0)
         safe_ticks = 10_000 // system.issue_width
         assert horizon == 1 + safe_ticks // core._max_ticks_per_cycle
         assert horizon > 1
@@ -134,24 +130,26 @@ class TestCoreHorizon:
     def test_issuing_core_reports_next_cycle(self, system):
         records = [TraceRecord(0, 0, 1, 0, False)]
         core, _controller = self.make_core(system, records)
-        assert core.next_event_cycle(0) == 1
+        assert core.wake_bound(0) == 1
 
     def test_queue_blocked_core_reports_never(self, system):
         records = [TraceRecord(0, 0, 1, 0, False)]
         core, controller = self.make_core(system, records)
         for index in range(system.read_queue_depth):
             controller.enqueue(read_request(0, index), cycle=0)
-        assert core.next_event_cycle(0) == NEVER
+        assert core.wake_bound(0) == NEVER
+        assert core.blocked_channel == 1
 
-    def test_blocked_core_with_leftover_bubbles_reports_never(self, system):
-        """Bubble retirement never touches the controller, so a blocked
-        record makes the whole core quiescent even mid-bubble."""
+    def test_blocked_core_with_leftover_bubbles_reports_bubble_bound(self, system):
+        """A wake may unblock the core before its bubbles drain, so a blocked
+        core mid-bubble keeps its bubble bound instead of ``NEVER``."""
         records = [TraceRecord(7, 0, 1, 0, False)]
         core, controller = self.make_core(system, records)
         for index in range(system.read_queue_depth):
             controller.enqueue(read_request(0, index), cycle=0)
         assert core._bubbles_remaining > 0
-        assert core.next_event_cycle(0) == NEVER
+        safe_ticks = core._bubbles_remaining // system.issue_width
+        assert core.wake_bound(0) == 1 + safe_ticks // core._max_ticks_per_cycle
 
     def test_fast_tick_declines_interacting_core(self, system):
         """A core that would reach an issuable memory request must be ticked
@@ -188,9 +186,10 @@ class TestCoreHorizon:
             assert batched._bubbles_remaining == exact._bubbles_remaining
 
 
-class TestMitigationTimerHook:
-    def test_default_mechanisms_have_no_autonomous_timer(self, system):
-        """No shipped mechanism registers a timer, so none moves the horizon."""
+class TestMechanismHorizon:
+    def test_no_mechanism_moves_the_idle_horizon(self, system):
+        """Mechanisms act only at controller events, so an idle controller's
+        horizon is its next refresh whatever mechanism it carries."""
         from repro.mitigations.base import MitigationConfig
         from repro.mitigations.registry import available_mechanisms, build_mechanism
 
@@ -202,4 +201,4 @@ class TestMitigationTimerHook:
                 ),
             )
             controller = MemoryController(system, mitigation=mechanism)
-            assert controller.next_event_cycle(0) == controller.timings.trefi
+            assert controller.tick(0) == controller.timings.trefi

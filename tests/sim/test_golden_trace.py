@@ -11,15 +11,23 @@ fast path relies on, so these tests validate that machinery end to end.
 The tier-1 tests here run each mitigation mechanism on a tiny fixed-seed
 workload; the ``slow`` marker covers the full Table 6 system over several
 Figure 10 mixes.
+
+Mode equality alone cannot catch an edit to bookkeeping both modes share
+(enqueue, pop accounting, column issue, hit recounts, refresh) that shifts
+both modes the same way, so every tier-1 golden run also pins its absolute
+outcome: :data:`GOLDEN_DIGESTS` holds a digest of each run's results, and
+both modes must reproduce it.
 """
 
 import dataclasses
+import hashlib
 
 import pytest
 
 from repro.mitigations.base import MitigationConfig
 from repro.mitigations.registry import available_mechanisms, build_mechanism
 from repro.sim.config import SystemConfig
+from repro.sim.events import NEVER
 from repro.sim.system import Simulation
 from repro.sim.trace import AggressorTraceGenerator, SyntheticTraceGenerator
 from repro.sim.workloads import make_workload_mixes
@@ -37,6 +45,33 @@ GOLDEN_SYSTEM = SystemConfig(
 GOLDEN_SEED = 7
 #: Long enough to cross at least one tREFI boundary (periodic refresh).
 GOLDEN_CYCLES = 10_000
+
+#: :func:`result_digest` of every tier-1 golden run, by run name.  Recorded
+#: once; a change that moves one changes simulated behaviour, so never
+#: re-record these to make a refactor pass.  The mechanisms that issue no
+#: victim refresh at ``hcfirst=2000`` (TWiCe, TWiCe-ideal, Ideal) reproduce
+#: the baseline's outcome exactly.
+GOLDEN_DIGESTS = {
+    "baseline": "d68de3075b341f74",
+    "mechanism-IncreasedRefresh": "21c5d392247b1018",
+    "mechanism-PARA": "5ec0375dcb8f30db",
+    "mechanism-ProHIT": "ed18e73dec98b3e9",
+    "mechanism-MRLoc": "82baf5dc4642faab",
+    "mechanism-TWiCe": "d68de3075b341f74",
+    "mechanism-TWiCe-ideal": "d68de3075b341f74",
+    "mechanism-Ideal": "d68de3075b341f74",
+    "vulnerable-PARA": "3e3a5260cfd94892",
+    "vulnerable-Ideal": "0012815031c797a2",
+    "vulnerable-TWiCe-ideal": "35bc36c535f4d455",
+    "single-core-0": "6779978334e821e3",
+    "single-core-1": "bcde37c663fe655f",
+    "single-core-2": "1838dd119b1afadd",
+    "single-core-3": "58566c42d2575e02",
+    "slow-cpu": "b426f38768edb7fe",
+    "slow-cpu-PARA": "e289f18cffa7b3c6",
+    "attacker-PARA": "8c8442557907e7b0",
+    "refresh-rate-IncreasedRefresh": "21c5d392247b1018",
+}
 
 
 def build_traces(config, cores=None, requests_per_core=800, seed=GOLDEN_SEED):
@@ -94,11 +129,33 @@ def assert_bit_identical(reference, fast):
         assert dataclasses.asdict(ref_core) == dataclasses.asdict(fast_core)
 
 
+def result_digest(result):
+    """16-hex sha256 of a run's absolute outcome: core IPCs, controller and
+    core statistics, and the mitigation and demand busy cycles."""
+    material = repr(
+        (
+            result.core_ipcs,
+            dataclasses.astuple(result.controller_stats),
+            [dataclasses.astuple(stats) for stats in result.core_stats],
+            result.mitigation_busy_cycles,
+            result.demand_busy_cycles,
+        )
+    )
+    return hashlib.sha256(material.encode()).hexdigest()[:16]
+
+
+def assert_golden(name, reference, fast):
+    """Both modes agree with each other and with the recorded digest."""
+    assert_bit_identical(reference, fast)
+    assert result_digest(reference) == GOLDEN_DIGESTS[name], f"{name}: cycle mode moved"
+    assert result_digest(fast) == GOLDEN_DIGESTS[name], f"{name}: event mode moved"
+
+
 class TestGoldenTraces:
     def test_baseline_golden(self):
         traces = build_traces(GOLDEN_SYSTEM)
         reference, fast = run_both(GOLDEN_SYSTEM, traces)
-        assert_bit_identical(reference, fast)
+        assert_golden("baseline", reference, fast)
         # The run must have exercised the memory system, not idled through it.
         assert reference.controller_stats.reads_serviced > 0
         assert reference.controller_stats.row_conflicts > 0
@@ -109,7 +166,7 @@ class TestGoldenTraces:
         """Each mitigation mechanism is bit-identical across step modes."""
         traces = build_traces(GOLDEN_SYSTEM)
         reference, fast = run_both(GOLDEN_SYSTEM, traces, mitigation_name=mechanism)
-        assert_bit_identical(reference, fast)
+        assert_golden(f"mechanism-{mechanism}", reference, fast)
         assert reference.mitigation_name == fast.mitigation_name != "none"
 
     @pytest.mark.parametrize("mechanism", ["PARA", "Ideal", "TWiCe-ideal"])
@@ -122,15 +179,15 @@ class TestGoldenTraces:
             mitigation_name=mechanism,
             hcfirst=8,
         )
-        assert_bit_identical(reference, fast)
+        assert_golden(f"vulnerable-{mechanism}", reference, fast)
         assert reference.controller_stats.mitigation_refreshes > 0
 
     def test_single_core_golden(self):
         """Single-core (alone-IPC) runs take different fast paths; identical."""
         traces = build_traces(GOLDEN_SYSTEM)
-        for trace in traces:
+        for index, trace in enumerate(traces):
             reference, fast = run_both(GOLDEN_SYSTEM, [trace])
-            assert_bit_identical(reference, fast)
+            assert_golden(f"single-core-{index}", reference, fast)
 
     def test_slow_cpu_golden(self):
         """A CPU clocked below the DRAM bus (ratio < 1) stays bit-identical.
@@ -151,9 +208,9 @@ class TestGoldenTraces:
         assert config.cpu_cycles_per_dram_cycle < 1
         traces = build_traces(config)
         reference, fast = run_both(config, traces)
-        assert_bit_identical(reference, fast)
+        assert_golden("slow-cpu", reference, fast)
         reference, fast = run_both(config, traces, mitigation_name="PARA", hcfirst=512)
-        assert_bit_identical(reference, fast)
+        assert_golden("slow-cpu-PARA", reference, fast)
 
     def test_attacker_trace_golden(self):
         """A RowHammer attacker plus a background core, with PARA active."""
@@ -176,7 +233,7 @@ class TestGoldenTraces:
             mitigation_name="PARA",
             hcfirst=512,
         )
-        assert_bit_identical(reference, fast)
+        assert_golden("attacker-PARA", reference, fast)
 
     def test_refresh_rate_scaling_golden(self):
         """IncreasedRefresh rescales tREFI; the horizon must track it."""
@@ -187,7 +244,7 @@ class TestGoldenTraces:
             mitigation_name="IncreasedRefresh",
             hcfirst=40_000,
         )
-        assert_bit_identical(reference, fast)
+        assert_golden("refresh-rate-IncreasedRefresh", reference, fast)
         assert reference.controller_stats.refresh_commands > 0
 
     def test_internal_bookkeeping_consistent_after_event_run(self):
@@ -196,12 +253,6 @@ class TestGoldenTraces:
         simulation = Simulation(GOLDEN_SYSTEM, traces, step_mode="event")
         simulation.run(GOLDEN_CYCLES)
         controller = simulation.controller
-        live_reads = controller.queued_reads()
-        live_writes = controller.queued_writes()
-        assert controller.read_len == len(live_reads)
-        assert controller.write_len == len(live_writes)
-        from repro.sim.events import NEVER
-
         stride = controller._row_stride
         for bank_index, bank in enumerate(controller.banks):
             assert controller._bank_open_row[bank_index] == bank.open_row
@@ -209,45 +260,28 @@ class TestGoldenTraces:
             assert controller._bank_next_precharge[bank_index] == bank.next_precharge
             assert controller._bank_next_read[bank_index] == bank.next_read
             assert controller._bank_next_write[bank_index] == bank.next_write
-            reads = [r for r in live_reads if r.bank == bank_index]
-            writes = [w for w in live_writes if w.bank == bank_index]
-            assert controller._read_pending[bank_index] == len(reads)
-            assert controller._write_pending[bank_index] == len(writes)
-            read_hits = [r for r in reads if r.row == bank.open_row]
-            write_hits = [w for w in writes if w.row == bank.open_row]
-            assert controller._read_hits[bank_index] == len(read_hits)
-            assert controller._write_hits[bank_index] == len(write_hits)
-            # Per-bank FIFOs hold each bank's live requests in arrival order.
-            fifo_reads = [r for r in controller._read_fifo[bank_index] if not r.popped]
-            fifo_writes = [w for w in controller._write_fifo[bank_index] if not w.popped]
-            assert fifo_reads == reads
-            assert fifo_writes == writes
-            # Head-of-index sequence mirrors name the oldest live request and
-            # the oldest live hit of each bank.
-            assert controller._read_head_seq[bank_index] == (
-                reads[0].seq if reads else NEVER
-            )
-            assert controller._write_head_seq[bank_index] == (
-                writes[0].seq if writes else NEVER
-            )
-            assert controller._read_hit_seq[bank_index] == (
-                read_hits[0].seq if read_hits else NEVER
-            )
-            assert controller._write_hit_seq[bank_index] == (
-                write_hits[0].seq if write_hits else NEVER
-            )
-        # Row buckets and their live counts agree with a full queue scan.
-        for queue, rows, counts in (
-            (live_reads, controller._read_rows, controller._read_row_count),
-            (live_writes, controller._write_rows, controller._write_row_count),
-        ):
+        for queue in (controller.reads, controller.writes):
+            live = [r for r in queue.requests if not r.popped]
+            assert queue.length == len(live)
+            for bank_index, bank in enumerate(controller.banks):
+                requests = [r for r in live if r.bank == bank_index]
+                hits = [r for r in requests if r.row == bank.open_row]
+                assert queue.pending[bank_index] == len(requests)
+                assert queue.hits[bank_index] == len(hits)
+                # Per-bank FIFOs hold each bank's live requests in arrival order.
+                assert [r for r in queue.fifo[bank_index] if not r.popped] == requests
+                # Head-of-index sequence mirrors name the oldest live request
+                # and the oldest live hit of each bank.
+                assert queue.head_seq[bank_index] == (requests[0].seq if requests else NEVER)
+                assert queue.hit_seq[bank_index] == (hits[0].seq if hits else NEVER)
+            # Row buckets and their live counts agree with a full queue scan.
             by_key = {}
-            for request in queue:
+            for request in live:
                 by_key.setdefault(request.bank * stride + request.row, []).append(request)
-            for key, bucket in rows.items():
-                live = [r for r in bucket if not r.popped]
-                assert live == by_key.get(key, [])
-                assert counts.get(key, 0) == len(live)
+            for key, bucket in queue.rows.items():
+                live_bucket = [r for r in bucket if not r.popped]
+                assert live_bucket == by_key.get(key, [])
+                assert queue.row_count.get(key, 0) == len(live_bucket)
 
 
 @pytest.mark.slow
