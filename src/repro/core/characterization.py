@@ -53,6 +53,8 @@ class CharacterizationConfig:
             raise ValueError("at least one hammer count is required")
         if any(hc <= 0 for hc in self.hammer_counts):
             raise ValueError("hammer counts must be positive")
+        if len(set(self.hammer_counts)) != len(self.hammer_counts):
+            raise ValueError(f"hammer_counts must not repeat a value: {self.hammer_counts}")
         if max(self.hammer_counts) > self.max_test_hammers:
             raise ValueError(
                 f"hammer counts exceed the test limit of {self.max_test_hammers}"

@@ -12,6 +12,8 @@ import dataclasses
 from dataclasses import dataclass
 from typing import FrozenSet, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from repro.core.characterization import RowHammerCharacterizer
 from repro.core.data_patterns import STANDARD_PATTERNS, pattern_by_name
 from repro.core.results import CoverageResult
@@ -86,18 +88,19 @@ def _run_coverage_unit(
     pattern = pattern_by_name(unit.param_dict["pattern"])
     characterizer = RowHammerCharacterizer(chip)
     victims = characterizer.victims(config.bank, config.victims)
-    cells: Set[Tuple[int, int, int]] = set()
+    flipped = np.zeros((chip.geometry.rows_per_bank, chip.geometry.row_bits), dtype=bool)
     for _iteration in range(config.iterations):
         for result in characterizer.hammer_all_victims(
             config.hammer_count, data_pattern=pattern, bank=config.bank, victims=victims
         ):
-            cells.update(flip.cell for flip in result.flips)
+            flipped[result.rows] |= result.diff
+    rows, bits = np.nonzero(flipped)
     return PatternCoverageUnit(
         pattern=pattern.name,
         chip_id=chip.chip_id,
         type_node=chip.profile.type_node.value,
         manufacturer=chip.profile.manufacturer,
-        cells=frozenset(cells),
+        cells=frozenset((config.bank, row, bit) for row, bit in zip(rows.tolist(), bits.tolist())),
     )
 
 

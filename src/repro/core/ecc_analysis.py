@@ -15,7 +15,6 @@ capability buys (Observations 12-13).
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -26,16 +25,6 @@ from repro.core.search import descend_and_search
 from repro.dram.chip import DramChip
 from repro.experiments.study import register_study
 from repro.utils.stats import mean, stddev
-
-
-def _max_flips_in_any_word(outcomes, word_bits: int) -> int:
-    """Largest number of flips observed in any single word across outcomes."""
-    counts = Counter(
-        (flip.bank, flip.row, flip.bit_index // word_bits)
-        for outcome in outcomes
-        for flip in outcome.flips
-    )
-    return max(counts.values()) if counts else 0
 
 
 @dataclass(frozen=True)
@@ -95,7 +84,7 @@ def run_ecc_word_analysis(chip: DramChip, config: EccWordStudyConfig) -> EccWord
             outcome = hammer.hammer_victim(
                 config.bank, victim, hammer_count, data_pattern=data_pattern
             )
-            return _max_flips_in_any_word([outcome], config.word_bits) >= target
+            return int(outcome.word_flip_counts(config.word_bits).max()) >= target
 
         best, _victim, _examined = descend_and_search(
             victims,

@@ -5,17 +5,27 @@ victim row: prepare the data pattern in the victim's neighbourhood, disable
 refresh, refresh the victim so that observed flips cannot be retention
 failures, hammer the two physically adjacent aggressor rows, and read the
 neighbourhood back to record bit flips.
+
+The read-back is recorded column-wise.  A :class:`HammerResult` keeps the
+observed rows, a boolean rows x row-bits ``diff`` matrix and the byte
+written to each row, and every counting helper -- and every
+characterization study except Algorithm 1 -- counts on those arrays.  One
+:class:`BitFlip` object per flip is built only when a caller reads
+:attr:`HammerResult.flips`: Algorithm 1's records, the examples and the
+tests.  The flip-heaviest chips observe hundreds of thousands of flips per
+study, so an object per flip would dominate their run time.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.data_patterns import DataPattern, ROWSTRIPE0, worst_case_pattern
+from repro.core.data_patterns import DataPattern, worst_case_pattern
 from repro.dram.chip import DramChip
 
 
@@ -53,34 +63,95 @@ class BitFlip:
         return (self.bank, self.row, self.bit_index)
 
 
-@dataclass
+@dataclass(eq=False)
 class HammerResult:
-    """Outcome of hammering one victim row at one hammer count."""
+    """Outcome of hammering one victim row at one hammer count.
+
+    The neighbourhood read-back is kept as three arrays, one entry per
+    observed row:
+
+    ``rows``
+        Logical row numbers, ascending.
+    ``diff``
+        Boolean ``(len(rows), row_bits)`` matrix, True where the bit read
+        back differs from the bit written: one entry per bit flip.
+    ``written``
+        The byte (``uint8``) written to every byte of each row.
+
+    :attr:`num_bit_flips`, :meth:`word_flip_counts` and the other counting
+    helpers read the arrays.  :attr:`flips` builds the equivalent
+    :class:`BitFlip` list on first access and caches it.  Equality is
+    identity (``eq=False``): a field-wise ``__eq__`` cannot compare arrays.
+    """
 
     bank: int
     victim_row: int
     aggressor_rows: Tuple[int, ...]
     hammer_count: int
     data_pattern: DataPattern
-    flips: List[BitFlip] = field(default_factory=list)
+    rows: np.ndarray
+    diff: np.ndarray
+    written: np.ndarray
 
     @property
     def num_bit_flips(self) -> int:
         """Total number of observed bit flips in the victim's neighbourhood."""
-        return len(self.flips)
+        return int(np.count_nonzero(self.diff))
+
+    @cached_property
+    def flips(self) -> List[BitFlip]:
+        """Every flip as a :class:`BitFlip`, in (row, ascending bit) order."""
+        return self._bit_flips(self.diff)
 
     @property
     def victim_flips(self) -> List[BitFlip]:
         """Bit flips located in the victim row itself."""
-        return [flip for flip in self.flips if flip.offset_from_victim == 0]
+        return self.flips_at_offset(0)
 
     def flips_at_offset(self, offset: int) -> List[BitFlip]:
         """Bit flips at a given signed row offset from the victim."""
-        return [flip for flip in self.flips if flip.offset_from_victim == offset]
+        return self._bit_flips(self.diff & (self.rows == self.victim_row + offset)[:, None])
+
+    def word_flip_counts(self, word_bits: int) -> np.ndarray:
+        """Flips per ``word_bits``-bit word as a ``(len(rows), words)`` matrix.
+
+        When ``word_bits`` does not divide the row, the last word is the
+        shorter remainder of the row.
+        """
+        starts = np.arange(0, self.diff.shape[1], word_bits)
+        return np.add.reduceat(self.diff, starts, axis=1, dtype=np.int64)
 
     def flips_per_word64(self) -> Dict[Tuple[int, int, int], int]:
         """Number of flips per 64-bit word, keyed by (bank, row, word index)."""
-        return Counter((flip.bank, flip.row, flip.word64_index) for flip in self.flips)
+        counts = self.word_flip_counts(64)
+        row_index, word = np.nonzero(counts)
+        return Counter(
+            {
+                (self.bank, row, w): n
+                for row, w, n in zip(
+                    self.rows[row_index].tolist(), word.tolist(), counts[row_index, word].tolist()
+                )
+            }
+        )
+
+    def _bit_flips(self, diff: np.ndarray) -> List[BitFlip]:
+        """One :class:`BitFlip` per True entry of ``diff`` (a mask over :attr:`diff`)."""
+        row_index, bit_index = np.nonzero(diff)
+        # Bits are MSB-first within each byte, as np.unpackbits lays them out.
+        expected = (self.written[row_index] >> (7 - bit_index % 8)) & 1
+        return [
+            BitFlip(
+                bank=self.bank,
+                row=row,
+                bit_index=bit,
+                offset_from_victim=row - self.victim_row,
+                expected_bit=expected_bit,
+                observed_bit=1 - expected_bit,
+            )
+            for row, bit, expected_bit in zip(
+                self.rows[row_index].tolist(), bit_index.tolist(), expected.tolist()
+            )
+        ]
 
 
 class DoubleSidedHammer:
@@ -111,25 +182,45 @@ class DoubleSidedHammer:
         ]
         return rows
 
-    def neighbourhood(self, victim_row: int) -> List[int]:
-        """Logical rows observed around the victim (victim included)."""
+    @property
+    def radius(self) -> int:
+        """Logical rows observed on each side of the victim.
+
+        The blast radius plus the margin, doubled under the paired-wordline
+        remapping, where logical neighbours share a wordline.
+        """
         radius = self.chip.profile.blast_radius + self.neighbourhood_margin
         if self.chip.remapper.name == "paired":
             radius *= 2
+        return radius
+
+    def neighbourhood(self, victim_row: int) -> List[int]:
+        """Logical rows observed around the victim (victim included)."""
+        radius = self.radius
         low = max(0, victim_row - radius)
         high = min(self.chip.geometry.rows_per_bank - 1, victim_row + radius)
         return list(range(low, high + 1))
 
     def testable_victims(self, bank: int = 0) -> List[int]:
         """Victim rows whose full double-sided neighbourhood is in range."""
-        radius = self.chip.profile.blast_radius + self.neighbourhood_margin
-        if self.chip.remapper.name == "paired":
-            radius *= 2
-        return list(range(radius, self.chip.geometry.rows_per_bank - radius))
+        return list(range(self.radius, self.chip.geometry.rows_per_bank - self.radius))
 
     # ------------------------------------------------------------------
     # Pattern preparation and observation
     # ------------------------------------------------------------------
+    def _pattern_bytes(self, victim_row: int, pattern: DataPattern) -> Dict[int, int]:
+        """The byte :meth:`write_pattern` writes to each neighbourhood row."""
+        remapper = self.chip.remapper
+        victim_wordline = remapper.logical_to_physical(victim_row)
+        return {
+            row: (
+                pattern.victim_byte
+                if (remapper.logical_to_physical(row) - victim_wordline) % 2 == 0
+                else pattern.aggressor_byte
+            )
+            for row in self.neighbourhood(victim_row)
+        }
+
     def write_pattern(self, bank: int, victim_row: int, pattern: DataPattern) -> Dict[int, int]:
         """Write the data pattern into the victim's neighbourhood.
 
@@ -138,50 +229,19 @@ class DoubleSidedHammer:
         (Section 4.3, footnote 3).  Returns the byte written to each row so
         the read-back can compute expected data.
         """
-        remapper = self.chip.remapper
-        victim_wordline = remapper.logical_to_physical(victim_row)
-        written: Dict[int, int] = {}
-        for row in self.neighbourhood(victim_row):
-            wordline = remapper.logical_to_physical(row)
-            same_parity = (wordline - victim_wordline) % 2 == 0
-            written[row] = pattern.victim_byte if same_parity else pattern.aggressor_byte
+        written = self._pattern_bytes(victim_row, pattern)
         self.chip.write_rows(bank, list(written), list(written.values()))
         return written
 
-    def observe_flips(
-        self, bank: int, victim_row: int, written: Dict[int, int]
-    ) -> List[BitFlip]:
-        """Read back the neighbourhood and diff against the written pattern.
+    def observe_flips(self, bank: int, rows: List[int], written: np.ndarray) -> np.ndarray:
+        """Read ``rows`` back and diff them against the bytes written to them.
 
-        The whole neighbourhood is read in one batched (ECC-decoded) call
-        and diffed as a matrix; flips are emitted in (row, ascending bit)
-        order, exactly as the row-at-a-time walk produced them.
+        The rows are read in one batched (ECC-decoded) call.  Returns the
+        boolean ``(len(rows), row_bits)`` flip matrix that becomes
+        :attr:`HammerResult.diff`; no per-flip object is built.
         """
-        rows = list(written)
-        if not rows:
-            return []
-        expected = np.unpackbits(
-            np.repeat(
-                np.array([written[row] for row in rows], dtype=np.uint8),
-                self.chip.geometry.row_bytes,
-            ).reshape(len(rows), self.chip.geometry.row_bytes),
-            axis=1,
-        )
-        observed = np.unpackbits(self.chip.read_rows(bank, rows), axis=1)
-        flips: List[BitFlip] = []
-        for row_index, bit_index in np.argwhere(expected != observed):
-            row = rows[row_index]
-            flips.append(
-                BitFlip(
-                    bank=bank,
-                    row=row,
-                    bit_index=int(bit_index),
-                    offset_from_victim=row - victim_row,
-                    expected_bit=int(expected[row_index, bit_index]),
-                    observed_bit=int(observed[row_index, bit_index]),
-                )
-            )
-        return flips
+        observed = self.chip.read_rows(bank, rows)
+        return np.unpackbits(observed ^ written[:, None], axis=1).view(bool)
 
     # ------------------------------------------------------------------
     # Hammer execution
@@ -216,16 +276,12 @@ class DoubleSidedHammer:
         """
         if data_pattern is None:
             data_pattern = worst_case_pattern(self.chip.profile)
-        geometry = self.chip.geometry
-        geometry.validate_address(bank, victim_row)
+        self.chip.geometry.validate_address(bank, victim_row)
 
         if prepare:
             written = self.write_pattern(bank, victim_row, data_pattern)
         else:
-            written = {
-                row: self._expected_byte(victim_row, row, data_pattern)
-                for row in self.neighbourhood(victim_row)
-            }
+            written = self._pattern_bytes(victim_row, data_pattern)
 
         aggressors = self.aggressor_rows(victim_row)
         # Algorithm 1 line 10: refresh the victim so flips are not retention
@@ -238,18 +294,13 @@ class DoubleSidedHammer:
         elif len(aggressors) == 1:
             self.chip.activate(bank, aggressors[0], hammer_count)
 
-        flips = self.observe_flips(bank, victim_row, written)
-        result = HammerResult(
-            bank=bank,
-            victim_row=victim_row,
-            aggressor_rows=tuple(aggressors),
-            hammer_count=hammer_count,
-            data_pattern=data_pattern,
-            flips=flips,
-        )
-        if restore and flips:
-            flipped_rows = sorted({flip.row for flip in flips})
-            self.chip.write_rows(bank, flipped_rows, [written[row] for row in flipped_rows])
+        result = self._observe(bank, victim_row, aggressors, hammer_count, data_pattern, written)
+        if restore:
+            flipped = result.diff.any(axis=1)
+            if flipped.any():
+                self.chip.write_rows(
+                    bank, result.rows[flipped].tolist(), result.written[flipped].tolist()
+                )
         return result
 
     def hammer_single_sided(
@@ -271,19 +322,27 @@ class DoubleSidedHammer:
         self.chip.refresh_row(bank, victim_row)
         if aggressors:
             self.chip.activate(bank, aggressors[0], hammer_count)
-        flips = self.observe_flips(bank, victim_row, written)
+        return self._observe(bank, victim_row, aggressors[:1], hammer_count, data_pattern, written)
+
+    def _observe(
+        self,
+        bank: int,
+        victim_row: int,
+        aggressors: List[int],
+        hammer_count: int,
+        data_pattern: DataPattern,
+        written: Dict[int, int],
+    ) -> HammerResult:
+        """Read the neighbourhood back into a :class:`HammerResult`."""
+        rows = list(written)
+        written_bytes = np.fromiter(written.values(), dtype=np.uint8, count=len(rows))
         return HammerResult(
             bank=bank,
             victim_row=victim_row,
-            aggressor_rows=tuple(aggressors[:1]),
+            aggressor_rows=tuple(aggressors),
             hammer_count=hammer_count,
             data_pattern=data_pattern,
-            flips=flips,
+            rows=np.asarray(rows, dtype=np.int64),
+            diff=self.observe_flips(bank, rows, written_bytes),
+            written=written_bytes,
         )
-
-    def _expected_byte(self, victim_row: int, row: int, pattern: DataPattern) -> int:
-        remapper = self.chip.remapper
-        victim_wordline = remapper.logical_to_physical(victim_row)
-        wordline = remapper.logical_to_physical(row)
-        same_parity = (wordline - victim_wordline) % 2 == 0
-        return pattern.victim_byte if same_parity else pattern.aggressor_byte

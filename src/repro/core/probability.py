@@ -13,7 +13,9 @@ the same ECC word start failing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
+
+import numpy as np
 
 from repro.core.characterization import RowHammerCharacterizer
 from repro.core.data_patterns import DataPattern, check_pattern, resolve_pattern
@@ -42,6 +44,8 @@ class ProbabilityStudyConfig:
     def __post_init__(self) -> None:
         if not self.hammer_counts or any(hc <= 0 for hc in self.hammer_counts):
             raise ValueError("hammer_counts must hold positive values")
+        if len(set(self.hammer_counts)) != len(self.hammer_counts):
+            raise ValueError(f"hammer_counts must not repeat a value: {self.hammer_counts}")
         if self.iterations < 1:
             raise ValueError("iterations must be at least 1")
         check_pattern(self.data_pattern)
@@ -62,24 +66,24 @@ def run_flip_probability_study(
     victims = characterizer.victims(config.bank, config.victims)
     hammer_counts = tuple(sorted(config.hammer_counts))
 
-    # flip_counts[cell][hc_index] = number of iterations in which the cell flipped
-    flip_counts: Dict[Tuple[int, int, int], List[int]] = {}
-    for hc_index, hammer_count in enumerate(hammer_counts):
+    # Per-cell flip counts at the current and the previous hammer count.
+    # Every hammer count runs the same number of iterations, so comparing
+    # counts compares the cells' empirical flip probabilities.
+    shape = (chip.geometry.rows_per_bank, chip.geometry.row_bits)
+    previous = np.zeros(shape, dtype=np.int64)
+    seen = np.zeros(shape, dtype=bool)
+    monotonic = np.ones(shape, dtype=bool)
+    for hammer_count in hammer_counts:
+        counts = np.zeros(shape, dtype=np.int64)
         for _iteration in range(config.iterations):
             for victim in victims:
                 outcome = hammer.hammer_victim(
                     config.bank, victim, hammer_count, data_pattern=data_pattern
                 )
-                for flip in outcome.flips:
-                    counts = flip_counts.setdefault(flip.cell, [0] * len(hammer_counts))
-                    counts[hc_index] += 1
-
-    cells_observed = len(flip_counts)
-    cells_monotonic = 0
-    for counts in flip_counts.values():
-        probabilities = [count / config.iterations for count in counts]
-        if all(b >= a for a, b in zip(probabilities, probabilities[1:])):
-            cells_monotonic += 1
+                counts[outcome.rows] += outcome.diff
+        seen |= counts > 0
+        monotonic &= counts >= previous
+        previous = counts
 
     return ProbabilityResult(
         chip_id=chip.chip_id,
@@ -87,6 +91,6 @@ def run_flip_probability_study(
         manufacturer=chip.profile.manufacturer,
         hammer_counts=hammer_counts,
         iterations=config.iterations,
-        cells_observed=cells_observed,
-        cells_monotonic=cells_monotonic,
+        cells_observed=int(np.count_nonzero(seen)),
+        cells_monotonic=int(np.count_nonzero(seen & monotonic)),
     )

@@ -62,21 +62,16 @@ def run_spatial_distribution(chip: DramChip, config: SpatialStudyConfig) -> Spat
         chip, config.hammer_count, config.target_rate, data_pattern, config.bank, victims
     )
 
-    flips_by_offset: Dict[int, int] = {}
-    max_offset = chip.profile.blast_radius + 1
-    if chip.remapper.name == "paired":
-        max_offset *= 2
-    for offset in range(-max_offset, max_offset + 1):
-        flips_by_offset[offset] = 0
-
+    # One bin per row of the observed neighbourhood, so every offset has one.
+    radius = characterizer.hammer.radius
+    flips_by_offset: Dict[int, int] = {offset: 0 for offset in range(-radius, radius + 1)}
     outcomes = characterizer.hammer_all_victims(
         hammer_count, data_pattern=data_pattern, bank=config.bank, victims=victims
     )
     for outcome in outcomes:
-        for flip in outcome.flips:
-            flips_by_offset[flip.offset_from_victim] = (
-                flips_by_offset.get(flip.offset_from_victim, 0) + 1
-            )
+        offsets = (outcome.rows - outcome.victim_row).tolist()
+        for offset, count in zip(offsets, outcome.diff.sum(axis=1).tolist()):
+            flips_by_offset[offset] += count
     return SpatialResult(
         chip_id=chip.chip_id,
         type_node=chip.profile.type_node.value,

@@ -8,9 +8,10 @@ across all words that contain at least one flip.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple, Union
+
+import numpy as np
 
 from repro.core.calibration import resolve_hammer_count
 from repro.core.characterization import RowHammerCharacterizer
@@ -63,12 +64,14 @@ def run_word_density(chip: DramChip, config: WordDensityStudyConfig) -> WordDens
     outcomes = characterizer.hammer_all_victims(
         hammer_count, data_pattern=data_pattern, bank=config.bank, victims=victims
     )
-    word_counts = Counter(
-        (flip.bank, flip.row, flip.bit_index // config.word_bits)
-        for outcome in outcomes
-        for flip in outcome.flips
-    )
-    histogram: Dict[int, int] = dict(Counter(word_counts.values()))
+    # Flips per (row, word) of the bank, summed over victims: a word in
+    # several victims' neighbourhoods accumulates the flips of each.
+    words_per_row = -(-chip.geometry.row_bits // config.word_bits)
+    word_counts = np.zeros((chip.geometry.rows_per_bank, words_per_row), dtype=np.int64)
+    for outcome in outcomes:
+        word_counts[outcome.rows] += outcome.word_flip_counts(config.word_bits)
+    flip_counts, num_words = np.unique(word_counts[word_counts > 0], return_counts=True)
+    histogram: Dict[int, int] = dict(zip(flip_counts.tolist(), num_words.tolist()))
     return WordDensityResult(
         chip_id=chip.chip_id,
         type_node=chip.profile.type_node.value,

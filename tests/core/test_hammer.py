@@ -97,13 +97,19 @@ class TestHammerVictim:
 
 class TestHammerResult:
     def test_flips_per_word64(self):
-        flips = [
-            BitFlip(0, 5, 3, 0, 0, 1),
-            BitFlip(0, 5, 60, 0, 0, 1),
-            BitFlip(0, 5, 70, 0, 0, 1),
-        ]
-        result = HammerResult(0, 5, (4, 6), 1000, ROWSTRIPE0, flips)
+        # Row 5 was written 0x00 and reads back bits 3, 60 and 70 set.
+        diff = np.zeros((1, 128), dtype=bool)
+        diff[0, [3, 60, 70]] = True
+        result = HammerResult(
+            0, 5, (4, 6), 1000, ROWSTRIPE0,
+            rows=np.array([5]), diff=diff, written=np.array([0x00], dtype=np.uint8),
+        )
         counts = result.flips_per_word64()
         assert counts[(0, 5, 0)] == 2
         assert counts[(0, 5, 1)] == 1
         assert result.num_bit_flips == 3
+        assert result.flips == [
+            BitFlip(0, 5, 3, 0, 0, 1),
+            BitFlip(0, 5, 60, 0, 0, 1),
+            BitFlip(0, 5, 70, 0, 0, 1),
+        ]

@@ -5,6 +5,7 @@ import pytest
 
 from repro.analysis.tables import build_table3_worst_patterns
 from repro.core.calibration import hammer_count_for_flip_rate, measure_flip_rate
+from repro.core.characterization import CharacterizationConfig
 from repro.core.coverage import CoverageStudyConfig, run_pattern_coverage
 from repro.core.data_patterns import STANDARD_PATTERNS, worst_case_pattern
 from repro.core.ecc_analysis import EccWordStudyConfig, run_ecc_word_analysis
@@ -70,6 +71,14 @@ class TestConfigValidation:
     def test_rejects_bad_search_settings(self, config_cls, field, value):
         with pytest.raises(ValueError, match=field):
             config_cls(**{field: value})
+
+    @pytest.mark.parametrize("config_cls", [ProbabilityStudyConfig, CharacterizationConfig])
+    def test_rejects_duplicate_hammer_counts(self, config_cls):
+        # A repeated count would compare two samples of one hammer count as
+        # if they were a sweep (Table 5), or collide on the unit id "hc50000"
+        # only once a session runs it (Algorithm 1).
+        with pytest.raises(ValueError, match="must not repeat"):
+            config_cls(hammer_counts=(50_000, 100_000, 50_000))
 
 
 class TestCoverage:
