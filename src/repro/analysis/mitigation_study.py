@@ -32,6 +32,23 @@ goes through the same three functions (:func:`_simulate_baseline`,
 
 Each simulation is run through ``step_mode`` (``"event"`` by default, or
 the bit-identical ``"cycle"`` oracle).
+
+Idle cells reuse the baseline run
+---------------------------------
+A mix's no-mitigation run is simulated once, with a recorder attached that
+logs every call the memory controller makes into a mechanism (each
+``on_activate`` and ``on_refresh``, in order) and requests nothing.  The
+registered studies memoize it per process (:func:`_cached_shared_run`),
+so the baseline unit and every cell of the mix share it; a process that
+runs a cell first simulates it then.  A cell replays the log into its
+freshly built mechanism.  If the mechanism keeps the nominal refresh
+interval and no replayed call returns a victim, the mechanism is *idle*:
+the controller reaches a mechanism only through these hooks, and
+``on_victim_refreshed`` follows only a requested refresh, so a real run
+would make exactly the logged calls and equal the baseline run.  The cell
+then takes the baseline's core IPCs and bandwidth overhead.  Any other
+cell is simulated in full with a newly built mechanism, since the replay
+has advanced the first one's state (PARA's RNG, TWiCe's table).
 """
 
 from __future__ import annotations
@@ -41,12 +58,12 @@ from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.study import WorkUnit, register_study
-from repro.mitigations.base import MitigationConfig
-from repro.mitigations.registry import build_mechanism, is_evaluable
+from repro.mitigations.base import MitigationConfig, MitigationMechanism
+from repro.mitigations.registry import available_mechanisms, build_mechanism, is_evaluable
 from repro.sim.batch import SimulationBatch
 from repro.sim.config import SystemConfig
 from repro.sim.metrics import normalized_performance, weighted_speedup
-from repro.sim.system import Simulation
+from repro.sim.system import STEP_MODES, Simulation
 from repro.sim.trace import TraceRecord
 from repro.sim.workloads import WorkloadMix, make_workload_mixes
 
@@ -162,10 +179,28 @@ class MitigationStudyConfig:
     def __post_init__(self) -> None:
         if not self.hcfirst_values or any(hc <= 0 for hc in self.hcfirst_values):
             raise ValueError("hcfirst_values must hold positive values")
+        if len(set(self.hcfirst_values)) != len(self.hcfirst_values):
+            raise ValueError(f"hcfirst_values must not repeat a value: {self.hcfirst_values}")
         if not self.mechanisms:
             raise ValueError("at least one mechanism is required")
+        if len(set(self.mechanisms)) != len(self.mechanisms):
+            raise ValueError(f"mechanisms must not repeat a name: {self.mechanisms}")
+        known = available_mechanisms()
+        for name in self.mechanisms:
+            if name not in known:
+                raise ValueError(f"unknown mechanism {name!r}; available: {known}")
         if self.num_mixes < 1:
             raise ValueError("num_mixes must be at least 1")
+        if self.rows_per_bank < 1:
+            raise ValueError("rows_per_bank must be at least 1")
+        if self.dram_cycles < 1:
+            raise ValueError("dram_cycles must be at least 1")
+        if self.requests_per_core < 1:
+            raise ValueError("requests_per_core must be at least 1")
+        if not 0.0 < self.time_scale <= 1.0:
+            raise ValueError(f"time_scale must be within (0, 1], got {self.time_scale}")
+        if self.step_mode not in STEP_MODES:
+            raise ValueError(f"step_mode must be one of {STEP_MODES}, got {self.step_mode!r}")
 
 
 @dataclass(frozen=True)
@@ -243,6 +278,93 @@ def _cached_mix_traces(
     )
 
 
+class _CallRecorder:
+    """A mechanism that requests nothing and logs the controller's calls.
+
+    ``on_activate`` calls are logged as ``(bank, row, cycle)`` and
+    ``on_refresh`` calls as ``(cycle,)``, in call order.  Since it never
+    requests a victim and keeps the nominal refresh interval, a run with
+    the recorder attached is a run with no mechanism.
+    """
+
+    def __init__(self) -> None:
+        self.calls: List[Tuple[int, ...]] = []
+
+    def refresh_interval_multiplier(self) -> float:
+        return 1.0
+
+    def on_activate(self, bank: int, row: int, cycle: int) -> List[Tuple[int, int]]:
+        self.calls.append((bank, row, cycle))
+        return []
+
+    def on_refresh(self, cycle: int) -> List[Tuple[int, int]]:
+        self.calls.append((cycle,))
+        return []
+
+
+@dataclass(frozen=True)
+class _SharedRun:
+    """The no-mitigation run of one mix and the mechanism calls it made."""
+
+    core_ipcs: Tuple[float, ...]
+    bandwidth_overhead_percent: float
+    calls: Tuple[Tuple[int, ...], ...]
+
+
+def _run_shared(
+    system_config: SystemConfig,
+    traces: Sequence[Sequence[TraceRecord]],
+    dram_cycles: int,
+    step_mode: str,
+) -> _SharedRun:
+    """Simulate one mix with no mechanism, logging the mechanism calls."""
+    recorder = _CallRecorder()
+    result = Simulation(
+        system_config, traces, mitigation=recorder, step_mode=step_mode
+    ).run(dram_cycles)
+    return _SharedRun(
+        core_ipcs=tuple(result.core_ipcs),
+        bandwidth_overhead_percent=result.bandwidth_overhead_percent,
+        calls=tuple(recorder.calls),
+    )
+
+
+@lru_cache(maxsize=4)
+def _cached_shared_run(
+    num_mixes: int,
+    mix_index: int,
+    rows_per_bank: int,
+    requests_per_core: int,
+    seed: int,
+    dram_cycles: int,
+    step_mode: str,
+) -> _SharedRun:
+    """Per-process memo of each mix's shared run.
+
+    The baseline unit and every cell of a mix read it, so a process
+    simulates it once per mix.  ``step_mode`` is part of the key so that a
+    ``"cycle"`` study never reuses an event-mode run; the cells'
+    ``time_scale`` and the sweep axes stay out of it, because the run does
+    not depend on them.
+    """
+    traces = _cached_mix_traces(num_mixes, mix_index, rows_per_bank, requests_per_core, seed)
+    return _run_shared(SystemConfig(rows_per_bank=rows_per_bank), traces, dram_cycles, step_mode)
+
+
+def _acts(mechanism: MitigationMechanism, calls: Sequence[Tuple[int, ...]]) -> bool:
+    """Whether ``mechanism`` would change a run that makes ``calls``.
+
+    A mechanism acts if it scales the refresh interval (the controller's
+    own test) or if any replayed hook call returns a victim, even one the
+    controller would drop as out of range.  Up to its first request, the
+    mechanism sees exactly the calls of the run without it.
+    """
+    if mechanism.refresh_interval_multiplier() != 1.0:
+        return True
+    on_activate, on_refresh = mechanism.on_activate, mechanism.on_refresh
+    return any(on_activate(*call) if len(call) == 3 else on_refresh(*call) for call in calls)
+
+
 def _evaluation_points(
     mechanisms: Sequence[str],
     hcfirst_values: Sequence[int],
@@ -315,18 +437,18 @@ def _fig10_decompose(study_name: str):
 def _simulate_baseline(
     system_config: SystemConfig,
     traces: Sequence[Sequence[TraceRecord]],
+    shared: _SharedRun,
     mix: int,
     dram_cycles: int,
     step_mode: str,
 ) -> MitigationBaselineUnit:
-    """The no-mitigation run of one mix plus every core's alone run."""
-    baseline = Simulation(system_config, traces, step_mode=step_mode).run(dram_cycles)
+    """The mix's shared no-mitigation run plus every core's alone run."""
     alone = SimulationBatch(
         system_config, [[trace] for trace in traces], backend=step_mode
     ).run(dram_cycles)
     return MitigationBaselineUnit(
         mix=mix,
-        core_ipcs=tuple(baseline.core_ipcs),
+        core_ipcs=shared.core_ipcs,
         alone_ipcs=tuple(result.core_ipcs[0] for result in alone),
     )
 
@@ -334,6 +456,7 @@ def _simulate_baseline(
 def _simulate_cell(
     system_config: SystemConfig,
     traces: Sequence[Sequence[TraceRecord]],
+    shared: _SharedRun,
     mechanism: str,
     hcfirst: int,
     mix: int,
@@ -342,27 +465,34 @@ def _simulate_cell(
     time_scale: float,
     step_mode: str,
 ) -> MitigationCellUnit:
-    """One mix under one mechanism configured for one HC_first."""
-    mitigation = build_mechanism(
-        mechanism,
-        MitigationConfig(
-            hcfirst=hcfirst,
-            banks=system_config.banks,
-            rows_per_bank=system_config.rows_per_bank,
-            timings=system_config.timings,
-            seed=seed + mix,
-            time_scale=time_scale,
-        ),
+    """One mix under one mechanism configured for one HC_first.
+
+    An idle mechanism (see :func:`_acts`) leaves the mix's shared run
+    unchanged, so only a mechanism that acts is simulated.
+    """
+    config = MitigationConfig(
+        hcfirst=hcfirst,
+        banks=system_config.banks,
+        rows_per_bank=system_config.rows_per_bank,
+        timings=system_config.timings,
+        seed=seed + mix,
+        time_scale=time_scale,
     )
-    result = Simulation(
-        system_config, traces, mitigation=mitigation, step_mode=step_mode
-    ).run(dram_cycles)
+    core_ipcs, overhead = shared.core_ipcs, shared.bandwidth_overhead_percent
+    if _acts(build_mechanism(mechanism, config), shared.calls):
+        result = Simulation(
+            system_config,
+            traces,
+            mitigation=build_mechanism(mechanism, config),
+            step_mode=step_mode,
+        ).run(dram_cycles)
+        core_ipcs, overhead = tuple(result.core_ipcs), result.bandwidth_overhead_percent
     return MitigationCellUnit(
         mechanism=mechanism,
         hcfirst=hcfirst,
         mix=mix,
-        core_ipcs=tuple(result.core_ipcs),
-        bandwidth_overhead_percent=result.bandwidth_overhead_percent,
+        core_ipcs=core_ipcs,
+        bandwidth_overhead_percent=overhead,
     )
 
 
@@ -430,13 +560,23 @@ def _run_mitigation_unit(
             config.num_mixes, mix, config.rows_per_bank, config.requests_per_core, config.seed
         )
     )
+    shared = _cached_shared_run(
+        config.num_mixes,
+        mix,
+        config.rows_per_bank,
+        config.requests_per_core,
+        config.seed,
+        config.dram_cycles,
+        config.step_mode,
+    )
     if params["kind"] == "baseline":
         return _simulate_baseline(
-            system_config, traces, mix, config.dram_cycles, config.step_mode
+            system_config, traces, shared, mix, config.dram_cycles, config.step_mode
         )
     return _simulate_cell(
         system_config,
         traces,
+        shared,
         params["mechanism"],
         params["hcfirst"],
         mix,
@@ -536,9 +676,10 @@ def run_mitigation_study(
         ``"cycle"`` reference produce bit-identical studies.
 
     Runs the same baseline and cell units as the registered studies, mix by
-    mix: each mix's traces are generated once and shared by its baseline and
-    every evaluation point (every ``Simulation`` copies the per-core record
-    lists it needs, and the records themselves are immutable).
+    mix: each mix's traces and shared no-mitigation run are computed once
+    and shared by its baseline and every evaluation point (every
+    ``Simulation`` copies the per-core record lists it needs, and the
+    records themselves are immutable).
     """
     config = system_config or SystemConfig(rows_per_bank=4096)
     mixes = list(workload_mixes) if workload_mixes is not None else make_workload_mixes(
@@ -556,12 +697,16 @@ def run_mitigation_study(
             requests_per_core=requests_per_core,
             seed=seed,
         )
-        payloads.append(_simulate_baseline(config, traces, mix, dram_cycles, step_mode))
+        shared = _run_shared(config, traces, dram_cycles, step_mode)
+        payloads.append(
+            _simulate_baseline(config, traces, shared, mix, dram_cycles, step_mode)
+        )
         for mechanism, hcfirst in points:
             payloads.append(
                 _simulate_cell(
                     config,
                     traces,
+                    shared,
                     mechanism,
                     hcfirst,
                     mix,

@@ -110,6 +110,14 @@ class MitigationMechanism(ABC):
     hot entry and TWiCe prunes its table per refresh command.  The
     event-driven simulator skips the cycles between events, so a mechanism
     must never assume the controller is ticked on every cycle.
+
+    The Figure 10 harness relies on this contract: a mechanism whose
+    multiplier is 1.0 and whose hooks request no victim leaves the run
+    identical to an unmitigated one, so the harness reuses the unmitigated
+    run for it instead of simulating again (see
+    :mod:`repro.analysis.mitigation_study`).  A new mechanism must therefore
+    not act outside its hooks, for example by reading or changing
+    controller state of its own accord.
     """
 
     #: short name used in reports and the registry

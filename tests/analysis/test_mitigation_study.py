@@ -1,18 +1,34 @@
 """Tests for the Figure 10 mitigation study harness."""
 
+import dataclasses
+import sys
+import threading
+from collections import defaultdict
+
 import pytest
 
 from repro.analysis.mitigation_study import (
     DEFAULT_HCFIRST_SWEEP,
+    FullMitigationStudyConfig,
     MitigationBaselineUnit,
     MitigationCellUnit,
+    MitigationStudyConfig,
     _aggregate,
+    _cached_shared_run,
+    _CallRecorder,
+    _run_mitigation_unit,
+    _run_shared,
     _simulate_baseline,
     _simulate_cell,
     run_mitigation_study,
 )
+from repro.experiments import ExperimentSession, SerialExecutor
+from repro.experiments.study import get_study
+from repro.mitigations.base import MitigationConfig
+from repro.mitigations.registry import available_mechanisms, build_mechanism, is_evaluable
 from repro.sim.config import SystemConfig
 from repro.sim.system import Simulation
+from repro.sim.timing import DDR4_2400
 from repro.sim.workloads import make_workload_mixes
 
 UNIT_SYSTEM = SystemConfig(cores=2, banks=4, rows_per_bank=256)
@@ -89,10 +105,24 @@ def unit_traces(seed=2):
     )
 
 
+def shared_run(traces, step_mode="event"):
+    return _run_shared(UNIT_SYSTEM, traces, UNIT_CYCLES, step_mode)
+
+
 def simulate_cell(mix, seed, step_mode="event"):
     """A PARA cell at an HC_first where PARA's draws, not certainty, decide."""
+    traces = unit_traces()
     return _simulate_cell(
-        UNIT_SYSTEM, unit_traces(), "PARA", 256, mix, UNIT_CYCLES, seed, 1.0, step_mode
+        UNIT_SYSTEM,
+        traces,
+        shared_run(traces, step_mode),
+        "PARA",
+        256,
+        mix,
+        UNIT_CYCLES,
+        seed,
+        1.0,
+        step_mode,
     )
 
 
@@ -101,7 +131,9 @@ class TestSimulatedUnits:
 
     def test_baseline_unit_is_shared_run_plus_alone_runs(self):
         traces = unit_traces()
-        unit = _simulate_baseline(UNIT_SYSTEM, traces, 1, UNIT_CYCLES, "event")
+        unit = _simulate_baseline(
+            UNIT_SYSTEM, traces, shared_run(traces), 1, UNIT_CYCLES, "event"
+        )
         shared = Simulation(UNIT_SYSTEM, traces).run(UNIT_CYCLES)
         alone = [Simulation(UNIT_SYSTEM, [trace]).run(UNIT_CYCLES) for trace in traces]
         assert unit == MitigationBaselineUnit(
@@ -114,8 +146,12 @@ class TestSimulatedUnits:
 
     def test_baseline_unit_identical_across_step_modes(self):
         traces = unit_traces()
-        event = _simulate_baseline(UNIT_SYSTEM, traces, 0, UNIT_CYCLES, "event")
-        cycle = _simulate_baseline(UNIT_SYSTEM, traces, 0, UNIT_CYCLES, "cycle")
+        event = _simulate_baseline(
+            UNIT_SYSTEM, traces, shared_run(traces, "event"), 0, UNIT_CYCLES, "event"
+        )
+        cycle = _simulate_baseline(
+            UNIT_SYSTEM, traces, shared_run(traces, "cycle"), 0, UNIT_CYCLES, "cycle"
+        )
         assert event == cycle
 
     def test_cell_unit_identical_across_step_modes(self):
@@ -197,3 +233,277 @@ class TestAggregate:
         incomplete = [p for p in SYNTHETIC_PAYLOADS if p != cell("PARA", 1, (1.0, 0.5), 2.0)]
         with pytest.raises(KeyError):
             _aggregate(SYNTHETIC_POINTS, 2, incomplete)
+
+
+class TestConfigValidation:
+    """Bad inputs fail at construction, before any unit is simulated or stored."""
+
+    @pytest.mark.parametrize("config_cls", [MitigationStudyConfig, FullMitigationStudyConfig])
+    @pytest.mark.parametrize(
+        "field,value,match",
+        [
+            ("mechanisms", ("PARA", "Ideal", "PARA"), "mechanisms must not repeat"),
+            ("hcfirst_values", (2_000, 64, 2_000), "hcfirst_values must not repeat"),
+            ("mechanisms", ("PARA", "Nope"), "unknown mechanism 'Nope'"),
+            ("step_mode", "fast", "step_mode"),
+            ("dram_cycles", 0, "dram_cycles"),
+            ("requests_per_core", 0, "requests_per_core"),
+            ("time_scale", 0.0, "time_scale"),
+            ("rows_per_bank", 0, "rows_per_bank"),
+        ],
+    )
+    def test_rejects_bad_input(self, config_cls, field, value, match):
+        with pytest.raises(ValueError, match=match):
+            config_cls(**{field: value})
+
+
+def count_simulation_runs(monkeypatch):
+    """Patch ``Simulation.run`` to log (step mode, mechanism type) per call."""
+    runs = []
+    original = Simulation.run
+
+    def run(simulation, dram_cycles):
+        runs.append((simulation.step_mode, type(simulation.mitigation)))
+        return original(simulation, dram_cycles)
+
+    monkeypatch.setattr(Simulation, "run", run)
+    return runs
+
+
+class _Spy:
+    """Forwards the controller's calls to a mechanism and notes how it first acts."""
+
+    def __init__(self, mechanism):
+        self.mechanism = mechanism
+        self.acted_through = None
+
+    def _note(self, hook, victims):
+        if victims and self.acted_through is None:
+            self.acted_through = hook
+        return victims
+
+    def refresh_interval_multiplier(self):
+        multiplier = self.mechanism.refresh_interval_multiplier()
+        if multiplier != 1.0:
+            self.acted_through = "multiplier"
+        return multiplier
+
+    def on_activate(self, bank, row, cycle):
+        return self._note("on_activate", self.mechanism.on_activate(bank, row, cycle))
+
+    def on_refresh(self, cycle):
+        return self._note("on_refresh", self.mechanism.on_refresh(cycle))
+
+    def on_victim_refreshed(self, bank, row, cycle):
+        self.mechanism.on_victim_refreshed(bank, row, cycle)
+
+
+#: 64-row banks and tREFI x 0.1: 2,000 cycles cross two refresh commands,
+#: and over the two mixes of seed 3 every mechanism is idle in some cells
+#: and acts in others.
+IDLE_SYSTEM = SystemConfig(
+    cores=2, banks=4, rows_per_bank=64, timings=DDR4_2400.scaled_refresh(0.1)
+)
+IDLE_SEED = 3
+
+#: A session config whose cells are partly idle at both time scales.
+GUARD_CONFIG = dict(
+    hcfirst_values=(200_000, 32_000, 2_000, 64),
+    num_mixes=2,
+    rows_per_bank=512,
+    dram_cycles=2_000,
+    requests_per_core=400,
+    seed=3,
+)
+
+
+def build_cell_mechanism(system, name, hcfirst, seed, time_scale):
+    """The mechanism a Figure 10 cell on ``system`` evaluates."""
+    return build_mechanism(
+        name,
+        MitigationConfig(
+            hcfirst=hcfirst,
+            banks=system.banks,
+            rows_per_bank=system.rows_per_bank,
+            timings=system.timings,
+            seed=seed,
+            time_scale=time_scale,
+        ),
+    )
+
+
+class _Log:
+    """Requests nothing and logs every hook call as (hook name, arguments)."""
+
+    def __init__(self):
+        self.calls = []
+
+    def refresh_interval_multiplier(self):
+        return 1.0
+
+    def on_activate(self, *args):
+        self.calls.append(("on_activate", args))
+        return []
+
+    def on_refresh(self, *args):
+        self.calls.append(("on_refresh", args))
+        return []
+
+
+def count_acting_cells(config):
+    """(acting cells, all cells) of ``config``, found by replay.
+
+    Restates the harness's rule on runs logged here: a mechanism acts if
+    it scales tREFI or if any replayed hook call returns a victim.
+    """
+    system = SystemConfig(rows_per_bank=config.rows_per_bank)
+    mixes = make_workload_mixes(num_mixes=config.num_mixes, cores=system.cores, seed=config.seed)
+    points = [
+        (name, hcfirst)
+        for name in config.mechanisms
+        for hcfirst in config.hcfirst_values
+        if is_evaluable(name, hcfirst)
+    ]
+    acting = 0
+    for mix, workload in enumerate(mixes):
+        traces = workload.build_traces(
+            banks=system.banks,
+            rows_per_bank=system.rows_per_bank,
+            columns_per_row=system.columns_per_row,
+            requests_per_core=config.requests_per_core,
+            seed=config.seed,
+        )
+        log = _Log()
+        Simulation(system, traces, mitigation=log).run(config.dram_cycles)
+        for name, hcfirst in points:
+            mechanism = build_cell_mechanism(
+                system, name, hcfirst, config.seed + mix, config.time_scale
+            )
+            acting += mechanism.refresh_interval_multiplier() != 1.0 or any(
+                getattr(mechanism, hook)(*args) for hook, args in log.calls
+            )
+    return acting, len(points) * len(mixes)
+
+
+class TestIdleCells:
+    """A cell whose mechanism never acts reuses its mix's shared run."""
+
+    # The cycle-mode sweep takes several seconds; it runs with the slow tests.
+    @pytest.mark.parametrize("step_mode", ["event", pytest.param("cycle", marks=pytest.mark.slow)])
+    def test_cells_equal_full_simulations(self, step_mode, monkeypatch):
+        runs = count_simulation_runs(monkeypatch)
+        branches = defaultdict(set)
+        mixes = make_workload_mixes(num_mixes=2, cores=IDLE_SYSTEM.cores, seed=IDLE_SEED)
+        for mix, workload in enumerate(mixes):
+            traces = workload.build_traces(
+                banks=IDLE_SYSTEM.banks,
+                rows_per_bank=IDLE_SYSTEM.rows_per_bank,
+                columns_per_row=IDLE_SYSTEM.columns_per_row,
+                requests_per_core=400,
+                seed=IDLE_SEED,
+            )
+            shared = _run_shared(IDLE_SYSTEM, traces, UNIT_CYCLES, step_mode)
+            for name in available_mechanisms():
+                for hcfirst in (200_000, 2_000, 64):
+                    for time_scale in (1.0, 0.01):
+                        before = len(runs)
+                        unit = _simulate_cell(
+                            IDLE_SYSTEM, traces, shared, name, hcfirst, mix,
+                            UNIT_CYCLES, IDLE_SEED, time_scale, step_mode,
+                        )
+                        simulated = len(runs) - before
+                        spy = _Spy(
+                            build_cell_mechanism(
+                                IDLE_SYSTEM, name, hcfirst, IDLE_SEED + mix, time_scale
+                            )
+                        )
+                        full = Simulation(
+                            IDLE_SYSTEM, traces, mitigation=spy, step_mode=step_mode
+                        ).run(UNIT_CYCLES)
+                        case = (name, hcfirst, time_scale, mix)
+                        assert unit == MitigationCellUnit(
+                            mechanism=name,
+                            hcfirst=hcfirst,
+                            mix=mix,
+                            core_ipcs=tuple(full.core_ipcs),
+                            bandwidth_overhead_percent=full.bandwidth_overhead_percent,
+                        ), case
+                        # Only a mechanism that acts in the full run is simulated.
+                        assert simulated == (spy.acted_through is not None), case
+                        branches[name].add(spy.acted_through or "idle")
+        # The cases reach every branch of the rule, and each mechanism on
+        # both sides of it.
+        assert set(branches) == set(available_mechanisms())
+        assert all("idle" in seen and len(seen) > 1 for seen in branches.values()), branches
+        assert "multiplier" in branches["IncreasedRefresh"]
+        assert "on_refresh" in branches["ProHIT"]
+        assert "on_activate" in branches["PARA"]
+
+    @pytest.mark.parametrize("time_scale", [1.0, 0.01])
+    def test_session_simulates_shared_alone_and_acting_runs_only(self, time_scale, monkeypatch):
+        config = MitigationStudyConfig(time_scale=time_scale, **GUARD_CONFIG)
+        acting, cells = count_acting_cells(config)
+        assert 0 < acting < cells
+        # The memo outlives a session; start from an empty one.
+        _cached_shared_run.cache_clear()
+        runs = count_simulation_runs(monkeypatch)
+        ExperimentSession(executor=SerialExecutor()).run("fig10-mitigations", config)
+        cores = SystemConfig().cores
+        assert len(runs) == config.num_mixes * (1 + cores) + acting
+
+    def test_cycle_mode_study_simulates_its_own_baselines(self, monkeypatch):
+        event = MitigationStudyConfig(
+            hcfirst_values=(2_000,),
+            mechanisms=("PARA", "ProHIT"),
+            num_mixes=2,
+            rows_per_bank=512,
+            dram_cycles=1_000,
+            requests_per_core=200,
+            seed=3,
+        )
+        session = ExperimentSession(executor=SerialExecutor())
+        _cached_shared_run.cache_clear()
+        expected = session.run("fig10-mitigations", event).payloads()
+        runs = count_simulation_runs(monkeypatch)
+        cycle = session.run("fig10-mitigations", dataclasses.replace(event, step_mode="cycle"))
+        assert [mode for mode, _ in runs] == ["cycle"] * len(runs)
+        assert sum(kind is _CallRecorder for _, kind in runs) == event.num_mixes
+        assert cycle.payloads() == expected
+
+    def test_threads_filling_the_memo_get_the_serial_payloads(self):
+        """Service workers in one process share the memo; a thread that
+        reads a mix's run while another is filling it must see the same
+        payloads as a serial run."""
+        config = MitigationStudyConfig(
+            hcfirst_values=(2_000,),
+            mechanisms=("PARA", "ProHIT", "Ideal"),
+            num_mixes=2,
+            rows_per_bank=512,
+            dram_cycles=500,
+            requests_per_core=100,
+            seed=3,
+        )
+        units = get_study("fig10-mitigations").units_for(config)
+        _cached_shared_run.cache_clear()
+        expected = [_run_mitigation_unit(None, config, unit) for unit in units]
+        _cached_shared_run.cache_clear()
+        results = [None] * 4
+
+        def work(index):
+            # Each thread starts at a different unit, cells before baselines.
+            order = units[index:] + units[:index]
+            payloads = {unit.unit_id: _run_mitigation_unit(None, config, unit) for unit in order}
+            results[index] = [payloads[unit.unit_id] for unit in units]
+
+        threads = [threading.Thread(target=work, args=(index,)) for index in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [expected] * 4
