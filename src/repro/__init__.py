@@ -7,7 +7,6 @@ mitigation scaling study) and the substrates it depends on:
 * :mod:`repro.dram` -- behavioural DRAM device model with a circuit-level
   RowHammer vulnerability model (replaces the 1580 real chips).
 * :mod:`repro.ecc` -- SEC Hamming codes and the LPDDR4 on-die ECC model.
-* :mod:`repro.softmc` -- SoftMC-like test infrastructure (command-level host).
 * :mod:`repro.sim` -- cycle-level DDR4 memory-system simulator with a simple
   multi-core model (replaces Ramulator + SPEC traces).
 * :mod:`repro.mitigations` -- the five state-of-the-art RowHammer mitigation

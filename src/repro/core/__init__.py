@@ -13,6 +13,8 @@ Modules map to the paper's experimental sections:
 * :mod:`repro.core.ecc_analysis` -- ``HC_first/second/third`` (Figure 9).
 * :mod:`repro.core.probability` -- single-cell flip probability (Table 5).
 * :mod:`repro.core.scaling` -- projection of ``HC_first`` for future nodes.
+* :mod:`repro.core.row_mapping` -- inference of the DRAM-internal row
+  remapping (Section 4.3).
 
 Each study module registers itself with the :mod:`repro.experiments`
 registry (``fig4-coverage``, ``fig5-hc-sweep``, ``fig6-spatial``,
@@ -33,6 +35,7 @@ from repro.core.word_density import WordDensityStudyConfig, run_word_density
 from repro.core.first_flip import HCFirstResult, HCFirstStudyConfig, run_hcfirst_search
 from repro.core.ecc_analysis import EccWordStudyConfig, run_ecc_word_analysis
 from repro.core.probability import ProbabilityStudyConfig, run_flip_probability_study
+from repro.core.row_mapping import MappingInference, infer_row_mapping
 
 __all__ = [
     "DataPattern",
@@ -58,4 +61,6 @@ __all__ = [
     "run_ecc_word_analysis",
     "ProbabilityStudyConfig",
     "run_flip_probability_study",
+    "MappingInference",
+    "infer_row_mapping",
 ]

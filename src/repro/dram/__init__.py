@@ -42,7 +42,6 @@ from repro.dram.remapping import (
     RowRemapper,
     IdentityRemapper,
     PairedWordlineRemapper,
-    XorRemapper,
     remapper_for,
 )
 from repro.dram.vulnerability import (
@@ -72,7 +71,6 @@ __all__ = [
     "RowRemapper",
     "IdentityRemapper",
     "PairedWordlineRemapper",
-    "XorRemapper",
     "remapper_for",
     "CouplingClass",
     "VulnerabilityProfile",

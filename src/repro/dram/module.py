@@ -9,7 +9,7 @@ manufacturer and carries the module-level metadata those tables record.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence
+from typing import List, Optional
 
 from repro.dram.chip import DramChip
 from repro.dram.vulnerability import VulnerabilityProfile
@@ -72,10 +72,6 @@ class DramModule:
         if not self.chips:
             return None
         return min(chip.hcfirst_target for chip in self.chips)
-
-    def rowhammerable_chips(self, hammer_limit: int = DramChip.TEST_LIMIT_HC) -> List[DramChip]:
-        """Chips expected to exhibit at least one bit flip within the limit."""
-        return [chip for chip in self.chips if chip.is_rowhammerable(hammer_limit)]
 
     def __iter__(self):
         return iter(self.chips)

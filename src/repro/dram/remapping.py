@@ -5,17 +5,19 @@ DRAM manufacturers remap the row addresses the memory controller sees
 (paper Section 4.3).  The paper reverse-engineers these mappings by
 exploiting the fact that hammering a row disturbs its physical neighbours.
 
-Three remapping schemes are modelled:
+Two remapping schemes are modelled:
 
 * :class:`IdentityRemapper` -- logical row N maps to physical wordline N
   (the common case for the paper's DDR3/DDR4 chips).
-* :class:`XorRemapper` -- a low address bit is XOR-folded, swapping pairs of
-  logical rows (a simple scrambling scheme seen in some devices).
 * :class:`PairedWordlineRemapper` -- every pair of consecutive logical rows
   shares one internal wordline, which is what the paper observes in
   manufacturer B's LPDDR4-1x chips: hammering logical rows N-2 and N+2 is
   required to double-side-hammer logical row N, and bit flips appear in the
   four logically adjacent rows.
+
+Tier-1 checks that :func:`~repro.core.row_mapping.infer_row_mapping`, the
+paper's single-row hammering method, recovers the remapper of every Table 1
+configuration.
 """
 
 from __future__ import annotations
@@ -74,27 +76,6 @@ class IdentityRemapper(RowRemapper):
         return [physical_row]
 
 
-class XorRemapper(RowRemapper):
-    """Swap logical rows in pairs by XOR-ing a low address bit.
-
-    With ``xor_bit = 1`` logical rows ``(2, 3)`` map to physical wordlines
-    ``(3, 2)``; the mapping is its own inverse.
-    """
-
-    name = "xor"
-
-    def __init__(self, xor_bit: int = 1) -> None:
-        if xor_bit <= 0:
-            raise ValueError("xor_bit must be a positive bit mask")
-        self._mask = xor_bit
-
-    def logical_to_physical(self, logical_row: int) -> int:
-        return logical_row ^ self._mask
-
-    def physical_to_logical(self, physical_row: int) -> List[int]:
-        return [physical_row ^ self._mask]
-
-
 class PairedWordlineRemapper(RowRemapper):
     """Every two consecutive logical rows share one physical wordline.
 
@@ -118,7 +99,6 @@ class PairedWordlineRemapper(RowRemapper):
 
 _REMAPPERS = {
     IdentityRemapper.name: IdentityRemapper,
-    XorRemapper.name: XorRemapper,
     PairedWordlineRemapper.name: PairedWordlineRemapper,
 }
 

@@ -80,13 +80,6 @@ class SessionRunResult:
             grouped.setdefault(result.configuration, []).append(result.payload)
         return grouped
 
-    def for_chip(self, chip_id: str) -> Optional[Any]:
-        """Payload of one chip, or ``None`` if the chip was not part of the run."""
-        for result in self.results:
-            if result.chip_id == chip_id:
-                return result.payload
-        return None
-
     @property
     def cache_hits(self) -> int:
         """How many *work units* were replayed from the store.

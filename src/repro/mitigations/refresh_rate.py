@@ -37,11 +37,6 @@ class IncreasedRefreshRate(MitigationMechanism):
         self._multiplier = min(1.0, required_window_cycles / nominal_window_cycles)
 
     @property
-    def required_refresh_window_ms(self) -> float:
-        """Refresh window (ms) needed to make HC_first activations impossible."""
-        return self.config.hcfirst * self.config.timings.trc_ns / 1e6
-
-    @property
     def refresh_rate_multiplier(self) -> float:
         """How many times more often than nominal the chip must be refreshed."""
         if self._multiplier <= 0:

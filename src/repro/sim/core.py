@@ -333,8 +333,3 @@ class SimpleCore:
         if self._record_blocked():
             return NEVER
         return cycle + 1
-
-    @property
-    def outstanding_reads(self) -> int:
-        """Number of reads currently occupying the instruction window."""
-        return len(self._window)

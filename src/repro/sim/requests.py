@@ -63,16 +63,8 @@ class MemoryRequest:
     popped: bool = False
 
     @property
-    def is_read(self) -> bool:
-        return self.request_type is RequestType.READ
-
-    @property
     def is_write(self) -> bool:
         return self.request_type is RequestType.WRITE
-
-    @property
-    def is_victim_refresh(self) -> bool:
-        return self.request_type is RequestType.VICTIM_REFRESH
 
     def complete(self, cycle: int) -> None:
         """Mark the request complete and notify the issuer."""

@@ -43,7 +43,7 @@ from repro.sim.config import SystemConfig
 from repro.sim.controller import ControllerStats, MemoryController
 from repro.sim.core import CoreStats, SimpleCore
 from repro.sim.events import EventQueue
-from repro.sim.metrics import bandwidth_overhead_percent, weighted_speedup
+from repro.sim.metrics import bandwidth_overhead_percent
 from repro.sim.trace import TraceRecord
 from repro.sim.workloads import WorkloadMix
 
@@ -69,10 +69,6 @@ class SimulationResult:
         return bandwidth_overhead_percent(
             self.mitigation_busy_cycles, self.demand_busy_cycles
         )
-
-    def weighted_speedup_against(self, alone_ipcs: Sequence[float]) -> float:
-        """Weighted speedup of this run given per-core alone IPCs."""
-        return weighted_speedup(self.core_ipcs, alone_ipcs)
 
 
 class Simulation:

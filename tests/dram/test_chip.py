@@ -78,14 +78,23 @@ class TestHammering:
         flips = ddr4_chip.hammer_pair(0, victim - 1, victim + 1, hammer_count)
         assert flips == 0
 
-    def test_refresh_resets_accumulated_disturbance(self, ddr4_chip):
+    @pytest.mark.parametrize(
+        "refresh",
+        [
+            lambda chip, victim: chip.refresh_row(0, victim),
+            lambda chip, victim: chip.refresh_all(),
+        ],
+        ids=["refresh_row", "refresh_all"],
+    )
+    def test_refresh_resets_accumulated_disturbance(self, ddr4_chip, refresh):
         _bank, victim, _bit = ddr4_chip.weakest_cell
         half = int(ddr4_chip.hcfirst_target * 0.7)
         self._prepare_neighbourhood(ddr4_chip, victim, 0x00, 0xFF)
         assert ddr4_chip.hammer_pair(0, victim - 1, victim + 1, half) == 0
-        ddr4_chip.refresh_row(0, victim)
+        refresh(ddr4_chip, victim)
         # After the refresh the exposure restarts from zero, so another
-        # partial hammer still cannot flip the victim.
+        # partial hammer still cannot flip the victim (without it, the
+        # second dose does: see test_exposure_accumulates_without_refresh).
         assert ddr4_chip.hammer_pair(0, victim - 1, victim + 1, half) == 0
 
     def test_exposure_accumulates_without_refresh(self, ddr4_chip):

@@ -5,7 +5,6 @@ import pytest
 from repro.dram.remapping import (
     IdentityRemapper,
     PairedWordlineRemapper,
-    XorRemapper,
     remapper_for,
 )
 
@@ -22,22 +21,6 @@ class TestIdentityRemapper:
 
     def test_num_wordlines(self):
         assert IdentityRemapper().num_wordlines(64) == 64
-
-
-class TestXorRemapper:
-    def test_involution(self):
-        remapper = XorRemapper(xor_bit=1)
-        for row in range(16):
-            assert remapper.logical_to_physical(remapper.logical_to_physical(row)) == row
-
-    def test_swaps_pairs(self):
-        remapper = XorRemapper(xor_bit=1)
-        assert remapper.logical_to_physical(2) == 3
-        assert remapper.logical_to_physical(3) == 2
-
-    def test_rejects_zero_mask(self):
-        with pytest.raises(ValueError):
-            XorRemapper(xor_bit=0)
 
 
 class TestPairedWordlineRemapper:
@@ -67,7 +50,6 @@ class TestRegistry:
     def test_lookup_by_name(self):
         assert isinstance(remapper_for("identity"), IdentityRemapper)
         assert isinstance(remapper_for("paired"), PairedWordlineRemapper)
-        assert isinstance(remapper_for("xor"), XorRemapper)
 
     def test_unknown_name_raises(self):
         with pytest.raises(ValueError):
