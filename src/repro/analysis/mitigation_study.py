@@ -412,6 +412,7 @@ def _fig10_decompose(study_name: str):
                     study=study_name,
                     unit_id=f"baseline/mix{mix:02d}",
                     params={"kind": "baseline", "mix": mix, **simulated},
+                    index=len(units),
                 )
             )
             for mechanism, hcfirst in points:
@@ -427,6 +428,7 @@ def _fig10_decompose(study_name: str):
                             "time_scale": config.time_scale,
                             **simulated,
                         },
+                        index=len(units),
                     )
                 )
         return units

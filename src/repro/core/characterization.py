@@ -142,8 +142,9 @@ def _decompose_characterization(config: CharacterizationConfig) -> List[WorkUnit
                 "hammer_count": hammer_count,
                 "config": dataclasses.replace(config, hammer_counts=(hammer_count,)),
             },
+            index=position,
         )
-        for hammer_count in config.hammer_counts
+        for position, hammer_count in enumerate(config.hammer_counts)
     ]
 
 

@@ -76,8 +76,9 @@ def _decompose_coverage(config: CoverageStudyConfig) -> List[WorkUnit]:
                 "pattern": name,
                 "config": dataclasses.replace(config, patterns=(name,)),
             },
+            index=position,
         )
-        for name in config.patterns
+        for position, name in enumerate(config.patterns)
     ]
 
 

@@ -398,6 +398,7 @@ class DramChip(_CalibratedChip):
         writing the rows one at a time in order (duplicate rows fall back to
         exactly that).
         """
+        self.geometry.validate_bank(bank)
         rows = [int(row) for row in rows]
         if isinstance(data, (int, np.integer)):
             data = [data] * len(rows)
@@ -448,6 +449,7 @@ class DramChip(_CalibratedChip):
         Equivalent to stacking :meth:`read_row` results (ECC decode is
         batched across the written rows in one call).
         """
+        self.geometry.validate_bank(bank)
         rows = [int(row) for row in rows]
         for row in rows:
             self.geometry.validate_address(bank, row)
@@ -478,6 +480,7 @@ class DramChip(_CalibratedChip):
 
     def read_rows_raw(self, bank: int, rows: Sequence[int]) -> np.ndarray:
         """Raw stored bits of a batch of rows as ``(len(rows), row_bits)``."""
+        self.geometry.validate_bank(bank)
         rows = [int(row) for row in rows]
         for row in rows:
             self.geometry.validate_address(bank, row)

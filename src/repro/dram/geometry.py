@@ -59,6 +59,16 @@ class ChipGeometry:
         if not 0 <= row < self.rows_per_bank:
             raise IndexError(f"row {row} out of range [0, {self.rows_per_bank})")
 
+    def validate_bank(self, bank: int) -> None:
+        """Raise :class:`IndexError` if ``bank`` is out of range.
+
+        For batch calls, whose rows may be empty; per-row calls use
+        :meth:`validate_address`, which checks the bank inline because it
+        runs once per row on the hammer path.
+        """
+        if not 0 <= bank < self.banks:
+            raise IndexError(f"bank {bank} out of range [0, {self.banks})")
+
 
 @dataclass(frozen=True, order=True)
 class RowAddress:

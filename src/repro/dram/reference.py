@@ -81,6 +81,7 @@ class ReferenceDramChip(_CalibratedChip):
 
     def write_rows(self, bank: int, rows: Sequence[int], data) -> None:
         """Batch write as a plain loop over :meth:`write_row`."""
+        self.geometry.validate_bank(bank)
         rows = [int(row) for row in rows]
         if isinstance(data, (int, np.integer)):
             data = [data] * len(rows)
@@ -103,6 +104,7 @@ class ReferenceDramChip(_CalibratedChip):
 
     def read_rows(self, bank: int, rows: Sequence[int]) -> np.ndarray:
         """Batch read as a plain loop over :meth:`read_row`."""
+        self.geometry.validate_bank(bank)
         if not len(rows):
             return np.zeros((0, self.geometry.row_bytes), dtype=np.uint8)
         return np.stack([self.read_row(bank, int(row)) for row in rows])
@@ -117,6 +119,7 @@ class ReferenceDramChip(_CalibratedChip):
 
     def read_rows_raw(self, bank: int, rows: Sequence[int]) -> np.ndarray:
         """Batch raw read as a plain loop over :meth:`read_row_raw`."""
+        self.geometry.validate_bank(bank)
         if not len(rows):
             return np.zeros((0, self.geometry.row_bits), dtype=np.uint8)
         return np.stack([self.read_row_raw(bank, int(row)) for row in rows])

@@ -23,7 +23,7 @@ from repro.dram.geometry import ChipGeometry
 from repro.dram.module import DramModule
 from repro.dram.population import flatten_population, make_population
 from repro.experiments.executors import Executor, SerialExecutor, StudyTask
-from repro.experiments.store import ResultStore
+from repro.experiments.store import CacheKey, ResultStore
 from repro.experiments.study import (
     RegisteredStudy,
     StudyResult,
@@ -263,7 +263,9 @@ class ExperimentSession:
         unit_elapsed: List[float] = [0.0] * len(targets)
         units_retries: List[int] = [0] * len(targets)
         units_requeued: List[int] = [0] * len(targets)
-        pending_slots: List[Tuple[int, int]] = []
+        # Per pending task: its target, its unit and the store key its
+        # result is written back under (``None`` when it is not cached).
+        pending_slots: List[Tuple[int, int, Optional[CacheKey]]] = []
         pending_tasks: List[StudyTask] = []
         for t_index, chip in enumerate(targets):
             # The store keys results by chip *construction* parameters, which
@@ -272,13 +274,15 @@ class ExperimentSession:
             # the cache entirely (results stay correct, just uncached).
             cacheable = chip is None or chip.is_pristine
             for u_index, unit in enumerate(units):
+                key = None
                 if self.store is not None and cacheable:
-                    cached = self.store.get(self.store.key_for(spec.name, digest, chip, unit))
+                    key = self.store.key_for(spec.name, digest, chip, unit)
+                    cached = self.store.get(key)
                     if cached is not None:
                         unit_payloads[t_index][u_index] = cached.payload
                         units_cached[t_index] += 1
                         continue
-                pending_slots.append((t_index, u_index))
+                pending_slots.append((t_index, u_index, key))
                 pending_tasks.append(
                     StudyTask(
                         study=spec.name,
@@ -294,7 +298,7 @@ class ExperimentSession:
         # done -- a run killed mid-sweep resumes from the units on disk.
         outcomes = self.executor.iter_outcomes(pending_tasks)
         try:
-            for (t_index, u_index), outcome in zip(pending_slots, outcomes):
+            for (t_index, u_index, key), outcome in zip(pending_slots, outcomes):
                 unit_payloads[t_index][u_index] = outcome.result.payload
                 unit_elapsed[t_index] += outcome.result.elapsed_s
                 units_retries[t_index] += max(0, outcome.attempts - 1)
@@ -305,11 +309,8 @@ class ExperimentSession:
                     # operation counters back so ChipStats reflects all work
                     # done on a chip.
                     chip.stats.merge(outcome.stats)
-                if self.store is not None and (chip is None or chip.is_pristine):
-                    self.store.put(
-                        self.store.key_for(spec.name, digest, chip, units[u_index]),
-                        outcome.result,
-                    )
+                if key is not None:
+                    self.store.put(key, outcome.result)
         finally:
             # zip() stops at the last slot without advancing the generator
             # past its final yield; closing it releases executor resources

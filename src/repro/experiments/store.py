@@ -16,13 +16,14 @@ Decomposed studies are cached at *work-unit* granularity: every shard of
 the grid gets its own entry (the key gains the unit's digest), so a sweep
 killed halfway resumes from its completed units, and editing one axis of a
 config invalidates only the entries whose unit parameters changed.  An
-entry that cannot be read back is renamed out of the way and recomputed,
-never a crash.
+entry that cannot be read back, or that is not the result its key names,
+is renamed out of the way and recomputed, never a crash.
 """
 
 from __future__ import annotations
 
 import contextlib
+import copy
 import dataclasses
 import hashlib
 import os
@@ -120,12 +121,26 @@ def cache_key(
     )
 
 
+def _is_entry_for(key: CacheKey, result: Any) -> bool:
+    """Whether an unpickled entry is the result ``key`` names.
+
+    Whole-study envelopes written before the unit layer lack its fields,
+    hence the ``getattr`` defaults.
+    """
+    if not isinstance(result, StudyResult) or getattr(result, "study", None) != key.study:
+        return False
+    if key.unit_digest:
+        return getattr(result, "unit_digest", None) == key.unit_digest
+    return getattr(result, "config_digest", None) == key.config_digest
+
+
 @dataclass
 class StoreStats:
     """Hit/miss counters of one :class:`ResultStore`.
 
-    ``corrupt`` counts unreadable entries that :meth:`ResultStore.get`
-    quarantined; each of them was also counted as a miss.
+    ``corrupt`` counts the entries that :meth:`ResultStore.get`
+    quarantined, unreadable or not the result their key names; each of
+    them was also counted as a miss.
     """
 
     hits: int = 0
@@ -165,6 +180,8 @@ class ResultStore:
         self.root = Path(root) if root is not None else None
         self.stats = StoreStats()
         self._memory: Dict[CacheKey, StudyResult] = {}
+        #: Study name -> its entry directory as a string, for :meth:`get`.
+        self._study_dirs: Dict[str, str] = {}
 
     @contextlib.contextmanager
     def _write_lock(self) -> Iterator[None]:
@@ -213,34 +230,51 @@ class ResultStore:
     def get(self, key: CacheKey) -> Optional[StudyResult]:
         """Fetch a cached result, or ``None`` on a miss.
 
-        An on-disk entry that cannot be unpickled -- a torn write, an empty
-        file, or a pickle of a class the code no longer has -- is
+        An on-disk entry is served only if it is the result its key names:
+        a :class:`~repro.experiments.study.StudyResult` of the key's study
+        with the key's unit digest (unit entries) or config digest
+        (whole-study entries).  An entry that fails that check, or cannot be
+        unpickled at all -- a torn write, an empty file, a pickle of a class
+        the code no longer has, another unit's entry, a foreign file -- is
         quarantined, counted in ``stats.corrupt`` and reported as a miss,
         so the caller recomputes the result and :meth:`put` rewrites it.
         """
         result = self._memory.get(key)
-        if result is None:
-            path = self._path(key)
-            if path is not None and path.exists():
-                try:
-                    with path.open("rb") as handle:
-                        result = pickle.load(handle)
-                except (pickle.UnpicklingError, EOFError, AttributeError, ImportError):
-                    self._quarantine(path)
-                else:
-                    self._memory[key] = result
+        if result is None and self.root is not None:
+            result = self._load(key)
         if result is None:
             self.stats.misses += 1
             return None
         self.stats.hits += 1
-        return dataclasses.replace(result, from_cache=True)
+        hit = copy.copy(result)
+        hit.from_cache = True
+        return hit
 
-    def _quarantine(self, path: Path) -> None:
-        """Move an unreadable entry out of the store's ``*.pkl`` namespace."""
+    def _load(self, key: CacheKey) -> Optional[StudyResult]:
+        """Read and verify one on-disk entry; ``None`` if absent or bad."""
+        directory = self._study_dirs.get(key.study)
+        if directory is None:
+            directory = self._study_dirs[key.study] = os.path.join(self.root, key.study)
+        path = os.path.join(directory, key.filename)
+        try:
+            with open(path, "rb") as handle:
+                result = pickle.load(handle)
+        except FileNotFoundError:
+            return None
+        except (pickle.UnpicklingError, EOFError, AttributeError, ImportError):
+            result = None
+        if not _is_entry_for(key, result):
+            self._quarantine(path)
+            return None
+        self._memory[key] = result
+        return result
+
+    def _quarantine(self, path: str) -> None:
+        """Move a bad entry out of the store's ``*.pkl`` namespace."""
         with self._write_lock():
             # Another reader may have quarantined it first.
             with contextlib.suppress(FileNotFoundError):
-                path.replace(path.with_name(path.name + self.QUARANTINE_SUFFIX))
+                os.replace(path, path + self.QUARANTINE_SUFFIX)
         self.stats.corrupt += 1
 
     def put(self, key: CacheKey, result: StudyResult) -> None:

@@ -28,9 +28,9 @@ example :mod:`repro.core.sweeps`) can import it without cycles.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import importlib
-import time
 from dataclasses import dataclass, field
 from typing import (
     Any,
@@ -106,7 +106,7 @@ class WorkUnit:
         """The unit's parameters as a plain dict."""
         return dict(self.params)
 
-    @property
+    @functools.cached_property
     def digest(self) -> str:
         """Stable hex digest identifying this unit's content.
 
@@ -116,6 +116,10 @@ class WorkUnit:
         units with different parameters never share a digest.  ``index`` is
         excluded: reordering a decomposition re-orders the merge, not the
         units' cache identities.
+
+        Computed once per unit and cached on the instance (a unit is
+        frozen), so a unit's store lookup and its execution share one
+        hash.
         """
         text = "\x1f".join((self.study, self.unit_id, _canonical(self.param_dict)))
         return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
@@ -192,7 +196,9 @@ class RegisteredStudy:
 
         Undecomposed studies return a single implicit whole-study unit.
         Unit ids must be unique within a decomposition (they key the cache);
-        ``index`` is normalised to the decomposition position.
+        ``index`` is normalised to the decomposition position (the built-in
+        decompositions build each unit at its position, so nothing is
+        rebuilt for them).
         """
         if config is None:
             config = self.default_config()
@@ -433,8 +439,16 @@ def describe_studies() -> Dict[str, str]:
 # ----------------------------------------------------------------------
 # Config digests
 # ----------------------------------------------------------------------
+#: Leaf types whose canonical form is their ``repr``, tested first because
+#: most values are leaves.  Matched by exact type: a subclass (an enum, a
+#: dataclass deriving from ``str``) keeps the general path and its text.
+_SCALAR_TYPES = frozenset((int, float, str, bool, type(None)))
+
+
 def _canonical(value: Any) -> str:
     """Deterministic string form of a (possibly nested) config value."""
+    if type(value) in _SCALAR_TYPES:
+        return repr(value)
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         fields = {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
         inner = ",".join(f"{key}={_canonical(fields[key])}" for key in sorted(fields))

@@ -73,6 +73,7 @@ def _decompose(config: ServiceSelfTestConfig) -> List[WorkUnit]:
                 "fail": index in config.fail_units,
                 "seed": config.seed,
             },
+            index=index,
         )
         for index in range(config.units)
     ]

@@ -192,3 +192,25 @@ def test_hammer_sweep_is_bit_identical(type_node, manufacturer):
     assert flips[0] == flips[1]
     assert sum(flips[0]) > 0, "the sweep must induce flips for the test to bite"
     assert_same_state(columnar, reference)
+
+
+# ----------------------------------------------------------------------
+# Address validation of empty batches
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("backend", [0, 1], ids=["columnar", "reference"])
+@pytest.mark.parametrize(
+    "method,args",
+    [
+        ("write_rows", ([], [])),
+        ("write_rows", ([], 0)),
+        ("read_rows", ([],)),
+        ("read_rows_raw", ([],)),
+        ("write_row", (0, 0)),
+    ],
+    ids=["write_rows", "write_rows-fill", "read_rows", "read_rows_raw", "write_row"],
+)
+def test_out_of_range_bank_is_rejected_even_for_zero_rows(backend, method, args):
+    """A zero-row batch validates its bank exactly like a single-row call."""
+    chip = build_pair(*_ALL_CONFIGS[0], seed=0)[backend]
+    with pytest.raises(IndexError, match=r"bank 5 out of range \[0, 1\)"):
+        getattr(chip, method)(GEOMETRY.banks + 4, *args)
