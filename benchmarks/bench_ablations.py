@@ -23,9 +23,10 @@ from repro.dram.population import make_chip
 from repro.dram.vulnerability import PROFILES, VulnerabilityProfile, profile_for
 from repro.mitigations.base import MitigationConfig
 from repro.mitigations.para import probability_for
+from repro.mitigations.registry import is_evaluable
 from repro.mitigations.twice import TWiCe
 from repro.sim.config import SystemConfig
-from repro.sim.system import run_workload
+from repro.sim.system import Simulation
 from repro.sim.timing import DDR4_2400
 from repro.sim.workloads import make_workload_mixes
 
@@ -107,8 +108,14 @@ def test_ablation_twice_vs_twice_ideal(benchmark):
         rows = []
         for hcfirst in (200_000, 50_000, 32_000, 4_800, 128):
             real = TWiCe(MitigationConfig(hcfirst=hcfirst))
-            ideal = TWiCe(MitigationConfig(hcfirst=hcfirst), ideal=True)
-            rows.append((hcfirst, real.is_viable(), ideal.is_viable(), real.row_hammer_threshold))
+            rows.append(
+                (
+                    hcfirst,
+                    is_evaluable("TWiCe", hcfirst),
+                    is_evaluable("TWiCe-ideal", hcfirst),
+                    real.row_hammer_threshold,
+                )
+            )
         return rows
 
     rows = benchmark(run)
@@ -127,8 +134,14 @@ def test_ablation_row_locality_sensitivity(benchmark):
     mixes = make_workload_mixes(num_mixes=1, cores=4, seed=9)
 
     def run():
-        baseline = run_workload(config, mixes[0], dram_cycles=8_000, requests_per_core=2_000)
-        return baseline
+        traces = mixes[0].build_traces(
+            banks=config.banks,
+            rows_per_bank=config.rows_per_bank,
+            columns_per_row=config.columns_per_row,
+            requests_per_core=2_000,
+            seed=0,
+        )
+        return Simulation(config, traces).run(8_000)
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     print_banner("Ablation: FR-FCFS row-hit behaviour under a multi-programmed mix")

@@ -38,6 +38,35 @@ DRAM_CYCLES = 60_000
 FUTURE_HCFIRST = 250
 
 
+class ChipObserver:
+    """Applies the controller's row commands to a chip, then defers to a mechanism.
+
+    The controller reports every demand activation and victim refresh to
+    its mitigation mechanism, so this observer stands in for the optional
+    ``mechanism``: it applies each of those commands to the chip model and
+    passes every call on.
+    """
+
+    def __init__(self, chip, mechanism=None):
+        self.chip = chip
+        self.mechanism = mechanism
+
+    def refresh_interval_multiplier(self):
+        return 1.0 if self.mechanism is None else self.mechanism.refresh_interval_multiplier()
+
+    def on_activate(self, bank, row, cycle):
+        self.chip.activate(bank, row, 1)
+        return [] if self.mechanism is None else self.mechanism.on_activate(bank, row, cycle)
+
+    def on_refresh(self, cycle):
+        return [] if self.mechanism is None else self.mechanism.on_refresh(cycle)
+
+    def on_victim_refreshed(self, bank, row, cycle):
+        self.chip.refresh_row(bank, row)
+        if self.mechanism is not None:
+            self.mechanism.on_victim_refreshed(bank, row, cycle)
+
+
 def run_attack(mechanism_name):
     """Co-simulate the attack; returns (activations, victim refreshes, bit flips)."""
     # Dependent accesses (instruction window of 1) model a pointer-chasing /
@@ -52,7 +81,6 @@ def run_attack(mechanism_name):
             mechanism_name,
             MitigationConfig(hcfirst=FUTURE_HCFIRST, banks=1, rows_per_bank=256, seed=3),
         )
-    simulation = Simulation(config, [trace], mitigation=mitigation)
 
     # The chip under attack: as vulnerable as the projected future chip.
     chip = make_chip(
@@ -64,11 +92,7 @@ def run_attack(mechanism_name):
         chip.write_row(0, row, byte)
 
     # Wire the controller's command stream into the chip model.
-    simulation.controller.activate_hook = lambda bank, row, cycle: chip.activate(bank, row, 1)
-    simulation.controller.victim_refresh_hook = (
-        lambda bank, row, cycle: chip.refresh_row(bank, row)
-    )
-
+    simulation = Simulation(config, [trace], mitigation=ChipObserver(chip, mitigation))
     simulation.run(DRAM_CYCLES)
     stats = simulation.controller.stats
 

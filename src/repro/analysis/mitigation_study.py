@@ -27,8 +27,8 @@ goes through the same three functions (:func:`_simulate_baseline`,
 * calling a registered study's function directly decomposes the config,
   runs every unit in turn and merges;
 * :func:`run_mitigation_study` takes the system and workload mixes as
-  objects, builds each mix's traces once and feeds them to the same
-  functions.
+  objects, builds each mix's traces and shared run once and feeds them to
+  the same functions.
 
 Each simulation is run through ``step_mode`` (``"event"`` by default, or
 the bit-identical ``"cycle"`` oracle).
@@ -38,17 +38,18 @@ Idle cells reuse the baseline run
 A mix's no-mitigation run is simulated once, with a recorder attached that
 logs every call the memory controller makes into a mechanism (each
 ``on_activate`` and ``on_refresh``, in order) and requests nothing.  The
-registered studies memoize it per process (:func:`_cached_shared_run`),
-so the baseline unit and every cell of the mix share it; a process that
-runs a cell first simulates it then.  A cell replays the log into its
-freshly built mechanism.  If the mechanism keeps the nominal refresh
-interval and no replayed call returns a victim, the mechanism is *idle*:
-the controller reaches a mechanism only through these hooks, and
-``on_victim_refreshed`` follows only a requested refresh, so a real run
-would make exactly the logged calls and equal the baseline run.  The cell
-then takes the baseline's core IPCs and bandwidth overhead.  Any other
-cell is simulated in full with a newly built mechanism, since the replay
-has advanced the first one's state (PARA's RNG, TWiCe's table).
+registered studies memoize it per process, traces included
+(:func:`_cached_shared_run`, their only memo), so the baseline unit and
+every cell of the mix share it; a process that runs a cell first builds
+it then.  A cell replays the log into its freshly built mechanism.  If the
+mechanism keeps the nominal refresh interval and no replayed call returns
+a victim, the mechanism is *idle*: the controller reaches a mechanism only
+through these hooks, and ``on_victim_refreshed`` follows only a requested
+refresh, so a real run would make exactly the logged calls and equal the
+baseline run.  The cell then takes the baseline's core IPCs and bandwidth
+overhead.  Any other cell is simulated in full with a newly built
+mechanism, since the replay has advanced the first one's state (PARA's
+RNG, TWiCe's table).
 """
 
 from __future__ import annotations
@@ -177,30 +178,19 @@ class MitigationStudyConfig:
     step_mode: str = "event"
 
     def __post_init__(self) -> None:
-        if not self.hcfirst_values or any(hc <= 0 for hc in self.hcfirst_values):
-            raise ValueError("hcfirst_values must hold positive values")
-        if len(set(self.hcfirst_values)) != len(self.hcfirst_values):
-            raise ValueError(f"hcfirst_values must not repeat a value: {self.hcfirst_values}")
-        if not self.mechanisms:
-            raise ValueError("at least one mechanism is required")
-        if len(set(self.mechanisms)) != len(self.mechanisms):
-            raise ValueError(f"mechanisms must not repeat a name: {self.mechanisms}")
-        known = available_mechanisms()
-        for name in self.mechanisms:
-            if name not in known:
-                raise ValueError(f"unknown mechanism {name!r}; available: {known}")
+        _check_sweep(
+            self.mechanisms,
+            self.hcfirst_values,
+            self.respect_design_constraints,
+            self.dram_cycles,
+            self.requests_per_core,
+            self.time_scale,
+            self.step_mode,
+        )
         if self.num_mixes < 1:
             raise ValueError("num_mixes must be at least 1")
         if self.rows_per_bank < 1:
             raise ValueError("rows_per_bank must be at least 1")
-        if self.dram_cycles < 1:
-            raise ValueError("dram_cycles must be at least 1")
-        if self.requests_per_core < 1:
-            raise ValueError("requests_per_core must be at least 1")
-        if not 0.0 < self.time_scale <= 1.0:
-            raise ValueError(f"time_scale must be within (0, 1], got {self.time_scale}")
-        if self.step_mode not in STEP_MODES:
-            raise ValueError(f"step_mode must be one of {STEP_MODES}, got {self.step_mode!r}")
 
 
 @dataclass(frozen=True)
@@ -212,9 +202,10 @@ class FullMitigationStudyConfig(MitigationStudyConfig):
     quick ``fig10-mitigations`` default samples 4 mixes) on the Table 6
     geometry, with simulations 2.5x longer than the quick preset so every
     run crosses several refresh intervals.  Designed to be executed through
-    a cached :class:`repro.experiments.session.ExperimentSession` -- the
-    sweep is a single population-level study result, so a completed run is
-    replayed from the store in milliseconds.
+    a cached :class:`repro.experiments.session.ExperimentSession`: the
+    default sweep is 2,304 work units (one baseline and 47 evaluable
+    cells per mix), each cached on its own, so an interrupted run resumes
+    from its finished units and a completed one replays from the store.
     """
 
     num_mixes: int = 48
@@ -251,33 +242,6 @@ class MitigationCellUnit:
     bandwidth_overhead_percent: float
 
 
-@lru_cache(maxsize=4)
-def _cached_mix_traces(
-    num_mixes: int, mix_index: int, rows_per_bank: int, requests_per_core: int, seed: int
-) -> tuple:
-    """Per-process trace cache for unit execution.
-
-    Every work unit of one mix needs the same deterministic traces; caching
-    them per process means a worker draining several units of a mix pays
-    for trace synthesis once.  Traces are safe to share between
-    simulations: ``Simulation`` copies the per-core record lists it
-    consumes and the records themselves are immutable.
-    """
-    system_config = SystemConfig(rows_per_bank=rows_per_bank)
-    mixes = make_workload_mixes(
-        num_mixes=num_mixes, cores=system_config.cores, seed=seed
-    )
-    return tuple(
-        mixes[mix_index].build_traces(
-            banks=system_config.banks,
-            rows_per_bank=system_config.rows_per_bank,
-            columns_per_row=system_config.columns_per_row,
-            requests_per_core=requests_per_core,
-            seed=seed,
-        )
-    )
-
-
 class _CallRecorder:
     """A mechanism that requests nothing and logs the controller's calls.
 
@@ -304,8 +268,16 @@ class _CallRecorder:
 
 @dataclass(frozen=True)
 class _SharedRun:
-    """The no-mitigation run of one mix and the mechanism calls it made."""
+    """The no-mitigation run of one mix and the mechanism calls it made.
 
+    It keeps the inputs it ran on, which the mix's alone runs and acting
+    cells simulate on too.
+    """
+
+    system_config: SystemConfig
+    traces: Tuple[Sequence[TraceRecord], ...]
+    dram_cycles: int
+    step_mode: str
     core_ipcs: Tuple[float, ...]
     bandwidth_overhead_percent: float
     calls: Tuple[Tuple[int, ...], ...]
@@ -323,6 +295,10 @@ def _run_shared(
         system_config, traces, mitigation=recorder, step_mode=step_mode
     ).run(dram_cycles)
     return _SharedRun(
+        system_config=system_config,
+        traces=tuple(traces),
+        dram_cycles=dram_cycles,
+        step_mode=step_mode,
         core_ipcs=tuple(result.core_ipcs),
         bandwidth_overhead_percent=result.bandwidth_overhead_percent,
         calls=tuple(recorder.calls),
@@ -339,16 +315,25 @@ def _cached_shared_run(
     dram_cycles: int,
     step_mode: str,
 ) -> _SharedRun:
-    """Per-process memo of each mix's shared run.
+    """Per-process memo of each mix's shared run, traces included.
 
-    The baseline unit and every cell of a mix read it, so a process
-    simulates it once per mix.  ``step_mode`` is part of the key so that a
-    ``"cycle"`` study never reuses an event-mode run; the cells'
-    ``time_scale`` and the sweep axes stay out of it, because the run does
-    not depend on them.
+    The baseline unit and every cell of a mix read it, so a process builds
+    the mix's traces and simulates the run once per mix (``Simulation``
+    copies the per-core record lists it consumes, and the records are
+    immutable).  ``step_mode`` is part of the key so that a ``"cycle"``
+    study never reuses an event-mode run; the cells' ``time_scale`` and the
+    sweep axes stay out of it, because the run does not depend on them.
     """
-    traces = _cached_mix_traces(num_mixes, mix_index, rows_per_bank, requests_per_core, seed)
-    return _run_shared(SystemConfig(rows_per_bank=rows_per_bank), traces, dram_cycles, step_mode)
+    system_config = SystemConfig(rows_per_bank=rows_per_bank)
+    mixes = make_workload_mixes(num_mixes=num_mixes, cores=system_config.cores, seed=seed)
+    traces = mixes[mix_index].build_traces(
+        banks=system_config.banks,
+        rows_per_bank=system_config.rows_per_bank,
+        columns_per_row=system_config.columns_per_row,
+        requests_per_core=requests_per_core,
+        seed=seed,
+    )
+    return _run_shared(system_config, traces, dram_cycles, step_mode)
 
 
 def _acts(mechanism: MitigationMechanism, calls: Sequence[Tuple[int, ...]]) -> bool:
@@ -379,12 +364,53 @@ def _evaluation_points(
     ]
 
 
+def _check_sweep(
+    mechanisms: Sequence[str],
+    hcfirst_values: Sequence[int],
+    respect_design_constraints: bool,
+    dram_cycles: int,
+    requests_per_core: int,
+    time_scale: float,
+    step_mode: str,
+) -> None:
+    """Reject a sweep that cannot run or would evaluate nothing.
+
+    :class:`MitigationStudyConfig` and :func:`run_mitigation_study` both
+    apply these rules before any trace is built.
+    """
+    if not hcfirst_values or any(hc <= 0 for hc in hcfirst_values):
+        raise ValueError("hcfirst_values must hold positive values")
+    if len(set(hcfirst_values)) != len(hcfirst_values):
+        raise ValueError(f"hcfirst_values must not repeat a value: {tuple(hcfirst_values)}")
+    if not mechanisms:
+        raise ValueError("at least one mechanism is required")
+    if len(set(mechanisms)) != len(mechanisms):
+        raise ValueError(f"mechanisms must not repeat a name: {tuple(mechanisms)}")
+    known = available_mechanisms()
+    for name in mechanisms:
+        if name not in known:
+            raise ValueError(f"unknown mechanism {name!r}; available: {known}")
+    if not _evaluation_points(mechanisms, hcfirst_values, respect_design_constraints):
+        raise ValueError(
+            f"no mechanism of {tuple(mechanisms)} is evaluable at any HC_first of "
+            f"{tuple(hcfirst_values)}"
+        )
+    if dram_cycles < 1:
+        raise ValueError("dram_cycles must be at least 1")
+    if requests_per_core < 1:
+        raise ValueError("requests_per_core must be at least 1")
+    if not 0.0 < time_scale <= 1.0:
+        raise ValueError(f"time_scale must be within (0, 1], got {time_scale}")
+    if step_mode not in STEP_MODES:
+        raise ValueError(f"step_mode must be one of {STEP_MODES}, got {step_mode!r}")
+
+
 def _fig10_decompose(study_name: str):
     """Decomposition for one registered Figure 10 study.
 
     Units are ordered mix-major (a mix's baseline, then all of its cells)
-    so workers draining consecutive units reuse the per-process trace
-    cache; merge order is reconstructed from the config axes, not the unit
+    so workers draining consecutive units reuse the per-process shared-run
+    memo; merge order is reconstructed from the config axes, not the unit
     order, so this is purely a locality choice.
     """
 
@@ -412,7 +438,6 @@ def _fig10_decompose(study_name: str):
                     study=study_name,
                     unit_id=f"baseline/mix{mix:02d}",
                     params={"kind": "baseline", "mix": mix, **simulated},
-                    index=len(units),
                 )
             )
             for mechanism, hcfirst in points:
@@ -428,7 +453,6 @@ def _fig10_decompose(study_name: str):
                             "time_scale": config.time_scale,
                             **simulated,
                         },
-                        index=len(units),
                     )
                 )
         return units
@@ -436,18 +460,11 @@ def _fig10_decompose(study_name: str):
     return decompose
 
 
-def _simulate_baseline(
-    system_config: SystemConfig,
-    traces: Sequence[Sequence[TraceRecord]],
-    shared: _SharedRun,
-    mix: int,
-    dram_cycles: int,
-    step_mode: str,
-) -> MitigationBaselineUnit:
+def _simulate_baseline(shared: _SharedRun, mix: int) -> MitigationBaselineUnit:
     """The mix's shared no-mitigation run plus every core's alone run."""
     alone = SimulationBatch(
-        system_config, [[trace] for trace in traces], backend=step_mode
-    ).run(dram_cycles)
+        shared.system_config, [[trace] for trace in shared.traces], backend=shared.step_mode
+    ).run(shared.dram_cycles)
     return MitigationBaselineUnit(
         mix=mix,
         core_ipcs=shared.core_ipcs,
@@ -456,22 +473,19 @@ def _simulate_baseline(
 
 
 def _simulate_cell(
-    system_config: SystemConfig,
-    traces: Sequence[Sequence[TraceRecord]],
     shared: _SharedRun,
     mechanism: str,
     hcfirst: int,
     mix: int,
-    dram_cycles: int,
     seed: int,
     time_scale: float,
-    step_mode: str,
 ) -> MitigationCellUnit:
     """One mix under one mechanism configured for one HC_first.
 
     An idle mechanism (see :func:`_acts`) leaves the mix's shared run
     unchanged, so only a mechanism that acts is simulated.
     """
+    system_config = shared.system_config
     config = MitigationConfig(
         hcfirst=hcfirst,
         banks=system_config.banks,
@@ -484,10 +498,10 @@ def _simulate_cell(
     if _acts(build_mechanism(mechanism, config), shared.calls):
         result = Simulation(
             system_config,
-            traces,
+            shared.traces,
             mitigation=build_mechanism(mechanism, config),
-            step_mode=step_mode,
-        ).run(dram_cycles)
+            step_mode=shared.step_mode,
+        ).run(shared.dram_cycles)
         core_ipcs, overhead = tuple(result.core_ipcs), result.bandwidth_overhead_percent
     return MitigationCellUnit(
         mechanism=mechanism,
@@ -556,12 +570,6 @@ def _run_mitigation_unit(
     """Execute one Figure 10 work unit (a baseline or a grid cell)."""
     params = unit.param_dict
     mix = params["mix"]
-    system_config = SystemConfig(rows_per_bank=config.rows_per_bank)
-    traces = list(
-        _cached_mix_traces(
-            config.num_mixes, mix, config.rows_per_bank, config.requests_per_core, config.seed
-        )
-    )
     shared = _cached_shared_run(
         config.num_mixes,
         mix,
@@ -572,20 +580,9 @@ def _run_mitigation_unit(
         config.step_mode,
     )
     if params["kind"] == "baseline":
-        return _simulate_baseline(
-            system_config, traces, shared, mix, config.dram_cycles, config.step_mode
-        )
+        return _simulate_baseline(shared, mix)
     return _simulate_cell(
-        system_config,
-        traces,
-        shared,
-        params["mechanism"],
-        params["hcfirst"],
-        mix,
-        config.dram_cycles,
-        config.seed,
-        config.time_scale,
-        config.step_mode,
+        shared, params["mechanism"], params["hcfirst"], mix, config.seed, config.time_scale
     )
 
 
@@ -679,10 +676,19 @@ def run_mitigation_study(
 
     Runs the same baseline and cell units as the registered studies, mix by
     mix: each mix's traces and shared no-mitigation run are computed once
-    and shared by its baseline and every evaluation point (every
-    ``Simulation`` copies the per-core record lists it needs, and the
-    records themselves are immutable).
+    and shared by its baseline and every evaluation point.  The sweep
+    follows :class:`MitigationStudyConfig`'s rules and is checked before
+    any trace is built: a sweep the config rejects raises ``ValueError``.
     """
+    _check_sweep(
+        mechanisms,
+        hcfirst_values,
+        respect_design_constraints,
+        dram_cycles,
+        requests_per_core,
+        time_scale,
+        step_mode,
+    )
     config = system_config or SystemConfig(rows_per_bank=4096)
     mixes = list(workload_mixes) if workload_mixes is not None else make_workload_mixes(
         num_mixes=4, cores=config.cores, seed=seed
@@ -700,23 +706,8 @@ def run_mitigation_study(
             seed=seed,
         )
         shared = _run_shared(config, traces, dram_cycles, step_mode)
-        payloads.append(
-            _simulate_baseline(config, traces, shared, mix, dram_cycles, step_mode)
-        )
+        payloads.append(_simulate_baseline(shared, mix))
         for mechanism, hcfirst in points:
-            payloads.append(
-                _simulate_cell(
-                    config,
-                    traces,
-                    shared,
-                    mechanism,
-                    hcfirst,
-                    mix,
-                    dram_cycles,
-                    seed,
-                    time_scale,
-                    step_mode,
-                )
-            )
+            payloads.append(_simulate_cell(shared, mechanism, hcfirst, mix, seed, time_scale))
     return _aggregate(points, len(mixes), payloads)
 

@@ -76,9 +76,8 @@ def _decompose_coverage(config: CoverageStudyConfig) -> List[WorkUnit]:
                 "pattern": name,
                 "config": dataclasses.replace(config, patterns=(name,)),
             },
-            index=position,
         )
-        for position, name in enumerate(config.patterns)
+        for name in config.patterns
     ]
 
 

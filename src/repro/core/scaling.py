@@ -3,34 +3,16 @@
 The paper's mitigation study sweeps ``HC_first`` far below today's observed
 minimum (4.8k) because the characterization shows a clear downward trend
 from older to newer technology nodes.  This module fits that trend and
-produces the projected ``HC_first`` values the mitigation evaluation uses
-(Figure 10's x-axis, 200k down to 64).
+projects the minimum ``HC_first`` of future technology nodes.  Figure 10's
+sweep itself (200k down to 64) is
+:data:`repro.analysis.mitigation_study.DEFAULT_HCFIRST_SWEEP`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
-
-#: The HC_first values at which the paper evaluates mitigation mechanisms
-#: (Figure 10 sweeps from 200k down to 64 hammers).
-MITIGATION_EVALUATION_HCFIRST: Tuple[int, ...] = (
-    200_000,
-    100_000,
-    50_000,
-    25_600,
-    12_800,
-    6_400,
-    3_200,
-    2_000,
-    1_600,
-    1_024,
-    512,
-    256,
-    128,
-    64,
-)
+from typing import Dict, Optional, Sequence, Tuple
 
 #: Observed minimum HC_first per generation ordered oldest to newest, taken
 #: from Table 4 (the smallest value across manufacturers per type-node).

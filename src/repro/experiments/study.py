@@ -70,8 +70,8 @@ class WorkUnit:
 
     A unit is pure data (it must pickle into worker processes): the study it
     belongs to, a human-readable ``unit_id`` unique within one decomposition,
-    the shard parameters, and its position in decomposition order (``index``,
-    which fixes merge order).  ``params`` accepts any mapping or iterable of
+    and the shard parameters.  Its position in the decomposition's list
+    fixes merge order.  ``params`` accepts any mapping or iterable of
     ``(key, value)`` pairs and is normalised to a key-sorted tuple, so two
     units built from differently-ordered dicts compare, hash and digest
     identically.
@@ -88,7 +88,6 @@ class WorkUnit:
     study: str
     unit_id: str
     params: Any = ()
-    index: int = 0
 
     def __post_init__(self) -> None:
         params = self.params
@@ -113,9 +112,9 @@ class WorkUnit:
         Computed over the study name, the unit id and the canonical textual
         form of the parameters (keys sorted), so the digest is invariant
         under parameter-dict key order and across process restarts, and two
-        units with different parameters never share a digest.  ``index`` is
-        excluded: reordering a decomposition re-orders the merge, not the
-        units' cache identities.
+        units with different parameters never share a digest.  A unit's
+        position is not part of it: reordering a decomposition re-orders the
+        merge, not the units' cache identities.
 
         Computed once per unit and cached on the instance (a unit is
         frozen), so a unit's store lookup and its execution share one
@@ -195,10 +194,7 @@ class RegisteredStudy:
         """The study's work units for one config, in merge order.
 
         Undecomposed studies return a single implicit whole-study unit.
-        Unit ids must be unique within a decomposition (they key the cache);
-        ``index`` is normalised to the decomposition position (the built-in
-        decompositions build each unit at its position, so nothing is
-        rebuilt for them).
+        Unit ids must be unique within a decomposition (they key the cache).
         """
         if config is None:
             config = self.default_config()
@@ -206,7 +202,7 @@ class RegisteredStudy:
             return [WorkUnit(study=self.name, unit_id=WHOLE_STUDY_UNIT)]
         units: List[WorkUnit] = []
         seen_ids: set = set()
-        for position, unit in enumerate(self.decompose_fn(config)):
+        for unit in self.decompose_fn(config):
             if unit.study != self.name:
                 raise DecompositionError(
                     f"study {self.name!r} produced a unit for {unit.study!r}"
@@ -216,8 +212,6 @@ class RegisteredStudy:
                     f"study {self.name!r} produced duplicate unit id {unit.unit_id!r}"
                 )
             seen_ids.add(unit.unit_id)
-            if unit.index != position:
-                unit = dataclasses.replace(unit, index=position)
             units.append(unit)
         if not units:
             raise DecompositionError(f"study {self.name!r} decomposed into zero units")

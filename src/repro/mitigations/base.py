@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from repro.sim.timing import DDR4_2400, DramTimings
 
@@ -122,13 +122,9 @@ class MitigationMechanism(ABC):
 
     #: short name used in reports and the registry
     name: str = "abstract"
-    #: whether the mechanism's design scales to arbitrarily low HC_first
-    #: values (Section 6.1 discusses which mechanisms do not)
-    scalable: bool = True
 
     def __init__(self, config: MitigationConfig) -> None:
         self.config = config
-        self.victim_refreshes_requested = 0
 
     # ------------------------------------------------------------------
     # Hooks called by the memory controller
@@ -154,23 +150,6 @@ class MitigationMechanism(ABC):
     def refresh_interval_multiplier(self) -> float:
         """Scaling applied to tREFI (< 1 refreshes more often, 1 = nominal)."""
         return 1.0
-
-    # ------------------------------------------------------------------
-    # Reporting helpers
-    # ------------------------------------------------------------------
-    def _request(self, victims: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
-        """Record and return a list of requested victim refreshes."""
-        self.victim_refreshes_requested += len(victims)
-        return victims
-
-    def describe(self) -> Dict[str, object]:
-        """Human-readable description of the mechanism's configuration."""
-        return {
-            "name": self.name,
-            "hcfirst": self.config.hcfirst,
-            "scalable": self.scalable,
-            "victim_refreshes_requested": self.victim_refreshes_requested,
-        }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"{type(self).__name__}(hcfirst={self.config.hcfirst})"

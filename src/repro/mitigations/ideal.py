@@ -28,7 +28,6 @@ class IdealRefresh(MitigationMechanism):
     """
 
     name = "Ideal"
-    scalable = True
 
     def __init__(self, config: MitigationConfig) -> None:
         super().__init__(config)
@@ -54,7 +53,7 @@ class IdealRefresh(MitigationMechanism):
                 self._counters[key] = 0
             else:
                 self._counters[key] = count
-        return self._request(victims)
+        return victims
 
     def on_victim_refreshed(self, bank: int, row: int, cycle: int) -> None:
         self._counters[(bank, row)] = 0

@@ -14,13 +14,10 @@ other vulnerability levels, so the paper evaluates it at that single point.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from repro.mitigations.base import MitigationConfig, MitigationMechanism
 from repro.utils.rng import make_rng
-
-#: The HC_first value the published MRLoc design is tuned for.
-DESIGN_HCFIRST = 2_000
 
 
 class MRLoc(MitigationMechanism):
@@ -41,7 +38,6 @@ class MRLoc(MitigationMechanism):
     """
 
     name = "MRLoc"
-    scalable = False
 
     def __init__(
         self,
@@ -87,18 +83,9 @@ class MRLoc(MitigationMechanism):
                 self._queue[key] = self._insertions
                 if len(self._queue) > self.queue_entries:
                     self._queue.popitem(last=False)
-        return self._request(victims)
+        return victims
 
     def on_victim_refreshed(self, bank: int, row: int, cycle: int) -> None:
         # A refreshed victim is safe again; drop it from the queue so its
         # history does not inflate future refresh probabilities.
         self._queue.pop((bank, row), None)
-
-    def describe(self) -> Dict[str, object]:
-        info = super().describe()
-        info.update(
-            queue_entries=self.queue_entries,
-            base_probability=self.base_probability,
-            max_probability=self.max_probability,
-        )
-        return info

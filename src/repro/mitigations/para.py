@@ -55,7 +55,6 @@ class PARA(MitigationMechanism):
     """Probabilistic adjacent row activation."""
 
     name = "PARA"
-    scalable = True
 
     def __init__(
         self,
@@ -76,4 +75,4 @@ class PARA(MitigationMechanism):
         if not victims:
             return []
         victim = victims[int(self._rng.integers(0, len(victims)))]
-        return self._request([(bank, victim)])
+        return [(bank, victim)]

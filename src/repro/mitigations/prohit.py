@@ -20,13 +20,10 @@ which is why the paper evaluates it only at that point (Section 6.1).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.mitigations.base import MitigationConfig, MitigationMechanism
 from repro.utils.rng import make_rng
-
-#: The HC_first value the published ProHIT design is tuned for.
-DESIGN_HCFIRST = 2_000
 
 
 class ProHIT(MitigationMechanism):
@@ -47,9 +44,6 @@ class ProHIT(MitigationMechanism):
     """
 
     name = "ProHIT"
-    #: The paper cannot scale ProHIT to arbitrary HC_first values because the
-    #: published work gives no tuning model; it is evaluated at 2000 only.
-    scalable = False
 
     def __init__(
         self,
@@ -126,14 +120,4 @@ class ProHIT(MitigationMechanism):
         """Refresh the highest-priority hot entry alongside the periodic refresh."""
         if not self._hot:
             return []
-        victim = self._hot.pop(0)
-        return self._request([victim])
-
-    def describe(self) -> Dict[str, object]:
-        info = super().describe()
-        info.update(
-            hot_entries=self.hot_entries,
-            cold_entries=self.cold_entries,
-            insert_probability=self.insert_probability,
-        )
-        return info
+        return [self._hot.pop(0)]

@@ -14,9 +14,6 @@ from typing import List, Tuple
 
 from repro.mitigations.base import MitigationConfig, MitigationMechanism
 
-#: The paper treats the mechanism as non-viable below this HC_first.
-MINIMUM_VIABLE_HCFIRST = 32_000
-
 
 class IncreasedRefreshRate(MitigationMechanism):
     """Globally increase the DRAM refresh rate.
@@ -27,7 +24,6 @@ class IncreasedRefreshRate(MitigationMechanism):
     """
 
     name = "IncreasedRefresh"
-    scalable = False
 
     def __init__(self, config: MitigationConfig) -> None:
         super().__init__(config)
@@ -42,10 +38,6 @@ class IncreasedRefreshRate(MitigationMechanism):
         if self._multiplier <= 0:
             return float("inf")
         return 1.0 / self._multiplier
-
-    def is_viable(self) -> bool:
-        """Whether the paper considers the mechanism applicable at this HC_first."""
-        return self.config.hcfirst >= MINIMUM_VIABLE_HCFIRST
 
     def refresh_interval_multiplier(self) -> float:
         return self._multiplier

@@ -6,7 +6,7 @@ factories so the harness, examples and tests construct them uniformly.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 from repro.mitigations.base import MitigationConfig, MitigationMechanism
 from repro.mitigations.ideal import IdealRefresh
@@ -29,15 +29,20 @@ MECHANISM_FACTORIES: Dict[str, MechanismFactory] = {
     "Ideal": IdealRefresh,
 }
 
+#: The increased refresh rate and the published (non-ideal) TWiCe design do
+#: not scale below this HC_first (Section 6.1).
+SCALING_LIMIT_HCFIRST = 32_000
+#: The only HC_first ProHIT and MRLoc are tuned for (Section 6.1).
+TUNED_HCFIRST = 2_000
+
 #: HC_first ranges over which each mechanism can be meaningfully evaluated
-#: (Section 6.1): ProHIT and MRLoc are only tuned for HC_first = 2000; the
-#: increased refresh rate and non-ideal TWiCe do not scale below 32k.
+#: (Section 6.1); the Figure 10 harness skips a mechanism outside its range.
 EVALUATION_CONSTRAINTS: Dict[str, Callable[[int], bool]] = {
-    "IncreasedRefresh": lambda hcfirst: hcfirst >= 32_000,
+    "IncreasedRefresh": lambda hcfirst: hcfirst >= SCALING_LIMIT_HCFIRST,
     "PARA": lambda hcfirst: True,
-    "ProHIT": lambda hcfirst: hcfirst == 2_000,
-    "MRLoc": lambda hcfirst: hcfirst == 2_000,
-    "TWiCe": lambda hcfirst: hcfirst >= 32_000,
+    "ProHIT": lambda hcfirst: hcfirst == TUNED_HCFIRST,
+    "MRLoc": lambda hcfirst: hcfirst == TUNED_HCFIRST,
+    "TWiCe": lambda hcfirst: hcfirst >= SCALING_LIMIT_HCFIRST,
     "TWiCe-ideal": lambda hcfirst: True,
     "Ideal": lambda hcfirst: True,
 }

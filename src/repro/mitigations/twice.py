@@ -23,9 +23,6 @@ from typing import Dict, List, Tuple
 
 from repro.mitigations.base import MitigationConfig, MitigationMechanism
 
-#: Below this HC_first the published TWiCe design cannot prune its table.
-MINIMUM_VIABLE_HCFIRST = 32_000
-
 
 @dataclass
 class _TwiceEntry:
@@ -45,27 +42,22 @@ class TWiCe(MitigationMechanism):
     ideal:
         When true, models "TWiCe-ideal": the variant the paper evaluates for
         ``HC_first`` below 32k, which assumes the pruning-latency and
-        table-size problems of the real design are solved.
+        table-size problems of the real design are solved.  It simulates
+        exactly like TWiCe; only its name differs, and with it the
+        ``HC_first`` range the registry evaluates it over.
     """
 
     name = "TWiCe"
-    scalable = False
 
     def __init__(self, config: MitigationConfig, ideal: bool = False) -> None:
         super().__init__(config)
-        self.ideal = ideal
         if ideal:
             self.name = "TWiCe-ideal"
-            self.scalable = True
         self.row_hammer_threshold = max(1, int(config.scaled_hcfirst) // 4)
         refreshes_per_window = config.refreshes_per_window
         #: minimum activations-per-interval rate an entry must sustain to stay
         self.pruning_threshold = self.row_hammer_threshold / refreshes_per_window
         self._table: Dict[Tuple[int, int], _TwiceEntry] = {}
-
-    def is_viable(self) -> bool:
-        """Whether the published (non-ideal) design applies at this HC_first."""
-        return self.ideal or self.config.hcfirst >= MINIMUM_VIABLE_HCFIRST
 
     @property
     def table_size(self) -> int:
@@ -86,7 +78,7 @@ class TWiCe(MitigationMechanism):
             entry.activation_count += 1
             if entry.activation_count >= self.row_hammer_threshold:
                 victims.append(key)
-        return self._request(victims)
+        return victims
 
     def on_victim_refreshed(self, bank: int, row: int, cycle: int) -> None:
         # Refreshing the victim restores its charge; its tracking entry can
@@ -103,13 +95,3 @@ class TWiCe(MitigationMechanism):
         for key in to_prune:
             del self._table[key]
         return []
-
-    def describe(self) -> Dict[str, object]:
-        info = super().describe()
-        info.update(
-            ideal=self.ideal,
-            row_hammer_threshold=self.row_hammer_threshold,
-            pruning_threshold=self.pruning_threshold,
-            table_size=self.table_size,
-        )
-        return info

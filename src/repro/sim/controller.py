@@ -11,6 +11,10 @@ exposes two hooks to a RowHammer mitigation mechanism:
 * ``on_refresh(cycle)`` is called at every periodic refresh command (used by
   mechanisms such as ProHIT that piggyback victim refreshes on refresh).
 
+The mechanism interface is the only observer of the controller's commands:
+an observer of activations and victim refreshes (a chip model, say) wraps
+the mechanism and forwards its calls.
+
 The controller also accounts separately for the DRAM bank-time consumed by
 demand traffic, by nominal refresh, and by the mitigation mechanism, which
 is what the bandwidth-overhead metric of Figure 10a reports.
@@ -217,11 +221,6 @@ class MemoryController:
         #: Number of requests accepted into the queues; the simulation loop
         #: compares snapshots of this to detect whether cores injected work.
         self.enqueue_count = 0
-        #: Optional observers for co-simulation with a behavioural chip model:
-        #: called as ``hook(bank, row, cycle)`` on every demand activation /
-        #: victim refresh the controller issues.
-        self.activate_hook = None
-        self.victim_refresh_hook = None
 
     def _sync_bank(self, bank_index: int) -> None:
         """Refresh the flat per-bank mirrors after a bank mutation."""
@@ -475,8 +474,6 @@ class MemoryController:
                 self.victim_queue.pop(index)
                 if self.mitigation is not None:
                     self.mitigation.on_victim_refreshed(request.bank, request.row, cycle)
-                if self.victim_refresh_hook is not None:
-                    self.victim_refresh_hook(request.bank, request.row, cycle)
                 return True
         return False
 
@@ -520,8 +517,6 @@ class MemoryController:
                 self.stats.demand_busy_cycles += self.timings.trc
                 self._recount_hits(bank_index, request.row)
                 self._notify_activation(bank_index, request.row, cycle)
-                if self.activate_hook is not None:
-                    self.activate_hook(bank_index, request.row, cycle)
                 return True
         return False
 
@@ -640,8 +635,6 @@ class MemoryController:
                 self.victim_queue.pop(index)
                 if self.mitigation is not None:
                     self.mitigation.on_victim_refreshed(request.bank, request.row, cycle)
-                if self.victim_refresh_hook is not None:
-                    self.victim_refresh_hook(request.bank, request.row, cycle)
                 return None
             bound = bank.next_activate
             if rank_activate > bound:
@@ -757,8 +750,6 @@ class MemoryController:
             self.stats.demand_busy_cycles += self.timings.trc
             self._recount_hits(best_old_bank, row)
             self._notify_activation(best_old_bank, row, cycle)
-            if self.activate_hook is not None:
-                self.activate_hook(best_old_bank, row, cycle)
             return None
         return horizon
 

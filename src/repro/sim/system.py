@@ -36,8 +36,8 @@ through one of them in turn.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import List, Sequence
 
 from repro.sim.config import SystemConfig
 from repro.sim.controller import ControllerStats, MemoryController
@@ -45,7 +45,6 @@ from repro.sim.core import CoreStats, SimpleCore
 from repro.sim.events import EventQueue
 from repro.sim.metrics import bandwidth_overhead_percent
 from repro.sim.trace import TraceRecord
-from repro.sim.workloads import WorkloadMix
 
 #: Valid values of the ``step_mode`` flag.
 STEP_MODES = ("event", "cycle")
@@ -412,51 +411,3 @@ class Simulation:
         # Settle any remaining deferred stall time before reporting results.
         settle_deferred()
 
-
-def run_workload(
-    config: SystemConfig,
-    mix: WorkloadMix,
-    dram_cycles: int = 20_000,
-    requests_per_core: int = 4_000,
-    mitigation=None,
-    seed: int = 0,
-    step_mode: str = "event",
-) -> SimulationResult:
-    """Convenience wrapper: build traces for a mix and run it."""
-    traces = mix.build_traces(
-        banks=config.banks,
-        rows_per_bank=config.rows_per_bank,
-        columns_per_row=config.columns_per_row,
-        requests_per_core=requests_per_core,
-        seed=seed,
-    )
-    simulation = Simulation(config, traces, mitigation=mitigation, step_mode=step_mode)
-    return simulation.run(dram_cycles)
-
-
-def run_alone_ipcs(
-    config: SystemConfig,
-    mix: WorkloadMix,
-    dram_cycles: int = 20_000,
-    requests_per_core: int = 4_000,
-    seed: int = 0,
-    step_mode: str = "event",
-) -> List[float]:
-    """Per-benchmark alone IPCs (each benchmark run on the system by itself).
-
-    Used as the denominator of the weighted-speedup metric.  Results are
-    deterministic for a given seed, so callers typically cache them per mix.
-    """
-    traces = mix.build_traces(
-        banks=config.banks,
-        rows_per_bank=config.rows_per_bank,
-        columns_per_row=config.columns_per_row,
-        requests_per_core=requests_per_core,
-        seed=seed,
-    )
-    alone_ipcs: List[float] = []
-    for trace in traces:
-        simulation = Simulation(config, [trace], mitigation=None, step_mode=step_mode)
-        result = simulation.run(dram_cycles)
-        alone_ipcs.append(result.core_ipcs[0])
-    return alone_ipcs

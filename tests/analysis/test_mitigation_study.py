@@ -29,7 +29,7 @@ from repro.mitigations.registry import available_mechanisms, build_mechanism, is
 from repro.sim.config import SystemConfig
 from repro.sim.system import Simulation
 from repro.sim.timing import DDR4_2400
-from repro.sim.workloads import make_workload_mixes
+from repro.sim.workloads import WorkloadMix, make_workload_mixes
 
 UNIT_SYSTEM = SystemConfig(cores=2, banks=4, rows_per_bank=256)
 UNIT_CYCLES = 2_000
@@ -55,6 +55,8 @@ class TestMitigationStudy:
     def test_default_sweep_matches_paper_range(self):
         assert max(DEFAULT_HCFIRST_SWEEP) == 200_000
         assert min(DEFAULT_HCFIRST_SWEEP) == 64
+        # ProHIT and MRLoc are evaluated only at their 2k design point.
+        assert 2_000 in DEFAULT_HCFIRST_SWEEP
 
     def test_no_mixes_give_an_empty_result(self):
         assert run_mitigation_study(workload_mixes=[]).points == []
@@ -94,6 +96,37 @@ class TestMitigationStudy:
         assert set(small_study.mechanisms()) <= {"PARA", "Ideal", "TWiCe-ideal", "ProHIT"}
 
 
+class TestSweepChecks:
+    """``run_mitigation_study`` rejects what the config rejects, up front."""
+
+    @pytest.mark.parametrize(
+        "sweep,match",
+        [
+            (dict(mechanisms=["PARA", "PARA"]), "mechanisms must not repeat"),
+            (dict(hcfirst_values=[2_000, 2_000]), "hcfirst_values must not repeat"),
+            (dict(mechanisms=[]), "at least one mechanism"),
+            (dict(mechanisms=["PARA", "Nope"]), "unknown mechanism 'Nope'"),
+            (dict(hcfirst_values=[0]), "positive"),
+            (dict(time_scale=0.0), "time_scale"),
+            (dict(mechanisms=["ProHIT"], hcfirst_values=[64]), "evaluable"),
+        ],
+    )
+    def test_bad_sweep_fails_before_any_simulation(self, sweep, match, monkeypatch):
+        runs = count_simulation_runs(monkeypatch)
+        builds = count_trace_builds(monkeypatch)
+        system = SystemConfig(rows_per_bank=512)
+        with pytest.raises(ValueError, match=match):
+            run_mitigation_study(
+                system_config=system,
+                workload_mixes=make_workload_mixes(num_mixes=2, cores=system.cores, seed=3),
+                dram_cycles=2_000,
+                requests_per_core=400,
+                seed=3,
+                **sweep,
+            )
+        assert runs == [] and builds == []
+
+
 def unit_traces(seed=2):
     mix = make_workload_mixes(num_mixes=1, cores=UNIT_SYSTEM.cores, seed=seed)[0]
     return mix.build_traces(
@@ -111,19 +144,7 @@ def shared_run(traces, step_mode="event"):
 
 def simulate_cell(mix, seed, step_mode="event"):
     """A PARA cell at an HC_first where PARA's draws, not certainty, decide."""
-    traces = unit_traces()
-    return _simulate_cell(
-        UNIT_SYSTEM,
-        traces,
-        shared_run(traces, step_mode),
-        "PARA",
-        256,
-        mix,
-        UNIT_CYCLES,
-        seed,
-        1.0,
-        step_mode,
-    )
+    return _simulate_cell(shared_run(unit_traces(), step_mode), "PARA", 256, mix, seed, 1.0)
 
 
 class TestSimulatedUnits:
@@ -131,9 +152,7 @@ class TestSimulatedUnits:
 
     def test_baseline_unit_is_shared_run_plus_alone_runs(self):
         traces = unit_traces()
-        unit = _simulate_baseline(
-            UNIT_SYSTEM, traces, shared_run(traces), 1, UNIT_CYCLES, "event"
-        )
+        unit = _simulate_baseline(shared_run(traces), 1)
         shared = Simulation(UNIT_SYSTEM, traces).run(UNIT_CYCLES)
         alone = [Simulation(UNIT_SYSTEM, [trace]).run(UNIT_CYCLES) for trace in traces]
         assert unit == MitigationBaselineUnit(
@@ -146,12 +165,8 @@ class TestSimulatedUnits:
 
     def test_baseline_unit_identical_across_step_modes(self):
         traces = unit_traces()
-        event = _simulate_baseline(
-            UNIT_SYSTEM, traces, shared_run(traces, "event"), 0, UNIT_CYCLES, "event"
-        )
-        cycle = _simulate_baseline(
-            UNIT_SYSTEM, traces, shared_run(traces, "cycle"), 0, UNIT_CYCLES, "cycle"
-        )
+        event = _simulate_baseline(shared_run(traces, "event"), 0)
+        cycle = _simulate_baseline(shared_run(traces, "cycle"), 0)
         assert event == cycle
 
     def test_cell_unit_identical_across_step_modes(self):
@@ -256,6 +271,15 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=match):
             config_cls(**{field: value})
 
+    def test_rejects_a_grid_with_no_evaluable_point(self):
+        """ProHIT is evaluated only at 2k, so this sweep would run every
+        mix's baseline and merge to no point at all."""
+        with pytest.raises(ValueError, match="evaluable"):
+            MitigationStudyConfig(mechanisms=("ProHIT",), hcfirst_values=(64,))
+        MitigationStudyConfig(
+            mechanisms=("ProHIT",), hcfirst_values=(64,), respect_design_constraints=False
+        )
+
 
 def count_simulation_runs(monkeypatch):
     """Patch ``Simulation.run`` to log (step mode, mechanism type) per call."""
@@ -268,6 +292,19 @@ def count_simulation_runs(monkeypatch):
 
     monkeypatch.setattr(Simulation, "run", run)
     return runs
+
+
+def count_trace_builds(monkeypatch):
+    """Patch ``WorkloadMix.build_traces`` to log the mix of each call."""
+    builds = []
+    original = WorkloadMix.build_traces
+
+    def build_traces(mix, *args, **kwargs):
+        builds.append(mix.name)
+        return original(mix, *args, **kwargs)
+
+    monkeypatch.setattr(WorkloadMix, "build_traces", build_traces)
+    return builds
 
 
 class _Spy:
@@ -407,10 +444,7 @@ class TestIdleCells:
                 for hcfirst in (200_000, 2_000, 64):
                     for time_scale in (1.0, 0.01):
                         before = len(runs)
-                        unit = _simulate_cell(
-                            IDLE_SYSTEM, traces, shared, name, hcfirst, mix,
-                            UNIT_CYCLES, IDLE_SEED, time_scale, step_mode,
-                        )
+                        unit = _simulate_cell(shared, name, hcfirst, mix, IDLE_SEED, time_scale)
                         simulated = len(runs) - before
                         spy = _Spy(
                             build_cell_mechanism(
@@ -447,9 +481,12 @@ class TestIdleCells:
         # The memo outlives a session; start from an empty one.
         _cached_shared_run.cache_clear()
         runs = count_simulation_runs(monkeypatch)
+        builds = count_trace_builds(monkeypatch)
         ExperimentSession(executor=SerialExecutor()).run("fig10-mitigations", config)
         cores = SystemConfig().cores
         assert len(runs) == config.num_mixes * (1 + cores) + acting
+        # One memo: each mix's traces are built once, with its shared run.
+        assert len(builds) == len(set(builds)) == config.num_mixes
 
     def test_cycle_mode_study_simulates_its_own_baselines(self, monkeypatch):
         event = MitigationStudyConfig(
@@ -463,11 +500,15 @@ class TestIdleCells:
         )
         session = ExperimentSession(executor=SerialExecutor())
         _cached_shared_run.cache_clear()
+        builds = count_trace_builds(monkeypatch)
         expected = session.run("fig10-mitigations", event).payloads()
+        assert len(builds) == event.num_mixes
         runs = count_simulation_runs(monkeypatch)
         cycle = session.run("fig10-mitigations", dataclasses.replace(event, step_mode="cycle"))
         assert [mode for mode, _ in runs] == ["cycle"] * len(runs)
         assert sum(kind is _CallRecorder for _, kind in runs) == event.num_mixes
+        # The cycle-mode shared runs build their own traces, once per mix.
+        assert len(builds) == 2 * event.num_mixes
         assert cycle.payloads() == expected
 
     def test_threads_filling_the_memo_get_the_serial_payloads(self):

@@ -11,11 +11,7 @@ from repro.core.data_patterns import STANDARD_PATTERNS, worst_case_pattern
 from repro.core.ecc_analysis import EccWordStudyConfig, run_ecc_word_analysis
 from repro.core.first_flip import HCFirstStudyConfig
 from repro.core.probability import ProbabilityStudyConfig, run_flip_probability_study
-from repro.core.scaling import (
-    MITIGATION_EVALUATION_HCFIRST,
-    fit_scaling_trend,
-    project_future_hcfirst,
-)
+from repro.core.scaling import fit_scaling_trend, project_future_hcfirst
 from repro.core.spatial import (
     SpatialStudyConfig,
     flips_in_aggressor_rows,
@@ -246,11 +242,6 @@ class TestScaling:
         projection = fit_scaling_trend()
         generations = projection.generations_until(128)
         assert generations is not None and generations > 0
-
-    def test_mitigation_sweep_covers_paper_range(self):
-        assert max(MITIGATION_EVALUATION_HCFIRST) == 200_000
-        assert min(MITIGATION_EVALUATION_HCFIRST) == 64
-        assert 2_000 in MITIGATION_EVALUATION_HCFIRST
 
     def test_fit_requires_two_points(self):
         with pytest.raises(ValueError):

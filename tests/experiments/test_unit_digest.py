@@ -57,12 +57,6 @@ class TestDigestProperties:
         expected = hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
         assert unit.digest == expected
 
-    @given(params=param_dicts, index=st.integers(0, 1000))
-    def test_digest_ignores_decomposition_index(self, params, index):
-        a = WorkUnit(study="probe", unit_id="u", params=params, index=0)
-        b = WorkUnit(study="probe", unit_id="u", params=params, index=index)
-        assert a.digest == b.digest
-
     @given(
         mechanisms=st.lists(
             st.sampled_from(DEFAULT_MECHANISMS), unique=True, min_size=1

@@ -53,10 +53,6 @@ class TestIncreasedRefreshRate:
         mechanism = IncreasedRefreshRate(config(10_000_000))
         assert mechanism.refresh_interval_multiplier() == pytest.approx(1.0)
 
-    def test_viability_threshold(self):
-        assert IncreasedRefreshRate(config(50_000)).is_viable()
-        assert not IncreasedRefreshRate(config(4_800)).is_viable()
-
     def test_never_requests_victim_refreshes(self):
         mechanism = IncreasedRefreshRate(config(10_000))
         assert mechanism.on_activate(0, 10, cycle=0) == []
@@ -157,10 +153,10 @@ class TestTWiCe:
         assert mechanism.table_size == 0
 
     def test_viability_and_ideal_variant(self):
-        assert not TWiCe(config(4_800)).is_viable()
-        ideal = TWiCe(config(4_800), ideal=True)
-        assert ideal.is_viable()
-        assert ideal.name == "TWiCe-ideal"
+        assert is_evaluable("TWiCe", 50_000)
+        assert not is_evaluable("TWiCe", 4_800)
+        assert is_evaluable("TWiCe-ideal", 4_800)
+        assert TWiCe(config(4_800), ideal=True).name == "TWiCe-ideal"
 
     def test_time_scale_shrinks_threshold(self):
         nominal = TWiCe(config(100_000))
@@ -219,6 +215,7 @@ class TestRegistry:
         assert is_evaluable("ProHIT", 2_000)
         assert not is_evaluable("ProHIT", 4_800)
         assert not is_evaluable("MRLoc", 64)
+        assert is_evaluable("IncreasedRefresh", 50_000)
         assert not is_evaluable("IncreasedRefresh", 4_800)
         assert not is_evaluable("TWiCe", 4_800)
         assert is_evaluable("TWiCe-ideal", 64)

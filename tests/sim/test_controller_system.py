@@ -13,7 +13,7 @@ from repro.sim.metrics import (
     weighted_speedup,
 )
 from repro.sim.requests import MemoryRequest, RequestType
-from repro.sim.system import Simulation, run_alone_ipcs, run_workload
+from repro.sim.system import Simulation
 from repro.sim.trace import AggressorTraceGenerator, SyntheticTraceGenerator, TraceRecord
 from repro.sim.workloads import SPEC_LIKE_BENCHMARKS, make_workload_mixes, mix_mpki_range
 
@@ -203,10 +203,17 @@ class TestSystem:
         result = Simulation(small_system, [light, heavy]).run(4_000)
         assert result.core_ipcs[0] > result.core_ipcs[1]
 
-    def test_run_workload_and_alone_ipcs(self, small_system):
+    def test_alone_runs_are_not_slower_than_the_shared_run(self, small_system):
         mix = make_workload_mixes(num_mixes=1, cores=2, seed=4)[0]
-        shared = run_workload(small_system, mix, dram_cycles=2_000, requests_per_core=500)
-        alone = run_alone_ipcs(small_system, mix, dram_cycles=2_000, requests_per_core=500)
+        traces = mix.build_traces(
+            banks=small_system.banks,
+            rows_per_bank=small_system.rows_per_bank,
+            columns_per_row=small_system.columns_per_row,
+            requests_per_core=500,
+            seed=0,
+        )
+        shared = Simulation(small_system, traces).run(2_000)
+        alone = [Simulation(small_system, [trace]).run(2_000).core_ipcs[0] for trace in traces]
         assert len(alone) == 2
         # Running alone can never be slower than sharing the memory system.
         for shared_ipc, alone_ipc in zip(shared.core_ipcs, alone):
