@@ -30,7 +30,7 @@ BENCH_GEOMETRY = ChipGeometry(banks=1, rows_per_bank=48, row_bytes=32)
 #: variation.
 CHIPS_PER_CONFIG = 3
 
-#: Seed of the benchmark population and session.
+#: Seed of the benchmark population.
 BENCH_SEED = 2024
 
 
@@ -56,7 +56,7 @@ def bench_session(bench_population, bench_store):
     benchmarks sharing a (study, config, chip) triple -- Table 4 + Figure 8
     versus Table 2 -- do the hammering only once.
     """
-    return ExperimentSession(bench_population, store=bench_store, seed=BENCH_SEED)
+    return ExperimentSession(bench_population, store=bench_store)
 
 
 @pytest.fixture(scope="session")

@@ -42,7 +42,7 @@ def main() -> None:
     type_node = sys.argv[1] if len(sys.argv) > 1 else "DDR4-new"
     manufacturer = sys.argv[2] if len(sys.argv) > 2 else "A"
     chip = make_chip(type_node, manufacturer, seed=3, geometry=GEOMETRY)
-    session = ExperimentSession(chip, seed=3)
+    session = ExperimentSession(chip)
     print(f"characterizing {chip.chip_id}\n")
 
     # HC_first (Figure 8 / Table 4).

@@ -78,7 +78,7 @@ def main() -> None:
         #        --study fig10-mitigations --config-json '{...}'
         # --------------------------------------------------------------
         service_run = ExperimentSession(
-            executor=ServiceExecutor(host, port, label="example-fig10"), seed=3
+            executor=ServiceExecutor(host, port, label="example-fig10")
         ).run("fig10-mitigations", CONFIG)
         print(
             f"service run: {service_run.units_total} units, "
@@ -99,11 +99,9 @@ def main() -> None:
     # 4. Bit identity: the fleet's merged payload equals a local serial
     # run's, point for point.
     # ------------------------------------------------------------------
-    serial_run = ExperimentSession(executor=SerialExecutor(), seed=3).run(
-        "fig10-mitigations", CONFIG
-    )
-    service_points = [p.to_dict() for p in service_run.single().points]
-    serial_points = [p.to_dict() for p in serial_run.single().points]
+    serial_run = ExperimentSession(executor=SerialExecutor()).run("fig10-mitigations", CONFIG)
+    service_points = service_run.single().points
+    serial_points = serial_run.single().points
     assert service_points == serial_points
     print(f"bit identity: {len(service_points)} evaluation points match exactly")
 
@@ -111,11 +109,9 @@ def main() -> None:
     # 5. Shared store: the scheduler checkpointed every unit, so a local
     # session over the same directory replays the sweep from cache.
     # ------------------------------------------------------------------
-    replay = ExperimentSession(store=ResultStore(store_root), seed=3).run(
-        "fig10-mitigations", CONFIG
-    )
+    replay = ExperimentSession(store=ResultStore(store_root)).run("fig10-mitigations", CONFIG)
     assert replay.executed == 0 and replay.cache_hits == replay.units_total
-    assert [p.to_dict() for p in replay.single().points] == serial_points
+    assert replay.single().points == serial_points
     print(
         f"shared-store replay: {replay.cache_hits}/{replay.units_total} units "
         "from cache, zero recomputation"

@@ -48,7 +48,7 @@ def main() -> None:
 
     # 3. Find HC_first through the session API: every paper analysis is a
     #    registered study a session can run over any chip population.
-    session = ExperimentSession(chip, seed=1)
+    session = ExperimentSession(chip)
     hcfirst = session.run("fig8-hcfirst").single()
     print(f"\nHC_first search: {hcfirst.hcfirst} hammers (victim row {hcfirst.victim_row})")
 
@@ -66,7 +66,7 @@ def main() -> None:
         )
         for type_node in ("DDR4-old", "DDR4-new", "LPDDR4-1x", "LPDDR4-1y")
     ]
-    generations = ExperimentSession(generation_chips, seed=7)
+    generations = ExperimentSession(generation_chips)
     print("\nHC_first across generations (manufacturer A, weakest chip per generation):")
     for generation_result in generations.run("fig8-hcfirst").payloads():
         profile = profile_for(generation_result.type_node, "A")

@@ -133,7 +133,7 @@ def main() -> None:
         geometry=GEOMETRY,
         configurations=[("DDR4-new", "A"), ("LPDDR4-1y", "A")],
     )
-    session = ExperimentSession(population, seed=42)
+    session = ExperimentSession(population)
     outcome = session.run("demo-victim-flips")
     print(f"\nserial run over {len(session.chips)} chips:")
     for payload in outcome.payloads():
@@ -142,7 +142,7 @@ def main() -> None:
     # ------------------------------------------------------------------
     # 3. Same study through a process pool: bit-identical results.
     # ------------------------------------------------------------------
-    parallel = ExperimentSession(population, executor=ParallelExecutor(), seed=42)
+    parallel = ExperimentSession(population, executor=ParallelExecutor())
     parallel_outcome = parallel.run("demo-victim-flips")
     assert parallel_outcome.payloads() == outcome.payloads()
     print("\nparallel run matches the serial run bit for bit")
@@ -151,7 +151,7 @@ def main() -> None:
     # 4. Cached rerun: a stored result replays without touching the chip.
     # ------------------------------------------------------------------
     store = ResultStore(tempfile.mkdtemp(prefix="repro-store-"))
-    cached_session = ExperimentSession(population, store=store, seed=42)
+    cached_session = ExperimentSession(population, store=store)
     first = cached_session.run("demo-victim-flips")
     for chip in cached_session.chips:
         chip.stats.reset()
@@ -170,7 +170,7 @@ def main() -> None:
     # ------------------------------------------------------------------
     store_root = tempfile.mkdtemp(prefix="repro-shard-store-")
     chip = session.chips[0]
-    sweep_session = ExperimentSession(chip, store=ResultStore(store_root), seed=42)
+    sweep_session = ExperimentSession(chip, store=ResultStore(store_root))
     sweep = sweep_session.run("demo-flip-sweep")
     print(
         f"\nsharded sweep: {sweep.executed} work units executed "
@@ -182,7 +182,7 @@ def main() -> None:
     shard_store = ResultStore(store_root)
     unit_files = shard_store.entry_paths("demo-flip-sweep", units_only=True)
     unit_files[0].unlink()
-    resumed = ExperimentSession(chip, store=ResultStore(store_root), seed=42).run(
+    resumed = ExperimentSession(chip, store=ResultStore(store_root)).run(
         "demo-flip-sweep"
     )
     print(

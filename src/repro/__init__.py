@@ -67,7 +67,6 @@ from repro.experiments import (
     SerialExecutor,
     ServiceExecutor,
     SessionRunResult,
-    Study,
     StudyResult,
     WorkUnit,
     get_study,
@@ -102,7 +101,6 @@ __all__ = [
     "ParallelExecutor",
     "ServiceExecutor",
     "ResultStore",
-    "Study",
     "StudyResult",
     "WorkUnit",
     "get_study",

@@ -111,19 +111,6 @@ class MitigationStudyPoint:
     bandwidth_overhead_max: float
     workloads_evaluated: int
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "mechanism": self.mechanism,
-            "hcfirst": self.hcfirst,
-            "normalized_performance_avg": self.normalized_performance_avg,
-            "normalized_performance_min": self.normalized_performance_min,
-            "normalized_performance_max": self.normalized_performance_max,
-            "bandwidth_overhead_avg": self.bandwidth_overhead_avg,
-            "bandwidth_overhead_min": self.bandwidth_overhead_min,
-            "bandwidth_overhead_max": self.bandwidth_overhead_max,
-            "workloads_evaluated": self.workloads_evaluated,
-        }
-
 
 @dataclass
 class MitigationStudyResult:

@@ -12,6 +12,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 from repro.core.first_flip import HCFirstResult
 from repro.core.results import CoverageResult, ProbabilityResult
 from repro.dram.population import TABLE1_POPULATION
+from repro.dram.vulnerability import MANUFACTURERS, PROFILES, TypeNode
 
 ConfigKey = Tuple[str, str]  # (type-node, manufacturer)
 
@@ -120,13 +121,14 @@ def build_table5_monotonicity(
 
 
 #: Reference values from the paper for side-by-side comparison in reports.
+#: Table 4 is read off the calibrated profiles, which hold its minima;
+#: ``None`` marks a configuration the paper did not test.
 PAPER_TABLE4_MIN_HCFIRST_K: Dict[str, Dict[str, Optional[float]]] = {
-    "DDR3-old": {"A": 69.2, "B": 157.0, "C": 155.0},
-    "DDR3-new": {"A": 85.0, "B": 22.4, "C": 24.0},
-    "DDR4-old": {"A": 17.5, "B": 30.0, "C": 87.0},
-    "DDR4-new": {"A": 10.0, "B": 25.0, "C": 40.0},
-    "LPDDR4-1x": {"A": 43.2, "B": 16.8, "C": None},
-    "LPDDR4-1y": {"A": 4.8, "B": None, "C": 9.6},
+    type_node.value: {
+        manufacturer: getattr(PROFILES.get((type_node, manufacturer)), "hcfirst_min_k", None)
+        for manufacturer in MANUFACTURERS
+    }
+    for type_node in TypeNode
 }
 
 PAPER_TABLE3_WORST_PATTERNS: Dict[str, Dict[str, Optional[str]]] = {

@@ -15,7 +15,7 @@ characterization engineer would use:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 from repro.core.characterization import RowHammerCharacterizer
 from repro.core.data_patterns import DataPattern, check_pattern, resolve_pattern
@@ -69,19 +69,6 @@ class HCFirstResult:
     def rowhammerable(self) -> bool:
         """Whether any bit flip was induced within the hammer limit."""
         return self.hcfirst is not None
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "chip_id": self.chip_id,
-            "type_node": self.type_node,
-            "manufacturer": self.manufacturer,
-            "hcfirst": self.hcfirst,
-            "victim_row": self.victim_row,
-            "hammer_limit": self.hammer_limit,
-            "data_pattern": self.data_pattern,
-            "rowhammerable": self.rowhammerable,
-            "candidates_examined": self.candidates_examined,
-        }
 
 
 @register_study("fig8-hcfirst", config=HCFirstStudyConfig)

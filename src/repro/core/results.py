@@ -1,16 +1,14 @@
 """Shared result containers for characterization studies.
 
-Results are plain dataclasses with dictionary serialization so that
-benchmark harnesses can dump them as JSON-compatible structures and the
-analysis layer can aggregate them across chips and configurations.
+Results are plain dataclasses: two results are the same when they compare
+equal, and the analysis layer aggregates them across chips and
+configurations.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
-
-from repro.core.data_patterns import DataPattern
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Tuple
 
 
 @dataclass
@@ -28,11 +26,6 @@ class SweepPoint:
             return 0.0
         return self.bit_flips / self.cells_tested
 
-    def to_dict(self) -> Dict[str, object]:
-        data = asdict(self)
-        data["flip_rate"] = self.flip_rate
-        return data
-
 
 @dataclass
 class SweepResult:
@@ -49,15 +42,6 @@ class SweepResult:
 
     def flip_rates(self) -> List[float]:
         return [point.flip_rate for point in self.points]
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "chip_id": self.chip_id,
-            "type_node": self.type_node,
-            "manufacturer": self.manufacturer,
-            "data_pattern": self.data_pattern,
-            "points": [point.to_dict() for point in self.points],
-        }
 
 
 @dataclass
@@ -78,18 +62,6 @@ class CoverageResult:
         if not self.coverage_by_pattern:
             return None
         return max(self.coverage_by_pattern, key=self.coverage_by_pattern.get)
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "chip_id": self.chip_id,
-            "type_node": self.type_node,
-            "manufacturer": self.manufacturer,
-            "hammer_count": self.hammer_count,
-            "unique_flips_total": self.unique_flips_total,
-            "coverage_by_pattern": dict(self.coverage_by_pattern),
-            "flips_by_pattern": dict(self.flips_by_pattern),
-            "worst_case_pattern": self.worst_case_pattern,
-        }
 
 
 @dataclass
@@ -118,18 +90,6 @@ class SpatialResult:
         offsets = [abs(o) for o, count in self.flips_by_offset.items() if count > 0]
         return max(offsets) if offsets else 0
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "chip_id": self.chip_id,
-            "type_node": self.type_node,
-            "manufacturer": self.manufacturer,
-            "hammer_count": self.hammer_count,
-            "flips_by_offset": {str(k): v for k, v in sorted(self.flips_by_offset.items())},
-            "fraction_by_offset": {
-                str(k): v for k, v in sorted(self.fraction_by_offset().items())
-            },
-        }
-
 
 @dataclass
 class WordDensityResult:
@@ -156,18 +116,6 @@ class WordDensityResult:
         populated = [n for n, count in self.words_by_flip_count.items() if count > 0]
         return max(populated) if populated else 0
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "chip_id": self.chip_id,
-            "type_node": self.type_node,
-            "manufacturer": self.manufacturer,
-            "hammer_count": self.hammer_count,
-            "words_by_flip_count": {str(k): v for k, v in sorted(self.words_by_flip_count.items())},
-            "fraction_by_flip_count": {
-                str(k): v for k, v in sorted(self.fraction_by_flip_count().items())
-            },
-        }
-
 
 @dataclass
 class EccWordAnalysis:
@@ -186,17 +134,6 @@ class EccWordAnalysis:
         if low is None or high is None or low == 0:
             return None
         return high / low
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "chip_id": self.chip_id,
-            "type_node": self.type_node,
-            "manufacturer": self.manufacturer,
-            "word_bits": self.word_bits,
-            "hc_first_word_with": {str(k): v for k, v in sorted(self.hc_first_word_with.items())},
-            "multiplier_1_to_2": self.multiplier(1, 2),
-            "multiplier_2_to_3": self.multiplier(2, 3),
-        }
 
 
 @dataclass
@@ -217,8 +154,3 @@ class ProbabilityResult:
         if self.cells_observed == 0:
             return 0.0
         return self.cells_monotonic / self.cells_observed
-
-    def to_dict(self) -> Dict[str, object]:
-        data = asdict(self)
-        data["monotonic_fraction"] = self.monotonic_fraction
-        return data

@@ -14,15 +14,17 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
+from repro.dram.vulnerability import PROFILES, TypeNode
+
 #: Observed minimum HC_first per generation ordered oldest to newest, taken
-#: from Table 4 (the smallest value across manufacturers per type-node).
-OBSERVED_GENERATION_MINIMA: Tuple[Tuple[str, float], ...] = (
-    ("DDR3-old", 69_200.0),
-    ("DDR3-new", 22_400.0),
-    ("DDR4-old", 17_500.0),
-    ("DDR4-new", 10_000.0),
-    ("LPDDR4-1x", 16_800.0),
-    ("LPDDR4-1y", 4_800.0),
+#: from Table 4 (the smallest value across manufacturers per type-node) as
+#: the calibrated profiles hold it.
+OBSERVED_GENERATION_MINIMA: Tuple[Tuple[str, float], ...] = tuple(
+    (
+        type_node.value,
+        min(profile.hcfirst_min for (node, _), profile in PROFILES.items() if node is type_node),
+    )
+    for type_node in TypeNode
 )
 
 

@@ -1,9 +1,9 @@
 """Unified experiment orchestration: studies, work units, executors, cache.
 
 Every paper analysis is exposed as a named *study* (see
-:func:`list_studies`) with a frozen config dataclass and a uniform
-``run(chip) -> payload`` contract.  An :class:`ExperimentSession` owns a
-chip population, fans studies out across it via pluggable executors
+:func:`list_studies`) with a frozen config dataclass and a registered
+function ``fn(chip, config) -> payload``.  An :class:`ExperimentSession`
+owns a chip population, fans studies out across it via pluggable executors
 (:class:`SerialExecutor`, process-pool :class:`ParallelExecutor` with
 bit-identical results), and caches results in a :class:`ResultStore` so
 work is never repeated across benchmarks or runs.
@@ -71,7 +71,6 @@ from repro.experiments.study import (
     DecompositionError,
     DuplicateStudyError,
     RegisteredStudy,
-    Study,
     StudyResult,
     UnknownStudyError,
     WorkUnit,
@@ -105,7 +104,6 @@ __all__ = [
     "SerialExecutor",
     "ServiceExecutor",
     "SessionRunResult",
-    "Study",
     "StudyResult",
     "StudyTask",
     "TaskOutcome",

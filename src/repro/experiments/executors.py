@@ -46,20 +46,16 @@ from repro.experiments.study import StudyResult, WorkUnit, config_digest, get_st
 class StudyTask:
     """One unit of executor work: run ``study`` with ``config`` on ``chip``.
 
-    ``seed`` is the per-task stream derived by the session from its own
-    seed, the study name and the chip identity; it is recorded on the
-    resulting :class:`~repro.experiments.study.StudyResult` so downstream
-    consumers can reproduce any task in isolation.
-
     ``unit`` selects one shard of a decomposed study (see
     :class:`~repro.experiments.study.WorkUnit`); an undecomposed study runs
-    as its single implicit whole-study unit.
+    as its single implicit whole-study unit.  These four fields are all a
+    task's outcome depends on: a chip's behaviour follows from its
+    construction parameters, its seed among them.
     """
 
     study: str
     config: Any
     chip: Optional[DramChip]
-    seed: int
     unit: WorkUnit
 
 
@@ -100,7 +96,6 @@ def execute_task(task: StudyTask) -> TaskOutcome:
         chip_id=chip.chip_id if chip is not None else None,
         type_node=chip.profile.type_node.value if chip is not None else None,
         manufacturer=chip.profile.manufacturer if chip is not None else None,
-        seed=task.seed,
         payload=payload,
         elapsed_s=elapsed,
         unit_id=task.unit.unit_id,
@@ -115,10 +110,11 @@ class Executor:
     Subclasses implement :meth:`iter_outcomes`, which must yield one
     outcome per task *in task order* -- the session relies on this to keep
     results aligned with chips and to make parallel runs reproduce serial
-    runs -- and should yield each outcome *as soon as* its in-order turn
-    completes.  That is what lets the session checkpoint every finished
-    work unit into the result store before the batch is done (a killed run
-    then resumes from the units that made it to disk).
+    runs, and fails a run that gets fewer -- and should yield each outcome
+    *as soon as* its in-order turn completes.  That is what lets the
+    session checkpoint every finished work unit into the result store
+    before the batch is done (a killed run then resumes from the units
+    that made it to disk).
     """
 
     name = "base"
@@ -149,20 +145,17 @@ class ParallelExecutor(Executor):
     max_workers:
         Worker process count; defaults to ``os.cpu_count()`` capped at the
         number of tasks per batch.
-    chunksize:
-        Tasks shipped to a worker per round trip.  The default of 1 gives
-        the best load balance for the coarse-grained tasks studies produce.
+
+    Tasks are shipped one per round trip, which gives the best load
+    balance for the coarse-grained tasks studies produce.
     """
 
     name = "parallel"
 
-    def __init__(self, max_workers: Optional[int] = None, chunksize: int = 1) -> None:
+    def __init__(self, max_workers: Optional[int] = None) -> None:
         if max_workers is not None and max_workers < 1:
             raise ValueError("max_workers must be at least 1")
-        if chunksize < 1:
-            raise ValueError("chunksize must be at least 1")
         self.max_workers = max_workers
-        self.chunksize = chunksize
 
     def iter_outcomes(self, tasks: Sequence[StudyTask]) -> Iterator[TaskOutcome]:
         tasks = list(tasks)
@@ -179,7 +172,7 @@ class ParallelExecutor(Executor):
             # bit-identical (and identically ordered) to SerialExecutor, and
             # yields each outcome as soon as its in-order turn completes, so
             # the consuming session can checkpoint units while others run.
-            yield from pool.map(execute_task, tasks, chunksize=self.chunksize)
+            yield from pool.map(execute_task, tasks)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"ParallelExecutor(max_workers={self.max_workers})"

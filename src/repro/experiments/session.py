@@ -24,14 +24,7 @@ from repro.dram.module import DramModule
 from repro.dram.population import flatten_population, make_population
 from repro.experiments.executors import Executor, SerialExecutor, StudyTask
 from repro.experiments.store import CacheKey, ResultStore
-from repro.experiments.study import (
-    RegisteredStudy,
-    StudyResult,
-    WorkUnit,
-    config_digest,
-    get_study,
-)
-from repro.utils.rng import derive_seed
+from repro.experiments.study import RegisteredStudy, StudyResult, config_digest, get_study
 
 #: Anything a session accepts as its chip population: a single chip, a
 #: module, an iterable of chips, or the configuration-keyed dict produced
@@ -135,9 +128,9 @@ class ExperimentSession:
     store:
         Optional :class:`~repro.experiments.store.ResultStore`; when given,
         per-chip results are cached and replayed instead of recomputed.
-    seed:
-        Session seed from which every task derives an independent stream
-        (recorded on each result for standalone reproduction).
+
+    A study's result depends only on the study, its config and the chip's
+    construction parameters (seed included), which is what the store keys on.
     """
 
     def __init__(
@@ -145,11 +138,9 @@ class ExperimentSession:
         population: Optional[PopulationLike] = None,
         executor: Optional[Executor] = None,
         store: Optional[ResultStore] = None,
-        seed: int = 0,
     ) -> None:
         self.executor = executor or SerialExecutor()
         self.store = store
-        self.seed = seed
         self._chips: List[DramChip] = []
         if population is not None:
             self.add_chips(population)
@@ -167,14 +158,19 @@ class ExperimentSession:
         executor: Optional[Executor] = None,
         store: Optional[ResultStore] = None,
     ) -> "ExperimentSession":
-        """Build a session over a Table 1 population (see ``make_population``)."""
+        """Build a session over a Table 1 population (see ``make_population``).
+
+        ``seed`` seeds the chips: every chip of the population derives its
+        cells from it, so two sessions built with the same arguments study
+        identical chips.
+        """
         population = make_population(
             chips_per_config=chips_per_config,
             seed=seed,
             geometry=geometry,
             configurations=configurations,
         )
-        return cls(population, executor=executor, store=store, seed=seed)
+        return cls(population, executor=executor, store=store)
 
     def add_chips(self, population: PopulationLike) -> None:
         """Add chips to the session's population (duplicates by identity skipped)."""
@@ -284,21 +280,17 @@ class ExperimentSession:
                         continue
                 pending_slots.append((t_index, u_index, key))
                 pending_tasks.append(
-                    StudyTask(
-                        study=spec.name,
-                        config=config,
-                        chip=chip,
-                        seed=self._unit_seed(spec, digest, chip, unit),
-                        unit=unit,
-                    )
+                    StudyTask(study=spec.name, config=config, chip=chip, unit=unit)
                 )
 
         # iter_outcomes streams completed units in task order, so every
         # finished unit is checkpointed into the store *before* the batch is
         # done -- a run killed mid-sweep resumes from the units on disk.
         outcomes = self.executor.iter_outcomes(pending_tasks)
+        received = 0
         try:
             for (t_index, u_index, key), outcome in zip(pending_slots, outcomes):
+                received += 1
                 unit_payloads[t_index][u_index] = outcome.result.payload
                 unit_elapsed[t_index] += outcome.result.elapsed_s
                 units_retries[t_index] += max(0, outcome.attempts - 1)
@@ -318,6 +310,13 @@ class ExperimentSession:
             close = getattr(outcomes, "close", None)
             if close is not None:
                 close()
+        if received < len(pending_tasks):
+            # The units that did arrive are already in the store, so a rerun
+            # executes only the missing ones.
+            raise RuntimeError(
+                f"executor {type(self.executor).__name__} yielded {received} "
+                f"outcomes for {len(pending_tasks)} tasks"
+            )
 
         results: List[StudyResult] = []
         for t_index, chip in enumerate(targets):
@@ -329,7 +328,6 @@ class ExperimentSession:
                     chip_id=chip.chip_id if chip is not None else None,
                     type_node=chip.profile.type_node.value if chip is not None else None,
                     manufacturer=chip.profile.manufacturer if chip is not None else None,
-                    seed=derive_seed(self.seed, spec.name, digest, self._chip_label(chip)),
                     payload=payload,
                     elapsed_s=unit_elapsed[t_index],
                     from_cache=units_cached[t_index] == len(units),
@@ -346,24 +344,6 @@ class ExperimentSession:
             results=results,
             elapsed_s=time.perf_counter() - started,
         )
-
-    @staticmethod
-    def _chip_label(chip: Optional[DramChip]) -> str:
-        return chip.chip_id if chip is not None else "population"
-
-    def _unit_seed(
-        self, spec: RegisteredStudy, digest: str, chip: Optional[DramChip], unit: WorkUnit
-    ) -> int:
-        """Independent, reproducible stream for one (chip, unit) task.
-
-        The implicit whole-study unit keeps the historical derivation (no
-        unit component), so undecomposed studies record the same seeds --
-        and produce byte-identical cached envelopes -- as before the unit
-        layer existed.
-        """
-        if unit.is_whole_study:
-            return derive_seed(self.seed, spec.name, digest, self._chip_label(chip))
-        return derive_seed(self.seed, spec.name, digest, self._chip_label(chip), unit.unit_id)
 
     def run_all(
         self,
@@ -382,5 +362,5 @@ class ExperimentSession:
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (
             f"ExperimentSession(chips={len(self._chips)}, executor={self.executor!r}, "
-            f"store={'yes' if self.store is not None else 'no'}, seed={self.seed})"
+            f"store={'yes' if self.store is not None else 'no'})"
         )

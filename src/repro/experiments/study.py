@@ -2,8 +2,8 @@
 
 Every analysis in the paper is one instance of the same shape -- run a study
 over a population of chips and aggregate -- so the library exposes each one
-as a *study*: a named unit with a frozen config dataclass and a uniform
-``run(chip, config) -> payload`` contract.  Studies are registered with
+as a *study*: a named unit with a frozen config dataclass and a registered
+function ``fn(chip, config) -> payload``.  Studies are registered with
 :func:`register_study` and discovered by name through :func:`get_study` /
 :func:`list_studies`; :class:`~repro.experiments.session.ExperimentSession`
 fans registered studies out over chip populations.
@@ -32,18 +32,7 @@ import functools
 import hashlib
 import importlib
 from dataclasses import dataclass, field
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    List,
-    Mapping,
-    Optional,
-    Protocol,
-    Sequence,
-    Tuple,
-    runtime_checkable,
-)
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 
 class UnknownStudyError(KeyError):
@@ -129,24 +118,6 @@ class WorkUnit:
         return self.unit_id == WHOLE_STUDY_UNIT
 
 
-@runtime_checkable
-class Study(Protocol):
-    """Protocol every registered study satisfies.
-
-    A study has a unique ``name``, an optional frozen config dataclass
-    (``config_cls``) and a ``run(chip, config)`` method returning the
-    study's domain-specific payload (for example a
-    :class:`~repro.core.results.SweepResult`).  Population-level studies
-    (``requires_chip`` false) receive ``chip=None``.
-    """
-
-    name: str
-    config_cls: Optional[type]
-    requires_chip: bool
-
-    def run(self, chip: Any, config: Any = None) -> Any: ...
-
-
 @dataclass(frozen=True)
 class RegisteredStudy:
     """A study registered under a unique name.
@@ -175,12 +146,6 @@ class RegisteredStudy:
     def default_config(self) -> Any:
         """A default-constructed config, or ``None`` for config-less studies."""
         return self.config_cls() if self.config_cls is not None else None
-
-    def run(self, chip: Any, config: Any = None) -> Any:
-        """Execute the study against one chip (or ``None`` for system studies)."""
-        if config is None:
-            config = self.default_config()
-        return self.fn(chip, config)
 
     # ------------------------------------------------------------------
     # Work-unit decomposition
@@ -220,7 +185,7 @@ class RegisteredStudy:
     def run_unit(self, chip: Any, config: Any, unit: "WorkUnit") -> Any:
         """Execute one work unit hermetically, returning the unit payload.
 
-        The implicit whole-study unit falls through to :meth:`run`, so every
+        The implicit whole-study unit falls through to ``fn``, so every
         execution path -- decomposed or not -- goes through one method.
         """
         if config is None:
@@ -272,7 +237,6 @@ class StudyResult:
     chip_id: Optional[str]
     type_node: Optional[str]
     manufacturer: Optional[str]
-    seed: Optional[int]
     payload: Any
     elapsed_s: float = field(default=0.0, compare=False)
     from_cache: bool = field(default=False, compare=False)

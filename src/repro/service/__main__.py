@@ -119,7 +119,6 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         population=population,
         executor=ServiceExecutor(args.host, args.port, label=args.study),
         store=ResultStore(args.store) if args.store else None,
-        seed=args.seed,
     )
     outcome = session.run(args.study, config)
     print(
@@ -221,7 +220,9 @@ def main(argv: Optional[list] = None) -> int:
     _add_endpoint_args(submit)
     submit.add_argument("--study", required=True)
     submit.add_argument("--config-json", default=None)
-    submit.add_argument("--seed", type=int, default=0)
+    submit.add_argument(
+        "--seed", type=int, default=0, help="seed of the --table1-chips population"
+    )
     submit.add_argument("--store", default=None, help="client-side result store dir")
     submit.add_argument(
         "--table1-chips", type=int, default=0, help="chips per Table 1 config"

@@ -19,8 +19,8 @@ Message reference
 -----------------
 Handshake (both directions of every connection)::
 
-    {"type": "hello", "role": "client"|"worker", "name": str, "protocol": 1}
-    {"type": "hello_ack", "protocol": 1, "lease_ttl": float}
+    {"type": "hello", "role": "client"|"worker", "name": str, "protocol": 2}
+    {"type": "hello_ack", "protocol": 2, "lease_ttl": float}
     {"type": "error", "error": str}          # fatal; sender closes after
 
 Client -> scheduler::
@@ -67,8 +67,9 @@ import threading
 from typing import Any, Dict, Optional
 
 #: Bump when a message's meaning changes incompatibly; scheduler and
-#: workers refuse mismatched peers at hello time.
-PROTOCOL_VERSION = 1
+#: workers refuse mismatched peers at hello time.  Version 2: task blobs
+#: pickle a :class:`~repro.experiments.executors.StudyTask` without a seed.
+PROTOCOL_VERSION = 2
 
 #: Upper bound on one framed line.  A full-scale Figure 10 submission
 #: (2304 pickled work units) is tens of MB; 256 MB leaves headroom without

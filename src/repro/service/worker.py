@@ -10,7 +10,7 @@ the lease's incomplete units.
 Unit execution reuses :func:`repro.experiments.executors.execute_task`
 verbatim -- the exact function behind ``SerialExecutor`` and
 ``ParallelExecutor`` -- which is what makes service results bit-identical
-to local ones: same hermetic chip copies, same seeds, same payload code.
+to local ones: same hermetic chip copies, same payload code.
 A unit that raises is reported as ``unit_failed`` (with its traceback) and
 the scheduler decides between retry and quarantine.
 

@@ -13,6 +13,7 @@ from repro.analysis.mitigation_study import (
     MitigationBaselineUnit,
     MitigationCellUnit,
     MitigationStudyConfig,
+    MitigationStudyPoint,
     _aggregate,
     _cached_shared_run,
     _CallRecorder,
@@ -90,8 +91,7 @@ class TestMitigationStudy:
 
     def test_serialization_and_lookup(self, small_study):
         point = small_study.points[0]
-        payload = point.to_dict()
-        assert payload["mechanism"] == point.mechanism
+        assert small_study.series_for(point.mechanism)[point.hcfirst] == point
         assert small_study.performance_at("DoesNotExist", 1) is None
         assert set(small_study.mechanisms()) <= {"PARA", "Ideal", "TWiCe-ideal", "ProHIT"}
 
@@ -217,24 +217,24 @@ SYNTHETIC_POINTS = [("PARA", 64), ("Ideal", 64)]
 class TestAggregate:
     def test_per_point_statistics(self):
         para, ideal = _aggregate(SYNTHETIC_POINTS, 2, SYNTHETIC_PAYLOADS).points
-        assert para.to_dict() == {
-            "mechanism": "PARA",
-            "hcfirst": 64,
-            "normalized_performance_avg": 87.5,
-            "normalized_performance_min": 75.0,
-            "normalized_performance_max": 100.0,
-            "bandwidth_overhead_avg": 6.0,
-            "bandwidth_overhead_min": 2.0,
-            "bandwidth_overhead_max": 10.0,
-            "workloads_evaluated": 2,
-        }
+        assert para == MitigationStudyPoint(
+            mechanism="PARA",
+            hcfirst=64,
+            normalized_performance_avg=87.5,
+            normalized_performance_min=75.0,
+            normalized_performance_max=100.0,
+            bandwidth_overhead_avg=6.0,
+            bandwidth_overhead_min=2.0,
+            bandwidth_overhead_max=10.0,
+            workloads_evaluated=2,
+        )
         assert ideal.normalized_performance_min == ideal.normalized_performance_max == 100.0
         assert ideal.bandwidth_overhead_max == 0.0
 
     def test_payload_order_does_not_matter(self):
         forward = _aggregate(SYNTHETIC_POINTS, 2, SYNTHETIC_PAYLOADS)
         backward = _aggregate(SYNTHETIC_POINTS, 2, SYNTHETIC_PAYLOADS[::-1])
-        assert [p.to_dict() for p in forward.points] == [p.to_dict() for p in backward.points]
+        assert forward.points == backward.points
 
     def test_points_keep_the_requested_order(self):
         result = _aggregate(SYNTHETIC_POINTS[::-1], 2, SYNTHETIC_PAYLOADS)

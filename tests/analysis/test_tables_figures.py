@@ -20,6 +20,7 @@ from repro.analysis.tables import (
     build_table5_monotonicity,
 )
 from repro.core.first_flip import HCFirstResult
+from repro.core.scaling import OBSERVED_GENERATION_MINIMA
 from repro.core.results import (
     CoverageResult,
     EccWordAnalysis,
@@ -29,6 +30,17 @@ from repro.core.results import (
     SweepResult,
     WordDensityResult,
 )
+
+#: The paper's Table 4: minimum HC_first (thousands of hammers) per type-node
+#: and manufacturer; ``None`` where the paper tested no chips.
+PAPER_TABLE4 = {
+    "DDR3-old": {"A": 69.2, "B": 157.0, "C": 155.0},
+    "DDR3-new": {"A": 85.0, "B": 22.4, "C": 24.0},
+    "DDR4-old": {"A": 17.5, "B": 30.0, "C": 87.0},
+    "DDR4-new": {"A": 10.0, "B": 25.0, "C": 40.0},
+    "LPDDR4-1x": {"A": 43.2, "B": 16.8, "C": None},
+    "LPDDR4-1y": {"A": 4.8, "B": None, "C": 9.6},
+}
 
 
 def _hcfirst(type_node, manufacturer, value, chip_id="c"):
@@ -98,6 +110,16 @@ class TestTables:
 
     def test_table4_paper_reference_shape(self):
         assert PAPER_TABLE4_MIN_HCFIRST_K["LPDDR4-1y"]["A"] == pytest.approx(4.8)
+
+    def test_table4_minima_derived_from_profiles_match_the_paper(self):
+        """The report reference and the scaling fit both read the profiles'
+        Table 4 minima, so a profile recalibrated away from the paper fails
+        here."""
+        assert PAPER_TABLE4_MIN_HCFIRST_K == PAPER_TABLE4
+        assert OBSERVED_GENERATION_MINIMA == tuple(
+            (type_node, 1000 * min(value for value in row.values() if value is not None))
+            for type_node, row in PAPER_TABLE4.items()
+        )
 
     def test_table5_average_percentage(self):
         results = [

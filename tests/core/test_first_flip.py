@@ -37,9 +37,9 @@ class TestFindHCFirst:
 
     def test_result_serializes(self):
         chip = make_chip("DDR4-new", "A", seed=2, geometry=GEOMETRY, hcfirst_target=30_000)
-        payload = run_hcfirst_search(chip, HCFirstStudyConfig()).to_dict()
-        assert payload["chip_id"] == chip.chip_id
-        assert payload["rowhammerable"] is True
+        result = run_hcfirst_search(chip, HCFirstStudyConfig())
+        assert result.chip_id == chip.chip_id
+        assert result.rowhammerable is True
 
 
 class TestPopulationHelpers:

@@ -7,7 +7,6 @@ import pytest
 from repro.experiments.study import (
     DuplicateStudyError,
     RegisteredStudy,
-    Study,
     UnknownStudyError,
     config_digest,
     describe_studies,
@@ -73,9 +72,8 @@ class TestRegistry:
         unregister_study("test-unregister-probe")
         assert "test-unregister-probe" not in list_studies()
 
-    def test_registered_study_satisfies_protocol(self):
+    def test_registered_study_runs_per_chip(self):
         spec = get_study("fig8-hcfirst")
-        assert isinstance(spec, Study)
         assert isinstance(spec, RegisteredStudy)
         assert spec.requires_chip
 

@@ -75,7 +75,7 @@ class TestPopulationHandling:
 
 class TestSessionRun:
     def test_results_in_chip_order_with_identity(self):
-        session = ExperimentSession(fresh_population(), seed=9)
+        session = ExperimentSession(fresh_population())
         outcome = session.run("fig5-hc-sweep", SWEEP)
         assert [r.chip_id for r in outcome.results] == [c.chip_id for c in session.chips]
         assert all(r.study == "fig5-hc-sweep" for r in outcome.results)
@@ -83,18 +83,18 @@ class TestSessionRun:
         assert outcome.cache_hits == 0
 
     def test_by_configuration_groups_payloads(self):
-        session = ExperimentSession(fresh_population(), seed=9)
+        session = ExperimentSession(fresh_population())
         grouped = session.run("fig5-hc-sweep", SWEEP).by_configuration()
         assert set(grouped) == {("DDR4-new", "A"), ("LPDDR4-1y", "A")}
         assert all(len(payloads) == 2 for payloads in grouped.values())
 
     def test_stats_merged_back_into_chips(self):
-        session = ExperimentSession(fresh_population(), seed=9)
+        session = ExperimentSession(fresh_population())
         session.run("fig5-hc-sweep", SWEEP)
         assert all(chip.stats.activations > 0 for chip in session.chips)
 
     def test_hermetic_execution_leaves_chip_data_untouched(self):
-        session = ExperimentSession(fresh_population(), seed=9)
+        session = ExperimentSession(fresh_population())
         chip = session.chips[0]
         before = chip.read_row(0, GEOMETRY.rows_per_bank // 2).copy()
         session.run("fig5-hc-sweep", SWEEP)
@@ -102,19 +102,19 @@ class TestSessionRun:
         assert (before == after).all()
 
     def test_run_subset_of_chips(self):
-        session = ExperimentSession(fresh_population(), seed=9)
+        session = ExperimentSession(fresh_population())
         subset = session.chips_for("DDR4-new")
         outcome = session.run("fig5-hc-sweep", SWEEP, chips=subset)
         assert len(outcome.results) == 2
 
     def test_single_requires_one_result(self):
-        session = ExperimentSession(fresh_population(), seed=9)
+        session = ExperimentSession(fresh_population())
         with pytest.raises(ValueError):
             session.run("fig5-hc-sweep", SWEEP).single()
 
     def test_run_all_runs_studies_in_order(self):
         chip = make_chip("DDR4-new", "A", seed=1, geometry=GEOMETRY, hcfirst_target=20_000)
-        session = ExperimentSession(chip, seed=1)
+        session = ExperimentSession(chip)
         outcomes = session.run_all(
             ["fig5-hc-sweep", "fig8-hcfirst"],
             configs={"fig5-hc-sweep": SWEEP, "fig8-hcfirst": HCFirstStudyConfig()},
@@ -134,21 +134,17 @@ class TestExecutorDeterminism:
         ],
     )
     def test_parallel_matches_serial(self, study, config):
-        serial = ExperimentSession(fresh_population(), executor=SerialExecutor(), seed=9)
-        parallel = ExperimentSession(
-            fresh_population(), executor=ParallelExecutor(max_workers=2), seed=9
-        )
+        serial = ExperimentSession(fresh_population(), executor=SerialExecutor())
+        parallel = ExperimentSession(fresh_population(), executor=ParallelExecutor(max_workers=2))
         serial_outcome = serial.run(study, config)
         parallel_outcome = parallel.run(study, config)
         # StudyResult equality covers study name, config digest, chip
-        # identity, seed and the full domain payload.
+        # identity and the full domain payload.
         assert serial_outcome.results == parallel_outcome.results
 
     def test_parallel_merges_stats_like_serial(self):
-        serial = ExperimentSession(fresh_population(), executor=SerialExecutor(), seed=9)
-        parallel = ExperimentSession(
-            fresh_population(), executor=ParallelExecutor(max_workers=2), seed=9
-        )
+        serial = ExperimentSession(fresh_population(), executor=SerialExecutor())
+        parallel = ExperimentSession(fresh_population(), executor=ParallelExecutor(max_workers=2))
         serial.run("fig5-hc-sweep", SWEEP)
         parallel.run("fig5-hc-sweep", SWEEP)
         assert [c.stats.activations for c in serial.chips] == [
@@ -158,8 +154,6 @@ class TestExecutorDeterminism:
     def test_parallel_executor_validates_arguments(self):
         with pytest.raises(ValueError):
             ParallelExecutor(max_workers=0)
-        with pytest.raises(ValueError):
-            ParallelExecutor(chunksize=0)
 
 
 class TestDirectCall:
@@ -183,7 +177,7 @@ class TestDirectCall:
     def test_direct_call_equals_session_payload(self, study, config):
         chip = make_chip("DDR4-new", "A", seed=1, geometry=GEOMETRY, hcfirst_target=20_000)
         direct = get_study(study).fn(copy.deepcopy(chip), config)
-        assert direct == ExperimentSession(chip, seed=1).run(study, config).single()
+        assert direct == ExperimentSession(chip).run(study, config).single()
 
 
 class TestResultStore:
@@ -191,7 +185,7 @@ class TestResultStore:
         """Acceptance criterion: a second run of a cached study performs
         zero chip activations, verified via ChipStats."""
         store = ResultStore(tmp_path / "store")
-        first_session = ExperimentSession(fresh_population(), store=store, seed=9)
+        first_session = ExperimentSession(fresh_population(), store=store)
         first = first_session.run("fig5-hc-sweep", SWEEP)
         assert first.cache_hits == 0
         assert all(chip.stats.activations > 0 for chip in first_session.chips)
@@ -199,7 +193,7 @@ class TestResultStore:
         # A brand-new session over an identically-constructed population and
         # a fresh store instance reading the same directory replays fully.
         second_session = ExperimentSession(
-            fresh_population(), store=ResultStore(tmp_path / "store"), seed=9
+            fresh_population(), store=ResultStore(tmp_path / "store")
         )
         second = second_session.run("fig5-hc-sweep", SWEEP)
         assert second.cache_hits == len(second_session.chips)
@@ -210,7 +204,7 @@ class TestResultStore:
 
     def test_memory_only_store_caches_within_process(self):
         store = ResultStore()
-        session = ExperimentSession(fresh_population(), store=store, seed=9)
+        session = ExperimentSession(fresh_population(), store=store)
         session.run("fig5-hc-sweep", SWEEP)
         again = session.run("fig5-hc-sweep", SWEEP)
         assert again.cache_hits == len(session.chips)
@@ -218,7 +212,7 @@ class TestResultStore:
 
     def test_config_change_misses_cache(self, tmp_path):
         store = ResultStore(tmp_path / "store")
-        session = ExperimentSession(fresh_population(), store=store, seed=9)
+        session = ExperimentSession(fresh_population(), store=store)
         session.run("fig5-hc-sweep", SWEEP)
         other = session.run(
             "fig5-hc-sweep", SweepStudyConfig(hammer_counts=(50_000, 150_000))
@@ -259,7 +253,7 @@ class TestResultStore:
 
     def test_clear_empties_store(self, tmp_path):
         store = ResultStore(tmp_path / "store")
-        session = ExperimentSession(fresh_population(), store=store, seed=9)
+        session = ExperimentSession(fresh_population(), store=store)
         session.run("fig5-hc-sweep", SWEEP)
         assert len(store) > 0
         store.clear()
@@ -288,7 +282,7 @@ class TestCustomStudy:
             chip = make_chip(
                 "LPDDR4-1y", "A", seed=4, geometry=GEOMETRY, hcfirst_target=10_000
             )
-            session = ExperimentSession(chip, seed=4)
+            session = ExperimentSession(chip)
             flips = session.run("test-session-probe").single()
             assert flips > 0
         finally:

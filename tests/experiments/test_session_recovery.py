@@ -37,7 +37,7 @@ class RecoveringExecutor(Executor):
 
 class TestSessionRecoveryCounters:
     def test_local_run_reports_zero_recovery(self):
-        result = ExperimentSession(executor=SerialExecutor(), seed=1).run(
+        result = ExperimentSession(executor=SerialExecutor()).run(
             "service-selftest", CONFIG
         )
         assert result.retries == 0
@@ -46,7 +46,7 @@ class TestSessionRecoveryCounters:
         assert result.results[0].units_requeued == 0
 
     def test_recovering_outcomes_accumulate_per_unit(self):
-        result = ExperimentSession(executor=RecoveringExecutor(), seed=1).run(
+        result = ExperimentSession(executor=RecoveringExecutor()).run(
             "service-selftest", CONFIG
         )
         # attempts=2 means one retry per unit; requeues pass through as-is.
@@ -55,14 +55,14 @@ class TestSessionRecoveryCounters:
         assert result.results[0].units_retries == CONFIG.units
         assert result.results[0].units_requeued == CONFIG.units
         # Recovery is bookkeeping: payloads still match the clean run.
-        clean = ExperimentSession(executor=SerialExecutor(), seed=1).run(
+        clean = ExperimentSession(executor=SerialExecutor()).run(
             "service-selftest", CONFIG
         )
         assert result.single() == clean.single()
 
     def test_first_attempt_success_counts_no_retry(self):
         result = ExperimentSession(
-            executor=RecoveringExecutor(attempts=1, requeues=0), seed=1
+            executor=RecoveringExecutor(attempts=1, requeues=0)
         ).run("service-selftest", CONFIG)
         assert result.retries == 0
         assert result.requeues == 0

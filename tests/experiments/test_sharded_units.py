@@ -73,7 +73,7 @@ class ShuffledCompletionExecutor(Executor):
 
 def run_fig10(executor, step_mode, **overrides):
     config_kwargs = {**TINY_FIG10, **overrides}
-    session = ExperimentSession(population=None, executor=executor, seed=3)
+    session = ExperimentSession(population=None, executor=executor)
     outcome = session.run(
         "fig10-mitigations", MitigationStudyConfig(step_mode=step_mode, **config_kwargs)
     )
@@ -81,7 +81,7 @@ def run_fig10(executor, step_mode, **overrides):
 
 
 def points_of(study_payload):
-    return [point.to_dict() for point in study_payload.points]
+    return study_payload.points
 
 
 def run_public_entry_point(num_mixes, rows_per_bank, seed, **axes):
@@ -129,7 +129,7 @@ class TestFig10ShardedDeterminism:
         """Calling the registered study function directly runs the same
         units in turn and merges them like the session does."""
         config = MitigationStudyConfig(step_mode="event", **TINY_FIG10)
-        direct = get_study("fig10-mitigations").run(None, config)
+        direct = get_study("fig10-mitigations").fn(None, config)
         sharded = run_fig10(SerialExecutor(), "event").single()
         assert points_of(direct) == points_of(sharded)
 
@@ -145,14 +145,12 @@ class TestChipGridShardedDeterminism:
     def test_alg1_parallel_matches_serial(self):
         config = CharacterizationConfig(hammer_counts=(25_000, 100_000))
         serial = (
-            ExperimentSession(self.make_chip(), executor=SerialExecutor(), seed=4)
+            ExperimentSession(self.make_chip(), executor=SerialExecutor())
             .run("alg1-characterization", config)
             .single()
         )
         parallel = (
-            ExperimentSession(
-                self.make_chip(), executor=ParallelExecutor(max_workers=2), seed=4
-            )
+            ExperimentSession(self.make_chip(), executor=ParallelExecutor(max_workers=2))
             .run("alg1-characterization", config)
             .single()
         )
@@ -167,18 +165,16 @@ class TestChipGridShardedDeterminism:
             hammer_count=100_000, patterns=("RowStripe0", "RowStripe1", "Checkered0")
         )
         serial = (
-            ExperimentSession(self.make_chip(), executor=SerialExecutor(), seed=4)
+            ExperimentSession(self.make_chip(), executor=SerialExecutor())
             .run("fig4-coverage", config)
             .single()
         )
         parallel = (
-            ExperimentSession(
-                self.make_chip(), executor=ParallelExecutor(max_workers=2), seed=4
-            )
+            ExperimentSession(self.make_chip(), executor=ParallelExecutor(max_workers=2))
             .run("fig4-coverage", config)
             .single()
         )
-        assert serial.to_dict() == parallel.to_dict()
+        assert serial == parallel
         assert list(serial.coverage_by_pattern) == list(config.patterns)
 
 

@@ -80,11 +80,11 @@ def not_a_study_result(path, _monkeypatch):
 
 
 def run(store, config=TINY_FIG10):
-    return ExperimentSession(store=store, seed=3).run("fig10-mitigations", config)
+    return ExperimentSession(store=store).run("fig10-mitigations", config)
 
 
 def points_of(outcome):
-    return [point.to_dict() for point in outcome.single().points]
+    return outcome.single().points
 
 
 @pytest.mark.parametrize(
@@ -149,7 +149,6 @@ def envelope(key, payload="clean"):
         chip_id=None,
         type_node=None,
         manufacturer=None,
-        seed=None,
         payload=payload,
     )
 

@@ -25,7 +25,6 @@ def make_result(payload):
         chip_id=None,
         type_node=None,
         manufacturer=None,
-        seed=0,
         payload=payload,
     )
 

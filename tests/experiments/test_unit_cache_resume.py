@@ -12,9 +12,16 @@ import pytest
 
 from repro.analysis.mitigation_study import MitigationStudyConfig
 from repro.core.characterization import CharacterizationConfig
+from repro.core.first_flip import HCFirstStudyConfig
 from repro.dram.geometry import ChipGeometry
 from repro.dram.population import make_chip
-from repro.experiments import ExperimentSession, ResultStore, SerialExecutor
+from repro.experiments import (
+    ExperimentSession,
+    ResultStore,
+    SerialExecutor,
+    config_digest,
+    get_study,
+)
 from repro.experiments.executors import execute_task
 
 TINY_FIG10 = MitigationStudyConfig(
@@ -36,11 +43,11 @@ def fig10_session(tmp_path):
     Each call builds a new ResultStore instance so nothing is served from
     process memory -- exactly the state a restarted process would see.
     """
-    return ExperimentSession(store=ResultStore(tmp_path / "store"), seed=3)
+    return ExperimentSession(store=ResultStore(tmp_path / "store"))
 
 
 def points_of(outcome):
-    return [point.to_dict() for point in outcome.single().points]
+    return outcome.single().points
 
 
 class TestFig10Resume:
@@ -61,7 +68,7 @@ class TestFig10Resume:
         exactly k units, and the merged payload is bit-identical to the
         uninterrupted run."""
         store = ResultStore(tmp_path / "store")
-        first = ExperimentSession(store=store, seed=3).run(
+        first = ExperimentSession(store=store).run(
             "fig10-mitigations", TINY_FIG10
         )
         unit_files = store.entry_paths("fig10-mitigations", units_only=True)
@@ -116,7 +123,7 @@ class TestFig10Resume:
         survivors = 4
         store = ResultStore(tmp_path / "store")
         with pytest.raises(RuntimeError, match="simulated crash"):
-            ExperimentSession(store=store, executor=CrashAfter(survivors), seed=3).run(
+            ExperimentSession(store=store, executor=CrashAfter(survivors)).run(
                 "fig10-mitigations", TINY_FIG10
             )
         on_disk = store.entry_paths("fig10-mitigations", units_only=True)
@@ -127,12 +134,12 @@ class TestFig10Resume:
         assert resumed.executed == resumed.units_total - survivors
 
         # The recovered payload equals a never-crashed run's.
-        clean = ExperimentSession(seed=3).run("fig10-mitigations", TINY_FIG10)
+        clean = ExperimentSession().run("fig10-mitigations", TINY_FIG10)
         assert points_of(resumed) == points_of(clean)
 
     def test_store_drop_evicts_single_units(self, tmp_path):
         store = ResultStore(tmp_path / "store")
-        session = ExperimentSession(store=store, seed=3)
+        session = ExperimentSession(store=store)
         session.run("fig10-mitigations", TINY_FIG10)
 
         spec_units = session.run("fig10-mitigations", TINY_FIG10)
@@ -157,9 +164,7 @@ class TestChipStudyResume:
             chip = make_chip(
                 "LPDDR4-1y", "A", seed=4, geometry=GEOMETRY, hcfirst_target=10_000
             )
-            return ExperimentSession(
-                chip, store=ResultStore(tmp_path / "store"), seed=4
-            )
+            return ExperimentSession(chip, store=ResultStore(tmp_path / "store"))
 
         first = session().run("alg1-characterization", config)
         assert first.executed == 3
@@ -180,3 +185,46 @@ class TestChipStudyResume:
         replay = replay_session.run("alg1-characterization", config)
         assert replay.executed == 0
         assert all(chip.stats.activations == 0 for chip in replay_session.chips)
+
+
+class DropsLastOutcome(SerialExecutor):
+    """Runs every task but the last, so it yields one outcome too few."""
+
+    def iter_outcomes(self, tasks):
+        return super().iter_outcomes(tasks[:-1])
+
+
+def two_ddr4_chips():
+    return [make_chip("DDR4-new", "A", seed=seed, geometry=GEOMETRY) for seed in (1, 2)]
+
+
+class TestShortExecutor:
+    """A session fails a run whose executor yields fewer outcomes than tasks,
+    instead of merging a missing payload; the units it did yield stay
+    checkpointed, so a rerun executes only the missing one."""
+
+    @pytest.mark.parametrize(
+        "study,config,chips",
+        [
+            ("fig8-hcfirst", HCFirstStudyConfig(), two_ddr4_chips),
+            ("fig10-mitigations", TINY_FIG10, lambda: None),
+        ],
+        ids=["fig8", "fig10"],
+    )
+    def test_missing_outcome_raises_and_keeps_yielded_units(self, tmp_path, study, config, chips):
+        with pytest.raises(RuntimeError, match="DropsLastOutcome yielded"):
+            ExperimentSession(
+                chips(), executor=DropsLastOutcome(), store=ResultStore(tmp_path / "store")
+            ).run(study, config)
+
+        on_disk = ResultStore(tmp_path / "store")
+        keys = [
+            on_disk.key_for(study, config_digest(config), chip, unit)
+            for chip in chips() or [None]
+            for unit in get_study(study).units_for(config)
+        ]
+        assert [on_disk.contains(key) for key in keys] == [True] * (len(keys) - 1) + [False]
+
+        rerun = ExperimentSession(chips(), store=ResultStore(tmp_path / "store")).run(study, config)
+        assert (rerun.cache_hits, rerun.executed) == (len(keys) - 1, 1)
+        assert rerun.results == ExperimentSession(chips()).run(study, config).results

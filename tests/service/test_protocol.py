@@ -9,7 +9,7 @@ import pytest
 
 from repro.experiments.executors import StudyTask
 from repro.experiments.study import WorkUnit
-from repro.service import protocol
+from repro.service import SchedulerThread, protocol
 
 
 class TestFraming:
@@ -29,10 +29,9 @@ class TestFraming:
 
     def test_blob_roundtrips_study_tasks(self):
         unit = WorkUnit(study="demo", unit_id="cell/1", params={"a": 1, "b": (2, 3)})
-        task = StudyTask(study="demo", config=None, chip=None, seed=42, unit=unit)
+        task = StudyTask(study="demo", config=None, chip=None, unit=unit)
         clone = protocol.unpack_blob(protocol.pack_blob(task))
         assert clone.study == task.study
-        assert clone.seed == 42
         assert clone.unit == unit
         assert clone.unit.digest == unit.digest
 
@@ -47,6 +46,24 @@ class TestFraming:
             protocol.check_hello(dict(good, protocol=99), ("worker",))
         with pytest.raises(protocol.ProtocolError):
             protocol.check_hello(good, ("client",))
+
+
+class TestProtocolVersion:
+    """Version 1 task blobs carried a ``seed`` field that version 2 tasks
+    lack, so a version-1 peer is refused at hello rather than failing on
+    every unit it unpickles."""
+
+    def test_check_hello_refuses_protocol_1(self):
+        with pytest.raises(protocol.ProtocolError, match="protocol mismatch"):
+            protocol.check_hello(dict(protocol.hello("worker", "w1"), protocol=1), ("worker",))
+
+    def test_scheduler_answers_protocol_1_with_an_error(self):
+        with SchedulerThread() as scheduler:
+            with protocol.connect_stream(*scheduler.address, timeout=10.0) as stream:
+                stream.send(dict(protocol.hello("worker", "old"), protocol=1))
+                reply = stream.recv()
+        assert reply["type"] == "error"
+        assert "protocol mismatch" in reply["error"]
 
 
 class TestMessageStream:

@@ -42,7 +42,7 @@ SRC_ROOT = str(Path(repro.__file__).resolve().parents[1])
 
 
 def points_of(study_payload):
-    return [point.to_dict() for point in study_payload.points]
+    return study_payload.points
 
 
 @contextlib.contextmanager
@@ -104,14 +104,14 @@ class TestServiceMatchesSerial:
     @pytest.mark.parametrize("step_mode", ["event", "cycle"])
     def test_fig10_bit_identical_with_two_workers(self, step_mode):
         config = MitigationStudyConfig(step_mode=step_mode, **TINY_FIG10)
-        serial = ExperimentSession(executor=SerialExecutor(), seed=3).run(
+        serial = ExperimentSession(executor=SerialExecutor()).run(
             "fig10-mitigations", config
         )
         with SchedulerThread() as scheduler:
             host, port = scheduler.address
             with worker_fleet(host, port, count=2):
                 service = ExperimentSession(
-                    executor=ServiceExecutor(host, port), seed=3
+                    executor=ServiceExecutor(host, port)
                 ).run("fig10-mitigations", config)
             with ServiceClient(host, port) as probe:
                 status = probe.status()
@@ -128,14 +128,14 @@ class TestServiceMatchesSerial:
     def test_selftest_many_workers_any_batch(self):
         """Worker count and batch size are invisible in the payloads."""
         config = ServiceSelfTestConfig(units=9, rounds=200, unit_sleep_s=0.2, seed=11)
-        serial = ExperimentSession(executor=SerialExecutor(), seed=2).run(
+        serial = ExperimentSession(executor=SerialExecutor()).run(
             "service-selftest", config
         )
         with SchedulerThread() as scheduler:
             host, port = scheduler.address
             with worker_fleet(host, port, count=3, batch_size=1):
                 service = ExperimentSession(
-                    executor=ServiceExecutor(host, port), seed=2
+                    executor=ServiceExecutor(host, port)
                 ).run("service-selftest", config)
             with ServiceClient(host, port) as probe:
                 status = probe.status()
@@ -155,7 +155,7 @@ class TestWorkerKilledMidSweep:
         exactly its incomplete units, a rescue worker re-executes them, and
         the merged payload still equals the serial run's."""
         config = ServiceSelfTestConfig(units=6, rounds=50, unit_sleep_s=0.35, seed=4)
-        serial = ExperimentSession(executor=SerialExecutor(), seed=9).run(
+        serial = ExperimentSession(executor=SerialExecutor()).run(
             "service-selftest", config
         )
         with SchedulerThread(
@@ -164,9 +164,7 @@ class TestWorkerKilledMidSweep:
             host, port = scheduler.address
             victim = spawn_worker_process(host, port, "victim", batch_size=2)
             try:
-                session = ExperimentSession(
-                    executor=ServiceExecutor(host, port), seed=9
-                )
+                session = ExperimentSession(executor=ServiceExecutor(host, port))
                 run_box = {}
 
                 def run_study():

@@ -50,7 +50,7 @@ def request_lease(stream, capacity=8, attempts=100, delay=0.05):
     raise AssertionError("scheduler never granted a lease")
 
 
-def submit_selftest(client, config, seed=0):
+def submit_selftest(client, config):
     """Submit a selftest study's tasks through the raw client."""
     from repro.experiments import get_study
     from repro.experiments.executors import StudyTask
@@ -60,10 +60,7 @@ def submit_selftest(client, config, seed=0):
     spec = get_study("service-selftest")
     digest = config_digest(config)
     units = spec.units_for(config)
-    tasks = [
-        StudyTask(study=spec.name, config=config, chip=None, seed=seed + i, unit=unit)
-        for i, unit in enumerate(units)
-    ]
+    tasks = [StudyTask(study=spec.name, config=config, chip=None, unit=unit) for unit in units]
     specs = [_SE._unit_spec(i, task) for i, task in enumerate(tasks)]
     client.submit_units(specs, label="faults")
     return tasks, specs, digest
@@ -197,9 +194,7 @@ class TestPoisonQuarantine:
             thread.start()
             try:
                 config = ServiceSelfTestConfig(units=4, rounds=10, fail_units=(1,))
-                session = ExperimentSession(
-                    executor=ServiceExecutor(host, port), seed=5
-                )
+                session = ExperimentSession(executor=ServiceExecutor(host, port))
                 with pytest.raises(PoisonedUnitError) as excinfo:
                     session.run("service-selftest", config)
                 assert len(excinfo.value.reports) == 1

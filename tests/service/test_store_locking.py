@@ -32,7 +32,6 @@ def make_result(payload):
         chip_id=None,
         type_node=None,
         manufacturer=None,
-        seed=0,
         payload=payload,
     )
 
@@ -110,7 +109,7 @@ def run_through_service(store_root, study, config=None, population=None):
         thread.start()
         try:
             return ExperimentSession(
-                population, executor=ServiceExecutor(host, port), seed=7
+                population, executor=ServiceExecutor(host, port)
             ).run(study, config)
         finally:
             stop.set()
@@ -132,7 +131,7 @@ class TestSchedulerCheckpointing:
         )
         # A purely local run against the same directory replays everything.
         local = ExperimentSession(
-            executor=SerialExecutor(), store=shared, seed=7
+            executor=SerialExecutor(), store=shared
         ).run("service-selftest", config)
         assert local.executed == 0
         assert local.cache_hits == local.units_total == config.units
@@ -150,7 +149,7 @@ class TestSchedulerCheckpointing:
         shared = ResultStore(root)
         assert len(shared.entry_paths("fig8-hcfirst")) == 1
         local = ExperimentSession(
-            chip, executor=SerialExecutor(), store=shared, seed=7
+            chip, executor=SerialExecutor(), store=shared
         ).run("fig8-hcfirst")
         assert local.executed == 0
         assert local.cache_hits == local.units_total == 1
