@@ -48,11 +48,9 @@ makes reruns of any already-computed (study, config, chip) free.
 """
 
 from repro.dram.chip import DramChip
-from repro.dram.module import DramModule
 from repro.dram.population import (
     flatten_population,
     make_chip,
-    make_module,
     make_population,
 )
 from repro.dram.vulnerability import VulnerabilityProfile, profile_for
@@ -79,9 +77,7 @@ __version__ = "1.1.0"
 __all__ = [
     # DRAM substrate
     "DramChip",
-    "DramModule",
     "make_chip",
-    "make_module",
     "make_population",
     "flatten_population",
     "VulnerabilityProfile",

@@ -133,13 +133,6 @@ class MitigationStudyResult:
                 names.append(point.mechanism)
         return names
 
-    def performance_at(self, mechanism: str, hcfirst: int) -> Optional[float]:
-        """Average normalized performance of a mechanism at one HC_first."""
-        for point in self.points:
-            if point.mechanism == mechanism and point.hcfirst == hcfirst:
-                return point.normalized_performance_avg
-        return None
-
 
 @dataclass(frozen=True)
 class MitigationStudyConfig:

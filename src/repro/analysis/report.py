@@ -7,7 +7,7 @@ one place.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import List, Mapping, Optional, Sequence
 
 
 def format_table(
@@ -57,20 +57,3 @@ def render_series(
     """Render a one-dimensional series (for example a figure's data points)."""
     rows = [[key, value] for key, value in series.items()]
     return format_table([key_label, label], rows)
-
-
-def render_nested_series(
-    series: Mapping[object, Mapping[object, object]],
-    key_label: str = "key",
-) -> str:
-    """Render a two-level mapping as a table with one column per inner key."""
-    inner_keys: List[object] = []
-    for inner in series.values():
-        for key in inner:
-            if key not in inner_keys:
-                inner_keys.append(key)
-    headers = [key_label] + [str(key) for key in inner_keys]
-    rows = []
-    for outer_key, inner in series.items():
-        rows.append([outer_key] + [inner.get(key) for key in inner_keys])
-    return format_table(headers, rows)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.data_patterns import DataPattern, resolve_pattern, worst_case_pattern
 from repro.core.hammer import BitFlip, DoubleSidedHammer, HammerResult
@@ -95,18 +95,6 @@ class CharacterizationResult:
         if hammer_count is not None:
             selected = [r for r in selected if r.hammer_count == hammer_count]
         return selected
-
-    def unique_flipped_cells(
-        self,
-        data_pattern: Optional[str] = None,
-        hammer_count: Optional[int] = None,
-    ) -> set:
-        """Set of unique flipped cells across the selected records."""
-        cells = set()
-        for record in self.records_for(data_pattern, hammer_count):
-            for flip in record.flips:
-                cells.add(flip.cell)
-        return cells
 
     def total_flips(
         self,
@@ -214,9 +202,9 @@ class RowHammerCharacterizer:
     for comparability across testing infrastructures (Section 4.3).
     """
 
-    def __init__(self, chip: DramChip, hammer: Optional[DoubleSidedHammer] = None) -> None:
+    def __init__(self, chip: DramChip) -> None:
         self.chip = chip
-        self.hammer = hammer or DoubleSidedHammer(chip)
+        self.hammer = DoubleSidedHammer(chip)
 
     # ------------------------------------------------------------------
     # Victim selection

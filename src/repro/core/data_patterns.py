@@ -45,20 +45,6 @@ class DataPattern:
             if not 0 <= byte <= 0xFF:
                 raise ValueError(f"pattern byte {byte:#x} out of range")
 
-    @property
-    def is_uniform(self) -> bool:
-        """Whether victim and aggressor rows store the same byte."""
-        return self.victim_byte == self.aggressor_byte
-
-    def inverse(self) -> "DataPattern":
-        """The pattern with victim and aggressor bytes bit-inverted."""
-        return DataPattern(
-            name=f"{self.name}-inverse",
-            abbreviation=f"~{self.abbreviation}",
-            victim_byte=self.victim_byte ^ 0xFF,
-            aggressor_byte=self.aggressor_byte ^ 0xFF,
-        )
-
     def __str__(self) -> str:  # pragma: no cover - trivial
         return self.abbreviation
 
@@ -147,7 +133,7 @@ def resolve_pattern(
 
     ``None`` means the chip's worst-case pattern, a name is looked up with
     :func:`pattern_by_name`, and a :class:`DataPattern` (for example a
-    non-standard :meth:`DataPattern.inverse`) passes through.
+    non-standard one built by the caller) passes through.
     """
     if pattern is None:
         return worst_case_pattern(profile)

@@ -3,8 +3,8 @@
 This module implements the core loop of Algorithm 1 (lines 9-16) for one
 victim row: prepare the data pattern in the victim's neighbourhood, disable
 refresh, refresh the victim so that observed flips cannot be retention
-failures, hammer the two physically adjacent aggressor rows, and read the
-neighbourhood back to record bit flips.
+failures, hammer the two physically adjacent aggressor rows, read the
+neighbourhood back to record bit flips, and rewrite the rows that flipped.
 
 The read-back is recorded column-wise.  A :class:`HammerResult` keeps the
 observed rows, a boolean rows x row-bits ``diff`` matrix and the byte
@@ -18,7 +18,6 @@ study, so an object per flip would dominate their run time.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Optional, Tuple
@@ -51,11 +50,6 @@ class BitFlip:
     offset_from_victim: int
     expected_bit: int
     observed_bit: int
-
-    @property
-    def word64_index(self) -> int:
-        """Index of the 64-bit word within the row containing this flip."""
-        return self.bit_index // 64
 
     @property
     def cell(self) -> Tuple[int, int, int]:
@@ -121,19 +115,6 @@ class HammerResult:
         starts = np.arange(0, self.diff.shape[1], word_bits)
         return np.add.reduceat(self.diff, starts, axis=1, dtype=np.int64)
 
-    def flips_per_word64(self) -> Dict[Tuple[int, int, int], int]:
-        """Number of flips per 64-bit word, keyed by (bank, row, word index)."""
-        counts = self.word_flip_counts(64)
-        row_index, word = np.nonzero(counts)
-        return Counter(
-            {
-                (self.bank, row, w): n
-                for row, w, n in zip(
-                    self.rows[row_index].tolist(), word.tolist(), counts[row_index, word].tolist()
-                )
-            }
-        )
-
     def _bit_flips(self, diff: np.ndarray) -> List[BitFlip]:
         """One :class:`BitFlip` per True entry of ``diff`` (a mask over :attr:`diff`)."""
         row_index, bit_index = np.nonzero(diff)
@@ -154,21 +135,20 @@ class HammerResult:
         ]
 
 
+#: Rows observed beyond the profile's blast radius on each side of the
+#: victim, so the analysis can verify no flips occur outside that radius.
+NEIGHBOURHOOD_MARGIN = 1
+
+
 class DoubleSidedHammer:
     """Executes worst-case double-sided RowHammer tests against one chip.
 
-    Parameters
-    ----------
-    chip:
-        The chip under test.
-    neighbourhood_margin:
-        Extra rows beyond the profile's blast radius to observe, so that the
-        analysis can verify no flips occur outside the expected radius.
+    Each test observes the victim's neighbourhood: the profile's blast
+    radius plus :data:`NEIGHBOURHOOD_MARGIN` rows on each side.
     """
 
-    def __init__(self, chip: DramChip, neighbourhood_margin: int = 1) -> None:
+    def __init__(self, chip: DramChip) -> None:
         self.chip = chip
-        self.neighbourhood_margin = neighbourhood_margin
 
     # ------------------------------------------------------------------
     # Neighbourhood helpers
@@ -189,7 +169,7 @@ class DoubleSidedHammer:
         The blast radius plus the margin, doubled under the paired-wordline
         remapping, where logical neighbours share a wordline.
         """
-        radius = self.chip.profile.blast_radius + self.neighbourhood_margin
+        radius = self.chip.profile.blast_radius + NEIGHBOURHOOD_MARGIN
         if self.chip.remapper.name == "paired":
             radius *= 2
         return radius
@@ -208,19 +188,6 @@ class DoubleSidedHammer:
     # ------------------------------------------------------------------
     # Pattern preparation and observation
     # ------------------------------------------------------------------
-    def _pattern_bytes(self, victim_row: int, pattern: DataPattern) -> Dict[int, int]:
-        """The byte :meth:`write_pattern` writes to each neighbourhood row."""
-        remapper = self.chip.remapper
-        victim_wordline = remapper.logical_to_physical(victim_row)
-        return {
-            row: (
-                pattern.victim_byte
-                if (remapper.logical_to_physical(row) - victim_wordline) % 2 == 0
-                else pattern.aggressor_byte
-            )
-            for row in self.neighbourhood(victim_row)
-        }
-
     def write_pattern(self, bank: int, victim_row: int, pattern: DataPattern) -> Dict[int, int]:
         """Write the data pattern into the victim's neighbourhood.
 
@@ -229,7 +196,16 @@ class DoubleSidedHammer:
         (Section 4.3, footnote 3).  Returns the byte written to each row so
         the read-back can compute expected data.
         """
-        written = self._pattern_bytes(victim_row, pattern)
+        remapper = self.chip.remapper
+        victim_wordline = remapper.logical_to_physical(victim_row)
+        written = {
+            row: (
+                pattern.victim_byte
+                if (remapper.logical_to_physical(row) - victim_wordline) % 2 == 0
+                else pattern.aggressor_byte
+            )
+            for row in self.neighbourhood(victim_row)
+        }
         self.chip.write_rows(bank, list(written), list(written.values()))
         return written
 
@@ -252,10 +228,13 @@ class DoubleSidedHammer:
         victim_row: int,
         hammer_count: int,
         data_pattern: Optional[DataPattern] = None,
-        prepare: bool = True,
-        restore: bool = True,
     ) -> HammerResult:
         """Run one double-sided hammer test against a victim row.
+
+        Writes the data pattern into the neighbourhood, refreshes the
+        victim, hammers its aggressors, reads the neighbourhood back and
+        rewrites every row that flipped (Algorithm 1, line 16), so the
+        next test on the chip starts from clean data.
 
         Parameters
         ----------
@@ -267,22 +246,12 @@ class DoubleSidedHammer:
             Pattern to write before hammering; defaults to the profile's
             worst-case pattern, as the paper does for all studies after
             Section 5.2.
-        prepare:
-            Whether to (re)write the pattern before hammering.  Disable when
-            a caller has already laid out the full bank.
-        restore:
-            Whether to rewrite rows that experienced flips afterwards
-            (Algorithm 1, line 16).
         """
         if data_pattern is None:
             data_pattern = worst_case_pattern(self.chip.profile)
         self.chip.geometry.validate_address(bank, victim_row)
 
-        if prepare:
-            written = self.write_pattern(bank, victim_row, data_pattern)
-        else:
-            written = self._pattern_bytes(victim_row, data_pattern)
-
+        written = self.write_pattern(bank, victim_row, data_pattern)
         aggressors = self.aggressor_rows(victim_row)
         # Algorithm 1 line 10: refresh the victim so flips are not retention
         # failures.  (Refresh is assumed disabled around the core loop; the
@@ -295,12 +264,11 @@ class DoubleSidedHammer:
             self.chip.activate(bank, aggressors[0], hammer_count)
 
         result = self._observe(bank, victim_row, aggressors, hammer_count, data_pattern, written)
-        if restore:
-            flipped = result.diff.any(axis=1)
-            if flipped.any():
-                self.chip.write_rows(
-                    bank, result.rows[flipped].tolist(), result.written[flipped].tolist()
-                )
+        flipped = result.diff.any(axis=1)
+        if flipped.any():
+            self.chip.write_rows(
+                bank, result.rows[flipped].tolist(), result.written[flipped].tolist()
+            )
         return result
 
     def hammer_single_sided(

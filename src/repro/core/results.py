@@ -40,9 +40,6 @@ class SweepResult:
     def hammer_counts(self) -> List[int]:
         return [point.hammer_count for point in self.points]
 
-    def flip_rates(self) -> List[float]:
-        return [point.flip_rate for point in self.points]
-
 
 @dataclass
 class CoverageResult:

@@ -60,13 +60,16 @@ def minimal_hammer_count(
     return high
 
 
+#: Ratio between consecutive levels of :func:`descend_and_search`'s descent.
+_DESCENT_FACTOR = 2.0
+
+
 def descend_and_search(
     victims: Sequence[int],
     evaluate: Callable[[int, int], bool],
     hammer_limit: int,
     relative_precision: float = 0.02,
     max_candidates: int = 32,
-    descent_factor: float = 2.0,
 ) -> Tuple[Optional[int], Optional[int], int]:
     """Find the smallest hammer count at which *any* victim satisfies a predicate.
 
@@ -74,7 +77,7 @@ def descend_and_search(
     at high hammer counts every row satisfies the predicate and gives no
     information about which row contains the weakest cell.  Instead the
     search first performs a *geometric descent*: starting at the hammer
-    limit it repeatedly divides the hammer count by ``descent_factor``,
+    limit it repeatedly halves the hammer count,
     keeping only the victims that still satisfy the predicate (monotonicity
     guarantees the globally weakest victim is always retained).  Once a
     level produces no satisfying victim, the surviving candidates from the
@@ -92,16 +95,12 @@ def descend_and_search(
         Precision of the final per-victim binary search.
     max_candidates:
         Cap on how many surviving victims are binary-searched.
-    descent_factor:
-        Ratio between consecutive descent levels (> 1).
 
     Returns
     -------
     ``(best_hc, best_victim, candidates_examined)`` where ``best_hc`` is
     ``None`` if no victim satisfies the predicate even at the limit.
     """
-    if descent_factor <= 1.0:
-        raise ValueError("descent_factor must be greater than 1")
     if max_candidates < 1:
         raise ValueError("max_candidates must be at least 1")
     level = hammer_limit
@@ -111,7 +110,7 @@ def descend_and_search(
 
     lower_bound = 1
     while level > 1:
-        next_level = max(1, int(level / descent_factor))
+        next_level = max(1, int(level / _DESCENT_FACTOR))
         if next_level == level:
             break
         still_satisfied = [victim for victim in satisfied if evaluate(victim, next_level)]

@@ -6,6 +6,9 @@ for the per-configuration profiles calibrated to the paper's results).  The
 observable interface of a :class:`~repro.dram.chip.DramChip` is the same set
 of operations the paper's testing infrastructure performs on real chips:
 write a row, activate (hammer) a row, refresh, and read a row back.
+The chip is the unit every study runs on; the paper's module inventories
+(Table 1 and appendix Tables 7 and 8) are kept as records in
+:mod:`repro.dram.population`.
 
 Columnar state layout
 ---------------------
@@ -53,10 +56,8 @@ from repro.dram.vulnerability import (
 )
 from repro.dram.chip import DramChip, state_digest
 from repro.dram.reference import ReferenceDramChip
-from repro.dram.module import DramModule
 from repro.dram.population import (
     make_chip,
-    make_module,
     make_population,
     PopulationEntry,
 )
@@ -80,9 +81,7 @@ __all__ = [
     "DramChip",
     "ReferenceDramChip",
     "state_digest",
-    "DramModule",
     "make_chip",
-    "make_module",
     "make_population",
     "PopulationEntry",
 ]

@@ -218,26 +218,6 @@ class _CalibratedChip:
     # ------------------------------------------------------------------
     # Shared operation surface (delegates to the backend kernels)
     # ------------------------------------------------------------------
-    def fill_bank(self, bank: int, victim_byte: int, aggressor_byte: Optional[int] = None) -> None:
-        """Write every row of a bank with a repeated byte pattern.
-
-        When ``aggressor_byte`` is given, rows alternate between the victim
-        byte (even physical wordlines) and the aggressor byte (odd physical
-        wordlines); this matches how row-stripe and checkered patterns are
-        laid out in memory before hammering (Section 4.3).
-        """
-        rows = range(self.geometry.rows_per_bank)
-        if aggressor_byte is None:
-            data: List[RowData] = [victim_byte] * self.geometry.rows_per_bank
-        else:
-            data = [
-                victim_byte
-                if self.remapper.logical_to_physical(row) % 2 == 0
-                else aggressor_byte
-                for row in rows
-            ]
-        self.write_rows(bank, rows, data)
-
     def activate(self, bank: int, row: int, count: int = 1) -> int:
         """Activate a logical row ``count`` times (single-sided hammering).
 

@@ -1,12 +1,12 @@
-"""Chip and module population generation.
+"""Chip population generation.
 
 The paper characterizes 1580 chips from 300 modules (Table 1); appendix
 Tables 7 and 8 list every DDR4 and DDR3 module with its metadata and minimum
 ``HC_first``.  This module provides
 
-* factory helpers (:func:`make_chip`, :func:`make_module`,
-  :func:`make_population`) that build simulated populations matching the
-  paper's sample sizes (optionally scaled down for quick experiments), and
+* factory helpers (:func:`make_chip`, :func:`make_population`) that build
+  simulated chip populations matching the paper's sample sizes (optionally
+  scaled down for quick experiments), and
 * the paper's population inventory as data
   (:data:`TABLE1_POPULATION`, :data:`TABLE7_DDR4_MODULES`,
   :data:`TABLE8_DDR3_MODULES`) so the population benchmark can regenerate
@@ -20,7 +20,6 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Uni
 
 from repro.dram.chip import DramChip
 from repro.dram.geometry import ChipGeometry
-from repro.dram.module import DramModule
 from repro.dram.vulnerability import TypeNode, profile_for
 from repro.utils.rng import derive_seed
 
@@ -140,35 +139,6 @@ def make_chip(
         hcfirst_target=hcfirst_target,
         chip_id=chip_id,
     )
-
-
-def make_module(
-    type_node: TypeNodeLike,
-    manufacturer: str = "A",
-    num_chips: int = 8,
-    seed: int = 0,
-    geometry: Optional[ChipGeometry] = None,
-    module_id: str = "",
-    **metadata,
-) -> DramModule:
-    """Create a module of ``num_chips`` chips sharing one configuration.
-
-    Each chip receives an independent seed derived from the module seed so
-    chips differ in their sampled vulnerability, mirroring chip-to-chip
-    variation within a real module.
-    """
-    profile = profile_for(type_node, manufacturer)
-    module_id = module_id or f"{manufacturer}{seed}"
-    chips = [
-        DramChip(
-            profile,
-            geometry=geometry,
-            seed=derive_seed(seed, module_id, index),
-            chip_id=f"{module_id}.{index}",
-        )
-        for index in range(num_chips)
-    ]
-    return DramModule(module_id=module_id, profile=profile, chips=chips, **metadata)
 
 
 def make_population(

@@ -17,30 +17,9 @@ and breaks single-cell flip-probability monotonicity (Table 5).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class DecodeResult:
-    """Outcome of decoding a single codeword.
-
-    Attributes
-    ----------
-    data:
-        The decoded data bits (after any correction the decoder applied).
-    detected:
-        Whether the decoder saw a non-zero syndrome.
-    corrected_position:
-        The 1-based codeword position the decoder corrected, or ``None`` if
-        it corrected nothing (zero syndrome or invalid syndrome).
-    """
-
-    data: np.ndarray
-    detected: bool
-    corrected_position: int
 
 
 def _parity_bit_count(data_bits: int) -> int:
@@ -54,10 +33,9 @@ def _parity_bit_count(data_bits: int) -> int:
 class HammingCode:
     """A single-error-correcting Hamming code for ``data_bits`` data bits.
 
-    The public interface operates on numpy bit arrays (dtype uint8, values
-    0/1).  Batch variants (``encode_many`` / ``decode_many``) operate on 2-D
-    arrays with one word per row and are used on the chip's read path where
-    an entire DRAM row is decoded at once.
+    ``encode_many`` and ``decode_many`` operate on 2-D numpy bit arrays
+    (dtype uint8, values 0/1) with one word per row, so the chip's read
+    path decodes an entire DRAM row at once.
 
     >>> code = HammingCode(64)
     >>> code.parity_bits
@@ -90,16 +68,6 @@ class HammingCode:
         self._syndrome_weights = (1 << np.arange(self.parity_bits)).astype(np.int64)
 
     @property
-    def data_positions(self) -> np.ndarray:
-        """1-based codeword positions that hold data bits."""
-        return self._data_positions
-
-    @property
-    def parity_positions(self) -> np.ndarray:
-        """1-based codeword positions that hold parity bits."""
-        return self._parity_positions
-
-    @property
     def data_columns(self) -> np.ndarray:
         """0-based codeword column indices that hold data bits."""
         return self._data_positions - 1
@@ -109,29 +77,6 @@ class HammingCode:
         """0-based codeword column indices that hold parity bits."""
         return self._parity_positions - 1
 
-    # ------------------------------------------------------------------
-    # Single-word interface
-    # ------------------------------------------------------------------
-    def encode(self, data: np.ndarray) -> np.ndarray:
-        """Encode one data word into a codeword bit array."""
-        return self.encode_many(np.asarray(data, dtype=np.uint8).reshape(1, -1))[0]
-
-    def decode(self, codeword: np.ndarray) -> DecodeResult:
-        """Decode one codeword, applying at most one bit correction."""
-        data, detected, corrected = self.decode_many(
-            np.asarray(codeword, dtype=np.uint8).reshape(1, -1)
-        )
-        position = int(corrected[0])
-        return DecodeResult(data=data[0], detected=bool(detected[0]), corrected_position=position)
-
-    def extract_data(self, codeword: np.ndarray) -> np.ndarray:
-        """Return the data bits of a codeword without decoding."""
-        codeword = np.asarray(codeword, dtype=np.uint8)
-        return codeword[self._data_positions - 1]
-
-    # ------------------------------------------------------------------
-    # Batch interface
-    # ------------------------------------------------------------------
     def encode_many(self, data_words: np.ndarray) -> np.ndarray:
         """Encode a batch of data words (one word per row) into codewords."""
         data_words = np.asarray(data_words, dtype=np.uint8)

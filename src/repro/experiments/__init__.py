@@ -75,7 +75,6 @@ from repro.experiments.study import (
     UnknownStudyError,
     WorkUnit,
     config_digest,
-    describe_studies,
     get_study,
     list_studies,
     register_study,
@@ -112,7 +111,6 @@ __all__ = [
     "WorkUnit",
     "chip_digest",
     "config_digest",
-    "describe_studies",
     "get_study",
     "list_studies",
     "register_study",

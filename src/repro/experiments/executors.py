@@ -110,7 +110,8 @@ class Executor:
     Subclasses implement :meth:`iter_outcomes`, which must yield one
     outcome per task *in task order* -- the session relies on this to keep
     results aligned with chips and to make parallel runs reproduce serial
-    runs, and fails a run that gets fewer -- and should yield each outcome
+    runs, and fails a run that gets fewer outcomes, or an outcome whose
+    study, unit or chip is not its task's -- and should yield each outcome
     *as soon as* its in-order turn completes.  That is what lets the
     session checkpoint every finished work unit into the result store
     before the batch is done (a killed run then resumes from the units

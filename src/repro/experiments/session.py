@@ -20,18 +20,16 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.dram.chip import DramChip
 from repro.dram.geometry import ChipGeometry
-from repro.dram.module import DramModule
 from repro.dram.population import flatten_population, make_population
 from repro.experiments.executors import Executor, SerialExecutor, StudyTask
 from repro.experiments.store import CacheKey, ResultStore
 from repro.experiments.study import RegisteredStudy, StudyResult, config_digest, get_study
 
-#: Anything a session accepts as its chip population: a single chip, a
-#: module, an iterable of chips, or the configuration-keyed dict produced
-#: by :func:`repro.dram.population.make_population`.
+#: Anything a session accepts as its chip population: a single chip, an
+#: iterable of chips, or the configuration-keyed dict produced by
+#: :func:`repro.dram.population.make_population`.
 PopulationLike = Union[
     DramChip,
-    DramModule,
     Iterable[DramChip],
     Mapping[Any, Sequence[DramChip]],
 ]
@@ -117,9 +115,9 @@ class ExperimentSession:
     Parameters
     ----------
     population:
-        The chips to study -- a single chip, a module, a chip list, or the
-        dict :func:`repro.dram.population.make_population` returns.  More
-        chips can be added later with :meth:`add_chips`.
+        The chips to study -- a single chip, a chip list, or the dict
+        :func:`repro.dram.population.make_population` returns.  More chips
+        can be added later with :meth:`add_chips`.
     executor:
         Execution backend; defaults to
         :class:`~repro.experiments.executors.SerialExecutor`.  Swapping in
@@ -184,8 +182,6 @@ class ExperimentSession:
     def _coerce_chips(population: PopulationLike) -> List[DramChip]:
         if isinstance(population, DramChip):
             return [population]
-        if isinstance(population, DramModule):
-            return list(population.chips)
         if isinstance(population, Mapping):
             return flatten_population(population)
         return list(population)
@@ -194,16 +190,6 @@ class ExperimentSession:
     def chips(self) -> List[DramChip]:
         """The session's chip population, in insertion order."""
         return list(self._chips)
-
-    def chips_for(self, type_node: Any, manufacturer: Optional[str] = None) -> List[DramChip]:
-        """Chips of one type-node (and optionally one manufacturer)."""
-        wanted = str(type_node)
-        return [
-            chip
-            for chip in self._chips
-            if chip.profile.type_node.value == wanted
-            and (manufacturer is None or chip.profile.manufacturer == manufacturer)
-        ]
 
     def configurations(self) -> List[Tuple[str, str]]:
         """Distinct (type-node, manufacturer) pairs present, in insertion order."""
@@ -291,18 +277,30 @@ class ExperimentSession:
         try:
             for (t_index, u_index, key), outcome in zip(pending_slots, outcomes):
                 received += 1
-                unit_payloads[t_index][u_index] = outcome.result.payload
-                unit_elapsed[t_index] += outcome.result.elapsed_s
+                chip = targets[t_index]
+                # Outcomes are paired with tasks by position only, so an
+                # executor that yields them out of order would file each
+                # unit's payload (and store entry) under another slot.
+                chip_id = chip.chip_id if chip is not None else None
+                due = (spec.name, units[u_index].digest, chip_id)
+                result = outcome.result
+                got = (result.study, result.unit_digest, result.chip_id)
+                if got != due:
+                    raise RuntimeError(
+                        f"executor {type(self.executor).__name__} yielded the outcome "
+                        f"of (study, unit digest, chip) {got} where {due} was due"
+                    )
+                unit_payloads[t_index][u_index] = result.payload
+                unit_elapsed[t_index] += result.elapsed_s
                 units_retries[t_index] += max(0, outcome.attempts - 1)
                 units_requeued[t_index] += outcome.requeues
-                chip = targets[t_index]
                 if chip is not None and outcome.stats is not None:
                     # The executor ran against a copy; fold the copy's
                     # operation counters back so ChipStats reflects all work
                     # done on a chip.
                     chip.stats.merge(outcome.stats)
                 if key is not None:
-                    self.store.put(key, outcome.result)
+                    self.store.put(key, result)
         finally:
             # zip() stops at the last slot without advancing the generator
             # past its final yield; closing it releases executor resources
@@ -344,20 +342,6 @@ class ExperimentSession:
             results=results,
             elapsed_s=time.perf_counter() - started,
         )
-
-    def run_all(
-        self,
-        studies: Sequence[Union[str, RegisteredStudy]],
-        configs: Optional[Mapping[str, Any]] = None,
-        chips: Optional[Sequence[DramChip]] = None,
-    ) -> Dict[str, SessionRunResult]:
-        """Run several studies in order, returning results keyed by study name."""
-        configs = configs or {}
-        outcomes: Dict[str, SessionRunResult] = {}
-        for study in studies:
-            name = study if isinstance(study, str) else study.name
-            outcomes[name] = self.run(study, config=configs.get(name), chips=chips)
-        return outcomes
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (

@@ -31,7 +31,7 @@ import pickle
 import uuid
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterator, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, Optional, Union
 
 try:  # POSIX advisory locking; absent on some platforms (e.g. Windows)
     import fcntl
@@ -54,12 +54,18 @@ class CacheKey:
     :class:`~repro.experiments.study.WorkUnit`), so its digest *is* its
     config scope -- which is what lets an edited config replay every unit
     it did not touch.
+
+    ``chip_id`` is the id of the chip the result belongs to (``None`` for
+    population-level studies).  It is not part of :attr:`filename`, which
+    ``chip_digest`` already pins; :meth:`ResultStore.get` checks it against
+    the entry it reads.
     """
 
     study: str
     config_digest: str
     chip_digest: str
     unit_digest: str = ""
+    chip_id: Optional[str] = None
 
     @property
     def filename(self) -> str:
@@ -111,13 +117,20 @@ def cache_key(
     config digest from the key (their own digest embeds the unit-relevant
     config scope), so two configs sharing a grid cell share its cache entry.
     """
+    chip_id = chip.chip_id if chip is not None else None
     if unit is None or unit.is_whole_study:
-        return CacheKey(study=study, config_digest=config_digest, chip_digest=chip_digest(chip))
+        return CacheKey(
+            study=study,
+            config_digest=config_digest,
+            chip_digest=chip_digest(chip),
+            chip_id=chip_id,
+        )
     return CacheKey(
         study=study,
         config_digest="",
         chip_digest=chip_digest(chip),
         unit_digest=unit.digest,
+        chip_id=chip_id,
     )
 
 
@@ -128,6 +141,8 @@ def _is_entry_for(key: CacheKey, result: Any) -> bool:
     hence the ``getattr`` defaults.
     """
     if not isinstance(result, StudyResult) or getattr(result, "study", None) != key.study:
+        return False
+    if getattr(result, "chip_id", None) != key.chip_id:
         return False
     if key.unit_digest:
         return getattr(result, "unit_digest", None) == key.unit_digest
@@ -232,12 +247,13 @@ class ResultStore:
 
         An on-disk entry is served only if it is the result its key names:
         a :class:`~repro.experiments.study.StudyResult` of the key's study
-        with the key's unit digest (unit entries) or config digest
+        and chip with the key's unit digest (unit entries) or config digest
         (whole-study entries).  An entry that fails that check, or cannot be
-        unpickled at all -- a torn write, an empty file, a pickle of a class
-        the code no longer has, another unit's entry, a foreign file -- is
-        quarantined, counted in ``stats.corrupt`` and reported as a miss,
-        so the caller recomputes the result and :meth:`put` rewrites it.
+        unpickled at all -- a torn write, an empty file, damaged bytes, a
+        pickle of a class the code no longer has, another unit's or another
+        chip's entry, a foreign file -- is quarantined, counted in
+        ``stats.corrupt`` and reported as a miss, so the caller recomputes
+        the result and :meth:`put` rewrites it.
         """
         result = self._memory.get(key)
         if result is None and self.root is not None:
@@ -257,13 +273,20 @@ class ResultStore:
             directory = self._study_dirs[key.study] = os.path.join(self.root, key.study)
         path = os.path.join(directory, key.filename)
         try:
-            with open(path, "rb") as handle:
-                result = pickle.load(handle)
+            handle = open(path, "rb")
         except FileNotFoundError:
             return None
-        except (pickle.UnpicklingError, EOFError, AttributeError, ImportError):
-            result = None
-        if not _is_entry_for(key, result):
+        with handle:
+            try:
+                result = pickle.load(handle)
+                valid = _is_entry_for(key, result)
+            except Exception:
+                # pickle on damaged bytes can raise almost anything
+                # (UnicodeDecodeError, ValueError, TypeError, OverflowError,
+                # MemoryError, ... besides UnpicklingError and EOFError), and
+                # each of them means a corrupt entry, never a crash.
+                valid = False
+        if not valid:
             self._quarantine(path)
             return None
         self._memory[key] = result
@@ -302,29 +325,6 @@ class ResultStore:
                     with contextlib.suppress(OSError):
                         tmp.unlink(missing_ok=True)
         self.stats.puts += 1
-
-    def contains(self, key: CacheKey) -> bool:
-        """Whether a result is cached (without counting a hit or a miss)."""
-        if key in self._memory:
-            return True
-        path = self._path(key)
-        return path is not None and path.exists()
-
-    def drop(self, key: CacheKey) -> bool:
-        """Evict one cached result (memory and disk); ``True`` if anything was.
-
-        The programmatic way to knock individual work units out of an
-        otherwise complete cache (crash simulations that model *external*
-        file loss delete the on-disk entries directly instead).
-        """
-        dropped = self._memory.pop(key, None) is not None
-        path = self._path(key)
-        if path is not None and path.exists():
-            with self._write_lock():
-                if path.exists():
-                    path.unlink()
-                    dropped = True
-        return dropped
 
     def entry_paths(self, study: Optional[str] = None, units_only: bool = False) -> list:
         """Sorted on-disk cache files, optionally restricted to one study.

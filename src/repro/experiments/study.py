@@ -388,12 +388,6 @@ def list_studies() -> List[str]:
     return sorted(_REGISTRY)
 
 
-def describe_studies() -> Dict[str, str]:
-    """Mapping of study name to its one-line description."""
-    _ensure_builtin_studies()
-    return {name: _REGISTRY[name].description for name in sorted(_REGISTRY)}
-
-
 # ----------------------------------------------------------------------
 # Config digests
 # ----------------------------------------------------------------------

@@ -19,8 +19,8 @@ Message reference
 -----------------
 Handshake (both directions of every connection)::
 
-    {"type": "hello", "role": "client"|"worker", "name": str, "protocol": 2}
-    {"type": "hello_ack", "protocol": 2, "lease_ttl": float}
+    {"type": "hello", "role": "client"|"worker", "name": str, "protocol": 3}
+    {"type": "hello_ack", "protocol": 3, "lease_ttl": float}
     {"type": "error", "error": str}          # fatal; sender closes after
 
 Client -> scheduler::
@@ -69,7 +69,9 @@ from typing import Any, Dict, Optional
 #: Bump when a message's meaning changes incompatibly; scheduler and
 #: workers refuse mismatched peers at hello time.  Version 2: task blobs
 #: pickle a :class:`~repro.experiments.executors.StudyTask` without a seed.
-PROTOCOL_VERSION = 2
+#: Version 3: a unit's ``cache`` dict carries the
+#: :class:`~repro.experiments.store.CacheKey` ``chip_id``.
+PROTOCOL_VERSION = 3
 
 #: Upper bound on one framed line.  A full-scale Figure 10 submission
 #: (2304 pickled work units) is tens of MB; 256 MB leaves headroom without

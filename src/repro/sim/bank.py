@@ -26,9 +26,6 @@ class BankState:
     next_precharge: int = 0
     next_read: int = 0
     next_write: int = 0
-    #: cycle until which the bank is busy with an operation (for utilization stats)
-    busy_until: int = 0
-    last_activate_cycle: int = -1
 
     # ------------------------------------------------------------------
     # Command legality and issue
@@ -51,18 +48,15 @@ class BankState:
         """Issue ACT: open ``row`` and set downstream timing constraints."""
         timings = self.timings
         self.open_row = row
-        self.last_activate_cycle = cycle
         self.next_read = cycle + timings.trcd
         self.next_write = cycle + timings.trcd
         self.next_precharge = cycle + timings.tras
         self.next_activate = cycle + timings.trc
-        self.busy_until = max(self.busy_until, cycle + timings.trcd)
 
     def precharge(self, cycle: int) -> None:
         """Issue PRE: close the open row."""
         self.open_row = None
         self.next_activate = max(self.next_activate, cycle + self.timings.trp)
-        self.busy_until = max(self.busy_until, cycle + self.timings.trp)
 
     def column_access(self, cycle: int, is_write: bool) -> int:
         """Issue RD/WR to the open row; returns the data-completion cycle."""
@@ -77,7 +71,6 @@ class BankState:
             self.next_precharge = max(self.next_precharge, cycle + timings.trtp)
             self.next_read = max(self.next_read, cycle + timings.tccd_l)
             self.next_write = max(self.next_write, cycle + timings.tccd_l)
-        self.busy_until = max(self.busy_until, data_done)
         return data_done
 
     def block_until(self, cycle: int) -> None:
@@ -87,7 +80,6 @@ class BankState:
         self.next_precharge = max(self.next_precharge, cycle)
         self.next_read = max(self.next_read, cycle)
         self.next_write = max(self.next_write, cycle)
-        self.busy_until = max(self.busy_until, cycle)
 
 
 @dataclass(slots=True)

@@ -470,7 +470,6 @@ class MemoryController:
                 self._sync_bank(request.bank)
                 self.stats.mitigation_refreshes += 1
                 self.stats.mitigation_busy_cycles += self.timings.trc
-                request.complete(cycle + self.timings.trc)
                 self.victim_queue.pop(index)
                 if self.mitigation is not None:
                     self.mitigation.on_victim_refreshed(request.bank, request.row, cycle)
@@ -631,7 +630,6 @@ class MemoryController:
                 self._sync_bank(request.bank)
                 self.stats.mitigation_refreshes += 1
                 self.stats.mitigation_busy_cycles += self.timings.trc
-                request.complete(cycle + self.timings.trc)
                 self.victim_queue.pop(index)
                 if self.mitigation is not None:
                     self.mitigation.on_victim_refreshed(request.bank, request.row, cycle)

@@ -12,7 +12,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+from typing import Sequence
 
 
 def weighted_speedup(shared_ipcs: Sequence[float], alone_ipcs: Sequence[float]) -> float:
@@ -53,10 +53,3 @@ def bandwidth_overhead_percent(
     if demand_busy_cycles <= 0:
         return 0.0
     return 100.0 * mitigation_busy_cycles / demand_busy_cycles
-
-
-def average(values: Sequence[float]) -> float:
-    """Arithmetic mean (kept here so benchmark code has a single import)."""
-    if not values:
-        raise ValueError("cannot average an empty sequence")
-    return sum(values) / len(values)

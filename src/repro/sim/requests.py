@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import enum
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 
@@ -19,9 +18,6 @@ class RequestType(enum.Enum):
 
     def __str__(self) -> str:  # pragma: no cover - trivial
         return self.value
-
-
-_request_ids = itertools.count()
 
 
 @dataclass(slots=True)
@@ -39,8 +35,8 @@ class MemoryRequest:
     arrival_cycle:
         DRAM cycle at which the request entered the controller.
     completion_callback:
-        Called with the completion cycle when the request's data is returned
-        (reads) or the request has been performed (writes / victim refreshes).
+        Called with the completion cycle when a read's data is returned or
+        a (posted) write has been buffered.  Victim refreshes carry none.
     """
 
     request_type: RequestType
@@ -50,11 +46,8 @@ class MemoryRequest:
     core_id: int = -1
     arrival_cycle: int = 0
     completion_callback: Optional[Callable[[int], None]] = None
-    request_id: int = field(default_factory=lambda: next(_request_ids))
-    completed_cycle: Optional[int] = None
     #: Controller-local arrival sequence number, assigned at enqueue time.
-    #: FR-FCFS "oldest first" compares these, so scheduling never depends on
-    #: the process-global ``request_id`` counter.
+    #: FR-FCFS "oldest first" compares these.
     seq: int = 0
     #: Set when the controller has issued the request's column access and
     #: removed it from its live queues.  Indexed scheduling structures keep
@@ -67,13 +60,12 @@ class MemoryRequest:
         return self.request_type is RequestType.WRITE
 
     def complete(self, cycle: int) -> None:
-        """Mark the request complete and notify the issuer."""
-        self.completed_cycle = cycle
+        """Notify the issuer that the request completed at ``cycle``."""
         if self.completion_callback is not None:
             self.completion_callback(cycle)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (
             f"MemoryRequest({self.request_type.value}, bank={self.bank}, "
-            f"row={self.row}, core={self.core_id}, id={self.request_id})"
+            f"row={self.row}, core={self.core_id}, seq={self.seq})"
         )

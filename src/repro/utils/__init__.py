@@ -1,24 +1,11 @@
-"""Shared utilities: deterministic RNG streams, bit operations, statistics."""
+"""Shared utilities: deterministic RNG streams and statistics."""
 
 from repro.utils.rng import derive_seed, make_rng
-from repro.utils.bitops import (
-    bytes_to_bits,
-    bits_to_bytes,
-    count_set_bits,
-    flip_bits,
-    words_of,
-)
-from repro.utils.stats import BoxStats, box_stats, geometric_mean
+from repro.utils.stats import BoxStats, box_stats
 
 __all__ = [
     "derive_seed",
     "make_rng",
-    "bytes_to_bits",
-    "bits_to_bytes",
-    "count_set_bits",
-    "flip_bits",
-    "words_of",
     "BoxStats",
     "box_stats",
-    "geometric_mean",
 ]

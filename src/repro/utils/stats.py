@@ -83,18 +83,6 @@ def box_stats(values: Sequence[float]) -> BoxStats:
     )
 
 
-def geometric_mean(values: Sequence[float]) -> float:
-    """Geometric mean of strictly positive values."""
-    if len(values) == 0:
-        raise ValueError("cannot compute geometric mean of empty sequence")
-    log_sum = 0.0
-    for value in values:
-        if value <= 0:
-            raise ValueError("geometric mean requires strictly positive values")
-        log_sum += math.log(value)
-    return math.exp(log_sum / len(values))
-
-
 def mean(values: Sequence[float]) -> float:
     """Arithmetic mean (raises on empty input rather than returning NaN)."""
     if len(values) == 0:

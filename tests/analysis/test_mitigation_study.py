@@ -85,14 +85,14 @@ class TestMitigationStudy:
         )
 
     def test_ideal_outperforms_para_at_low_hcfirst(self, small_study):
-        para = small_study.performance_at("PARA", 128)
-        ideal = small_study.performance_at("Ideal", 128)
+        para = small_study.series_for("PARA")[128].normalized_performance_avg
+        ideal = small_study.series_for("Ideal")[128].normalized_performance_avg
         assert ideal >= para
 
     def test_serialization_and_lookup(self, small_study):
         point = small_study.points[0]
         assert small_study.series_for(point.mechanism)[point.hcfirst] == point
-        assert small_study.performance_at("DoesNotExist", 1) is None
+        assert small_study.series_for("DoesNotExist") == {}
         assert set(small_study.mechanisms()) <= {"PARA", "Ideal", "TWiCe-ideal", "ProHIT"}
 
 

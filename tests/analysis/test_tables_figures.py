@@ -10,7 +10,7 @@ from repro.analysis.figures import (
     build_figure8_hcfirst_distribution,
     build_figure9_ecc,
 )
-from repro.analysis.report import format_table, render_nested_series, render_series
+from repro.analysis.report import format_table, render_series
 from repro.analysis.tables import (
     PAPER_TABLE4_MIN_HCFIRST_K,
     build_table1_population,
@@ -188,7 +188,3 @@ class TestReport:
     def test_render_series(self):
         text = render_series({64: 20.0, 128: 40.0}, label="perf", key_label="hcfirst")
         assert "hcfirst" in text and "128" in text
-
-    def test_render_nested_series(self):
-        text = render_nested_series({"PARA": {64: 20.0, 128: 40.0}})
-        assert "PARA" in text and "64" in text

@@ -54,8 +54,8 @@ class TestCharacterizer:
         characterizer = RowHammerCharacterizer(ddr4_chip)
         config = CharacterizationConfig(hammer_counts=(10_000, 150_000))
         result = characterizer.run(config)
-        low = result.unique_flipped_cells(hammer_count=10_000)
-        high = result.unique_flipped_cells(hammer_count=150_000)
+        low = {f.cell for r in result.records_for(hammer_count=10_000) for f in r.flips}
+        high = {f.cell for r in result.records_for(hammer_count=150_000) for f in r.flips}
         assert len(high) >= len(low)
         assert result.total_flips() >= len(high)
 

@@ -4,10 +4,13 @@ import pytest
 
 from repro.core.data_patterns import (
     CHECKERED0,
+    CHECKERED1,
     COLSTRIPE0,
+    COLSTRIPE1,
     ROWSTRIPE0,
     ROWSTRIPE1,
     SOLID0,
+    SOLID1,
     STANDARD_PATTERNS,
     DataPattern,
     pattern_by_name,
@@ -29,14 +32,24 @@ class TestPatternDefinitions:
         assert (CHECKERED0.victim_byte, CHECKERED0.aggressor_byte) == (0x55, 0xAA)
 
     def test_uniform_patterns(self):
-        assert SOLID0.is_uniform
-        assert COLSTRIPE0.is_uniform
-        assert not ROWSTRIPE0.is_uniform
+        # Solid and ColStripe write one byte to every row of the
+        # neighbourhood; RowStripe and Checkered alternate by row parity.
+        for pattern in (SOLID0, SOLID1, COLSTRIPE0, COLSTRIPE1):
+            assert pattern.victim_byte == pattern.aggressor_byte, pattern.name
+        for pattern in (ROWSTRIPE0, ROWSTRIPE1, CHECKERED0, CHECKERED1):
+            assert pattern.victim_byte != pattern.aggressor_byte, pattern.name
 
     def test_inverse(self):
-        inverse = ROWSTRIPE0.inverse()
-        assert inverse.victim_byte == 0xFF
-        assert inverse.aggressor_byte == 0x00
+        # Each *1 pattern writes the bitwise complement of its *0 pattern.
+        pairs = [
+            (SOLID0, SOLID1),
+            (COLSTRIPE0, COLSTRIPE1),
+            (CHECKERED0, CHECKERED1),
+            (ROWSTRIPE0, ROWSTRIPE1),
+        ]
+        for zero, one in pairs:
+            assert one.victim_byte == zero.victim_byte ^ 0xFF, one.name
+            assert one.aggressor_byte == zero.aggressor_byte ^ 0xFF, one.name
 
     def test_invalid_byte_rejected(self):
         with pytest.raises(ValueError):

@@ -3,7 +3,8 @@
 :class:`~repro.core.hammer.HammerResult` keeps the neighbourhood read-back
 as arrays and builds :class:`~repro.core.hammer.BitFlip` objects only when
 ``flips`` is read.  The property test checks the arrays, the lazy list and
-the counting helpers against a per-bit walk of what the chip read back.
+the counting helpers against a per-bit walk of what a twin chip reads back
+after the same writes, refresh and hammers, taken by hand.
 The guard test checks that the flip-counting studies never build a
 ``BitFlip`` at all.
 """
@@ -66,38 +67,30 @@ def walk_flips(chip, bank, victim, pattern, rows, observed):
     victim=st.integers(min_value=0, max_value=GEOMETRY.rows_per_bank - 1),
     hammer_count=st.integers(min_value=1_000, max_value=150_000),
     pattern=st.sampled_from(STANDARD_PATTERNS),
-    prepare=st.booleans(),
-    restore=st.booleans(),
     word_bits=st.sampled_from((8, 48, 64, 128)),
 )
-def test_arrays_match_a_per_bit_walk(
-    profile, victim, hammer_count, pattern, prepare, restore, word_bits
-):
+def test_arrays_match_a_per_bit_walk(profile, victim, hammer_count, pattern, word_bits):
     chip = pristine_chip(profile)
     twin = copy.deepcopy(chip)
     hammer = DoubleSidedHammer(chip)
-    if not prepare:
-        # A caller that skips preparation has laid the pattern out itself.
-        hammer.write_pattern(0, victim, pattern)
-        DoubleSidedHammer(twin).write_pattern(0, victim, pattern)
+    result = hammer.hammer_victim(0, victim, hammer_count, data_pattern=pattern)
 
-    reads = []
-    read_rows = chip.read_rows
+    # The twin takes Algorithm 1's steps by hand: write the pattern around
+    # the victim, refresh the victim, hammer its aggressors, read back.
+    rows = hammer.neighbourhood(victim)
+    twin.write_rows(0, rows, [pattern_byte(twin, victim, row, pattern) for row in rows])
+    twin.refresh_row(0, victim)
+    aggressors = [
+        row for row in twin.remapper.aggressors_for(victim) if 0 <= row < GEOMETRY.rows_per_bank
+    ]
+    if len(aggressors) >= 2:
+        twin.hammer_pair(0, aggressors[0], aggressors[-1], hammer_count)
+    elif aggressors:
+        twin.activate(0, aggressors[0], hammer_count)
+    observed = twin.read_rows(0, rows)
 
-    def recording_read_rows(bank, rows):
-        observed = read_rows(bank, rows)
-        reads.append((list(rows), observed.copy()))
-        return observed
-
-    chip.read_rows = recording_read_rows
-    result = hammer.hammer_victim(
-        0, victim, hammer_count, data_pattern=pattern, prepare=prepare, restore=restore
-    )
-    del chip.read_rows
-
-    (rows, observed), = reads
-    assert result.rows.tolist() == rows == hammer.neighbourhood(victim)
-    flips = walk_flips(chip, 0, victim, pattern, rows, observed)
+    assert result.rows.tolist() == rows
+    flips = walk_flips(twin, 0, victim, pattern, rows, observed)
     assert result.flips == flips
     assert result.num_bit_flips == len(flips)
     assert result.victim_flips == [f for f in flips if f.offset_from_victim == 0]
@@ -105,7 +98,6 @@ def test_arrays_match_a_per_bit_walk(
         assert result.flips_at_offset(offset) == [
             f for f in flips if f.offset_from_victim == offset
         ]
-    assert result.flips_per_word64() == Counter((f.bank, f.row, f.word64_index) for f in flips)
     words = result.word_flip_counts(word_bits)
     by_word = Counter((f.row, f.bit_index // word_bits) for f in flips)
     assert {
@@ -116,16 +108,11 @@ def test_arrays_match_a_per_bit_walk(
     } == by_word
 
     # Restoring rewrites exactly the rows the objects place flips in.
-    twin_result = DoubleSidedHammer(twin).hammer_victim(
-        0, victim, hammer_count, data_pattern=pattern, prepare=prepare, restore=False
-    )
-    assert twin_result.flips == flips
-    if restore:
-        flipped_rows = sorted({flip.row for flip in flips})
-        if flipped_rows:
-            twin.write_rows(
-                0, flipped_rows, [pattern_byte(twin, victim, row, pattern) for row in flipped_rows]
-            )
+    flipped_rows = sorted({flip.row for flip in flips})
+    if flipped_rows:
+        twin.write_rows(
+            0, flipped_rows, [pattern_byte(twin, victim, row, pattern) for row in flipped_rows]
+        )
     assert dataclasses.asdict(chip.stats) == dataclasses.asdict(twin.stats)
     assert state_digest(chip) == state_digest(twin)
 

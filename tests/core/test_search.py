@@ -61,9 +61,20 @@ class TestDescendAndSearch:
         assert best_victim == 7
         assert best_hc == 1
 
-    def test_rejects_bad_descent_factor(self):
-        with pytest.raises(ValueError):
-            descend_and_search([1], lambda v, hc: True, hammer_limit=100, descent_factor=1.0)
+    def test_descent_halves_hammer_count(self):
+        levels = []
+
+        def evaluate(victim, hc):
+            levels.append(hc)
+            return hc >= 10_000
+
+        best_hc, best_victim, _ = descend_and_search([1], evaluate, hammer_limit=160_000)
+        # Halving from the limit until a level fails (5000), then a binary
+        # search between the last two levels.
+        assert levels[:6] == [160_000, 80_000, 40_000, 20_000, 10_000, 5_000]
+        assert all(5_000 <= hc <= 10_000 for hc in levels[6:])
+        assert best_victim == 1
+        assert 10_000 <= best_hc <= 10_200
 
     def test_rejects_max_candidates_below_one(self):
         # Zero candidates would search nothing and report "never satisfied".

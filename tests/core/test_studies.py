@@ -102,10 +102,12 @@ class TestCoverage:
 class TestSweeps:
     def test_accepts_non_standard_pattern(self, vulnerable_chip):
         # The config must keep accepting arbitrary DataPattern objects
-        # (e.g. inverses), not only the eight named standard patterns.
-        from repro.core.data_patterns import ROWSTRIPE0
+        # (e.g. an inverted RowStripe0), not only the eight named standard
+        # patterns.
+        from repro.core.data_patterns import DataPattern
 
-        config = SweepStudyConfig(hammer_counts=(150_000,), data_pattern=ROWSTRIPE0.inverse())
+        inverse = DataPattern("RowStripe0-inverse", "~RS0", 0xFF, 0x00)
+        config = SweepStudyConfig(hammer_counts=(150_000,), data_pattern=inverse)
         sweep = run_hammer_count_sweep(vulnerable_chip, config)
         assert sweep.data_pattern == "RowStripe0-inverse"
 
@@ -113,7 +115,7 @@ class TestSweeps:
         sweep = run_hammer_count_sweep(
             vulnerable_chip, SweepStudyConfig(hammer_counts=(20_000, 60_000, 150_000))
         )
-        rates = sweep.flip_rates()
+        rates = [point.flip_rate for point in sweep.points]
         assert rates == sorted(rates)
         assert rates[-1] > 0
 

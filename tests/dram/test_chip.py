@@ -141,7 +141,8 @@ def test_deleted_chip_is_freed_without_the_cycle_collector(small_geometry):
     wait for the cyclic garbage collector to give their bank arrays back.
     """
     chip = make_chip("LPDDR4-1y", "A", seed=1, geometry=small_geometry)
-    chip.fill_bank(0, 0x00, 0xFF)
+    rows = list(range(small_geometry.rows_per_bank))
+    chip.write_rows(0, rows, [0x00 if row % 2 == 0 else 0xFF for row in rows])
     chip.hammer_pair(0, 10, 12, 1_000)
     ref = weakref.ref(chip)
     gc.disable()

@@ -1,15 +1,13 @@
-"""Tests for DRAM modules and population generation."""
+"""Tests for the paper's population inventory and chip population generation."""
 
 import pytest
 
 from repro.dram.geometry import ChipGeometry
-from repro.dram.module import DramModule
 from repro.dram.population import (
     TABLE1_POPULATION,
     TABLE7_DDR4_MODULES,
     TABLE8_DDR3_MODULES,
     make_chip,
-    make_module,
     make_population,
 )
 from repro.dram.vulnerability import TypeNode
@@ -43,21 +41,6 @@ class TestFactories:
         assert chip.profile.type_node is TypeNode.DDR4_OLD
         assert chip.profile.manufacturer == "B"
 
-    def test_make_module_creates_distinct_chips(self):
-        module = make_module("DDR4-new", "A", num_chips=4, seed=1, geometry=SMALL)
-        assert module.num_chips == 4
-        assert len({chip.hcfirst_target for chip in module.chips}) > 1
-        assert module.min_hcfirst_target() == min(c.hcfirst_target for c in module.chips)
-
-    def test_module_iteration_and_len(self):
-        module = make_module("DDR4-new", "A", num_chips=3, seed=2, geometry=SMALL)
-        assert len(module) == 3
-        assert len(list(module)) == 3
-
-    def test_empty_module_min_is_none(self):
-        module = DramModule(module_id="x", profile=make_chip("DDR4-new", "A", geometry=SMALL).profile)
-        assert module.min_hcfirst_target() is None
-
     def test_make_population_scaled(self):
         population = make_population(chips_per_config=2, seed=0, geometry=SMALL)
         assert len(population) == 16
@@ -86,6 +69,14 @@ class TestFactories:
         assert "LPDDR4-1y/B" in message
         assert "DDR3-old/a" in message
         assert "DDR4-new/A" not in message
+
+    def test_chips_of_one_configuration_differ(self):
+        population = make_population(
+            chips_per_config=4, seed=1, geometry=SMALL, configurations=[("DDR4-new", "A")]
+        )
+        chips = population[(TypeNode.DDR4_NEW, "A")]
+        assert [chip.chip_id for chip in chips] == [f"DDR4-new-A-{i}" for i in range(4)]
+        assert len({chip.hcfirst_target for chip in chips}) > 1
 
     def test_population_chips_are_deterministic(self):
         one = make_population(chips_per_config=1, seed=5, geometry=SMALL)

@@ -1,5 +1,7 @@
 """Tests for the Hamming SEC codec."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -18,58 +20,104 @@ class TestConstruction:
         with pytest.raises(ValueError):
             HammingCode(0)
 
+    def test_parity_bit_count_is_minimal(self):
+        # r parity bits give 2**r - 1 nonzero syndromes: enough to name
+        # every codeword position, and r - 1 bits would not be.
+        for data_bits in range(1, 300):
+            r = HammingCode(data_bits).parity_bits
+            assert 2**r >= data_bits + r + 1, data_bits
+            assert 2 ** (r - 1) < data_bits + r, data_bits
+
     def test_position_partition(self):
         code = HammingCode(32)
-        all_positions = set(code.data_positions) | set(code.parity_positions)
-        assert all_positions == set(range(1, code.codeword_bits + 1))
+        data, parity = set(code.data_columns), set(code.parity_columns)
+        assert not data & parity
+        assert data | parity == set(range(code.codeword_bits))
 
 
 class TestEncodeDecode:
     def test_clean_round_trip(self):
         code = HammingCode(64)
         rng = make_rng(1)
-        data = rng.integers(0, 2, 64).astype(np.uint8)
-        result = code.decode(code.encode(data))
-        assert np.array_equal(result.data, data)
-        assert not result.detected
+        data = rng.integers(0, 2, (1, 64)).astype(np.uint8)
+        decoded, detected, positions = code.decode_many(code.encode_many(data))
+        assert np.array_equal(decoded, data)
+        assert not detected.any()
+        assert not positions.any()
 
     def test_every_single_bit_error_corrected(self):
         code = HammingCode(16)
-        data = make_rng(2).integers(0, 2, 16).astype(np.uint8)
-        codeword = code.encode(data)
+        data = make_rng(2).integers(0, 2, (1, 16)).astype(np.uint8)
+        codeword = code.encode_many(data)[0]
+        # One corrupted copy of the codeword per position.
+        corrupted = np.tile(codeword, (code.codeword_bits, 1))
+        corrupted[np.arange(code.codeword_bits), np.arange(code.codeword_bits)] ^= 1
+        decoded, detected, positions = code.decode_many(corrupted)
         for position in range(code.codeword_bits):
-            corrupted = codeword.copy()
-            corrupted[position] ^= 1
-            result = code.decode(corrupted)
-            assert np.array_equal(result.data, data), f"failed at position {position}"
-            assert result.detected
+            assert np.array_equal(decoded[position], data[0]), f"failed at position {position}"
+        assert detected.all()
+        assert positions.tolist() == list(range(1, code.codeword_bits + 1))
 
     def test_double_bit_error_not_reliably_corrected(self):
         # With two errors the syndrome is undefined behaviour: the decoder
         # may miscorrect; the result must simply differ from silent success.
         code = HammingCode(16)
-        data = np.zeros(16, dtype=np.uint8)
-        codeword = code.encode(data)
-        miscorrections = 0
-        trials = 0
+        codeword = code.encode_many(np.zeros((1, 16), dtype=np.uint8))[0]
+        corrupted = []
         for i in range(0, code.codeword_bits, 3):
             for j in range(i + 1, code.codeword_bits, 5):
-                corrupted = codeword.copy()
-                corrupted[i] ^= 1
-                corrupted[j] ^= 1
-                result = code.decode(corrupted)
-                trials += 1
-                if not np.array_equal(result.data, data):
-                    miscorrections += 1
+                word = codeword.copy()
+                word[i] ^= 1
+                word[j] ^= 1
+                corrupted.append(word)
+        decoded, _detected, _positions = code.decode_many(np.array(corrupted))
+        trials = len(corrupted)
+        miscorrections = int(decoded.any(axis=1).sum())
         assert trials > 0
         # A SEC code cannot correct double errors, so most trials must leave
         # the data corrupted (possibly with an extra miscorrected bit).
         assert miscorrections > trials * 0.5
 
+    def test_perfect_code_miscorrects_every_double_error(self):
+        # In the perfect (15, 11) code every nonzero syndrome names a
+        # position, so errors at positions a and b always "correct" a third,
+        # clean position a ^ b (the miscorrection of Section 5.4).
+        code = HammingCode(11)
+        assert code.codeword_bits == 2**code.parity_bits - 1
+        codeword = code.encode_many(np.zeros((1, 11), dtype=np.uint8))[0]
+        pairs = list(itertools.combinations(range(1, code.codeword_bits + 1), 2))
+        corrupted = np.tile(codeword, (len(pairs), 1))
+        for index, (a, b) in enumerate(pairs):
+            corrupted[index, [a - 1, b - 1]] ^= 1
+        decoded, detected, positions = code.decode_many(corrupted)
+        assert detected.all()
+        assert positions.tolist() == [a ^ b for a, b in pairs]
+        # The data was all zeros: each set bit is a data position among the
+        # two errors and the miscorrected one (powers of two hold parity).
+        for index, (a, b) in enumerate(pairs):
+            in_data = sum(1 for p in (a, b, a ^ b) if p & (p - 1))
+            assert int(decoded[index].sum()) == in_data, (a, b)
+
+    def test_out_of_range_syndrome_detected_not_corrected(self):
+        # HammingCode(64) has 71 positions but its 7-bit syndromes reach
+        # 127.  Errors at positions 70 and 9 give syndrome 70 ^ 9 = 79, which
+        # names no position: the word is flagged and no bit is changed.
+        code = HammingCode(64)
+        data = make_rng(5).integers(0, 2, (1, 64)).astype(np.uint8)
+        corrupted = code.encode_many(data)
+        corrupted[0, [70 - 1, 9 - 1]] ^= 1
+        decoded, detected, positions = code.decode_many(corrupted)
+        assert detected.tolist() == [True]
+        assert positions.tolist() == [0]
+        assert np.array_equal(decoded, corrupted[:, code.data_columns])
+        assert int((decoded != data).sum()) == 2
+
     def test_extract_data_without_decode(self):
+        # The code is systematic: a codeword's data columns hold the data
+        # bits unchanged, which is how on-die ECC stores a row's data.
         code = HammingCode(8)
-        data = np.array([1, 0, 1, 1, 0, 0, 1, 0], dtype=np.uint8)
-        assert np.array_equal(code.extract_data(code.encode(data)), data)
+        data = np.array([[1, 0, 1, 1, 0, 0, 1, 0]], dtype=np.uint8)
+        assert np.array_equal(code.encode_many(data)[:, code.data_columns], data)
 
 
 class TestBatchInterface:
@@ -79,7 +127,7 @@ class TestBatchInterface:
         words = rng.integers(0, 2, (5, 32)).astype(np.uint8)
         batch = code.encode_many(words)
         for index in range(5):
-            assert np.array_equal(batch[index], code.encode(words[index]))
+            assert np.array_equal(batch[index], code.encode_many(words[index : index + 1])[0])
 
     def test_decode_many_corrects_per_word(self):
         code = HammingCode(32)

@@ -13,6 +13,12 @@ class TestRowGeometry:
         assert ecc.words_per_row(1024) == 8
         assert ecc.check_bits_per_row(1024) == 8 * ecc.check_bits_per_word
 
+    def test_encode_row_returns_every_check_bit(self):
+        ecc = OnDieEcc(word_data_bits=128)
+        check = ecc.encode_row(np.zeros(1024, dtype=np.uint8))
+        assert ecc.check_bits_per_word == 8
+        assert check.shape == (ecc.check_bits_per_row(1024),)
+
     def test_rejects_misaligned_rows(self):
         ecc = OnDieEcc(word_data_bits=128)
         with pytest.raises(ValueError):
@@ -55,6 +61,19 @@ class TestDecodeBehaviour:
         # Undefined decoder behaviour: it may leave 2 errors, reduce to 1, or
         # miscorrect to 3 -- but it cannot return clean data.
         assert visible_errors >= 1
+
+    def test_double_error_can_miscorrect_a_clean_bit(self):
+        # Data bits 0 and 1 of a word sit at codeword positions 3 and 5.
+        # Their syndrome 3 ^ 5 = 6 is the position of data bit 2, which the
+        # decoder flips: two flips read back as three (Table 5).
+        ecc = OnDieEcc()
+        data = self._row(seed=3)
+        check = ecc.encode_row(data)
+        corrupted = data.copy()
+        corrupted[[0, 1]] ^= 1
+        decoded, corrected = ecc.decode_row(corrupted, check)
+        assert np.nonzero(decoded != data)[0].tolist() == [0, 1, 2]
+        assert np.nonzero(corrected)[0].tolist() == [2]
 
     def test_check_bit_corruption_does_not_corrupt_data(self):
         ecc = OnDieEcc()

@@ -9,7 +9,6 @@ from repro.experiments.study import (
     RegisteredStudy,
     UnknownStudyError,
     config_digest,
-    describe_studies,
     get_study,
     list_studies,
     register_study,
@@ -78,7 +77,7 @@ class TestRegistry:
         assert spec.requires_chip
 
     def test_description_defaults_to_docstring(self):
-        assert "Figure 5" in describe_studies()["fig5-hc-sweep"]
+        assert "Figure 5" in get_study("fig5-hc-sweep").description
 
     def test_population_study_flagged(self):
         assert not get_study("fig10-mitigations").requires_chip

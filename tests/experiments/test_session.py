@@ -57,12 +57,6 @@ class TestPopulationHandling:
         assert len(session.chips) == 2
         assert session.configurations() == [("DDR4-new", "A"), ("LPDDR4-1y", "A")]
 
-    def test_chips_for_filters(self):
-        session = ExperimentSession(fresh_population())
-        lp = session.chips_for("LPDDR4-1y", "A")
-        assert len(lp) == 2
-        assert all(chip.profile.type_node.value == "LPDDR4-1y" for chip in lp)
-
     def test_flatten_population_preserves_order(self):
         population = fresh_population()
         chips = flatten_population(population)
@@ -103,24 +97,30 @@ class TestSessionRun:
 
     def test_run_subset_of_chips(self):
         session = ExperimentSession(fresh_population())
-        subset = session.chips_for("DDR4-new")
+        subset = [chip for chip in session.chips if chip.profile.type_node.value == "DDR4-new"]
         outcome = session.run("fig5-hc-sweep", SWEEP, chips=subset)
         assert len(outcome.results) == 2
+
+    def test_studies_run_in_turn_match_separate_sessions(self):
+        # A run leaves the session's chips as it found them, so studies run
+        # one after another on one session give each the payloads of a
+        # session of its own.
+        def chip():
+            return make_chip("DDR4-new", "A", seed=1, geometry=GEOMETRY, hcfirst_target=20_000)
+
+        session = ExperimentSession(chip())
+        sweep = session.run("fig5-hc-sweep", SWEEP)
+        hcfirst = session.run("fig8-hcfirst", HCFirstStudyConfig())
+        assert hcfirst.single().hcfirst is not None
+        alone = ExperimentSession(chip()).run("fig5-hc-sweep", SWEEP)
+        assert sweep.payloads() == alone.payloads()
+        alone = ExperimentSession(chip()).run("fig8-hcfirst", HCFirstStudyConfig())
+        assert hcfirst.payloads() == alone.payloads()
 
     def test_single_requires_one_result(self):
         session = ExperimentSession(fresh_population())
         with pytest.raises(ValueError):
             session.run("fig5-hc-sweep", SWEEP).single()
-
-    def test_run_all_runs_studies_in_order(self):
-        chip = make_chip("DDR4-new", "A", seed=1, geometry=GEOMETRY, hcfirst_target=20_000)
-        session = ExperimentSession(chip)
-        outcomes = session.run_all(
-            ["fig5-hc-sweep", "fig8-hcfirst"],
-            configs={"fig5-hc-sweep": SWEEP, "fig8-hcfirst": HCFirstStudyConfig()},
-        )
-        assert set(outcomes) == {"fig5-hc-sweep", "fig8-hcfirst"}
-        assert outcomes["fig8-hcfirst"].single().hcfirst is not None
 
 
 class TestExecutorDeterminism:

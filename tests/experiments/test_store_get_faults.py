@@ -3,24 +3,34 @@
 Each kind of damage to one unit entry of a complete Figure 10 cache -- a
 torn write, a zero-byte file, bytes that are no pickle, a pickle of a
 class or module that no longer exists, a pickle that is no study result,
-and another unit's entry under this unit's filename -- must re-execute
-exactly that unit, merge to the payload of the clean run, quarantine the
-damaged file out of the ``*.pkl`` namespace and count it in
+damaged bytes whose unpickling raises any other exception, and another
+unit's or another chip's entry under this entry's filename -- must
+re-execute exactly that unit, merge to the payload of the clean run,
+quarantine the damaged file out of the ``*.pkl`` namespace and count it in
 ``StoreStats.corrupt``.  ``put`` then rewrites the entry, so the next run
-replays every unit.
+replays every unit.  A property test damages random bytes of a real entry
+and checks that ``get`` never raises.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import pickle
+import pickletools
 import shutil
 import sys
+import tempfile
 import types
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.analysis.mitigation_study import MitigationStudyConfig
+from repro.core.first_flip import HCFirstStudyConfig
+from repro.dram.geometry import ChipGeometry
+from repro.dram.population import flatten_population, make_population
 from repro.experiments import CacheKey, ExperimentSession, ResultStore, StudyResult, get_study
 from repro.experiments.study import config_digest
 
@@ -79,6 +89,57 @@ def not_a_study_result(path, _monkeypatch):
     path.write_bytes(pickle.dumps({"study": "fig10-mitigations", "payload": None}))
 
 
+def opcode_position(path, name):
+    """Byte offset of the first ``name`` opcode of the pickle in ``path``."""
+    return next(
+        pos
+        for op, arg, pos in pickletools.genops(path.read_bytes())
+        if op.name == name and arg != ""
+    )
+
+
+def damage_bytes(path, position, replacement, raised):
+    """Overwrite bytes of an entry, checking that unpickling now raises ``raised``."""
+    data = bytearray(path.read_bytes())
+    data[position : position + len(replacement)] = replacement
+    path.write_bytes(bytes(data))
+    with open(path, "rb") as handle, pytest.raises(raised):
+        pickle.load(handle)
+
+
+def invalid_utf8(path, _monkeypatch):
+    """A string's first byte is no UTF-8 start byte."""
+    position = opcode_position(path, "SHORT_BINUNICODE") + 2
+    damage_bytes(path, position, b"\xff", UnicodeDecodeError)
+
+
+def unsupported_protocol(path, _monkeypatch):
+    """The PROTO opcode names protocol 252."""
+    damage_bytes(path, opcode_position(path, "PROTO") + 1, bytes([252]), ValueError)
+
+
+def dict_turned_list(path, _monkeypatch):
+    """An EMPTY_DICT opcode turned EMPTY_LIST, which then gets string keys."""
+    damage_bytes(path, opcode_position(path, "EMPTY_DICT"), b"]", TypeError)
+
+
+def frame_length_overflow(path, _monkeypatch):
+    """A FRAME length beyond ``sys.maxsize``."""
+    position = opcode_position(path, "FRAME") + 1
+    damage_bytes(path, position, b"\xff" * 8, OverflowError)
+
+
+def frame_length_unallocatable(path, _monkeypatch):
+    """A FRAME length of 2**62 bytes, which reading the frame cannot allocate.
+
+    An unpickler that reads large frames in chunks reports the truncated
+    data instead of allocating, so either error counts.
+    """
+    position = opcode_position(path, "FRAME") + 1
+    length = (2**62).to_bytes(8, "little")
+    damage_bytes(path, position, length, (MemoryError, pickle.UnpicklingError))
+
+
 def run(store, config=TINY_FIG10):
     return ExperimentSession(store=store).run("fig10-mitigations", config)
 
@@ -89,7 +150,19 @@ def points_of(outcome):
 
 @pytest.mark.parametrize(
     "damage",
-    [torn_write, zero_bytes, removed_class, removed_module, not_a_pickle, not_a_study_result],
+    [
+        torn_write,
+        zero_bytes,
+        removed_class,
+        removed_module,
+        not_a_pickle,
+        not_a_study_result,
+        invalid_utf8,
+        unsupported_protocol,
+        dict_turned_list,
+        frame_length_overflow,
+        frame_length_unallocatable,
+    ],
 )
 def test_corrupt_entry_is_quarantined_and_recomputed(tmp_path, monkeypatch, damage):
     root = tmp_path / "store"
@@ -142,6 +215,39 @@ def test_entry_of_another_unit_is_quarantined_and_recomputed(tmp_path):
     assert healthy.stats.corrupt == 0
 
 
+def test_entry_of_another_chip_is_quarantined_and_recomputed(tmp_path):
+    """A chip's entry is served only under its own chip's key."""
+
+    def chips():
+        """DDR4-new-A-1 and DDR4-new-A-2."""
+        population = make_population(
+            chips_per_config=3,
+            seed=1,
+            geometry=ChipGeometry(banks=1, rows_per_bank=32, row_bytes=16),
+            configurations=[("DDR4-new", "A")],
+        )
+        return flatten_population(population)[1:]
+
+    config = HCFirstStudyConfig()
+    root = tmp_path / "store"
+    clean = ExperimentSession(chips(), store=ResultStore(root)).run("fig8-hcfirst", config)
+    assert clean.results[0].payload != clean.results[1].payload
+    store = ResultStore(root)
+
+    def entry(chip):
+        key = store.key_for("fig8-hcfirst", config_digest(config), chip, None)
+        return root / key.study / key.filename
+
+    first, second = chips()
+    shutil.copyfile(entry(second), entry(first))
+
+    rerun = ExperimentSession(chips(), store=store).run("fig8-hcfirst", config)
+    assert (rerun.executed, rerun.cache_hits) == (1, 1)
+    assert (store.stats.corrupt, store.stats.misses) == (1, 1)
+    assert rerun.results == clean.results
+    assert entry(first).with_name(entry(first).name + ResultStore.QUARANTINE_SUFFIX).exists()
+
+
 def envelope(key, payload="clean"):
     return StudyResult(
         study=key.study,
@@ -186,3 +292,38 @@ def test_second_reader_of_a_quarantined_entry_sees_a_plain_miss(tmp_path):
     assert second.get(key) is None
     assert (first.stats.misses, first.stats.corrupt) == (1, 1)
     assert (second.stats.misses, second.stats.corrupt) == (1, 0)
+
+
+@functools.lru_cache(maxsize=None)
+def real_entry():
+    """The key and the bytes of one unit entry of a tiny Figure 10 run."""
+    with tempfile.TemporaryDirectory() as root:
+        store = ResultStore(root)
+        run(store)
+        unit = get_study("fig10-mitigations").units_for(TINY_FIG10)[0]
+        key = store.key_for("fig10-mitigations", config_digest(TINY_FIG10), None, unit)
+        return key, Path(root, key.study, key.filename).read_bytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    changes=st.lists(
+        st.tuples(st.integers(min_value=0), st.integers(min_value=1, max_value=255)),
+        min_size=1,
+        max_size=4,
+    )
+)
+def test_damaged_entry_never_raises(changes):
+    """XOR-damaging 1 to 4 bytes of a real entry yields a hit or a quarantined miss."""
+    key, data = real_entry()
+    damaged = bytearray(data)
+    for position, mask in changes:
+        damaged[position % len(damaged)] ^= mask
+    with tempfile.TemporaryDirectory() as root:
+        path = Path(root, key.study, key.filename)
+        path.parent.mkdir()
+        path.write_bytes(bytes(damaged))
+        store = ResultStore(root)
+        hit = store.get(key)
+        quarantined = path.with_name(path.name + ResultStore.QUARANTINE_SUFFIX).exists()
+        assert (hit is None) == quarantined == (store.stats.corrupt == 1)

@@ -14,7 +14,7 @@ from repro.analysis.mitigation_study import MitigationStudyConfig
 from repro.core.characterization import CharacterizationConfig
 from repro.core.first_flip import HCFirstStudyConfig
 from repro.dram.geometry import ChipGeometry
-from repro.dram.population import make_chip
+from repro.dram.population import flatten_population, make_chip, make_population
 from repro.experiments import (
     ExperimentSession,
     ResultStore,
@@ -137,9 +137,9 @@ class TestFig10Resume:
         clean = ExperimentSession().run("fig10-mitigations", TINY_FIG10)
         assert points_of(resumed) == points_of(clean)
 
-    def test_store_drop_evicts_single_units(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
-        session = ExperimentSession(store=store)
+    def test_removed_unit_entry_reexecutes_only_that_unit(self, tmp_path):
+        root = tmp_path / "store"
+        session = ExperimentSession(store=ResultStore(root))
         session.run("fig10-mitigations", TINY_FIG10)
 
         spec_units = session.run("fig10-mitigations", TINY_FIG10)
@@ -149,10 +149,12 @@ class TestFig10Resume:
 
         spec = get_study("fig10-mitigations")
         unit = spec.units_for(TINY_FIG10)[0]
+        store = ResultStore(root)
         key = store.key_for(spec.name, config_digest(TINY_FIG10), None, unit)
-        assert store.drop(key)
-        assert not store.contains(key)
-        again = session.run("fig10-mitigations", TINY_FIG10)
+        entry = root / key.study / key.filename
+        assert entry in store.entry_paths(spec.name, units_only=True)
+        entry.unlink()
+        again = ExperimentSession(store=store).run("fig10-mitigations", TINY_FIG10)
         assert again.executed == 1
 
 
@@ -223,8 +225,52 @@ class TestShortExecutor:
             for chip in chips() or [None]
             for unit in get_study(study).units_for(config)
         ]
-        assert [on_disk.contains(key) for key in keys] == [True] * (len(keys) - 1) + [False]
+        entries = set(on_disk.entry_paths(study))
+        assert [on_disk.root / key.study / key.filename in entries for key in keys] == (
+            [True] * (len(keys) - 1) + [False]
+        )
 
         rerun = ExperimentSession(chips(), store=ResultStore(tmp_path / "store")).run(study, config)
         assert (rerun.cache_hits, rerun.executed) == (len(keys) - 1, 1)
         assert rerun.results == ExperimentSession(chips()).run(study, config).results
+
+
+class ReversedExecutor(SerialExecutor):
+    """Runs every task but yields the outcomes in reverse task order."""
+
+    def iter_outcomes(self, tasks):
+        return reversed(list(super().iter_outcomes(tasks)))
+
+
+def ddr4_new_a_1_and_2():
+    """Two chips told apart by chip id: DDR4-new-A-1 and DDR4-new-A-2."""
+    population = make_population(
+        chips_per_config=3, seed=1, geometry=GEOMETRY, configurations=[("DDR4-new", "A")]
+    )
+    return flatten_population(population)[1:]
+
+
+class TestMisorderedExecutor:
+    """A session checks each outcome against its task before merging or
+    storing it, so an executor that yields outcomes out of order fails the
+    run instead of filing each chip's payload under the other chip."""
+
+    def test_reversed_outcomes_raise_and_store_nothing(self, tmp_path):
+        chips = ddr4_new_a_1_and_2()
+        assert [chip.chip_id for chip in chips] == ["DDR4-new-A-1", "DDR4-new-A-2"]
+        config = HCFirstStudyConfig()
+        with pytest.raises(RuntimeError, match="ReversedExecutor yielded the outcome") as excinfo:
+            ExperimentSession(
+                chips, executor=ReversedExecutor(), store=ResultStore(tmp_path / "store")
+            ).run("fig8-hcfirst", config)
+        assert "DDR4-new-A-2" in str(excinfo.value) and "DDR4-new-A-1" in str(excinfo.value)
+        assert ResultStore(tmp_path / "store").entry_paths("fig8-hcfirst") == []
+
+        rerun = ExperimentSession(
+            ddr4_new_a_1_and_2(), store=ResultStore(tmp_path / "store")
+        ).run("fig8-hcfirst", config)
+        clean = ExperimentSession(ddr4_new_a_1_and_2()).run("fig8-hcfirst", config)
+        assert clean.results[0].payload != clean.results[1].payload
+        assert rerun.executed == 2
+        assert rerun.results == clean.results
+        assert [r.chip_id for r in rerun.results] == ["DDR4-new-A-1", "DDR4-new-A-2"]

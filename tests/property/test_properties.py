@@ -4,24 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.search import minimal_hammer_count
+from repro.core.search import descend_and_search, minimal_hammer_count
 from repro.dram.geometry import ChipGeometry
 from repro.dram.population import make_chip
 from repro.ecc.hamming import HammingCode
-from repro.ecc.secded import SecDedCode
 from repro.mitigations.base import MitigationConfig
 from repro.mitigations.ideal import IdealRefresh
-from repro.utils.bitops import bits_to_bytes, bytes_to_bits
+from repro.utils.rng import make_rng
 from repro.utils.stats import box_stats
 
 GEOMETRY = ChipGeometry(banks=1, rows_per_bank=32, row_bytes=32)
-
-
-class TestBitopsProperties:
-    @given(st.lists(st.integers(min_value=0, max_value=255), min_size=1, max_size=64))
-    def test_bytes_bits_round_trip(self, values):
-        data = np.array(values, dtype=np.uint8)
-        assert np.array_equal(bits_to_bytes(bytes_to_bits(data)), data)
 
 
 class TestBoxStatsProperties:
@@ -43,21 +35,26 @@ class TestHammingProperties:
     )
     def test_single_error_always_corrected(self, data, error_position):
         code = HammingCode(32)
-        word = np.array(data, dtype=np.uint8)
-        codeword = code.encode(word)
-        corrupted = codeword.copy()
-        corrupted[error_position % code.codeword_bits] ^= 1
-        result = code.decode(corrupted)
-        assert np.array_equal(result.data, word)
+        word = np.array([data], dtype=np.uint8)
+        corrupted = code.encode_many(word)
+        corrupted[0, error_position % code.codeword_bits] ^= 1
+        decoded, _detected, _positions = code.decode_many(corrupted)
+        assert np.array_equal(decoded, word)
+
 
     @settings(max_examples=30, deadline=None)
-    @given(data=st.lists(st.integers(0, 1), min_size=16, max_size=16))
-    def test_secded_round_trip(self, data):
-        code = SecDedCode(16)
-        word = np.array(data, dtype=np.uint8)
-        result = code.decode(code.encode(word))
-        assert np.array_equal(result.data, word)
-        assert not result.uncorrectable
+    @given(
+        data_bits=st.integers(min_value=1, max_value=140),
+        words=st.integers(min_value=1, max_value=8),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_clean_round_trip(self, data_bits, words, seed):
+        code = HammingCode(data_bits)
+        data = make_rng(seed).integers(0, 2, (words, data_bits)).astype(np.uint8)
+        decoded, detected, positions = code.decode_many(code.encode_many(data))
+        assert np.array_equal(decoded, data)
+        assert not detected.any()
+        assert not positions.any()
 
 
 class TestSearchProperties:
@@ -68,6 +65,23 @@ class TestSearchProperties:
         assert found is not None
         assert found >= threshold
         assert found <= max(threshold + 1, int(threshold * 1.05))
+
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        thresholds=st.lists(
+            st.integers(min_value=1, max_value=150_000), min_size=1, max_size=12
+        )
+    )
+    def test_descend_and_search_finds_the_weakest_victim(self, thresholds):
+        # Halving keeps every victim that still flips, so the weakest one is
+        # always among the candidates that are binary-searched.
+        best_hc, best_victim, _ = descend_and_search(
+            range(len(thresholds)), lambda victim, hc: hc >= thresholds[victim], 150_000
+        )
+        weakest = min(thresholds)
+        assert weakest <= thresholds[best_victim] <= best_hc
+        assert best_hc <= max(weakest + 1, int(weakest * 1.05))
 
 
 class TestChipProperties:
@@ -81,6 +95,23 @@ class TestChipProperties:
         chip = make_chip("DDR4-new", "A", seed=seed, geometry=GEOMETRY)
         chip.write_row(0, row, fill)
         assert np.all(chip.read_row(0, row) == fill)
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        type_node=st.sampled_from(["DDR4-new", "LPDDR4-1y"]),
+        payloads=st.dictionaries(
+            st.integers(min_value=0, max_value=31),
+            st.binary(min_size=32, max_size=32),
+            min_size=1,
+            max_size=8,
+        ),
+    )
+    def test_write_rows_read_rows_round_trip(self, type_node, payloads):
+        # Bytes pack to bits MSB-first and back, through on-die ECC on LPDDR4.
+        chip = make_chip(type_node, "A", seed=1, geometry=GEOMETRY)
+        rows = list(payloads)
+        chip.write_rows(0, rows, list(payloads.values()))
+        assert chip.read_rows(0, rows).tobytes() == b"".join(payloads.values())
 
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=50))

@@ -49,18 +49,34 @@ class TestFraming:
 
 
 class TestProtocolVersion:
-    """Version 1 task blobs carried a ``seed`` field that version 2 tasks
-    lack, so a version-1 peer is refused at hello rather than failing on
-    every unit it unpickles."""
+    """Version 1 task blobs carried a ``seed`` field that later tasks lack,
+    and version 2 cache dicts lack the ``chip_id`` that version 3 stores
+    check entries against, so an older peer is refused at hello rather than
+    failing on every unit it unpickles or checkpoints."""
+
+    def test_speaks_protocol_3(self):
+        assert protocol.PROTOCOL_VERSION == 3
 
     def test_check_hello_refuses_protocol_1(self):
         with pytest.raises(protocol.ProtocolError, match="protocol mismatch"):
             protocol.check_hello(dict(protocol.hello("worker", "w1"), protocol=1), ("worker",))
 
+    def test_check_hello_refuses_protocol_2(self):
+        with pytest.raises(protocol.ProtocolError, match="protocol mismatch"):
+            protocol.check_hello(dict(protocol.hello("client", "c1"), protocol=2), ("client",))
+
     def test_scheduler_answers_protocol_1_with_an_error(self):
         with SchedulerThread() as scheduler:
             with protocol.connect_stream(*scheduler.address, timeout=10.0) as stream:
                 stream.send(dict(protocol.hello("worker", "old"), protocol=1))
+                reply = stream.recv()
+        assert reply["type"] == "error"
+        assert "protocol mismatch" in reply["error"]
+
+    def test_scheduler_answers_protocol_2_with_an_error(self):
+        with SchedulerThread() as scheduler:
+            with protocol.connect_stream(*scheduler.address, timeout=10.0) as stream:
+                stream.send(dict(protocol.hello("client", "old"), protocol=2))
                 reply = stream.recv()
         assert reply["type"] == "error"
         assert "protocol mismatch" in reply["error"]

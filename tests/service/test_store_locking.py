@@ -65,9 +65,8 @@ class TestAdvisoryLocking:
         # ...and complete promptly once it is released.
         assert done.wait(10.0)
         thread.join(timeout=10.0)
-        assert ResultStore(root).contains(
-            CacheKey("locking-demo", "cfg", "contended")
-        )
+        key = CacheKey("locking-demo", "cfg", "contended")
+        assert root / key.study / key.filename in ResultStore(root).entry_paths(key.study)
 
     def test_concurrent_writers_all_land(self, tmp_path):
         """Many writers, one root: every entry readable and complete."""

@@ -142,9 +142,12 @@ class TestControllerBasics:
 
     def test_write_completes_immediately_on_enqueue(self, small_system):
         controller = MemoryController(small_system)
-        request = MemoryRequest(request_type=RequestType.WRITE, bank=0, row=1)
+        done = []
+        request = MemoryRequest(
+            request_type=RequestType.WRITE, bank=0, row=1, completion_callback=done.append
+        )
         assert controller.enqueue(request, cycle=0)
-        assert request.completed_cycle == 0
+        assert done == [0]
 
     def test_queue_capacity_enforced(self, small_system):
         controller = MemoryController(small_system)

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.sim.metrics import (
-    average,
     bandwidth_overhead_percent,
     normalized_performance,
     weighted_speedup,
@@ -62,15 +61,3 @@ class TestBandwidthOverhead:
     def test_idle_system_reports_zero(self):
         assert bandwidth_overhead_percent(10.0, 0.0) == 0.0
         assert bandwidth_overhead_percent(0.0, 0.0) == 0.0
-
-
-class TestAverage:
-    def test_mean(self):
-        assert average([1.0, 2.0, 3.0]) == 2.0
-
-    def test_single_value(self):
-        assert average([4.5]) == 4.5
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            average([])

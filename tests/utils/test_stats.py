@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.utils.stats import box_stats, geometric_mean, mean, stddev
+from repro.utils.stats import box_stats, mean, stddev
 
 
 class TestBoxStats:
@@ -23,6 +23,15 @@ class TestBoxStats:
         assert 100 in stats.outliers
         assert stats.upper_whisker < 100
 
+    def test_low_outliers_detected(self):
+        stats = box_stats([-100, 10, 11, 12, 13, 14])
+        assert stats.outliers == (-100.0,)
+        assert stats.lower_whisker == 10
+
+    def test_quartiles_interpolate_linearly(self):
+        stats = box_stats([4, 1, 3, 2])
+        assert (stats.first_quartile, stats.median, stats.third_quartile) == (1.75, 2.5, 3.25)
+
     def test_single_value(self):
         stats = box_stats([7.0])
         assert stats.minimum == stats.maximum == stats.median == 7.0
@@ -36,19 +45,6 @@ class TestBoxStats:
         stats = box_stats([3, 1, 4, 1, 5, 9, 2, 6])
         assert stats.lower_whisker >= stats.minimum
         assert stats.upper_whisker <= stats.maximum
-
-
-class TestGeometricMean:
-    def test_known_value(self):
-        assert geometric_mean([1, 4]) == pytest.approx(2.0)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            geometric_mean([1.0, 0.0])
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            geometric_mean([])
 
 
 class TestMeanStddev:
