@@ -2,7 +2,7 @@
 """A distributed experiment sweep through ``repro.service``, end to end.
 
 This example stands up the whole service stack *inside one process* --
-scheduler, a two-worker fleet, a submitting session and a shared result
+scheduler, a two-worker fleet, a submitting session and its result
 store -- so it runs anywhere with no setup.  Every piece maps one-to-one
 onto a real multi-host deployment; the shell equivalent is shown next to
 each step.  The moves:
@@ -12,13 +12,14 @@ each step.  The moves:
 2. **workers** -- attach a fleet of pull-based workers
    (on each host: ``python -m repro.service worker --host SCHED``),
 3. **submit** -- run a registered study through an
-   :class:`repro.ServiceExecutor`-backed session, exactly like a local
-   run (or: ``python -m repro.service submit --study fig10-mitigations``),
+   :class:`repro.ServiceExecutor`-backed session with a result store,
+   exactly like a local run (or: ``python -m repro.service submit
+   --store DIR --study fig10-mitigations``),
 4. **bit identity** -- compare against a local ``SerialExecutor`` run:
    the payloads are identical, whatever the fleet did,
-5. **shared store** -- the scheduler checkpointed every completed unit,
-   so a purely local session over the same directory replays the sweep
-   from cache without recomputing anything.
+5. **shared store** -- the submitting session checkpointed every
+   completed unit, so a purely local session over the same directory
+   replays the sweep from cache without recomputing anything.
 
 Run with::
 
@@ -50,12 +51,11 @@ def main() -> None:
     store_root = Path(tempfile.mkdtemp(prefix="distributed-sweep-")) / "store"
 
     # ------------------------------------------------------------------
-    # 1. Scheduler.  Shell: python -m repro.service scheduler \
-    #        --port 7075 --store /shared/store
+    # 1. Scheduler.  Shell: python -m repro.service scheduler --port 7075
     # ------------------------------------------------------------------
-    with SchedulerThread(store=ResultStore(store_root)) as scheduler:
+    with SchedulerThread() as scheduler:
         host, port = scheduler.address
-        print(f"scheduler listening on {host}:{port} (store: {store_root})")
+        print(f"scheduler listening on {host}:{port}")
 
         # --------------------------------------------------------------
         # 2. Worker fleet.  Shell, once per host:
@@ -74,11 +74,14 @@ def main() -> None:
 
         # --------------------------------------------------------------
         # 3. Submit.  A ServiceExecutor session is a drop-in for a local
-        # one.  Shell: python -m repro.service submit \
+        # one, and checkpoints each unit into its store as it arrives.
+        # Shell: python -m repro.service submit --store /shared/store \
         #        --study fig10-mitigations --config-json '{...}'
         # --------------------------------------------------------------
+        print(f"submitting with store {store_root}")
         service_run = ExperimentSession(
-            executor=ServiceExecutor(host, port, label="example-fig10")
+            executor=ServiceExecutor(host, port, label="example-fig10"),
+            store=ResultStore(store_root),
         ).run("fig10-mitigations", CONFIG)
         print(
             f"service run: {service_run.units_total} units, "
@@ -106,8 +109,8 @@ def main() -> None:
     print(f"bit identity: {len(service_points)} evaluation points match exactly")
 
     # ------------------------------------------------------------------
-    # 5. Shared store: the scheduler checkpointed every unit, so a local
-    # session over the same directory replays the sweep from cache.
+    # 5. Shared store: the submitting session checkpointed every unit, so
+    # a local session over the same directory replays the sweep from cache.
     # ------------------------------------------------------------------
     replay = ExperimentSession(store=ResultStore(store_root)).run("fig10-mitigations", CONFIG)
     assert replay.executed == 0 and replay.cache_hits == replay.units_total

@@ -17,22 +17,17 @@ still executing remotely.  Each outcome additionally carries the
 scheduler's recovery record (``attempts``/``requeues``), which the session
 surfaces as :attr:`SessionRunResult.retries` / ``requeues``.
 
-Tasks whose chip is pristine (or absent) also ship *cache metadata* -- the
-exact :class:`~repro.experiments.store.CacheKey` fields the session would
-use locally -- so a scheduler configured with its own result store
-checkpoints completed units server-side; a local session pointed at the
-same (advisory-locked) store directory then replays the service run from
-cache.
+The scheduler keeps no results: to cache a service run, give the
+submitting session a ``store=``, and any later session over the same
+directory replays it.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Dict, Iterator, Optional, Sequence
 
 from repro.experiments.executors import Executor, StudyTask, TaskOutcome
-from repro.experiments.store import cache_key
-from repro.experiments.study import WHOLE_STUDY_UNIT, config_digest
+from repro.experiments.study import WHOLE_STUDY_UNIT
 from repro.service.client import PoisonedUnitError, ServiceClient
 from repro.service.protocol import pack_blob, unpack_blob
 
@@ -47,8 +42,6 @@ class ServiceExecutor(Executor):
     label:
         Submission label shown by the ``status`` endpoint; defaults to the
         first task's study name.
-    client_name:
-        Client identity in scheduler telemetry.
     """
 
     name = "service"
@@ -59,12 +52,10 @@ class ServiceExecutor(Executor):
         port: int = 7075,
         *,
         label: Optional[str] = None,
-        client_name: Optional[str] = None,
     ) -> None:
         self.host = host
         self.port = port
         self.label = label
-        self.client_name = client_name
 
     def iter_outcomes(self, tasks: Sequence[StudyTask]) -> Iterator[TaskOutcome]:
         tasks = list(tasks)
@@ -72,7 +63,7 @@ class ServiceExecutor(Executor):
             return
         label = self.label or tasks[0].study
         units = [self._unit_spec(index, task) for index, task in enumerate(tasks)]
-        with ServiceClient(self.host, self.port, name=self.client_name) as client:
+        with ServiceClient(self.host, self.port) as client:
             client.submit_units(units, label=label)
             buffered: Dict[int, TaskOutcome] = {}
             next_index = 0
@@ -92,31 +83,13 @@ class ServiceExecutor(Executor):
                     # Closing the connection cancels the submission, so the
                     # scheduler stops dispatching its remaining units.
                     raise PoisonedUnitError(label, [event])
-                elif kind == "submission_done":
-                    quarantined = event.get("quarantined") or []
-                    if quarantined:  # pragma: no cover - covered by the branch above
-                        raise PoisonedUnitError(
-                            label, [{"key": key} for key in quarantined]
-                        )
 
     @staticmethod
     def _unit_spec(index: int, task: StudyTask) -> dict:
         """The JSON unit dict shipped in a submit message for one task."""
         unit = task.unit
         digest = WHOLE_STUDY_UNIT if unit.is_whole_study else unit.digest
-        cache = None
-        if task.chip is None or task.chip.is_pristine:
-            # Lets the scheduler checkpoint this unit's result server-side
-            # under the exact key a local session would use.
-            key = cache_key(task.study, config_digest(task.config), task.chip, unit)
-            cache = dataclasses.asdict(key)
-        return {
-            "key": f"{index:06d}-{digest}",
-            "index": index,
-            "unit_digest": digest,
-            "task": pack_blob(task),
-            "cache": cache,
-        }
+        return {"key": f"{index:06d}-{digest}", "index": index, "task": pack_blob(task)}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"ServiceExecutor({self.host!r}, {self.port})"

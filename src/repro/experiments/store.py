@@ -109,13 +109,12 @@ def cache_key(
 ) -> CacheKey:
     """Cache key for one study result (optionally one work unit of it).
 
-    The one keying rule of every store: sessions use it through
-    :meth:`ResultStore.key_for`, and the service executor ships it to a
-    scheduler that checkpoints into its own store.  The implicit
-    whole-study unit maps to the unit-less key, so undecomposed studies
-    hit the same cache entries they always did.  Real units drop the
-    config digest from the key (their own digest embeds the unit-relevant
-    config scope), so two configs sharing a grid cell share its cache entry.
+    The one keying rule of every store, used through
+    :meth:`ResultStore.key_for`.  The implicit whole-study unit maps to the
+    unit-less key, so undecomposed studies hit the same cache entries they
+    always did.  Real units drop the config digest from the key (their own
+    digest embeds the unit-relevant config scope), so two configs sharing a
+    grid cell share its cache entry.
     """
     chip_id = chip.chip_id if chip is not None else None
     if unit is None or unit.is_whole_study:
@@ -203,12 +202,12 @@ class ResultStore:
         """Advisory exclusive lock over the store root for mutating operations.
 
         Individual entry writes are already crash-safe (unique temp file +
-        atomic rename), but a scheduler checkpointing service results and a
-        local session can share one store directory; the ``flock`` on
-        ``<root>/.lock`` serializes their mutations so concurrent writers
-        never interleave a write with a ``clear()`` half-way through.  On
-        platforms without ``fcntl`` the store falls back to the (still
-        atomic-rename-safe) unlocked behaviour.
+        atomic rename), but several sessions (say, two ``python -m
+        repro.service submit --store`` runs) can share one store directory;
+        the ``flock`` on ``<root>/.lock`` serializes their mutations so
+        concurrent writers never interleave a write with a ``clear()``
+        half-way through.  On platforms without ``fcntl`` the store falls
+        back to the (still atomic-rename-safe) unlocked behaviour.
         """
         if self.root is None or fcntl is None:
             yield

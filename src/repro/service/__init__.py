@@ -17,14 +17,16 @@ Standing up a fleet
 One scheduler, N workers, any number of clients -- from a shell::
 
     # terminal 1: the scheduler (ephemeral port printed at startup)
-    python -m repro.service scheduler --port 7075 --store /tmp/units
+    python -m repro.service scheduler --port 7075
 
     # terminals 2..N+1: workers (local or on other hosts)
     python -m repro.service worker --host scheduler-host --port 7075
 
-    # terminal N+2: submit a study and wait for the merged result
+    # terminal N+2: submit a study and wait for the merged result; the
+    # units are cached in the submitter's store, so a rerun replays them
     python -m repro.service submit --host scheduler-host --port 7075 \\
-        --study fig10-mitigations --config-json '{"num_mixes": 1}'
+        --store /tmp/units --study fig10-mitigations \\
+        --config-json '{"num_mixes": 1}'
 
     # anywhere: live telemetry
     python -m repro.service status --host scheduler-host --port 7075

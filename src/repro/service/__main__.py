@@ -26,10 +26,8 @@ def _add_endpoint_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _cmd_scheduler(args: argparse.Namespace) -> int:
-    from repro.experiments.store import ResultStore
     from repro.service.scheduler import SchedulerServer
 
-    store = ResultStore(args.store) if args.store else None
     server = SchedulerServer(
         args.host,
         args.port,
@@ -37,15 +35,11 @@ def _cmd_scheduler(args: argparse.Namespace) -> int:
         max_attempts=args.max_attempts,
         backoff_base=args.backoff_base,
         backoff_cap=args.backoff_cap,
-        store=store,
-        default_batch=args.batch,
     )
 
     async def main() -> None:
         host, port = await server.start()
         print(f"repro.service scheduler listening on {host}:{port}", flush=True)
-        if store is not None:
-            print(f"checkpointing completed units into {args.store}", flush=True)
         try:
             await server.serve_forever()
         finally:
@@ -200,10 +194,6 @@ def main(argv: Optional[list] = None) -> int:
     scheduler.add_argument("--max-attempts", type=int, default=3)
     scheduler.add_argument("--backoff-base", type=float, default=0.25)
     scheduler.add_argument("--backoff-cap", type=float, default=10.0)
-    scheduler.add_argument("--batch", type=int, default=2, help="default lease batch")
-    scheduler.add_argument(
-        "--store", default=None, help="checkpoint completed units into this store dir"
-    )
     scheduler.set_defaults(fn=_cmd_scheduler)
 
     worker = sub.add_parser("worker", help="run a worker pull loop")

@@ -52,20 +52,12 @@ class ServiceClient:
     ...         ...
     """
 
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        *,
-        name: Optional[str] = None,
-        connect_timeout: float = 10.0,
-    ) -> None:
+    def __init__(self, host: str, port: int, *, connect_timeout: float = 10.0) -> None:
         self.host = host
         self.port = port
-        self.name = name or f"client-{uuid.uuid4().hex[:8]}"
+        self.name = f"client-{uuid.uuid4().hex[:8]}"
         self.connect_timeout = connect_timeout
         self._stream: Optional[protocol.MessageStream] = None
-        self.lease_ttl: Optional[float] = None
 
     # ------------------------------------------------------------------
     def connect(self) -> None:
@@ -84,7 +76,6 @@ class ServiceClient:
         if ack is None or ack.get("type") != "hello_ack":
             stream.close()
             raise SchedulerUnavailableError(f"bad handshake reply: {ack!r}")
-        self.lease_ttl = float(ack.get("lease_ttl") or 0.0)
         self._stream = stream
 
     def close(self) -> None:

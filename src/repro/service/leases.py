@@ -60,9 +60,7 @@ class UnitRecord:
     key: str
     submission_id: str
     index: int
-    unit_digest: str
     task_blob: str
-    cache: Optional[dict] = None
     state: UnitState = UnitState.PENDING
     #: Times the unit has been granted to a worker.
     attempts: int = 0

@@ -12,29 +12,28 @@ and :class:`~repro.experiments.executors.TaskOutcome` items travelling
 back -- ride inside JSON strings as base64-encoded pickle *blobs* (see
 :func:`pack_blob` / :func:`unpack_blob`).  Everything the scheduler itself
 must understand (keys, indexes, counters, lease ids, status) is plain JSON,
-so the scheduler never unpickles task blobs except to checkpoint results
-into a :class:`~repro.experiments.store.ResultStore`.
+so the scheduler never unpickles anything: it relays blobs byte for byte.
 
 Message reference
 -----------------
 Handshake (both directions of every connection)::
 
-    {"type": "hello", "role": "client"|"worker", "name": str, "protocol": 3}
-    {"type": "hello_ack", "protocol": 3, "lease_ttl": float}
+    {"type": "hello", "role": "client"|"worker", "name": str, "protocol": 4}
+    {"type": "hello_ack", "protocol": 4}
     {"type": "error", "error": str}          # fatal; sender closes after
+    {"type": "goodbye"}                      # client or worker; no reply
 
 Client -> scheduler::
 
     {"type": "submit", "submission_id": str, "label": str,
-     "units": [{"key": str, "index": int, "unit_digest": str,
-                "task": blob, "cache": {...}|null}]}
+     "units": [{"key": str, "index": int, "task": blob}]}
     {"type": "status_request"}
 
 Scheduler -> client::
 
     {"type": "submit_ack", "submission_id": str, "units": int}
     {"type": "unit_complete", "submission_id": str, "key": str, "index": int,
-     "attempts": int, "requeues": int, "elapsed_s": float, "outcome": blob}
+     "attempts": int, "requeues": int, "outcome": blob}
     {"type": "unit_quarantined", "submission_id": str, "key": str,
      "index": int, "attempts": int, "errors": [str]}
     {"type": "submission_done", "submission_id": str, "completed": int,
@@ -48,7 +47,7 @@ Worker -> scheduler::
     {"type": "unit_result", "lease_id": str, "key": str,
      "elapsed_s": float, "outcome": blob}
     {"type": "unit_failed", "lease_id": str, "key": str, "error": str}
-    {"type": "goodbye"}
+    {"type": "lease_failed", "lease_id": str, "error": str}
 
 Scheduler -> worker::
 
@@ -70,8 +69,11 @@ from typing import Any, Dict, Optional
 #: workers refuse mismatched peers at hello time.  Version 2: task blobs
 #: pickle a :class:`~repro.experiments.executors.StudyTask` without a seed.
 #: Version 3: a unit's ``cache`` dict carries the
-#: :class:`~repro.experiments.store.CacheKey` ``chip_id``.
-PROTOCOL_VERSION = 3
+#: :class:`~repro.experiments.store.CacheKey` ``chip_id``.  Version 4: the
+#: scheduler keeps no result store, so a submitted unit carries no ``cache``
+#: dict or ``unit_digest``; the submitting session's store is the only
+#: checkpoint of a service run.
+PROTOCOL_VERSION = 4
 
 #: Upper bound on one framed line.  A full-scale Figure 10 submission
 #: (2304 pickled work units) is tens of MB; 256 MB leaves headroom without

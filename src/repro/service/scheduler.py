@@ -1,22 +1,22 @@
-"""The asyncio scheduler: accepts submissions, leases units, merges results.
+"""The asyncio scheduler: accepts submissions, leases units, relays outcomes.
 
 One :class:`SchedulerServer` serves every peer kind over the same ndjson
 port (see :mod:`repro.service.protocol`): *clients* submit batches of
-pickled :class:`~repro.experiments.executors.StudyTask` units and receive
-each unit's outcome as it completes, *workers* pull unit batches under
-leases and push results/failures back, and anyone may ask for a ``status``
-snapshot.  Fault tolerance lives in :class:`~repro.service.leases.LeaseManager`;
-this module wires it to connections, timers, telemetry and the result
-store:
+:class:`~repro.experiments.executors.StudyTask` units as opaque blobs
+and receive each unit's outcome as it completes, *workers* pull unit
+batches under leases and push results/failures back, and anyone may ask
+for a ``status`` snapshot.  Fault tolerance lives in
+:class:`~repro.service.leases.LeaseManager`; this module wires it to
+connections, timers and telemetry:
 
 * a worker connection dropping releases its leases immediately (fast
   re-dispatch);
 * a periodic sweep reaps expired leases of *hung-but-connected* workers
   and finalizes submissions whose last unit just quarantined;
-* completed units are optionally checkpointed into a scheduler-side
-  :class:`~repro.experiments.store.ResultStore` (advisory-locked, so a
-  local session may share the directory) before being forwarded to the
-  submitting client.
+* a client connection dropping frees its submissions, finished or not.
+
+Task and outcome blobs pass through unread: the submitting session's
+result store is the only checkpoint of a service run.
 
 :class:`SchedulerThread` hosts a server on a background event-loop thread
 for in-process use -- loopback tests, benchmarks and the bundled example
@@ -72,7 +72,9 @@ class Connection:
         """Read one message; ``None`` when the peer closed the connection."""
         try:
             line = await self.reader.readline()
-        except (ConnectionError, asyncio.LimitOverrunError, OSError):
+        except ValueError as exc:  # readline's report of an over-limit line
+            raise protocol.ProtocolError(f"message line too long: {exc}") from None
+        except (ConnectionError, OSError):
             return None
         if not line:
             return None
@@ -107,13 +109,6 @@ class SchedulerServer:
     lease_ttl, max_attempts, backoff_base, backoff_cap:
         Fault-tolerance knobs, passed to
         :class:`~repro.service.leases.LeaseManager`.
-    store:
-        Optional :class:`~repro.experiments.store.ResultStore`; completed
-        units that carry cache metadata are checkpointed into it as they
-        arrive, so a local session pointed at the same directory replays
-        a service run for free.
-    default_batch:
-        Units granted when a worker does not state a capacity.
     """
 
     def __init__(
@@ -125,8 +120,6 @@ class SchedulerServer:
         max_attempts: int = 3,
         backoff_base: float = 0.25,
         backoff_cap: float = 10.0,
-        store: Optional[Any] = None,
-        default_batch: int = 2,
     ) -> None:
         self.host = host
         self.port = port
@@ -137,9 +130,9 @@ class SchedulerServer:
             backoff_cap=backoff_cap,
         )
         self.telemetry = SchedulerTelemetry()
-        self.store = store
-        self.default_batch = default_batch
         self._submissions: Dict[str, _Submission] = {}
+        #: Open peer connections and the tasks handling them.
+        self._connections: Dict[Connection, asyncio.Task] = {}
         self._submission_ids = itertools.count(1)
         self._server: Optional[asyncio.AbstractServer] = None
         self._sweep_task: Optional[asyncio.Task] = None
@@ -179,9 +172,15 @@ class SchedulerServer:
                 pass
         if self._server is not None:
             self._server.close()
+        # Every peer reads EOF, and so does each handler, which then runs its
+        # cleanup (leases released, workers marked dead).
+        handlers = dict(self._connections)
+        await asyncio.gather(*(conn.close() for conn in handlers))
+        await asyncio.gather(*handlers.values(), return_exceptions=True)
+        if self._server is not None:
             await self._server.wait_closed()
         # Set last: serve_forever (and the hosting thread's loop) must only
-        # unblock once the listener and sweeper are fully torn down.
+        # unblock once the listener, peers and sweeper are fully torn down.
         self._stopping.set()
 
     # ------------------------------------------------------------------
@@ -191,35 +190,28 @@ class SchedulerServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         conn = Connection(reader, writer)
+        if self._server is not None and not self._server.is_serving():
+            await conn.close()  # accepted while stop() was closing the rest
+            return
+        self._connections[conn] = asyncio.current_task()
         try:
-            try:
-                hello = protocol.check_hello(await conn.recv(), ("client", "worker"))
-            except protocol.ProtocolError as exc:
-                await conn.send({"type": "error", "error": str(exc)})
-                return
+            hello = protocol.check_hello(await conn.recv(), ("client", "worker"))
             conn.role = hello["role"]
             if hello.get("name"):
                 conn.name = str(hello["name"])
             now = time.monotonic()
             if conn.role == "worker":
                 self.telemetry.worker_connected(conn.name, now)
-            await conn.send(
-                {
-                    "type": "hello_ack",
-                    "protocol": protocol.PROTOCOL_VERSION,
-                    "lease_ttl": self.manager.lease_ttl,
-                }
-            )
+            await conn.send({"type": "hello_ack", "protocol": protocol.PROTOCOL_VERSION})
             while True:
                 message = await conn.recv()
-                if message is None:
+                if message is None or message["type"] == "goodbye":
                     break
-                try:
-                    await self._dispatch(conn, message)
-                except protocol.ProtocolError as exc:
-                    await conn.send({"type": "error", "error": str(exc)})
-                    break
+                await self._dispatch(conn, message)
+        except protocol.ProtocolError as exc:
+            await conn.send({"type": "error", "error": str(exc)})
         finally:
+            del self._connections[conn]
             await self._connection_lost(conn)
             await conn.close()
 
@@ -241,8 +233,6 @@ class SchedulerServer:
             await self._handle_unit_failed(conn, message)
         elif kind == "lease_failed" and conn.role == "worker":
             await self._handle_lease_failed(conn, message)
-        elif kind == "goodbye":
-            raise protocol.ProtocolError("peer said goodbye")  # clean close path
         else:
             raise protocol.ProtocolError(f"unexpected {kind!r} from a {conn.role}")
 
@@ -255,12 +245,13 @@ class SchedulerServer:
             self.telemetry.worker_dead(conn.name, now)
             await self._apply_unit_events(events)
         elif conn.role == "client":
+            # Nothing reaches a departed client, so its finished submissions
+            # are freed too; only the unfinished ones count as cancelled.
             for sid, submission in list(self._submissions.items()):
-                if submission.client is conn and not submission.finished:
-                    dropped = self.manager.cancel_submission(sid)
-                    if dropped:
-                        self.telemetry.bump("submissions_cancelled")
+                if submission.client is conn:
                     del self._submissions[sid]
+                    if self.manager.cancel_submission(sid) and not submission.finished:
+                        self.telemetry.bump("submissions_cancelled")
 
     # ------------------------------------------------------------------
     # Client messages
@@ -278,9 +269,7 @@ class SchedulerServer:
                     key=str(spec["key"]),
                     submission_id=submission_id,
                     index=int(spec["index"]),
-                    unit_digest=str(spec.get("unit_digest", "")),
                     task_blob=spec["task"],
-                    cache=spec.get("cache"),
                 )
             )
         self.manager.add_submission(submission_id, label, records)
@@ -302,7 +291,7 @@ class SchedulerServer:
     async def _handle_lease_request(self, conn: Connection, message: Dict[str, Any]) -> None:
         now = time.monotonic()
         self.telemetry.worker_seen(conn.name, now)
-        capacity = int(message.get("capacity") or self.default_batch)
+        capacity = int(message.get("capacity") or 1)
         # Backoff gate: when every pending unit is sitting out a backoff,
         # answer with the exact wait instead of attempting a grant -- the
         # attempt could not succeed and would only churn the pending queues.
@@ -346,7 +335,6 @@ class SchedulerServer:
         assert unit is not None
         elapsed = float(message.get("elapsed_s") or 0.0)
         self.telemetry.unit_completed(conn.name, elapsed, now)
-        self._checkpoint(unit, message["outcome"])
         submission = self._submissions.get(unit.submission_id)
         if submission is not None:
             await submission.client.send(
@@ -357,7 +345,6 @@ class SchedulerServer:
                     "index": unit.index,
                     "attempts": unit.attempts,
                     "requeues": unit.requeues,
-                    "elapsed_s": elapsed,
                     "outcome": message["outcome"],
                 }
             )
@@ -390,15 +377,6 @@ class SchedulerServer:
     # ------------------------------------------------------------------
     # Shared transitions
     # ------------------------------------------------------------------
-    def _checkpoint(self, unit: UnitRecord, outcome_blob: str) -> None:
-        """Write one completed unit into the scheduler-side result store."""
-        if self.store is None or not unit.cache:
-            return
-        from repro.experiments.store import CacheKey  # local: keep import cheap
-
-        outcome = protocol.unpack_blob(outcome_blob)
-        self.store.put(CacheKey(**unit.cache), outcome.result)
-
     async def _apply_unit_events(self, events: List[UnitEvent]) -> None:
         """Propagate requeue/quarantine transitions to telemetry and clients."""
         touched: List[str] = []
@@ -469,7 +447,6 @@ class SchedulerServer:
                 self.manager.submission_view(sid)
                 for sid in self.manager.submissions
             ],
-            "store": repr(self.store) if self.store is not None else None,
         }
         status.update(self.telemetry.status(now))
         return status

@@ -13,7 +13,6 @@ def make_units(count, submission="sub", prefix="u"):
             key=f"{prefix}{index}",
             submission_id=submission,
             index=index,
-            unit_digest=f"digest-{index}",
             task_blob=f"blob-{index}",
         )
         for index in range(count)

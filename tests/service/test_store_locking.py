@@ -1,10 +1,11 @@
-"""Advisory store locking and scheduler-side checkpointing.
+"""Advisory store locking and checkpointing a service run.
 
 Two halves of the shared-store story: :class:`ResultStore` mutations take
 an exclusive ``flock`` on ``<root>/.lock`` (so concurrent writers to one
-directory serialize), and a scheduler configured with a store checkpoints
-every completed unit -- after which a *local* serial session pointed at
-the same directory replays the whole service run from cache.
+directory serialize), and a session submitting to a scheduler checkpoints
+every completed unit into its store -- after which a *local* serial
+session pointed at the same directory replays the whole service run from
+cache.
 """
 
 from __future__ import annotations
@@ -99,8 +100,8 @@ class TestAdvisoryLocking:
 
 
 def run_through_service(store_root, study, config=None, population=None):
-    """Run ``study`` on a one-worker scheduler that checkpoints into ``store_root``."""
-    with SchedulerThread(store=ResultStore(store_root)) as scheduler:
+    """Run ``study`` on a one-worker scheduler, checkpointing into ``store_root``."""
+    with SchedulerThread() as scheduler:
         host, port = scheduler.address
         stop = threading.Event()
         worker = ServiceWorker(host, port, name="ck", stop_event=stop)
@@ -108,17 +109,19 @@ def run_through_service(store_root, study, config=None, population=None):
         thread.start()
         try:
             return ExperimentSession(
-                population, executor=ServiceExecutor(host, port)
+                population,
+                executor=ServiceExecutor(host, port),
+                store=ResultStore(store_root),
             ).run(study, config)
         finally:
             stop.set()
             thread.join(timeout=10.0)
 
 
-class TestSchedulerCheckpointing:
+class TestServiceRunCheckpointing:
     def test_local_session_replays_service_run_from_shared_store(self, tmp_path):
-        """The scheduler checkpoints completed units into its store; a local
-        serial session sharing the directory replays them all from cache."""
+        """The submitting session checkpoints completed units into its store;
+        a local serial session sharing the directory replays them all."""
         root = tmp_path / "shared-store"
         config = ServiceSelfTestConfig(units=5, rounds=100, seed=6)
         service = run_through_service(root, "service-selftest", config)
