@@ -74,7 +74,8 @@ def main() -> None:
 
         # --------------------------------------------------------------
         # 3. Submit.  A ServiceExecutor session is a drop-in for a local
-        # one, and checkpoints each unit into its store as it arrives.
+        # one, and checkpoints each unit into its store as soon as a worker
+        # finishes it, in whatever order the workers finish.
         # Shell: python -m repro.service submit --store /shared/store \
         #        --study fig10-mitigations --config-json '{...}'
         # --------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 An :class:`Executor` turns a batch of :class:`StudyTask` items -- whole
 studies or individual :class:`~repro.experiments.study.WorkUnit` shards of a
-decomposed study -- into :class:`TaskOutcome` items, in task order.  Two
-backends are provided:
+decomposed study -- into :class:`TaskOutcome` items, each paired with the
+index of its task.  Two backends are provided:
 
 * :class:`SerialExecutor` runs tasks one after another in-process -- the
   reference behaviour every other backend must reproduce bit-identically.
@@ -17,8 +17,10 @@ submission time (hermetic execution).  Because a simulated chip derives all
 of its stochastic state (cell thresholds, coupling classes, noise epochs)
 on demand from its own seed via :func:`repro.utils.rng.derive_seed`, a copy
 behaves bit-identically to the original, whether it is deep-copied in
-process or pickled into a worker.  Task order is preserved by both
-backends, so a parallel run produces exactly the serial run's results.
+process or pickled into a worker.  The session files every outcome under
+its task's index and merges unit payloads in decomposition order, so a
+parallel run produces exactly the serial run's results whatever order its
+outcomes arrive in.
 
 Hermetic execution also keeps the cache sound: a study's result depends
 only on the chip's construction parameters and the study config, never on
@@ -36,7 +38,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Iterator, Optional, Sequence
+from typing import Any, Iterator, Optional, Sequence, Tuple
 
 from repro.dram.chip import ChipStats, DramChip
 from repro.experiments.study import StudyResult, WorkUnit, config_digest, get_study
@@ -108,20 +110,19 @@ class Executor:
     """Base class of execution backends.
 
     Subclasses implement :meth:`iter_outcomes`, which must yield one
-    outcome per task *in task order* -- the session relies on this to keep
-    results aligned with chips and to make parallel runs reproduce serial
-    runs, and fails a run that gets fewer outcomes, or an outcome whose
-    study, unit or chip is not its task's -- and should yield each outcome
-    *as soon as* its in-order turn completes.  That is what lets the
-    session checkpoint every finished work unit into the result store
-    before the batch is done (a killed run then resumes from the units
-    that made it to disk).
+    ``(task index, outcome)`` pair per task, in any order, and should yield
+    each pair *as soon as* its task completes.  The session files each
+    outcome under its task by index and checkpoints it into the result
+    store on arrival, so a killed or failed run leaves every finished work
+    unit on disk and a rerun resumes from them.  It fails a run that gets
+    fewer outcomes than tasks, a second outcome for one task, or an
+    outcome whose study, unit or chip is not its task's.
     """
 
     name = "base"
 
-    def iter_outcomes(self, tasks: Sequence[StudyTask]) -> Iterator[TaskOutcome]:
-        """Yield one outcome per task in task order, eagerly as available."""
+    def iter_outcomes(self, tasks: Sequence[StudyTask]) -> Iterator[Tuple[int, TaskOutcome]]:
+        """Yield ``(task index, outcome)`` once per task, each as it completes."""
         raise NotImplementedError
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
@@ -133,9 +134,9 @@ class SerialExecutor(Executor):
 
     name = "serial"
 
-    def iter_outcomes(self, tasks: Sequence[StudyTask]) -> Iterator[TaskOutcome]:
-        for task in tasks:
-            yield execute_task(task)
+    def iter_outcomes(self, tasks: Sequence[StudyTask]) -> Iterator[Tuple[int, TaskOutcome]]:
+        for index, task in enumerate(tasks):
+            yield index, execute_task(task)
 
 
 class ParallelExecutor(Executor):
@@ -158,22 +159,21 @@ class ParallelExecutor(Executor):
             raise ValueError("max_workers must be at least 1")
         self.max_workers = max_workers
 
-    def iter_outcomes(self, tasks: Sequence[StudyTask]) -> Iterator[TaskOutcome]:
+    def iter_outcomes(self, tasks: Sequence[StudyTask]) -> Iterator[Tuple[int, TaskOutcome]]:
         tasks = list(tasks)
         if not tasks:
             return
         workers = self.max_workers or os.cpu_count() or 1
         workers = max(1, min(workers, len(tasks)))
         if workers == 1:
-            for task in tasks:
-                yield execute_task(task)
+            for index, task in enumerate(tasks):
+                yield index, execute_task(task)
             return
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            # Executor.map preserves input order, which keeps parallel output
-            # bit-identical (and identically ordered) to SerialExecutor, and
-            # yields each outcome as soon as its in-order turn completes, so
-            # the consuming session can checkpoint units while others run.
-            yield from pool.map(execute_task, tasks)
+            # Executor.map yields each outcome once its in-order turn
+            # completes, so the consuming session checkpoints units while
+            # later ones still run.
+            yield from enumerate(pool.map(execute_task, tasks))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"ParallelExecutor(max_workers={self.max_workers})"

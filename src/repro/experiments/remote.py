@@ -10,12 +10,12 @@ count, any completion order, and across worker deaths mid-sweep (the
 scheduler re-leases and retries lost units; see
 :mod:`repro.service.leases`).
 
-Outcomes stream back in task order as their in-order turn completes --
-the same contract ``ParallelExecutor`` gets from ``pool.map`` -- so the
-session checkpoints finished units into its store while later units are
-still executing remotely.  Each outcome additionally carries the
-scheduler's recovery record (``attempts``/``requeues``), which the session
-surfaces as :attr:`SessionRunResult.retries` / ``requeues``.
+Outcomes stream back in completion order, each with its task index, so
+the session checkpoints every finished unit into its store the moment it
+arrives -- a quarantined unit or an interrupted client loses no unit that
+completed.  Each outcome additionally carries the scheduler's recovery
+record (``attempts``/``requeues``), which the session surfaces as
+:attr:`SessionRunResult.retries` / ``requeues``.
 
 The scheduler keeps no results: to cache a service run, give the
 submitting session a ``store=``, and any later session over the same
@@ -24,7 +24,7 @@ directory replays it.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence, Tuple
 
 from repro.experiments.executors import Executor, StudyTask, TaskOutcome
 from repro.experiments.study import WHOLE_STUDY_UNIT
@@ -57,7 +57,7 @@ class ServiceExecutor(Executor):
         self.port = port
         self.label = label
 
-    def iter_outcomes(self, tasks: Sequence[StudyTask]) -> Iterator[TaskOutcome]:
+    def iter_outcomes(self, tasks: Sequence[StudyTask]) -> Iterator[Tuple[int, TaskOutcome]]:
         tasks = list(tasks)
         if not tasks:
             return
@@ -65,18 +65,13 @@ class ServiceExecutor(Executor):
         units = [self._unit_spec(index, task) for index, task in enumerate(tasks)]
         with ServiceClient(self.host, self.port) as client:
             client.submit_units(units, label=label)
-            buffered: Dict[int, TaskOutcome] = {}
-            next_index = 0
             for event in client.events():
                 kind = event.get("type")
                 if kind == "unit_complete":
                     outcome: TaskOutcome = unpack_blob(event["outcome"])
                     outcome.attempts = int(event.get("attempts") or 1)
                     outcome.requeues = int(event.get("requeues") or 0)
-                    buffered[int(event["index"])] = outcome
-                    while next_index in buffered:
-                        yield buffered.pop(next_index)
-                        next_index += 1
+                    yield int(event["index"]), outcome
                 elif kind == "unit_quarantined":
                     # A poisoned unit can never complete, so the study
                     # cannot be merged: fail fast with the recorded errors.

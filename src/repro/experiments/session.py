@@ -269,18 +269,24 @@ class ExperimentSession:
                     StudyTask(study=spec.name, config=config, chip=chip, unit=unit)
                 )
 
-        # iter_outcomes streams completed units in task order, so every
-        # finished unit is checkpointed into the store *before* the batch is
-        # done -- a run killed mid-sweep resumes from the units on disk.
+        # Each outcome is filed under its task by index and checkpointed into
+        # the store on arrival, in whatever order the executor completes
+        # them -- a run killed or failed mid-sweep leaves every finished unit
+        # on disk, and a rerun resumes from them.
         outcomes = self.executor.iter_outcomes(pending_tasks)
-        received = 0
+        unreceived = set(range(len(pending_tasks)))
         try:
-            for (t_index, u_index, key), outcome in zip(pending_slots, outcomes):
-                received += 1
+            for index, outcome in outcomes:
+                if index not in unreceived:
+                    raise RuntimeError(
+                        f"executor {type(self.executor).__name__} yielded task index "
+                        f"{index!r}, which is out of range or already received"
+                    )
+                unreceived.discard(index)
+                t_index, u_index, key = pending_slots[index]
                 chip = targets[t_index]
-                # Outcomes are paired with tasks by position only, so an
-                # executor that yields them out of order would file each
-                # unit's payload (and store entry) under another slot.
+                # An outcome filed under the wrong task index would merge
+                # (and store) one unit's payload under another slot.
                 chip_id = chip.chip_id if chip is not None else None
                 due = (spec.name, units[u_index].digest, chip_id)
                 result = outcome.result
@@ -301,19 +307,22 @@ class ExperimentSession:
                     chip.stats.merge(outcome.stats)
                 if key is not None:
                     self.store.put(key, result)
+                if not unreceived:
+                    break
         finally:
-            # zip() stops at the last slot without advancing the generator
-            # past its final yield; closing it releases executor resources
-            # (e.g. the process pool) before the merge phase instead of at GC.
+            # The loop stops at the last outcome without advancing the
+            # generator further; closing it releases executor resources (the
+            # process pool, the scheduler connection) before the merge phase
+            # instead of at GC.
             close = getattr(outcomes, "close", None)
             if close is not None:
                 close()
-        if received < len(pending_tasks):
+        if unreceived:
             # The units that did arrive are already in the store, so a rerun
             # executes only the missing ones.
             raise RuntimeError(
-                f"executor {type(self.executor).__name__} yielded {received} "
-                f"outcomes for {len(pending_tasks)} tasks"
+                f"executor {type(self.executor).__name__} yielded "
+                f"{len(pending_tasks) - len(unreceived)} outcomes for {len(pending_tasks)} tasks"
             )
 
         results: List[StudyResult] = []

@@ -3,7 +3,7 @@
 :class:`ServiceClient` is the thin synchronous counterpart of the
 scheduler's client role.  It knows nothing about studies or executors --
 it ships opaque unit dicts and yields back raw protocol events; the
-order-restoring, outcome-unpickling logic lives in
+outcome-unpickling logic lives in
 :class:`repro.experiments.remote.ServiceExecutor`, which is the API almost
 all code should use instead.
 """

@@ -172,10 +172,14 @@ class SchedulerServer:
                 pass
         if self._server is not None:
             self._server.close()
-        # Every peer reads EOF, and so does each handler, which then runs its
-        # cleanup (leases released, workers marked dead).
+        # Unsent bytes do not matter at shutdown, so each peer's transport is
+        # aborted rather than closed: a graceful close waits for a peer that
+        # has stopped reading to drain its buffer.  Every handler then reads
+        # EOF and runs its cleanup (leases released, workers marked dead).
         handlers = dict(self._connections)
-        await asyncio.gather(*(conn.close() for conn in handlers))
+        for conn in handlers:
+            conn.closed = True
+            conn.writer.transport.abort()
         await asyncio.gather(*handlers.values(), return_exceptions=True)
         if self._server is not None:
             await self._server.wait_closed()
@@ -211,9 +215,11 @@ class SchedulerServer:
         except protocol.ProtocolError as exc:
             await conn.send({"type": "error", "error": str(exc)})
         finally:
-            del self._connections[conn]
             await self._connection_lost(conn)
             await conn.close()
+            # Deregistered last, so stop() also aborts a close that waits on
+            # a peer that stopped reading.
+            del self._connections[conn]
 
     async def _dispatch(self, conn: Connection, message: Dict[str, Any]) -> None:
         kind = message.get("type")

@@ -28,11 +28,11 @@ class RecoveringExecutor(Executor):
         self.requeues = requeues
 
     def iter_outcomes(self, tasks):
-        for task in tasks:
+        for index, task in enumerate(tasks):
             outcome = execute_task(task)
             outcome.attempts = self.attempts
             outcome.requeues = self.requeues
-            yield outcome
+            yield index, outcome
 
 
 class TestSessionRecoveryCounters:

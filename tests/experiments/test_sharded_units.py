@@ -55,8 +55,8 @@ GEOMETRY = ChipGeometry(banks=1, rows_per_bank=32, row_bytes=16)
 
 
 class ShuffledCompletionExecutor(Executor):
-    """Executes tasks in a seeded-shuffled order, returning outcomes in
-    task order -- modelling a pool whose workers finish units out of order."""
+    """Executes tasks in a seeded-shuffled order and yields each outcome as
+    it completes -- modelling a pool whose workers finish units out of order."""
 
     name = "shuffled"
 
@@ -66,9 +66,8 @@ class ShuffledCompletionExecutor(Executor):
     def iter_outcomes(self, tasks):
         order = list(range(len(tasks)))
         random.Random(self.seed).shuffle(order)
-        outcomes = {index: execute_task(tasks[index]) for index in order}
-        for index in range(len(tasks)):
-            yield outcomes[index]
+        for index in order:
+            yield index, execute_task(tasks[index])
 
 
 def run_fig10(executor, step_mode, **overrides):

@@ -118,7 +118,7 @@ class TestFig10Resume:
                 for index, task in enumerate(tasks):
                     if index >= self.completed_before_crash:
                         raise RuntimeError("simulated crash")
-                    yield execute_task(task)
+                    yield index, execute_task(task)
 
         survivors = 4
         store = ResultStore(tmp_path / "store")
@@ -134,6 +134,33 @@ class TestFig10Resume:
         assert resumed.executed == resumed.units_total - survivors
 
         # The recovered payload equals a never-crashed run's.
+        clean = ExperimentSession().run("fig10-mitigations", TINY_FIG10)
+        assert points_of(resumed) == points_of(clean)
+
+    def test_out_of_order_outcomes_are_checkpointed_on_arrival(self, tmp_path):
+        """Units that complete past a still-running one are stored as they
+        arrive, so a run that fails before the first unit completes keeps
+        every other unit on disk."""
+
+        class FirstUnitFails(SerialExecutor):
+            def iter_outcomes(self, tasks):
+                for index in reversed(range(len(tasks))):
+                    if index == 0:
+                        raise RuntimeError("first unit failed")
+                    yield index, execute_task(tasks[index])
+
+        store = ResultStore(tmp_path / "store")
+        with pytest.raises(RuntimeError, match="first unit failed"):
+            ExperimentSession(store=store, executor=FirstUnitFails()).run(
+                "fig10-mitigations", TINY_FIG10
+            )
+        digest = config_digest(TINY_FIG10)
+        units = get_study("fig10-mitigations").units_for(TINY_FIG10)
+        stored = [store.get(store.key_for("fig10-mitigations", digest, None, u)) for u in units]
+        assert [entry is not None for entry in stored] == [False] + [True] * (len(units) - 1)
+
+        resumed = fig10_session(tmp_path).run("fig10-mitigations", TINY_FIG10)
+        assert (resumed.cache_hits, resumed.executed) == (len(units) - 1, 1)
         clean = ExperimentSession().run("fig10-mitigations", TINY_FIG10)
         assert points_of(resumed) == points_of(clean)
 
@@ -234,12 +261,27 @@ class TestShortExecutor:
         assert (rerun.cache_hits, rerun.executed) == (len(keys) - 1, 1)
         assert rerun.results == ExperimentSession(chips()).run(study, config).results
 
+    def test_repeated_outcome_cannot_stand_in_for_a_missing_one(self):
+        class RepeatsFirstOutcome(SerialExecutor):
+            """Yields the first task's outcome again in place of the last's."""
+
+            def iter_outcomes(self, tasks):
+                outcomes = list(super().iter_outcomes(tasks[:-1]))
+                return outcomes + outcomes[:1]
+
+        with pytest.raises(RuntimeError, match="yielded task index 0, which is out of range"):
+            ExperimentSession(two_ddr4_chips(), executor=RepeatsFirstOutcome()).run(
+                "fig8-hcfirst", HCFirstStudyConfig()
+            )
+
 
 class ReversedExecutor(SerialExecutor):
-    """Runs every task but yields the outcomes in reverse task order."""
+    """Runs every task but files the outcomes in reverse task order, so each
+    outcome is yielded under another task's index."""
 
     def iter_outcomes(self, tasks):
-        return reversed(list(super().iter_outcomes(tasks)))
+        outcomes = [outcome for _, outcome in super().iter_outcomes(tasks)]
+        return enumerate(reversed(outcomes))
 
 
 def ddr4_new_a_1_and_2():
@@ -252,8 +294,9 @@ def ddr4_new_a_1_and_2():
 
 class TestMisorderedExecutor:
     """A session checks each outcome against its task before merging or
-    storing it, so an executor that yields outcomes out of order fails the
-    run instead of filing each chip's payload under the other chip."""
+    storing it, so an executor that yields outcomes under the wrong task
+    index fails the run instead of filing each chip's payload under the
+    other chip."""
 
     def test_reversed_outcomes_raise_and_store_nothing(self, tmp_path):
         chips = ddr4_new_a_1_and_2()

@@ -20,10 +20,18 @@ from repro.service.selftest import ServiceSelfTestConfig
 
 
 class RawPeer:
-    """A client or worker past hello, reading with a 2 s timeout."""
+    """A client or worker past hello, reading with a 2 s timeout.
 
-    def __init__(self, address, role, name):
-        self.sock = socket.create_connection(address, timeout=2.0)
+    ``rcvbuf`` shrinks the socket's receive buffer, so a peer that stops
+    reading backs the scheduler's writes up sooner.
+    """
+
+    def __init__(self, address, role, name, rcvbuf=None):
+        self.sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        if rcvbuf is not None:
+            self.sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, rcvbuf)
+        self.sock.settimeout(2.0)
+        self.sock.connect(address)
         self.lines = self.sock.makefile("rb")
         self.send(protocol.hello(role, name))
         assert self.recv()["type"] == "hello_ack"
@@ -143,5 +151,45 @@ class TestStop:
         assert time.monotonic() - started < 2.0
         assert worker.at_eof() and client.at_eof()
         assert scheduler.server.telemetry.workers["idle-worker"].state == "dead"
+        worker.close()
+        client.close()
+
+    def test_stop_returns_while_a_peer_is_not_reading(self):
+        """A worker that stops reading leaves the scheduler's lease grant
+        unsent; stop() drops those bytes instead of waiting for them."""
+        scheduler = SchedulerThread()
+        address = scheduler.start()
+        client = RawPeer(address, "client", "big-client")
+        client.send(
+            {
+                "type": "submit",
+                "submission_id": "big",
+                "label": "big",
+                "units": [{"key": "k0", "index": 0, "task": "x" * (8 << 20)}],
+            }
+        )
+        assert client.recv()["type"] == "submit_ack"
+        worker = RawPeer(address, "worker", "stalled-worker", rcvbuf=4096)
+        worker.send({"type": "lease_request", "capacity": 1})
+        server = scheduler.server
+
+        def backed_up():
+            """Whether the handler waits in drain() for the worker to read."""
+            for conn in list(server._connections):
+                if conn.name == "stalled-worker":
+                    transport = conn.writer.transport
+                    high_water = transport.get_write_buffer_limits()[1]
+                    return transport.get_write_buffer_size() > high_water
+            return False
+
+        deadline = time.monotonic() + 5.0
+        while not backed_up():
+            assert time.monotonic() < deadline, "the write to the worker never backed up"
+            time.sleep(0.01)
+        started = time.monotonic()
+        scheduler.stop()
+        assert time.monotonic() - started < 2.0
+        assert server.telemetry.workers["stalled-worker"].state == "dead"
+        assert client.at_eof()
         worker.close()
         client.close()

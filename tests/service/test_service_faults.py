@@ -15,11 +15,18 @@ triggered deterministically rather than by racing real threads:
 
 from __future__ import annotations
 
+import threading
 import time
 
 import pytest
 
-from repro.experiments import ExperimentSession, ServiceExecutor
+from repro.experiments import (
+    ExperimentSession,
+    ResultStore,
+    ServiceExecutor,
+    config_digest,
+    get_study,
+)
 from repro.service import (
     PoisonedUnitError,
     SchedulerThread,
@@ -209,3 +216,46 @@ class TestPoisonQuarantine:
             finally:
                 stop.set()
                 thread.join(timeout=5.0)
+
+    def test_units_completed_past_a_poisoned_unit_stay_in_the_store(self, tmp_path):
+        """The session stores each outcome as it arrives: when unit 1 is
+        quarantined after units 0, 2 and 3 completed, all three are on disk,
+        so a rerun has only unit 1 left to execute."""
+        config = ServiceSelfTestConfig(units=4, rounds=10, fail_units=(1,))
+        store = ResultStore(tmp_path / "store")
+        raised = []
+        with SchedulerThread(lease_ttl=30.0, max_attempts=1) as scheduler:
+            host, port = scheduler.address
+            session = ExperimentSession(executor=ServiceExecutor(host, port), store=store)
+
+            def submit():
+                try:
+                    session.run("service-selftest", config)
+                except PoisonedUnitError as exc:
+                    raised.append(exc)
+
+            submitter = threading.Thread(target=submit, daemon=True)
+            submitter.start()
+            worker = manual_worker(host, port, "pw")
+            grant = request_lease(worker, capacity=4)
+            units = grant["units"]  # granted in index order
+            for unit in (units[0], units[2], units[3]):
+                worker.send(
+                    {
+                        "type": "unit_result",
+                        "lease_id": grant["lease_id"],
+                        "key": unit["key"],
+                        "outcome": run_unit_blob(unit["task"]),
+                    }
+                )
+            worker.send({"type": "unit_failed", "key": units[1]["key"], "error": "poisoned"})
+            submitter.join(timeout=10.0)
+            worker.close()
+        assert not submitter.is_alive()
+        assert [report["index"] for report in raised[0].reports] == [1]
+        digest = config_digest(config)
+        fresh = ResultStore(tmp_path / "store")
+        assert [
+            fresh.get(fresh.key_for("service-selftest", digest, None, unit)) is not None
+            for unit in get_study("service-selftest").units_for(config)
+        ] == [True, False, True, True]
