@@ -48,8 +48,11 @@ CONFIG = MitigationStudyConfig(
 
 
 def main() -> None:
-    store_root = Path(tempfile.mkdtemp(prefix="distributed-sweep-")) / "store"
+    with tempfile.TemporaryDirectory(prefix="distributed-sweep-") as scratch:
+        sweep(Path(scratch) / "store")
 
+
+def sweep(store_root: Path) -> None:
     # ------------------------------------------------------------------
     # 1. Scheduler.  Shell: python -m repro.service scheduler --port 7075
     # ------------------------------------------------------------------

@@ -150,48 +150,49 @@ def main() -> None:
     # ------------------------------------------------------------------
     # 4. Cached rerun: a stored result replays without touching the chip.
     # ------------------------------------------------------------------
-    store = ResultStore(tempfile.mkdtemp(prefix="repro-store-"))
-    cached_session = ExperimentSession(population, store=store)
-    first = cached_session.run("demo-victim-flips")
-    for chip in cached_session.chips:
-        chip.stats.reset()
-    second = cached_session.run("demo-victim-flips")
-    activations = sum(chip.stats.activations for chip in cached_session.chips)
-    print(
-        f"\ncached rerun: {second.cache_hits}/{len(second.results)} results from the store, "
-        f"{activations} chip activations performed"
-    )
-    assert second.cache_hits == len(session.chips)
-    assert activations == 0
-    assert second.payloads() == first.payloads()
+    with tempfile.TemporaryDirectory(prefix="repro-store-") as store_dir:
+        store = ResultStore(store_dir)
+        cached_session = ExperimentSession(population, store=store)
+        first = cached_session.run("demo-victim-flips")
+        for chip in cached_session.chips:
+            chip.stats.reset()
+        second = cached_session.run("demo-victim-flips")
+        activations = sum(chip.stats.activations for chip in cached_session.chips)
+        print(
+            f"\ncached rerun: {second.cache_hits}/{len(second.results)} results from the store, "
+            f"{activations} chip activations performed"
+        )
+        assert second.cache_hits == len(session.chips)
+        assert activations == 0
+        assert second.payloads() == first.payloads()
 
     # ------------------------------------------------------------------
     # 5. Sharded study: per-unit caching and crash resume.
     # ------------------------------------------------------------------
-    store_root = tempfile.mkdtemp(prefix="repro-shard-store-")
-    chip = session.chips[0]
-    sweep_session = ExperimentSession(chip, store=ResultStore(store_root))
-    sweep = sweep_session.run("demo-flip-sweep")
-    print(
-        f"\nsharded sweep: {sweep.executed} work units executed "
-        f"({sweep.units_total} total) -> {sweep.single()}"
-    )
+    with tempfile.TemporaryDirectory(prefix="repro-shard-store-") as store_root:
+        chip = session.chips[0]
+        sweep_session = ExperimentSession(chip, store=ResultStore(store_root))
+        sweep = sweep_session.run("demo-flip-sweep")
+        print(
+            f"\nsharded sweep: {sweep.executed} work units executed "
+            f"({sweep.units_total} total) -> {sweep.single()}"
+        )
 
-    # Simulate a crash that lost one unit's cache entry, then resume: only
-    # the missing unit re-executes and the merged payload is identical.
-    shard_store = ResultStore(store_root)
-    unit_files = shard_store.entry_paths("demo-flip-sweep", units_only=True)
-    unit_files[0].unlink()
-    resumed = ExperimentSession(chip, store=ResultStore(store_root)).run(
-        "demo-flip-sweep"
-    )
-    print(
-        f"resume after losing 1 unit entry: {resumed.executed} executed, "
-        f"{resumed.cache_hits} replayed from cache"
-    )
-    assert resumed.executed == 1
-    assert resumed.cache_hits == sweep.units_total - 1
-    assert resumed.single() == sweep.single()
+        # Simulate a crash that lost one unit's cache entry, then resume: only
+        # the missing unit re-executes and the merged payload is identical.
+        shard_store = ResultStore(store_root)
+        unit_files = shard_store.entry_paths("demo-flip-sweep", units_only=True)
+        unit_files[0].unlink()
+        resumed = ExperimentSession(chip, store=ResultStore(store_root)).run(
+            "demo-flip-sweep"
+        )
+        print(
+            f"resume after losing 1 unit entry: {resumed.executed} executed, "
+            f"{resumed.cache_hits} replayed from cache"
+        )
+        assert resumed.executed == 1
+        assert resumed.cache_hits == sweep.units_total - 1
+        assert resumed.single() == sweep.single()
 
 
 if __name__ == "__main__":

@@ -27,7 +27,6 @@ from __future__ import annotations
 from typing import Iterator, Optional, Sequence, Tuple
 
 from repro.experiments.executors import Executor, StudyTask, TaskOutcome
-from repro.experiments.study import WHOLE_STUDY_UNIT
 from repro.service.client import PoisonedUnitError, ServiceClient
 from repro.service.protocol import pack_blob, unpack_blob
 
@@ -62,9 +61,8 @@ class ServiceExecutor(Executor):
         if not tasks:
             return
         label = self.label or tasks[0].study
-        units = [self._unit_spec(index, task) for index, task in enumerate(tasks)]
         with ServiceClient(self.host, self.port) as client:
-            client.submit_units(units, label=label)
+            client.submit_units([pack_blob(task) for task in tasks], label=label)
             for event in client.events():
                 kind = event.get("type")
                 if kind == "unit_complete":
@@ -78,13 +76,6 @@ class ServiceExecutor(Executor):
                     # Closing the connection cancels the submission, so the
                     # scheduler stops dispatching its remaining units.
                     raise PoisonedUnitError(label, [event])
-
-    @staticmethod
-    def _unit_spec(index: int, task: StudyTask) -> dict:
-        """The JSON unit dict shipped in a submit message for one task."""
-        unit = task.unit
-        digest = WHOLE_STUDY_UNIT if unit.is_whole_study else unit.digest
-        return {"key": f"{index:06d}-{digest}", "index": index, "task": pack_blob(task)}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"ServiceExecutor({self.host!r}, {self.port})"

@@ -47,8 +47,8 @@ Protocol
 --------
 Every message is one JSON object per line; pickled tasks/outcomes ride as
 base64 blobs inside JSON strings.  The full message reference lives in
-:mod:`repro.service.protocol`.  In short: clients send ``submit`` and
-receive ``unit_complete`` / ``unit_quarantined`` / ``submission_done``;
+:mod:`repro.service.protocol`.  In short: clients ``submit`` a list of task
+blobs and receive ``unit_complete`` / ``unit_quarantined`` / ``submission_done``;
 workers loop ``lease_request`` -> ``lease_grant`` -> ``unit_result`` |
 ``unit_failed`` with fire-and-forget ``heartbeat`` renewals; anyone may
 send ``status_request``.
@@ -70,9 +70,10 @@ A dead worker's units are re-leased immediately (connection loss) or at
 the next sweep (heartbeat expiry), and retried under capped exponential
 backoff; a unit that fails ``max_attempts`` times is quarantined --
 reported to the client as poisoned -- without sinking other units,
-submissions or clients.  Completions are idempotent by unit key (which
-embeds the unit digest): re-dispatch races resolve to first-wins, with
-late duplicates counted and dropped.  See :mod:`repro.service.leases`.
+submissions or clients.  The scheduler names every unit after its
+submission and its index in it, and completions are idempotent by that
+key: re-dispatch races resolve to first-wins, with late duplicates counted
+and dropped.  See :mod:`repro.service.leases`.
 
 Telemetry
 ---------

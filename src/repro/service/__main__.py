@@ -60,8 +60,6 @@ def _cmd_worker(args: argparse.Namespace) -> int:
         args.port,
         name=args.name,
         batch_size=args.batch,
-        max_units=args.max_units,
-        max_idle_s=args.max_idle_s,
     )
     print(f"worker {worker.name} pulling from {args.host}:{args.port}", flush=True)
     try:
@@ -200,10 +198,6 @@ def main(argv: Optional[list] = None) -> int:
     _add_endpoint_args(worker)
     worker.add_argument("--name", default=None)
     worker.add_argument("--batch", type=int, default=2, help="units per lease")
-    worker.add_argument("--max-units", type=int, default=None)
-    worker.add_argument(
-        "--max-idle-s", type=float, default=None, help="exit after this long with no work"
-    )
     worker.set_defaults(fn=_cmd_worker)
 
     submit = sub.add_parser("submit", help="submit a registered study")

@@ -1,8 +1,8 @@
-"""Client-side protocol wrapper: submit unit batches, stream events, query status.
+"""Client-side protocol wrapper: submit task blobs, stream events, query status.
 
 :class:`ServiceClient` is the thin synchronous counterpart of the
 scheduler's client role.  It knows nothing about studies or executors --
-it ships opaque unit dicts and yields back raw protocol events; the
+it ships opaque task blobs and yields back raw protocol events; the
 outcome-unpickling logic lives in
 :class:`repro.experiments.remote.ServiceExecutor`, which is the API almost
 all code should use instead.
@@ -47,9 +47,9 @@ class ServiceClient:
     """One client connection to a scheduler.
 
     >>> with ServiceClient("127.0.0.1", 7075) as client:   # doctest: +SKIP
-    ...     client.submit_units(units, label="fig10")
+    ...     client.submit_units([pack_blob(task) for task in tasks], label="fig10")
     ...     for event in client.events():
-    ...         ...
+    ...         ...   # unit_complete events carry each task's list index
     """
 
     def __init__(self, host: str, port: int, *, connect_timeout: float = 10.0) -> None:
@@ -95,8 +95,12 @@ class ServiceClient:
         self.close()
 
     # ------------------------------------------------------------------
-    def submit_units(self, units: List[Dict[str, Any]], label: str = "") -> str:
-        """Submit one batch of unit dicts; returns the scheduler's submission id."""
+    def submit_units(self, tasks: List[str], label: str = "") -> str:
+        """Submit task blobs as one submission; returns the scheduler's id for it.
+
+        The scheduler names unit ``i`` after ``tasks[i]``, and every event of
+        the submission carries that ``index``.
+        """
         self.connect()
         assert self._stream is not None
         client_id = uuid.uuid4().hex
@@ -105,7 +109,7 @@ class ServiceClient:
                 "type": "submit",
                 "submission_id": client_id,
                 "label": label,
-                "units": units,
+                "tasks": tasks,
             }
         )
         ack = self._recv()

@@ -27,11 +27,11 @@ Lease state machine (per unit)
   ``max_attempts`` without a completion is *quarantined* (poisoned) instead
   of requeued -- the submission still terminates, reporting the quarantined
   keys, rather than retrying a crashing unit forever.
-* Completions are idempotent by unit key (which embeds the unit digest):
-  the first completion wins, and a late completion from a presumed-dead
-  worker is either accepted (if nobody else finished the unit first -- the
-  payload is bit-identical either way) or counted as a duplicate and
-  dropped.
+* Completions are idempotent by unit key (``<submission id>/<index>``, so
+  keys never collide across submissions): the first completion wins, and a
+  late completion from a presumed-dead worker is either accepted (if nobody
+  else finished the unit first -- the payload is bit-identical either way)
+  or counted as a duplicate and dropped.
 
 Fairness: units are granted round-robin across active submissions, so one
 huge study does not starve a small one submitted after it.
@@ -43,7 +43,7 @@ import itertools
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Deque, Dict, List, Optional, Set, Tuple
+from typing import Any, Deque, Dict, List, Optional, Set, Tuple
 
 
 class UnitState(Enum):
@@ -69,7 +69,6 @@ class UnitRecord:
     #: Earliest time the unit may be granted again (backoff gate).
     available_at: float = 0.0
     lease_id: Optional[str] = None
-    worker: Optional[str] = None
     errors: List[str] = field(default_factory=list)
 
 
@@ -89,6 +88,11 @@ class SubmissionRecord:
 
     submission_id: str
     label: str
+    #: Where the submission's events go; opaque here (the scheduler keeps
+    #: the submitting client's connection).
+    client: Any = None
+    #: Set once ``submission_done`` has been sent.
+    finished: bool = False
     keys: List[str] = field(default_factory=list)
     #: Grant queue; keys are lazily revalidated at grant time, so stale
     #: entries (completed or re-queued elsewhere) cost one skip each.
@@ -154,13 +158,13 @@ class LeaseManager:
     # Submissions
     # ------------------------------------------------------------------
     def add_submission(
-        self, submission_id: str, label: str, units: List[UnitRecord]
+        self, submission_id: str, label: str, units: List[UnitRecord], client: Any = None
     ) -> SubmissionRecord:
         if submission_id in self.submissions:
             raise ValueError(f"duplicate submission id {submission_id!r}")
         if not units:
             raise ValueError("a submission needs at least one unit")
-        record = SubmissionRecord(submission_id=submission_id, label=label)
+        record = SubmissionRecord(submission_id=submission_id, label=label, client=client)
         for unit in units:
             if unit.key in self.units:
                 raise ValueError(f"duplicate unit key {unit.key!r}")
@@ -243,7 +247,6 @@ class LeaseManager:
             unit.state = UnitState.LEASED
             unit.attempts += 1
             unit.lease_id = lease.lease_id
-            unit.worker = worker
         return lease
 
     def next_available_in(self, now: float) -> Optional[float]:
@@ -274,7 +277,7 @@ class LeaseManager:
         lease.expires_at = now + self.lease_ttl
         return True
 
-    def complete(self, key: str, worker: Optional[str] = None) -> str:
+    def complete(self, key: str) -> str:
         """Record a unit completion: ``"accepted"``, ``"duplicate"`` or ``"unknown"``.
 
         First completion wins.  A completion for a unit currently leased to
@@ -294,7 +297,6 @@ class LeaseManager:
             self.submissions[unit.submission_id].quarantined.remove(key)
         self._detach_from_lease(unit)
         unit.state = UnitState.COMPLETED
-        unit.worker = worker
         submission = self.submissions[unit.submission_id]
         submission.completed += 1
         return "accepted"
@@ -308,7 +310,7 @@ class LeaseManager:
         unit = self.units.get(key)
         if unit is None or unit.state is not UnitState.LEASED:
             return None
-        if worker is not None and unit.worker != worker:
+        if worker is not None and self.leases[unit.lease_id].worker != worker:
             return None
         unit.errors.append(error)
         self._detach_from_lease(unit)
@@ -364,7 +366,6 @@ class LeaseManager:
             unit.errors.append(reason)
             unit.requeues += 1
             unit.lease_id = None
-            unit.worker = None
             event = self._requeue_or_quarantine(unit, now)
             if event is not None:
                 events.append(event)

@@ -14,24 +14,37 @@ back -- ride inside JSON strings as base64-encoded pickle *blobs* (see
 must understand (keys, indexes, counters, lease ids, status) is plain JSON,
 so the scheduler never unpickles anything: it relays blobs byte for byte.
 
+A submit is a list of task blobs.  The scheduler names each unit: the unit
+of ``tasks[index]`` in submission ``submission_id`` has the key
+``"<submission_id>/<index>"``, which workers echo back and every event to
+the client carries along with the ``index``.  So keys never collide, even
+when two clients submit the same study at once.
+
 Message reference
 -----------------
 Handshake (both directions of every connection)::
 
-    {"type": "hello", "role": "client"|"worker", "name": str, "protocol": 4}
-    {"type": "hello_ack", "protocol": 4}
+    {"type": "hello", "role": "client"|"worker", "name": str, "protocol": 5}
+    {"type": "hello_ack", "protocol": 5}
     {"type": "error", "error": str}          # fatal; sender closes after
     {"type": "goodbye"}                      # client or worker; no reply
+
+The scheduler answers a message it cannot act on -- an undecodable or
+over-long line, a ``submit`` without task blobs, a ``capacity`` that is not
+a positive int, a ``unit_result`` without an ``outcome`` blob -- with
+``error`` and closes, before it changes any state.  A report that names an
+unknown key or lease is dropped.
 
 Client -> scheduler::
 
     {"type": "submit", "submission_id": str, "label": str,
-     "units": [{"key": str, "index": int, "task": blob}]}
+     "tasks": [blob, ...]}                   # non-empty; unit index = position
     {"type": "status_request"}
 
 Scheduler -> client::
 
-    {"type": "submit_ack", "submission_id": str, "units": int}
+    {"type": "submit_ack", "submission_id": str, "client_id": str,
+     "units": int}                           # client_id echoes the submit's id
     {"type": "unit_complete", "submission_id": str, "key": str, "index": int,
      "attempts": int, "requeues": int, "outcome": blob}
     {"type": "unit_quarantined", "submission_id": str, "key": str,
@@ -42,7 +55,7 @@ Scheduler -> client::
 
 Worker -> scheduler::
 
-    {"type": "lease_request", "capacity": int}
+    {"type": "lease_request", "capacity": int}   # capacity >= 1
     {"type": "heartbeat", "lease_id": str}   # fire-and-forget, no reply
     {"type": "unit_result", "lease_id": str, "key": str,
      "elapsed_s": float, "outcome": blob}
@@ -72,8 +85,10 @@ from typing import Any, Dict, Optional
 #: :class:`~repro.experiments.store.CacheKey` ``chip_id``.  Version 4: the
 #: scheduler keeps no result store, so a submitted unit carries no ``cache``
 #: dict or ``unit_digest``; the submitting session's store is the only
-#: checkpoint of a service run.
-PROTOCOL_VERSION = 4
+#: checkpoint of a service run.  Version 5: a submit is a list of task blobs,
+#: and the scheduler names each unit ``"<submission id>/<index>"`` instead of
+#: taking the client's per-unit ``key`` and ``index``.
+PROTOCOL_VERSION = 5
 
 #: Upper bound on one framed line.  A full-scale Figure 10 submission
 #: (2304 pickled work units) is tens of MB; 256 MB leaves headroom without

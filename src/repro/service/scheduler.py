@@ -89,15 +89,6 @@ class Connection:
             pass
 
 
-class _Submission:
-    """Scheduler-side client bookkeeping for one submission."""
-
-    def __init__(self, submission_id: str, client: Connection) -> None:
-        self.submission_id = submission_id
-        self.client = client
-        self.finished = False
-
-
 class SchedulerServer:
     """Serves study submissions to a worker fleet with leased dispatch.
 
@@ -130,7 +121,6 @@ class SchedulerServer:
             backoff_cap=backoff_cap,
         )
         self.telemetry = SchedulerTelemetry()
-        self._submissions: Dict[str, _Submission] = {}
         #: Open peer connections and the tasks handling them.
         self._connections: Dict[Connection, asyncio.Task] = {}
         self._submission_ids = itertools.count(1)
@@ -253,33 +243,27 @@ class SchedulerServer:
         elif conn.role == "client":
             # Nothing reaches a departed client, so its finished submissions
             # are freed too; only the unfinished ones count as cancelled.
-            for sid, submission in list(self._submissions.items()):
-                if submission.client is conn:
-                    del self._submissions[sid]
-                    if self.manager.cancel_submission(sid) and not submission.finished:
+            for sid, record in list(self.manager.submissions.items()):
+                if record.client is conn:
+                    if self.manager.cancel_submission(sid) and not record.finished:
                         self.telemetry.bump("submissions_cancelled")
 
     # ------------------------------------------------------------------
     # Client messages
     # ------------------------------------------------------------------
     async def _handle_submit(self, conn: Connection, message: Dict[str, Any]) -> None:
-        units_spec = message.get("units")
-        if not isinstance(units_spec, list) or not units_spec:
-            raise protocol.ProtocolError("submit carries no units")
+        tasks = message.get("tasks")
+        if not (isinstance(tasks, list) and tasks and all(isinstance(t, str) for t in tasks)):
+            raise protocol.ProtocolError("submit needs a non-empty list of task blobs")
+        # The scheduler names every unit, so two submissions of the same
+        # study never share a key.
         submission_id = f"sub-{next(self._submission_ids)}"
         label = str(message.get("label") or "unlabelled")
-        records: List[UnitRecord] = []
-        for spec in units_spec:
-            records.append(
-                UnitRecord(
-                    key=str(spec["key"]),
-                    submission_id=submission_id,
-                    index=int(spec["index"]),
-                    task_blob=spec["task"],
-                )
-            )
-        self.manager.add_submission(submission_id, label, records)
-        self._submissions[submission_id] = _Submission(submission_id, conn)
+        records = [
+            UnitRecord(f"{submission_id}/{index}", submission_id, index, task)
+            for index, task in enumerate(tasks)
+        ]
+        self.manager.add_submission(submission_id, label, records, client=conn)
         self.telemetry.bump("submissions_opened")
         self.telemetry.bump("units_submitted", len(records))
         await conn.send(
@@ -295,9 +279,11 @@ class SchedulerServer:
     # Worker messages
     # ------------------------------------------------------------------
     async def _handle_lease_request(self, conn: Connection, message: Dict[str, Any]) -> None:
+        capacity = message.get("capacity")
+        if type(capacity) is not int or capacity < 1:
+            raise protocol.ProtocolError(f"capacity {capacity!r} is not a positive int")
         now = time.monotonic()
         self.telemetry.worker_seen(conn.name, now)
-        capacity = int(message.get("capacity") or 1)
         # Backoff gate: when every pending unit is sitting out a backoff,
         # answer with the exact wait instead of attempting a grant -- the
         # attempt could not succeed and would only churn the pending queues.
@@ -305,7 +291,7 @@ class SchedulerServer:
         if wait is not None and wait > 0.0:
             await conn.send({"type": "no_work", "retry_in": max(0.05, min(wait, 5.0))})
             return
-        lease = self.manager.grant(conn.name, max(1, capacity), now)
+        lease = self.manager.grant(conn.name, capacity, now)
         if lease is None:
             retry_in = 0.5 if wait is None else max(0.05, min(wait, 5.0))
             await conn.send({"type": "no_work", "retry_in": retry_in})
@@ -327,11 +313,19 @@ class SchedulerServer:
         )
 
     async def _handle_unit_result(self, conn: Connection, message: Dict[str, Any]) -> None:
+        # Checked before the unit is marked completed: a result the client
+        # can never receive must leave the unit to be leased again.
+        outcome = message.get("outcome")
+        if not isinstance(outcome, str):
+            raise protocol.ProtocolError("unit_result carries no outcome blob")
+        elapsed = message.get("elapsed_s", 0.0)
+        if type(elapsed) not in (int, float):
+            raise protocol.ProtocolError(f"elapsed_s {elapsed!r} is not a number")
         now = time.monotonic()
         self.telemetry.worker_seen(conn.name, now)
         key = str(message.get("key"))
         unit = self.manager.units.get(key)
-        verdict = self.manager.complete(key, worker=conn.name)
+        verdict = self.manager.complete(key)
         if verdict == "duplicate":
             self.telemetry.bump("duplicate_completions")
             return
@@ -339,22 +333,20 @@ class SchedulerServer:
             self.telemetry.bump("unknown_completions")
             return
         assert unit is not None
-        elapsed = float(message.get("elapsed_s") or 0.0)
-        self.telemetry.unit_completed(conn.name, elapsed, now)
-        submission = self._submissions.get(unit.submission_id)
-        if submission is not None:
-            await submission.client.send(
-                {
-                    "type": "unit_complete",
-                    "submission_id": submission.submission_id,
-                    "key": key,
-                    "index": unit.index,
-                    "attempts": unit.attempts,
-                    "requeues": unit.requeues,
-                    "outcome": message["outcome"],
-                }
-            )
-            await self._finish_if_done(unit.submission_id)
+        self.telemetry.unit_completed(conn.name, float(elapsed), now)
+        record = self.manager.submissions[unit.submission_id]
+        await record.client.send(
+            {
+                "type": "unit_complete",
+                "submission_id": unit.submission_id,
+                "key": key,
+                "index": unit.index,
+                "attempts": unit.attempts,
+                "requeues": unit.requeues,
+                "outcome": outcome,
+            }
+        )
+        await self._finish_if_done(unit.submission_id)
 
     async def _handle_unit_failed(self, conn: Connection, message: Dict[str, Any]) -> None:
         now = time.monotonic()
@@ -392,10 +384,10 @@ class SchedulerServer:
                 continue
             self.telemetry.bump("units_quarantined")
             touched.append(event.submission_id)
-            submission = self._submissions.get(event.submission_id)
+            record = self.manager.submissions.get(event.submission_id)
             unit = self.manager.units.get(event.key)
-            if submission is not None and unit is not None:
-                await submission.client.send(
+            if record is not None and unit is not None:
+                await record.client.send(
                     {
                         "type": "unit_quarantined",
                         "submission_id": event.submission_id,
@@ -410,14 +402,11 @@ class SchedulerServer:
 
     async def _finish_if_done(self, submission_id: str) -> None:
         record = self.manager.submissions.get(submission_id)
-        submission = self._submissions.get(submission_id)
-        if record is None or submission is None or submission.finished:
+        if record is None or record.finished or not record.done:
             return
-        if not record.done:
-            return
-        submission.finished = True
+        record.finished = True
         self.telemetry.bump("submissions_completed")
-        await submission.client.send(
+        await record.client.send(
             {
                 "type": "submission_done",
                 "submission_id": submission_id,

@@ -46,14 +46,12 @@ class ServiceWorker:
         Worker identity in telemetry; defaults to ``worker-<pid>``.
     batch_size:
         Units requested per lease.
-    max_units:
-        Stop after executing this many units (``None`` = run forever).
-    max_idle_s:
-        Stop after this long without being granted work (``None`` = never);
-        lets smoke-test fleets drain and exit by themselves.
     stop_event:
         Optional :class:`threading.Event` checked between units, for
         embedding a worker in a host process.
+
+    :meth:`run` returns when ``stop_event`` is set or the scheduler closes
+    the connection; from the shell, Ctrl-C stops the worker.
     """
 
     def __init__(
@@ -63,8 +61,6 @@ class ServiceWorker:
         *,
         name: Optional[str] = None,
         batch_size: int = 2,
-        max_units: Optional[int] = None,
-        max_idle_s: Optional[float] = None,
         stop_event: Optional[threading.Event] = None,
     ) -> None:
         if batch_size < 1:
@@ -73,8 +69,6 @@ class ServiceWorker:
         self.port = port
         self.name = name or f"worker-{os.getpid()}"
         self.batch_size = batch_size
-        self.max_units = max_units
-        self.max_idle_s = max_idle_s
         self.stop_event = stop_event or threading.Event()
         self.units_done = 0
         self.units_failed = 0
@@ -90,7 +84,6 @@ class ServiceWorker:
             ack = stream.recv()
             if ack is None or ack.get("type") != "hello_ack":
                 raise protocol.ProtocolError(f"bad handshake reply: {ack!r}")
-            idle_since: Optional[float] = None
             while not self.stop_event.is_set():
                 stream.send({"type": "lease_request", "capacity": self.batch_size})
                 message = stream.recv()
@@ -98,22 +91,12 @@ class ServiceWorker:
                     break  # scheduler went away; exit cleanly
                 kind = message.get("type")
                 if kind == "no_work":
-                    now = time.monotonic()
-                    idle_since = idle_since if idle_since is not None else now
-                    if (
-                        self.max_idle_s is not None
-                        and now - idle_since >= self.max_idle_s
-                    ):
-                        break
                     if self.stop_event.wait(float(message.get("retry_in") or 0.5)):
                         break
                     continue
                 if kind != "lease_grant":
                     raise protocol.ProtocolError(f"expected lease_grant, got {kind!r}")
-                idle_since = None
                 self._run_lease(stream, message)
-                if self.max_units is not None and self.units_done >= self.max_units:
-                    break
             try:
                 stream.send({"type": "goodbye"})
             except OSError:

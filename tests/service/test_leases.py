@@ -42,7 +42,7 @@ class TestGrantAndComplete:
         manager.add_submission("sub", "label", make_units(2))
         lease = manager.grant("w1", capacity=2, now=0.0)
         for key in sorted(lease.keys):
-            assert manager.complete(key, worker="w1") == "accepted"
+            assert manager.complete(key) == "accepted"
         assert manager.submissions["sub"].done
         assert lease.lease_id not in manager.leases  # emptied leases are dropped
 
@@ -57,11 +57,11 @@ class TestGrantAndComplete:
         manager = make_manager()
         manager.add_submission("sub", "label", make_units(1))
         manager.grant("w1", capacity=1, now=0.0)
-        assert manager.complete("u0", worker="w1") == "accepted"
+        assert manager.complete("u0") == "accepted"
         # Idempotent: a second completion (re-dispatch race) is a duplicate.
-        assert manager.complete("u0", worker="w2") == "duplicate"
+        assert manager.complete("u0") == "duplicate"
         assert manager.submissions["sub"].completed == 1
-        assert manager.complete("nope", worker="w1") == "unknown"
+        assert manager.complete("nope") == "unknown"
 
 
 class TestExpiryAndReclaim:
@@ -113,7 +113,7 @@ class TestExpiryAndReclaim:
         manager.add_submission("sub", "label", make_units(1))
         manager.grant("w1", capacity=1, now=0.0)
         manager.reap_expired(now=2.0)  # w1 presumed hung; unit back to pending
-        assert manager.complete("u0", worker="w1") == "accepted"
+        assert manager.complete("u0") == "accepted"
         assert manager.submissions["sub"].done
 
     def test_completion_race_between_old_and_new_worker(self):
@@ -122,8 +122,8 @@ class TestExpiryAndReclaim:
         manager.grant("w1", capacity=1, now=0.0)
         manager.reap_expired(now=2.0)
         manager.grant("w2", capacity=1, now=2.1)  # re-dispatched
-        assert manager.complete("u0", worker="w1") == "accepted"  # old one first
-        assert manager.complete("u0", worker="w2") == "duplicate"
+        assert manager.complete("u0") == "accepted"  # w1's late report first
+        assert manager.complete("u0") == "duplicate"  # then w2's
         assert manager.submissions["sub"].completed == 1
 
 
@@ -162,7 +162,7 @@ class TestQuarantine:
         manager.add_submission("sub", "label", make_units(1))
         manager.grant("w1", capacity=1, now=0.0)
         assert manager.fail("u0", "boom", now=0.1, worker="other") is None
-        manager.complete("u0", worker="w1")
+        manager.complete("u0")
         assert manager.fail("u0", "boom", now=0.2, worker="w1") is None
 
 
@@ -240,7 +240,7 @@ class TestFairnessAndCancel:
         dropped = manager.cancel_submission("a")
         assert dropped == 3
         assert not manager.units  # memory bounded by live work
-        assert manager.complete("a0", worker="w1") == "unknown"
+        assert manager.complete("a0") == "unknown"
         assert manager.cancel_submission("a") == 0
 
     def test_duplicate_submission_or_key_rejected(self):

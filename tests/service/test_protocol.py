@@ -51,13 +51,15 @@ class TestFraming:
 class TestProtocolVersion:
     """Version 1 task blobs carried a ``seed`` field that later tasks lack,
     version 2 cache dicts lack the ``chip_id`` that version 3 stores check
-    entries against, and a version 3 client expects a scheduler that
-    checkpoints the ``cache`` dict it ships, which no version 4 scheduler
-    does; so an older peer is refused at hello rather than failing on every
-    unit it unpickles or silently caching nothing."""
+    entries against, a version 3 client expects a scheduler that
+    checkpoints the ``cache`` dict it ships, which no later scheduler does,
+    and a version 4 submit names its own units, which a version 5 scheduler
+    does instead; so an older peer is refused at hello rather than failing
+    on every unit it unpickles, silently caching nothing or having its
+    submit rejected."""
 
-    def test_speaks_protocol_4(self):
-        assert protocol.PROTOCOL_VERSION == 4
+    def test_speaks_protocol_5(self):
+        assert protocol.PROTOCOL_VERSION == 5
 
     def test_check_hello_refuses_protocol_1(self):
         with pytest.raises(protocol.ProtocolError, match="protocol mismatch"):
@@ -87,6 +89,14 @@ class TestProtocolVersion:
         with SchedulerThread() as scheduler:
             with protocol.connect_stream(*scheduler.address, timeout=10.0) as stream:
                 stream.send(dict(protocol.hello("client", "old"), protocol=3))
+                reply = stream.recv()
+        assert reply["type"] == "error"
+        assert "protocol mismatch" in reply["error"]
+
+    def test_scheduler_answers_protocol_4_with_an_error(self):
+        with SchedulerThread() as scheduler:
+            with protocol.connect_stream(*scheduler.address, timeout=10.0) as stream:
+                stream.send(dict(protocol.hello("client", "old"), protocol=4))
                 reply = stream.recv()
         assert reply["type"] == "error"
         assert "protocol mismatch" in reply["error"]

@@ -1,7 +1,7 @@
 """What the scheduler does with its connections, driven over raw sockets.
 
 The scheduler relays task and outcome blobs without reading them, answers
-a malformed line with an ``error`` and then EOF, frees a departed
+a malformed line or field with an ``error`` and then EOF, frees a departed
 client's submissions, and closes every connected peer on ``stop()``.
 """
 
@@ -15,7 +15,7 @@ import time
 import pytest
 
 from repro.experiments import ExperimentSession, ServiceExecutor
-from repro.service import SchedulerThread, ServiceWorker, protocol
+from repro.service import SchedulerThread, ServiceWorker, UnitState, protocol
 from repro.service.selftest import ServiceSelfTestConfig
 
 
@@ -50,29 +50,26 @@ class RawPeer:
         self.sock.close()
 
 
+def submit(label, tasks):
+    return {"type": "submit", "submission_id": label, "label": label, "tasks": tasks}
+
+
 class TestRelay:
     def test_blobs_that_are_not_pickles_arrive_byte_for_byte(self):
         task, outcome = "task: not a pickle ☃", "outcome: \x00 not base64 either"
         with SchedulerThread() as scheduler:
             client = RawPeer(scheduler.address, "client", "relay-client")
             worker = RawPeer(scheduler.address, "worker", "relay-worker")
-            client.send(
-                {
-                    "type": "submit",
-                    "submission_id": "relay",
-                    "label": "relay",
-                    "units": [{"key": "k0", "index": 0, "task": task}],
-                }
-            )
+            client.send(submit("relay", [task]))
             assert client.recv()["type"] == "submit_ack"
             worker.send({"type": "lease_request", "capacity": 1})
             grant = worker.recv()
-            assert grant["units"] == [{"key": "k0", "task": task}]
+            assert grant["units"] == [{"key": "sub-1/0", "task": task}]
             worker.send(
                 {
                     "type": "unit_result",
                     "lease_id": grant["lease_id"],
-                    "key": "k0",
+                    "key": "sub-1/0",
                     "elapsed_s": 0.0,
                     "outcome": outcome,
                 }
@@ -81,7 +78,7 @@ class TestRelay:
             assert complete == {
                 "type": "unit_complete",
                 "submission_id": "sub-1",
-                "key": "k0",
+                "key": "sub-1/0",
                 "index": 0,
                 "attempts": 1,
                 "requeues": 0,
@@ -106,6 +103,70 @@ class TestMalformedLines:
             assert peer.recv()["type"] == "error"
             assert peer.at_eof()
             peer.close()
+
+    @pytest.mark.parametrize(
+        "role, bad",
+        [
+            ("client", {"type": "submit", "submission_id": "bad", "label": "bad"}),
+            ("client", submit("bad", [])),
+            ("client", submit("bad", ["task", 7])),
+            ("worker", {"type": "lease_request", "capacity": "lots"}),
+            ("worker", {"type": "lease_request", "capacity": 0}),
+            ("worker", {"type": "unit_result", "elapsed_s": 0.0}),
+            ("worker", {"type": "unit_result", "elapsed_s": "slow", "outcome": "o"}),
+        ],
+        ids=[
+            "tasks-missing",
+            "tasks-empty",
+            "task-not-a-string",
+            "capacity-not-an-int",
+            "capacity-zero",
+            "outcome-missing",
+            "elapsed-not-a-number",
+        ],
+    )
+    def test_bad_field_gets_an_error_then_eof_and_changes_nothing(self, role, bad):
+        """A message the scheduler cannot act on is refused before it changes
+        any state: a bad ``unit_result`` leaves its unit to another worker."""
+        with SchedulerThread(backoff_base=0.01, backoff_cap=0.01) as scheduler:
+            client = RawPeer(scheduler.address, "client", "good-client")
+            client.send(submit("good", ["task-0"]))
+            assert client.recv()["type"] == "submit_ack"
+            peer = RawPeer(scheduler.address, role, "bad-peer")
+            if bad["type"] == "unit_result":
+                peer.send({"type": "lease_request", "capacity": 1})
+                grant = peer.recv()
+                bad = dict(bad, lease_id=grant["lease_id"], key=grant["units"][0]["key"])
+            peer.send(bad)
+            assert peer.recv()["type"] == "error"
+            assert peer.at_eof()
+            peer.close()
+            unit = scheduler.server.manager.units["sub-1/0"]
+            assert unit.state is not UnitState.COMPLETED
+            worker = RawPeer(scheduler.address, "worker", "good-worker")
+            deadline = time.monotonic() + 5.0
+            while True:
+                worker.send({"type": "lease_request", "capacity": 1})
+                grant = worker.recv()
+                if grant["type"] == "lease_grant":
+                    break
+                assert time.monotonic() < deadline, "the unit was never granted again"
+                time.sleep(0.01)
+            assert grant["units"] == [{"key": "sub-1/0", "task": "task-0"}]
+            worker.send(
+                {
+                    "type": "unit_result",
+                    "lease_id": grant["lease_id"],
+                    "key": "sub-1/0",
+                    "elapsed_s": 0.0,
+                    "outcome": "outcome-0",
+                }
+            )
+            complete = client.recv()
+            assert (complete["type"], complete["outcome"]) == ("unit_complete", "outcome-0")
+            assert client.recv()["type"] == "submission_done"
+            client.close()
+            worker.close()
 
     def test_goodbye_closes_without_a_reply(self):
         with SchedulerThread() as scheduler:
@@ -160,14 +221,7 @@ class TestStop:
         scheduler = SchedulerThread()
         address = scheduler.start()
         client = RawPeer(address, "client", "big-client")
-        client.send(
-            {
-                "type": "submit",
-                "submission_id": "big",
-                "label": "big",
-                "units": [{"key": "k0", "index": 0, "task": "x" * (8 << 20)}],
-            }
-        )
+        client.send(submit("big", ["x" * (8 << 20)]))
         assert client.recv()["type"] == "submit_ack"
         worker = RawPeer(address, "worker", "stalled-worker", rcvbuf=4096)
         worker.send({"type": "lease_request", "capacity": 1})

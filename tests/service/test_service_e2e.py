@@ -25,7 +25,7 @@ import pytest
 import repro
 from repro.analysis.mitigation_study import MitigationStudyConfig
 from repro.experiments import ExperimentSession, SerialExecutor, ServiceExecutor
-from repro.service import SchedulerThread, ServiceClient, ServiceWorker
+from repro.service import SchedulerThread, ServiceClient, ServiceWorker, fetch_status
 from repro.service.selftest import ServiceSelfTestConfig
 
 TINY_FIG10 = dict(
@@ -147,6 +147,46 @@ class TestServiceMatchesSerial:
         # the fleet: at least two of the three workers completed units.
         busy = [w for w in status["workers"].values() if w["units_completed"] >= 1]
         assert len(busy) >= 2
+
+
+class TestConcurrentSubmissions:
+    def test_two_sessions_submit_the_same_study_at_once(self):
+        """The scheduler names each submission's units, so the same study
+        submitted by two sessions at once runs twice, once per session."""
+        config = ServiceSelfTestConfig(units=3, rounds=50, seed=8)
+        serial = ExperimentSession(executor=SerialExecutor()).run(
+            "service-selftest", config
+        )
+        results, errors = {}, []
+
+        def run_study(name):
+            try:
+                results[name] = ExperimentSession(
+                    executor=ServiceExecutor(host, port)
+                ).run("service-selftest", config)
+            except Exception as exc:
+                errors.append(exc)
+
+        with SchedulerThread() as scheduler:
+            host, port = scheduler.address
+            sessions = [
+                threading.Thread(target=run_study, args=(name,), daemon=True)
+                for name in ("first", "second")
+            ]
+            for session in sessions:
+                session.start()
+            # No worker runs until both submissions are in, so they overlap.
+            assert wait_for(
+                lambda: errors or len(fetch_status(host, port)["submissions"]) == 2
+            )
+            assert not errors
+            with worker_fleet(host, port, count=1):
+                for session in sessions:
+                    session.join(timeout=60.0)
+        assert not any(session.is_alive() for session in sessions)
+        assert not errors
+        assert results["first"].single() == serial.single()
+        assert results["second"].single() == serial.single()
 
 
 class TestWorkerKilledMidSweep:

@@ -59,18 +59,12 @@ def request_lease(stream, capacity=8, attempts=100, delay=0.05):
 
 def submit_selftest(client, config):
     """Submit a selftest study's tasks through the raw client."""
-    from repro.experiments import get_study
     from repro.experiments.executors import StudyTask
-    from repro.experiments.remote import ServiceExecutor as _SE
-    from repro.experiments.study import config_digest
 
     spec = get_study("service-selftest")
-    digest = config_digest(config)
     units = spec.units_for(config)
     tasks = [StudyTask(study=spec.name, config=config, chip=None, unit=unit) for unit in units]
-    specs = [_SE._unit_spec(i, task) for i, task in enumerate(tasks)]
-    client.submit_units(specs, label="faults")
-    return tasks, specs, digest
+    client.submit_units([protocol.pack_blob(task) for task in tasks], label="faults")
 
 
 def run_unit_blob(task_blob):
