@@ -8,7 +8,7 @@ external tool.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.ecc_analysis import aggregate_hc_and_multipliers
 from repro.core.first_flip import HCFirstResult
@@ -77,14 +77,10 @@ def build_figure6_spatial(
 
 def build_figure7_word_density(
     density_results: Iterable[WordDensityResult],
-    max_flips: int = 5,
 ) -> Dict[ConfigKey, Dict[int, Dict[str, float]]]:
     """Figure 7: fraction of 64-bit words containing N flips per configuration."""
     grouped = _group_by_config(density_results)
-    return {
-        key: aggregate_fraction_by_flip_count(results, max_flips=max_flips)
-        for key, results in grouped.items()
-    }
+    return {key: aggregate_fraction_by_flip_count(results) for key, results in grouped.items()}
 
 
 def build_figure8_hcfirst_distribution(
@@ -107,6 +103,10 @@ def build_figure8_hcfirst_distribution(
 def build_figure9_ecc(
     analyses: Iterable[EccWordAnalysis],
 ) -> Dict[ConfigKey, Dict[str, Dict[int, Dict[str, float]]]]:
-    """Figure 9: HC to the first word with 1/2/3 flips, and the HC multipliers."""
+    """Figure 9: HC to the first word with N flips, and the HC multipliers.
+
+    N runs over the per-word flip counts the analyses measured (1, 2 and 3
+    by default; see :class:`repro.core.ecc_analysis.EccWordStudyConfig`).
+    """
     grouped = _group_by_config(analyses)
     return {key: aggregate_hc_and_multipliers(results) for key, results in grouped.items()}

@@ -85,6 +85,11 @@ DEFAULT_HCFIRST_SWEEP: Tuple[int, ...] = (
     64,
 )
 
+#: Threshold scaling of :func:`run_mitigation_study` and the registered
+#: studies' default: 1.0 models the counter-based mechanisms faithfully (see
+#: :class:`repro.mitigations.base.MitigationConfig`).
+FAITHFUL_TIME_SCALE = 1.0
+
 #: Default mechanism set of Figure 10.
 DEFAULT_MECHANISMS: Tuple[str, ...] = (
     "IncreasedRefresh",
@@ -152,7 +157,7 @@ class MitigationStudyConfig:
     requests_per_core: int = 4_000
     seed: int = 0
     respect_design_constraints: bool = True
-    time_scale: float = 1.0
+    time_scale: float = FAITHFUL_TIME_SCALE
     #: Simulation stepping strategy; ``"cycle"`` is the bit-identical
     #: reference implementation (see :class:`repro.sim.system.Simulation`).
     step_mode: str = "event"
@@ -164,9 +169,10 @@ class MitigationStudyConfig:
             self.respect_design_constraints,
             self.dram_cycles,
             self.requests_per_core,
-            self.time_scale,
             self.step_mode,
         )
+        if not 0.0 < self.time_scale <= 1.0:
+            raise ValueError(f"time_scale must be within (0, 1], got {self.time_scale}")
         if self.num_mixes < 1:
             raise ValueError("num_mixes must be at least 1")
         if self.rows_per_bank < 1:
@@ -350,7 +356,6 @@ def _check_sweep(
     respect_design_constraints: bool,
     dram_cycles: int,
     requests_per_core: int,
-    time_scale: float,
     step_mode: str,
 ) -> None:
     """Reject a sweep that cannot run or would evaluate nothing.
@@ -379,8 +384,6 @@ def _check_sweep(
         raise ValueError("dram_cycles must be at least 1")
     if requests_per_core < 1:
         raise ValueError("requests_per_core must be at least 1")
-    if not 0.0 < time_scale <= 1.0:
-        raise ValueError(f"time_scale must be within (0, 1], got {time_scale}")
     if step_mode not in STEP_MODES:
         raise ValueError(f"step_mode must be one of {STEP_MODES}, got {step_mode!r}")
 
@@ -623,7 +626,6 @@ def run_mitigation_study(
     requests_per_core: int = 4_000,
     seed: int = 0,
     respect_design_constraints: bool = True,
-    time_scale: float = 1.0,
     step_mode: str = "event",
 ) -> MitigationStudyResult:
     """Run the Figure 10 evaluation.
@@ -644,21 +646,17 @@ def run_mitigation_study(
     respect_design_constraints:
         When true (the default, matching the paper), mechanisms are skipped
         at HC_first values where their published design does not apply.
-    time_scale:
-        Optional threshold scaling for counter-based mechanisms (see
-        :class:`repro.mitigations.base.MitigationConfig`).  The default of
-        1.0 models the mechanisms faithfully; values below 1.0 compress the
-        refresh window into the simulated interval, which over-approximates
-        the overhead of counter-based mechanisms on short runs.
     step_mode:
         Simulation stepping strategy; the default event-driven mode and the
         ``"cycle"`` reference produce bit-identical studies.
 
     Runs the same baseline and cell units as the registered studies, mix by
     mix: each mix's traces and shared no-mitigation run are computed once
-    and shared by its baseline and every evaluation point.  The sweep
-    follows :class:`MitigationStudyConfig`'s rules and is checked before
-    any trace is built: a sweep the config rejects raises ``ValueError``.
+    and shared by its baseline and every evaluation point.  Mechanisms run
+    at :data:`FAITHFUL_TIME_SCALE`; to compress the refresh window, run a
+    registered study with a smaller ``time_scale``.  The sweep follows
+    :class:`MitigationStudyConfig`'s rules and is checked before any trace
+    is built: a sweep the config rejects raises ``ValueError``.
     """
     _check_sweep(
         mechanisms,
@@ -666,7 +664,6 @@ def run_mitigation_study(
         respect_design_constraints,
         dram_cycles,
         requests_per_core,
-        time_scale,
         step_mode,
     )
     config = system_config or SystemConfig(rows_per_bank=4096)
@@ -688,6 +685,8 @@ def run_mitigation_study(
         shared = _run_shared(config, traces, dram_cycles, step_mode)
         payloads.append(_simulate_baseline(shared, mix))
         for mechanism, hcfirst in points:
-            payloads.append(_simulate_cell(shared, mechanism, hcfirst, mix, seed, time_scale))
+            payloads.append(
+                _simulate_cell(shared, mechanism, hcfirst, mix, seed, FAITHFUL_TIME_SCALE)
+            )
     return _aggregate(points, len(mixes), payloads)
 

@@ -7,7 +7,7 @@ nested dictionary shaped like the corresponding table in the paper.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.first_flip import HCFirstResult
 from repro.core.results import CoverageResult, ProbabilityResult
@@ -15,6 +15,11 @@ from repro.dram.population import TABLE1_POPULATION
 from repro.dram.vulnerability import MANUFACTURERS, PROFILES, TypeNode
 
 ConfigKey = Tuple[str, str]  # (type-node, manufacturer)
+
+#: The type-nodes Table 2 reports: the DDR3 generations.
+TABLE2_TYPE_NODES: Tuple[str, ...] = ("DDR3-old", "DDR3-new")
+#: Table 3 marks a chip with fewer observed flips than this "N/A".
+TABLE3_MINIMUM_FLIPS = 10
 
 
 def build_table1_population() -> Dict[str, Dict[str, Tuple[int, int]]]:
@@ -30,7 +35,6 @@ def build_table1_population() -> Dict[str, Dict[str, Tuple[int, int]]]:
 
 def build_table2_rowhammerable(
     results: Iterable[HCFirstResult],
-    dram_types: Tuple[str, ...] = ("DDR3-old", "DDR3-new"),
 ) -> Dict[str, Dict[str, Tuple[int, int]]]:
     """Table 2: fraction of DDR3 chips with any bit flip below the test limit.
 
@@ -38,7 +42,7 @@ def build_table2_rowhammerable(
     """
     table: Dict[str, Dict[str, Tuple[int, int]]] = {}
     for result in results:
-        if result.type_node not in dram_types:
+        if result.type_node not in TABLE2_TYPE_NODES:
             continue
         per_mfr = table.setdefault(result.type_node, {})
         hammerable, total = per_mfr.get(result.manufacturer, (0, 0))
@@ -51,16 +55,16 @@ def build_table2_rowhammerable(
 
 def build_table3_worst_patterns(
     coverage_results: Iterable[CoverageResult],
-    minimum_flips: int = 10,
 ) -> Dict[str, Dict[str, Optional[str]]]:
     """Table 3: worst-case data pattern per configuration.
 
-    Chips with fewer than ``minimum_flips`` observed flips are skipped, as
-    the paper marks configurations without enough bit flips "N/A".
+    Chips with fewer than :data:`TABLE3_MINIMUM_FLIPS` observed flips are
+    skipped, as the paper marks configurations without enough bit flips
+    "N/A".
     """
     votes: Dict[ConfigKey, Dict[str, int]] = {}
     for result in coverage_results:
-        if result.unique_flips_total < minimum_flips:
+        if result.unique_flips_total < TABLE3_MINIMUM_FLIPS:
             continue
         winner = result.worst_case_pattern
         if winner is None:

@@ -17,6 +17,12 @@ from repro.core.characterization import RowHammerCharacterizer
 from repro.core.data_patterns import DataPattern, resolve_pattern
 from repro.dram.chip import DramChip
 
+#: Slope-extrapolation steps :func:`hammer_count_for_flip_rate` takes at most.
+MAX_SEARCH_STEPS = 6
+#: Relative tolerance on the achieved rate: the search stops once the
+#: measured rate is within ``[target * (1 - tol), target / (1 - tol)]``.
+RATE_TOLERANCE = 0.5
+
 
 def measure_flip_rate(
     chip: DramChip,
@@ -69,27 +75,19 @@ def resolve_hammer_count(
 def hammer_count_for_flip_rate(
     chip: DramChip,
     target_rate: float,
-    hammer_limit: int = DramChip.TEST_LIMIT_HC,
     data_pattern: Optional[DataPattern] = None,
     bank: int = 0,
     victims: Optional[Sequence[int]] = None,
-    max_iterations: int = 6,
-    tolerance: float = 0.5,
 ) -> Optional[int]:
     """Find a hammer count producing roughly ``target_rate`` bit flips per cell.
 
-    Returns ``None`` when even the hammer limit cannot reach the target rate.
-    The search exploits the power-law relationship between hammer count and
-    flip rate: each iteration fits the local slope from the two most recent
-    measurements and extrapolates towards the target.
-
-    Parameters
-    ----------
-    tolerance:
-        Relative tolerance on the achieved rate: the search stops once the
-        measured rate is within ``[target * (1 - tolerance), target / (1 -
-        tolerance)]``.
+    Returns ``None`` when even the 150k test limit cannot reach the target
+    rate.  The search exploits the power-law relationship between hammer
+    count and flip rate: each of at most :data:`MAX_SEARCH_STEPS` steps fits
+    the local slope from the two most recent measurements and extrapolates
+    towards the target, stopping within :data:`RATE_TOLERANCE` of it.
     """
+    hammer_limit = DramChip.TEST_LIMIT_HC
     if target_rate <= 0:
         raise ValueError("target_rate must be positive")
     rate_at_limit = measure_flip_rate(chip, hammer_limit, data_pattern, bank, victims)
@@ -98,8 +96,9 @@ def hammer_count_for_flip_rate(
     current_hc = hammer_limit
     current_rate = rate_at_limit
     previous = (hammer_limit // 2, measure_flip_rate(chip, hammer_limit // 2, data_pattern, bank, victims))
-    for _ in range(max_iterations):
-        if target_rate * (1 - tolerance) <= current_rate <= target_rate / (1 - tolerance):
+    low, high = target_rate * (1 - RATE_TOLERANCE), target_rate / (1 - RATE_TOLERANCE)
+    for _ in range(MAX_SEARCH_STEPS):
+        if low <= current_rate <= high:
             return current_hc
         prev_hc, prev_rate = previous
         if prev_rate > 0 and prev_rate != current_rate and prev_hc != current_hc:

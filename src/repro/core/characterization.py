@@ -83,29 +83,6 @@ class CharacterizationResult:
     records: List[CharacterizationRecord] = field(default_factory=list)
     cells_tested_per_victim: int = 0
 
-    def records_for(
-        self,
-        data_pattern: Optional[str] = None,
-        hammer_count: Optional[int] = None,
-    ) -> List[CharacterizationRecord]:
-        """Filter records by pattern name and/or hammer count."""
-        selected = self.records
-        if data_pattern is not None:
-            selected = [r for r in selected if r.data_pattern == data_pattern]
-        if hammer_count is not None:
-            selected = [r for r in selected if r.hammer_count == hammer_count]
-        return selected
-
-    def total_flips(
-        self,
-        data_pattern: Optional[str] = None,
-        hammer_count: Optional[int] = None,
-    ) -> int:
-        """Total number of flip observations across the selected records."""
-        return sum(
-            len(record.flips) for record in self.records_for(data_pattern, hammer_count)
-        )
-
 
 # ----------------------------------------------------------------------
 # Work-unit decomposition: one unit per hammer count of the grid

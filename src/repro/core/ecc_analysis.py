@@ -16,7 +16,7 @@ capability buys (Observations 12-13).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.core.characterization import RowHammerCharacterizer
 from repro.core.data_patterns import DataPattern, check_pattern, resolve_pattern
@@ -99,23 +99,25 @@ def run_ecc_word_analysis(chip: DramChip, config: EccWordStudyConfig) -> EccWord
 
 def aggregate_hc_and_multipliers(
     analyses: Iterable[EccWordAnalysis],
-    flips_per_word: Sequence[int] = (1, 2, 3),
 ) -> Dict[str, Dict[int, Dict[str, float]]]:
     """Aggregate Figure 9's two panels across chips of one configuration.
 
     Returns ``{"hc": {n: {mean, stddev}}, "multiplier": {n: {mean, stddev}}}``
-    where the multiplier at ``n`` is the HC increase from ``n-1`` to ``n``
-    flips per word.
+    over the per-word flip counts ``n`` the analyses measured (the keys of
+    their ``hc_first_word_with``), where the multiplier at ``n`` is the HC
+    increase from ``n-1`` to ``n`` flips per word, reported wherever both
+    counts were measured.
     """
     analyses = list(analyses)
+    flips_per_word = sorted({n for analysis in analyses for n in analysis.hc_first_word_with})
     hc_values: Dict[int, List[float]] = {n: [] for n in flips_per_word}
-    multipliers: Dict[int, List[float]] = {n: [] for n in flips_per_word if n > 1}
+    multipliers: Dict[int, List[float]] = {n: [] for n in flips_per_word if n - 1 in hc_values}
     for analysis in analyses:
         for n in flips_per_word:
             value = analysis.hc_first_word_with.get(n)
             if value is not None:
                 hc_values[n].append(float(value))
-            if n > 1:
+            if n in multipliers:
                 multiplier = analysis.multiplier(n - 1, n)
                 if multiplier is not None:
                     multipliers[n].append(multiplier)

@@ -271,20 +271,13 @@ class DoubleSidedHammer:
             )
         return result
 
-    def hammer_single_sided(
-        self,
-        bank: int,
-        victim_row: int,
-        hammer_count: int,
-        data_pattern: Optional[DataPattern] = None,
-    ) -> HammerResult:
+    def hammer_single_sided(self, bank: int, victim_row: int, hammer_count: int) -> HammerResult:
         """Run a single-sided hammer (only one aggressor row is activated).
 
-        Used to demonstrate that double-sided hammering is the worst case
-        (Section 4.3).
+        Writes the chip's worst-case pattern.  Used to demonstrate that
+        double-sided hammering is the worst case (Section 4.3).
         """
-        if data_pattern is None:
-            data_pattern = worst_case_pattern(self.chip.profile)
+        data_pattern = worst_case_pattern(self.chip.profile)
         written = self.write_pattern(bank, victim_row, data_pattern)
         aggressors = self.aggressor_rows(victim_row)
         self.chip.refresh_row(bank, victim_row)

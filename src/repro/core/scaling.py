@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.dram.vulnerability import PROFILES, TypeNode
 
@@ -26,6 +26,9 @@ OBSERVED_GENERATION_MINIMA: Tuple[Tuple[str, float], ...] = tuple(
     )
     for type_node in TypeNode
 )
+
+#: The nodes manufacturers are forecast to reach next (Section 6.3).
+FUTURE_GENERATIONS: Tuple[str, ...] = ("1z", "1a")
 
 
 @dataclass(frozen=True)
@@ -54,17 +57,16 @@ class ScalingProjection:
         return target_index - last_index
 
 
-def fit_scaling_trend(
-    observations: Sequence[Tuple[str, float]] = OBSERVED_GENERATION_MINIMA,
-) -> ScalingProjection:
+def fit_scaling_trend() -> ScalingProjection:
     """Least-squares fit of log10(HC_first) against generation index.
+
+    The points are :data:`OBSERVED_GENERATION_MINIMA`.
 
     >>> projection = fit_scaling_trend()
     >>> projection.slope_log10_per_generation < 0
     True
     """
-    if len(observations) < 2:
-        raise ValueError("at least two generations are needed to fit a trend")
+    observations = OBSERVED_GENERATION_MINIMA
     xs = list(range(len(observations)))
     ys = [math.log10(value) for _label, value in observations]
     n = len(xs)
@@ -80,19 +82,15 @@ def fit_scaling_trend(
     )
 
 
-def project_future_hcfirst(
-    future_generations: Sequence[str] = ("1z", "1a"),
-    observations: Sequence[Tuple[str, float]] = OBSERVED_GENERATION_MINIMA,
-) -> Dict[str, float]:
-    """Project the minimum ``HC_first`` of future technology nodes.
+def project_future_hcfirst() -> Dict[str, float]:
+    """Project the minimum ``HC_first`` of the :data:`FUTURE_GENERATIONS`.
 
-    The paper names 1z and 1a as the nodes manufacturers are forecast to
-    reach next (Section 6.3); the projection extrapolates the fitted
-    generation-over-generation decline.
+    The projection extrapolates the fitted generation-over-generation
+    decline past the last observed generation.
     """
-    projection = fit_scaling_trend(observations)
-    last_index = len(observations) - 1
+    projection = fit_scaling_trend()
+    last_index = len(OBSERVED_GENERATION_MINIMA) - 1
     projected: Dict[str, float] = {}
-    for offset, label in enumerate(future_generations, start=1):
+    for offset, label in enumerate(FUTURE_GENERATIONS, start=1):
         projected[label] = projection.hcfirst_at(last_index + offset)
     return projected

@@ -21,6 +21,9 @@ from repro.dram.chip import DramChip
 from repro.experiments.study import register_study
 from repro.utils.stats import mean, stddev
 
+#: Figure 7 plots the fraction of words holding 1 to this many flips.
+FIGURE7_MAX_FLIPS = 5
+
 
 @dataclass(frozen=True)
 class WordDensityStudyConfig:
@@ -83,13 +86,15 @@ def run_word_density(chip: DramChip, config: WordDensityStudyConfig) -> WordDens
 
 def aggregate_fraction_by_flip_count(
     results: Iterable[WordDensityResult],
-    max_flips: int = 5,
 ) -> Dict[int, Dict[str, float]]:
-    """Mean / stddev fraction of words with N flips across chips (Figure 7 bars)."""
-    per_count: Dict[int, List[float]] = {n: [] for n in range(1, max_flips + 1)}
+    """Mean / stddev fraction of words with N flips across chips (Figure 7 bars).
+
+    N runs from 1 to :data:`FIGURE7_MAX_FLIPS`, the bars the figure plots.
+    """
+    per_count: Dict[int, List[float]] = {n: [] for n in range(1, FIGURE7_MAX_FLIPS + 1)}
     for result in results:
         fractions = result.fraction_by_flip_count()
-        for n in range(1, max_flips + 1):
+        for n in range(1, FIGURE7_MAX_FLIPS + 1):
             per_count[n].append(fractions.get(n, 0.0))
     aggregated: Dict[int, Dict[str, float]] = {}
     for n, values in per_count.items():

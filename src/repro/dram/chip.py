@@ -211,9 +211,9 @@ class _CalibratedChip:
         """Whether reads pass through an undisableable on-die SEC ECC."""
         return self._ondie_ecc is not None
 
-    def is_rowhammerable(self, hammer_limit: int = TEST_LIMIT_HC) -> bool:
-        """Whether the chip's weakest cell is expected to flip within the limit."""
-        return self._hcfirst_target <= hammer_limit
+    def is_rowhammerable(self) -> bool:
+        """Whether the chip's weakest cell is expected to flip within the test limit."""
+        return self._hcfirst_target <= self.TEST_LIMIT_HC
 
     # ------------------------------------------------------------------
     # Shared operation surface (delegates to the backend kernels)

@@ -123,7 +123,6 @@ def make_chip(
     seed: int = 0,
     geometry: Optional[ChipGeometry] = None,
     hcfirst_target: Optional[float] = None,
-    chip_id: str = "",
 ) -> DramChip:
     """Create one simulated chip of a given type-node configuration.
 
@@ -132,13 +131,7 @@ def make_chip(
     'LPDDR4-1y'
     """
     profile = profile_for(type_node, manufacturer)
-    return DramChip(
-        profile,
-        geometry=geometry,
-        seed=seed,
-        hcfirst_target=hcfirst_target,
-        chip_id=chip_id,
-    )
+    return DramChip(profile, geometry=geometry, seed=seed, hcfirst_target=hcfirst_target)
 
 
 def make_population(

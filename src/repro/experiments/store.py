@@ -162,12 +162,6 @@ class StoreStats:
     puts: int = 0
     corrupt: int = 0
 
-    def reset(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self.puts = 0
-        self.corrupt = 0
-
 
 class ResultStore:
     """Caches :class:`~repro.experiments.study.StudyResult` objects.
@@ -204,10 +198,9 @@ class ResultStore:
         Individual entry writes are already crash-safe (unique temp file +
         atomic rename), but several sessions (say, two ``python -m
         repro.service submit --store`` runs) can share one store directory;
-        the ``flock`` on ``<root>/.lock`` serializes their mutations so
-        concurrent writers never interleave a write with a ``clear()``
-        half-way through.  On platforms without ``fcntl`` the store falls
-        back to the (still atomic-rename-safe) unlocked behaviour.
+        the ``flock`` on ``<root>/.lock`` serializes their mutations.  On
+        platforms without ``fcntl`` the store falls back to the (still
+        atomic-rename-safe) unlocked behaviour.
         """
         if self.root is None or fcntl is None:
             yield
@@ -343,25 +336,6 @@ class ResultStore:
                 path for path in paths if path.stem.rsplit("-", 1)[-1].startswith("u")
             ]
         return paths
-
-    def clear(self) -> None:
-        """Drop every cached result, in memory and on disk."""
-        self._memory.clear()
-        if self.root is not None and self.root.exists():
-            with self._write_lock():
-                for study_dir in self.root.iterdir():
-                    if not study_dir.is_dir():
-                        continue
-                    for entry in study_dir.glob("*.pkl"):
-                        entry.unlink()
-
-    def __len__(self) -> int:
-        if self.root is None:
-            return len(self._memory)
-        if not self.root.exists():
-            return len(self._memory)
-        on_disk = sum(1 for _ in self.root.glob("*/*.pkl"))
-        return max(on_disk, len(self._memory))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         where = str(self.root) if self.root is not None else "memory"

@@ -34,9 +34,6 @@ class MitigationConfig:
         Geometry of the protected memory (sizes the tracking structures).
     timings:
         DRAM timings (used to convert between time and activation budgets).
-    blast_radius:
-        How many rows on each side of an aggressor the mechanism refreshes;
-        the evaluated mechanisms all protect the immediately adjacent rows.
     seed:
         RNG seed for probabilistic mechanisms.
     time_scale:
@@ -56,7 +53,6 @@ class MitigationConfig:
     banks: int = 16
     rows_per_bank: int = 16384
     timings: DramTimings = field(default_factory=lambda: DDR4_2400)
-    blast_radius: int = 1
     seed: int = 0
     time_scale: float = 1.0
 
@@ -65,8 +61,6 @@ class MitigationConfig:
             raise ValueError("hcfirst must be positive")
         if self.banks <= 0 or self.rows_per_bank <= 0:
             raise ValueError("banks and rows_per_bank must be positive")
-        if self.blast_radius < 1:
-            raise ValueError("blast_radius must be at least 1")
         if not 0.0 < self.time_scale <= 1.0:
             raise ValueError("time_scale must be within (0, 1]")
 
@@ -86,13 +80,12 @@ class MitigationConfig:
         return self.timings.refreshes_per_window
 
     def adjacent_rows(self, row: int) -> List[int]:
-        """Rows within the blast radius of an aggressor row (the potential victims)."""
-        victims = []
-        for distance in range(1, self.blast_radius + 1):
-            for victim in (row - distance, row + distance):
-                if 0 <= victim < self.rows_per_bank:
-                    victims.append(victim)
-        return victims
+        """The in-range rows next to an aggressor row (the potential victims).
+
+        Every evaluated mechanism protects the immediately adjacent rows,
+        ``row - 1`` then ``row + 1``.
+        """
+        return [victim for victim in (row - 1, row + 1) if 0 <= victim < self.rows_per_bank]
 
 
 class MitigationMechanism(ABC):

@@ -19,41 +19,29 @@ from typing import List, Tuple
 from repro.mitigations.base import MitigationConfig, MitigationMechanism
 from repro.utils.rng import make_rng
 
+# The published design's parameters, tuned for HC_first = 2000 (Section 6.1).
+#: Size of the victim-address queue.
+QUEUE_ENTRIES = 64
+#: Refresh probability for a victim re-seen after the longest interval the
+#: queue can represent; it scales up towards :data:`MAX_PROBABILITY` as the
+#: re-reference distance shrinks.
+BASE_PROBABILITY = 0.001
+#: Refresh probability for a victim re-seen back to back.
+MAX_PROBABILITY = 0.05
+
 
 class MRLoc(MitigationMechanism):
     """Locality-aware probabilistic victim refresh.
 
-    Parameters
-    ----------
-    config:
-        Shared mitigation configuration.
-    queue_entries:
-        Size of the victim-address queue.
-    base_probability:
-        Refresh probability for a victim re-seen after the longest interval
-        the queue can represent; the probability scales up towards
-        ``max_probability`` as the re-reference distance shrinks.
-    max_probability:
-        Refresh probability for a victim re-seen back to back.
+    The queue size and probability curve are the published design's values
+    (the module constants); the paper evaluates MRLoc only at the
+    ``HC_first`` they are tuned for, so they are not configurable.
     """
 
     name = "MRLoc"
 
-    def __init__(
-        self,
-        config: MitigationConfig,
-        queue_entries: int = 64,
-        base_probability: float = 0.001,
-        max_probability: float = 0.05,
-    ) -> None:
+    def __init__(self, config: MitigationConfig) -> None:
         super().__init__(config)
-        if queue_entries <= 0:
-            raise ValueError("queue_entries must be positive")
-        if not 0.0 < base_probability <= max_probability <= 1.0:
-            raise ValueError("probabilities must satisfy 0 < base <= max <= 1")
-        self.queue_entries = queue_entries
-        self.base_probability = base_probability
-        self.max_probability = max_probability
         #: victim -> insertion counter at last sighting (ordered = FIFO queue)
         self._queue: "OrderedDict[Tuple[int, int], int]" = OrderedDict()
         self._insertions = 0
@@ -62,10 +50,9 @@ class MRLoc(MitigationMechanism):
     def _refresh_probability(self, reuse_distance: int) -> float:
         """Probability of refreshing a victim re-seen ``reuse_distance`` insertions ago."""
         if reuse_distance <= 0:
-            return self.max_probability
-        span = max(1, self.queue_entries)
-        closeness = max(0.0, 1.0 - (reuse_distance - 1) / span)
-        return self.base_probability + closeness * (self.max_probability - self.base_probability)
+            return MAX_PROBABILITY
+        closeness = max(0.0, 1.0 - (reuse_distance - 1) / QUEUE_ENTRIES)
+        return BASE_PROBABILITY + closeness * (MAX_PROBABILITY - BASE_PROBABILITY)
 
     def on_activate(self, bank: int, row: int, cycle: int) -> List[Tuple[int, int]]:
         victims: List[Tuple[int, int]] = []
@@ -81,7 +68,7 @@ class MRLoc(MitigationMechanism):
                     victims.append(key)
             else:
                 self._queue[key] = self._insertions
-                if len(self._queue) > self.queue_entries:
+                if len(self._queue) > QUEUE_ENTRIES:
                     self._queue.popitem(last=False)
         return victims
 

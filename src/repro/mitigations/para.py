@@ -12,7 +12,6 @@ continuous hammering, which is the calculation :func:`probability_for` does.
 
 from __future__ import annotations
 
-import math
 from typing import List, Tuple
 
 from repro.mitigations.base import MitigationConfig, MitigationMechanism
@@ -52,19 +51,17 @@ def probability_for(
 
 
 class PARA(MitigationMechanism):
-    """Probabilistic adjacent row activation."""
+    """Probabilistic adjacent row activation.
+
+    ``p`` meets the paper's reliability target,
+    :data:`TARGET_FAILURES_PER_HOUR`, at the configured ``HC_first``.
+    """
 
     name = "PARA"
 
-    def __init__(
-        self,
-        config: MitigationConfig,
-        target_failures_per_hour: float = TARGET_FAILURES_PER_HOUR,
-    ) -> None:
+    def __init__(self, config: MitigationConfig) -> None:
         super().__init__(config)
-        self.probability = probability_for(
-            config.hcfirst, config.timings.trc_ns, target_failures_per_hour
-        )
+        self.probability = probability_for(config.hcfirst, config.timings.trc_ns)
         self._rng = make_rng(config.seed, "para")
 
     def on_activate(self, bank: int, row: int, cycle: int) -> List[Tuple[int, int]]:

@@ -25,43 +25,30 @@ from typing import List, Tuple
 from repro.mitigations.base import MitigationConfig, MitigationMechanism
 from repro.utils.rng import make_rng
 
+# The published design's parameters, tuned for HC_first = 2000 (Section 6.1).
+#: Sizes of the hot and cold tables (a handful of entries each).
+HOT_ENTRIES = 4
+COLD_ENTRIES = 4
+#: ``pi``: probability of inserting a new victim into the cold table.
+INSERT_PROBABILITY = 0.1
+#: ``pe``: probability weight governing which cold entry is evicted.
+EVICT_PROBABILITY = 0.2
+#: ``pt``: probability weight governing promotion into the hot table.
+PROMOTE_PROBABILITY = 0.2
+
 
 class ProHIT(MitigationMechanism):
     """Probabilistic history tables for RowHammer victim tracking.
 
-    Parameters
-    ----------
-    config:
-        Shared mitigation configuration.
-    hot_entries, cold_entries:
-        Table sizes (the published design uses a handful of entries each).
-    insert_probability:
-        ``pi``: probability of inserting a new victim into the cold table.
-    evict_probability:
-        ``pe``: probability weight governing which cold entry is evicted.
-    promote_probability:
-        ``pt``: probability weight governing promotion into the hot table.
+    The tables and probabilities are the published design's values (the
+    module constants); the paper evaluates ProHIT only at the ``HC_first``
+    they are tuned for, so they are not configurable.
     """
 
     name = "ProHIT"
 
-    def __init__(
-        self,
-        config: MitigationConfig,
-        hot_entries: int = 4,
-        cold_entries: int = 4,
-        insert_probability: float = 0.1,
-        evict_probability: float = 0.2,
-        promote_probability: float = 0.2,
-    ) -> None:
+    def __init__(self, config: MitigationConfig) -> None:
         super().__init__(config)
-        if hot_entries <= 0 or cold_entries <= 0:
-            raise ValueError("table sizes must be positive")
-        self.hot_entries = hot_entries
-        self.cold_entries = cold_entries
-        self.insert_probability = insert_probability
-        self.evict_probability = evict_probability
-        self.promote_probability = promote_probability
         # Tables are ordered lists of (bank, row); index 0 is highest priority.
         self._hot: List[Tuple[int, int]] = []
         self._cold: List[Tuple[int, int]] = []
@@ -77,24 +64,24 @@ class ProHIT(MitigationMechanism):
 
     def _promote_to_hot(self, key: Tuple[int, int]) -> None:
         self._cold.remove(key)
-        pt = self.promote_probability
+        pt = PROMOTE_PROBABILITY
         top = (1.0 - pt) + pt / max(1, len(self._hot) + 1)
         if self._rng.random() < top or not self._hot:
             position = 0
         else:
             position = int(self._rng.integers(0, len(self._hot)))
         self._hot.insert(position, key)
-        if len(self._hot) > self.hot_entries:
+        if len(self._hot) > HOT_ENTRIES:
             demoted = self._hot.pop()
             self._insert_cold(demoted, force=True)
 
     def _insert_cold(self, key: Tuple[int, int], force: bool = False) -> None:
         if key in self._cold:
             return
-        if not force and self._rng.random() >= self.insert_probability:
+        if not force and self._rng.random() >= INSERT_PROBABILITY:
             return
-        if len(self._cold) >= self.cold_entries:
-            pe = self.evict_probability
+        if len(self._cold) >= COLD_ENTRIES:
+            pe = EVICT_PROBABILITY
             least_recent = (1.0 - pe) + pe / len(self._cold)
             if self._rng.random() < least_recent:
                 self._cold.pop()  # evict the least recently inserted entry

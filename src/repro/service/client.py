@@ -15,6 +15,9 @@ from typing import Any, Dict, Iterator, List, Optional
 
 from repro.service import protocol
 
+#: Seconds a client waits for the scheduler to accept its connection.
+CONNECT_TIMEOUT_S = 10.0
+
 
 class SchedulerUnavailableError(ConnectionError):
     """The scheduler connection failed or dropped mid-submission."""
@@ -52,11 +55,10 @@ class ServiceClient:
     ...         ...   # unit_complete events carry each task's list index
     """
 
-    def __init__(self, host: str, port: int, *, connect_timeout: float = 10.0) -> None:
+    def __init__(self, host: str, port: int) -> None:
         self.host = host
         self.port = port
         self.name = f"client-{uuid.uuid4().hex[:8]}"
-        self.connect_timeout = connect_timeout
         self._stream: Optional[protocol.MessageStream] = None
 
     # ------------------------------------------------------------------
@@ -64,9 +66,7 @@ class ServiceClient:
         if self._stream is not None:
             return
         try:
-            stream = protocol.connect_stream(
-                self.host, self.port, timeout=self.connect_timeout
-            )
+            stream = protocol.connect_stream(self.host, self.port, timeout=CONNECT_TIMEOUT_S)
         except OSError as exc:
             raise SchedulerUnavailableError(
                 f"cannot reach scheduler at {self.host}:{self.port}: {exc}"
@@ -148,7 +148,7 @@ class ServiceClient:
         return message
 
 
-def fetch_status(host: str, port: int, timeout: float = 10.0) -> Dict[str, Any]:
+def fetch_status(host: str, port: int) -> Dict[str, Any]:
     """One-shot status query (the ``python -m repro.service status`` backend)."""
-    with ServiceClient(host, port, connect_timeout=timeout) as client:
+    with ServiceClient(host, port) as client:
         return client.status()

@@ -180,8 +180,10 @@ class LeaseManager:
         """Drop a submission (client went away); returns units discarded.
 
         Leased units keep running on their workers; their eventual results
-        arrive for an unknown key and are dropped.  Unit records are freed
-        so scheduler memory stays bounded by *active* work.
+        arrive for an unknown key and are dropped.  Unit records are freed,
+        and so is every lease left with no unit (its heartbeats then renew
+        nothing and it never expires), so scheduler memory stays bounded by
+        *active* work.
         """
         record = self.submissions.pop(submission_id, None)
         if record is None:
@@ -195,8 +197,7 @@ class LeaseManager:
             unit = self.units.pop(key, None)
             if unit is None:
                 continue
-            if unit.lease_id is not None and unit.lease_id in self.leases:
-                self.leases[unit.lease_id].keys.discard(key)
+            self._detach_from_lease(unit)
             dropped += 1
         return dropped
 

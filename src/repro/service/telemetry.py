@@ -21,27 +21,29 @@ from typing import Deque, Dict, Optional
 
 from repro.utils.stats import box_stats
 
+#: Values a :class:`StreamingStats` reservoir holds at most.
+RESERVOIR_CAPACITY = 512
+#: Seed of the reservoir's RNG.
+RESERVOIR_SEED = 2020
+
 
 class StreamingStats:
     """Exact moments plus a bounded uniform sample of a value stream.
 
     Uses Vitter's reservoir sampling (Algorithm R): after ``n`` adds, each
-    of the ``n`` values has probability ``capacity / n`` of being in the
-    reservoir, so quantiles computed from it estimate the full stream.
-    ``count``/``mean``/``min``/``max`` stay exact.  The RNG is seeded, so a
-    given insertion order always produces the same snapshot.
+    of the ``n`` values has probability ``RESERVOIR_CAPACITY / n`` of being
+    in the reservoir, so quantiles computed from it estimate the full
+    stream.  ``count``/``mean``/``min``/``max`` stay exact.  The RNG is
+    seeded, so a given insertion order always produces the same snapshot.
     """
 
-    def __init__(self, capacity: int = 512, seed: int = 2020) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be at least 1")
-        self.capacity = capacity
+    def __init__(self) -> None:
         self.count = 0
         self.total = 0.0
         self.minimum: Optional[float] = None
         self.maximum: Optional[float] = None
         self._reservoir: list = []
-        self._rng = random.Random(seed)
+        self._rng = random.Random(RESERVOIR_SEED)
 
     def add(self, value: float) -> None:
         value = float(value)
@@ -49,11 +51,11 @@ class StreamingStats:
         self.total += value
         self.minimum = value if self.minimum is None else min(self.minimum, value)
         self.maximum = value if self.maximum is None else max(self.maximum, value)
-        if len(self._reservoir) < self.capacity:
+        if len(self._reservoir) < RESERVOIR_CAPACITY:
             self._reservoir.append(value)
         else:
             slot = self._rng.randrange(self.count)
-            if slot < self.capacity:
+            if slot < RESERVOIR_CAPACITY:
                 self._reservoir[slot] = value
 
     @property

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Deque, Optional, Sequence
 
 from repro.sim.config import SystemConfig

@@ -17,7 +17,7 @@ request's coordinates -- the same format Ramulator's simple-core traces use.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence
+from typing import List, Optional
 
 from repro.utils.rng import make_rng
 
@@ -127,12 +127,17 @@ class SyntheticTraceGenerator:
         return records
 
 
+#: Memory intensity of :class:`AggressorTraceGenerator`'s attacker.
+ATTACKER_MPKI = 500.0
+
+
 class AggressorTraceGenerator(SyntheticTraceGenerator):
     """A trace that behaves like a RowHammer attacker.
 
     The attacker repeatedly alternates between two aggressor rows in one
     bank with no row-buffer locality, maximizing the activation rate to a
-    single victim row.  Used by the security-oriented example application
+    single victim row, at :data:`ATTACKER_MPKI` over the default 128
+    columns per row.  Used by the security-oriented example application
     and by tests of the mitigation mechanisms' protection guarantees.
     """
 
@@ -140,19 +145,16 @@ class AggressorTraceGenerator(SyntheticTraceGenerator):
         self,
         target_bank: int = 0,
         victim_row: int = 1000,
-        mpki: float = 500.0,
         banks: int = 16,
         rows_per_bank: int = 16384,
-        columns_per_row: int = 128,
         seed: int = 0,
     ) -> None:
         super().__init__(
-            mpki=mpki,
+            mpki=ATTACKER_MPKI,
             row_locality=0.0,
             write_fraction=0.0,
             banks=banks,
             rows_per_bank=rows_per_bank,
-            columns_per_row=columns_per_row,
             seed=seed,
         )
         self.target_bank = target_bank

@@ -10,7 +10,7 @@ characterizations, and draws random 8-core mixes from them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.sim.trace import SyntheticTraceGenerator, TraceRecord
 from repro.utils.rng import derive_seed, make_rng
@@ -116,9 +116,10 @@ def make_workload_mixes(
     num_mixes: int = 48,
     cores: int = 8,
     seed: int = 0,
-    benchmarks: Sequence[BenchmarkProfile] = SPEC_LIKE_BENCHMARKS,
 ) -> List[WorkloadMix]:
     """Draw random multi-programmed mixes, as the paper does from SPEC CPU2006.
+
+    Each core runs one of :data:`SPEC_LIKE_BENCHMARKS`, drawn uniformly.
 
     >>> mixes = make_workload_mixes(num_mixes=4, cores=8, seed=1)
     >>> len(mixes), len(mixes[0].benchmarks)
@@ -128,7 +129,8 @@ def make_workload_mixes(
     mixes: List[WorkloadMix] = []
     for index in range(num_mixes):
         chosen = tuple(
-            benchmarks[int(rng.integers(0, len(benchmarks)))] for _ in range(cores)
+            SPEC_LIKE_BENCHMARKS[int(rng.integers(0, len(SPEC_LIKE_BENCHMARKS)))]
+            for _ in range(cores)
         )
         mixes.append(WorkloadMix(name=f"mix{index:02d}", benchmarks=chosen))
     return mixes

@@ -107,7 +107,6 @@ class TestSweepChecks:
             (dict(mechanisms=[]), "at least one mechanism"),
             (dict(mechanisms=["PARA", "Nope"]), "unknown mechanism 'Nope'"),
             (dict(hcfirst_values=[0]), "positive"),
-            (dict(time_scale=0.0), "time_scale"),
             (dict(mechanisms=["ProHIT"], hcfirst_values=[64]), "evaluable"),
         ],
     )

@@ -155,6 +155,12 @@ class TestFigures:
         assert fig6[("DDR4-new", "A")][0]["mean"] == pytest.approx(0.8)
         assert fig7[("DDR4-new", "A")][1]["mean"] == pytest.approx(0.9)
 
+    def test_figure7_plots_one_to_five_flips_per_word(self):
+        density = WordDensityResult("c", "DDR4-new", "A", 1000, {1: 6, 2: 2, 7: 2})
+        bars = build_figure7_word_density([density])[("DDR4-new", "A")]
+        assert list(bars) == [1, 2, 3, 4, 5]
+        assert bars[3]["mean"] == 0.0
+
     def test_figure8_box_stats_and_none(self):
         results = [
             _hcfirst("DDR4-new", "A", 10_000),
@@ -173,6 +179,14 @@ class TestFigures:
         data = figure[("DDR4-new", "A")]
         assert data["hc"][2]["mean"] == pytest.approx(25_000)
         assert data["multiplier"][2]["mean"] == pytest.approx(2.5)
+
+    def test_figure9_reports_the_flip_counts_measured(self):
+        analysis = EccWordAnalysis("c", "DDR4-new", "A", 64, {1: 10_000, 2: 25_000, 4: 60_000})
+        data = build_figure9_ecc([analysis])[("DDR4-new", "A")]
+        assert list(data["hc"]) == [1, 2, 4]
+        assert data["hc"][4]["mean"] == pytest.approx(60_000)
+        # A multiplier needs the count below it: 3 flips were not measured.
+        assert list(data["multiplier"]) == [2]
 
 
 class TestReport:

@@ -46,7 +46,11 @@ class TestCharacterizer:
             victim_rows=victims,
         )
         result = characterizer.run(config)
-        subset = result.records_for(data_pattern="RowStripe0", hammer_count=150_000)
+        subset = [
+            r
+            for r in result.records
+            if r.data_pattern == "RowStripe0" and r.hammer_count == 150_000
+        ]
         assert len(subset) == len(victims)
         assert all(r.hammer_count == 150_000 for r in subset)
 
@@ -54,10 +58,10 @@ class TestCharacterizer:
         characterizer = RowHammerCharacterizer(ddr4_chip)
         config = CharacterizationConfig(hammer_counts=(10_000, 150_000))
         result = characterizer.run(config)
-        low = {f.cell for r in result.records_for(hammer_count=10_000) for f in r.flips}
-        high = {f.cell for r in result.records_for(hammer_count=150_000) for f in r.flips}
+        low = {f.cell for r in result.records if r.hammer_count == 10_000 for f in r.flips}
+        high = {f.cell for r in result.records if r.hammer_count == 150_000 for f in r.flips}
         assert len(high) >= len(low)
-        assert result.total_flips() >= len(high)
+        assert sum(len(r.flips) for r in result.records) >= len(high)
 
     def test_hammer_all_victims_uses_worst_case_pattern(self, ddr4_chip):
         characterizer = RowHammerCharacterizer(ddr4_chip)

@@ -230,7 +230,7 @@ class TestScaling:
         assert projection.slope_log10_per_generation < 0
 
     def test_future_projection_below_current_minimum(self):
-        projected = project_future_hcfirst(("1z", "1a"))
+        projected = project_future_hcfirst()
         assert projected["1z"] < 16_800
         assert projected["1a"] < projected["1z"]
 
@@ -238,7 +238,3 @@ class TestScaling:
         projection = fit_scaling_trend()
         generations = projection.generations_until(128)
         assert generations is not None and generations > 0
-
-    def test_fit_requires_two_points(self):
-        with pytest.raises(ValueError):
-            fit_scaling_trend([("only", 1000.0)])

@@ -251,16 +251,6 @@ class TestResultStore:
         assert rerun.cache_hits == 1
         assert rerun.payloads() == fresh_out.payloads()
 
-    def test_clear_empties_store(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
-        session = ExperimentSession(fresh_population(), store=store)
-        session.run("fig5-hc-sweep", SWEEP)
-        assert len(store) > 0
-        store.clear()
-        assert len(store) == 0
-        rerun = session.run("fig5-hc-sweep", SWEEP)
-        assert rerun.cache_hits == 0
-
 
 class TestCustomStudy:
     def test_register_run_unregister_roundtrip(self):

@@ -243,6 +243,27 @@ class TestFairnessAndCancel:
         assert manager.complete("a0") == "unknown"
         assert manager.cancel_submission("a") == 0
 
+    def test_cancel_submission_drops_its_emptied_lease(self):
+        manager = make_manager(lease_ttl=10.0)
+        manager.add_submission("a", "A", make_units(2, submission="a", prefix="a"))
+        lease = manager.grant("w1", capacity=2, now=0.0)
+        assert manager.cancel_submission("a") == 2
+        assert manager.leases == {}
+        # The worker's heartbeats renew nothing, and once it stops the sweep
+        # counts no expired lease, as no worker hung.
+        assert manager.heartbeat(lease.lease_id, 1.0) is False
+        assert manager.reap_expired(10.0) == (0, [])
+
+    def test_cancel_submission_keeps_a_lease_another_submission_shares(self):
+        manager = make_manager()
+        manager.add_submission("a", "A", make_units(1, submission="a", prefix="a"))
+        manager.add_submission("b", "B", make_units(1, submission="b", prefix="b"))
+        lease = manager.grant("w1", capacity=2, now=0.0)
+        assert lease.keys == {"a0", "b0"}
+        manager.cancel_submission("a")
+        assert manager.leases[lease.lease_id].keys == {"b0"}
+        assert manager.heartbeat(lease.lease_id, 1.0) is True
+
     def test_duplicate_submission_or_key_rejected(self):
         manager = make_manager()
         manager.add_submission("a", "A", make_units(1, submission="a"))

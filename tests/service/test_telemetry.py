@@ -6,24 +6,24 @@ import random
 
 import pytest
 
-from repro.service.telemetry import SchedulerTelemetry, StreamingStats
+from repro.service.telemetry import RESERVOIR_CAPACITY, SchedulerTelemetry, StreamingStats
 from repro.utils.stats import box_stats
 
 
 class TestStreamingStats:
     def test_exact_moments_with_bounded_memory(self):
-        stats = StreamingStats(capacity=64)
-        values = [float(v) for v in range(1000)]
+        stats = StreamingStats()
+        values = [float(v) for v in range(2 * RESERVOIR_CAPACITY)]
         for value in values:
             stats.add(value)
-        assert stats.count == 1000
+        assert stats.count == len(values)
         assert stats.minimum == 0.0
-        assert stats.maximum == 999.0
+        assert stats.maximum == values[-1]
         assert stats.mean == pytest.approx(sum(values) / len(values))
-        assert len(stats._reservoir) == 64  # never grows past capacity
+        assert len(stats._reservoir) == RESERVOIR_CAPACITY  # never grows past capacity
 
     def test_small_streams_are_kept_exactly(self):
-        stats = StreamingStats(capacity=512)
+        stats = StreamingStats()
         values = [3.0, 1.0, 2.0, 5.0, 4.0]
         for value in values:
             stats.add(value)
@@ -36,7 +36,7 @@ class TestStreamingStats:
 
     def test_reservoir_quantiles_track_distribution(self):
         rng = random.Random(7)
-        stats = StreamingStats(capacity=256, seed=1)
+        stats = StreamingStats()
         for _ in range(20_000):
             stats.add(rng.uniform(0.0, 100.0))
         snapshot = stats.snapshot()
@@ -50,8 +50,9 @@ class TestStreamingStats:
         assert StreamingStats().snapshot() is None
 
     def test_deterministic_given_insertion_order(self):
-        a, b = StreamingStats(capacity=16, seed=3), StreamingStats(capacity=16, seed=3)
-        for value in range(500):
+        # Past the capacity, so the seeded RNG picks which values stay.
+        a, b = StreamingStats(), StreamingStats()
+        for value in range(4 * RESERVOIR_CAPACITY):
             a.add(float(value))
             b.add(float(value))
         assert a.snapshot() == b.snapshot()

@@ -10,8 +10,6 @@ import dataclasses
 
 import pytest
 
-from repro.mitigations.base import MitigationConfig
-from repro.mitigations.registry import build_mechanism
 from repro.sim.batch import SimulationBatch
 from repro.sim.config import SystemConfig
 from repro.sim.system import STEP_MODES, Simulation
@@ -31,19 +29,6 @@ def make_traces(seed=5):
         columns_per_row=CONFIG.columns_per_row,
         requests_per_core=300,
         seed=seed,
-    )
-
-
-def para(seed=0):
-    return build_mechanism(
-        "PARA",
-        MitigationConfig(
-            hcfirst=64,
-            banks=CONFIG.banks,
-            rows_per_bank=CONFIG.rows_per_bank,
-            timings=CONFIG.timings,
-            seed=seed,
-        ),
     )
 
 
@@ -69,22 +54,17 @@ class TestSimulationBatch:
 
     @pytest.mark.parametrize("backend", STEP_MODES)
     def test_matches_one_simulation_at_a_time(self, backend):
-        """Rotated soups, one unmitigated and two with their own PARA."""
+        """Three rotated soups, each run unmitigated."""
         trace_sets = rotated_trace_sets(make_traces())
-        batch = SimulationBatch(
-            CONFIG, trace_sets, mitigations=[None, para(1), para(2)], backend=backend
-        )
+        batch = SimulationBatch(CONFIG, trace_sets, backend=backend)
         batched = [fingerprint(result) for result in batch.run(CYCLES)]
         alone = [
-            fingerprint(
-                Simulation(CONFIG, traces, mitigation=mitigation, step_mode=backend).run(
-                    CYCLES
-                )
-            )
-            for traces, mitigation in zip(trace_sets, [None, para(1), para(2)])
+            fingerprint(Simulation(CONFIG, traces, step_mode=backend).run(CYCLES))
+            for traces in trace_sets
         ]
         assert batched == alone
-        assert [entry[0] for entry in batched] == ["none", "PARA", "PARA"]
+        assert [entry[0] for entry in batched] == ["none", "none", "none"]
+        assert len(set(map(repr, batched))) == 3  # the rotations diverge
 
     def test_backends_bit_identical_on_alone_runs(self):
         """The baseline unit's use: one single-core simulation per core."""
@@ -115,7 +95,3 @@ class TestSimulationBatch:
     def test_rejects_other_backends(self, backend):
         with pytest.raises(ValueError, match="backend"):
             SimulationBatch(CONFIG, [make_traces()], backend=backend)
-
-    def test_needs_one_mitigation_entry_per_simulation(self):
-        with pytest.raises(ValueError, match="one mitigation entry"):
-            SimulationBatch(CONFIG, [make_traces(), make_traces()], mitigations=[None])

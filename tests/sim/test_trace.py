@@ -96,7 +96,6 @@ class TestAggressorTraceGenerator:
             victim_row=100,
             banks=8,
             rows_per_bank=256,
-            columns_per_row=32,
             seed=9,
         )
         params.update(overrides)

@@ -1,31 +1,47 @@
-"""Every public definition in ``src/repro`` has a user outside the tests.
+"""Every public definition and option in ``src/repro`` has a user outside the tests.
 
-The scan walks ``src/repro`` with :mod:`ast` and collects every ``def`` and
-``class`` whose name has no leading underscore, methods and properties
-included.  A definition is used when its name is referenced from ``src/``,
-``examples/``, ``benchmarks/`` or ``perfbench/``: as an ``ast.Name`` id, as
-an ``ast.Attribute`` attr or, under ``perfbench/`` only, as a string
-constant (``perfbench/layers.py`` wraps library methods by name).  Imports
-are not references, so a package ``__init__.py`` re-export is not a caller.
-Studies registered with ``@register_study`` are reached through the
-registry and count as used.
+The definition scan walks ``src/repro`` with :mod:`ast` and collects every
+``def`` and ``class`` whose name has no leading underscore, methods and
+properties included.  A definition is used when its name is referenced from
+``src/``, ``examples/``, ``benchmarks/`` or ``perfbench/``: as an
+``ast.Name`` id, as an ``ast.Attribute`` attr or, under ``perfbench/``
+only, as a string constant (``perfbench/layers.py`` wraps library methods
+by name).  Imports are not references, so a package ``__init__.py``
+re-export is not a caller.  Studies registered with ``@register_study`` are
+reached through the registry and count as used.
 
-A definition with no such reference must be deleted, or listed in
+The parameter scan collects every defaulted parameter of the same public
+defs, plus every class's ``__init__``; registered studies and defs nested
+inside a function (whose ``name=name`` defaults bind a closure) are left
+out.  An option is set when some call from the same directories passes it
+by keyword, by position, or through ``*`` / ``**``, and the call's callee
+names the def: its own name, the class name for ``__init__``, or a base
+class for ``super().__init__``.
+
+Both scans match names, not types.  A method counts as used when any call
+shares its name, even one on an unrelated class (``dict.clear`` keeps every
+method called ``clear``), and an option counts as set when any call of that
+name passes it.
+
+A definition with no reference must be deleted, or listed in
 :data:`ALLOWED` with the reason it stays: an oracle, a paper observation
-tier-1 asserts, or a probe tests need to see internal state.  An
-``ALLOWED`` entry that is no longer defined, or that has gained a
-reference, fails too, so the list never outlives its reasons.  Two tests
-run the scan over a toy repository, so each of these failures is seen to
-fire.
+tier-1 asserts, or a probe tests need to see internal state.  An option no
+call sets must be folded into a constant holding its value, or listed in
+:data:`ALLOWED_OPTIONS` with its reason.  An entry of either list that is
+no longer defined, or that has gained a caller, fails too, so the lists
+never outlive their reasons.  Toy-repository tests run each scan, so each
+of these failures is seen to fire.
 """
 
 from __future__ import annotations
 
 import ast
+import functools
 import importlib
 import textwrap
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterator, List, Mapping, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Mapping, Optional, Set, Tuple
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "repro"
@@ -77,6 +93,36 @@ ALLOWED: Dict[str, str] = {
     ),
 }
 
+_ORACLE_OPTION = (
+    "tier-1 compares this function with the registered study at a non-default "
+    "value (FIG10_STUDY_DIGESTS, the cycle oracle in test_sharded_units.py)"
+)
+_ROW_MAPPING = "Section 4.3: tier-1 asserts infer_row_mapping's observations through it"
+
+#: Defaulted parameters no call outside the tests passes, by ``def(name=)``.
+ALLOWED_OPTIONS: Dict[str, str] = {
+    "repro.analysis.mitigation_study.run_mitigation_study(respect_design_constraints=)": (
+        _ORACLE_OPTION
+    ),
+    "repro.analysis.mitigation_study.run_mitigation_study(step_mode=)": _ORACLE_OPTION,
+    "repro.core.row_mapping.infer_row_mapping(probe_rows=)": _ROW_MAPPING,
+    "repro.core.row_mapping.infer_row_mapping(hammer_count=)": _ROW_MAPPING,
+    "repro.core.row_mapping.infer_row_mapping(bank=)": _ROW_MAPPING,
+    "repro.core.row_mapping.infer_row_mapping(window=)": _ROW_MAPPING,
+    "repro.dram.spec.DramTypeSpec.max_hammers_in_refresh_window(refresh_window_ms=)": (
+        "tier-1 asserts the 150k-hammer test limit fits in a refresh window"
+    ),
+    "repro.experiments.executors.ParallelExecutor(max_workers=)": (
+        "deployment setting: the worker count suits the host, not the study"
+    ),
+}
+
+
+# Both scans walk the same files, so each file is parsed once.
+@functools.lru_cache(maxsize=None)
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"))
+
 
 def _module_name(path: Path, package: Path = PACKAGE) -> str:
     parts = path.relative_to(package.parent).with_suffix("").parts
@@ -108,8 +154,7 @@ def _definitions(node: ast.AST, prefix: str) -> Iterator[Tuple[str, str]]:
 def public_definitions(package: Path = PACKAGE) -> Dict[str, str]:
     found: Dict[str, str] = {}
     for path in sorted(package.rglob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        found.update(_definitions(tree, _module_name(path, package)))
+        found.update(_definitions(_tree(path), _module_name(path, package)))
     return found
 
 
@@ -117,7 +162,7 @@ def referenced_names(root: Path = ROOT) -> Set[str]:
     names: Set[str] = set()
     for caller in CALLERS:
         for path in (root / caller).rglob("*.py"):
-            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            for node in ast.walk(_tree(path)):
                 if isinstance(node, ast.Name):
                     names.add(node.id)
                 elif isinstance(node, ast.Attribute):
@@ -131,16 +176,140 @@ def referenced_names(root: Path = ROOT) -> Set[str]:
     return names
 
 
+def _problems(
+    defined: Set[str], unused: Set[str], allowed: Mapping[str, str]
+) -> Tuple[List[str], List[str], List[str]]:
+    """(unlisted, gone, used): unused names missing from ``allowed``,
+    ``allowed`` names no longer defined, and ``allowed`` names now used."""
+    unlisted = sorted(unused - set(allowed))
+    gone = sorted(set(allowed) - defined)
+    used = sorted(set(allowed) - unused - set(gone))
+    return unlisted, gone, used
+
+
 def surface_problems(
     definitions: Mapping[str, str], referenced: Set[str], allowed: Mapping[str, str]
 ) -> Tuple[List[str], List[str], List[str]]:
-    """(unlisted, gone, used): unused definitions missing from ``allowed``,
-    ``allowed`` names no longer defined, and ``allowed`` names now referenced."""
     unused = {qualified for qualified, name in definitions.items() if name not in referenced}
-    unlisted = sorted(unused - set(allowed))
-    gone = sorted(set(allowed) - set(definitions))
-    used = sorted(set(allowed) - unused - set(gone))
-    return unlisted, gone, used
+    return _problems(set(definitions), unused, allowed)
+
+
+@dataclass(frozen=True)
+class Option:
+    """A defaulted parameter, as a call can reach it."""
+
+    callee: str  # the name a call uses: the def's, or its class's for ``__init__``
+    parameter: str
+    position: Optional[int]  # index among a call's positional arguments
+
+
+@dataclass(frozen=True)
+class CallShape:
+    """What one call passes: positional count, keyword names, ``*`` and ``**``."""
+
+    positional: int
+    keywords: FrozenSet[str]
+    star: bool
+    double_star: bool
+
+    def passes(self, option: Option) -> bool:
+        if self.double_star or option.parameter in self.keywords:
+            return True
+        return option.position is not None and (self.star or option.position < self.positional)
+
+
+def _defaulted(
+    function: ast.FunctionDef, qualified: str, callee: str, method: bool
+) -> Iterator[Tuple[str, Option]]:
+    args = function.args
+    positional = args.posonlyargs + args.args
+    static = any(getattr(d, "id", None) == "staticmethod" for d in function.decorator_list)
+    bound = 1 if method and not static else 0
+    first_default = len(positional) - len(args.defaults)
+    for index, arg in enumerate(positional[first_default:], start=first_default):
+        yield f"{qualified}({arg.arg}=)", Option(callee, arg.arg, index - bound)
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield f"{qualified}({arg.arg}=)", Option(callee, arg.arg, None)
+
+
+def _options(
+    node: ast.AST, prefix: str, cls: Optional[str] = None
+) -> Iterator[Tuple[str, Option]]:
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ClassDef):
+            yield from _options(child, f"{prefix}.{child.name}", child.name)
+        elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            # Defs nested in a function are not walked: they are no API.
+            if child.name == "__init__" and cls is not None:
+                yield from _defaulted(child, prefix, cls, method=True)
+            elif not child.name.startswith("_") and not _is_registered_study(child):
+                qualified = f"{prefix}.{child.name}"
+                yield from _defaulted(child, qualified, child.name, cls is not None)
+        else:
+            yield from _options(child, prefix, cls)
+
+
+def defaulted_parameters(package: Path = PACKAGE) -> Dict[str, Option]:
+    found: Dict[str, Option] = {}
+    for path in sorted(package.rglob("*.py")):
+        found.update(_options(_tree(path), _module_name(path, package)))
+    return found
+
+
+def _callees(function: ast.expr, bases: Tuple[str, ...]) -> Tuple[str, ...]:
+    if isinstance(function, ast.Name):
+        return (function.id,)
+    if not isinstance(function, ast.Attribute):
+        return ()
+    target = function.value
+    if (
+        function.attr == "__init__"
+        and isinstance(target, ast.Call)
+        and getattr(target.func, "id", None) == "super"
+    ):
+        return bases
+    return (function.attr,)
+
+
+def _collect_calls(
+    node: ast.AST, bases: Tuple[str, ...], calls: Dict[str, List[CallShape]]
+) -> None:
+    for child in ast.iter_child_nodes(node):
+        inner = bases
+        if isinstance(child, ast.ClassDef):
+            inner = tuple(getattr(base, "id", getattr(base, "attr", "")) for base in child.bases)
+        elif isinstance(child, ast.Call):
+            shape = CallShape(
+                positional=sum(not isinstance(arg, ast.Starred) for arg in child.args),
+                keywords=frozenset(k.arg for k in child.keywords if k.arg is not None),
+                star=any(isinstance(arg, ast.Starred) for arg in child.args),
+                double_star=any(k.arg is None for k in child.keywords),
+            )
+            for callee in _callees(child.func, bases):
+                calls.setdefault(callee, []).append(shape)
+        _collect_calls(child, inner, calls)
+
+
+def calls_by_callee(root: Path = ROOT) -> Dict[str, List[CallShape]]:
+    calls: Dict[str, List[CallShape]] = {}
+    for caller in CALLERS:
+        for path in (root / caller).rglob("*.py"):
+            _collect_calls(_tree(path), (), calls)
+    return calls
+
+
+def option_problems(
+    options: Mapping[str, Option],
+    calls: Mapping[str, List[CallShape]],
+    allowed: Mapping[str, str],
+) -> Tuple[List[str], List[str], List[str]]:
+    unset = {
+        qualified
+        for qualified, option in options.items()
+        if not any(call.passes(option) for call in calls.get(option.callee, ()))
+    }
+    return _problems(set(options), unset, allowed)
 
 
 def test_every_public_definition_has_a_user():
@@ -151,6 +320,18 @@ def test_every_public_definition_has_a_user():
     )
     assert not gone, "ALLOWED names that are no longer defined: " + ", ".join(gone)
     assert not used, "ALLOWED names that now have a user: " + ", ".join(used)
+
+
+def test_every_option_has_a_caller():
+    unlisted, gone, used = option_problems(
+        defaulted_parameters(), calls_by_callee(), ALLOWED_OPTIONS
+    )
+    assert not unlisted, (
+        "defaulted parameters that no call outside the tests passes (fold each "
+        "into a constant, or list it in ALLOWED_OPTIONS with a reason): " + ", ".join(unlisted)
+    )
+    assert not gone, "ALLOWED_OPTIONS entries that are no longer defined: " + ", ".join(gone)
+    assert not used, "ALLOWED_OPTIONS entries that a caller now sets: " + ", ".join(used)
 
 
 def _write(path: Path, source: str) -> None:
@@ -213,6 +394,101 @@ def test_allowlist_entries_fail_once_used_or_gone(tmp_path):
     assert unlisted == ["pkg.mod.Box.named_in_a_benchmark_string"]
     assert gone == ["pkg.mod.gone"]
     assert used == ["pkg.mod.used"]
+
+
+def _toy_options_repository(root: Path) -> Path:
+    """A package ``pkg`` whose options are set in every way a call can, or not at all."""
+    package = root / "src" / "pkg"
+    _write(
+        package / "options.py",
+        """
+        def by_keyword(a, b=1): ...
+        def by_position(a, b=1): ...
+        def by_star(a, b=1, *, c=2): ...
+        def unset(a, b=1, *, c=2): ...
+        def only_tested(b=1): ...
+
+        @register_study("toy")
+        def registered(chip, config=None): ...
+
+        def outer(target=1):
+            def nested(target=target): ...
+            return nested(target)
+
+        class Base:
+            def __init__(self, size=4): ...
+            def method(self, first=1, second=2): ...
+
+        class Child(Base):
+            def __init__(self, depth=1):
+                super().__init__(size=depth)
+
+        class _Private:
+            def __init__(self, flag=False): ...
+        """,
+    )
+    _write(
+        package / "use.py",
+        """
+        by_keyword(0, b=2)
+        by_position(0, 2)
+        by_star(*args, **kwargs)
+        outer(target=3)
+        Child(depth=2).method(5)
+        """,
+    )
+    _write(root / "examples" / "demo.py", "_Private(True)\n")
+    _write(root / "tests" / "test_options.py", "only_tested(b=3)\nunset(0, 1, c=2)\n")
+    return package
+
+
+def test_option_scan_flags_options_only_tests_set(tmp_path):
+    # Keyword, position, */** and super().__init__ calls all set an option;
+    # registered studies and defs nested in a function are not scanned.
+    package = _toy_options_repository(tmp_path)
+    options = defaulted_parameters(package)
+    assert sorted(options) == [
+        "pkg.options.Base(size=)",
+        "pkg.options.Base.method(first=)",
+        "pkg.options.Base.method(second=)",
+        "pkg.options.Child(depth=)",
+        "pkg.options._Private(flag=)",
+        "pkg.options.by_keyword(b=)",
+        "pkg.options.by_position(b=)",
+        "pkg.options.by_star(b=)",
+        "pkg.options.by_star(c=)",
+        "pkg.options.only_tested(b=)",
+        "pkg.options.outer(target=)",
+        "pkg.options.unset(b=)",
+        "pkg.options.unset(c=)",
+    ]
+    unlisted, gone, used = option_problems(options, calls_by_callee(tmp_path), {})
+    assert unlisted == [
+        "pkg.options.Base.method(second=)",
+        "pkg.options.only_tested(b=)",
+        "pkg.options.unset(b=)",
+        "pkg.options.unset(c=)",
+    ]
+    assert gone == used == []
+
+
+def test_allowed_options_fail_once_set_or_gone(tmp_path):
+    package = _toy_options_repository(tmp_path)
+    allowed = {
+        "pkg.options.unset(b=)": "reason",
+        "pkg.options.by_keyword(b=)": "reason",
+        "pkg.options.removed(b=)": "reason",
+    }
+    unlisted, gone, used = option_problems(
+        defaulted_parameters(package), calls_by_callee(tmp_path), allowed
+    )
+    assert unlisted == [
+        "pkg.options.Base.method(second=)",
+        "pkg.options.only_tested(b=)",
+        "pkg.options.unset(c=)",
+    ]
+    assert gone == ["pkg.options.removed(b=)"]
+    assert used == ["pkg.options.by_keyword(b=)"]
 
 
 def test_every_package_export_resolves():
