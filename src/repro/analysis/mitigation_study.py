@@ -42,14 +42,15 @@ registered studies memoize it per process, traces included
 (:func:`_cached_shared_run`, their only memo), so the baseline unit and
 every cell of the mix share it; a process that runs a cell first builds
 it then.  A cell replays the log into its freshly built mechanism.  If the
-mechanism keeps the nominal refresh interval and no replayed call returns
-a victim, the mechanism is *idle*: the controller reaches a mechanism only
-through these hooks, and ``on_victim_refreshed`` follows only a requested
-refresh, so a real run would make exactly the logged calls and equal the
-baseline run.  The cell then takes the baseline's core IPCs and bandwidth
-overhead.  Any other cell is simulated in full with a newly built
-mechanism, since the replay has advanced the first one's state (PARA's
-RNG, TWiCe's table).
+mechanism moves no refresh inside the run (it keeps the nominal refresh
+interval, or neither the nominal nor its scaled tREFI falls inside the
+run) and no replayed call returns a victim, the mechanism is *idle*: the
+controller reaches a mechanism only through these hooks, and
+``on_victim_refreshed`` follows only a requested refresh, so a real run
+would make exactly the logged calls and equal the baseline run.  The cell
+then takes the baseline's core IPCs and bandwidth overhead.  Any other
+cell is simulated in full with a newly built mechanism, since the replay
+has advanced the first one's state (PARA's RNG, TWiCe's table).
 """
 
 from __future__ import annotations
@@ -63,6 +64,7 @@ from repro.mitigations.base import MitigationConfig, MitigationMechanism
 from repro.mitigations.registry import available_mechanisms, build_mechanism, is_evaluable
 from repro.sim.batch import SimulationBatch
 from repro.sim.config import SystemConfig
+from repro.sim.controller import mitigated_timings
 from repro.sim.metrics import normalized_performance, weighted_speedup
 from repro.sim.system import STEP_MODES, Simulation
 from repro.sim.trace import TraceRecord
@@ -322,18 +324,26 @@ def _cached_shared_run(
     return _run_shared(system_config, traces, dram_cycles, step_mode)
 
 
-def _acts(mechanism: MitigationMechanism, calls: Sequence[Tuple[int, ...]]) -> bool:
-    """Whether ``mechanism`` would change a run that makes ``calls``.
+def _acts(mechanism: MitigationMechanism, shared: _SharedRun) -> bool:
+    """Whether ``mechanism`` would change the mix's shared run.
 
-    A mechanism acts if it scales the refresh interval (the controller's
-    own test) or if any replayed hook call returns a victim, even one the
-    controller would drop as out of range.  Up to its first request, the
-    mechanism sees exactly the calls of the run without it.
+    A mechanism acts if it moves a refresh that falls inside the run, or
+    if any replayed hook call returns a victim, even one the controller
+    would drop as out of range.  Of the timings a mechanism scales (the
+    controller's own :func:`mitigated_timings`), the controller reads only
+    tREFI, and a run of ``dram_cycles`` cycles refreshes first at cycle
+    tREFI; when neither tREFI falls inside the run, neither run refreshes
+    and the mechanism's extra refresh time is zero.  Up to its first
+    request, the mechanism sees exactly the calls of the run without it.
     """
-    if mechanism.refresh_interval_multiplier() != 1.0:
+    nominal = shared.system_config.timings.trefi
+    trefi = mitigated_timings(shared.system_config.timings, mechanism).trefi
+    if trefi != nominal and min(trefi, nominal) < shared.dram_cycles:
         return True
     on_activate, on_refresh = mechanism.on_activate, mechanism.on_refresh
-    return any(on_activate(*call) if len(call) == 3 else on_refresh(*call) for call in calls)
+    return any(
+        on_activate(*call) if len(call) == 3 else on_refresh(*call) for call in shared.calls
+    )
 
 
 def _evaluation_points(
@@ -478,7 +488,7 @@ def _simulate_cell(
         time_scale=time_scale,
     )
     core_ipcs, overhead = shared.core_ipcs, shared.bandwidth_overhead_percent
-    if _acts(build_mechanism(mechanism, config), shared.calls):
+    if _acts(build_mechanism(mechanism, config), shared):
         result = Simulation(
             system_config,
             shared.traces,

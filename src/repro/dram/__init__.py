@@ -20,6 +20,8 @@ what the hammer/refresh kernels operate on --
   hold the stored data and on-die-ECC check bits of every row;
 * ``written (rows,)`` / ``epoch (rows,)`` track which rows hold data and
   their refresh epoch (the key for per-epoch threshold noise);
+* ``flipped (rows,)`` marks the rows whose stored data bits disturbance
+  flipped since their last write, the only rows an on-die-ECC read decodes;
 * ``exposure (wordlines,)`` accumulates weighted disturbance per physical
   wordline, with ``exposure_present`` recording which wordlines have an
   exposure entry at all (the old implementation tracked this as dict-key

@@ -32,9 +32,25 @@ Chip state is columnar: each touched bank owns one
 refresh epochs, wordline exposure, lazily sampled thresholds / coupling
 classes / noise), so an aggressor application disturbs every victim row of
 the blast radius in one vectorized op instead of per-row dict updates.
+Besides the banks, a :class:`DramChip` keeps two per-chip caches of work
+that would otherwise repeat on every hammer test:
+
+* the *fill cache*: a fill byte's row bits and, on an on-die-ECC chip, its
+  check bits, built on the byte's first write and stored read-only (a
+  pattern write holds two distinct bytes);
+* the *victim plans*: per aggressor wordline, the in-range victim
+  wordlines, their couplings and the logical rows on them.
+
+The bank column ``flipped`` marks the rows whose stored data bits the
+disturbance kernel flipped since their last write.  Only those rows are
+ECC-decoded on read: an unmarked row holds the codeword its write encoded,
+which decodes to itself.  Any code that changes a row's stored data or
+check bits must therefore mark the row.
+
 :class:`~repro.dram.reference.ReferenceDramChip` retains the original
 dict-of-rows implementation as the bit-identity oracle for the differential
-suite.
+suite.  It shares none of these caches: it coerces, encodes and decodes
+every row.
 """
 
 from __future__ import annotations
@@ -315,6 +331,10 @@ class DramChip(_CalibratedChip):
         super().__init__(profile, geometry, seed, hcfirst_target, chip_id)
         self._banks: Dict[int, BankColumns] = {}
         self._num_wordlines = self.remapper.num_wordlines(self.geometry.rows_per_bank)
+        #: Fill byte -> read-only (row bits, check bits or None); see _row_data.
+        self._fill_rows: Dict[int, Tuple[np.ndarray, Optional[np.ndarray]]] = {}
+        #: Aggressor wordline -> victim plan; see _victim_plan.
+        self._victim_plans: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
 
     def _bank(self, bank: int) -> BankColumns:
         columns = self._banks.get(bank)
@@ -345,6 +365,37 @@ class DramChip(_CalibratedChip):
         """
         return not any(columns.touched for columns in self._banks.values())
 
+    def _row_data(self, data: RowData) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """Row bits and on-die-ECC check bits (``None`` without ECC) to store for ``data``.
+
+        A fill byte's pair is built on the byte's first use and kept in a
+        per-chip cache.  Both arrays are read-only: a write copies them into
+        bank storage, so no bank row ever aliases them.
+        """
+        fill = isinstance(data, (int, np.integer))
+        if fill:
+            entry = self._fill_rows.get(int(data))
+            if entry is not None:
+                return entry
+        bits = self._coerce_row_bits(data)
+        check_bits = self._ondie_ecc.encode_row(bits) if self._ondie_ecc is not None else None
+        if fill:
+            bits.flags.writeable = False
+            if check_bits is not None:
+                check_bits.flags.writeable = False
+            self._fill_rows[int(data)] = (bits, check_bits)
+        return bits, check_bits
+
+    def _validate_rows(self, bank: int, rows: List[int]) -> None:
+        """Range-check a batch's rows in one test (its bank is already checked).
+
+        Raises the :class:`IndexError` of :meth:`ChipGeometry.validate_address`
+        for the first row out of range.
+        """
+        if rows and (min(rows) < 0 or max(rows) >= self.geometry.rows_per_bank):
+            for row in rows:
+                self.geometry.validate_address(bank, row)
+
     # ------------------------------------------------------------------
     # Data path
     # ------------------------------------------------------------------
@@ -357,11 +408,12 @@ class DramChip(_CalibratedChip):
         cleared and any previously flipped cells take the new value.
         """
         self.geometry.validate_address(bank, row)
-        bits = self._coerce_row_bits(data)
+        bits, check_bits = self._row_data(data)
         columns = self._bank(bank)
         columns.bits[row] = bits
-        if self._ondie_ecc is not None:
-            columns.check_bits[row] = self._ondie_ecc.encode_row(bits)
+        if check_bits is not None:
+            columns.check_bits[row] = check_bits
+        columns.flipped[row] = False
         columns.epoch[row] = columns.epoch[row] + 1 if columns.written[row] else 1
         columns.written[row] = True
         wordline = self.remapper.logical_to_physical(row)
@@ -370,7 +422,7 @@ class DramChip(_CalibratedChip):
         self.stats.row_writes += 1
 
     def write_rows(self, bank: int, rows: Sequence[int], data) -> None:
-        """Write a batch of rows in one vectorized payload.
+        """Write a batch of rows, updating their bookkeeping in one vectorized step.
 
         ``rows`` is a sequence of logical row numbers; ``data`` is either a
         single fill byte applied to every row or a sequence of per-row
@@ -392,16 +444,15 @@ class DramChip(_CalibratedChip):
             for row, row_data in zip(rows, data):
                 self.write_row(bank, row, row_data)
             return
-        for row in rows:
-            self.geometry.validate_address(bank, row)
-        bits = np.stack([self._coerce_row_bits(row_data) for row_data in data])
+        self._validate_rows(bank, rows)
+        row_data = [self._row_data(value) for value in data]
         columns = self._bank(bank)
+        for row, (bits, check_bits) in zip(rows, row_data):
+            columns.bits[row] = bits
+            if check_bits is not None:
+                columns.check_bits[row] = check_bits
         index = np.asarray(rows, dtype=np.intp)
-        columns.bits[index] = bits
-        if self._ondie_ecc is not None:
-            columns.check_bits[index] = self._ondie_ecc.encode_row(
-                bits.reshape(-1)
-            ).reshape(len(rows), -1)
+        columns.flipped[index] = False
         columns.epoch[index] = np.where(columns.written[index], columns.epoch[index] + 1, 1)
         columns.written[index] = True
         wordlines = np.asarray(
@@ -419,7 +470,7 @@ class DramChip(_CalibratedChip):
         if columns is None or not columns.written[row]:
             return np.zeros(self.geometry.row_bytes, dtype=np.uint8)
         bits = columns.bits[row]
-        if self._ondie_ecc is not None and columns.check_bits is not None:
+        if self._ondie_ecc is not None and columns.flipped[row]:
             bits, _corrected = self._ondie_ecc.decode_row(bits, columns.check_bits[row])
         return np.packbits(bits)
 
@@ -427,28 +478,26 @@ class DramChip(_CalibratedChip):
         """Read a batch of rows as a ``(len(rows), row_bytes)`` byte matrix.
 
         Equivalent to stacking :meth:`read_row` results (ECC decode is
-        batched across the written rows in one call).
+        batched across the flipped rows in one call).
         """
         self.geometry.validate_bank(bank)
         rows = [int(row) for row in rows]
-        for row in rows:
-            self.geometry.validate_address(bank, row)
+        self._validate_rows(bank, rows)
         self.stats.row_reads += len(rows)
-        out = np.zeros((len(rows), self.geometry.row_bits), dtype=np.uint8)
         columns = self._banks.get(bank)
-        if columns is not None and rows:
-            index = np.asarray(rows, dtype=np.intp)
-            written = np.nonzero(columns.written[index])[0]
-            if written.size:
-                stored = columns.bits[index[written]]
-                if self._ondie_ecc is not None and columns.check_bits is not None:
-                    decoded, _corrected = self._ondie_ecc.decode_row(
-                        stored.reshape(-1),
-                        columns.check_bits[index[written]].reshape(-1),
-                    )
-                    stored = decoded.reshape(written.size, -1)
-                out[written] = stored
-        return np.packbits(out, axis=1)
+        if columns is None:
+            return np.zeros((len(rows), self.geometry.row_bytes), dtype=np.uint8)
+        index = np.asarray(rows, dtype=np.intp)
+        bits = columns.bits[index]  # zeros until written
+        if self._ondie_ecc is not None:
+            flipped = np.nonzero(columns.flipped[index])[0]
+            if flipped.size:
+                decoded, _corrected = self._ondie_ecc.decode_row(
+                    bits[flipped].reshape(-1),
+                    columns.check_bits[index[flipped]].reshape(-1),
+                )
+                bits[flipped] = decoded.reshape(flipped.size, -1)
+        return np.packbits(bits, axis=1)
 
     def read_row_raw(self, bank: int, row: int) -> np.ndarray:
         """Read the raw stored bits of a row, bypassing on-die ECC."""
@@ -462,8 +511,7 @@ class DramChip(_CalibratedChip):
         """Raw stored bits of a batch of rows as ``(len(rows), row_bits)``."""
         self.geometry.validate_bank(bank)
         rows = [int(row) for row in rows]
-        for row in rows:
-            self.geometry.validate_address(bank, row)
+        self._validate_rows(bank, rows)
         columns = self._banks.get(bank)
         if columns is None:
             return np.zeros((len(rows), self.geometry.row_bits), dtype=np.uint8)
@@ -509,6 +557,45 @@ class DramChip(_CalibratedChip):
             break
         return np.zeros(self.geometry.row_bits, dtype=np.uint8)
 
+    def _victim_plan(
+        self, aggressor_wordline: int
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """What one activation of a wordline disturbs, built once per chip.
+
+        Returns the in-range victim wordlines, their couplings, the logical
+        rows on those wordlines that lie inside the bank, and each such
+        row's wordline.  The victim wordlines are distinct from each other
+        and from the aggressor wordline (coupling distances are distinct
+        and positive).
+        """
+        plan = self._victim_plans.get(aggressor_wordline)
+        if plan is None:
+            wordlines: List[int] = []
+            couplings: List[float] = []
+            rows: List[int] = []
+            row_wordlines: List[int] = []
+            for distance, coupling in self.profile.distance_coupling.items():
+                for victim_wordline in (
+                    aggressor_wordline - distance,
+                    aggressor_wordline + distance,
+                ):
+                    if not 0 <= victim_wordline < self._num_wordlines:
+                        continue
+                    wordlines.append(victim_wordline)
+                    couplings.append(coupling)
+                    for logical in self.remapper.physical_to_logical(victim_wordline):
+                        if 0 <= logical < self.geometry.rows_per_bank:
+                            rows.append(logical)
+                            row_wordlines.append(victim_wordline)
+            plan = (
+                np.asarray(wordlines, dtype=np.intp),
+                np.asarray(couplings, dtype=np.float64),
+                np.asarray(rows, dtype=np.intp),
+                np.asarray(row_wordlines, dtype=np.intp),
+            )
+            self._victim_plans[aggressor_wordline] = plan
+        return plan
+
     def _apply_aggressor(self, bank: int, aggressor_row: int, count: int) -> int:
         """Apply ``count`` activations of one aggressor row and induce flips.
 
@@ -525,30 +612,16 @@ class DramChip(_CalibratedChip):
         columns.exposure_present[aggressor_wordline] = True
         aggressor_bits = self._wordline_bits(columns, aggressor_wordline)
 
-        victim_rows: List[int] = []
-        victim_exposure: List[float] = []
-        for distance, coupling in self.profile.distance_coupling.items():
-            for victim_wordline in (
-                aggressor_wordline - distance,
-                aggressor_wordline + distance,
-            ):
-                if not 0 <= victim_wordline < self._num_wordlines:
-                    continue
-                columns.exposure[victim_wordline] += coupling * count
-                columns.exposure_present[victim_wordline] = True
-                exposure = float(columns.exposure[victim_wordline])
-                for logical in self.remapper.physical_to_logical(victim_wordline):
-                    if 0 <= logical < self.geometry.rows_per_bank and columns.written[logical]:
-                        # A row that has never been written holds no
-                        # meaningful data; flips in it would not be
-                        # observable, so skip the work.
-                        victim_rows.append(logical)
-                        victim_exposure.append(exposure)
-        if not victim_rows:
+        wordlines, couplings, rows, row_wordlines = self._victim_plan(aggressor_wordline)
+        columns.exposure[wordlines] += couplings * count
+        columns.exposure_present[wordlines] = True
+        # A row that has never been written holds no meaningful data; flips
+        # in it would not be observable, so skip the work.
+        written = columns.written[rows]
+        index = rows[written]
+        if not index.size:
             return 0
-
-        index = np.asarray(victim_rows, dtype=np.intp)
-        exposure = np.asarray(victim_exposure, dtype=np.float64)
+        exposure = columns.exposure[row_wordlines[written]]
         effective = columns.thresholds_for(
             index,
             seed=self.seed,
@@ -563,20 +636,26 @@ class DramChip(_CalibratedChip):
         eligible = effective <= exposure[:, None]
         if not eligible.any():
             return 0
-        required_victim, required_aggressor, required_parity = columns.classes_for(
-            index, seed=self.seed, profile=self.profile, planted_cell=self._planted_cell
+        required_victim, required_aggressor, parity_ok = columns.classes_for(
+            index,
+            seed=self.seed,
+            profile=self.profile,
+            planted_cell=self._planted_cell,
+            column_parity=self._column_parity,
         )
+        victim_bits = columns.bits[index]
         match = (
             eligible
-            & (columns.bits[index] == required_victim)
+            & parity_ok
+            & (victim_bits == required_victim)
             & (aggressor_bits[None, :] == required_aggressor)
-            & ((required_parity == 2) | (self._column_parity[None, :] == required_parity))
         )
         flips = int(np.count_nonzero(match))
         if flips:
             # Victim rows within one application are distinct, so the fused
             # gather-xor-scatter cannot double-apply a flip.
-            columns.bits[index] = columns.bits[index] ^ match.astype(np.uint8)
+            columns.bits[index] = victim_bits ^ match
+            columns.flipped[index] |= match.any(axis=1)
         self.stats.bit_flips_induced += flips
         return flips
 

@@ -27,6 +27,9 @@ Array layout (per bank; ``R`` rows, ``B`` row bits, ``W`` wordlines)
 ``bits``              (R, B)  uint8    stored data bits (zeros until written)
 ``check_bits``        (R, K)  uint8    on-die ECC check bits (ECC chips only)
 ``written``           (R,)    bool     row has been written at least once
+``flipped``           (R,)    bool     stored data bits flipped by disturbance
+                                       since the row's last write (on-die-ECC
+                                       reads decode only these rows)
 ``epoch``             (R,)    int64    refresh epoch (increments on write/refresh)
 ``exposure``          (W,)    float64  accumulated weighted disturbance
 ``exposure_present``  (W,)    bool     wordline has an exposure entry (pristine
@@ -34,8 +37,9 @@ Array layout (per bank; ``R`` rows, ``B`` row bits, ``W`` wordlines)
                                        presence*, including zero-valued keys)
 ``thresholds``        (R, B)  float64  base per-cell flip thresholds (lazy)
 ``req_victim`` /
-``req_aggressor`` /
-``req_parity``        (R, B)  uint8    coupling-class requirements (lazy)
+``req_aggressor``     (R, B)  uint8    coupling-class bit requirements (lazy)
+``parity_ok``         (R, B)  bool     the cell's column meets its class's
+                                       column-parity requirement (lazy)
 ``noise``             (R, B)  float64  per-epoch threshold jitter (lazy,
                                        valid where ``noise_epoch == epoch``)
 """
@@ -138,6 +142,7 @@ class BankColumns:
         "bits",
         "check_bits",
         "written",
+        "flipped",
         "epoch",
         "exposure",
         "exposure_present",
@@ -145,7 +150,7 @@ class BankColumns:
         "thr_sampled",
         "req_victim",
         "req_aggressor",
-        "req_parity",
+        "parity_ok",
         "cls_sampled",
         "noise",
         "noise_epoch",
@@ -164,6 +169,7 @@ class BankColumns:
             else None
         )
         self.written = np.zeros(rows, dtype=bool)
+        self.flipped = np.zeros(rows, dtype=bool)
         self.epoch = np.zeros(rows, dtype=np.int64)
         self.exposure = np.zeros(wordlines, dtype=np.float64)
         self.exposure_present = np.zeros(wordlines, dtype=bool)
@@ -171,7 +177,7 @@ class BankColumns:
         self.thr_sampled = np.zeros(rows, dtype=bool)
         self.req_victim: Optional[np.ndarray] = None
         self.req_aggressor: Optional[np.ndarray] = None
-        self.req_parity: Optional[np.ndarray] = None
+        self.parity_ok: Optional[np.ndarray] = None
         self.cls_sampled = np.zeros(rows, dtype=bool)
         self.noise: Optional[np.ndarray] = None
         self.noise_epoch: Optional[np.ndarray] = None
@@ -194,16 +200,15 @@ class BankColumns:
         floor: float,
         planted_cell: Tuple[int, int, int],
     ) -> np.ndarray:
-        """Base thresholds for a set of rows, sampling missing rows on demand."""
+        """Base thresholds for a set of distinct rows, sampling missing rows on demand."""
         if self.thresholds is None:
             self.thresholds = np.empty((self.rows, self.row_bits), dtype=np.float64)
-        for row in rows_idx:
-            row = int(row)
-            if not self.thr_sampled[row]:
-                self.thresholds[row] = sample_threshold_row(
-                    seed, self.bank, row, self.row_bits, scale, slope, floor, planted_cell
-                )
-                self.thr_sampled[row] = True
+        missing = rows_idx[~self.thr_sampled[rows_idx]]
+        for row in missing.tolist():
+            self.thresholds[row] = sample_threshold_row(
+                seed, self.bank, row, self.row_bits, scale, slope, floor, planted_cell
+            )
+        self.thr_sampled[missing] = True
         return self.thresholds[rows_idx]
 
     def classes_for(
@@ -213,30 +218,36 @@ class BankColumns:
         seed: int,
         profile,
         planted_cell: Tuple[int, int, int],
+        column_parity: np.ndarray,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Coupling-class requirements for a set of rows (lazy per row)."""
+        """Coupling-class requirements for a set of distinct rows (lazy per row).
+
+        Returns ``(required_victim_bit, required_aggressor_bit, parity_ok)``.
+        A row's ``parity_ok`` (its cells' column parities, ``column_parity``,
+        tested against its classes' requirements) is computed once, when the
+        row's classes are sampled.
+        """
         if self.req_victim is None:
             self.req_victim = np.empty((self.rows, self.row_bits), dtype=np.uint8)
             self.req_aggressor = np.empty((self.rows, self.row_bits), dtype=np.uint8)
-            self.req_parity = np.empty((self.rows, self.row_bits), dtype=np.uint8)
-        for row in rows_idx:
-            row = int(row)
-            if not self.cls_sampled[row]:
-                rv, ra, rp = sample_class_row(
-                    seed, self.bank, row, self.row_bits, profile, planted_cell
-                )
-                self.req_victim[row] = rv
-                self.req_aggressor[row] = ra
-                self.req_parity[row] = rp
-                self.cls_sampled[row] = True
+            self.parity_ok = np.empty((self.rows, self.row_bits), dtype=bool)
+        missing = rows_idx[~self.cls_sampled[rows_idx]]
+        for row in missing.tolist():
+            rv, ra, rp = sample_class_row(
+                seed, self.bank, row, self.row_bits, profile, planted_cell
+            )
+            self.req_victim[row] = rv
+            self.req_aggressor[row] = ra
+            self.parity_ok[row] = (rp == 2) | (column_parity == rp)
+        self.cls_sampled[missing] = True
         return (
             self.req_victim[rows_idx],
             self.req_aggressor[rows_idx],
-            self.req_parity[rows_idx],
+            self.parity_ok[rows_idx],
         )
 
     def noise_for(self, rows_idx: np.ndarray, *, seed: int, sigma: float) -> np.ndarray:
-        """Per-epoch threshold jitter for a set of rows.
+        """Per-epoch threshold jitter for a set of distinct rows.
 
         A row's cached noise is valid while its refresh epoch is unchanged
         (epochs only ever increase, so an epoch never needs two samples --
@@ -246,12 +257,8 @@ class BankColumns:
         if self.noise is None:
             self.noise = np.empty((self.rows, self.row_bits), dtype=np.float64)
             self.noise_epoch = np.full(self.rows, -1, dtype=np.int64)
-        for row in rows_idx:
-            row = int(row)
-            epoch = int(self.epoch[row])
-            if self.noise_epoch[row] != epoch:
-                self.noise[row] = sample_noise_row(
-                    seed, self.bank, row, epoch, self.row_bits, sigma
-                )
-                self.noise_epoch[row] = epoch
+        stale = rows_idx[self.noise_epoch[rows_idx] != self.epoch[rows_idx]]
+        for row, epoch in zip(stale.tolist(), self.epoch[stale].tolist()):
+            self.noise[row] = sample_noise_row(seed, self.bank, row, epoch, self.row_bits, sigma)
+        self.noise_epoch[stale] = self.epoch[stale]
         return self.noise[rows_idx]

@@ -78,6 +78,7 @@ from repro.sim.bank import BankState, RankState
 from repro.sim.config import SystemConfig
 from repro.sim.events import NEVER as _NEVER
 from repro.sim.requests import MemoryRequest, RequestType
+from repro.sim.timing import DramTimings
 
 #: Flat-list tombstone threshold before the fast path compacts a queue.
 _COMPACT_MIN_DEAD = 48
@@ -150,6 +151,20 @@ class DemandQueue:
         self.hit_seq = [_NEVER] * banks
 
 
+def mitigated_timings(timings: DramTimings, mitigation) -> DramTimings:
+    """The timings a controller runs with under ``mitigation`` (or ``None``).
+
+    A mechanism whose ``refresh_interval_multiplier`` is not 1.0 gets its
+    refresh interval scaled (an increased refresh rate; see
+    :meth:`~repro.sim.timing.DramTimings.scaled_refresh`).
+    """
+    if mitigation is not None:
+        multiplier = mitigation.refresh_interval_multiplier()
+        if multiplier != 1.0:
+            return timings.scaled_refresh(multiplier)
+    return timings
+
+
 class MemoryController:
     """Single-channel FR-FCFS memory controller.
 
@@ -167,12 +182,7 @@ class MemoryController:
     def __init__(self, config: SystemConfig, mitigation=None) -> None:
         self.config = config
         self.mitigation = mitigation
-        timings = config.timings
-        if mitigation is not None:
-            multiplier = mitigation.refresh_interval_multiplier()
-            if multiplier != 1.0:
-                timings = timings.scaled_refresh(multiplier)
-        self.timings = timings
+        self.timings = timings = mitigated_timings(config.timings, mitigation)
         self._nominal_trefi = config.timings.trefi
 
         banks = config.banks

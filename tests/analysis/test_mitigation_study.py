@@ -26,6 +26,7 @@ from repro.analysis.mitigation_study import (
 from repro.experiments import ExperimentSession, SerialExecutor
 from repro.experiments.study import get_study
 from repro.mitigations.base import MitigationConfig
+from repro.mitigations.refresh_rate import IncreasedRefreshRate
 from repro.mitigations.registry import available_mechanisms, build_mechanism, is_evaluable
 from repro.sim.config import SystemConfig
 from repro.sim.system import Simulation
@@ -390,7 +391,8 @@ def count_acting_cells(config):
     """(acting cells, all cells) of ``config``, found by replay.
 
     Restates the harness's rule on runs logged here: a mechanism acts if
-    it scales tREFI or if any replayed hook call returns a victim.
+    it scales tREFI to a value inside the run or if any replayed hook call
+    returns a victim.
     """
     system = SystemConfig(rows_per_bank=config.rows_per_bank)
     mixes = make_workload_mixes(num_mixes=config.num_mixes, cores=system.cores, seed=config.seed)
@@ -415,7 +417,12 @@ def count_acting_cells(config):
             mechanism = build_cell_mechanism(
                 system, name, hcfirst, config.seed + mix, config.time_scale
             )
-            acting += mechanism.refresh_interval_multiplier() != 1.0 or any(
+            multiplier = mechanism.refresh_interval_multiplier()
+            refreshes_sooner = (
+                multiplier != 1.0
+                and system.timings.scaled_refresh(multiplier).trefi < config.dram_cycles
+            )
+            acting += refreshes_sooner or any(
                 getattr(mechanism, hook)(*args) for hook, args in log.calls
             )
     return acting, len(points) * len(mixes)
@@ -486,6 +493,54 @@ class TestIdleCells:
         assert len(runs) == config.num_mixes * (1 + cores) + acting
         # One memo: each mix's traces are built once, with its shared run.
         assert len(builds) == len(set(builds)) == config.num_mixes
+
+    @pytest.mark.parametrize("dram_cycles,simulated", [(400, 0), (1_000, 1), (1_500, 2)])
+    def test_increased_refresh_cells_simulate_only_a_refresh_inside_the_run(
+        self, dram_cycles, simulated, monkeypatch
+    ):
+        """The scaled tREFI is 1,340 cycles at HC_first 200k and 421 at 50k:
+        a cell whose first scaled refresh comes after the run equals its
+        mix's baseline run, and only the others are simulated."""
+        config = MitigationStudyConfig(
+            hcfirst_values=(200_000, 50_000),
+            mechanisms=("IncreasedRefresh",),
+            num_mixes=1,
+            rows_per_bank=512,
+            dram_cycles=dram_cycles,
+            requests_per_core=100,
+            seed=3,
+        )
+        system = SystemConfig(rows_per_bank=config.rows_per_bank)
+        trefis = [
+            system.timings.scaled_refresh(
+                build_cell_mechanism(
+                    system, "IncreasedRefresh", hcfirst, config.seed, config.time_scale
+                ).refresh_interval_multiplier()
+            ).trefi
+            for hcfirst in config.hcfirst_values
+        ]
+        assert trefis == [1_340, 421] and system.timings.trefi > max(trefis)
+        _cached_shared_run.cache_clear()
+        runs = count_simulation_runs(monkeypatch)
+        ExperimentSession(executor=SerialExecutor()).run("fig10-mitigations", config)
+        assert sum(kind is IncreasedRefreshRate for _, kind in runs) == simulated
+        # Every cell, simulated or not, equals a full run with its mechanism.
+        shared = _cached_shared_run(
+            1, 0, config.rows_per_bank, config.requests_per_core, config.seed, dram_cycles, "event"
+        )
+        for hcfirst in config.hcfirst_values:
+            cell = _simulate_cell(
+                shared, "IncreasedRefresh", hcfirst, 0, config.seed, config.time_scale
+            )
+            full = Simulation(
+                system,
+                shared.traces,
+                mitigation=build_cell_mechanism(
+                    system, "IncreasedRefresh", hcfirst, config.seed, config.time_scale
+                ),
+            ).run(dram_cycles)
+            assert cell.core_ipcs == tuple(full.core_ipcs), hcfirst
+            assert cell.bandwidth_overhead_percent == full.bandwidth_overhead_percent, hcfirst
 
     def test_cycle_mode_study_simulates_its_own_baselines(self, monkeypatch):
         event = MitigationStudyConfig(

@@ -189,12 +189,22 @@ class TestOnDieEcc:
 
     def test_single_injected_error_hidden_by_ecc(self, lpddr4_chip):
         lpddr4_chip.write_row(0, 3, 0x00)
-        # Corrupt one stored bit directly (bypassing the hammer model).
+        # Corrupt one stored bit directly (bypassing the hammer model), and
+        # mark the row as the disturbance kernel does, so reads decode it.
         lpddr4_chip._banks[0].bits[3, 17] ^= 1
+        lpddr4_chip._banks[0].flipped[3] = True
         visible = lpddr4_chip.read_row(0, 3)
         assert np.all(visible == 0x00)
         raw = lpddr4_chip.read_row_raw(0, 3)
         assert raw[17] == 1
+
+    def test_int_and_numpy_fill_bytes_share_one_read_only_cache_entry(self, lpddr4_chip):
+        lpddr4_chip.write_row(0, 1, 0x55)
+        lpddr4_chip.write_rows(0, [2, 3], [np.uint8(0x55), np.int64(0x55)])
+        assert list(lpddr4_chip._fill_rows) == [0x55]
+        bits, check_bits = lpddr4_chip._fill_rows[0x55]
+        assert not bits.flags.writeable and not check_bits.flags.writeable
+        assert np.all(lpddr4_chip.read_rows(0, [1, 2, 3]) == 0x55)
 
     def test_geometry_must_fit_ecc_words(self):
         profile = profile_for("LPDDR4-1y", "A")

@@ -12,7 +12,10 @@ promise two ways:
 * deterministic *flip-inducing* sequences (worst-case stripe fill plus
   double-sided hammers up to far above a low planted ``HC_first``) confirm
   the equivalence holds where it matters most: on chips that actually flip
-  bits, in every Table 1 configuration (ECC/remapper/coupling variants).
+  bits, in every Table 1 configuration (ECC/remapper/coupling variants);
+  on the on-die-ECC chips they also hammer until an ECC word miscorrects,
+  the case the columnar chip's per-chip fill cache and its decode of
+  flipped rows only must get exactly right.
 
 Random soups alone rarely accumulate enough exposure to flip anything, so
 the hypothesis strategy biases hammer counts high and refreshes low, and
@@ -57,10 +60,10 @@ def build_pair(type_node, manufacturer, seed):
 
 def assert_same_state(columnar, reference):
     """Raw bits, decoded reads, stats and digests all agree."""
+    rows = list(range(GEOMETRY.rows_per_bank))
     for bank in range(GEOMETRY.banks):
-        raw_c = columnar.read_rows_raw(bank, list(range(GEOMETRY.rows_per_bank)))
-        raw_r = reference.read_rows_raw(bank, list(range(GEOMETRY.rows_per_bank)))
-        assert np.array_equal(raw_c, raw_r)
+        assert np.array_equal(columnar.read_rows_raw(bank, rows), reference.read_rows_raw(bank, rows))
+        assert np.array_equal(columnar.read_rows(bank, rows), reference.read_rows(bank, rows))
     assert state_digest(columnar) == state_digest(reference)
     for field in ("activations", "refreshes", "row_writes", "bit_flips_induced"):
         assert getattr(columnar.stats, field) == getattr(reference.stats, field), field
@@ -71,6 +74,15 @@ def assert_same_state(columnar, reference):
 # ----------------------------------------------------------------------
 ROWS = st.integers(min_value=0, max_value=GEOMETRY.rows_per_bank - 1)
 FILLS = st.integers(min_value=0, max_value=255)
+BUFFERS = st.binary(min_size=GEOMETRY.row_bytes, max_size=GEOMETRY.row_bytes)
+
+
+def _row_payloads(values):
+    """(rows, per-row payloads) of a batch write over distinct rows."""
+    return st.lists(
+        st.tuples(ROWS, values), min_size=1, max_size=6, unique_by=lambda item: item[0]
+    ).map(lambda items: ([row for row, _ in items], [value for _, value in items]))
+
 
 OPS = st.one_of(
     st.tuples(st.just("write_row"), ROWS, FILLS),
@@ -79,6 +91,13 @@ OPS = st.one_of(
         st.lists(ROWS, min_size=1, max_size=6, unique=True),
         FILLS,
     ),
+    st.tuples(st.just("write_rows_per_row"), _row_payloads(FILLS)),
+    st.tuples(
+        st.just("write_rows_per_row"),
+        _row_payloads(st.one_of(FILLS, BUFFERS)).filter(
+            lambda batch: any(isinstance(value, bytes) for value in batch[1])
+        ),
+    ),
     st.tuples(st.just("activate"), ROWS, st.integers(min_value=1, max_value=30_000)),
     st.tuples(st.just("hammer_pair"), ROWS, ROWS, st.integers(min_value=1, max_value=40_000)),
     # Refreshes are rare (weight via one_of order is uniform; keep counts
@@ -86,6 +105,7 @@ OPS = st.one_of(
     st.tuples(st.just("refresh_row"), ROWS),
     st.tuples(st.just("refresh_all")),
     st.tuples(st.just("read_row"), ROWS),
+    st.tuples(st.just("read_rows"), st.lists(ROWS, min_size=1, max_size=8)),
 )
 
 
@@ -98,6 +118,9 @@ def apply_op(chip, op):
     if kind == "write_rows":
         chip.write_rows(0, op[1], op[2])
         return None
+    if kind == "write_rows_per_row":
+        chip.write_rows(0, *op[1])
+        return None
     if kind == "activate":
         return chip.activate(0, op[1], op[2])
     if kind == "hammer_pair":
@@ -108,24 +131,43 @@ def apply_op(chip, op):
     if kind == "refresh_all":
         chip.refresh_all()
         return None
+    if kind == "read_rows":
+        return chip.read_rows(0, op[1]).tobytes()
     assert kind == "read_row"
     return chip.read_row(0, op[1]).tobytes()
+
+
+SEEDS = st.integers(min_value=0, max_value=2**16)
+SOUPS = st.lists(OPS, min_size=1, max_size=30)
+
+
+def check_soup(type_node, manufacturer, seed, ops):
+    """Run one soup through both backends in lockstep."""
+    columnar, reference = build_pair(type_node, manufacturer, seed)
+    for op in ops:
+        assert apply_op(columnar, op) == apply_op(reference, op), op
+    assert_same_state(columnar, reference)
+    assert columnar.is_pristine == reference.is_pristine
 
 
 class TestOperationSoups:
     @pytest.mark.parametrize("type_node,manufacturer", CONFIG_CASES)
     @settings(max_examples=20, deadline=None)
-    @given(seed=st.integers(min_value=0, max_value=2**16), ops=st.lists(OPS, min_size=1, max_size=30))
+    @given(seed=SEEDS, ops=SOUPS)
     def test_soup_is_bit_identical(self, type_node, manufacturer, seed, ops):
-        columnar, reference = build_pair(type_node, manufacturer, seed)
-        for op in ops:
-            assert apply_op(columnar, op) == apply_op(reference, op), op
-        assert_same_state(columnar, reference)
-        assert columnar.is_pristine == reference.is_pristine
+        check_soup(type_node, manufacturer, seed, ops)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("type_node,manufacturer", CONFIG_CASES)
+    @settings(max_examples=200, deadline=None)
+    @given(seed=SEEDS, ops=SOUPS)
+    def test_long_soup_is_bit_identical(self, type_node, manufacturer, seed, ops):
+        """Ten times the tier-1 soup's examples, for the slow suite."""
+        check_soup(type_node, manufacturer, seed, ops)
 
     @pytest.mark.parametrize("type_node,manufacturer", CONFIG_CASES)
     @settings(max_examples=10, deadline=None)
-    @given(seed=st.integers(min_value=0, max_value=2**16), ops=st.lists(OPS, min_size=0, max_size=10))
+    @given(seed=SEEDS, ops=st.lists(OPS, min_size=0, max_size=10))
     def test_soup_after_worst_case_hammer(self, type_node, manufacturer, seed, ops):
         """Soups layered over a guaranteed-flip prefix stay identical."""
         columnar, reference = build_pair(type_node, manufacturer, seed)
@@ -191,6 +233,75 @@ def test_hammer_sweep_is_bit_identical(type_node, manufacturer):
         )
     assert flips[0] == flips[1]
     assert sum(flips[0]) > 0, "the sweep must induce flips for the test to bite"
+    assert_same_state(columnar, reference)
+
+
+# ----------------------------------------------------------------------
+# On-die ECC: miscorrections, rewrites and the fill cache
+# ----------------------------------------------------------------------
+ECC_CONFIGS = [
+    pytest.param(tn, mfr, id=f"{tn.value}-{mfr}")
+    for tn, mfr in _ALL_CONFIGS
+    if profile_for(tn, mfr).on_die_ecc
+]
+
+
+@pytest.mark.parametrize("type_node,manufacturer", ECC_CONFIGS)
+def test_ecc_reads_are_exact_through_a_miscorrection(type_node, manufacturer):
+    """Hammer until an ECC word holding two or more raw flips decodes to
+    something other than its raw bits (the miscorrection Table 5 depends
+    on); reads still equal the oracle's, and rewrites read back clean."""
+    columnar, reference = build_pair(type_node, manufacturer, seed=0)
+    rows = list(range(GEOMETRY.rows_per_bank))
+    for chip in (columnar, reference):
+        bank, _victim, aggressors, _fill = _prepare_worst_case(chip)
+    fills = np.packbits(columnar.read_rows_raw(bank, rows), axis=1)[:, 0]
+    written = np.unpackbits(np.repeat(fills[:, None], GEOMETRY.row_bytes, axis=1), axis=1)
+    word_bits = 128
+    for count in (1_000, 2_000, 4_000, 8_000, 16_000, 32_000):
+        for chip in (columnar, reference):
+            chip.hammer_pair(bank, aggressors[0], aggressors[-1], count)
+        raw = columnar.read_rows_raw(bank, rows)
+        decoded = columnar.read_rows(bank, rows)
+        word_flips = (raw ^ written).reshape(len(rows), -1, word_bits).sum(axis=2)
+        miscorrected = [
+            row
+            for row in np.nonzero(word_flips.max(axis=1) >= 2)[0].tolist()
+            if not np.array_equal(np.unpackbits(decoded[row]), raw[row])
+        ]
+        if miscorrected:
+            break
+    else:
+        pytest.fail("no ECC word miscorrected")
+    assert np.array_equal(decoded, reference.read_rows(bank, rows))
+    row = miscorrected[0]
+    fill = int(fills[row])
+    assert columnar.read_row(bank, row).tobytes() == reference.read_row(bank, row).tobytes()
+
+    # Rewriting the row restores it, and its reads come back clean.
+    for chip in (columnar, reference):
+        chip.write_rows(bank, [row], [fill])
+    assert np.array_equal(columnar.read_row_raw(bank, row), written[row])
+    assert np.all(columnar.read_row(bank, row) == fill)
+    assert np.all(columnar.read_rows(bank, [row]) == fill)
+
+    # Flip the rewritten row again: a later write of its byte to another
+    # row still stores the written pattern (no cached fill row aliases
+    # bank storage).
+    for chip in (columnar, reference):
+        chip.hammer_pair(bank, aggressors[0], aggressors[-1], 32_000)
+    assert not np.array_equal(columnar.read_row_raw(bank, row), written[row])
+    other = next(r for r in rows if r != row and fills[r] == fill)
+    for chip in (columnar, reference):
+        chip.write_row(bank, other, fill)
+    assert np.array_equal(columnar.read_row_raw(bank, other), written[other])
+
+    # A batch rewrite with numpy bytes (which share the int bytes' cache
+    # entries) restores every row.
+    for chip in (columnar, reference):
+        chip.write_rows(bank, rows, list(fills))
+    assert np.array_equal(columnar.read_rows_raw(bank, rows), written)
+    assert np.array_equal(columnar.read_rows(bank, rows), np.packbits(written, axis=1))
     assert_same_state(columnar, reference)
 
 

@@ -159,6 +159,7 @@ def test_ondie_ecc_read_path_round_trips(type_node, manufacturer, seed, chip_cla
         # Inject one raw error into the stored bits of each backend.
         if isinstance(chip, DramChip):
             chip._banks[0].bits[30, 5] ^= 1
+            chip._banks[0].flipped[30] = True
         else:
             chip._rows[(0, 30)].bits[5] ^= 1
         corrected = chip.read_row(0, 30)
