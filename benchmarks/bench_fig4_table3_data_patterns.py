@@ -10,11 +10,11 @@ from conftest import print_banner
 from repro.analysis.figures import build_figure4_coverage
 from repro.analysis.report import format_table
 from repro.analysis.tables import PAPER_TABLE3_WORST_PATTERNS, build_table3_worst_patterns
-from repro.core.coverage import CoverageStudyConfig, run_pattern_coverage
+from repro.core.coverage import CoverageStudyConfig
 from repro.core.data_patterns import STANDARD_PATTERNS
 
 
-def test_fig4_coverage_and_table3_worst_patterns(benchmark, representative_chips):
+def test_fig4_coverage_and_table3_worst_patterns(benchmark, bench_session, representative_chips):
     # Skip configurations whose chips essentially never flip (the paper marks
     # them "Not Enough Bit Flips").
     chips = {
@@ -23,9 +23,12 @@ def test_fig4_coverage_and_table3_worst_patterns(benchmark, representative_chips
         if chip.is_rowhammerable()
     }
 
+    config = CoverageStudyConfig(hammer_count=150_000)
+
     def run():
-        config = CoverageStudyConfig(hammer_count=150_000)
-        return [run_pattern_coverage(chip, config) for chip in chips.values()]
+        return bench_session.run(
+            "fig4-coverage", config, chips=list(chips.values())
+        ).payloads()
 
     coverage_results = benchmark.pedantic(run, rounds=1, iterations=1)
     figure4 = build_figure4_coverage(coverage_results)

@@ -10,19 +10,22 @@ from conftest import print_banner
 
 from repro.analysis.figures import build_figure9_ecc
 from repro.analysis.report import format_table
-from repro.core.ecc_analysis import EccWordStudyConfig, run_ecc_word_analysis
+from repro.core.ecc_analysis import EccWordStudyConfig
 
 
-def test_fig9_ecc_headroom(benchmark, representative_chips):
+def test_fig9_ecc_headroom(benchmark, bench_session, representative_chips):
     chips = {
         key: chip
         for key, chip in representative_chips.items()
         if chip.is_rowhammerable() and not chip.has_on_die_ecc
     }
 
+    config = EccWordStudyConfig(hammer_limit=300_000, flips_per_word=(1, 2, 3))
+
     def run():
-        config = EccWordStudyConfig(hammer_limit=300_000, flips_per_word=(1, 2, 3))
-        return [run_ecc_word_analysis(chip, config) for chip in chips.values()]
+        return bench_session.run(
+            "fig9-ecc-words", config, chips=list(chips.values())
+        ).payloads()
 
     analyses = benchmark.pedantic(run, rounds=1, iterations=1)
     figure9 = build_figure9_ecc(analyses)

@@ -9,20 +9,23 @@ from conftest import print_banner
 
 from repro.analysis.report import format_table
 from repro.analysis.tables import PAPER_TABLE5_MONOTONIC_PERCENT, build_table5_monotonicity
-from repro.core.probability import ProbabilityStudyConfig, run_flip_probability_study
+from repro.core.probability import ProbabilityStudyConfig
 
 HAMMER_COUNTS = (50_000, 75_000, 100_000, 125_000, 150_000)
 ITERATIONS = 6
 
 
-def test_table5_flip_probability_monotonicity(benchmark, representative_chips):
+def test_table5_flip_probability_monotonicity(benchmark, bench_session, representative_chips):
     chips = {
         key: chip for key, chip in representative_chips.items() if chip.is_rowhammerable()
     }
 
+    config = ProbabilityStudyConfig(hammer_counts=HAMMER_COUNTS, iterations=ITERATIONS)
+
     def run():
-        config = ProbabilityStudyConfig(hammer_counts=HAMMER_COUNTS, iterations=ITERATIONS)
-        return [run_flip_probability_study(chip, config) for chip in chips.values()]
+        return bench_session.run(
+            "table5-flip-probability", config, chips=list(chips.values())
+        ).payloads()
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)
     table5 = build_table5_monotonicity(results)

@@ -9,7 +9,12 @@ The harnesses share one session-scoped :class:`repro.ExperimentSession` over
 the Table 1 benchmark population, backed by a :class:`repro.ResultStore`:
 benchmarks that run the same study on overlapping chip sets (for example
 Figure 8 / Table 4 over all chips and Table 2 over the DDR3 subset) replay
-each other's cached results instead of recomputing them.
+each other's cached results instead of recomputing them.  Harnesses run
+their studies through that session, never on the shared chips themselves:
+the session hammers a copy of each chip, while a chip a harness hammers
+directly stops being pristine, so every later harness would measure it in
+its hammered state and the store would skip it.  An autouse fixture fails
+any harness that leaves a benchmark chip non-pristine.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import pytest
 
 from repro import ExperimentSession, ResultStore
 from repro.dram.geometry import ChipGeometry
-from repro.dram.population import make_population
+from repro.dram.population import flatten_population, make_population
 from repro.dram.vulnerability import available_configurations
 
 #: Geometry used by all characterization benchmarks.
@@ -40,6 +45,20 @@ def bench_population():
     return make_population(
         chips_per_config=CHIPS_PER_CONFIG, seed=BENCH_SEED, geometry=BENCH_GEOMETRY
     )
+
+
+@pytest.fixture(autouse=True)
+def bench_chips_stay_pristine(bench_population):
+    """Fail a harness after which a shared benchmark chip is not pristine."""
+    yield
+    touched = [
+        chip.chip_id for chip in flatten_population(bench_population) if not chip.is_pristine
+    ]
+    if touched:
+        pytest.fail(
+            f"{len(touched)} shared benchmark chips are no longer pristine "
+            f"(run studies through bench_session): {', '.join(touched)}"
+        )
 
 
 @pytest.fixture(scope="session")

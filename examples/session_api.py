@@ -13,10 +13,11 @@ This example shows the five moves the orchestration layer is built around:
 4. **cached rerun** -- attach a :class:`repro.ResultStore` and watch the
    second run replay from disk without a single chip activation.
 5. **decompose** -- declare a *sharded* study: a ``decompose`` enumerating
-   independent :class:`repro.WorkUnit` shards of the grid, a ``unit_runner``
-   executing one shard, and a deterministic ``merge``.  Sessions then cache
-   every shard individually, so a crashed sweep resumes from its completed
-   units and an edited grid replays everything it did not touch.
+   independent :class:`repro.WorkUnit` shards of the grid and a
+   deterministic ``merge``, with the decorated function executing one
+   shard.  Sessions then cache every shard individually, so a crashed
+   sweep resumes from its completed units and an edited grid replays
+   everything it did not touch.
 
 Run with::
 
@@ -88,15 +89,6 @@ def decompose_flip_sweep(config):
     ]
 
 
-def run_flip_sweep_unit(chip, config, unit):
-    """Execute one shard: hammer the victim at the unit's count."""
-    params = unit.param_dict
-    result = DoubleSidedHammer(chip).hammer_victim(
-        bank=0, victim_row=params["victim_row"], hammer_count=params["hammer_count"]
-    )
-    return (params["hammer_count"], result.num_bit_flips)
-
-
 def merge_flip_sweep(config, payloads):
     """Deterministic merge: payloads arrive in decomposition order."""
     return dict(payloads)
@@ -106,17 +98,15 @@ def merge_flip_sweep(config, payloads):
     "demo-flip-sweep",
     config=FlipSweepConfig,
     decompose=decompose_flip_sweep,
-    unit_runner=run_flip_sweep_unit,
     merge=merge_flip_sweep,
 )
-def run_flip_sweep(chip, config):
-    """Monolithic reference: the same sweep in one loop."""
-    return {
-        hammer_count: DoubleSidedHammer(chip)
-        .hammer_victim(bank=0, victim_row=config.victim_row, hammer_count=hammer_count)
-        .num_bit_flips
-        for hammer_count in config.hammer_counts
-    }
+def run_flip_sweep_unit(chip, config, unit):
+    """Execute one shard: hammer the victim at the unit's count."""
+    params = unit.param_dict
+    result = DoubleSidedHammer(chip).hammer_victim(
+        bank=0, victim_row=params["victim_row"], hammer_count=params["hammer_count"]
+    )
+    return (params["hammer_count"], result.num_bit_flips)
 
 
 def main() -> None:

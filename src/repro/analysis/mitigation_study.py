@@ -17,15 +17,15 @@ One implementation, three steps
 The evaluation is split into one *baseline* unit per workload mix (the
 no-mitigation run plus the per-core alone-IPC runs), one *cell* unit per
 evaluable (mechanism, HC_first, mix) grid point, and an aggregation that
-turns the unit payloads into the per-point statistics.  Every entry point
-goes through the same three functions (:func:`_simulate_baseline`,
+turns the unit payloads into the per-point statistics.  Both entry points
+go through the same three functions (:func:`_simulate_baseline`,
 :func:`_simulate_cell`, :func:`_aggregate`):
 
-* the registered studies declare the units as their work-unit
-  decomposition (see :mod:`repro.experiments.study`), so sessions cache,
-  resume and shard the grid cell by cell;
-* calling a registered study's function directly decomposes the config,
-  runs every unit in turn and merges;
+* the registered studies (``fig10-mitigations`` and
+  ``fig10-mitigations-full``, both run by :func:`_run_mitigation_unit`)
+  declare the units as their work-unit decomposition (see
+  :mod:`repro.experiments.study`), so sessions cache, resume and shard the
+  grid cell by cell;
 * :func:`run_mitigation_study` takes the system and workload mixes as
   objects, builds each mix's traces and shared run once and feeds them to
   the same functions.
@@ -557,6 +557,32 @@ def _aggregate(
     return study
 
 
+def _merge_mitigation_units(
+    config: MitigationStudyConfig, payloads: Sequence[object]
+) -> MitigationStudyResult:
+    """Reassemble the Figure 10 payload from unit payloads."""
+    points = _evaluation_points(
+        config.mechanisms, config.hcfirst_values, config.respect_design_constraints
+    )
+    return _aggregate(points, config.num_mixes, payloads)
+
+
+@register_study(
+    "fig10-mitigations-full",
+    config=FullMitigationStudyConfig,
+    requires_chip=False,
+    description="Figure 10 at paper scale: all 48 workload mixes, Table 6 geometry.",
+    decompose=_fig10_decompose("fig10-mitigations-full"),
+    merge=_merge_mitigation_units,
+)
+@register_study(
+    "fig10-mitigations",
+    config=MitigationStudyConfig,
+    requires_chip=False,
+    description="Mitigation overhead versus HC_first (Figure 10), population-level.",
+    decompose=_fig10_decompose("fig10-mitigations"),
+    merge=_merge_mitigation_units,
+)
 def _run_mitigation_unit(
     _chip: None, config: MitigationStudyConfig, unit: WorkUnit
 ) -> object:
@@ -577,54 +603,6 @@ def _run_mitigation_unit(
     return _simulate_cell(
         shared, params["mechanism"], params["hcfirst"], mix, config.seed, config.time_scale
     )
-
-
-def _merge_mitigation_units(
-    config: MitigationStudyConfig, payloads: Sequence[object]
-) -> MitigationStudyResult:
-    """Reassemble the Figure 10 payload from unit payloads."""
-    points = _evaluation_points(
-        config.mechanisms, config.hcfirst_values, config.respect_design_constraints
-    )
-    return _aggregate(points, config.num_mixes, payloads)
-
-
-def _run_units_in_turn(study_name: str, config: MitigationStudyConfig) -> MitigationStudyResult:
-    """Decompose ``config``, run every unit in this process, and merge."""
-    units = _fig10_decompose(study_name)(config)
-    return _merge_mitigation_units(
-        config, [_run_mitigation_unit(None, config, unit) for unit in units]
-    )
-
-
-@register_study(
-    "fig10-mitigations",
-    config=MitigationStudyConfig,
-    requires_chip=False,
-    decompose=_fig10_decompose("fig10-mitigations"),
-    unit_runner=_run_mitigation_unit,
-    merge=_merge_mitigation_units,
-)
-def run_mitigation_study_for_config(
-    _chip: None, config: MitigationStudyConfig
-) -> MitigationStudyResult:
-    """Mitigation overhead versus HC_first (Figure 10), population-level."""
-    return _run_units_in_turn("fig10-mitigations", config)
-
-
-@register_study(
-    "fig10-mitigations-full",
-    config=FullMitigationStudyConfig,
-    requires_chip=False,
-    decompose=_fig10_decompose("fig10-mitigations-full"),
-    unit_runner=_run_mitigation_unit,
-    merge=_merge_mitigation_units,
-)
-def run_full_mitigation_study(
-    _chip: None, config: FullMitigationStudyConfig
-) -> MitigationStudyResult:
-    """Figure 10 at paper scale: all 48 workload mixes, Table 6 geometry."""
-    return _run_units_in_turn("fig10-mitigations-full", config)
 
 
 def run_mitigation_study(

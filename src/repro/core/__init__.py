@@ -21,14 +21,16 @@ registry (``fig4-coverage``, ``fig5-hc-sweep``, ``fig6-spatial``,
 ``fig7-word-density``, ``fig8-hcfirst``, ``fig9-ecc-words``,
 ``table5-flip-probability``, ``alg1-characterization``) so a whole
 population can be driven through one
-:class:`~repro.experiments.session.ExperimentSession`: one
-``(chip, config)`` function per study, callable directly.
+:class:`~repro.experiments.session.ExperimentSession`.  The undecomposed
+studies' ``run_*(chip, config)`` functions are also callable directly;
+``fig4-coverage`` and ``alg1-characterization`` are registered by the
+function that runs one of their work units, so they run through a session.
 """
 
 from repro.core.data_patterns import DataPattern, STANDARD_PATTERNS, pattern_by_name
 from repro.core.hammer import BitFlip, DoubleSidedHammer, HammerResult
 from repro.core.characterization import RowHammerCharacterizer, CharacterizationConfig
-from repro.core.coverage import CoverageStudyConfig, run_pattern_coverage
+from repro.core.coverage import CoverageStudyConfig
 from repro.core.sweeps import SweepStudyConfig, run_hammer_count_sweep
 from repro.core.spatial import SpatialStudyConfig, run_spatial_distribution
 from repro.core.word_density import WordDensityStudyConfig, run_word_density
@@ -47,7 +49,6 @@ __all__ = [
     "RowHammerCharacterizer",
     "CharacterizationConfig",
     "CoverageStudyConfig",
-    "run_pattern_coverage",
     "SweepStudyConfig",
     "run_hammer_count_sweep",
     "SpatialStudyConfig",

@@ -5,6 +5,11 @@ through the paper's test procedure: for each data pattern, for each victim
 row, for each hammer count, run a worst-case double-sided hammer and record
 every observed bit flip.  The narrower studies in the sibling modules
 (coverage, sweeps, spatial, first-flip, ...) are built on top of this class.
+
+The registered ``alg1-characterization`` study runs this loop one hammer
+count per work unit, so it runs through an
+:class:`~repro.experiments.session.ExperimentSession`; to run the whole
+grid on one chip in place, call :meth:`RowHammerCharacterizer.run`.
 """
 
 from __future__ import annotations
@@ -112,22 +117,15 @@ def _decompose_characterization(config: CharacterizationConfig) -> List[WorkUnit
     ]
 
 
-def _run_characterization_unit(
-    chip: DramChip, config: CharacterizationConfig, unit: WorkUnit
-) -> "CharacterizationResult":
-    """Run the full pattern/bank/victim loop at one hammer count."""
-    return RowHammerCharacterizer(chip).run(unit.param_dict["config"])
-
-
 def _merge_characterization(
     config: CharacterizationConfig, payloads: Sequence["CharacterizationResult"]
 ) -> "CharacterizationResult":
     """Interleave per-hammer-count records back into Algorithm 1's order.
 
     Each unit's records are ordered pattern -> bank -> victim for its fixed
-    hammer count; the monolithic loop iterates hammer counts innermost, so
-    the merged record list takes one record per unit per (pattern, bank,
-    victim) position.
+    hammer count; Algorithm 1 (:meth:`RowHammerCharacterizer.run`) iterates
+    hammer counts innermost, so the merged record list takes one record per
+    unit per (pattern, bank, victim) position.
     """
     first = payloads[0]
     record_counts = {len(payload.records) for payload in payloads}
@@ -151,24 +149,19 @@ def _merge_characterization(
 @register_study(
     "alg1-characterization",
     config=CharacterizationConfig,
+    description="Algorithm 1: the full characterization loop over one chip.",
     decompose=_decompose_characterization,
-    unit_runner=_run_characterization_unit,
     merge=_merge_characterization,
 )
-def run_characterization(
-    chip: DramChip, config: CharacterizationConfig
+def _run_characterization_unit(
+    chip: DramChip, config: CharacterizationConfig, unit: WorkUnit
 ) -> "CharacterizationResult":
-    """Algorithm 1: the full characterization loop over one chip.
+    """Run the full pattern/bank/victim loop at one hammer count.
 
-    Called directly, it runs Algorithm 1's loop over the whole grid on the
-    given chip.  Through a session the study runs *sharded*: one hermetic
-    work unit per hammer count, each against a fresh copy of the chip.
-    Because per-write refresh-epoch noise then restarts per unit instead of
-    accumulating across the sweep, the sharded payload is not bit-identical
-    to the direct call -- each hammer count is instead measured from the
-    same pristine state, which is the semantics the sharded study defines.
+    A session runs each hammer count's unit against a fresh copy of the
+    chip, so every count is measured from the same pristine state.
     """
-    return RowHammerCharacterizer(chip).run(config)
+    return RowHammerCharacterizer(chip).run(unit.param_dict["config"])
 
 
 class RowHammerCharacterizer:

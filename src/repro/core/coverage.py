@@ -4,6 +4,10 @@ For a fixed hammer count the study runs the characterization once per data
 pattern, aggregates the unique bit flips each pattern exposes, and reports
 every pattern's *coverage*: the fraction of the union of all observed flips
 that the pattern finds on its own.
+
+The registered ``fig4-coverage`` study measures one data pattern per work
+unit, each on a fresh copy of the chip, and runs through an
+:class:`~repro.experiments.session.ExperimentSession`.
 """
 
 from __future__ import annotations
@@ -81,29 +85,6 @@ def _decompose_coverage(config: CoverageStudyConfig) -> List[WorkUnit]:
     ]
 
 
-def _run_coverage_unit(
-    chip: DramChip, config: CoverageStudyConfig, unit: WorkUnit
-) -> PatternCoverageUnit:
-    """Hammer every victim with one pattern and collect its unique flips."""
-    pattern = pattern_by_name(unit.param_dict["pattern"])
-    characterizer = RowHammerCharacterizer(chip)
-    victims = characterizer.victims(config.bank, config.victims)
-    flipped = np.zeros((chip.geometry.rows_per_bank, chip.geometry.row_bits), dtype=bool)
-    for _iteration in range(config.iterations):
-        for result in characterizer.hammer_all_victims(
-            config.hammer_count, data_pattern=pattern, bank=config.bank, victims=victims
-        ):
-            flipped[result.rows] |= result.diff
-    rows, bits = np.nonzero(flipped)
-    return PatternCoverageUnit(
-        pattern=pattern.name,
-        chip_id=chip.chip_id,
-        type_node=chip.profile.type_node.value,
-        manufacturer=chip.profile.manufacturer,
-        cells=frozenset((config.bank, row, bit) for row, bit in zip(rows.tolist(), bits.tolist())),
-    )
-
-
 def _merge_coverage(
     config: CoverageStudyConfig, payloads: Sequence[PatternCoverageUnit]
 ) -> CoverageResult:
@@ -129,19 +110,28 @@ def _merge_coverage(
 @register_study(
     "fig4-coverage",
     config=CoverageStudyConfig,
+    description="Per-data-pattern bit-flip coverage (Figure 4 / Table 3).",
     decompose=_decompose_coverage,
-    unit_runner=_run_coverage_unit,
     merge=_merge_coverage,
 )
-def run_pattern_coverage(chip: DramChip, config: CoverageStudyConfig) -> CoverageResult:
-    """Per-data-pattern bit-flip coverage (Figure 4 / Table 3).
-
-    Called directly, the pattern units run one after another on the given
-    chip.  Through a session the study runs *sharded*: one hermetic work
-    unit per data pattern, each against a fresh copy of the chip, so every
-    pattern's flip set is measured from the same pristine state (per-write
-    refresh-epoch noise does not accumulate across patterns as it does in
-    the direct call).
-    """
-    units = _decompose_coverage(config)
-    return _merge_coverage(config, [_run_coverage_unit(chip, config, unit) for unit in units])
+def _run_coverage_unit(
+    chip: DramChip, config: CoverageStudyConfig, unit: WorkUnit
+) -> PatternCoverageUnit:
+    """Hammer every victim with one pattern and collect its unique flips."""
+    pattern = pattern_by_name(unit.param_dict["pattern"])
+    characterizer = RowHammerCharacterizer(chip)
+    victims = characterizer.victims(config.bank, config.victims)
+    flipped = np.zeros((chip.geometry.rows_per_bank, chip.geometry.row_bits), dtype=bool)
+    for _iteration in range(config.iterations):
+        for result in characterizer.hammer_all_victims(
+            config.hammer_count, data_pattern=pattern, bank=config.bank, victims=victims
+        ):
+            flipped[result.rows] |= result.diff
+    rows, bits = np.nonzero(flipped)
+    return PatternCoverageUnit(
+        pattern=pattern.name,
+        chip_id=chip.chip_id,
+        type_node=chip.profile.type_node.value,
+        manufacturer=chip.profile.manufacturer,
+        cells=frozenset((config.bank, row, bit) for row, bit in zip(rows.tolist(), bits.tolist())),
+    )

@@ -271,7 +271,11 @@ class _CalibratedChip:
     # Internal helpers
     # ------------------------------------------------------------------
     def _coerce_row_bits(self, data: RowData) -> np.ndarray:
-        """Convert supported row-data forms into a bit array."""
+        """The row bits of a fill byte or of a ``row_bytes``-long byte buffer.
+
+        Raises ``ValueError`` for a buffer of another length and for a fill
+        byte or buffer value outside ``[0, 255]``.
+        """
         row_bytes = self.geometry.row_bytes
         if isinstance(data, (int, np.integer)):
             if not 0 <= int(data) <= 0xFF:
@@ -279,15 +283,12 @@ class _CalibratedChip:
             byte_array = np.full(row_bytes, int(data), dtype=np.uint8)
             return np.unpackbits(byte_array)
         array = np.asarray(bytearray(data) if isinstance(data, (bytes, bytearray)) else data)
-        array = array.astype(np.uint8)
-        if array.size == row_bytes:
-            return np.unpackbits(array)
-        if array.size == self.geometry.row_bits:
-            return array.copy()
-        raise ValueError(
-            f"row data must be {row_bytes} bytes or {self.geometry.row_bits} bits, "
-            f"got {array.size} elements"
-        )
+        if array.size != row_bytes:
+            raise ValueError(f"row data must be {row_bytes} bytes, got {array.size} elements")
+        byte_array = array.astype(np.uint8)
+        if not np.array_equal(byte_array, array):
+            raise ValueError("row data bytes must be within [0, 255]")
+        return np.unpackbits(byte_array)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (
@@ -402,9 +403,9 @@ class DramChip(_CalibratedChip):
     def write_row(self, bank: int, row: int, data: RowData) -> None:
         """Write a full row.
 
-        ``data`` may be a fill byte (``int``), a byte buffer of exactly
-        ``row_bytes`` bytes, or a bit array of ``row_bits`` bits.  Writing a
-        row restores its charge: accumulated disturbance on its wordline is
+        ``data`` may be a fill byte (``int``) or a byte buffer of exactly
+        ``row_bytes`` bytes, each within ``[0, 255]``.  Writing a row
+        restores its charge: accumulated disturbance on its wordline is
         cleared and any previously flipped cells take the new value.
         """
         self.geometry.validate_address(bank, row)

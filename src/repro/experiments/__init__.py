@@ -2,7 +2,7 @@
 
 Every paper analysis is exposed as a named *study* (see
 :func:`list_studies`) with a frozen config dataclass and a registered
-function ``fn(chip, config) -> payload``.  An :class:`ExperimentSession`
+function that runs one unit of it.  An :class:`ExperimentSession`
 owns a chip population, fans studies out across it via pluggable executors
 (:class:`SerialExecutor`, process-pool :class:`ParallelExecutor` with
 bit-identical results), and caches results in a :class:`ResultStore` so
@@ -10,21 +10,22 @@ work is never repeated across benchmarks or runs.
 
 Work units: sharded execution and crash resume
 ----------------------------------------------
-Grid-shaped studies additionally declare a *decomposition* at registration
-time -- ``decompose(config)`` enumerating independent :class:`WorkUnit`
-shards, ``unit_runner(chip, config, unit)`` executing one shard
-hermetically, and a deterministic ``merge(config, payloads)`` reassembling
-the study payload in decomposition order::
+A study's registered function is ``fn(chip, config) -> payload`` when
+the whole study is one unit.  Grid-shaped studies instead declare a
+*decomposition* at registration time -- ``decompose(config)`` enumerating
+independent :class:`WorkUnit` shards and a deterministic ``merge(config,
+payloads)`` reassembling the study payload in decomposition order -- and
+register the function that executes one shard hermetically::
 
     @register_study("my-sweep", config=SweepConfig,
-                    decompose=my_decompose, unit_runner=my_unit_runner,
-                    merge=my_merge)
-    def run_my_sweep(chip, config):
-        ...  # direct calls, e.g. run the units in turn
+                    decompose=my_decompose, merge=my_merge)
+    def run_my_sweep_unit(chip, config, unit):
+        ...  # one shard, on a fresh copy of the chip
 
 Sessions then fan the *units* (not whole studies) through the executor and
-cache each unit individually, keyed by the unit's content digest.  That
-buys three things at once:
+cache each unit individually, keyed by the unit's content digest; a
+decomposed study runs only through a session.  That buys three things at
+once:
 
 * **sharding** -- a process pool parallelizes across grid cells even for
   population-level (simulator-backed) studies that have no chips to shard

@@ -3,22 +3,25 @@
 Every analysis in the paper is one instance of the same shape -- run a study
 over a population of chips and aggregate -- so the library exposes each one
 as a *study*: a named unit with a frozen config dataclass and a registered
-function ``fn(chip, config) -> payload``.  Studies are registered with
-:func:`register_study` and discovered by name through :func:`get_study` /
-:func:`list_studies`; :class:`~repro.experiments.session.ExperimentSession`
-fans registered studies out over chip populations.
+function.  Studies are registered with :func:`register_study` and discovered
+by name through :func:`get_study` / :func:`list_studies`;
+:class:`~repro.experiments.session.ExperimentSession` fans registered
+studies out over chip populations.
 
 Work units
 ----------
-Long grid-shaped studies may additionally declare a *decomposition*: a
-``decompose(config) -> [WorkUnit]`` enumerating independent shards of the
-grid, a ``unit_runner(chip, config, unit)`` executing one shard
-hermetically, and a deterministic ``merge(config, payloads)`` reassembling
-the study payload from shard payloads *in decomposition order*.  Sessions
-then fan the units -- not the whole study -- through the executor and cache
-each unit individually, so a killed sweep resumes from its completed units
-and a config edit invalidates only the units it touches.  Studies without a
-decomposition run as a single implicit whole-study unit.
+A study's registered function runs one unit of it.  For most studies the
+unit is the whole study: ``fn(chip, config) -> payload``, which stays
+callable directly.  Long grid-shaped studies instead declare a
+*decomposition*: a ``decompose(config) -> [WorkUnit]`` enumerating
+independent shards of the grid and a deterministic ``merge(config,
+payloads)`` reassembling the study payload from shard payloads *in
+decomposition order*; their registered function is then ``fn(chip,
+config, unit)`` and runs one shard.  Sessions fan the units -- not the
+whole study -- through the executor, give each unit a fresh copy of the
+chip and cache each unit individually, so a killed sweep resumes from its
+completed units and a config edit invalidates only the units it touches.
+A decomposed study runs only through a session.
 
 The registry deliberately knows nothing about chips or executors, so study
 implementations (which live next to the measurement code they wrap, for
@@ -122,25 +125,25 @@ class WorkUnit:
 class RegisteredStudy:
     """A study registered under a unique name.
 
-    Wraps a plain function ``fn(chip, config) -> payload`` together with the
-    metadata the session layer needs: the config dataclass used when no
-    config is supplied, whether the study runs per chip or once per
-    population, and a human-readable description.
+    Wraps the study's function together with the metadata the session
+    layer needs: the config dataclass used when no config is supplied,
+    whether the study runs per chip or once per population, and a
+    human-readable description.
 
-    A study may also declare a work-unit decomposition (``decompose_fn`` /
-    ``unit_runner_fn`` / ``merge_fn``, see the module docstring); sessions
-    then execute and cache the study shard by shard.  ``fn`` stays callable
-    directly: the Figure 4 and Figure 10 studies' ``fn`` runs their units
-    one after another in this process, and Algorithm 1's runs its loop.
+    ``fn`` runs one unit of the study.  For an undecomposed study that is
+    the whole study, ``fn(chip, config) -> payload``, and calling it
+    directly mutates the chip it is given.  A decomposed study
+    (``decompose_fn`` / ``merge_fn``, see the module docstring) registers
+    ``fn(chip, config, unit) -> unit payload`` instead; sessions execute
+    and cache it shard by shard.
     """
 
     name: str
-    fn: Callable[[Any, Any], Any]
+    fn: Callable[..., Any]
     config_cls: Optional[type] = None
     requires_chip: bool = True
     description: str = ""
     decompose_fn: Optional[Callable[[Any], Sequence["WorkUnit"]]] = None
-    unit_runner_fn: Optional[Callable[[Any, Any, "WorkUnit"], Any]] = None
     merge_fn: Optional[Callable[[Any, List[Any]], Any]] = None
 
     def default_config(self) -> Any:
@@ -185,14 +188,15 @@ class RegisteredStudy:
     def run_unit(self, chip: Any, config: Any, unit: "WorkUnit") -> Any:
         """Execute one work unit hermetically, returning the unit payload.
 
-        The implicit whole-study unit falls through to ``fn``, so every
-        execution path -- decomposed or not -- goes through one method.
+        ``fn`` gets the unit exactly when the study is decomposed; an
+        undecomposed study's implicit whole-study unit runs ``fn(chip,
+        config)``.
         """
         if config is None:
             config = self.default_config()
-        if not self.is_decomposable or unit.is_whole_study:
-            return self.fn(chip, config)
-        return self.unit_runner_fn(chip, config, unit)
+        if self.is_decomposable:
+            return self.fn(chip, config, unit)
+        return self.fn(chip, config)
 
     def merge_units(self, config: Any, payloads: Sequence[Any]) -> Any:
         """Merge unit payloads (in decomposition order) into the study payload.
@@ -297,14 +301,19 @@ def register_study(
     requires_chip: bool = True,
     description: str = "",
     decompose: Optional[Callable[[Any], Sequence[WorkUnit]]] = None,
-    unit_runner: Optional[Callable[[Any, Any, WorkUnit], Any]] = None,
     merge: Optional[Callable[[Any, List[Any]], Any]] = None,
-) -> Callable[[Callable[[Any, Any], Any]], Callable[[Any, Any], Any]]:
-    """Decorator registering ``fn(chip, config) -> payload`` as a named study.
+) -> Callable[[Callable[..., Any]], Callable[..., Any]]:
+    """Decorator registering the function that runs one unit of a named study.
+
+    For a whole study that function is ``fn(chip, config) -> payload``:
 
     >>> @register_study("demo-noop")
     ... def run_noop(chip, config):
     ...     return None
+
+    For a study declared with ``decompose=`` and ``merge=`` it is
+    ``fn(chip, config, unit) -> unit payload``, run once per
+    :class:`WorkUnit` by a session.
 
     Parameters
     ----------
@@ -322,23 +331,19 @@ def register_study(
     description:
         One-line human-readable summary; defaults to the first line of the
         function's docstring.
-    decompose, unit_runner, merge:
-        Optional work-unit decomposition (see the module docstring): all
-        three must be given together.  ``decompose(config)`` enumerates the
-        study's :class:`WorkUnit` shards, ``unit_runner(chip, config, unit)``
-        executes one shard hermetically, and ``merge(config, payloads)``
+    decompose, merge:
+        Optional work-unit decomposition (see the module docstring): both
+        or neither.  ``decompose(config)`` enumerates the study's
+        :class:`WorkUnit` shards and ``merge(config, payloads)``
         deterministically reassembles the study payload from shard payloads
-        in decomposition order.  The decorated ``fn`` stays registered for
-        direct calls (see :class:`RegisteredStudy`).
+        in decomposition order.
     """
-    provided = (decompose is not None, unit_runner is not None, merge is not None)
-    if any(provided) and not all(provided):
+    if (decompose is None) != (merge is None):
         raise DecompositionError(
-            f"study {name!r}: decompose, unit_runner and merge must be "
-            "declared together"
+            f"study {name!r}: decompose and merge must be declared together"
         )
 
-    def decorator(fn: Callable[[Any, Any], Any]) -> Callable[[Any, Any], Any]:
+    def decorator(fn: Callable[..., Any]) -> Callable[..., Any]:
         if name in _REGISTRY:
             raise DuplicateStudyError(
                 f"study {name!r} is already registered (by "
@@ -354,7 +359,6 @@ def register_study(
             requires_chip=requires_chip,
             description=summary,
             decompose_fn=decompose,
-            unit_runner_fn=unit_runner,
             merge_fn=merge,
         )
         return fn

@@ -78,15 +78,6 @@ def _decompose(config: ServiceSelfTestConfig) -> List[WorkUnit]:
     ]
 
 
-def _run_unit(_chip: None, config: ServiceSelfTestConfig, unit: WorkUnit) -> str:
-    params = unit.param_dict
-    if params["fail"]:
-        raise RuntimeError(f"selftest unit {params['index']} is poisoned")
-    if params["sleep_s"]:
-        time.sleep(float(params["sleep_s"]))
-    return _unit_digest_value(params["seed"], params["index"], params["rounds"])
-
-
 def _merge(
     config: ServiceSelfTestConfig, payloads: Sequence[str]
 ) -> ServiceSelfTestResult:
@@ -102,12 +93,12 @@ def _merge(
     requires_chip=False,
     description="Deterministic hash-work study for service fault injection",
     decompose=_decompose,
-    unit_runner=_run_unit,
     merge=_merge,
 )
-def run_service_selftest(
-    _chip: None, config: ServiceSelfTestConfig
-) -> ServiceSelfTestResult:
-    """Deterministic hash-work study for service fault injection."""
-    payloads = [_run_unit(_chip, config, unit) for unit in _decompose(config)]
-    return _merge(config, payloads)
+def _run_unit(_chip: None, config: ServiceSelfTestConfig, unit: WorkUnit) -> str:
+    params = unit.param_dict
+    if params["fail"]:
+        raise RuntimeError(f"selftest unit {params['index']} is poisoned")
+    if params["sleep_s"]:
+        time.sleep(float(params["sleep_s"]))
+    return _unit_digest_value(params["seed"], params["index"], params["rounds"])

@@ -6,7 +6,7 @@ import pytest
 from repro.analysis.tables import build_table3_worst_patterns
 from repro.core.calibration import hammer_count_for_flip_rate, measure_flip_rate
 from repro.core.characterization import CharacterizationConfig
-from repro.core.coverage import CoverageStudyConfig, run_pattern_coverage
+from repro.core.coverage import CoverageStudyConfig
 from repro.core.data_patterns import STANDARD_PATTERNS, worst_case_pattern
 from repro.core.ecc_analysis import EccWordStudyConfig, run_ecc_word_analysis
 from repro.core.first_flip import HCFirstStudyConfig
@@ -25,6 +25,7 @@ from repro.core.word_density import (
 )
 from repro.dram.geometry import ChipGeometry
 from repro.dram.population import make_chip
+from repro.experiments import ExperimentSession
 
 GEOMETRY = ChipGeometry(banks=1, rows_per_bank=48, row_bytes=32)
 
@@ -77,26 +78,32 @@ class TestConfigValidation:
             config_cls(hammer_counts=(50_000, 100_000, 50_000))
 
 
+@pytest.fixture(scope="module")
+def coverage(vulnerable_chip):
+    """The Figure 4 study's payload for the vulnerable DDR4 chip."""
+    return (
+        ExperimentSession(vulnerable_chip)
+        .run("fig4-coverage", CoverageStudyConfig(hammer_count=150_000))
+        .single()
+    )
+
+
 class TestCoverage:
-    def test_worst_case_pattern_has_highest_coverage(self, vulnerable_chip):
-        result = run_pattern_coverage(vulnerable_chip, CoverageStudyConfig(hammer_count=150_000))
-        assert result.unique_flips_total > 0
+    def test_worst_case_pattern_has_highest_coverage(self, vulnerable_chip, coverage):
+        assert coverage.unique_flips_total > 0
         expected = worst_case_pattern(vulnerable_chip.profile).name
-        assert result.worst_case_pattern == expected
+        assert coverage.worst_case_pattern == expected
 
-    def test_no_pattern_reaches_full_coverage(self, vulnerable_chip):
-        result = run_pattern_coverage(vulnerable_chip, CoverageStudyConfig(hammer_count=150_000))
-        assert all(value <= 1.0 for value in result.coverage_by_pattern.values())
-        assert result.coverage_by_pattern[result.worst_case_pattern] < 1.0
+    def test_no_pattern_reaches_full_coverage(self, coverage):
+        assert all(value <= 1.0 for value in coverage.coverage_by_pattern.values())
+        assert coverage.coverage_by_pattern[coverage.worst_case_pattern] < 1.0
 
-    def test_coverages_cover_all_patterns(self, vulnerable_chip):
-        result = run_pattern_coverage(vulnerable_chip, CoverageStudyConfig(hammer_count=150_000))
-        assert set(result.coverage_by_pattern) == {p.name for p in STANDARD_PATTERNS}
+    def test_coverages_cover_all_patterns(self, coverage):
+        assert set(coverage.coverage_by_pattern) == {p.name for p in STANDARD_PATTERNS}
 
-    def test_table3_aggregation(self, vulnerable_chip):
-        result = run_pattern_coverage(vulnerable_chip, CoverageStudyConfig(hammer_count=150_000))
-        table = build_table3_worst_patterns([result])
-        assert table["DDR4-new"]["A"] == result.worst_case_pattern
+    def test_table3_aggregation(self, coverage):
+        table = build_table3_worst_patterns([coverage])
+        assert table["DDR4-new"]["A"] == coverage.worst_case_pattern
 
 
 class TestSweeps:

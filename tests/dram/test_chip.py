@@ -9,6 +9,7 @@ import pytest
 from repro.dram.chip import DramChip
 from repro.dram.geometry import ChipGeometry
 from repro.dram.population import make_chip
+from repro.dram.reference import ReferenceDramChip
 from repro.dram.vulnerability import profile_for
 
 
@@ -25,10 +26,21 @@ class TestDataPath:
     def test_unwritten_row_reads_zero(self, ddr4_chip):
         assert np.all(ddr4_chip.read_row(0, 40) == 0)
 
-    def test_write_accepts_bit_array(self, ddr4_chip):
-        bits = np.ones(ddr4_chip.geometry.row_bits, dtype=np.uint8)
-        ddr4_chip.write_row(0, 7, bits)
-        assert np.all(ddr4_chip.read_row(0, 7) == 0xFF)
+    @pytest.mark.parametrize(
+        "chip_class", [DramChip, ReferenceDramChip], ids=["columnar", "reference"]
+    )
+    def test_write_rejects_data_no_row_can_hold(self, chip_class, small_geometry):
+        chip = chip_class(profile_for("LPDDR4-1y", "A"), geometry=small_geometry, seed=7)
+        for data in (
+            # A row_bits-long array is not a row form, whatever it holds.
+            np.full(small_geometry.row_bits, 7, dtype=np.uint8),
+            # Byte buffers whose values a uint8 cast would wrap to 1 and 255.
+            np.full(small_geometry.row_bytes, 257, dtype=np.int64),
+            np.full(small_geometry.row_bytes, -1, dtype=np.int64),
+        ):
+            with pytest.raises(ValueError):
+                chip.write_row(0, 7, data)
+        assert chip.is_pristine
 
     def test_write_rejects_bad_sizes_and_values(self, ddr4_chip):
         with pytest.raises(ValueError):

@@ -1,13 +1,17 @@
-"""Tests for the study registry (names, duplicates, configs, digests)."""
+"""Tests for the study registry (names, duplicates, decompositions, configs,
+digests)."""
 
+import contextlib
 from dataclasses import dataclass
 
 import pytest
 
 from repro.experiments.study import (
+    DecompositionError,
     DuplicateStudyError,
     RegisteredStudy,
     UnknownStudyError,
+    WorkUnit,
     config_digest,
     get_study,
     list_studies,
@@ -102,6 +106,68 @@ class TestRegistry:
         spec = get_study("fig5-hc-sweep")
         config = spec.default_config()
         assert isinstance(config, spec.config_cls)
+
+
+PROBE = "test-decomposition-probe"
+
+
+def merge_unit_ids(config, payloads):
+    return tuple(payloads)
+
+
+@contextlib.contextmanager
+def decomposed_probe(decompose):
+    """Register a decomposed study whose units return their ids."""
+
+    @register_study(PROBE, decompose=decompose, merge=merge_unit_ids)
+    def run_probe_unit(chip, config, unit):
+        return unit.unit_id
+
+    try:
+        yield get_study(PROBE)
+    finally:
+        unregister_study(PROBE)
+
+
+class TestDecompositionErrors:
+    """Each rule of a study's decomposition raises DecompositionError."""
+
+    @pytest.mark.parametrize(
+        "declared",
+        [{"decompose": lambda config: []}, {"merge": merge_unit_ids}],
+        ids=["decompose-without-merge", "merge-without-decompose"],
+    )
+    def test_decompose_and_merge_come_together(self, declared):
+        with pytest.raises(DecompositionError, match="together"):
+            register_study(PROBE, **declared)
+        assert PROBE not in list_studies()
+
+    def test_unit_of_another_study(self):
+        with decomposed_probe(lambda config: [WorkUnit("fig5-hc-sweep", "u0")]) as spec:
+            with pytest.raises(DecompositionError, match="'fig5-hc-sweep'"):
+                spec.units_for(None)
+
+    def test_repeated_unit_id(self):
+        units = [WorkUnit(PROBE, "u0", {"x": 1}), WorkUnit(PROBE, "u0", {"x": 2})]
+        with decomposed_probe(lambda config: units) as spec:
+            with pytest.raises(DecompositionError, match="duplicate unit id 'u0'"):
+                spec.units_for(None)
+
+    def test_zero_units(self):
+        with decomposed_probe(lambda config: []) as spec:
+            with pytest.raises(DecompositionError, match="zero units"):
+                spec.units_for(None)
+
+    def test_undecomposed_study_merges_one_payload(self):
+        spec = get_study("fig5-hc-sweep")
+        with pytest.raises(DecompositionError, match="exactly one"):
+            spec.merge_units(spec.default_config(), ["first", "second"])
+
+    def test_decomposed_study_runs_one_unit_per_call(self):
+        units = [WorkUnit(PROBE, "u0"), WorkUnit(PROBE, "u1")]
+        with decomposed_probe(lambda config: units) as spec:
+            payloads = [spec.run_unit(None, None, unit) for unit in spec.units_for(None)]
+            assert spec.merge_units(None, payloads) == ("u0", "u1")
 
 
 class TestConfigDigest:

@@ -12,6 +12,7 @@ behind the ``slow`` marker.
 
 from __future__ import annotations
 
+import copy
 import random
 
 import pytest
@@ -124,14 +125,6 @@ class TestFig10ShardedDeterminism:
         sharded = run_fig10(SerialExecutor(), "cycle").single()
         assert points_of(public) == points_of(sharded)
 
-    def test_registered_function_matches_session(self):
-        """Calling the registered study function directly runs the same
-        units in turn and merges them like the session does."""
-        config = MitigationStudyConfig(step_mode="event", **TINY_FIG10)
-        direct = get_study("fig10-mitigations").fn(None, config)
-        sharded = run_fig10(SerialExecutor(), "event").single()
-        assert points_of(direct) == points_of(sharded)
-
 
 class TestChipGridShardedDeterminism:
     """The chip-grid characterization studies shard bit-identically too."""
@@ -175,6 +168,45 @@ class TestChipGridShardedDeterminism:
         )
         assert serial == parallel
         assert list(serial.coverage_by_pattern) == list(config.patterns)
+
+
+def merge_by_hand(study, chip, config):
+    """Run every unit of ``study`` on a fresh copy of ``chip`` and merge."""
+    spec = get_study(study)
+    payloads = [
+        spec.run_unit(copy.deepcopy(chip), config, unit) for unit in spec.units_for(config)
+    ]
+    return spec.merge_units(config, payloads)
+
+
+class TestRegisteredUnitRunner:
+    """A decomposed study's registered function runs one unit: its unit
+    payloads, each measured on a fresh chip copy and merged, are the
+    session's payload."""
+
+    @pytest.mark.parametrize("profile", [("DDR4-new", "A"), ("LPDDR4-1y", "A")])
+    def test_fig4_units_merge_to_session_payload(self, profile):
+        chip = make_chip(*profile, seed=3, geometry=GEOMETRY, hcfirst_target=10_000)
+        config = CoverageStudyConfig(
+            hammer_count=100_000, patterns=("RowStripe0", "RowStripe1", "Checkered0")
+        )
+        session = ExperimentSession(chip).run("fig4-coverage", config).single()
+        assert session.unique_flips_total > 0
+        assert merge_by_hand("fig4-coverage", chip, config) == session
+
+    @pytest.mark.parametrize("profile", [("DDR4-new", "A"), ("LPDDR4-1y", "A")])
+    def test_alg1_units_merge_to_session_payload(self, profile):
+        chip = make_chip(*profile, seed=3, geometry=GEOMETRY, hcfirst_target=10_000)
+        config = CharacterizationConfig(hammer_counts=(25_000, 100_000))
+        session = ExperimentSession(chip).run("alg1-characterization", config).single()
+        assert any(record.flips for record in session.records)
+        assert merge_by_hand("alg1-characterization", chip, config) == session
+
+    def test_fig10_units_merge_to_session_payload(self):
+        config = MitigationStudyConfig(**TINY_FIG10)
+        session = run_fig10(SerialExecutor(), config.step_mode).single()
+        assert session.points
+        assert merge_by_hand("fig10-mitigations", None, config) == session
 
 
 class TestPaperScaleDecomposition:
