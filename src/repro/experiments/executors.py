@@ -36,12 +36,12 @@ from __future__ import annotations
 import copy
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from typing import Any, Iterator, Optional, Sequence, Tuple
 
 from repro.dram.chip import ChipStats, DramChip
-from repro.experiments.study import StudyResult, WorkUnit, config_digest, get_study
+from repro.experiments.study import StudyResult, WorkUnit, get_study
 
 
 @dataclass
@@ -50,13 +50,17 @@ class StudyTask:
 
     ``unit`` selects one shard of a decomposed study (see
     :class:`~repro.experiments.study.WorkUnit`); an undecomposed study runs
-    as its single implicit whole-study unit.  These four fields are all a
-    task's outcome depends on: a chip's behaviour follows from its
-    construction parameters, its seed among them.
+    as its single implicit whole-study unit.  ``study``, ``config``,
+    ``chip`` and ``unit`` are all a task's outcome depends on: a chip's
+    behaviour follows from its construction parameters, its seed among
+    them.  ``config_digest`` is
+    :func:`~repro.experiments.study.config_digest` of ``config``, computed
+    once by the session for all of a run's tasks and stamped on each result.
     """
 
     study: str
     config: Any
+    config_digest: str
     chip: Optional[DramChip]
     unit: WorkUnit
 
@@ -94,7 +98,7 @@ def execute_task(task: StudyTask) -> TaskOutcome:
     elapsed = time.perf_counter() - started
     result = StudyResult(
         study=task.study,
-        config_digest=config_digest(task.config),
+        config_digest=task.config_digest,
         chip_id=chip.chip_id if chip is not None else None,
         type_node=chip.profile.type_node.value if chip is not None else None,
         manufacturer=chip.profile.manufacturer if chip is not None else None,
@@ -149,7 +153,9 @@ class ParallelExecutor(Executor):
         number of tasks per batch.
 
     Tasks are shipped one per round trip, which gives the best load
-    balance for the coarse-grained tasks studies produce.
+    balance for the coarse-grained tasks studies produce.  Outcomes are
+    yielded in completion order; once a task raises, the tasks not yet
+    started are cancelled and the error propagates.
     """
 
     name = "parallel"
@@ -169,11 +175,19 @@ class ParallelExecutor(Executor):
             for index, task in enumerate(tasks):
                 yield index, execute_task(task)
             return
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            # Executor.map yields each outcome once its in-order turn
-            # completes, so the consuming session checkpoints units while
-            # later ones still run.
-            yield from enumerate(pool.map(execute_task, tasks))
+        pool = ProcessPoolExecutor(max_workers=workers)
+        try:
+            futures = {pool.submit(execute_task, task): index for index, task in enumerate(tasks)}
+            # Each outcome is yielded as its task completes, so the consuming
+            # session checkpoints it while slower units (or one that will
+            # fail) still run.
+            for future in as_completed(futures):
+                yield futures[future], future.result()
+        finally:
+            # A failed task, or a consumer that stops early, cancels every
+            # task not yet started; running ones finish before the pool
+            # shuts down.
+            pool.shutdown(cancel_futures=True)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"ParallelExecutor(max_workers={self.max_workers})"

@@ -266,7 +266,13 @@ class ExperimentSession:
                         continue
                 pending_slots.append((t_index, u_index, key))
                 pending_tasks.append(
-                    StudyTask(study=spec.name, config=config, chip=chip, unit=unit)
+                    StudyTask(
+                        study=spec.name,
+                        config=config,
+                        config_digest=digest,
+                        chip=chip,
+                        unit=unit,
+                    )
                 )
 
         # Each outcome is filed under its task by index and checkpointed into

@@ -148,6 +148,24 @@ def _is_entry_for(key: CacheKey, result: Any) -> bool:
     return getattr(result, "config_digest", None) == key.config_digest
 
 
+def _read_file(path: str) -> Optional[bytes]:
+    """The bytes of the file at ``path``, or ``None`` if there is none.
+
+    One ``read`` of the size ``fstat`` reports (an entry file is published
+    whole and never rewritten in place, see :meth:`ResultStore.put`); the
+    descriptor is closed on every path.  A read that came back short would
+    fail to unpickle, so its entry would be recomputed, never served torn.
+    """
+    try:
+        fd = os.open(path, os.O_RDONLY | getattr(os, "O_BINARY", 0))
+    except FileNotFoundError:
+        return None
+    try:
+        return os.read(fd, os.fstat(fd).st_size)
+    finally:
+        os.close(fd)
+
+
 @dataclass
 class StoreStats:
     """Hit/miss counters of one :class:`ResultStore`.
@@ -187,8 +205,11 @@ class ResultStore:
     def __init__(self, root: Optional[Union[str, os.PathLike]] = None) -> None:
         self.root = Path(root) if root is not None else None
         self.stats = StoreStats()
+        #: Every result this store put, by key (entries read from disk are
+        #: not kept).
         self._memory: Dict[CacheKey, StudyResult] = {}
-        #: Study name -> its entry directory as a string, for :meth:`get`.
+        #: Study name -> its entry directory as a string ending in a path
+        #: separator, for :meth:`get`.
         self._study_dirs: Dict[str, str] = {}
 
     @contextlib.contextmanager
@@ -246,42 +267,46 @@ class ResultStore:
         chip's entry, a foreign file -- is quarantined, counted in
         ``stats.corrupt`` and reported as a miss, so the caller recomputes
         the result and :meth:`put` rewrites it.
+
+        No caller receives the memo's own object: an on-disk entry is
+        unpickled afresh on each get (it is not memoized), so it shares
+        nothing with any other hit, and a result this store put is handed
+        out as a ``copy.copy``, so setting a hit's fields never changes what
+        the next get of its key returns.
         """
         result = self._memory.get(key)
-        if result is None and self.root is not None:
+        if result is not None:
+            result = copy.copy(result)
+        elif self.root is not None:
             result = self._load(key)
         if result is None:
             self.stats.misses += 1
             return None
         self.stats.hits += 1
-        hit = copy.copy(result)
-        hit.from_cache = True
-        return hit
+        result.from_cache = True
+        return result
 
     def _load(self, key: CacheKey) -> Optional[StudyResult]:
         """Read and verify one on-disk entry; ``None`` if absent or bad."""
         directory = self._study_dirs.get(key.study)
         if directory is None:
-            directory = self._study_dirs[key.study] = os.path.join(self.root, key.study)
-        path = os.path.join(directory, key.filename)
-        try:
-            handle = open(path, "rb")
-        except FileNotFoundError:
+            directory = self._study_dirs[key.study] = os.path.join(self.root, key.study, "")
+        path = directory + key.filename
+        data = _read_file(path)
+        if data is None:
             return None
-        with handle:
-            try:
-                result = pickle.load(handle)
-                valid = _is_entry_for(key, result)
-            except Exception:
-                # pickle on damaged bytes can raise almost anything
-                # (UnicodeDecodeError, ValueError, TypeError, OverflowError,
-                # MemoryError, ... besides UnpicklingError and EOFError), and
-                # each of them means a corrupt entry, never a crash.
-                valid = False
+        try:
+            result = pickle.loads(data)
+            valid = _is_entry_for(key, result)
+        except Exception:
+            # pickle on damaged bytes can raise almost anything
+            # (UnicodeDecodeError, ValueError, TypeError, OverflowError,
+            # MemoryError, ... besides UnpicklingError and EOFError), and
+            # each of them means a corrupt entry, never a crash.
+            valid = False
         if not valid:
             self._quarantine(path)
             return None
-        self._memory[key] = result
         return result
 
     def _quarantine(self, path: str) -> None:

@@ -83,13 +83,14 @@ class WorkUnit:
 
     def __post_init__(self) -> None:
         params = self.params
-        if isinstance(params, Mapping):
-            items = params.items()
+        if type(params) is dict and set(map(type, params)) == {str}:
+            # Distinct str keys: the pairs sort by key, never by value.
+            normalized = tuple(sorted(params.items()))
         else:
-            items = tuple(params)
-        normalized = tuple(
-            sorted(((str(key), value) for key, value in items), key=lambda kv: kv[0])
-        )
+            items = params.items() if isinstance(params, Mapping) else tuple(params)
+            normalized = tuple(
+                sorted(((str(key), value) for key, value in items), key=lambda kv: kv[0])
+            )
         object.__setattr__(self, "params", normalized)
 
     @property
@@ -112,7 +113,7 @@ class WorkUnit:
         frozen), so a unit's store lookup and its execution share one
         hash.
         """
-        text = "\x1f".join((self.study, self.unit_id, _canonical(self.param_dict)))
+        text = "\x1f".join((self.study, self.unit_id, _canonical_params(self.params)))
         return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
     @property
@@ -417,6 +418,27 @@ def _canonical(value: Any) -> str:
     if isinstance(value, (list, tuple)):
         return "(" + ",".join(_canonical(item) for item in value) + ")"
     return repr(value)
+
+
+def _canonical_params(params: Tuple[Tuple[str, Any], ...]) -> str:
+    """``_canonical(dict(params))`` for a unit's key-sorted parameter pairs.
+
+    When the keys are distinct ASCII identifiers, as every built-in study's
+    are, each key's repr is the key in single quotes and repr order is sort
+    order (every identifier character sorts after the quote), so the text is
+    one join over the pairs as they stand.  Any other params take the
+    general path.
+    """
+    previous = ""
+    for key, _ in params:
+        if type(key) is not str or key <= previous or not (key.isascii() and key.isidentifier()):
+            return _canonical(dict(params))
+        previous = key
+    items = [
+        f"'{key}':{repr(value) if type(value) in _SCALAR_TYPES else _canonical(value)}"
+        for key, value in params
+    ]
+    return "{" + ",".join(items) + "}"
 
 
 def config_digest(config: Any) -> str:

@@ -24,8 +24,8 @@ Message reference
 -----------------
 Handshake (both directions of every connection)::
 
-    {"type": "hello", "role": "client"|"worker", "name": str, "protocol": 5}
-    {"type": "hello_ack", "protocol": 5}
+    {"type": "hello", "role": "client"|"worker", "name": str, "protocol": 6}
+    {"type": "hello_ack", "protocol": 6}
     {"type": "error", "error": str}          # fatal; sender closes after
     {"type": "goodbye"}                      # client or worker; no reply
 
@@ -87,8 +87,10 @@ from typing import Any, Dict, Optional
 #: dict or ``unit_digest``; the submitting session's store is the only
 #: checkpoint of a service run.  Version 5: a submit is a list of task blobs,
 #: and the scheduler names each unit ``"<submission id>/<index>"`` instead of
-#: taking the client's per-unit ``key`` and ``index``.
-PROTOCOL_VERSION = 5
+#: taking the client's per-unit ``key`` and ``index``.  Version 6: a task
+#: blob's :class:`~repro.experiments.executors.StudyTask` carries the
+#: session's ``config_digest``, which the worker stamps on the result.
+PROTOCOL_VERSION = 6
 
 #: Upper bound on one framed line.  A full-scale Figure 10 submission
 #: (2304 pickled work units) is tens of MB; 256 MB leaves headroom without

@@ -30,13 +30,21 @@ from repro.experiments import ExperimentSession
 GEOMETRY = ChipGeometry(banks=1, rows_per_bank=48, row_bytes=32)
 
 
-@pytest.fixture(scope="module")
-def vulnerable_chip():
+def make_vulnerable_chip():
     """A very vulnerable DDR4 chip so every study observes plenty of flips."""
     return make_chip("DDR4-new", "A", seed=50, geometry=GEOMETRY, hcfirst_target=12_000)
 
 
-@pytest.fixture(scope="module")
+# The chip fixtures are function-scoped: the studies below hammer the chip
+# they are given, so a chip shared by the module would make each test
+# measure what the tests before it left behind (and depend on test order
+# and -k selection).  Every test gets a pristine chip instead.
+@pytest.fixture
+def vulnerable_chip():
+    return make_vulnerable_chip()
+
+
+@pytest.fixture
 def vulnerable_lpddr4():
     return make_chip("LPDDR4-1y", "A", seed=51, geometry=GEOMETRY, hcfirst_target=12_000)
 
@@ -79,10 +87,10 @@ class TestConfigValidation:
 
 
 @pytest.fixture(scope="module")
-def coverage(vulnerable_chip):
+def coverage():
     """The Figure 4 study's payload for the vulnerable DDR4 chip."""
     return (
-        ExperimentSession(vulnerable_chip)
+        ExperimentSession(make_vulnerable_chip())
         .run("fig4-coverage", CoverageStudyConfig(hammer_count=150_000))
         .single()
     )

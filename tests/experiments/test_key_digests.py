@@ -192,3 +192,37 @@ def test_unit_digest_matches_reference(params, unit_id):
     assert unit.digest == expected
     assert unit.digest == expected  # a second read serves the same digest
     assert WorkUnit(study="probe", unit_id=unit_id, params=expected_params).digest == expected
+
+
+#: Identifier keys, which take the one-join canonical text, mixed with keys
+#: that must not: ``"a b"`` (a space sorts before the closing quote, so
+#: repr order differs from sort order), ``"a'"`` (repr switches to double
+#: quotes), ``"é"`` (not ASCII), ``"1"`` and ``""``; non-``str`` keys are
+#: normalized by ``str()``, so ``1`` and ``"1"`` collide.  The pool is small
+#: so that pair lists repeat keys.
+identifiers = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,3}", fullmatch=True)
+unit_keys = st.one_of(
+    identifiers,
+    st.sampled_from(["a", "b", "a_", "A", "_", "a b", "a'", "é", "1", ""]),
+    st.sampled_from([1, -2, None, 1.5, (1, "a"), True]),
+)
+unit_params = st.one_of(
+    st.dictionaries(identifiers, values, max_size=6),
+    st.dictionaries(unit_keys, values, max_size=6),
+    st.lists(st.tuples(unit_keys, values), max_size=6),
+)
+
+
+@given(params=unit_params, as_iterator=st.booleans())
+@settings(max_examples=300)
+def test_unit_digest_matches_reference_for_every_kind_of_key(params, as_iterator):
+    """``WorkUnit.digest`` is the sha256 over the reference canonical text
+    of the normalized params (keys made ``str``, the last of a repeated key
+    winning), whichever canonical path the keys take."""
+    pairs = list(params.items()) if isinstance(params, dict) else params
+    normalized = {str(key): value for key, value in pairs}
+    expected = _sha16("\x1f".join(("probe", "u", _reference_canonical(normalized))))
+    given_params = iter(pairs) if as_iterator else params
+    unit = WorkUnit(study="probe", unit_id="u", params=given_params)
+    assert unit.digest == expected
+    assert unit.param_dict == normalized

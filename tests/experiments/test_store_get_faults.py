@@ -9,7 +9,8 @@ re-execute exactly that unit, merge to the payload of the clean run,
 quarantine the damaged file out of the ``*.pkl`` namespace and count it in
 ``StoreStats.corrupt``.  ``put`` then rewrites the entry, so the next run
 replays every unit.  A property test damages random bytes of a real entry
-and checks that ``get`` never raises.
+and checks that ``get`` never raises.  A caller that mutates a hit does not
+damage the next get of its key either.
 """
 
 from __future__ import annotations
@@ -290,6 +291,25 @@ def test_second_reader_of_a_quarantined_entry_sees_a_plain_miss(tmp_path):
     assert second.get(key) is None
     assert (first.stats.misses, first.stats.corrupt) == (1, 1)
     assert (second.stats.misses, second.stats.corrupt) == (1, 0)
+
+
+def test_mutating_a_hit_leaves_the_next_get_unchanged(tmp_path):
+    """Every get hands out the caller's own envelope: an entry read from
+    disk is unpickled afresh, and a result the store put is copied out of
+    its memo."""
+    key = CacheKey(study="store-faults", config_digest="c0", chip_digest="population")
+    clean = envelope(key, payload=["clean"])
+    writer = ResultStore(tmp_path)
+    writer.put(key, clean)
+    for store in (ResultStore(tmp_path), writer):
+        hit = store.get(key)
+        hit.payload, hit.config_digest, hit.from_cache = "mutated", "c1", False
+        again = store.get(key)
+        assert again == clean and again.from_cache
+    reader = ResultStore(tmp_path)
+    reader.get(key).payload.append("mutated")
+    assert reader.get(key).payload == ["clean"]
+    assert (reader.stats.hits, reader.stats.misses, reader.stats.corrupt) == (2, 0, 0)
 
 
 @functools.lru_cache(maxsize=None)

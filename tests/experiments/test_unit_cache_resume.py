@@ -8,6 +8,10 @@ exactly k units and still merge to the bit-identical payload.
 
 from __future__ import annotations
 
+import dataclasses
+import os
+import time
+
 import pytest
 
 from repro.analysis.mitigation_study import MitigationStudyConfig
@@ -17,10 +21,14 @@ from repro.dram.geometry import ChipGeometry
 from repro.dram.population import flatten_population, make_chip, make_population
 from repro.experiments import (
     ExperimentSession,
+    ParallelExecutor,
     ResultStore,
     SerialExecutor,
+    WorkUnit,
     config_digest,
     get_study,
+    register_study,
+    unregister_study,
 )
 from repro.experiments.executors import execute_task
 
@@ -183,6 +191,85 @@ class TestFig10Resume:
         entry.unlink()
         again = ExperimentSession(store=store).run("fig10-mitigations", TINY_FIG10)
         assert again.executed == 1
+
+
+FAILING_FIRST = "test-failing-first-unit"
+
+
+@dataclasses.dataclass(frozen=True)
+class FailingFirstConfig:
+    """Unit 0 sleeps ``first_unit_s`` and raises; every other unit sleeps
+    ``unit_s``.  Each unit first creates the file ``<markers>/<index>``."""
+
+    units: int
+    first_unit_s: float
+    unit_s: float
+    markers: str
+
+
+def _failing_first_units(config):
+    return [
+        WorkUnit(
+            study=FAILING_FIRST,
+            unit_id=f"unit-{index}",
+            params={"index": index, **dataclasses.asdict(config)},
+        )
+        for index in range(config.units)
+    ]
+
+
+def _run_failing_first_unit(_chip, _config, unit):
+    params = unit.param_dict
+    index = params["index"]
+    open(os.path.join(params["markers"], str(index)), "w").close()
+    time.sleep(params["first_unit_s"] if index == 0 else params["unit_s"])
+    if index == 0:
+        raise RuntimeError("unit 0 failed")
+    return index
+
+
+@pytest.fixture
+def failing_first_study():
+    """Registered before the pool's workers fork, so they inherit it."""
+    register_study(
+        FAILING_FIRST,
+        config=FailingFirstConfig,
+        requires_chip=False,
+        decompose=_failing_first_units,
+        merge=lambda _config, payloads: list(payloads),
+    )(_run_failing_first_unit)
+    yield
+    unregister_study(FAILING_FIRST)
+
+
+@pytest.mark.usefixtures("failing_first_study")
+class TestParallelExecutorCheckpoints:
+    def test_units_finished_past_a_slow_failing_unit_are_stored(self, tmp_path):
+        """Unit 0 holds one worker for a second and then raises, while the
+        other worker finishes units 1-3: all three reach the store before
+        the run fails, because outcomes arrive in completion order."""
+        config = FailingFirstConfig(units=4, first_unit_s=1.0, unit_s=0.0, markers=str(tmp_path))
+        store = ResultStore(tmp_path / "store")
+        session = ExperimentSession(store=store, executor=ParallelExecutor(max_workers=2))
+        with pytest.raises(RuntimeError, match="unit 0 failed"):
+            session.run(FAILING_FIRST, config)
+        digest = config_digest(config)
+        units = get_study(FAILING_FIRST).units_for(config)
+        fresh = ResultStore(tmp_path / "store")
+        stored = [fresh.get(fresh.key_for(FAILING_FIRST, digest, None, u)) for u in units]
+        assert [entry is not None for entry in stored] == [False, True, True, True]
+        assert [entry.payload for entry in stored[1:]] == [1, 2, 3]
+
+    def test_a_failed_unit_cancels_the_units_not_yet_started(self, tmp_path):
+        """Unit 0 fails at once; of the eleven 0.2 s units behind it, only
+        those the pool had already handed to a worker still start."""
+        config = FailingFirstConfig(units=12, first_unit_s=0.0, unit_s=0.2, markers=str(tmp_path))
+        session = ExperimentSession(executor=ParallelExecutor(max_workers=2))
+        with pytest.raises(RuntimeError, match="unit 0 failed"):
+            session.run(FAILING_FIRST, config)
+        started = [name for name in os.listdir(tmp_path) if name.isdigit()]
+        assert "0" in started
+        assert len(started) < config.units
 
 
 class TestChipStudyResume:

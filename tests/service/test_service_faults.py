@@ -63,7 +63,11 @@ def submit_selftest(client, config):
 
     spec = get_study("service-selftest")
     units = spec.units_for(config)
-    tasks = [StudyTask(study=spec.name, config=config, chip=None, unit=unit) for unit in units]
+    digest = config_digest(config)
+    tasks = [
+        StudyTask(study=spec.name, config=config, config_digest=digest, chip=None, unit=unit)
+        for unit in units
+    ]
     client.submit_units([protocol.pack_blob(task) for task in tasks], label="faults")
 
 
