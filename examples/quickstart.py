@@ -17,6 +17,7 @@ Run with::
 """
 
 from repro import DoubleSidedHammer, ExperimentSession, make_chip, profile_for
+from repro.core.data_patterns import worst_case_pattern
 from repro.dram.geometry import ChipGeometry
 
 # A small simulated chip: the vulnerability model calibrates itself to the
@@ -31,7 +32,8 @@ def main() -> None:
     print(f"chip: {chip.chip_id}")
     print(f"  type-node:     {chip.profile.type_node}")
     print(f"  on-die ECC:    {chip.has_on_die_ecc}")
-    print(f"  worst pattern: {chip.profile.worst_case_pattern_bytes()}")
+    worst = worst_case_pattern(chip.profile)
+    print(f"  worst pattern: {(worst.victim_byte, worst.aggressor_byte)}")
 
     # 2. Hammer one victim row with the worst-case double-sided pattern.
     hammer = DoubleSidedHammer(chip)

@@ -87,9 +87,12 @@ def run_attack(mechanism_name):
         "DDR4-new", "A", seed=9, geometry=GEOMETRY, hcfirst_target=FUTURE_HCFIRST
     )
     victim_byte, aggressor_byte = 0x00, 0xFF
-    for row in range(VICTIM_ROW - 3, VICTIM_ROW + 4):
-        byte = victim_byte if (row - VICTIM_ROW) % 2 == 0 else aggressor_byte
-        chip.write_row(0, row, byte)
+    rows = range(VICTIM_ROW - 3, VICTIM_ROW + 4)
+    chip.write_rows(
+        0,
+        rows,
+        [victim_byte if (row - VICTIM_ROW) % 2 == 0 else aggressor_byte for row in rows],
+    )
 
     # Wire the controller's command stream into the chip model.
     simulation = Simulation(config, [trace], mitigation=ChipObserver(chip, mitigation))
@@ -97,7 +100,7 @@ def run_attack(mechanism_name):
     stats = simulation.controller.stats
 
     expected = np.full(chip.geometry.row_bytes, victim_byte, dtype=np.uint8)
-    observed = chip.read_row(0, VICTIM_ROW)
+    observed = chip.read_rows(0, [VICTIM_ROW])[0]
     victim_flips = int(np.unpackbits(observed ^ expected).sum())
     return stats.demand_activates, stats.mitigation_refreshes, victim_flips
 

@@ -5,7 +5,7 @@ with a calibrated stochastic device model (see :mod:`repro.dram.vulnerability`
 for the per-configuration profiles calibrated to the paper's results).  The
 observable interface of a :class:`~repro.dram.chip.DramChip` is the same set
 of operations the paper's testing infrastructure performs on real chips:
-write a row, activate (hammer) a row, refresh, and read a row back.
+write rows, activate (hammer) a row, refresh, and read rows back.
 The chip is the unit every study runs on; the paper's module inventories
 (Table 1 and appendix Tables 7 and 8) are kept as records in
 :mod:`repro.dram.population`.
@@ -34,8 +34,9 @@ what the hammer/refresh kernels operate on --
 One ``activate`` / ``hammer_pair`` disturbs every victim row of the blast
 radius in a single vectorized op.
 
-Single-row operations (``write_row`` / ``read_row``) index one row of the
-arrays. :class:`~repro.dram.reference.ReferenceDramChip` keeps a
+Rows are written and read in batches (``write_rows`` / ``read_rows`` /
+``read_rows_raw``), all or nothing: a batch that raises changes no row and
+no counter. :class:`~repro.dram.reference.ReferenceDramChip` keeps a
 dict-of-rows implementation as the oracle the differential suite pins the
 vectorized kernels against, and :func:`~repro.dram.chip.state_digest`
 hashes any backend's observable raw state for those comparisons.

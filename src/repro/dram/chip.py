@@ -3,16 +3,21 @@
 A :class:`DramChip` exposes the same observable operations the paper's test
 infrastructure performs against real chips:
 
-* ``write_row`` / ``read_row`` -- store and retrieve row data (the read path
-  goes through on-die ECC for LPDDR4 chips, which cannot be disabled);
+* ``write_rows`` / ``read_rows`` -- store and retrieve a list of rows in one
+  payload, the way the FPGA testers the paper builds on move whole row lists
+  to the board (the read path goes through on-die ECC for LPDDR4 chips,
+  which cannot be disabled);
+* ``read_rows_raw`` -- the stored bits of a list of rows, bypassing on-die
+  ECC;
 * ``activate`` -- open a row, disturbing physically nearby rows;
 * ``hammer_pair`` -- bulk double-sided hammering (the worst-case access
   sequence of Section 4.3);
 * ``refresh_row`` / ``refresh_all`` -- restore cell charge, resetting the
-  accumulated disturbance;
-* ``write_rows`` / ``read_rows`` / ``read_rows_raw`` -- batch counterparts
-  that move whole row-lists in one vectorized payload, the way the FPGA
-  testers the paper builds on batch row programs to the board.
+  accumulated disturbance.
+
+A row operation is all or nothing: every row of a batch is range-checked and
+every payload coerced before any state changes, so a batch that raises
+changes no row and no :class:`ChipStats` counter.
 
 Disturbance model
 -----------------
@@ -400,36 +405,21 @@ class DramChip(_CalibratedChip):
     # ------------------------------------------------------------------
     # Data path
     # ------------------------------------------------------------------
-    def write_row(self, bank: int, row: int, data: RowData) -> None:
-        """Write a full row.
-
-        ``data`` may be a fill byte (``int``) or a byte buffer of exactly
-        ``row_bytes`` bytes, each within ``[0, 255]``.  Writing a row
-        restores its charge: accumulated disturbance on its wordline is
-        cleared and any previously flipped cells take the new value.
-        """
-        self.geometry.validate_address(bank, row)
-        bits, check_bits = self._row_data(data)
-        columns = self._bank(bank)
-        columns.bits[row] = bits
-        if check_bits is not None:
-            columns.check_bits[row] = check_bits
-        columns.flipped[row] = False
-        columns.epoch[row] = columns.epoch[row] + 1 if columns.written[row] else 1
-        columns.written[row] = True
-        wordline = self.remapper.logical_to_physical(row)
-        columns.exposure[wordline] = 0.0
-        columns.exposure_present[wordline] = True
-        self.stats.row_writes += 1
-
     def write_rows(self, bank: int, rows: Sequence[int], data) -> None:
-        """Write a batch of rows, updating their bookkeeping in one vectorized step.
+        """Write a batch of rows, all or none.
 
-        ``rows`` is a sequence of logical row numbers; ``data`` is either a
-        single fill byte applied to every row or a sequence of per-row
-        values accepted by :meth:`write_row`.  Semantically identical to
-        writing the rows one at a time in order (duplicate rows fall back to
-        exactly that).
+        ``rows`` is a sequence of logical row numbers.  ``data`` is one fill
+        byte (``int``) for every row, or one payload per row: a fill byte or
+        a byte buffer of exactly ``row_bytes`` bytes, each within
+        ``[0, 255]``.  Rows are written in order, so a row the batch repeats
+        holds its last payload.  Writing a row restores its charge:
+        accumulated disturbance on its wordline is cleared and any
+        previously flipped cells take the new value.
+
+        Every row is range-checked and every payload coerced before any
+        state changes, so a batch that raises (``IndexError`` for a row out
+        of range, ``ValueError`` for a payload count that does not match or
+        a payload no row can hold) changes no row and no counter.
         """
         self.geometry.validate_bank(bank)
         rows = [int(row) for row in rows]
@@ -438,12 +428,6 @@ class DramChip(_CalibratedChip):
         if len(data) != len(rows):
             raise ValueError(f"expected {len(rows)} row payloads, got {len(data)}")
         if not rows:
-            return
-        if len(set(rows)) != len(rows):
-            # Later duplicates overwrite earlier ones; keep strict
-            # write-at-a-time semantics for that (rare) case.
-            for row, row_data in zip(rows, data):
-                self.write_row(bank, row, row_data)
             return
         self._validate_rows(bank, rows)
         row_data = [self._row_data(value) for value in data]
@@ -454,7 +438,9 @@ class DramChip(_CalibratedChip):
                 columns.check_bits[row] = check_bits
         index = np.asarray(rows, dtype=np.intp)
         columns.flipped[index] = False
-        columns.epoch[index] = np.where(columns.written[index], columns.epoch[index] + 1, 1)
+        # Every write advances the row's epoch (an unwritten row's is 0), a
+        # row the batch repeats once per write.
+        np.add.at(columns.epoch, index, 1)
         columns.written[index] = True
         wordlines = np.asarray(
             [self.remapper.logical_to_physical(row) for row in rows], dtype=np.intp
@@ -463,23 +449,13 @@ class DramChip(_CalibratedChip):
         columns.exposure_present[wordlines] = True
         self.stats.row_writes += len(rows)
 
-    def read_row(self, bank: int, row: int) -> np.ndarray:
-        """Read a row as bytes, through on-die ECC when the chip has it."""
-        self.geometry.validate_address(bank, row)
-        self.stats.row_reads += 1
-        columns = self._banks.get(bank)
-        if columns is None or not columns.written[row]:
-            return np.zeros(self.geometry.row_bytes, dtype=np.uint8)
-        bits = columns.bits[row]
-        if self._ondie_ecc is not None and columns.flipped[row]:
-            bits, _corrected = self._ondie_ecc.decode_row(bits, columns.check_bits[row])
-        return np.packbits(bits)
-
     def read_rows(self, bank: int, rows: Sequence[int]) -> np.ndarray:
         """Read a batch of rows as a ``(len(rows), row_bytes)`` byte matrix.
 
-        Equivalent to stacking :meth:`read_row` results (ECC decode is
-        batched across the flipped rows in one call).
+        Reads go through on-die ECC when the chip has it (one decode over
+        the rows the disturbance kernel flipped); a row never written reads
+        as zeros.  Every row is range-checked first, so a batch that raises
+        ``IndexError`` counts no read.
         """
         self.geometry.validate_bank(bank)
         rows = [int(row) for row in rows]
@@ -500,16 +476,11 @@ class DramChip(_CalibratedChip):
                 bits[flipped] = decoded.reshape(flipped.size, -1)
         return np.packbits(bits, axis=1)
 
-    def read_row_raw(self, bank: int, row: int) -> np.ndarray:
-        """Read the raw stored bits of a row, bypassing on-die ECC."""
-        self.geometry.validate_address(bank, row)
-        columns = self._banks.get(bank)
-        if columns is None or not columns.written[row]:
-            return np.zeros(self.geometry.row_bits, dtype=np.uint8)
-        return columns.bits[row].copy()
-
     def read_rows_raw(self, bank: int, rows: Sequence[int]) -> np.ndarray:
-        """Raw stored bits of a batch of rows as ``(len(rows), row_bits)``."""
+        """Raw stored bits of a batch of rows as ``(len(rows), row_bits)``.
+
+        Bypasses on-die ECC and counts no read.
+        """
         self.geometry.validate_bank(bank)
         rows = [int(row) for row in rows]
         self._validate_rows(bank, rows)
@@ -668,11 +639,10 @@ def state_digest(chip) -> str:
     the public read API, so it is computable for any backend
     (:class:`DramChip`, :class:`~repro.dram.reference.ReferenceDramChip`)
     and identical exactly when their observable states are.  Reads bypass
-    the stats counters (``read_row_raw`` does not count), so digesting is
+    the stats counters (``read_rows_raw`` does not count), so digesting is
     side-effect-free.
     """
     digest = hashlib.sha256()
     for bank in range(chip.geometry.banks):
-        for row in range(chip.geometry.rows_per_bank):
-            digest.update(chip.read_row_raw(bank, row).tobytes())
+        digest.update(chip.read_rows_raw(bank, range(chip.geometry.rows_per_bank)).tobytes())
     return digest.hexdigest()

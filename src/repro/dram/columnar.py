@@ -30,7 +30,8 @@ Array layout (per bank; ``R`` rows, ``B`` row bits, ``W`` wordlines)
 ``flipped``           (R,)    bool     stored data bits flipped by disturbance
                                        since the row's last write (on-die-ECC
                                        reads decode only these rows)
-``epoch``             (R,)    int64    refresh epoch (increments on write/refresh)
+``epoch``             (R,)    int64    refresh epoch (0 until the row's first
+                                       write; increments on write/refresh)
 ``exposure``          (W,)    float64  accumulated weighted disturbance
 ``exposure_present``  (W,)    bool     wordline has an exposure entry (pristine
                                        tracking mirrors the old dict's *key

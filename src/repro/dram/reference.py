@@ -18,11 +18,11 @@ difference.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.dram.chip import RowData, _CalibratedChip
+from repro.dram.chip import _CalibratedChip
 from repro.dram.columnar import sample_class_row, sample_noise_row, sample_threshold_row
 
 
@@ -40,8 +40,9 @@ class ReferenceDramChip(_CalibratedChip):
 
     Accepts the same construction parameters as
     :class:`~repro.dram.chip.DramChip` and exposes the same operation
-    surface (including the batch ``write_rows`` / ``read_rows`` methods,
-    implemented as plain loops).
+    surface, with the same all-or-nothing batch contract; its row
+    operations check a whole batch first and then apply it in a plain
+    per-row loop.
     """
 
     def __init__(self, *args, **kwargs) -> None:
@@ -60,69 +61,65 @@ class ReferenceDramChip(_CalibratedChip):
     # ------------------------------------------------------------------
     # Data path
     # ------------------------------------------------------------------
-    def write_row(self, bank: int, row: int, data: RowData) -> None:
-        """Write a full row (see :meth:`repro.dram.chip.DramChip.write_row`)."""
-        self.geometry.validate_address(bank, row)
-        bits = self._coerce_row_bits(data)
-        state = self._rows.get((bank, row))
-        check_bits = None
-        if self._ondie_ecc is not None:
-            check_bits = self._ondie_ecc.encode_row(bits)
-        if state is None:
-            state = _RowState(bits=bits, check_bits=check_bits, epoch=1)
-            self._rows[(bank, row)] = state
-        else:
-            state.bits = bits
-            state.check_bits = check_bits
-            state.epoch += 1
-        wordline = self.remapper.logical_to_physical(row)
-        self._exposure[(bank, wordline)] = 0.0
-        self.stats.row_writes += 1
-
-    def write_rows(self, bank: int, rows: Sequence[int], data) -> None:
-        """Batch write as a plain loop over :meth:`write_row`."""
+    def _check_rows(self, bank: int, rows: Sequence[int]) -> List[int]:
+        """Range-check every row of a batch before any of it is applied."""
         self.geometry.validate_bank(bank)
         rows = [int(row) for row in rows]
+        for row in rows:
+            self.geometry.validate_address(bank, row)
+        return rows
+
+    def write_rows(self, bank: int, rows: Sequence[int], data) -> None:
+        """Batch write, all or none (see :meth:`repro.dram.chip.DramChip.write_rows`).
+
+        Checks every row and coerces every payload first, then writes the
+        rows one at a time in order.
+        """
+        rows = self._check_rows(bank, rows)
         if isinstance(data, (int, np.integer)):
             data = [data] * len(rows)
         if len(data) != len(rows):
             raise ValueError(f"expected {len(rows)} row payloads, got {len(data)}")
-        for row, row_data in zip(rows, data):
-            self.write_row(bank, row, row_data)
-
-    def read_row(self, bank: int, row: int) -> np.ndarray:
-        """Read a row as bytes, through on-die ECC when the chip has it."""
-        self.geometry.validate_address(bank, row)
-        self.stats.row_reads += 1
-        state = self._rows.get((bank, row))
-        if state is None:
-            return np.zeros(self.geometry.row_bytes, dtype=np.uint8)
-        bits = state.bits
-        if self._ondie_ecc is not None and state.check_bits is not None:
-            bits, _corrected = self._ondie_ecc.decode_row(bits, state.check_bits)
-        return np.packbits(bits)
+        row_bits = [self._coerce_row_bits(value) for value in data]
+        for row, bits in zip(rows, row_bits):
+            check_bits = None
+            if self._ondie_ecc is not None:
+                check_bits = self._ondie_ecc.encode_row(bits)
+            state = self._rows.get((bank, row))
+            if state is None:
+                self._rows[(bank, row)] = _RowState(bits=bits, check_bits=check_bits, epoch=1)
+            else:
+                state.bits = bits
+                state.check_bits = check_bits
+                state.epoch += 1
+            wordline = self.remapper.logical_to_physical(row)
+            self._exposure[(bank, wordline)] = 0.0
+            self.stats.row_writes += 1
 
     def read_rows(self, bank: int, rows: Sequence[int]) -> np.ndarray:
-        """Batch read as a plain loop over :meth:`read_row`."""
-        self.geometry.validate_bank(bank)
-        if not len(rows):
-            return np.zeros((0, self.geometry.row_bytes), dtype=np.uint8)
-        return np.stack([self.read_row(bank, int(row)) for row in rows])
-
-    def read_row_raw(self, bank: int, row: int) -> np.ndarray:
-        """Read the raw stored bits of a row, bypassing on-die ECC."""
-        self.geometry.validate_address(bank, row)
-        state = self._rows.get((bank, row))
-        if state is None:
-            return np.zeros(self.geometry.row_bits, dtype=np.uint8)
-        return state.bits.copy()
+        """Batch read through on-die ECC, one row at a time after the range check."""
+        rows = self._check_rows(bank, rows)
+        out = np.zeros((len(rows), self.geometry.row_bytes), dtype=np.uint8)
+        for index, row in enumerate(rows):
+            self.stats.row_reads += 1
+            state = self._rows.get((bank, row))
+            if state is None:
+                continue
+            bits = state.bits
+            if self._ondie_ecc is not None:
+                bits, _corrected = self._ondie_ecc.decode_row(bits, state.check_bits)
+            out[index] = np.packbits(bits)
+        return out
 
     def read_rows_raw(self, bank: int, rows: Sequence[int]) -> np.ndarray:
-        """Batch raw read as a plain loop over :meth:`read_row_raw`."""
-        self.geometry.validate_bank(bank)
-        if not len(rows):
-            return np.zeros((0, self.geometry.row_bits), dtype=np.uint8)
-        return np.stack([self.read_row_raw(bank, int(row)) for row in rows])
+        """Batch raw read bypassing on-die ECC, one row at a time after the range check."""
+        rows = self._check_rows(bank, rows)
+        out = np.zeros((len(rows), self.geometry.row_bits), dtype=np.uint8)
+        for index, row in enumerate(rows):
+            state = self._rows.get((bank, row))
+            if state is not None:
+                out[index] = state.bits
+        return out
 
     # ------------------------------------------------------------------
     # Refresh

@@ -11,10 +11,11 @@ RowHammer characterization is twofold:
   behaves in an undefined way and may even *miscorrect* a clean bit, which
   breaks single-cell flip-probability monotonicity (Table 5).
 
-The model keeps the check bits per DRAM row alongside the data bits.  Check
-bits live in spare columns of the same physical row, so they accumulate
-RowHammer exposure like data bits; the chip model exposes hooks to flip
-check bits as well.
+The model keeps the check bits per DRAM row alongside the data bits.  In a
+real chip the check bits live in spare columns of the same physical row, so
+they accumulate RowHammer exposure like data bits; neither chip backend
+models that: the disturbance kernel flips data bits only, and a row's check
+bits stay as its last write encoded them.
 """
 
 from __future__ import annotations

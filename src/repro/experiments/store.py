@@ -23,7 +23,6 @@ is renamed out of the way and recomputed, never a crash.
 from __future__ import annotations
 
 import contextlib
-import copy
 import dataclasses
 import hashlib
 import os
@@ -191,6 +190,8 @@ class ResultStore:
         ``None`` keeps the cache purely in memory -- useful for sharing
         results between studies of one process without touching disk.
 
+    The store keeps one copy of each entry, the bytes :meth:`put` pickled:
+    in its file under ``root``, or in memory for a memory-only store.
     Results served from the store are marked ``from_cache=True`` so callers
     (and the zero-activation acceptance check) can tell replays from fresh
     executions.
@@ -205,11 +206,10 @@ class ResultStore:
     def __init__(self, root: Optional[Union[str, os.PathLike]] = None) -> None:
         self.root = Path(root) if root is not None else None
         self.stats = StoreStats()
-        #: Every result this store put, by key (entries read from disk are
-        #: not kept).
-        self._memory: Dict[CacheKey, StudyResult] = {}
+        #: A memory-only store's entries: key -> the pickled bytes put made.
+        self._memory: Dict[CacheKey, bytes] = {}
         #: Study name -> its entry directory as a string ending in a path
-        #: separator, for :meth:`get`.
+        #: separator, for :meth:`_entry_path`.
         self._study_dirs: Dict[str, str] = {}
 
     @contextlib.contextmanager
@@ -247,10 +247,12 @@ class ResultStore:
         """Cache key for one study result (see :func:`cache_key`)."""
         return cache_key(study, config_digest, chip, unit)
 
-    def _path(self, key: CacheKey) -> Optional[Path]:
-        if self.root is None:
-            return None
-        return self.root / key.study / key.filename
+    def _entry_path(self, key: CacheKey) -> str:
+        """The file of ``key``'s entry under ``root``."""
+        directory = self._study_dirs.get(key.study)
+        if directory is None:
+            directory = self._study_dirs[key.study] = os.path.join(self.root, key.study, "")
+        return directory + key.filename
 
     # ------------------------------------------------------------------
     # Cache operations
@@ -258,27 +260,22 @@ class ResultStore:
     def get(self, key: CacheKey) -> Optional[StudyResult]:
         """Fetch a cached result, or ``None`` on a miss.
 
-        An on-disk entry is served only if it is the result its key names:
-        a :class:`~repro.experiments.study.StudyResult` of the key's study
-        and chip with the key's unit digest (unit entries) or config digest
+        An entry is served only if it is the result its key names: a
+        :class:`~repro.experiments.study.StudyResult` of the key's study and
+        chip with the key's unit digest (unit entries) or config digest
         (whole-study entries).  An entry that fails that check, or cannot be
         unpickled at all -- a torn write, an empty file, damaged bytes, a
         pickle of a class the code no longer has, another unit's or another
-        chip's entry, a foreign file -- is quarantined, counted in
-        ``stats.corrupt`` and reported as a miss, so the caller recomputes
-        the result and :meth:`put` rewrites it.
+        chip's entry, a foreign file -- is quarantined (a memory entry is
+        dropped), counted in ``stats.corrupt`` and reported as a miss, so
+        the caller recomputes the result and :meth:`put` rewrites it.
 
-        No caller receives the memo's own object: an on-disk entry is
-        unpickled afresh on each get (it is not memoized), so it shares
-        nothing with any other hit, and a result this store put is handed
-        out as a ``copy.copy``, so setting a hit's fields never changes what
-        the next get of its key returns.
+        Every hit is unpickled afresh from the entry's bytes, so it shares
+        nothing with any other hit or with the result that was put: editing
+        a hit, or a result after putting it, never changes what the next
+        get of its key returns.
         """
-        result = self._memory.get(key)
-        if result is not None:
-            result = copy.copy(result)
-        elif self.root is not None:
-            result = self._load(key)
+        result = self._load(key)
         if result is None:
             self.stats.misses += 1
             return None
@@ -287,12 +284,13 @@ class ResultStore:
         return result
 
     def _load(self, key: CacheKey) -> Optional[StudyResult]:
-        """Read and verify one on-disk entry; ``None`` if absent or bad."""
-        directory = self._study_dirs.get(key.study)
-        if directory is None:
-            directory = self._study_dirs[key.study] = os.path.join(self.root, key.study, "")
-        path = directory + key.filename
-        data = _read_file(path)
+        """Read and verify one entry; ``None`` if absent or bad."""
+        if self.root is None:
+            path = None
+            data = self._memory.get(key)
+        else:
+            path = self._entry_path(key)
+            data = _read_file(path)
         if data is None:
             return None
         try:
@@ -305,24 +303,30 @@ class ResultStore:
             # each of them means a corrupt entry, never a crash.
             valid = False
         if not valid:
-            self._quarantine(path)
+            self._quarantine(key, path)
             return None
         return result
 
-    def _quarantine(self, path: str) -> None:
-        """Move a bad entry out of the store's ``*.pkl`` namespace."""
-        with self._write_lock():
-            # Another reader may have quarantined it first.
-            with contextlib.suppress(FileNotFoundError):
-                os.replace(path, path + self.QUARANTINE_SUFFIX)
+    def _quarantine(self, key: CacheKey, path: Optional[str]) -> None:
+        """Take a bad entry out of service: rename its file out of the
+        store's ``*.pkl`` namespace, or drop it from memory."""
+        if path is None:
+            del self._memory[key]
+        else:
+            with self._write_lock():
+                # Another reader may have quarantined it first.
+                with contextlib.suppress(FileNotFoundError):
+                    os.replace(path, path + self.QUARANTINE_SUFFIX)
         self.stats.corrupt += 1
 
     def put(self, key: CacheKey, result: StudyResult) -> None:
-        """Store a freshly executed result in memory and (if rooted) on disk."""
-        stored = dataclasses.replace(result, from_cache=False)
-        self._memory[key] = stored
-        path = self._path(key)
-        if path is not None:
+        """Store a freshly executed result: its pickled bytes, on disk if
+        rooted, else in memory."""
+        data = pickle.dumps(dataclasses.replace(result, from_cache=False))
+        if self.root is None:
+            self._memory[key] = data
+        else:
+            path = Path(self._entry_path(key))
             with self._write_lock():
                 path.parent.mkdir(parents=True, exist_ok=True)
                 # Per-writer unique temp name: concurrent processes sharing
@@ -332,11 +336,10 @@ class ResultStore:
                     f".{path.name}.{os.getpid()}.{uuid.uuid4().hex}.tmp"
                 )
                 try:
-                    with tmp.open("wb") as handle:
-                        pickle.dump(stored, handle)
+                    tmp.write_bytes(data)
                     tmp.replace(path)
                 finally:
-                    # Cleanup only matters on a failed dump/replace, and must
+                    # Cleanup only matters on a failed write/replace, and must
                     # never mask the original exception: the temp file may be
                     # gone already (replace succeeded) or undeletable.
                     with contextlib.suppress(OSError):

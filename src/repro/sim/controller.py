@@ -319,7 +319,7 @@ class MemoryController:
             # Otherwise writes are not draining: the new request adds no
             # issue opportunity until a (horizon-tracked) event changes that.
         # Posted write: the core considers it done once buffered.
-        request.complete(cycle)
+        request.completed = True
         return True
 
     def _fold_enqueue_bound(
@@ -890,7 +890,7 @@ class MemoryController:
         earliest = _NEVER
         for done_cycle, request in self._pending_completions:
             if done_cycle <= cycle:
-                request.complete(cycle)
+                request.completed = True
                 self.stats.read_latency_total += cycle - request.arrival_cycle
                 self.stats.read_latency_samples += 1
             else:

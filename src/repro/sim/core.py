@@ -41,15 +41,6 @@ class CoreStats:
         return self.instructions_retired / self.cpu_cycles
 
 
-class _WindowEntry:
-    """One in-flight instruction-window entry (a pending memory read)."""
-
-    __slots__ = ("completed",)
-
-    def __init__(self) -> None:
-        self.completed = False
-
-
 class SimpleCore:
     """Trace-driven core with an instruction window.
 
@@ -83,7 +74,9 @@ class SimpleCore:
 
         self._trace_index = 0
         self._bubbles_remaining = self.trace[0].bubble_instructions
-        self._window: Deque[_WindowEntry] = deque()
+        #: The reads in flight, oldest first; each retires once the
+        #: controller marks it ``completed``.
+        self._window: Deque[MemoryRequest] = deque()
         #: Which resource blocked the core's next memory request the last
         #: time :meth:`_record_blocked` returned ``True``: ``0`` = write
         #: queue full, ``1`` = read queue full, ``2`` = instruction window
@@ -156,20 +149,16 @@ class SimpleCore:
             else:
                 if len(window) >= self._window_limit:
                     break  # the window is full of outstanding reads
-                entry = _WindowEntry()
                 request = MemoryRequest(
                     request_type=RequestType.READ,
                     bank=record.bank,
                     row=record.row,
                     column=record.column,
                     core_id=self.core_id,
-                    completion_callback=lambda _cycle, entry=entry: setattr(
-                        entry, "completed", True
-                    ),
                 )
                 if not self.controller.enqueue(request, cycle):
                     break  # read queue full; retry next cycle
-                window.append(entry)
+                window.append(request)
                 stats.memory_reads_issued += 1
             # The memory instruction itself counts as one retired instruction.
             stats.instructions_retired += 1

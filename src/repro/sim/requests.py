@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 
 class RequestType(enum.Enum):
@@ -34,9 +33,6 @@ class MemoryRequest:
         Issuing core (``-1`` for controller-internal requests).
     arrival_cycle:
         DRAM cycle at which the request entered the controller.
-    completion_callback:
-        Called with the completion cycle when a read's data is returned or
-        a (posted) write has been buffered.  Victim refreshes carry none.
     """
 
     request_type: RequestType
@@ -45,7 +41,6 @@ class MemoryRequest:
     column: int = 0
     core_id: int = -1
     arrival_cycle: int = 0
-    completion_callback: Optional[Callable[[int], None]] = None
     #: Controller-local arrival sequence number, assigned at enqueue time.
     #: FR-FCFS "oldest first" compares these.
     seq: int = 0
@@ -54,15 +49,14 @@ class MemoryRequest:
     #: issued requests as lazy tombstones; readers skip entries with this
     #: flag instead of paying for eager mid-queue deletion.
     popped: bool = False
+    #: Set by the controller when a read's data has returned or a (posted)
+    #: write has been buffered.  A core retires a read from its instruction
+    #: window once this is set.
+    completed: bool = False
 
     @property
     def is_write(self) -> bool:
         return self.request_type is RequestType.WRITE
-
-    def complete(self, cycle: int) -> None:
-        """Notify the issuer that the request completed at ``cycle``."""
-        if self.completion_callback is not None:
-            self.completion_callback(cycle)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (

@@ -51,8 +51,9 @@ class TestWritePattern:
         assert written[9] == 0xFF
         assert written[11] == 0xFF
         assert written[12] == 0x00
-        for row, byte in written.items():
-            assert np.all(ddr4_chip.read_row(0, row) == byte)
+        rows = list(written)
+        expected = np.array([written[row] for row in rows], dtype=np.uint8)
+        assert np.all(ddr4_chip.read_rows(0, rows) == expected[:, None])
 
 
 class TestHammerVictim:

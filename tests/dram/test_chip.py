@@ -15,16 +15,16 @@ from repro.dram.vulnerability import profile_for
 
 class TestDataPath:
     def test_read_back_written_fill_byte(self, ddr4_chip):
-        ddr4_chip.write_row(0, 5, 0xA5)
-        assert np.all(ddr4_chip.read_row(0, 5) == 0xA5)
+        ddr4_chip.write_rows(0, [5], 0xA5)
+        assert np.all(ddr4_chip.read_rows(0, [5]) == 0xA5)
 
     def test_read_back_written_buffer(self, ddr4_chip):
         data = np.arange(ddr4_chip.geometry.row_bytes, dtype=np.uint8)
-        ddr4_chip.write_row(0, 6, data)
-        assert np.array_equal(ddr4_chip.read_row(0, 6), data)
+        ddr4_chip.write_rows(0, [6], [data])
+        assert np.array_equal(ddr4_chip.read_rows(0, [6])[0], data)
 
     def test_unwritten_row_reads_zero(self, ddr4_chip):
-        assert np.all(ddr4_chip.read_row(0, 40) == 0)
+        assert np.all(ddr4_chip.read_rows(0, [40]) == 0)
 
     @pytest.mark.parametrize(
         "chip_class", [DramChip, ReferenceDramChip], ids=["columnar", "reference"]
@@ -39,24 +39,24 @@ class TestDataPath:
             np.full(small_geometry.row_bytes, -1, dtype=np.int64),
         ):
             with pytest.raises(ValueError):
-                chip.write_row(0, 7, data)
+                chip.write_rows(0, [7], [data])
         assert chip.is_pristine
 
     def test_write_rejects_bad_sizes_and_values(self, ddr4_chip):
         with pytest.raises(ValueError):
-            ddr4_chip.write_row(0, 0, np.zeros(3, dtype=np.uint8))
+            ddr4_chip.write_rows(0, [0], [np.zeros(3, dtype=np.uint8)])
         with pytest.raises(ValueError):
-            ddr4_chip.write_row(0, 0, 300)
+            ddr4_chip.write_rows(0, [0], 300)
 
     def test_out_of_range_addresses_rejected(self, ddr4_chip):
         with pytest.raises(IndexError):
-            ddr4_chip.write_row(5, 0, 0)
+            ddr4_chip.write_rows(5, [0], 0)
         with pytest.raises(IndexError):
-            ddr4_chip.read_row(0, 10_000)
+            ddr4_chip.read_rows(0, [10_000])
 
     def test_stats_count_operations(self, ddr4_chip):
-        ddr4_chip.write_row(0, 1, 0)
-        ddr4_chip.read_row(0, 1)
+        ddr4_chip.write_rows(0, [1], 0)
+        ddr4_chip.read_rows(0, [1])
         ddr4_chip.refresh_row(0, 1)
         assert ddr4_chip.stats.row_writes == 1
         assert ddr4_chip.stats.row_reads == 1
@@ -65,16 +65,17 @@ class TestDataPath:
 
 class TestHammering:
     def _prepare_neighbourhood(self, chip, victim, victim_byte, aggressor_byte):
-        for row in range(victim - 3, victim + 4):
-            byte = victim_byte if (row - victim) % 2 == 0 else aggressor_byte
-            chip.write_row(0, row, byte)
+        rows = range(victim - 3, victim + 4)
+        chip.write_rows(
+            0, rows, [victim_byte if (row - victim) % 2 == 0 else aggressor_byte for row in rows]
+        )
 
     def test_robust_chip_never_flips_within_limit(self, robust_chip):
         victim = 20
         self._prepare_neighbourhood(robust_chip, victim, 0x00, 0xFF)
         flips = robust_chip.hammer_pair(0, victim - 1, victim + 1, 150_000)
         assert flips == 0
-        assert np.all(robust_chip.read_row(0, victim) == 0x00)
+        assert np.all(robust_chip.read_rows(0, [victim]) == 0x00)
 
     def test_vulnerable_chip_flips_above_target(self, ddr4_chip):
         _bank, victim, _bit = ddr4_chip.weakest_cell
@@ -124,7 +125,7 @@ class TestHammering:
         self._prepare_neighbourhood(ddr4_chip, victim, 0x00, 0xFF)
         # Slightly above the double-sided threshold: single-sided should not flip.
         assert ddr4_chip.activate(0, victim - 1, int(target * 1.2)) == 0
-        ddr4_chip.write_row(0, victim, 0x00)
+        ddr4_chip.write_rows(0, [victim], 0x00)
         # At more than twice the threshold the single-sided hammer flips.
         assert ddr4_chip.activate(0, victim - 1, int(target * 2.6)) > 0
 
@@ -133,8 +134,8 @@ class TestHammering:
         hammer_count = int(ddr4_chip.hcfirst_target * 1.5)
         self._prepare_neighbourhood(ddr4_chip, victim, 0x00, 0xFF)
         ddr4_chip.hammer_pair(0, victim - 1, victim + 1, hammer_count)
-        ddr4_chip.write_row(0, victim, 0x00)
-        assert np.all(ddr4_chip.read_row(0, victim) == 0x00)
+        ddr4_chip.write_rows(0, [victim], 0x00)
+        assert np.all(ddr4_chip.read_rows(0, [victim]) == 0x00)
 
     def test_zero_or_negative_count_is_noop(self, ddr4_chip):
         assert ddr4_chip.hammer_pair(0, 10, 12, 0) == 0
@@ -200,19 +201,18 @@ class TestOnDieEcc:
         assert not ddr4_chip.has_on_die_ecc
 
     def test_single_injected_error_hidden_by_ecc(self, lpddr4_chip):
-        lpddr4_chip.write_row(0, 3, 0x00)
+        lpddr4_chip.write_rows(0, [3], 0x00)
         # Corrupt one stored bit directly (bypassing the hammer model), and
         # mark the row as the disturbance kernel does, so reads decode it.
         lpddr4_chip._banks[0].bits[3, 17] ^= 1
         lpddr4_chip._banks[0].flipped[3] = True
-        visible = lpddr4_chip.read_row(0, 3)
+        visible = lpddr4_chip.read_rows(0, [3])
         assert np.all(visible == 0x00)
-        raw = lpddr4_chip.read_row_raw(0, 3)
-        assert raw[17] == 1
+        raw = lpddr4_chip.read_rows_raw(0, [3])
+        assert raw[0, 17] == 1
 
     def test_int_and_numpy_fill_bytes_share_one_read_only_cache_entry(self, lpddr4_chip):
-        lpddr4_chip.write_row(0, 1, 0x55)
-        lpddr4_chip.write_rows(0, [2, 3], [np.uint8(0x55), np.int64(0x55)])
+        lpddr4_chip.write_rows(0, [1, 2, 3], [0x55, np.uint8(0x55), np.int64(0x55)])
         assert list(lpddr4_chip._fill_rows) == [0x55]
         bits, check_bits = lpddr4_chip._fill_rows[0x55]
         assert not bits.flags.writeable and not check_bits.flags.writeable
@@ -231,14 +231,11 @@ class TestPairedRemapping(object):
         # rows 2k or 2k+1 (activating the shared wordline refreshes them).
         victim = 20  # shares its wordline with row 21
         hammered = 21
-        for row in range(victim - 6, victim + 7):
-            paired_chip.write_row(0, row, 0xAA if row == hammered else 0x55)
+        rows = range(victim - 6, victim + 7)
+        paired_chip.write_rows(0, rows, [0xAA if row == hammered else 0x55 for row in rows])
         paired_chip.activate(0, hammered, 150_000)
-        for row in (victim,):
-            observed = int(
-                np.unpackbits(paired_chip.read_row(0, row) ^ np.uint8(0x55)).sum()
-            )
-            assert observed == 0
+        observed = int(np.unpackbits(paired_chip.read_rows(0, [victim]) ^ np.uint8(0x55)).sum())
+        assert observed == 0
 
     def test_aggressors_for_victim_are_two_rows_away(self, paired_chip):
         aggressors = paired_chip.remapper.aggressors_for(20)

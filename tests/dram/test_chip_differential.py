@@ -5,10 +5,11 @@ with the retained object-at-a-time
 :class:`~repro.dram.reference.ReferenceDramChip`.  This suite checks the
 promise two ways:
 
-* hypothesis drives random operation soups -- interleaved writes, batch
-  writes, hammers, activates, refreshes and reads -- through both backends
-  in lockstep, comparing every return value and the final raw state,
-  stats, and :func:`~repro.dram.chip.state_digest`; and
+* hypothesis drives random operation soups -- batch writes (one row, many
+  rows, repeated rows), hammers, activates, refreshes and batch reads --
+  through both backends in lockstep, comparing every return value and the
+  final raw state, stats, and :func:`~repro.dram.chip.state_digest`;
+* batches that raise must change nothing on either backend; and
 * deterministic *flip-inducing* sequences (worst-case stripe fill plus
   double-sided hammers up to far above a low planted ``HC_first``) confirm
   the equivalence holds where it matters most: on chips that actually flip
@@ -21,6 +22,8 @@ Random soups alone rarely accumulate enough exposure to flip anything, so
 the hypothesis strategy biases hammer counts high and refreshes low, and
 the deterministic cases guarantee non-zero flip coverage.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -78,19 +81,15 @@ BUFFERS = st.binary(min_size=GEOMETRY.row_bytes, max_size=GEOMETRY.row_bytes)
 
 
 def _row_payloads(values):
-    """(rows, per-row payloads) of a batch write over distinct rows."""
-    return st.lists(
-        st.tuples(ROWS, values), min_size=1, max_size=6, unique_by=lambda item: item[0]
-    ).map(lambda items: ([row for row, _ in items], [value for _, value in items]))
+    """(rows, per-row payloads) of a batch write, which may repeat a row."""
+    return st.lists(st.tuples(ROWS, values), min_size=1, max_size=6).map(
+        lambda items: ([row for row, _ in items], [value for _, value in items])
+    )
 
 
 OPS = st.one_of(
-    st.tuples(st.just("write_row"), ROWS, FILLS),
-    st.tuples(
-        st.just("write_rows"),
-        st.lists(ROWS, min_size=1, max_size=6, unique=True),
-        FILLS,
-    ),
+    st.tuples(st.just("write_rows"), ROWS.map(lambda row: [row]), FILLS),
+    st.tuples(st.just("write_rows"), st.lists(ROWS, min_size=1, max_size=6), FILLS),
     st.tuples(st.just("write_rows_per_row"), _row_payloads(FILLS)),
     st.tuples(
         st.just("write_rows_per_row"),
@@ -104,7 +103,7 @@ OPS = st.one_of(
     # low through the op-list size instead) so exposure can accumulate.
     st.tuples(st.just("refresh_row"), ROWS),
     st.tuples(st.just("refresh_all")),
-    st.tuples(st.just("read_row"), ROWS),
+    st.tuples(st.just("read_rows"), ROWS.map(lambda row: [row])),
     st.tuples(st.just("read_rows"), st.lists(ROWS, min_size=1, max_size=8)),
 )
 
@@ -112,9 +111,6 @@ OPS = st.one_of(
 def apply_op(chip, op):
     """Apply one soup op; returns a comparable outcome value."""
     kind = op[0]
-    if kind == "write_row":
-        chip.write_row(0, op[1], op[2])
-        return None
     if kind == "write_rows":
         chip.write_rows(0, op[1], op[2])
         return None
@@ -131,10 +127,8 @@ def apply_op(chip, op):
     if kind == "refresh_all":
         chip.refresh_all()
         return None
-    if kind == "read_rows":
-        return chip.read_rows(0, op[1]).tobytes()
-    assert kind == "read_row"
-    return chip.read_row(0, op[1]).tobytes()
+    assert kind == "read_rows"
+    return chip.read_rows(0, op[1]).tobytes()
 
 
 SEEDS = st.integers(min_value=0, max_value=2**16)
@@ -276,13 +270,12 @@ def test_ecc_reads_are_exact_through_a_miscorrection(type_node, manufacturer):
     assert np.array_equal(decoded, reference.read_rows(bank, rows))
     row = miscorrected[0]
     fill = int(fills[row])
-    assert columnar.read_row(bank, row).tobytes() == reference.read_row(bank, row).tobytes()
+    assert columnar.read_rows(bank, [row]).tobytes() == reference.read_rows(bank, [row]).tobytes()
 
     # Rewriting the row restores it, and its reads come back clean.
     for chip in (columnar, reference):
         chip.write_rows(bank, [row], [fill])
-    assert np.array_equal(columnar.read_row_raw(bank, row), written[row])
-    assert np.all(columnar.read_row(bank, row) == fill)
+    assert np.array_equal(columnar.read_rows_raw(bank, [row])[0], written[row])
     assert np.all(columnar.read_rows(bank, [row]) == fill)
 
     # Flip the rewritten row again: a later write of its byte to another
@@ -290,11 +283,11 @@ def test_ecc_reads_are_exact_through_a_miscorrection(type_node, manufacturer):
     # bank storage).
     for chip in (columnar, reference):
         chip.hammer_pair(bank, aggressors[0], aggressors[-1], 32_000)
-    assert not np.array_equal(columnar.read_row_raw(bank, row), written[row])
+    assert not np.array_equal(columnar.read_rows_raw(bank, [row])[0], written[row])
     other = next(r for r in rows if r != row and fills[r] == fill)
     for chip in (columnar, reference):
-        chip.write_row(bank, other, fill)
-    assert np.array_equal(columnar.read_row_raw(bank, other), written[other])
+        chip.write_rows(bank, [other], fill)
+    assert np.array_equal(columnar.read_rows_raw(bank, [other])[0], written[other])
 
     # A batch rewrite with numpy bytes (which share the int bytes' cache
     # entries) restores every row.
@@ -316,12 +309,66 @@ def test_ecc_reads_are_exact_through_a_miscorrection(type_node, manufacturer):
         ("write_rows", ([], 0)),
         ("read_rows", ([],)),
         ("read_rows_raw", ([],)),
-        ("write_row", (0, 0)),
+        ("write_rows", ([0], 0)),
     ],
-    ids=["write_rows", "write_rows-fill", "read_rows", "read_rows_raw", "write_row"],
+    ids=["write_rows", "write_rows-fill", "read_rows", "read_rows_raw", "write_rows-one-row"],
 )
 def test_out_of_range_bank_is_rejected_even_for_zero_rows(backend, method, args):
-    """A zero-row batch validates its bank exactly like a single-row call."""
+    """A zero-row batch validates its bank exactly like a one-row batch."""
     chip = build_pair(*_ALL_CONFIGS[0], seed=0)[backend]
     with pytest.raises(IndexError, match=r"bank 5 out of range \[0, 1\)"):
         getattr(chip, method)(GEOMETRY.banks + 4, *args)
+
+
+# ----------------------------------------------------------------------
+# A batch that raises changes nothing
+# ----------------------------------------------------------------------
+_ROWS = GEOMETRY.rows_per_bank
+
+#: Batches both backends must reject whole: (method, rows, payloads, error).
+RAISING_BATCHES = [
+    pytest.param("write_rows", [1, 2], [0x11, 300], ValueError, id="fill-out-of-range"),
+    pytest.param(
+        "write_rows", [1, 1, 2], [0x11, 0x22, 300], ValueError, id="repeated-row-fill-out-of-range"
+    ),
+    pytest.param(
+        "write_rows", [1, 2], [0x11, np.zeros(3, dtype=np.uint8)], ValueError, id="short-buffer"
+    ),
+    pytest.param("write_rows", [1, 2, 3], [0x11, 0x22], ValueError, id="payload-count"),
+    pytest.param("write_rows", [1, 2, _ROWS], 0x11, IndexError, id="row-out-of-range"),
+    pytest.param("write_rows", [1, 1, -1], [0x11, 0x22, 0x33], IndexError, id="repeated-row-negative"),
+    pytest.param("read_rows", [1, 2, _ROWS], None, IndexError, id="read-out-of-range"),
+    pytest.param("read_rows_raw", [1, -1], None, IndexError, id="raw-read-negative"),
+]
+
+
+def _observable(chip):
+    """What a raising batch must leave as it was."""
+    return state_digest(chip), chip.is_pristine, dataclasses.astuple(chip.stats)
+
+
+@pytest.mark.parametrize("chip_class", [DramChip, ReferenceDramChip], ids=["columnar", "reference"])
+@pytest.mark.parametrize("written", [False, True], ids=["pristine", "written"])
+@pytest.mark.parametrize("method,rows,data,error", RAISING_BATCHES)
+def test_a_batch_that_raises_changes_nothing(chip_class, written, method, rows, data, error):
+    """Every row is checked and every payload coerced before any state
+    changes, so a rejected batch leaves raw state, pristineness and every
+    counter as they were; a twin chip that never saw the batch then hammers
+    to the same flips (no wordline's exposure or refresh epoch moved)."""
+    profile = profile_for(*_ALL_CONFIGS[-1])
+    chip, twin = (
+        chip_class(profile, geometry=GEOMETRY, seed=3, hcfirst_target=HCFIRST_TARGET)
+        for _ in range(2)
+    )
+    for each in (chip, twin):
+        if written:
+            bank, _victim, aggressors, _fill = _prepare_worst_case(each)
+            each.hammer_pair(bank, aggressors[0], aggressors[-1], 1_000)
+    before = _observable(chip)
+    payloads = () if data is None else (data,)
+    with pytest.raises(error):
+        getattr(chip, method)(0, rows, *payloads)
+    assert _observable(chip) == before
+    for each in (chip, twin):
+        each.hammer_pair(0, 1, 3, 40_000)
+    assert _observable(chip) == _observable(twin)

@@ -67,10 +67,11 @@ def prepare_worst_case(chip):
     victim_fill = 0x00 if dominant.victim_bit == 0 else 0xFF
     aggressor_fill = 0x00 if dominant.aggressor_bit == 0 else 0xFF
     victim_wordline = chip.remapper.logical_to_physical(victim)
+    fills = []
     for row in range(chip.geometry.rows_per_bank):
         wordline = chip.remapper.logical_to_physical(row)
-        fill = victim_fill if (wordline - victim_wordline) % 2 == 0 else aggressor_fill
-        chip.write_row(bank, row, fill)
+        fills.append(victim_fill if (wordline - victim_wordline) % 2 == 0 else aggressor_fill)
+    chip.write_rows(bank, range(chip.geometry.rows_per_bank), fills)
     aggressors = []
     for neighbour in (victim_wordline - 1, victim_wordline + 1):
         for logical in chip.remapper.physical_to_logical(neighbour):
@@ -98,15 +99,15 @@ class TestDisturbanceInvariants:
         # (cumulative 1.1x the threshold without the refresh) leaves the
         # refreshed victim row untouched.
         chip.refresh_row(bank, victim)
-        clean_raw = chip.read_row_raw(bank, victim).copy()
+        clean_raw = chip.read_rows_raw(bank, [victim])[0]
         chip.hammer_pair(bank, left, right, partial)
-        assert np.array_equal(chip.read_row_raw(bank, victim), clean_raw)
+        assert np.array_equal(chip.read_rows_raw(bank, [victim])[0], clean_raw)
 
         # Without an intervening refresh the exposure accumulates past the
         # threshold and the weakest cell flips.
         flips = chip.hammer_pair(bank, left, right, int(HCFIRST_TARGET * 1.2))
         assert flips > 0
-        flipped_raw = chip.read_row_raw(bank, victim).copy()
+        flipped_raw = chip.read_rows_raw(bank, [victim])[0]
         expected_bit = 1 if victim_fill == 0x00 else 0
         assert (flipped_raw == expected_bit).any() or not np.all(
             np.packbits(flipped_raw) == victim_fill
@@ -116,28 +117,28 @@ class TestDisturbanceInvariants:
         # and another below-threshold dose cannot disturb the victim further
         # (other, unrefreshed rows may legitimately keep accumulating flips).
         chip.refresh_row(bank, victim)
-        assert np.array_equal(chip.read_row_raw(bank, victim), flipped_raw)
+        assert np.array_equal(chip.read_rows_raw(bank, [victim])[0], flipped_raw)
         chip.hammer_pair(bank, left, right, partial)
-        assert np.array_equal(chip.read_row_raw(bank, victim), flipped_raw)
+        assert np.array_equal(chip.read_rows_raw(bank, [victim])[0], flipped_raw)
 
     def test_flips_persist_until_rewrite(self, type_node, manufacturer, seed, chip_class):
         chip = build_chip(type_node, manufacturer, seed, chip_class)
         bank, victim, (left, right), victim_fill = prepare_worst_case(chip)
         assert chip.hammer_pair(bank, left, right, int(HCFIRST_TARGET * 1.2)) > 0
-        flipped_raw = chip.read_row_raw(bank, victim).copy()
+        flipped_raw = chip.read_rows_raw(bank, [victim])[0]
         assert not np.all(np.packbits(flipped_raw) == victim_fill)
 
         # Repeated reads and refreshes observe the same corrupted raw data.
         for _ in range(3):
-            assert np.array_equal(chip.read_row_raw(bank, victim), flipped_raw)
+            assert np.array_equal(chip.read_rows_raw(bank, [victim])[0], flipped_raw)
             chip.refresh_row(bank, victim)
         chip.refresh_all()
-        assert np.array_equal(chip.read_row_raw(bank, victim), flipped_raw)
+        assert np.array_equal(chip.read_rows_raw(bank, [victim])[0], flipped_raw)
 
         # Rewriting the row restores it completely.
-        chip.write_row(bank, victim, victim_fill)
-        assert np.all(np.packbits(chip.read_row_raw(bank, victim)) == victim_fill)
-        assert np.all(chip.read_row(bank, victim) == victim_fill)
+        chip.write_rows(bank, [victim], victim_fill)
+        assert np.all(np.packbits(chip.read_rows_raw(bank, [victim])[0]) == victim_fill)
+        assert np.all(chip.read_rows(bank, [victim])[0] == victim_fill)
 
 
 @pytest.mark.parametrize("chip_class", BACKENDS)
@@ -148,19 +149,19 @@ def test_ondie_ecc_read_path_round_trips(type_node, manufacturer, seed, chip_cla
     rng = np.random.default_rng(seed)
     for row in (1, 9, 20):
         data = rng.integers(0, 256, size=chip.geometry.row_bytes, dtype=np.uint8)
-        chip.write_row(0, row, data)
-        assert np.array_equal(chip.read_row(0, row), data)
+        chip.write_rows(0, [row], [data])
+        assert np.array_equal(chip.read_rows(0, [row])[0], data)
         # The raw array matches too (no disturbance has occurred yet).
-        assert np.array_equal(np.packbits(chip.read_row_raw(0, row)), data)
+        assert np.array_equal(np.packbits(chip.read_rows_raw(0, [row])[0]), data)
     if chip.has_on_die_ecc:
         # A single raw bit error in a word is corrected by the SEC code.
         data = rng.integers(0, 256, size=chip.geometry.row_bytes, dtype=np.uint8)
-        chip.write_row(0, 30, data)
+        chip.write_rows(0, [30], [data])
         # Inject one raw error into the stored bits of each backend.
         if isinstance(chip, DramChip):
             chip._banks[0].bits[30, 5] ^= 1
             chip._banks[0].flipped[30] = True
         else:
             chip._rows[(0, 30)].bits[5] ^= 1
-        corrected = chip.read_row(0, 30)
+        corrected = chip.read_rows(0, [30])[0]
         assert np.array_equal(corrected, data)

@@ -90,9 +90,9 @@ class TestSessionRun:
     def test_hermetic_execution_leaves_chip_data_untouched(self):
         session = ExperimentSession(fresh_population())
         chip = session.chips[0]
-        before = chip.read_row(0, GEOMETRY.rows_per_bank // 2).copy()
+        before = chip.read_rows(0, [GEOMETRY.rows_per_bank // 2])
         session.run("fig5-hc-sweep", SWEEP)
-        after = chip.read_row(0, GEOMETRY.rows_per_bank // 2)
+        after = chip.read_rows(0, [GEOMETRY.rows_per_bank // 2])
         assert (before == after).all()
 
     def test_run_subset_of_chips(self):
@@ -210,6 +210,22 @@ class TestResultStore:
         assert again.cache_hits == len(session.chips)
         assert store.stats.hits == len(session.chips)
 
+    @pytest.mark.parametrize("rooted", [True, False], ids=["rooted", "memory-only"])
+    def test_editing_a_run_payload_leaves_the_store_entry_unchanged(self, tmp_path, rooted):
+        """The store keeps the bytes it pickled at put, not the object the
+        caller got back, so the same store replays the clean entry."""
+        store = ResultStore(tmp_path / "store" if rooted else None)
+        chip = make_chip("DDR4-new", "A", seed=3, geometry=GEOMETRY)
+        config = SweepStudyConfig(hammer_counts=(50_000, 150_000))
+        session = ExperimentSession(chip, store=store)
+        points = session.run("fig5-hc-sweep", config).single().points
+        clean = list(points)
+        assert len(clean) == 2
+        points.clear()
+        again = session.run("fig5-hc-sweep", config)
+        assert again.cache_hits == 1
+        assert again.single().points == clean
+
     def test_config_change_misses_cache(self, tmp_path):
         store = ResultStore(tmp_path / "store")
         session = ExperimentSession(fresh_population(), store=store)
@@ -234,7 +250,7 @@ class TestResultStore:
         store = ResultStore(tmp_path / "store")
 
         dirty = make_chip("DDR4-new", "A", seed=1, geometry=GEOMETRY)
-        dirty.write_row(0, GEOMETRY.rows_per_bank // 2, 0xFF)  # direct mutation
+        dirty.write_rows(0, [GEOMETRY.rows_per_bank // 2], 0xFF)  # direct mutation
         assert not dirty.is_pristine
         dirty_out = ExperimentSession(dirty, store=store).run("fig5-hc-sweep", SWEEP)
         assert store.stats.puts == 0  # nothing cached under the pristine key

@@ -10,7 +10,8 @@ quarantine the damaged file out of the ``*.pkl`` namespace and count it in
 ``StoreStats.corrupt``.  ``put`` then rewrites the entry, so the next run
 replays every unit.  A property test damages random bytes of a real entry
 and checks that ``get`` never raises.  A caller that mutates a hit does not
-damage the next get of its key either.
+damage the next get of its key either, and a memory-only store checks its
+entries the same way.
 """
 
 from __future__ import annotations
@@ -281,6 +282,18 @@ def test_whole_study_envelope_without_unit_fields_still_hits(tmp_path):
     assert cached is not None and cached.payload == "old" and cached.from_cache
 
 
+def test_memory_only_store_drops_an_entry_that_is_not_its_keys_result():
+    """A memory entry gets the same identity check as a file: one put under
+    another config's key is dropped, counted once as corrupt, then missed."""
+    key = CacheKey(study="store-faults", config_digest="c0", chip_digest="population")
+    edited = dataclasses.replace(key, config_digest="c1")
+    store = ResultStore()
+    store.put(edited, envelope(key))
+    assert store.get(edited) is None
+    assert store.get(edited) is None
+    assert (store.stats.misses, store.stats.corrupt) == (2, 1)
+
+
 def test_second_reader_of_a_quarantined_entry_sees_a_plain_miss(tmp_path):
     """Readers sharing a store: only the first one counts the damage."""
     key = CacheKey(study="store-faults", config_digest="c0", chip_digest="population")
@@ -294,9 +307,8 @@ def test_second_reader_of_a_quarantined_entry_sees_a_plain_miss(tmp_path):
 
 
 def test_mutating_a_hit_leaves_the_next_get_unchanged(tmp_path):
-    """Every get hands out the caller's own envelope: an entry read from
-    disk is unpickled afresh, and a result the store put is copied out of
-    its memo."""
+    """Every get hands out the caller's own envelope, unpickled afresh from
+    the entry's bytes, whether this store or another one put it."""
     key = CacheKey(study="store-faults", config_digest="c0", chip_digest="population")
     clean = envelope(key, payload=["clean"])
     writer = ResultStore(tmp_path)

@@ -1,15 +1,15 @@
 """ResultStore.put fault paths: temp-file hygiene and the no-fcntl fallback.
 
 ``put`` publishes each pickle atomically through a per-writer unique temp
-file.  Two fault paths are pinned here: a failed dump must not leave
-``.tmp`` litter behind (and cleanup must never mask the original error),
-and on platforms without ``fcntl`` the advisory lock degrades to a no-op
-while the write stays atomic-rename-based.
+file.  Two fault paths are pinned here: a failed temp-file write (a full
+disk) must not leave ``.tmp`` litter behind (and cleanup must never mask
+the original error), and on platforms without ``fcntl`` the advisory lock
+degrades to a no-op while the write stays atomic-rename-based.
 """
 
 from __future__ import annotations
 
-import pickle
+import errno
 
 import pytest
 
@@ -33,6 +33,17 @@ def tmp_litter(root):
     return [path for path in root.rglob("*.tmp")]
 
 
+def break_temp_file_writes(monkeypatch, root):
+    """Make every temp-file write stop part-way with a full disk."""
+
+    def broken_write_bytes(self, data):
+        with open(self, "wb") as handle:
+            handle.write(data[:1])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(type(root), "write_bytes", broken_write_bytes)
+
+
 class TestTempFileHygiene:
     def test_successful_put_leaves_no_tmp(self, tmp_path):
         root = tmp_path / "store"
@@ -41,32 +52,25 @@ class TestTempFileHygiene:
         assert tmp_litter(root) == []
         assert ResultStore(root).get(CacheKey("faults-demo", "cfg", "ok")) is not None
 
-    def test_failed_dump_cleans_up_and_raises_original_error(self, tmp_path, monkeypatch):
+    def test_failed_write_cleans_up_and_raises_original_error(self, tmp_path, monkeypatch):
         root = tmp_path / "store"
         store = ResultStore(root)
-
-        def broken_dump(obj, handle):
-            raise pickle.PicklingError("cannot pickle this")
-
-        monkeypatch.setattr(store_module.pickle, "dump", broken_dump)
-        with pytest.raises(pickle.PicklingError):
+        break_temp_file_writes(monkeypatch, root)
+        with pytest.raises(OSError, match="No space left"):
             store.put(CacheKey("faults-demo", "cfg", "bad"), make_result(2))
         assert tmp_litter(root) == []
 
-    def test_unremovable_tmp_does_not_mask_dump_error(self, tmp_path, monkeypatch):
-        """Even if cleanup itself fails, the *dump* error is what surfaces."""
+    def test_unremovable_tmp_does_not_mask_write_error(self, tmp_path, monkeypatch):
+        """Even if cleanup itself fails, the *write* error is what surfaces."""
         root = tmp_path / "store"
         store = ResultStore(root)
-
-        def broken_dump(obj, handle):
-            raise pickle.PicklingError("cannot pickle this")
 
         def broken_unlink(self, missing_ok=False):
             raise OSError("unlink refused")
 
-        monkeypatch.setattr(store_module.pickle, "dump", broken_dump)
+        break_temp_file_writes(monkeypatch, root)
         monkeypatch.setattr(type(root), "unlink", broken_unlink)
-        with pytest.raises(pickle.PicklingError):
+        with pytest.raises(OSError, match="No space left"):
             store.put(CacheKey("faults-demo", "cfg", "bad"), make_result(3))
 
 
@@ -84,15 +88,11 @@ class TestNoFcntlFallback:
         assert cached is not None and cached.payload == {"x": 7}
         assert cached.from_cache
 
-    def test_failed_dump_without_fcntl_cleans_up(self, tmp_path, monkeypatch):
+    def test_failed_write_without_fcntl_cleans_up(self, tmp_path, monkeypatch):
         monkeypatch.setattr(store_module, "fcntl", None)
         root = tmp_path / "store"
         store = ResultStore(root)
-
-        def broken_dump(obj, handle):
-            raise pickle.PicklingError("cannot pickle this")
-
-        monkeypatch.setattr(store_module.pickle, "dump", broken_dump)
-        with pytest.raises(pickle.PicklingError):
+        break_temp_file_writes(monkeypatch, root)
+        with pytest.raises(OSError, match="No space left"):
             store.put(CacheKey("faults-demo", "cfg", "bad"), make_result(4))
         assert tmp_litter(root) == []

@@ -93,8 +93,8 @@ class TestChipProperties:
     )
     def test_write_read_round_trip_without_hammering(self, seed, fill, row):
         chip = make_chip("DDR4-new", "A", seed=seed, geometry=GEOMETRY)
-        chip.write_row(0, row, fill)
-        assert np.all(chip.read_row(0, row) == fill)
+        chip.write_rows(0, [row], fill)
+        assert np.all(chip.read_rows(0, [row]) == fill)
 
     @settings(max_examples=10, deadline=None)
     @given(
@@ -118,11 +118,14 @@ class TestChipProperties:
     def test_hammering_never_flips_aggressor_rows(self, seed):
         chip = make_chip("DDR4-new", "A", seed=seed, geometry=GEOMETRY, hcfirst_target=10_000)
         victim = chip.weakest_cell[1]
-        for offset in range(-3, 4):
-            chip.write_row(0, victim + offset, 0x00 if offset % 2 == 0 else 0xFF)
+        offsets = range(-3, 4)
+        chip.write_rows(
+            0,
+            [victim + offset for offset in offsets],
+            [0x00 if offset % 2 == 0 else 0xFF for offset in offsets],
+        )
         chip.hammer_pair(0, victim - 1, victim + 1, 150_000)
-        assert np.all(chip.read_row(0, victim - 1) == 0xFF)
-        assert np.all(chip.read_row(0, victim + 1) == 0xFF)
+        assert np.all(chip.read_rows(0, [victim - 1, victim + 1]) == 0xFF)
 
 
 class TestMitigationProperties:

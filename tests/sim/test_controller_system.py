@@ -103,51 +103,53 @@ class TestMetrics:
         assert bandwidth_overhead_percent(50, 0) == 0.0
 
 
+def completion_cycles(controller, requests, cycles):
+    """Tick ``controller`` through ``cycles``; per request, the first cycle
+    after whose tick its ``completed`` flag is set (``None`` if never)."""
+    done = [None] * len(requests)
+    for cycle in cycles:
+        controller.tick(cycle)
+        for index, request in enumerate(requests):
+            if done[index] is None and request.completed:
+                done[index] = cycle
+    return done
+
+
 class TestControllerBasics:
-    def _read(self, bank, row, done):
-        return MemoryRequest(
-            request_type=RequestType.READ,
-            bank=bank,
-            row=row,
-            completion_callback=lambda cycle: done.append(cycle),
-        )
+    def _read(self, bank, row):
+        return MemoryRequest(request_type=RequestType.READ, bank=bank, row=row)
 
     def test_read_completes_with_act_rcd_cl_latency(self, small_system):
         controller = MemoryController(small_system)
-        done = []
-        controller.enqueue(self._read(0, 5, done), cycle=0)
-        for cycle in range(200):
-            controller.tick(cycle)
-        assert len(done) == 1
+        request = self._read(0, 5)
+        controller.enqueue(request, cycle=0)
+        [done] = completion_cycles(controller, [request], range(200))
+        assert done is not None
         timings = small_system.timings
         expected = timings.trcd + timings.tcl + timings.burst_cycles
-        assert done[0] >= expected
+        assert done >= expected
         assert controller.stats.demand_activates == 1
         assert controller.stats.reads_serviced == 1
 
     def test_row_hit_scheduled_before_older_conflict(self, small_system):
         controller = MemoryController(small_system)
-        done_a, done_b = [], []
-        controller.enqueue(self._read(0, 5, done_a), cycle=0)
+        controller.enqueue(self._read(0, 5), cycle=0)
         for cycle in range(60):
             controller.tick(cycle)
         # Row 5 is now open; enqueue an older conflicting request and a newer hit.
-        controller.enqueue(self._read(0, 9, done_a), cycle=60)
-        controller.enqueue(self._read(0, 5, done_b), cycle=61)
-        for cycle in range(60, 400):
-            controller.tick(cycle)
-        assert done_b and done_a
-        assert done_b[0] < done_a[-1]
+        conflict, hit = self._read(0, 9), self._read(0, 5)
+        controller.enqueue(conflict, cycle=60)
+        controller.enqueue(hit, cycle=61)
+        conflict_done, hit_done = completion_cycles(controller, [conflict, hit], range(60, 400))
+        assert hit_done is not None and conflict_done is not None
+        assert hit_done < conflict_done
         assert controller.stats.row_hits >= 2
 
     def test_write_completes_immediately_on_enqueue(self, small_system):
         controller = MemoryController(small_system)
-        done = []
-        request = MemoryRequest(
-            request_type=RequestType.WRITE, bank=0, row=1, completion_callback=done.append
-        )
+        request = MemoryRequest(request_type=RequestType.WRITE, bank=0, row=1)
         assert controller.enqueue(request, cycle=0)
-        assert done == [0]
+        assert request.completed  # set at cycle 0, before any tick
 
     def test_queue_capacity_enforced(self, small_system):
         controller = MemoryController(small_system)
@@ -176,8 +178,7 @@ class TestControllerBasics:
         )
         mitigation.probability = 1.0  # force a victim refresh on every activation
         controller = MemoryController(small_system, mitigation=mitigation)
-        done = []
-        controller.enqueue(self._read(0, 5, done), cycle=0)
+        controller.enqueue(self._read(0, 5), cycle=0)
         for cycle in range(300):
             controller.tick(cycle)
         assert controller.stats.mitigation_refreshes >= 1

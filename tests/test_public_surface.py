@@ -54,8 +54,6 @@ _PROBE = "probe: tests read internal state through it"
 #: Public definitions only the tests reference, by qualified name.
 ALLOWED: Dict[str, str] = {
     "repro.dram.reference.ReferenceDramChip": _ORACLE,
-    "repro.dram.reference.ReferenceDramChip.read_rows_raw": _ORACLE,
-    "repro.dram.chip.DramChip.read_rows_raw": _ORACLE,
     "repro.dram.chip.state_digest": _ORACLE,
     "repro.core.hammer.DoubleSidedHammer.hammer_single_sided": (
         "Section 4.3: tier-1 asserts double-sided hammering is the worst case"
