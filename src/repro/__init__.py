@@ -45,6 +45,8 @@ True
 Swapping ``executor=ParallelExecutor()`` into a session parallelizes across
 chips with bit-identical results, and passing ``store=ResultStore(path)``
 makes reruns of any already-computed (study, config, chip) free.
+``ServiceExecutor`` loads the service stack on first use (see
+:mod:`repro.experiments`).
 """
 
 from repro.dram.chip import DramChip
@@ -63,7 +65,6 @@ from repro.experiments import (
     ParallelExecutor,
     ResultStore,
     SerialExecutor,
-    ServiceExecutor,
     SessionRunResult,
     StudyResult,
     WorkUnit,
@@ -104,3 +105,11 @@ __all__ = [
     "register_study",
     "__version__",
 ]
+
+
+def __getattr__(name: str) -> type:
+    if name == "ServiceExecutor":
+        from repro.experiments.remote import ServiceExecutor
+
+        return ServiceExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

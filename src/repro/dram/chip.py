@@ -17,7 +17,9 @@ infrastructure performs against real chips:
 
 A row operation is all or nothing: every row of a batch is range-checked and
 every payload coerced before any state changes, so a batch that raises
-changes no row and no :class:`ChipStats` counter.
+changes no row and no :class:`ChipStats` counter.  Banks, rows and hammer
+counts must be integers (``operator.index``; numpy integers pass): any
+other value raises ``TypeError`` before anything changes.
 
 Disturbance model
 -----------------
@@ -62,6 +64,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import operator
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -244,6 +247,7 @@ class _CalibratedChip:
 
         Returns the number of new bit flips induced in neighbouring rows.
         """
+        bank, row, count = operator.index(bank), operator.index(row), operator.index(count)
         self.geometry.validate_address(bank, row)
         if count <= 0:
             return 0
@@ -257,6 +261,7 @@ class _CalibratedChip:
         so this issues ``2 * count`` activations in total.  Returns the
         number of new bit flips induced.
         """
+        bank, row_a, row_b, count = map(operator.index, (bank, row_a, row_b, count))
         self.geometry.validate_address(bank, row_a)
         self.geometry.validate_address(bank, row_b)
         if count <= 0:
@@ -275,6 +280,16 @@ class _CalibratedChip:
     # ------------------------------------------------------------------
     # Internal helpers
     # ------------------------------------------------------------------
+    def _batch_address(self, bank: int, rows: Sequence[int]) -> Tuple[int, List[int]]:
+        """A batch's bank and rows as ``int``, the bank range-checked.
+
+        Raises ``TypeError`` for a bank or row that is not an integer and
+        the :class:`IndexError` of :meth:`ChipGeometry.validate_bank`.
+        """
+        bank = operator.index(bank)
+        self.geometry.validate_bank(bank)
+        return bank, list(map(operator.index, rows))
+
     def _coerce_row_bits(self, data: RowData) -> np.ndarray:
         """The row bits of a fill byte or of a ``row_bytes``-long byte buffer.
 
@@ -417,12 +432,12 @@ class DramChip(_CalibratedChip):
         previously flipped cells take the new value.
 
         Every row is range-checked and every payload coerced before any
-        state changes, so a batch that raises (``IndexError`` for a row out
-        of range, ``ValueError`` for a payload count that does not match or
-        a payload no row can hold) changes no row and no counter.
+        state changes, so a batch that raises (``TypeError`` for a bank or
+        row that is not an integer, ``IndexError`` for one out of range,
+        ``ValueError`` for a payload count that does not match or a payload
+        no row can hold) changes no row and no counter.
         """
-        self.geometry.validate_bank(bank)
-        rows = [int(row) for row in rows]
+        bank, rows = self._batch_address(bank, rows)
         if isinstance(data, (int, np.integer)):
             data = [data] * len(rows)
         if len(data) != len(rows):
@@ -454,11 +469,10 @@ class DramChip(_CalibratedChip):
 
         Reads go through on-die ECC when the chip has it (one decode over
         the rows the disturbance kernel flipped); a row never written reads
-        as zeros.  Every row is range-checked first, so a batch that raises
-        ``IndexError`` counts no read.
+        as zeros.  Every row is type- and range-checked first, so a batch
+        that raises counts no read.
         """
-        self.geometry.validate_bank(bank)
-        rows = [int(row) for row in rows]
+        bank, rows = self._batch_address(bank, rows)
         self._validate_rows(bank, rows)
         self.stats.row_reads += len(rows)
         columns = self._banks.get(bank)
@@ -481,8 +495,7 @@ class DramChip(_CalibratedChip):
 
         Bypasses on-die ECC and counts no read.
         """
-        self.geometry.validate_bank(bank)
-        rows = [int(row) for row in rows]
+        bank, rows = self._batch_address(bank, rows)
         self._validate_rows(bank, rows)
         columns = self._banks.get(bank)
         if columns is None:
@@ -497,6 +510,7 @@ class DramChip(_CalibratedChip):
     # ------------------------------------------------------------------
     def refresh_row(self, bank: int, row: int) -> None:
         """Refresh one logical row, clearing its wordline's accumulated exposure."""
+        bank, row = operator.index(bank), operator.index(row)
         self.geometry.validate_address(bank, row)
         columns = self._banks.get(bank)
         if columns is not None:

@@ -17,6 +17,7 @@ difference.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -61,13 +62,12 @@ class ReferenceDramChip(_CalibratedChip):
     # ------------------------------------------------------------------
     # Data path
     # ------------------------------------------------------------------
-    def _check_rows(self, bank: int, rows: Sequence[int]) -> List[int]:
-        """Range-check every row of a batch before any of it is applied."""
-        self.geometry.validate_bank(bank)
-        rows = [int(row) for row in rows]
+    def _check_rows(self, bank: int, rows: Sequence[int]) -> Tuple[int, List[int]]:
+        """Type- and range-check every row of a batch before any of it is applied."""
+        bank, rows = self._batch_address(bank, rows)
         for row in rows:
             self.geometry.validate_address(bank, row)
-        return rows
+        return bank, rows
 
     def write_rows(self, bank: int, rows: Sequence[int], data) -> None:
         """Batch write, all or none (see :meth:`repro.dram.chip.DramChip.write_rows`).
@@ -75,7 +75,7 @@ class ReferenceDramChip(_CalibratedChip):
         Checks every row and coerces every payload first, then writes the
         rows one at a time in order.
         """
-        rows = self._check_rows(bank, rows)
+        bank, rows = self._check_rows(bank, rows)
         if isinstance(data, (int, np.integer)):
             data = [data] * len(rows)
         if len(data) != len(rows):
@@ -98,7 +98,7 @@ class ReferenceDramChip(_CalibratedChip):
 
     def read_rows(self, bank: int, rows: Sequence[int]) -> np.ndarray:
         """Batch read through on-die ECC, one row at a time after the range check."""
-        rows = self._check_rows(bank, rows)
+        bank, rows = self._check_rows(bank, rows)
         out = np.zeros((len(rows), self.geometry.row_bytes), dtype=np.uint8)
         for index, row in enumerate(rows):
             self.stats.row_reads += 1
@@ -113,7 +113,7 @@ class ReferenceDramChip(_CalibratedChip):
 
     def read_rows_raw(self, bank: int, rows: Sequence[int]) -> np.ndarray:
         """Batch raw read bypassing on-die ECC, one row at a time after the range check."""
-        rows = self._check_rows(bank, rows)
+        bank, rows = self._check_rows(bank, rows)
         out = np.zeros((len(rows), self.geometry.row_bits), dtype=np.uint8)
         for index, row in enumerate(rows):
             state = self._rows.get((bank, row))
@@ -126,6 +126,7 @@ class ReferenceDramChip(_CalibratedChip):
     # ------------------------------------------------------------------
     def refresh_row(self, bank: int, row: int) -> None:
         """Refresh one logical row, clearing its wordline's accumulated exposure."""
+        bank, row = operator.index(bank), operator.index(row)
         self.geometry.validate_address(bank, row)
         wordline = self.remapper.logical_to_physical(row)
         self._refresh_wordline(bank, wordline)

@@ -58,6 +58,12 @@ worker fleet with retry/quarantine fault tolerance -- still bit-identical
 to :class:`SerialExecutor`, with recovery behaviour surfaced as
 ``SessionRunResult.retries`` / ``requeues``.
 
+``ServiceExecutor`` is the one name here that loads on first use: it
+imports the service client, and with it asyncio, ssl and socket, which a
+local session never needs.  Likewise :class:`ParallelExecutor` imports
+:mod:`concurrent.futures` and its process pool (and with them logging and
+multiprocessing) only when it builds a pool.
+
 Quickstart
 ----------
 >>> from repro.experiments import ExperimentSession
@@ -90,7 +96,6 @@ from repro.experiments.executors import (
 )
 from repro.experiments.store import CacheKey, ResultStore, chip_digest
 from repro.experiments.session import ExperimentSession, SessionRunResult
-from repro.experiments.remote import ServiceExecutor
 
 __all__ = [
     "CacheKey",
@@ -117,3 +122,11 @@ __all__ = [
     "register_study",
     "unregister_study",
 ]
+
+
+def __getattr__(name: str) -> type:
+    if name == "ServiceExecutor":
+        from repro.experiments.remote import ServiceExecutor
+
+        return ServiceExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -36,7 +36,6 @@ from __future__ import annotations
 import copy
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from typing import Any, Iterator, Optional, Sequence, Tuple
 
@@ -175,6 +174,10 @@ class ParallelExecutor(Executor):
             for index, task in enumerate(tasks):
                 yield index, execute_task(task)
             return
+        # Imported here: concurrent.futures loads logging, and its process
+        # pool multiprocessing, which a process that builds no pool never uses.
+        from concurrent.futures import ProcessPoolExecutor, as_completed
+
         pool = ProcessPoolExecutor(max_workers=workers)
         try:
             futures = {pool.submit(execute_task, task): index for index, task in enumerate(tasks)}

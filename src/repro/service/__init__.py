@@ -83,37 +83,48 @@ are aggregated as *streaming* statistics (bounded reservoir summarised via
 :func:`repro.utils.stats.box_stats`), so scheduler memory stays bounded no
 matter how many units a sweep completes.  See
 :mod:`repro.service.telemetry`.
+
+Lazy names
+----------
+Every public name here resolves on first access, from the ``_EXPORTS``
+table that also makes ``__all__``.  The scheduler, client, worker and
+protocol modules import asyncio, ssl, socket and selectors, and the
+study registry imports :mod:`repro.service.selftest` on its first lookup
+to register ``service-selftest``; resolving lazily keeps that import, and
+so every local session, from loading a stack it never uses.
 """
 
-from repro.service.client import (
-    PoisonedUnitError,
-    SchedulerUnavailableError,
-    ServiceClient,
-    fetch_status,
-)
-from repro.service.leases import Lease, LeaseManager, UnitRecord, UnitState
-from repro.service.protocol import PROTOCOL_VERSION, ProtocolError
-from repro.service.scheduler import SchedulerServer, SchedulerThread
-from repro.service.selftest import ServiceSelfTestConfig, ServiceSelfTestResult
-from repro.service.telemetry import SchedulerTelemetry, StreamingStats
-from repro.service.worker import ServiceWorker
+from __future__ import annotations
 
-__all__ = [
-    "Lease",
-    "LeaseManager",
-    "PoisonedUnitError",
-    "PROTOCOL_VERSION",
-    "ProtocolError",
-    "SchedulerServer",
-    "SchedulerTelemetry",
-    "SchedulerThread",
-    "SchedulerUnavailableError",
-    "ServiceClient",
-    "ServiceSelfTestConfig",
-    "ServiceSelfTestResult",
-    "ServiceWorker",
-    "StreamingStats",
-    "UnitRecord",
-    "UnitState",
-    "fetch_status",
-]
+import importlib
+from typing import Any
+
+#: Public name -> the submodule that defines it.
+_EXPORTS = {
+    "Lease": "leases",
+    "LeaseManager": "leases",
+    "PoisonedUnitError": "client",
+    "PROTOCOL_VERSION": "protocol",
+    "ProtocolError": "protocol",
+    "SchedulerServer": "scheduler",
+    "SchedulerTelemetry": "telemetry",
+    "SchedulerThread": "scheduler",
+    "SchedulerUnavailableError": "client",
+    "ServiceClient": "client",
+    "ServiceSelfTestConfig": "selftest",
+    "ServiceSelfTestResult": "selftest",
+    "ServiceWorker": "worker",
+    "StreamingStats": "telemetry",
+    "UnitRecord": "leases",
+    "UnitState": "leases",
+    "fetch_status": "client",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str) -> Any:
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)

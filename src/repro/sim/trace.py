@@ -22,7 +22,7 @@ from typing import List, Optional
 from repro.utils.rng import make_rng
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceRecord:
     """One memory request in a core's instruction stream.
 

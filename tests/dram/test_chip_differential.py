@@ -325,20 +325,35 @@ def test_out_of_range_bank_is_rejected_even_for_zero_rows(backend, method, args)
 # ----------------------------------------------------------------------
 _ROWS = GEOMETRY.rows_per_bank
 
-#: Batches both backends must reject whole: (method, rows, payloads, error).
+#: Calls both backends must reject whole: (method, args, error).
 RAISING_BATCHES = [
-    pytest.param("write_rows", [1, 2], [0x11, 300], ValueError, id="fill-out-of-range"),
+    pytest.param("write_rows", (0, [1, 2], [0x11, 300]), ValueError, id="fill-out-of-range"),
     pytest.param(
-        "write_rows", [1, 1, 2], [0x11, 0x22, 300], ValueError, id="repeated-row-fill-out-of-range"
+        "write_rows", (0, [1, 1, 2], [0x11, 0x22, 300]), ValueError,
+        id="repeated-row-fill-out-of-range",
     ),
     pytest.param(
-        "write_rows", [1, 2], [0x11, np.zeros(3, dtype=np.uint8)], ValueError, id="short-buffer"
+        "write_rows", (0, [1, 2], [0x11, np.zeros(3, dtype=np.uint8)]), ValueError,
+        id="short-buffer",
     ),
-    pytest.param("write_rows", [1, 2, 3], [0x11, 0x22], ValueError, id="payload-count"),
-    pytest.param("write_rows", [1, 2, _ROWS], 0x11, IndexError, id="row-out-of-range"),
-    pytest.param("write_rows", [1, 1, -1], [0x11, 0x22, 0x33], IndexError, id="repeated-row-negative"),
-    pytest.param("read_rows", [1, 2, _ROWS], None, IndexError, id="read-out-of-range"),
-    pytest.param("read_rows_raw", [1, -1], None, IndexError, id="raw-read-negative"),
+    pytest.param("write_rows", (0, [1, 2, 3], [0x11, 0x22]), ValueError, id="payload-count"),
+    pytest.param("write_rows", (0, [1, 2, _ROWS], 0x11), IndexError, id="row-out-of-range"),
+    pytest.param(
+        "write_rows", (0, [1, 1, -1], [0x11, 0x22, 0x33]), IndexError, id="repeated-row-negative"
+    ),
+    pytest.param("read_rows", (0, [1, 2, _ROWS]), IndexError, id="read-out-of-range"),
+    pytest.param("read_rows_raw", (0, [1, -1]), IndexError, id="raw-read-negative"),
+    # Banks, rows and hammer counts must be integers; a float that int()
+    # would truncate or accept is refused before anything is counted.
+    pytest.param("write_rows", (0, [2, 1.7], 0x11), TypeError, id="float-row"),
+    pytest.param("write_rows", (0.5, [1], 0x11), TypeError, id="float-bank"),
+    pytest.param("read_rows", (0, [1, np.float64(2.0)]), TypeError, id="read-float-row"),
+    pytest.param("read_rows_raw", (0.0, [1]), TypeError, id="raw-read-float-bank"),
+    pytest.param("activate", (0, 1.7, 10), TypeError, id="activate-float-row"),
+    pytest.param("activate", (0, 3, 2.5), TypeError, id="activate-float-count"),
+    pytest.param("hammer_pair", (0, 1, 3.0, 40_000), TypeError, id="hammer-pair-float-row"),
+    pytest.param("hammer_pair", (0.0, 1, 3, 40_000), TypeError, id="hammer-pair-float-bank"),
+    pytest.param("hammer_pair", (0, 1, 3, 2.5), TypeError, id="hammer-pair-float-count"),
 ]
 
 
@@ -349,12 +364,13 @@ def _observable(chip):
 
 @pytest.mark.parametrize("chip_class", [DramChip, ReferenceDramChip], ids=["columnar", "reference"])
 @pytest.mark.parametrize("written", [False, True], ids=["pristine", "written"])
-@pytest.mark.parametrize("method,rows,data,error", RAISING_BATCHES)
-def test_a_batch_that_raises_changes_nothing(chip_class, written, method, rows, data, error):
-    """Every row is checked and every payload coerced before any state
-    changes, so a rejected batch leaves raw state, pristineness and every
-    counter as they were; a twin chip that never saw the batch then hammers
-    to the same flips (no wordline's exposure or refresh epoch moved)."""
+@pytest.mark.parametrize("method,args,error", RAISING_BATCHES)
+def test_a_batch_that_raises_changes_nothing(chip_class, written, method, args, error):
+    """Every bank, row and hammer count is checked and every payload
+    coerced before any state changes, so a rejected call leaves raw state,
+    pristineness and every counter as they were; a twin chip that never
+    saw the call then hammers to the same flips (no wordline's exposure or
+    refresh epoch moved)."""
     profile = profile_for(*_ALL_CONFIGS[-1])
     chip, twin = (
         chip_class(profile, geometry=GEOMETRY, seed=3, hcfirst_target=HCFIRST_TARGET)
@@ -365,9 +381,8 @@ def test_a_batch_that_raises_changes_nothing(chip_class, written, method, rows, 
             bank, _victim, aggressors, _fill = _prepare_worst_case(each)
             each.hammer_pair(bank, aggressors[0], aggressors[-1], 1_000)
     before = _observable(chip)
-    payloads = () if data is None else (data,)
     with pytest.raises(error):
-        getattr(chip, method)(0, rows, *payloads)
+        getattr(chip, method)(*args)
     assert _observable(chip) == before
     for each in (chip, twin):
         each.hammer_pair(0, 1, 3, 40_000)

@@ -2,9 +2,12 @@
 bounds, and the statistical knobs (MPKI, locality, write fraction) that the
 workload mixes rely on."""
 
+import dataclasses
+import pickle
+
 import pytest
 
-from repro.sim.trace import AggressorTraceGenerator, SyntheticTraceGenerator
+from repro.sim.trace import AggressorTraceGenerator, SyntheticTraceGenerator, TraceRecord
 
 
 def make_generator(**overrides):
@@ -113,3 +116,30 @@ class TestAggressorTraceGenerator:
 
     def test_deterministic(self):
         assert self.make().generate(150) == self.make().generate(150)
+
+
+class TestTraceRecord:
+    """A trace holds one record per request, so records keep their fields in
+    slots rather than a per-record ``__dict__``, and stay frozen values."""
+
+    RECORD = TraceRecord(bubble_instructions=12, bank=3, row=77, column=5, is_write=True)
+
+    def test_has_no_instance_dict(self):
+        assert not hasattr(self.RECORD, "__dict__")
+
+    def test_fields_cannot_be_assigned(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            self.RECORD.row = 78
+
+    def test_equality_hash_and_repr_are_the_field_values(self):
+        twin = TraceRecord(12, 3, 77, 5, True)
+        assert twin == self.RECORD
+        assert twin != TraceRecord(12, 3, 78, 5, True)
+        assert hash(twin) == hash(self.RECORD) == hash((12, 3, 77, 5, True))
+        assert repr(self.RECORD) == (
+            "TraceRecord(bubble_instructions=12, bank=3, row=77, column=5, is_write=True)"
+        )
+
+    def test_pickle_round_trip_returns_an_equal_record(self):
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(self.RECORD, protocol)) == self.RECORD
