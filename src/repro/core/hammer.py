@@ -51,11 +51,6 @@ class BitFlip:
     expected_bit: int
     observed_bit: int
 
-    @property
-    def cell(self) -> Tuple[int, int, int]:
-        """Hashable identity of the flipped cell: (bank, row, bit index)."""
-        return (self.bank, self.row, self.bit_index)
-
 
 @dataclass(eq=False)
 class HammerResult:
@@ -72,10 +67,10 @@ class HammerResult:
     ``written``
         The byte (``uint8``) written to every byte of each row.
 
-    :attr:`num_bit_flips`, :meth:`word_flip_counts` and the other counting
-    helpers read the arrays.  :attr:`flips` builds the equivalent
-    :class:`BitFlip` list on first access and caches it.  Equality is
-    identity (``eq=False``): a field-wise ``__eq__`` cannot compare arrays.
+    :attr:`num_bit_flips` and :meth:`word_flip_counts` count on the
+    arrays.  :attr:`flips` builds the equivalent :class:`BitFlip` list on
+    first access and caches it.  Equality is identity (``eq=False``): a
+    field-wise ``__eq__`` cannot compare arrays.
     """
 
     bank: int
@@ -95,29 +90,7 @@ class HammerResult:
     @cached_property
     def flips(self) -> List[BitFlip]:
         """Every flip as a :class:`BitFlip`, in (row, ascending bit) order."""
-        return self._bit_flips(self.diff)
-
-    @property
-    def victim_flips(self) -> List[BitFlip]:
-        """Bit flips located in the victim row itself."""
-        return self.flips_at_offset(0)
-
-    def flips_at_offset(self, offset: int) -> List[BitFlip]:
-        """Bit flips at a given signed row offset from the victim."""
-        return self._bit_flips(self.diff & (self.rows == self.victim_row + offset)[:, None])
-
-    def word_flip_counts(self, word_bits: int) -> np.ndarray:
-        """Flips per ``word_bits``-bit word as a ``(len(rows), words)`` matrix.
-
-        When ``word_bits`` does not divide the row, the last word is the
-        shorter remainder of the row.
-        """
-        starts = np.arange(0, self.diff.shape[1], word_bits)
-        return np.add.reduceat(self.diff, starts, axis=1, dtype=np.int64)
-
-    def _bit_flips(self, diff: np.ndarray) -> List[BitFlip]:
-        """One :class:`BitFlip` per True entry of ``diff`` (a mask over :attr:`diff`)."""
-        row_index, bit_index = np.nonzero(diff)
+        row_index, bit_index = np.nonzero(self.diff)
         # Bits are MSB-first within each byte, as np.unpackbits lays them out.
         expected = (self.written[row_index] >> (7 - bit_index % 8)) & 1
         return [
@@ -133,6 +106,15 @@ class HammerResult:
                 self.rows[row_index].tolist(), bit_index.tolist(), expected.tolist()
             )
         ]
+
+    def word_flip_counts(self, word_bits: int) -> np.ndarray:
+        """Flips per ``word_bits``-bit word as a ``(len(rows), words)`` matrix.
+
+        When ``word_bits`` does not divide the row, the last word is the
+        shorter remainder of the row.
+        """
+        starts = np.arange(0, self.diff.shape[1], word_bits)
+        return np.add.reduceat(self.diff, starts, axis=1, dtype=np.int64)
 
 
 #: Rows observed beyond the profile's blast radius on each side of the
@@ -166,13 +148,13 @@ class DoubleSidedHammer:
     def radius(self) -> int:
         """Logical rows observed on each side of the victim.
 
-        The blast radius plus the margin, doubled under the paired-wordline
-        remapping, where logical neighbours share a wordline.
+        The blast radius plus the margin, times the remapper's rows per
+        wordline: doubled under the paired-wordline remapping, where logical
+        neighbours share a wordline.
         """
-        radius = self.chip.profile.blast_radius + NEIGHBOURHOOD_MARGIN
-        if self.chip.remapper.name == "paired":
-            radius *= 2
-        return radius
+        return (
+            self.chip.profile.blast_radius + NEIGHBOURHOOD_MARGIN
+        ) * self.chip.remapper.rows_per_wordline
 
     def neighbourhood(self, victim_row: int) -> List[int]:
         """Logical rows observed around the victim (victim included)."""

@@ -10,8 +10,16 @@ The chip is the unit every study runs on; the paper's module inventories
 (Table 1 and appendix Tables 7 and 8) are kept as records in
 :mod:`repro.dram.population`.
 
-Columnar state layout
----------------------
+The cell law and the state
+--------------------------
+Everything a chip's cells are is fixed at construction as one
+:class:`~repro.dram.columnar.CellLaw` (seed, row bits, threshold scale and
+floor, planted weakest cell, profile); both chip backends sample every
+cell's threshold, coupling class and per-refresh jitter from it through the
+same :mod:`repro.dram.columnar` row samplers.  ``is_pristine`` is one flag
+of the chip: True until its first row write or activation, and no refresh
+sets it again.
+
 Chip state is *columnar* (structure-of-arrays): each touched bank owns one
 :class:`~repro.dram.columnar.BankColumns` whose whole-bank numpy arrays are
 what the hammer/refresh kernels operate on --
@@ -23,13 +31,11 @@ what the hammer/refresh kernels operate on --
 * ``flipped (rows,)`` marks the rows whose stored data bits disturbance
   flipped since their last write, the only rows an on-die-ECC read decodes;
 * ``exposure (wordlines,)`` accumulates weighted disturbance per physical
-  wordline, with ``exposure_present`` recording which wordlines have an
-  exposure entry at all (the old implementation tracked this as dict-key
-  presence; ``is_pristine`` is exactly "no written rows and no exposure
-  entries");
-* thresholds, coupling-class requirements, and per-epoch noise are lazily
-  sampled ``(rows, row_bits)`` matrices, one independent RNG stream per
-  row, so any access order yields the same values.
+  wordline;
+* thresholds, coupling-class requirements, and per-epoch noise are
+  ``(rows, row_bits)`` matrices sampled lazily from the law, one
+  independent RNG stream per row, so any access order yields the same
+  values.
 
 One ``activate`` / ``hammer_pair`` disturbs every victim row of the blast
 radius in a single vectorized op.
@@ -43,7 +49,7 @@ hashes any backend's observable raw state for those comparisons.
 """
 
 from repro.dram.spec import DramType, DramTypeSpec, SPECS, spec_for
-from repro.dram.geometry import ChipGeometry, RowAddress
+from repro.dram.geometry import ChipGeometry
 from repro.dram.remapping import (
     RowRemapper,
     IdentityRemapper,
@@ -71,7 +77,6 @@ __all__ = [
     "SPECS",
     "spec_for",
     "ChipGeometry",
-    "RowAddress",
     "RowRemapper",
     "IdentityRemapper",
     "PairedWordlineRemapper",

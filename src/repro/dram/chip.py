@@ -34,13 +34,21 @@ that has already flipped, exactly as in a real device.
 
 State layout
 ------------
+Everything a chip's cells will ever be is fixed at construction as one
+:class:`~repro.dram.columnar.CellLaw` (seed, row bits, threshold power-law
+scale and floor, planted weakest cell, profile): both backends sample every
+cell's threshold, coupling class and per-refresh jitter from the law and
+the cell's address, and nothing else.  Whether the chip is still
+*pristine* is one flag, ``is_pristine``: the first row write or activation
+clears it, and no refresh sets it again.
+
 Chip state is columnar: each touched bank owns one
 :class:`~repro.dram.columnar.BankColumns` of whole-bank numpy arrays (bits,
-refresh epochs, wordline exposure, lazily sampled thresholds / coupling
-classes / noise), so an aggressor application disturbs every victim row of
-the blast radius in one vectorized op instead of per-row dict updates.
-Besides the banks, a :class:`DramChip` keeps two per-chip caches of work
-that would otherwise repeat on every hammer test:
+refresh epochs, wordline exposure, thresholds / coupling classes / noise
+sampled lazily from the law), so an aggressor application disturbs every
+victim row of the blast radius in one vectorized op instead of per-row dict
+updates.  Besides the banks, a :class:`DramChip` keeps two per-chip caches
+of work that would otherwise repeat on every hammer test:
 
 * the *fill cache*: a fill byte's row bits and, on an on-die-ECC chip, its
   check bits, built on the byte's first write and stored read-only (a
@@ -70,7 +78,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.dram.columnar import BankColumns
+from repro.dram.columnar import BankColumns, CellLaw
 from repro.dram.geometry import ChipGeometry
 from repro.dram.remapping import RowRemapper, remapper_for
 from repro.dram.spec import DramTypeSpec, spec_for
@@ -121,8 +129,9 @@ class _CalibratedChip:
     """Construction-time calibration shared by every chip backend.
 
     Owns everything a chip *is* before any operation touches it: profile,
-    geometry, remapper, on-die ECC, the sampled ``HC_first`` target, the
-    derived threshold power-law scale/floor, and the planted weakest cell.
+    geometry, remapper, on-die ECC, the sampled ``HC_first`` target and the
+    :class:`~repro.dram.columnar.CellLaw` derived from it, plus the
+    ``is_pristine`` flag that the first row write or activation clears.
     Subclasses supply the state representation and the disturb kernel
     (:class:`DramChip` columnar arrays,
     :class:`~repro.dram.reference.ReferenceDramChip` per-row dicts).
@@ -146,6 +155,12 @@ class _CalibratedChip:
         self.spec: DramTypeSpec = spec_for(profile.dram_type)
         self.remapper: RowRemapper = remapper_for(profile.remapper_name)
         self.stats = ChipStats()
+        #: True until the first row write or activation.  A pristine chip's
+        #: observable behaviour is a pure function of its construction
+        #: parameters, which is what lets the experiments result store key
+        #: cached study results by those parameters alone.  Refreshing
+        #: never restores it.
+        self.is_pristine = True
 
         self._ondie_ecc: Optional[OnDieEcc] = None
         if profile.on_die_ecc:
@@ -176,17 +191,22 @@ class _CalibratedChip:
                 1.0 / (2.0 * profile.flip_slope)
             )
             calibration_target = self._hcfirst_target / masking_factor
-        self._threshold_scale = profile.threshold_scale(
-            calibration_target, self.geometry.total_cells
-        )
         # The chip's weakest cell is planted explicitly: one deterministic
         # cell receives exactly the target threshold and no sampled threshold
         # may fall below it.  This pins the chip's measured HC_first to its
         # sampled target (the sampled power-law tail would otherwise make the
         # measured minimum a noisy random variable), while leaving the
         # flip-count-versus-HC curve above HC_first unchanged.
-        self._threshold_floor = 2.0 * calibration_target
-        self._planted_cell = self._choose_planted_cell(chip_rng)
+        self._law = CellLaw(
+            seed=seed,
+            row_bits=self.geometry.row_bits,
+            threshold_scale=profile.threshold_scale(
+                calibration_target, self.geometry.total_cells
+            ),
+            threshold_floor=2.0 * calibration_target,
+            planted_cell=self._choose_planted_cell(chip_rng),
+            profile=profile,
+        )
         self._column_parity = (np.arange(self.geometry.row_bits) % 2).astype(np.uint8)
 
     def _choose_planted_cell(self, rng) -> Tuple[int, int, int]:
@@ -197,9 +217,7 @@ class _CalibratedChip:
         dominant coupling class's column-parity requirement so the cell is
         exposed by the chip's worst-case data pattern.
         """
-        margin = (self.profile.blast_radius + 2) * (
-            2 if self.remapper.name == "paired" else 1
-        )
+        margin = (self.profile.blast_radius + 2) * self.remapper.rows_per_wordline
         rows = self.geometry.rows_per_bank
         if rows > 2 * margin + 1:
             row = int(rng.integers(margin, rows - margin))
@@ -228,7 +246,7 @@ class _CalibratedChip:
         discovers this location through testing (see
         :func:`repro.core.first_flip.run_hcfirst_search`).
         """
-        return self._planted_cell
+        return self._law.planted_cell
 
     @property
     def has_on_die_ecc(self) -> bool:
@@ -251,6 +269,7 @@ class _CalibratedChip:
         self.geometry.validate_address(bank, row)
         if count <= 0:
             return 0
+        self.is_pristine = False
         self.stats.activations += count
         return self._apply_aggressor(bank, row, count)
 
@@ -266,6 +285,7 @@ class _CalibratedChip:
         self.geometry.validate_address(bank, row_b)
         if count <= 0:
             return 0
+        self.is_pristine = False
         self.stats.activations += 2 * count
         flips = self._apply_aggressor(bank, row_a, count)
         flips += self._apply_aggressor(bank, row_b, count)
@@ -366,25 +386,10 @@ class DramChip(_CalibratedChip):
                 else 0
             )
             columns = BankColumns(
-                bank,
-                self.geometry.rows_per_bank,
-                self.geometry.row_bits,
-                self._num_wordlines,
-                check_bits,
+                self._law, bank, self.geometry.rows_per_bank, self._num_wordlines, check_bits
             )
             self._banks[bank] = columns
         return columns
-
-    @property
-    def is_pristine(self) -> bool:
-        """Whether the chip is still in its as-constructed state.
-
-        True until the first row write or activation.  A pristine chip's
-        observable behaviour is a pure function of its construction
-        parameters, which is what lets the experiments result store key
-        cached study results by those parameters alone.
-        """
-        return not any(columns.touched for columns in self._banks.values())
 
     def _row_data(self, data: RowData) -> Tuple[np.ndarray, Optional[np.ndarray]]:
         """Row bits and on-die-ECC check bits (``None`` without ECC) to store for ``data``.
@@ -446,6 +451,7 @@ class DramChip(_CalibratedChip):
             return
         self._validate_rows(bank, rows)
         row_data = [self._row_data(value) for value in data]
+        self.is_pristine = False
         columns = self._bank(bank)
         for row, (bits, check_bits) in zip(rows, row_data):
             columns.bits[row] = bits
@@ -461,7 +467,6 @@ class DramChip(_CalibratedChip):
             [self.remapper.logical_to_physical(row) for row in rows], dtype=np.intp
         )
         columns.exposure[wordlines] = 0.0
-        columns.exposure_present[wordlines] = True
         self.stats.row_writes += len(rows)
 
     def read_rows(self, bank: int, rows: Sequence[int]) -> np.ndarray:
@@ -516,7 +521,6 @@ class DramChip(_CalibratedChip):
         if columns is not None:
             wordline = self.remapper.logical_to_physical(row)
             columns.exposure[wordline] = 0.0
-            columns.exposure_present[wordline] = False
             for logical in self.remapper.physical_to_logical(wordline):
                 if 0 <= logical < self.geometry.rows_per_bank and columns.written[logical]:
                     columns.epoch[logical] += 1
@@ -526,7 +530,6 @@ class DramChip(_CalibratedChip):
         """Refresh every row in the chip."""
         for columns in self._banks.values():
             columns.exposure.fill(0.0)
-            columns.exposure_present.fill(False)
             columns.epoch[columns.written] += 1
         self.stats.refreshes += 1
 
@@ -595,12 +598,10 @@ class DramChip(_CalibratedChip):
         aggressor_wordline = self.remapper.logical_to_physical(aggressor_row)
         # Opening the aggressor row restores its own charge.
         columns.exposure[aggressor_wordline] = 0.0
-        columns.exposure_present[aggressor_wordline] = True
         aggressor_bits = self._wordline_bits(columns, aggressor_wordline)
 
         wordlines, couplings, rows, row_wordlines = self._victim_plan(aggressor_wordline)
         columns.exposure[wordlines] += couplings * count
-        columns.exposure_present[wordlines] = True
         # A row that has never been written holds no meaningful data; flips
         # in it would not be observable, so skip the work.
         written = columns.written[rows]
@@ -608,26 +609,14 @@ class DramChip(_CalibratedChip):
         if not index.size:
             return 0
         exposure = columns.exposure[row_wordlines[written]]
-        effective = columns.thresholds_for(
-            index,
-            seed=self.seed,
-            scale=self._threshold_scale,
-            slope=self.profile.flip_slope,
-            floor=self._threshold_floor,
-            planted_cell=self._planted_cell,
-        )
-        sigma = self.profile.threshold_noise_sigma
-        if sigma > 0:
-            effective = effective * columns.noise_for(index, seed=self.seed, sigma=sigma)
+        effective = columns.thresholds_for(index)
+        if self.profile.threshold_noise_sigma > 0:
+            effective = effective * columns.noise_for(index)
         eligible = effective <= exposure[:, None]
         if not eligible.any():
             return 0
         required_victim, required_aggressor, parity_ok = columns.classes_for(
-            index,
-            seed=self.seed,
-            profile=self.profile,
-            planted_cell=self._planted_cell,
-            column_parity=self._column_parity,
+            index, self._column_parity
         )
         victim_bits = columns.bits[index]
         match = (

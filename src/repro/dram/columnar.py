@@ -1,4 +1,4 @@
-"""Columnar (structure-of-arrays) per-bank chip state.
+"""Columnar (structure-of-arrays) per-bank chip state and the cell law.
 
 The behavioural chip model used to keep per-row Python dicts -- one
 ``_RowState`` object per written row, one float per exposed wordline.  At
@@ -10,17 +10,22 @@ vectorized ops.
 
 Bit-identity contract
 ---------------------
-Every stochastic stream is sampled *per row* from its own generator
-(``make_rng(seed, kind, bank, row[, epoch])``), exactly as the dict-based
-implementation did.  Because the streams are independent, materializing a
-row's thresholds into ``BankColumns.thresholds[row]`` lazily -- in whatever
-order rows happen to be touched -- produces bit-identical values to the
-old per-row dict cache.  The module-level ``sample_*_row`` helpers are the
-single source of truth for those draws; :class:`BankColumns` (for
+Every per-cell fact of a chip (flip threshold, coupling class, per-refresh
+jitter) follows from one :class:`CellLaw`, fixed when the chip is built,
+and the cell's address.  Every stochastic stream is sampled *per row* from
+its own generator (``make_rng(seed, kind, bank, row[, epoch])``), exactly
+as the dict-based implementation did.  Because the streams are
+independent, materializing a row's thresholds into
+``BankColumns.thresholds[row]`` lazily -- in whatever order rows happen to
+be touched -- produces bit-identical values to the old per-row dict cache.
+The module-level samplers ``sample_threshold_row(law, bank, row)``,
+``sample_class_row(law, bank, row)`` and ``sample_noise_row(law, bank,
+row, epoch)`` take nothing but the law and the address and are the single
+source of truth for those draws; :class:`BankColumns` (for
 :class:`~repro.dram.chip.DramChip`) and
-:class:`~repro.dram.reference.ReferenceDramChip` both call them, which is
-what keeps the columnar chip and the oracle bit-identical by construction
-(and what the differential suite pins).
+:class:`~repro.dram.reference.ReferenceDramChip` both call them with their
+chip's law, which is what keeps the columnar chip and the oracle
+bit-identical by construction (and what the differential suite pins).
 
 Array layout (per bank; ``R`` rows, ``B`` row bits, ``W`` wordlines)
 --------------------------------------------------------------------
@@ -33,9 +38,6 @@ Array layout (per bank; ``R`` rows, ``B`` row bits, ``W`` wordlines)
 ``epoch``             (R,)    int64    refresh epoch (0 until the row's first
                                        write; increments on write/refresh)
 ``exposure``          (W,)    float64  accumulated weighted disturbance
-``exposure_present``  (W,)    bool     wordline has an exposure entry (pristine
-                                       tracking mirrors the old dict's *key
-                                       presence*, including zero-valued keys)
 ``thresholds``        (R, B)  float64  base per-cell flip thresholds (lazy)
 ``req_victim`` /
 ``req_aggressor``     (R, B)  uint8    coupling-class bit requirements (lazy)
@@ -47,46 +49,53 @@ Array layout (per bank; ``R`` rows, ``B`` row bits, ``W`` wordlines)
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 
+from repro.dram.vulnerability import VulnerabilityProfile
 from repro.utils.rng import make_rng
 
 
-def sample_threshold_row(
-    seed: int,
-    bank: int,
-    row: int,
-    row_bits: int,
-    scale: float,
-    slope: float,
-    floor: float,
-    planted_cell: Tuple[int, int, int],
-) -> np.ndarray:
+@dataclass(frozen=True)
+class CellLaw:
+    """What one chip's per-cell thresholds, classes and jitter are drawn from.
+
+    ``threshold_scale`` is the power-law coefficient of the threshold
+    distribution and ``threshold_floor`` the planted weakest cell's
+    threshold, which no other cell falls below; ``planted_cell`` is that
+    cell's ``(bank, row, column)``.  The profile supplies the flip slope,
+    the coupling classes and the jitter's sigma.
+    """
+
+    seed: int
+    row_bits: int
+    threshold_scale: float
+    threshold_floor: float
+    planted_cell: Tuple[int, int, int]
+    profile: VulnerabilityProfile
+
+
+def sample_threshold_row(law: CellLaw, bank: int, row: int) -> np.ndarray:
     """Base per-cell thresholds of one logical row (exposure units).
 
     Inverse transform of ``P(T <= e) = scale * e**slope`` (capped at 1),
     floored at the planted weakest cell's threshold; the planted cell itself
     receives exactly the floor.
     """
-    rng = make_rng(seed, "thresholds", bank, row)
-    uniform = rng.random(row_bits)
-    thresholds = (uniform / scale) ** (1.0 / slope)
-    np.maximum(thresholds, floor, out=thresholds)
-    planted_bank, planted_row, planted_column = planted_cell
+    rng = make_rng(law.seed, "thresholds", bank, row)
+    uniform = rng.random(law.row_bits)
+    thresholds = (uniform / law.threshold_scale) ** (1.0 / law.profile.flip_slope)
+    np.maximum(thresholds, law.threshold_floor, out=thresholds)
+    planted_bank, planted_row, planted_column = law.planted_cell
     if (bank, row) == (planted_bank, planted_row):
-        thresholds[planted_column] = floor
+        thresholds[planted_column] = law.threshold_floor
     return thresholds
 
 
 def sample_class_row(
-    seed: int,
-    bank: int,
-    row: int,
-    row_bits: int,
-    profile,
-    planted_cell: Tuple[int, int, int],
+    law: CellLaw, bank: int, row: int
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Coupling-class requirement arrays of one logical row.
 
@@ -95,7 +104,8 @@ def sample_class_row(
     cell is forced into the profile's dominant class so the chip's worst-case
     data pattern always exposes it.
     """
-    rng = make_rng(seed, "classes", bank, row)
+    rng = make_rng(law.seed, "classes", bank, row)
+    profile, row_bits = law.profile, law.row_bits
     probabilities = profile.class_probabilities()
     class_indices = rng.choice(len(probabilities), size=row_bits, p=probabilities)
     required_victim = np.empty(row_bits, dtype=np.uint8)
@@ -106,7 +116,7 @@ def sample_class_row(
         required_victim[mask] = cls.victim_bit
         required_aggressor[mask] = cls.aggressor_bit
         required_parity[mask] = 2 if cls.column_parity is None else cls.column_parity
-    planted_bank, planted_row, planted_column = planted_cell
+    planted_bank, planted_row, planted_column = law.planted_cell
     if (bank, row) == (planted_bank, planted_row):
         dominant = profile.coupling_classes[0]
         required_victim[planted_column] = dominant.victim_bit
@@ -117,36 +127,34 @@ def sample_class_row(
     return required_victim, required_aggressor, required_parity
 
 
-def sample_noise_row(
-    seed: int, bank: int, row: int, epoch: int, row_bits: int, sigma: float
-) -> np.ndarray:
+def sample_noise_row(law: CellLaw, bank: int, row: int, epoch: int) -> np.ndarray:
     """Multiplicative per-refresh-epoch threshold jitter of one logical row."""
-    rng = make_rng(seed, "noise", bank, row, epoch)
-    return np.exp(rng.normal(0.0, sigma, row_bits))
+    rng = make_rng(law.seed, "noise", bank, row, epoch)
+    return np.exp(rng.normal(0.0, law.profile.threshold_noise_sigma, law.row_bits))
 
 
 class BankColumns:
     """Structure-of-arrays state of one bank of one chip.
 
-    Data arrays (``bits`` .. ``exposure_present``) are allocated eagerly --
-    they are touched by the first write or activation that creates the bank.
+    Data arrays (``bits`` .. ``exposure``) are allocated eagerly -- they are
+    touched by the first write or activation that creates the bank.
     Calibration arrays (thresholds, classes, noise) are allocated on first
-    use and filled row-by-row on demand via the ``*_for`` accessors, so a
-    chip that only ever hammers a few rows samples no more generator streams
-    than the dict implementation did.
+    use and filled row-by-row on demand from the chip's :class:`CellLaw`
+    via the ``*_for`` accessors, so a chip that only ever hammers a few
+    rows samples no more generator streams than the dict implementation
+    did.
     """
 
     __slots__ = (
+        "law",
         "bank",
         "rows",
-        "row_bits",
         "bits",
         "check_bits",
         "written",
         "flipped",
         "epoch",
         "exposure",
-        "exposure_present",
         "thresholds",
         "thr_sampled",
         "req_victim",
@@ -158,12 +166,12 @@ class BankColumns:
     )
 
     def __init__(
-        self, bank: int, rows: int, row_bits: int, wordlines: int, check_bits_per_row: int
+        self, law: CellLaw, bank: int, rows: int, wordlines: int, check_bits_per_row: int
     ) -> None:
+        self.law = law
         self.bank = bank
         self.rows = rows
-        self.row_bits = row_bits
-        self.bits = np.zeros((rows, row_bits), dtype=np.uint8)
+        self.bits = np.zeros((rows, law.row_bits), dtype=np.uint8)
         self.check_bits: Optional[np.ndarray] = (
             np.zeros((rows, check_bits_per_row), dtype=np.uint8)
             if check_bits_per_row
@@ -173,7 +181,6 @@ class BankColumns:
         self.flipped = np.zeros(rows, dtype=bool)
         self.epoch = np.zeros(rows, dtype=np.int64)
         self.exposure = np.zeros(wordlines, dtype=np.float64)
-        self.exposure_present = np.zeros(wordlines, dtype=bool)
         self.thresholds: Optional[np.ndarray] = None
         self.thr_sampled = np.zeros(rows, dtype=bool)
         self.req_victim: Optional[np.ndarray] = None
@@ -183,43 +190,21 @@ class BankColumns:
         self.noise: Optional[np.ndarray] = None
         self.noise_epoch: Optional[np.ndarray] = None
 
-    @property
-    def touched(self) -> bool:
-        """Whether any observable state exists (written rows or exposure keys)."""
-        return bool(self.written.any() or self.exposure_present.any())
-
     # ------------------------------------------------------------------
     # Lazy calibration columns
     # ------------------------------------------------------------------
-    def thresholds_for(
-        self,
-        rows_idx: np.ndarray,
-        *,
-        seed: int,
-        scale: float,
-        slope: float,
-        floor: float,
-        planted_cell: Tuple[int, int, int],
-    ) -> np.ndarray:
+    def thresholds_for(self, rows_idx: np.ndarray) -> np.ndarray:
         """Base thresholds for a set of distinct rows, sampling missing rows on demand."""
         if self.thresholds is None:
-            self.thresholds = np.empty((self.rows, self.row_bits), dtype=np.float64)
+            self.thresholds = np.empty((self.rows, self.law.row_bits), dtype=np.float64)
         missing = rows_idx[~self.thr_sampled[rows_idx]]
         for row in missing.tolist():
-            self.thresholds[row] = sample_threshold_row(
-                seed, self.bank, row, self.row_bits, scale, slope, floor, planted_cell
-            )
+            self.thresholds[row] = sample_threshold_row(self.law, self.bank, row)
         self.thr_sampled[missing] = True
         return self.thresholds[rows_idx]
 
     def classes_for(
-        self,
-        rows_idx: np.ndarray,
-        *,
-        seed: int,
-        profile,
-        planted_cell: Tuple[int, int, int],
-        column_parity: np.ndarray,
+        self, rows_idx: np.ndarray, column_parity: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Coupling-class requirements for a set of distinct rows (lazy per row).
 
@@ -229,14 +214,13 @@ class BankColumns:
         row's classes are sampled.
         """
         if self.req_victim is None:
-            self.req_victim = np.empty((self.rows, self.row_bits), dtype=np.uint8)
-            self.req_aggressor = np.empty((self.rows, self.row_bits), dtype=np.uint8)
-            self.parity_ok = np.empty((self.rows, self.row_bits), dtype=bool)
+            shape = (self.rows, self.law.row_bits)
+            self.req_victim = np.empty(shape, dtype=np.uint8)
+            self.req_aggressor = np.empty(shape, dtype=np.uint8)
+            self.parity_ok = np.empty(shape, dtype=bool)
         missing = rows_idx[~self.cls_sampled[rows_idx]]
         for row in missing.tolist():
-            rv, ra, rp = sample_class_row(
-                seed, self.bank, row, self.row_bits, profile, planted_cell
-            )
+            rv, ra, rp = sample_class_row(self.law, self.bank, row)
             self.req_victim[row] = rv
             self.req_aggressor[row] = ra
             self.parity_ok[row] = (rp == 2) | (column_parity == rp)
@@ -247,7 +231,7 @@ class BankColumns:
             self.parity_ok[rows_idx],
         )
 
-    def noise_for(self, rows_idx: np.ndarray, *, seed: int, sigma: float) -> np.ndarray:
+    def noise_for(self, rows_idx: np.ndarray) -> np.ndarray:
         """Per-epoch threshold jitter for a set of distinct rows.
 
         A row's cached noise is valid while its refresh epoch is unchanged
@@ -256,10 +240,10 @@ class BankColumns:
         on).
         """
         if self.noise is None:
-            self.noise = np.empty((self.rows, self.row_bits), dtype=np.float64)
+            self.noise = np.empty((self.rows, self.law.row_bits), dtype=np.float64)
             self.noise_epoch = np.full(self.rows, -1, dtype=np.int64)
         stale = rows_idx[self.noise_epoch[rows_idx] != self.epoch[rows_idx]]
         for row, epoch in zip(stale.tolist(), self.epoch[stale].tolist()):
-            self.noise[row] = sample_noise_row(seed, self.bank, row, epoch, self.row_bits, sigma)
+            self.noise[row] = sample_noise_row(self.law, self.bank, row, epoch)
         self.noise_epoch[stale] = self.epoch[stale]
         return self.noise[rows_idx]

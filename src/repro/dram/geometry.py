@@ -68,15 +68,3 @@ class ChipGeometry:
         """
         if not 0 <= bank < self.banks:
             raise IndexError(f"bank {bank} out of range [0, {self.banks})")
-
-
-@dataclass(frozen=True, order=True)
-class RowAddress:
-    """A (bank, row) pair identifying one DRAM row within a chip."""
-
-    bank: int
-    row: int
-
-    def offset(self, delta: int) -> "RowAddress":
-        """Return the row address ``delta`` rows away within the same bank."""
-        return RowAddress(self.bank, self.row + delta)

@@ -8,7 +8,8 @@ differential suite (``tests/dram/test_chip_differential.py``) drives it and
 the columnar :class:`~repro.dram.chip.DramChip` through identical operation
 soups and requires bit-identical flips, stats, and state digests.
 
-Both backends draw every stochastic stream through the shared
+Both backends draw every stochastic stream from their chip's one
+:class:`~repro.dram.columnar.CellLaw` through the shared
 :mod:`repro.dram.columnar` ``sample_*_row`` helpers (one independent
 generator per row), so any divergence the suite finds is structural -- an
 ordering or accumulation bug in the vectorized kernel -- not a sampling
@@ -54,11 +55,6 @@ class ReferenceDramChip(_CalibratedChip):
         self._classes: Dict[Tuple[int, int], Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self._noise_cache: Dict[Tuple[int, int], Tuple[int, np.ndarray]] = {}
 
-    @property
-    def is_pristine(self) -> bool:
-        """Whether the chip is still in its as-constructed state."""
-        return not self._rows and not self._exposure
-
     # ------------------------------------------------------------------
     # Data path
     # ------------------------------------------------------------------
@@ -81,6 +77,8 @@ class ReferenceDramChip(_CalibratedChip):
         if len(data) != len(rows):
             raise ValueError(f"expected {len(rows)} row payloads, got {len(data)}")
         row_bits = [self._coerce_row_bits(value) for value in data]
+        if rows:
+            self.is_pristine = False
         for row, bits in zip(rows, row_bits):
             check_bits = None
             if self._ondie_ecc is not None:
@@ -226,32 +224,20 @@ class ReferenceDramChip(_CalibratedChip):
         cached = self._thresholds.get(key)
         if cached is not None:
             return cached
-        thresholds = sample_threshold_row(
-            self.seed,
-            bank,
-            row,
-            self.geometry.row_bits,
-            self._threshold_scale,
-            self.profile.flip_slope,
-            self._threshold_floor,
-            self._planted_cell,
-        )
+        thresholds = sample_threshold_row(self._law, bank, row)
         self._thresholds[key] = thresholds
         return thresholds
 
     def _effective_thresholds(self, bank: int, row: int, epoch: int) -> np.ndarray:
         """Base thresholds with per-refresh-epoch jitter applied."""
-        sigma = self.profile.threshold_noise_sigma
         base = self._base_thresholds(bank, row)
-        if sigma <= 0:
+        if self.profile.threshold_noise_sigma <= 0:
             return base
         cached = self._noise_cache.get((bank, row))
         if cached is not None and cached[0] == epoch:
             noise = cached[1]
         else:
-            noise = sample_noise_row(
-                self.seed, bank, row, epoch, self.geometry.row_bits, sigma
-            )
+            noise = sample_noise_row(self._law, bank, row, epoch)
             self._noise_cache[(bank, row)] = (epoch, noise)
         return base * noise
 
@@ -261,8 +247,6 @@ class ReferenceDramChip(_CalibratedChip):
         cached = self._classes.get(key)
         if cached is not None:
             return cached
-        result = sample_class_row(
-            self.seed, bank, row, self.geometry.row_bits, self.profile, self._planted_cell
-        )
+        result = sample_class_row(self._law, bank, row)
         self._classes[key] = result
         return result

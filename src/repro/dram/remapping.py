@@ -32,6 +32,9 @@ class RowRemapper(ABC):
 
     #: short identifier used by profiles / population tables
     name: str = "abstract"
+    #: Logical rows sharing one physical wordline: a span of ``n`` wordlines
+    #: covers ``n * rows_per_wordline`` logical rows.
+    rows_per_wordline: int = 1
 
     @abstractmethod
     def logical_to_physical(self, logical_row: int) -> int:
@@ -43,7 +46,7 @@ class RowRemapper(ABC):
 
     def num_wordlines(self, rows_per_bank: int) -> int:
         """Number of physical wordlines backing ``rows_per_bank`` logical rows."""
-        return rows_per_bank
+        return -(-rows_per_bank // self.rows_per_wordline)
 
     def aggressors_for(self, victim_logical_row: int) -> List[int]:
         """Logical rows to activate for a worst-case double-sided hammer of
@@ -86,15 +89,13 @@ class PairedWordlineRemapper(RowRemapper):
     """
 
     name = "paired"
+    rows_per_wordline = 2
 
     def logical_to_physical(self, logical_row: int) -> int:
         return logical_row // 2
 
     def physical_to_logical(self, physical_row: int) -> List[int]:
         return [physical_row * 2, physical_row * 2 + 1]
-
-    def num_wordlines(self, rows_per_bank: int) -> int:
-        return (rows_per_bank + 1) // 2
 
 
 _REMAPPERS = {

@@ -191,15 +191,6 @@ class ExperimentSession:
         """The session's chip population, in insertion order."""
         return list(self._chips)
 
-    def configurations(self) -> List[Tuple[str, str]]:
-        """Distinct (type-node, manufacturer) pairs present, in insertion order."""
-        seen: List[Tuple[str, str]] = []
-        for chip in self._chips:
-            key = (chip.profile.type_node.value, chip.profile.manufacturer)
-            if key not in seen:
-                seen.append(key)
-        return seen
-
     # ------------------------------------------------------------------
     # Study execution
     # ------------------------------------------------------------------

@@ -30,7 +30,7 @@ import pickle
 import uuid
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterator, Optional, Union
+from typing import Any, Dict, Iterator, Optional, Set, Union
 
 try:  # POSIX advisory locking; absent on some platforms (e.g. Windows)
     import fcntl
@@ -211,6 +211,9 @@ class ResultStore:
         #: Study name -> its entry directory as a string ending in a path
         #: separator, for :meth:`_entry_path`.
         self._study_dirs: Dict[str, str] = {}
+        #: Studies whose entry directory this store has created; the root
+        #: is created with the first of them.
+        self._made_dirs: Set[str] = set()
 
     @contextlib.contextmanager
     def _write_lock(self) -> Iterator[None]:
@@ -226,7 +229,6 @@ class ResultStore:
         if self.root is None or fcntl is None:
             yield
             return
-        self.root.mkdir(parents=True, exist_ok=True)
         with (self.root / self.LOCK_FILENAME).open("a+b") as handle:
             fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
             try:
@@ -327,8 +329,12 @@ class ResultStore:
             self._memory[key] = data
         else:
             path = Path(self._entry_path(key))
+            if key.study not in self._made_dirs:
+                if not self._made_dirs:
+                    self.root.mkdir(parents=True, exist_ok=True)
+                path.parent.mkdir(exist_ok=True)
+                self._made_dirs.add(key.study)
             with self._write_lock():
-                path.parent.mkdir(parents=True, exist_ok=True)
                 # Per-writer unique temp name: concurrent processes sharing
                 # one store root each publish their own complete pickle
                 # atomically even if the advisory lock is unavailable.
@@ -338,12 +344,13 @@ class ResultStore:
                 try:
                     tmp.write_bytes(data)
                     tmp.replace(path)
-                finally:
-                    # Cleanup only matters on a failed write/replace, and must
-                    # never mask the original exception: the temp file may be
-                    # gone already (replace succeeded) or undeletable.
+                except BaseException:
+                    # Cleanup must never mask the original exception: the
+                    # temp file may never have been created, or be
+                    # undeletable.
                     with contextlib.suppress(OSError):
                         tmp.unlink(missing_ok=True)
+                    raise
         self.stats.puts += 1
 
     def entry_paths(self, study: Optional[str] = None, units_only: bool = False) -> list:

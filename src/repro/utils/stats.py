@@ -31,11 +31,6 @@ class BoxStats:
     outliers: tuple
     count: int
 
-    @property
-    def iqr(self) -> float:
-        """Inter-quartile range (box height)."""
-        return self.third_quartile - self.first_quartile
-
 
 def _quantile(sorted_values: Sequence[float], q: float) -> float:
     """Linear-interpolation quantile of an already-sorted sequence."""

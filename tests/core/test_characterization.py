@@ -58,8 +58,15 @@ class TestCharacterizer:
         characterizer = RowHammerCharacterizer(ddr4_chip)
         config = CharacterizationConfig(hammer_counts=(10_000, 150_000))
         result = characterizer.run(config)
-        low = {f.cell for r in result.records if r.hammer_count == 10_000 for f in r.flips}
-        high = {f.cell for r in result.records if r.hammer_count == 150_000 for f in r.flips}
+        def cells(hammer_count):
+            return {
+                (f.bank, f.row, f.bit_index)
+                for r in result.records
+                if r.hammer_count == hammer_count
+                for f in r.flips
+            }
+
+        low, high = cells(10_000), cells(150_000)
         assert len(high) >= len(low)
         assert sum(len(r.flips) for r in result.records) >= len(high)
 

@@ -387,3 +387,46 @@ def test_a_batch_that_raises_changes_nothing(chip_class, written, method, args, 
     for each in (chip, twin):
         each.hammer_pair(0, 1, 3, 40_000)
     assert _observable(chip) == _observable(twin)
+
+
+# ----------------------------------------------------------------------
+# Pristineness is one flag
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("chip_class", [DramChip, ReferenceDramChip], ids=["columnar", "reference"])
+@pytest.mark.parametrize(
+    "touch",
+    [
+        lambda chip: chip.activate(0, 3, 100),
+        lambda chip: chip.hammer_pair(0, 2, 4, 1),
+        lambda chip: chip.write_rows(0, [5], 0x00),
+    ],
+    ids=["activate", "hammer_pair", "write_rows"],
+)
+def test_pristine_until_the_first_write_or_activation(chip_class, touch):
+    """Calls that change nothing keep a chip pristine; its first row write
+    or activation clears the flag, and no refresh sets it again (an
+    activated chip's counters and refresh epochs are not a fresh chip's)."""
+    chip = chip_class(
+        profile_for("DDR4-new", "A"), geometry=GEOMETRY, seed=1, hcfirst_target=HCFIRST_TARGET
+    )
+    chip.write_rows(0, [], [])
+    chip.write_rows(0, [], 0x11)
+    with pytest.raises(ValueError):
+        chip.write_rows(0, [1, 2], [0x11, 300])
+    with pytest.raises(IndexError):
+        chip.write_rows(0, [1, _ROWS], 0x11)
+    with pytest.raises(IndexError):
+        chip.hammer_pair(0, 1, _ROWS, 40_000)
+    chip.activate(0, 3, 0)
+    chip.activate(0, 3, -5)
+    chip.hammer_pair(0, 2, 4, 0)
+    chip.refresh_row(0, 3)
+    chip.refresh_all()
+    chip.read_rows(0, [1, 2])
+    chip.read_rows_raw(0, [1, 2])
+    assert chip.is_pristine
+    touch(chip)
+    assert not chip.is_pristine
+    chip.refresh_row(0, 3)
+    chip.refresh_all()
+    assert not chip.is_pristine

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.dram.geometry import ChipGeometry, RowAddress
+from repro.dram.geometry import ChipGeometry
 
 
 class TestChipGeometry:
@@ -29,14 +29,3 @@ class TestChipGeometry:
             geometry.validate_address(0, 16)
         with pytest.raises(IndexError):
             geometry.validate_address(-1, 0)
-
-
-class TestRowAddress:
-    def test_offset(self):
-        address = RowAddress(bank=1, row=10)
-        assert address.offset(2) == RowAddress(1, 12)
-        assert address.offset(-3) == RowAddress(1, 7)
-
-    def test_ordering(self):
-        assert RowAddress(0, 5) < RowAddress(1, 0)
-        assert RowAddress(0, 5) < RowAddress(0, 6)

@@ -55,7 +55,9 @@ class TestPopulationHandling:
             chips_per_config=1, seed=3, geometry=GEOMETRY, configurations=CONFIGURATIONS
         )
         assert len(session.chips) == 2
-        assert session.configurations() == [("DDR4-new", "A"), ("LPDDR4-1y", "A")]
+        assert [
+            (chip.profile.type_node.value, chip.profile.manufacturer) for chip in session.chips
+        ] == [("DDR4-new", "A"), ("LPDDR4-1y", "A")]
 
     def test_flatten_population_preserves_order(self):
         population = fresh_population()

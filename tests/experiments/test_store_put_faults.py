@@ -4,7 +4,10 @@
 file.  Two fault paths are pinned here: a failed temp-file write (a full
 disk) must not leave ``.tmp`` litter behind (and cleanup must never mask
 the original error), and on platforms without ``fcntl`` the advisory lock
-degrades to a no-op while the write stays atomic-rename-based.
+degrades to a no-op while the write stays atomic-rename-based.  The
+successful path does its set-up once: the root and each study directory
+are created by a store's first put into them, and a temp file that was
+renamed into place is not unlinked.
 """
 
 from __future__ import annotations
@@ -18,9 +21,9 @@ from repro.experiments.store import CacheKey, ResultStore
 from repro.experiments.study import StudyResult
 
 
-def make_result(payload):
+def make_result(payload, study="faults-demo"):
     return StudyResult(
-        study="faults-demo",
+        study=study,
         config_digest="cfg",
         chip_id=None,
         type_node=None,
@@ -72,6 +75,31 @@ class TestTempFileHygiene:
         monkeypatch.setattr(type(root), "unlink", broken_unlink)
         with pytest.raises(OSError, match="No space left"):
             store.put(CacheKey("faults-demo", "cfg", "bad"), make_result(3))
+
+
+class TestPutSetUp:
+    def test_puts_make_each_directory_once_and_unlink_nothing(self, tmp_path, monkeypatch):
+        calls = {"mkdir": 0, "unlink": 0}
+        path_type = type(tmp_path)
+        for name in calls:
+
+            def counting(self, *args, _name=name, _method=getattr(path_type, name), **kwargs):
+                calls[_name] += 1
+                return _method(self, *args, **kwargs)
+
+            monkeypatch.setattr(path_type, name, counting)
+        root = tmp_path / "store"
+        store = ResultStore(root)
+        for index in range(5):
+            store.put(CacheKey("faults-demo", "cfg", f"chip{index}"), make_result(index))
+        assert calls["mkdir"] <= 2  # the root and the study's directory
+        assert calls["unlink"] == 0
+        assert len(store.entry_paths("faults-demo")) == 5
+        assert tmp_litter(root) == []
+        # A put into another study creates that study's directory.
+        other = CacheKey("faults-other", "cfg", "chip0")
+        store.put(other, make_result(5, study="faults-other"))
+        assert ResultStore(root).get(other).payload == 5
 
 
 class TestNoFcntlFallback:

@@ -6,9 +6,14 @@ properties included.  A definition is used when its name is referenced from
 ``src/``, ``examples/``, ``benchmarks/`` or ``perfbench/``: as an
 ``ast.Name`` id, as an ``ast.Attribute`` attr or, under ``perfbench/``
 only, as a string constant (``perfbench/layers.py`` wraps library methods
-by name).  Imports are not references, so a package ``__init__.py``
-re-export is not a caller.  Studies registered with ``@register_study`` are
-reached through the registry and count as used.
+by name).  A member of a class (a def or class in its body) is reached as
+an attribute, so a bare name (a same-named local, say) never counts for
+it; only an ``ast.Attribute`` or a ``perfbench/`` string does.  A
+reference inside a definition's own body (a class's methods naming the
+class, a recursive call) never counts for that definition.  Imports are not
+references, so a package ``__init__.py`` re-export is not a caller.
+Studies registered with ``@register_study`` are reached through the
+registry and count as used.
 
 The parameter scan collects every defaulted parameter of the same public
 defs, plus every class's ``__init__``; registered studies and defs nested
@@ -122,8 +127,8 @@ def _tree(path: Path) -> ast.Module:
     return ast.parse(path.read_text(encoding="utf-8"))
 
 
-def _module_name(path: Path, package: Path = PACKAGE) -> str:
-    parts = path.relative_to(package.parent).with_suffix("").parts
+def _module_name(path: Path, base: Path = PACKAGE.parent) -> str:
+    parts = path.relative_to(base).with_suffix("").parts
     if parts[-1] == "__init__":
         parts = parts[:-1]
     return ".".join(parts)
@@ -137,41 +142,81 @@ def _is_registered_study(node: ast.AST) -> bool:
     return False
 
 
-def _definitions(node: ast.AST, prefix: str) -> Iterator[Tuple[str, str]]:
-    """(qualified name, name) of every public def and class under ``node``."""
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+@dataclass(frozen=True)
+class Definition:
+    """A public def or class, as a reference can reach it."""
+
+    name: str
+    member: bool  # in a class body: reached as an attribute, never a bare name
+
+
+def _definitions(
+    node: ast.AST, prefix: str, in_class: bool = False
+) -> Iterator[Tuple[str, Definition]]:
+    """(qualified name, definition) of every public def and class under ``node``."""
     for child in ast.iter_child_nodes(node):
-        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        if isinstance(child, _DEFS):
             qualified = f"{prefix}.{child.name}"
             if not child.name.startswith("_") and not _is_registered_study(child):
-                yield qualified, child.name
-            yield from _definitions(child, qualified)
+                yield qualified, Definition(child.name, in_class)
+            yield from _definitions(child, qualified, isinstance(child, ast.ClassDef))
         else:
-            yield from _definitions(child, prefix)
+            yield from _definitions(child, prefix, in_class)
 
 
-def public_definitions(package: Path = PACKAGE) -> Dict[str, str]:
-    found: Dict[str, str] = {}
+def public_definitions(package: Path = PACKAGE) -> Dict[str, Definition]:
+    found: Dict[str, Definition] = {}
     for path in sorted(package.rglob("*.py")):
-        found.update(_definitions(_tree(path), _module_name(path, package)))
+        found.update(_definitions(_tree(path), _module_name(path, package.parent)))
     return found
 
 
-def referenced_names(root: Path = ROOT) -> Set[str]:
-    names: Set[str] = set()
+#: How a name is referenced: a bare name, an attribute, or a perfbench string.
+NAME, ATTRIBUTE, STRING = "name", "attribute", "string"
+
+
+def references(root: Path = ROOT) -> Dict[str, Set[Tuple[str, str]]]:
+    """Name -> every (kind, scope) it is referenced with from the callers.
+
+    The scope is the qualified name of the innermost def or class whose
+    body holds the reference, or of the module (named from ``src/`` for
+    code there, from the repository root elsewhere).
+    """
+    found: Dict[str, Set[Tuple[str, str]]] = {}
     for caller in CALLERS:
+        base = root / "src" if caller == "src" else root
         for path in (root / caller).rglob("*.py"):
-            for node in ast.walk(_tree(path)):
-                if isinstance(node, ast.Name):
-                    names.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    names.add(node.attr)
-                elif (
-                    caller == "perfbench"
-                    and isinstance(node, ast.Constant)
-                    and isinstance(node.value, str)
-                ):
-                    names.add(node.value)
-    return names
+            stack = [(_tree(path), _module_name(path, base))]
+            while stack:
+                node, scope = stack.pop()
+                for child in ast.iter_child_nodes(node):
+                    if isinstance(child, ast.Name):
+                        found.setdefault(child.id, set()).add((NAME, scope))
+                    elif isinstance(child, ast.Attribute):
+                        found.setdefault(child.attr, set()).add((ATTRIBUTE, scope))
+                    elif (
+                        caller == "perfbench"
+                        and isinstance(child, ast.Constant)
+                        and isinstance(child.value, str)
+                    ):
+                        found.setdefault(child.value, set()).add((STRING, scope))
+                    inner = f"{scope}.{child.name}" if isinstance(child, _DEFS) else scope
+                    stack.append((child, inner))
+    return found
+
+
+def _is_used(
+    qualified: str, definition: Definition, referenced: Mapping[str, Set[Tuple[str, str]]]
+) -> bool:
+    return any(
+        not (definition.member and kind == NAME)
+        and scope != qualified
+        and not scope.startswith(qualified + ".")
+        for kind, scope in referenced.get(definition.name, ())
+    )
 
 
 def _problems(
@@ -186,9 +231,15 @@ def _problems(
 
 
 def surface_problems(
-    definitions: Mapping[str, str], referenced: Set[str], allowed: Mapping[str, str]
+    definitions: Mapping[str, Definition],
+    referenced: Mapping[str, Set[Tuple[str, str]]],
+    allowed: Mapping[str, str],
 ) -> Tuple[List[str], List[str], List[str]]:
-    unused = {qualified for qualified, name in definitions.items() if name not in referenced}
+    unused = {
+        qualified
+        for qualified, definition in definitions.items()
+        if not _is_used(qualified, definition, referenced)
+    }
     return _problems(set(definitions), unused, allowed)
 
 
@@ -251,7 +302,7 @@ def _options(
 def defaulted_parameters(package: Path = PACKAGE) -> Dict[str, Option]:
     found: Dict[str, Option] = {}
     for path in sorted(package.rglob("*.py")):
-        found.update(_options(_tree(path), _module_name(path, package)))
+        found.update(_options(_tree(path), _module_name(path, package.parent)))
     return found
 
 
@@ -311,7 +362,7 @@ def option_problems(
 
 
 def test_every_public_definition_has_a_user():
-    unlisted, gone, used = surface_problems(public_definitions(), referenced_names(), ALLOWED)
+    unlisted, gone, used = surface_problems(public_definitions(), references(), ALLOWED)
     assert not unlisted, (
         "public definitions that nothing outside the tests references "
         "(delete them, or list them in ALLOWED with a reason): " + ", ".join(unlisted)
@@ -378,7 +429,7 @@ def test_scan_flags_definitions_only_tests_reference(tmp_path):
         "pkg.mod.only_tested",
         "pkg.mod.used",
     ]
-    unlisted, gone, used = surface_problems(definitions, referenced_names(tmp_path), {})
+    unlisted, gone, used = surface_problems(definitions, references(tmp_path), {})
     assert unlisted == ["pkg.mod.Box.named_in_a_benchmark_string", "pkg.mod.only_tested"]
     assert gone == used == []
 
@@ -387,11 +438,67 @@ def test_allowlist_entries_fail_once_used_or_gone(tmp_path):
     package = _toy_repository(tmp_path)
     allowed = {"pkg.mod.only_tested": "probe", "pkg.mod.used": "probe", "pkg.mod.gone": "probe"}
     unlisted, gone, used = surface_problems(
-        public_definitions(package), referenced_names(tmp_path), allowed
+        public_definitions(package), references(tmp_path), allowed
     )
     assert unlisted == ["pkg.mod.Box.named_in_a_benchmark_string"]
     assert gone == ["pkg.mod.gone"]
     assert used == ["pkg.mod.used"]
+
+
+def _toy_rules_repository(root: Path) -> Path:
+    """A package ``pkg`` whose definitions are referenced only in ways that do not count."""
+    package = root / "src" / "pkg"
+    _write(
+        package / "rules.py",
+        """
+        def recursive():
+            return recursive()
+
+        def called_by_another_def(): ...
+
+        def caller():
+            return called_by_another_def()
+
+        class Node:
+            def child(self):
+                return Node()
+
+            def by_attribute(self): ...
+            def by_local_name(self): ...
+            def by_perfbench_string(self): ...
+
+            def by_itself(self):
+                return self.by_itself()
+        """,
+    )
+    _write(
+        root / "examples" / "demo.py",
+        """
+        caller()
+        node.child().by_attribute()
+        by_local_name = by_perfbench_string = 1
+        """,
+    )
+    _write(root / "perfbench" / "layers.py", "WRAPS = ['by_perfbench_string']\n")
+    return package
+
+
+def test_scan_counts_members_as_attributes_and_never_a_definitions_own_body(tmp_path):
+    # A bare name never reaches a class member (the example's locals share
+    # two members' names), and a reference inside a definition's own body
+    # (Node's method naming Node, a recursive call, a method calling itself)
+    # never counts for it; a reference from another def's body does.
+    package = _toy_rules_repository(tmp_path)
+    unlisted, gone, used = surface_problems(
+        public_definitions(package), references(tmp_path), {}
+    )
+    assert unlisted == [
+        "pkg.rules.Node",
+        "pkg.rules.Node.by_itself",
+        "pkg.rules.Node.by_local_name",
+        "pkg.rules.recursive",
+    ]
+    assert gone == used == []
 
 
 def _toy_options_repository(root: Path) -> Path:

@@ -35,7 +35,7 @@ class TestBoxStats:
     def test_single_value(self):
         stats = box_stats([7.0])
         assert stats.minimum == stats.maximum == stats.median == 7.0
-        assert stats.iqr == 0
+        assert stats.first_quartile == stats.third_quartile == 7.0
 
     def test_empty_raises(self):
         with pytest.raises(ValueError):
