@@ -34,7 +34,7 @@ def measure_flip_rate(
     """Measure the chip's aggregate flip rate at one hammer count."""
     characterizer = RowHammerCharacterizer(chip)
     data_pattern = resolve_pattern(data_pattern, chip.profile)
-    victims = characterizer.victims(bank, victims)
+    victims = characterizer.victims(victims)
     outcomes = characterizer.hammer_all_victims(
         hammer_count, data_pattern=data_pattern, bank=bank, victims=victims
     )

@@ -179,20 +179,20 @@ class RowHammerCharacterizer:
     # ------------------------------------------------------------------
     # Victim selection
     # ------------------------------------------------------------------
-    def default_victims(self, bank: int = 0) -> List[int]:
-        """All victim rows whose neighbourhood fits entirely in the bank."""
-        return self.hammer.testable_victims(bank)
+    def default_victims(self) -> List[int]:
+        """All victim rows whose neighbourhood fits entirely in a bank."""
+        return self.hammer.testable_victims()
 
-    def victims(self, bank: int, victims: Optional[Sequence[int]] = None) -> List[int]:
-        """The given victim rows, or every testable row of ``bank`` for ``None``."""
-        return list(victims) if victims is not None else self.default_victims(bank)
+    def victims(self, victims: Optional[Sequence[int]] = None) -> List[int]:
+        """The given victim rows, or every testable row of a bank for ``None``."""
+        return list(victims) if victims is not None else self.default_victims()
 
     def _resolve(self, config: CharacterizationConfig) -> Tuple[
         Tuple[DataPattern, ...], Tuple[int, ...], Tuple[int, ...]
     ]:
         patterns = config.data_patterns or (worst_case_pattern(self.chip.profile),)
         banks = config.banks or (0,)
-        victims = config.victim_rows or tuple(self.default_victims(banks[0]))
+        victims = config.victim_rows or tuple(self.default_victims())
         return tuple(patterns), tuple(banks), tuple(victims)
 
     # ------------------------------------------------------------------
@@ -239,7 +239,7 @@ class RowHammerCharacterizer:
     ) -> List[HammerResult]:
         """Hammer every victim row once at a fixed hammer count."""
         data_pattern = resolve_pattern(data_pattern, self.chip.profile)
-        victims = self.victims(bank, victims)
+        victims = self.victims(victims)
         return [
             self.hammer.hammer_victim(bank, victim, hammer_count, data_pattern=data_pattern)
             for victim in victims

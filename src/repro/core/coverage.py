@@ -120,7 +120,7 @@ def _run_coverage_unit(
     """Hammer every victim with one pattern and collect its unique flips."""
     pattern = pattern_by_name(unit.param_dict["pattern"])
     characterizer = RowHammerCharacterizer(chip)
-    victims = characterizer.victims(config.bank, config.victims)
+    victims = characterizer.victims(config.victims)
     flipped = np.zeros((chip.geometry.rows_per_bank, chip.geometry.row_bits), dtype=bool)
     for _iteration in range(config.iterations):
         for result in characterizer.hammer_all_victims(

@@ -69,7 +69,7 @@ def run_ecc_word_analysis(chip: DramChip, config: EccWordStudyConfig) -> EccWord
     characterizer = RowHammerCharacterizer(chip)
     hammer = characterizer.hammer
     data_pattern = resolve_pattern(config.data_pattern, chip.profile)
-    victims = characterizer.victims(config.bank, config.victims)
+    victims = characterizer.victims(config.victims)
 
     analysis = EccWordAnalysis(
         chip_id=chip.chip_id,

@@ -81,7 +81,7 @@ def run_hcfirst_search(chip: DramChip, config: HCFirstStudyConfig) -> HCFirstRes
     characterizer = RowHammerCharacterizer(chip)
     hammer = characterizer.hammer
     data_pattern = resolve_pattern(config.data_pattern, chip.profile)
-    victims = characterizer.victims(config.bank, config.victims)
+    victims = characterizer.victims(config.victims)
 
     def any_flip(victim: int, hammer_count: int) -> bool:
         result = hammer.hammer_victim(

@@ -163,7 +163,7 @@ class DoubleSidedHammer:
         high = min(self.chip.geometry.rows_per_bank - 1, victim_row + radius)
         return list(range(low, high + 1))
 
-    def testable_victims(self, bank: int = 0) -> List[int]:
+    def testable_victims(self) -> List[int]:
         """Victim rows whose full double-sided neighbourhood is in range."""
         return list(range(self.radius, self.chip.geometry.rows_per_bank - self.radius))
 

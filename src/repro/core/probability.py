@@ -63,7 +63,7 @@ def run_flip_probability_study(
     characterizer = RowHammerCharacterizer(chip)
     hammer = characterizer.hammer
     data_pattern = resolve_pattern(config.data_pattern, chip.profile)
-    victims = characterizer.victims(config.bank, config.victims)
+    victims = characterizer.victims(config.victims)
     hammer_counts = tuple(sorted(config.hammer_counts))
 
     # Per-cell flip counts at the current and the previous hammer count.

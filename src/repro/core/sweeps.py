@@ -62,7 +62,7 @@ def run_hammer_count_sweep(chip: DramChip, config: SweepStudyConfig) -> SweepRes
     """
     characterizer = RowHammerCharacterizer(chip)
     data_pattern = resolve_pattern(config.data_pattern, chip.profile)
-    victims = characterizer.victims(config.bank, config.victims)
+    victims = characterizer.victims(config.victims)
     cells_tested = characterizer.cells_tested(victims)
 
     result = SweepResult(

@@ -59,7 +59,7 @@ def run_word_density(chip: DramChip, config: WordDensityStudyConfig) -> WordDens
     """
     characterizer = RowHammerCharacterizer(chip)
     data_pattern = resolve_pattern(config.data_pattern, chip.profile)
-    victims = characterizer.victims(config.bank, config.victims)
+    victims = characterizer.victims(config.victims)
     hammer_count = resolve_hammer_count(
         chip, config.hammer_count, config.target_rate, data_pattern, config.bank, victims
     )

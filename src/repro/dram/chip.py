@@ -47,8 +47,10 @@ Chip state is columnar: each touched bank owns one
 refresh epochs, wordline exposure, thresholds / coupling classes / noise
 sampled lazily from the law), so an aggressor application disturbs every
 victim row of the blast radius in one vectorized op instead of per-row dict
-updates.  Besides the banks, a :class:`DramChip` keeps two per-chip caches
-of work that would otherwise repeat on every hammer test:
+updates, and draws noise and classes only for the rows whose exposure
+reaches their flip floor.  Besides the banks, a :class:`DramChip` keeps
+two per-chip caches of work that would otherwise repeat on every hammer
+test:
 
 * the *fill cache*: a fill byte's row bits and, on an on-die-ECC chip, its
   check bits, built on the byte's first write and stored read-only (a
@@ -593,12 +595,19 @@ class DramChip(_CalibratedChip):
         from every other and from the aggressor wordline, so batching with
         each wordline's post-increment exposure is exactly equivalent to the
         sequential per-wordline walk.
+
+        Only written victim rows whose exposure reaches their flip floor
+        (:meth:`~repro.dram.columnar.BankColumns.may_flip`) go on to gather
+        thresholds, draw their epoch's noise and sample their coupling
+        classes.  Below the floor no noise draw makes a cell eligible, and a
+        row's noise stream depends only on its address and epoch, so a row
+        skipped now draws the same noise if a later application of the same
+        epoch reaches it.
         """
         columns = self._bank(bank)
         aggressor_wordline = self.remapper.logical_to_physical(aggressor_row)
         # Opening the aggressor row restores its own charge.
         columns.exposure[aggressor_wordline] = 0.0
-        aggressor_bits = self._wordline_bits(columns, aggressor_wordline)
 
         wordlines, couplings, rows, row_wordlines = self._victim_plan(aggressor_wordline)
         columns.exposure[wordlines] += couplings * count
@@ -609,7 +618,11 @@ class DramChip(_CalibratedChip):
         if not index.size:
             return 0
         exposure = columns.exposure[row_wordlines[written]]
-        effective = columns.thresholds_for(index)
+        reachable = columns.may_flip(index, exposure)
+        if not reachable.any():
+            return 0
+        index, exposure = index[reachable], exposure[reachable]
+        effective = columns.thresholds[index]
         if self.profile.threshold_noise_sigma > 0:
             effective = effective * columns.noise_for(index)
         eligible = effective <= exposure[:, None]
@@ -618,6 +631,7 @@ class DramChip(_CalibratedChip):
         required_victim, required_aggressor, parity_ok = columns.classes_for(
             index, self._column_parity
         )
+        aggressor_bits = self._wordline_bits(columns, aggressor_wordline)
         victim_bits = columns.bits[index]
         match = (
             eligible

@@ -27,6 +27,20 @@ source of truth for those draws; :class:`BankColumns` (for
 chip's law, which is what keeps the columnar chip and the oracle
 bit-identical by construction (and what the differential suite pins).
 
+:class:`~repro.dram.chip.DramChip` draws a row's noise only when some cell
+of the row can flip.  A noise stream multiplies a threshold by
+``exp(sigma * z)`` for a standard normal ``z``, and numpy's ziggurat
+sampler never returns ``|z| >= NOISE_Z_BOUND``.  So a row whose exposure is
+below its *flip floor* (its smallest base threshold times
+``exp(-NOISE_Z_BOUND * sigma)``) has no eligible cell whatever its noise,
+and the chip skips its (row, epoch) stream.  Streams are independent, so
+a later draw in the same epoch returns the same values: skipping changes
+no payload.  :class:`~repro.dram.reference.ReferenceDramChip` never skips,
+so the differential suite checks every skip against an oracle that draws
+every stream; ``tests/dram/test_noise_skip.py`` pins the bound against the
+sampler's constants and checks every skip of three studies against the
+row's noise drawn anyway.
+
 Array layout (per bank; ``R`` rows, ``B`` row bits, ``W`` wordlines)
 --------------------------------------------------------------------
 ``bits``              (R, B)  uint8    stored data bits (zeros until written)
@@ -39,6 +53,10 @@ Array layout (per bank; ``R`` rows, ``B`` row bits, ``W`` wordlines)
                                        write; increments on write/refresh)
 ``exposure``          (W,)    float64  accumulated weighted disturbance
 ``thresholds``        (R, B)  float64  base per-cell flip thresholds (lazy)
+``flip_floor``        (R,)    float64  the row's smallest base threshold times
+                                       ``exp(-NOISE_Z_BOUND * sigma)``: no cell
+                                       flips below this exposure (filled with
+                                       the row's thresholds)
 ``req_victim`` /
 ``req_aggressor``     (R, B)  uint8    coupling-class bit requirements (lazy)
 ``parity_ok``         (R, B)  bool     the cell's column meets its class's
@@ -49,6 +67,9 @@ Array layout (per bank; ``R`` rows, ``B`` row bits, ``W`` wordlines)
 
 from __future__ import annotations
 
+import functools
+import hashlib
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -127,10 +148,35 @@ def sample_class_row(
     return required_victim, required_aggressor, required_parity
 
 
+#: Bound on ``|z|`` for every standard normal numpy's ziggurat sampler
+#: returns.  Its tail branch returns ``r + x`` with ``r = 3.6541528853610088``
+#: and accepts ``x`` only when ``x * x < 2 * y``, where ``y = -log(1 - U)`` of
+#: a 53-bit uniform ``U`` is at most ``53 * ln 2``; every other branch
+#: returns ``|z| < r``.  So ``|z| < r + sqrt(106 * ln 2) ~= 12.226``.
+#: ``tests/dram/test_noise_skip.py`` pins it.
+NOISE_Z_BOUND = 12.3
+
+
+@functools.lru_cache(maxsize=64, typed=True)
+def _noise_seed_prefix(seed: int, bank: int) -> bytes:
+    """The ``derive_seed`` text of ``(seed, "noise", bank)``, shared by a bank's noise streams."""
+    return "".join(f"{component!r}\x1f" for component in (seed, "noise", bank)).encode("utf-8")
+
+
 def sample_noise_row(law: CellLaw, bank: int, row: int, epoch: int) -> np.ndarray:
-    """Multiplicative per-refresh-epoch threshold jitter of one logical row."""
-    rng = make_rng(law.seed, "noise", bank, row, epoch)
-    return np.exp(rng.normal(0.0, law.profile.threshold_noise_sigma, law.row_bits))
+    """Multiplicative per-refresh-epoch threshold jitter of one logical row.
+
+    Bit for bit ``np.exp(make_rng(law.seed, "noise", bank, row,
+    epoch).normal(0.0, sigma, law.row_bits))``, built for less: the seed is
+    hashed from the ``derive_seed`` text with its per-(seed, bank) prefix
+    kept, and ``normal(0.0, sigma)`` is ``0.0 + sigma * z`` for the same
+    standard normals ``z``.
+    """
+    text = _noise_seed_prefix(law.seed, bank) + f"{row!r}\x1f{epoch!r}\x1f".encode("utf-8")
+    seed = int.from_bytes(hashlib.sha256(text).digest()[:8], "little")
+    noise = np.random.default_rng(seed).standard_normal(law.row_bits)
+    noise *= law.profile.threshold_noise_sigma
+    return np.exp(noise, out=noise)
 
 
 class BankColumns:
@@ -138,11 +184,12 @@ class BankColumns:
 
     Data arrays (``bits`` .. ``exposure``) are allocated eagerly -- they are
     touched by the first write or activation that creates the bank.
-    Calibration arrays (thresholds, classes, noise) are allocated on first
-    use and filled row-by-row on demand from the chip's :class:`CellLaw`
-    via the ``*_for`` accessors, so a chip that only ever hammers a few
-    rows samples no more generator streams than the dict implementation
-    did.
+    Calibration arrays (thresholds and flip floors, classes, noise) are
+    allocated on first use and filled row-by-row on demand from the chip's
+    :class:`CellLaw` by :meth:`may_flip`, :meth:`classes_for` and
+    :meth:`noise_for`, so a chip that only ever hammers a few rows samples
+    no more generator streams than the dict implementation did, and no
+    noise stream for a row none of whose cells can flip.
     """
 
     __slots__ = (
@@ -156,6 +203,7 @@ class BankColumns:
         "epoch",
         "exposure",
         "thresholds",
+        "flip_floor",
         "thr_sampled",
         "req_victim",
         "req_aggressor",
@@ -182,6 +230,7 @@ class BankColumns:
         self.epoch = np.zeros(rows, dtype=np.int64)
         self.exposure = np.zeros(wordlines, dtype=np.float64)
         self.thresholds: Optional[np.ndarray] = None
+        self.flip_floor: Optional[np.ndarray] = None
         self.thr_sampled = np.zeros(rows, dtype=bool)
         self.req_victim: Optional[np.ndarray] = None
         self.req_aggressor: Optional[np.ndarray] = None
@@ -193,15 +242,26 @@ class BankColumns:
     # ------------------------------------------------------------------
     # Lazy calibration columns
     # ------------------------------------------------------------------
-    def thresholds_for(self, rows_idx: np.ndarray) -> np.ndarray:
-        """Base thresholds for a set of distinct rows, sampling missing rows on demand."""
+    def may_flip(self, rows_idx: np.ndarray, exposure: np.ndarray) -> np.ndarray:
+        """Which of a set of distinct rows some cell can flip in at ``exposure``.
+
+        A row may flip once ``exposure`` reaches its flip floor; below it no
+        noise draw brings any cell's threshold down to the exposure.  Rows
+        whose thresholds are missing are sampled on demand, which fills
+        ``thresholds`` and ``flip_floor`` together.
+        """
         if self.thresholds is None:
             self.thresholds = np.empty((self.rows, self.law.row_bits), dtype=np.float64)
+            self.flip_floor = np.empty(self.rows, dtype=np.float64)
         missing = rows_idx[~self.thr_sampled[rows_idx]]
-        for row in missing.tolist():
-            self.thresholds[row] = sample_threshold_row(self.law, self.bank, row)
-        self.thr_sampled[missing] = True
-        return self.thresholds[rows_idx]
+        if missing.size:
+            lowest_jitter = math.exp(-NOISE_Z_BOUND * self.law.profile.threshold_noise_sigma)
+            for row in missing.tolist():
+                thresholds = sample_threshold_row(self.law, self.bank, row)
+                self.thresholds[row] = thresholds
+                self.flip_floor[row] = thresholds.min() * lowest_jitter
+            self.thr_sampled[missing] = True
+        return exposure >= self.flip_floor[rows_idx]
 
     def classes_for(
         self, rows_idx: np.ndarray, column_parity: np.ndarray

@@ -269,30 +269,28 @@ class StudyResult:
 # ----------------------------------------------------------------------
 _REGISTRY: Dict[str, RegisteredStudy] = {}
 
-#: Modules whose import registers the library's built-in studies.  Loaded
-#: lazily (first registry lookup) to avoid import cycles: these modules
-#: import :func:`register_study` from here at their own import time.
-_BUILTIN_STUDY_MODULES: Tuple[str, ...] = (
-    "repro.core.characterization",
-    "repro.core.coverage",
-    "repro.core.sweeps",
-    "repro.core.spatial",
-    "repro.core.word_density",
-    "repro.core.first_flip",
-    "repro.core.ecc_analysis",
-    "repro.core.probability",
-    "repro.analysis.mitigation_study",
-    "repro.service.selftest",
-)
-_builtins_loaded = False
+#: Built-in study name -> the module whose import registers it.  A lookup
+#: imports only its study's module, on first use: these modules import
+#: :func:`register_study` from here at their own import time, and a process
+#: that runs chip studies never loads the simulator behind Figure 10.
+_BUILTIN_STUDY_MODULES: Dict[str, str] = {
+    "alg1-characterization": "repro.core.characterization",
+    "fig4-coverage": "repro.core.coverage",
+    "fig5-hc-sweep": "repro.core.sweeps",
+    "fig6-spatial": "repro.core.spatial",
+    "fig7-word-density": "repro.core.word_density",
+    "fig8-hcfirst": "repro.core.first_flip",
+    "fig9-ecc-words": "repro.core.ecc_analysis",
+    "table5-flip-probability": "repro.core.probability",
+    "fig10-mitigations": "repro.analysis.mitigation_study",
+    "fig10-mitigations-full": "repro.analysis.mitigation_study",
+    "service-selftest": "repro.service.selftest",
+}
 
 
-def _ensure_builtin_studies() -> None:
-    global _builtins_loaded
-    if _builtins_loaded:
-        return
-    _builtins_loaded = True
-    for module in _BUILTIN_STUDY_MODULES:
+def _import_builtin_studies() -> None:
+    """Import every module that registers a built-in study."""
+    for module in _BUILTIN_STUDY_MODULES.values():
         importlib.import_module(module)
 
 
@@ -375,21 +373,25 @@ def unregister_study(name: str) -> None:
 def get_study(name: str) -> RegisteredStudy:
     """Look up a registered study by name.
 
-    Raises :class:`UnknownStudyError` (a ``KeyError``) listing the known
-    study names when the name is absent.
+    A built-in study not registered yet is loaded by importing only its
+    own module.  Raises :class:`UnknownStudyError` (a ``KeyError``) listing
+    every known study name, built-ins included, when the name is absent.
     """
-    _ensure_builtin_studies()
-    try:
-        return _REGISTRY[name]
-    except KeyError:
+    spec = _REGISTRY.get(name)
+    if spec is None and name in _BUILTIN_STUDY_MODULES:
+        importlib.import_module(_BUILTIN_STUDY_MODULES[name])
+        spec = _REGISTRY.get(name)
+    if spec is None:
+        _import_builtin_studies()
         raise UnknownStudyError(
             f"unknown study {name!r}; registered studies: {sorted(_REGISTRY)}"
-        ) from None
+        )
+    return spec
 
 
 def list_studies() -> List[str]:
     """Sorted names of every registered study (built-ins included)."""
-    _ensure_builtin_studies()
+    _import_builtin_studies()
     return sorted(_REGISTRY)
 
 

@@ -5,8 +5,11 @@ short local processes, none of which talks to a scheduler or builds a
 process pool.  ``repro.service``, ``ServiceExecutor`` and the process pool
 therefore resolve on first use, so such a process never imports asyncio,
 ssl, socket, selectors, concurrent.futures or multiprocessing.  The first
-test pins that in a fresh interpreter; the others check that every lazily
-resolved name is still the object its defining module holds.
+test pins that in a fresh interpreter.  The study registry imports only
+the module of the study it is asked for, so a process that runs chip
+studies never loads the simulator, the mitigations or Figure 10's study
+module either; the second test pins that.  The others check that every
+lazily resolved name is still the object its defining module holds.
 """
 
 from __future__ import annotations
@@ -70,16 +73,53 @@ print(json.dumps(sorted(set(sys.modules) & set(json.loads(sys.argv[1])))))
 """
 
 
-def test_a_local_run_loads_no_service_stack():
+#: Packages and modules no process that runs only chip studies may load.
+CHIP_STUDY_FREE = (
+    "repro.sim",
+    "repro.mitigations",
+    "repro.analysis.mitigation_study",
+    "repro.service",
+)
+
+#: One chip study through a serial session; prints which modules of the
+#: packages named in argv[1] got loaded.
+CHIP_RUN = """
+import json, sys
+from repro.dram.geometry import ChipGeometry
+from repro.experiments import ExperimentSession, SerialExecutor
+
+chips = ExperimentSession.from_table1(
+    chips_per_config=1, seed=1, geometry=ChipGeometry(banks=1, rows_per_bank=32, row_bytes=16),
+    configurations=[("DDR4-new", "A")], executor=SerialExecutor(),
+)
+assert chips.run("fig8-hcfirst").executed
+packages = json.loads(sys.argv[1])
+print(json.dumps(sorted(
+    module for module in sys.modules
+    if any(module == package or module.startswith(package + ".") for package in packages)
+)))
+"""
+
+
+def _run_fresh(script: str, names) -> list:
+    """What ``script`` prints last, run in a fresh interpreter with ``names`` as argv[1]."""
     env = dict(os.environ, PYTHONPATH=SRC_ROOT + os.pathsep + os.environ.get("PYTHONPATH", ""))
     run = subprocess.run(
-        [sys.executable, "-c", LOCAL_RUN, json.dumps(SERVICE_STACK)],
+        [sys.executable, "-c", script, json.dumps(names)],
         env=env,
         capture_output=True,
         text=True,
     )
     assert run.returncode == 0, run.stderr
-    assert json.loads(run.stdout.splitlines()[-1]) == []
+    return json.loads(run.stdout.splitlines()[-1])
+
+
+def test_a_local_run_loads_no_service_stack():
+    assert _run_fresh(LOCAL_RUN, SERVICE_STACK) == []
+
+
+def test_a_chip_study_loads_no_simulator_or_mitigation():
+    assert _run_fresh(CHIP_RUN, CHIP_STUDY_FREE) == []
 
 
 def test_every_service_name_resolves_to_its_defining_modules_object():

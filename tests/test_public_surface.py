@@ -21,7 +21,10 @@ inside a function (whose ``name=name`` defaults bind a closure) are left
 out.  An option is set when some call from the same directories passes it
 by keyword, by position, or through ``*`` / ``**``, and the call's callee
 names the def: its own name, the class name for ``__init__``, or a base
-class for ``super().__init__``.
+class for ``super().__init__``.  An option must also be read: a defaulted
+parameter whose name its own def's body never mentions fails, whoever
+passes it.  A body that only raises or passes (a stub, an abstract hook)
+is exempt.
 
 Both scans match names, not types.  A method counts as used when any call
 shares its name, even one on an unrelated class (``dict.clear`` keeps every
@@ -32,10 +35,11 @@ A definition with no reference must be deleted, or listed in
 :data:`ALLOWED` with the reason it stays: an oracle, a paper observation
 tier-1 asserts, or a probe tests need to see internal state.  An option no
 call sets must be folded into a constant holding its value, or listed in
-:data:`ALLOWED_OPTIONS` with its reason.  An entry of either list that is
-no longer defined, or that has gained a caller, fails too, so the lists
-never outlive their reasons.  Toy-repository tests run each scan, so each
-of these failures is seen to fire.
+:data:`ALLOWED_OPTIONS` with its reason; an option no body reads must be
+deleted, along with what its callers pass for it.  An entry of either list
+that is no longer defined, or that has gained a caller, fails too, so the
+lists never outlive their reasons.  Toy-repository tests run each scan, so
+each of these failures is seen to fire.
 """
 
 from __future__ import annotations
@@ -250,6 +254,7 @@ class Option:
     callee: str  # the name a call uses: the def's, or its class's for ``__init__``
     parameter: str
     position: Optional[int]  # index among a call's positional arguments
+    read: bool  # the def's own body names it, or only raises or passes
 
 
 @dataclass(frozen=True)
@@ -267,6 +272,26 @@ class CallShape:
         return option.position is not None and (self.star or option.position < self.positional)
 
 
+def _is_stub(statement: ast.stmt) -> bool:
+    """``pass``, ``raise``, or a bare constant (a docstring, ``...``)."""
+    return isinstance(statement, (ast.Pass, ast.Raise)) or (
+        isinstance(statement, ast.Expr) and isinstance(statement.value, ast.Constant)
+    )
+
+
+def _names_read(function: ast.FunctionDef) -> Optional[Set[str]]:
+    """Every name the def's body mentions, or ``None`` for a body that only
+    raises or passes, which reads nothing by design."""
+    if all(_is_stub(statement) for statement in function.body):
+        return None
+    return {
+        node.id
+        for statement in function.body
+        for node in ast.walk(statement)
+        if isinstance(node, ast.Name)
+    }
+
+
 def _defaulted(
     function: ast.FunctionDef, qualified: str, callee: str, method: bool
 ) -> Iterator[Tuple[str, Option]]:
@@ -274,12 +299,18 @@ def _defaulted(
     positional = args.posonlyargs + args.args
     static = any(getattr(d, "id", None) == "staticmethod" for d in function.decorator_list)
     bound = 1 if method and not static else 0
+    names = _names_read(function)
+
+    def option(arg: ast.arg, position: Optional[int]) -> Tuple[str, Option]:
+        read = names is None or arg.arg in names
+        return f"{qualified}({arg.arg}=)", Option(callee, arg.arg, position, read)
+
     first_default = len(positional) - len(args.defaults)
     for index, arg in enumerate(positional[first_default:], start=first_default):
-        yield f"{qualified}({arg.arg}=)", Option(callee, arg.arg, index - bound)
+        yield option(arg, index - bound)
     for arg, default in zip(args.kwonlyargs, args.kw_defaults):
         if default is not None:
-            yield f"{qualified}({arg.arg}=)", Option(callee, arg.arg, None)
+            yield option(arg, None)
 
 
 def _options(
@@ -361,6 +392,10 @@ def option_problems(
     return _problems(set(options), unset, allowed)
 
 
+def unread_options(options: Mapping[str, Option]) -> List[str]:
+    return sorted(qualified for qualified, option in options.items() if not option.read)
+
+
 def test_every_public_definition_has_a_user():
     unlisted, gone, used = surface_problems(public_definitions(), references(), ALLOWED)
     assert not unlisted, (
@@ -381,6 +416,14 @@ def test_every_option_has_a_caller():
     )
     assert not gone, "ALLOWED_OPTIONS entries that are no longer defined: " + ", ".join(gone)
     assert not used, "ALLOWED_OPTIONS entries that a caller now sets: " + ", ".join(used)
+
+
+def test_every_option_is_read():
+    unread = unread_options(defaulted_parameters())
+    assert not unread, (
+        "defaulted parameters their own def never reads (delete each, and what "
+        "its callers pass for it): " + ", ".join(unread)
+    )
 
 
 def _write(path: Path, source: str) -> None:
@@ -594,6 +637,57 @@ def test_allowed_options_fail_once_set_or_gone(tmp_path):
     ]
     assert gone == ["pkg.options.removed(b=)"]
     assert used == ["pkg.options.by_keyword(b=)"]
+
+
+def _toy_reads_repository(root: Path) -> Path:
+    """A package ``pkg`` whose options are read in every way a body can, or not at all."""
+    package = root / "src" / "pkg"
+    _write(
+        package / "reads.py",
+        """
+        def reads(a, b=1):
+            return a + b
+
+        def reads_in_a_closure(a, b=1):
+            return lambda: b
+
+        def forwards(a, b=1):
+            return reads(a, b)
+
+        def ignores(a, b=1):
+            '''Documented, but ``b`` is never used.'''
+            return a
+
+        def raises(a, b=1):
+            raise NotImplementedError
+
+        def passes(a, b=1):
+            '''A stub.'''
+            pass
+
+        def ellipsis(a, b=1): ...
+
+        class Box:
+            def __init__(self, size=4, *, label=""):
+                self.size = size
+
+            def hook(self, flag=False):
+                return None
+        """,
+    )
+    return package
+
+
+def test_option_scan_flags_options_no_body_reads(tmp_path):
+    # A body that reads the name (directly, in a closure, or to forward it)
+    # uses the option; one that only raises or passes is exempt.
+    options = defaulted_parameters(_toy_reads_repository(tmp_path))
+    assert len(options) == 10
+    assert unread_options(options) == [
+        "pkg.reads.Box(label=)",
+        "pkg.reads.Box.hook(flag=)",
+        "pkg.reads.ignores(b=)",
+    ]
 
 
 def test_every_package_export_resolves():
