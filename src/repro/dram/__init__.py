@@ -35,8 +35,7 @@ what the hammer/refresh kernels operate on --
 * thresholds, coupling-class requirements, and per-epoch noise are
   ``(rows, row_bits)`` matrices sampled lazily from the law, one
   independent RNG stream per row, so any access order yields the same
-  values; ``flip_floor (rows,)`` is each sampled row's lowest possible
-  jittered threshold, and a row whose exposure is below it draws no noise.
+  values.
 
 One ``activate`` / ``hammer_pair`` disturbs every victim row of the blast
 radius in a single vectorized op.

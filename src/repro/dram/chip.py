@@ -47,10 +47,8 @@ Chip state is columnar: each touched bank owns one
 refresh epochs, wordline exposure, thresholds / coupling classes / noise
 sampled lazily from the law), so an aggressor application disturbs every
 victim row of the blast radius in one vectorized op instead of per-row dict
-updates, and draws noise and classes only for the rows whose exposure
-reaches their flip floor.  Besides the banks, a :class:`DramChip` keeps
-two per-chip caches of work that would otherwise repeat on every hammer
-test:
+updates.  Besides the banks, a :class:`DramChip` keeps two per-chip caches
+of work that would otherwise repeat on every hammer test:
 
 * the *fill cache*: a fill byte's row bits and, on an on-die-ECC chip, its
   check bits, built on the byte's first write and stored read-only (a
@@ -599,10 +597,8 @@ class DramChip(_CalibratedChip):
         Only written victim rows whose exposure reaches their flip floor
         (:meth:`~repro.dram.columnar.BankColumns.may_flip`) go on to gather
         thresholds, draw their epoch's noise and sample their coupling
-        classes.  Below the floor no noise draw makes a cell eligible, and a
-        row's noise stream depends only on its address and epoch, so a row
-        skipped now draws the same noise if a later application of the same
-        epoch reaches it.
+        classes; :mod:`repro.dram.columnar` says why skipping the rest
+        changes no payload.
         """
         columns = self._bank(bank)
         aggressor_wordline = self.remapper.logical_to_physical(aggressor_row)

@@ -28,18 +28,14 @@ chip's law, which is what keeps the columnar chip and the oracle
 bit-identical by construction (and what the differential suite pins).
 
 :class:`~repro.dram.chip.DramChip` draws a row's noise only when some cell
-of the row can flip.  A noise stream multiplies a threshold by
-``exp(sigma * z)`` for a standard normal ``z``, and numpy's ziggurat
-sampler never returns ``|z| >= NOISE_Z_BOUND``.  So a row whose exposure is
-below its *flip floor* (its smallest base threshold times
-``exp(-NOISE_Z_BOUND * sigma)``) has no eligible cell whatever its noise,
-and the chip skips its (row, epoch) stream.  Streams are independent, so
-a later draw in the same epoch returns the same values: skipping changes
-no payload.  :class:`~repro.dram.reference.ReferenceDramChip` never skips,
-so the differential suite checks every skip against an oracle that draws
-every stream; ``tests/dram/test_noise_skip.py`` pins the bound against the
-sampler's constants and checks every skip of three studies against the
-row's noise drawn anyway.
+of the row can flip: below the row's *flip floor* (its smallest base
+threshold times ``exp(-NOISE_Z_BOUND * sigma)``) no noise numpy's sampler
+can return makes a cell eligible.  Streams are independent, so a skipped
+(row, epoch) stream drawn later returns the same values and skipping
+changes no payload.  :class:`~repro.dram.reference.ReferenceDramChip` never
+skips, so the differential suite checks every skip;
+``tests/dram/test_noise_skip.py`` pins the bound and checks each skip of
+three studies against the row's noise drawn anyway.
 
 Array layout (per bank; ``R`` rows, ``B`` row bits, ``W`` wordlines)
 --------------------------------------------------------------------
@@ -67,8 +63,6 @@ Array layout (per bank; ``R`` rows, ``B`` row bits, ``W`` wordlines)
 
 from __future__ import annotations
 
-import functools
-import hashlib
 import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -76,7 +70,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.dram.vulnerability import VulnerabilityProfile
-from repro.utils.rng import make_rng
+from repro.utils.rng import derive_seed, make_rng
 
 
 @dataclass(frozen=True)
@@ -157,24 +151,16 @@ def sample_class_row(
 NOISE_Z_BOUND = 12.3
 
 
-@functools.lru_cache(maxsize=64, typed=True)
-def _noise_seed_prefix(seed: int, bank: int) -> bytes:
-    """The ``derive_seed`` text of ``(seed, "noise", bank)``, shared by a bank's noise streams."""
-    return "".join(f"{component!r}\x1f" for component in (seed, "noise", bank)).encode("utf-8")
-
-
 def sample_noise_row(law: CellLaw, bank: int, row: int, epoch: int) -> np.ndarray:
     """Multiplicative per-refresh-epoch threshold jitter of one logical row.
 
     Bit for bit ``np.exp(make_rng(law.seed, "noise", bank, row,
-    epoch).normal(0.0, sigma, law.row_bits))``, built for less: the seed is
-    hashed from the ``derive_seed`` text with its per-(seed, bank) prefix
-    kept, and ``normal(0.0, sigma)`` is ``0.0 + sigma * z`` for the same
-    standard normals ``z``.
+    epoch).normal(0.0, sigma, law.row_bits))``: ``normal(0.0, sigma)`` is
+    ``0.0 + sigma * z`` for the same standard normals ``z``, scaled and
+    exponentiated here in place.
     """
-    text = _noise_seed_prefix(law.seed, bank) + f"{row!r}\x1f{epoch!r}\x1f".encode("utf-8")
-    seed = int.from_bytes(hashlib.sha256(text).digest()[:8], "little")
-    noise = np.random.default_rng(seed).standard_normal(law.row_bits)
+    rng = np.random.default_rng(derive_seed(law.seed, "noise", bank, row, epoch))
+    noise = rng.standard_normal(law.row_bits)
     noise *= law.profile.threshold_noise_sigma
     return np.exp(noise, out=noise)
 
@@ -186,10 +172,8 @@ class BankColumns:
     touched by the first write or activation that creates the bank.
     Calibration arrays (thresholds and flip floors, classes, noise) are
     allocated on first use and filled row-by-row on demand from the chip's
-    :class:`CellLaw` by :meth:`may_flip`, :meth:`classes_for` and
-    :meth:`noise_for`, so a chip that only ever hammers a few rows samples
-    no more generator streams than the dict implementation did, and no
-    noise stream for a row none of whose cells can flip.
+    :class:`CellLaw`, so a chip that only ever hammers a few rows samples
+    no more generator streams than the dict implementation did.
     """
 
     __slots__ = (
@@ -243,12 +227,10 @@ class BankColumns:
     # Lazy calibration columns
     # ------------------------------------------------------------------
     def may_flip(self, rows_idx: np.ndarray, exposure: np.ndarray) -> np.ndarray:
-        """Which of a set of distinct rows some cell can flip in at ``exposure``.
+        """Which of a set of distinct rows have reached their flip floor at ``exposure``.
 
-        A row may flip once ``exposure`` reaches its flip floor; below it no
-        noise draw brings any cell's threshold down to the exposure.  Rows
-        whose thresholds are missing are sampled on demand, which fills
-        ``thresholds`` and ``flip_floor`` together.
+        Samples missing rows' thresholds on demand, filling ``thresholds``
+        and ``flip_floor`` together.
         """
         if self.thresholds is None:
             self.thresholds = np.empty((self.rows, self.law.row_bits), dtype=np.float64)

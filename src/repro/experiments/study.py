@@ -269,28 +269,28 @@ class StudyResult:
 # ----------------------------------------------------------------------
 _REGISTRY: Dict[str, RegisteredStudy] = {}
 
-#: Built-in study name -> the module whose import registers it.  A lookup
-#: imports only its study's module, on first use: these modules import
-#: :func:`register_study` from here at their own import time, and a process
-#: that runs chip studies never loads the simulator behind Figure 10.
-_BUILTIN_STUDY_MODULES: Dict[str, str] = {
-    "alg1-characterization": "repro.core.characterization",
-    "fig4-coverage": "repro.core.coverage",
-    "fig5-hc-sweep": "repro.core.sweeps",
-    "fig6-spatial": "repro.core.spatial",
-    "fig7-word-density": "repro.core.word_density",
-    "fig8-hcfirst": "repro.core.first_flip",
-    "fig9-ecc-words": "repro.core.ecc_analysis",
-    "table5-flip-probability": "repro.core.probability",
-    "fig10-mitigations": "repro.analysis.mitigation_study",
-    "fig10-mitigations-full": "repro.analysis.mitigation_study",
-    "service-selftest": "repro.service.selftest",
-}
+#: Modules whose import registers the library's built-in studies.  Loaded
+#: lazily (on a registry miss) to avoid import cycles: these modules import
+#: :func:`register_study` from here at their own import time.  Importing
+#: :mod:`repro` already registers the chip studies, so a process that runs
+#: only those never loads the simulator behind Figure 10.
+_BUILTIN_STUDY_MODULES: Tuple[str, ...] = (
+    "repro.core.characterization",
+    "repro.core.coverage",
+    "repro.core.sweeps",
+    "repro.core.spatial",
+    "repro.core.word_density",
+    "repro.core.first_flip",
+    "repro.core.ecc_analysis",
+    "repro.core.probability",
+    "repro.analysis.mitigation_study",
+    "repro.service.selftest",
+)
 
 
 def _import_builtin_studies() -> None:
     """Import every module that registers a built-in study."""
-    for module in _BUILTIN_STUDY_MODULES.values():
+    for module in _BUILTIN_STUDY_MODULES:
         importlib.import_module(module)
 
 
@@ -373,16 +373,15 @@ def unregister_study(name: str) -> None:
 def get_study(name: str) -> RegisteredStudy:
     """Look up a registered study by name.
 
-    A built-in study not registered yet is loaded by importing only its
-    own module.  Raises :class:`UnknownStudyError` (a ``KeyError``) listing
-    every known study name, built-ins included, when the name is absent.
+    A name not registered yet loads every built-in study before the second
+    look.  Raises :class:`UnknownStudyError` (a ``KeyError``) listing every
+    known study name, built-ins included, when the name is absent.
     """
     spec = _REGISTRY.get(name)
-    if spec is None and name in _BUILTIN_STUDY_MODULES:
-        importlib.import_module(_BUILTIN_STUDY_MODULES[name])
-        spec = _REGISTRY.get(name)
     if spec is None:
         _import_builtin_studies()
+        spec = _REGISTRY.get(name)
+    if spec is None:
         raise UnknownStudyError(
             f"unknown study {name!r}; registered studies: {sorted(_REGISTRY)}"
         )

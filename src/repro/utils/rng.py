@@ -29,11 +29,8 @@ def derive_seed(*components: Seedable) -> int:
     >>> derive_seed(1, "bank", 0) != derive_seed(1, "bank", 1)
     True
     """
-    hasher = hashlib.sha256()
-    for component in components:
-        hasher.update(repr(component).encode("utf-8"))
-        hasher.update(b"\x1f")
-    return int.from_bytes(hasher.digest()[:8], "little")
+    text = "".join(f"{component!r}\x1f" for component in components)
+    return int.from_bytes(hashlib.sha256(text.encode("utf-8")).digest()[:8], "little")
 
 
 def make_rng(*components: Seedable) -> np.random.Generator:

@@ -5,10 +5,11 @@ short local processes, none of which talks to a scheduler or builds a
 process pool.  ``repro.service``, ``ServiceExecutor`` and the process pool
 therefore resolve on first use, so such a process never imports asyncio,
 ssl, socket, selectors, concurrent.futures or multiprocessing.  The first
-test pins that in a fresh interpreter.  The study registry imports only
-the module of the study it is asked for, so a process that runs chip
-studies never loads the simulator, the mitigations or Figure 10's study
-module either; the second test pins that.  The others check that every
+test pins that in a fresh interpreter.  Importing ``repro`` registers the chip
+studies, and the registry imports the other built-in study modules only
+on a miss, so a process that runs chip studies never loads the
+simulator, the mitigations or Figure 10's study module either; the
+second test pins that.  The others check that every
 lazily resolved name is still the object its defining module holds.
 """
 
@@ -82,11 +83,12 @@ CHIP_STUDY_FREE = (
 )
 
 #: One chip study through a serial session; prints which modules of the
-#: packages named in argv[1] got loaded.
+#: packages named in argv[1] got loaded.  A registry miss afterwards must
+#: still load every built-in study, so its error names Figure 10's too.
 CHIP_RUN = """
 import json, sys
 from repro.dram.geometry import ChipGeometry
-from repro.experiments import ExperimentSession, SerialExecutor
+from repro.experiments import ExperimentSession, SerialExecutor, get_study
 
 chips = ExperimentSession.from_table1(
     chips_per_config=1, seed=1, geometry=ChipGeometry(banks=1, rows_per_bank=32, row_bytes=16),
@@ -94,10 +96,15 @@ chips = ExperimentSession.from_table1(
 )
 assert chips.run("fig8-hcfirst").executed
 packages = json.loads(sys.argv[1])
-print(json.dumps(sorted(
+loaded = sorted(
     module for module in sys.modules
     if any(module == package or module.startswith(package + ".") for package in packages)
-)))
+)
+try:
+    get_study("no-such-study")
+except KeyError as error:
+    assert "'fig10-mitigations'" in str(error) and "'service-selftest'" in str(error), error
+print(json.dumps(loaded))
 """
 
 

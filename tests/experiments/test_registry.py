@@ -1,15 +1,11 @@
 """Tests for the study registry (names, duplicates, decompositions, configs,
 digests)."""
 
-import ast
 import contextlib
 from dataclasses import dataclass
-from pathlib import Path
 
 import pytest
 
-import repro
-from repro.experiments import study
 from repro.experiments.study import (
     DecompositionError,
     DuplicateStudyError,
@@ -48,8 +44,8 @@ class TestRegistry:
             get_study("no-such-study")
         message = str(excinfo.value)
         assert "no-such-study" in message
-        # An unknown name loads every built-in study, so the error lists them all.
-        for name in study._BUILTIN_STUDY_MODULES:
+        # A miss loads every built-in study, so the error lists them all.
+        for name in BUILTIN_STUDIES:
             assert repr(name) in message
 
     def test_unknown_study_error_is_key_error(self):
@@ -112,22 +108,6 @@ class TestRegistry:
         spec = get_study("fig5-hc-sweep")
         config = spec.default_config()
         assert isinstance(config, spec.config_cls)
-
-    def test_each_builtin_name_maps_to_the_module_that_registers_it(self):
-        # get_study() imports only the table's module for a name, so the table
-        # must name the module whose @register_study registers it, and hold
-        # every name the package registers.
-        package = Path(repro.__file__).parent
-        registering = {}
-        for path in sorted(package.rglob("*.py")):
-            module = ".".join(path.relative_to(package.parent).with_suffix("").parts)
-            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-                for decorator in getattr(node, "decorator_list", ()):
-                    if getattr(getattr(decorator, "func", None), "id", None) == "register_study":
-                        registering[decorator.args[0].value] = module
-        assert registering == study._BUILTIN_STUDY_MODULES
-        for name, module in study._BUILTIN_STUDY_MODULES.items():
-            assert get_study(name).fn.__module__ == module
 
 
 PROBE = "test-decomposition-probe"

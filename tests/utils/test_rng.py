@@ -1,5 +1,7 @@
 """Tests for deterministic RNG derivation."""
 
+import hashlib
+
 import numpy as np
 
 from repro.utils.rng import derive_seed, make_rng
@@ -21,6 +23,17 @@ class TestDeriveSeed:
 
     def test_result_fits_in_64_bits(self):
         assert 0 <= derive_seed("anything") < 2**64
+
+    def test_seed_is_the_sha256_of_each_repr_then_a_unit_separator(self):
+        # Every recorded digest depends on this encoding.
+        components = (0, -5, 2**64 + 11, 10**30, "noise", "", np.int64(3), 3, "x\x1fy")
+        for count in range(len(components) + 1):
+            hasher = hashlib.sha256()
+            for component in components[:count]:
+                hasher.update(repr(component).encode("utf-8"))
+                hasher.update(b"\x1f")
+            expected = int.from_bytes(hasher.digest()[:8], "little")
+            assert derive_seed(*components[:count]) == expected
 
 
 class TestMakeRng:
