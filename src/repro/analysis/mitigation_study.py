@@ -574,6 +574,7 @@ def _merge_mitigation_units(
     description="Figure 10 at paper scale: all 48 workload mixes, Table 6 geometry.",
     decompose=_fig10_decompose("fig10-mitigations-full"),
     merge=_merge_mitigation_units,
+    model_version=1,
 )
 @register_study(
     "fig10-mitigations",
@@ -582,6 +583,7 @@ def _merge_mitigation_units(
     description="Mitigation overhead versus HC_first (Figure 10), population-level.",
     decompose=_fig10_decompose("fig10-mitigations"),
     merge=_merge_mitigation_units,
+    model_version=1,
 )
 def _run_mitigation_unit(
     _chip: None, config: MitigationStudyConfig, unit: WorkUnit

@@ -152,6 +152,7 @@ def _merge_characterization(
     description="Algorithm 1: the full characterization loop over one chip.",
     decompose=_decompose_characterization,
     merge=_merge_characterization,
+    model_version=1,
 )
 def _run_characterization_unit(
     chip: DramChip, config: CharacterizationConfig, unit: WorkUnit

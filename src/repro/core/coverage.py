@@ -113,6 +113,7 @@ def _merge_coverage(
     description="Per-data-pattern bit-flip coverage (Figure 4 / Table 3).",
     decompose=_decompose_coverage,
     merge=_merge_coverage,
+    model_version=1,
 )
 def _run_coverage_unit(
     chip: DramChip, config: CoverageStudyConfig, unit: WorkUnit

@@ -54,7 +54,7 @@ class EccWordStudyConfig:
         check_pattern(self.data_pattern)
 
 
-@register_study("fig9-ecc-words", config=EccWordStudyConfig)
+@register_study("fig9-ecc-words", config=EccWordStudyConfig, model_version=1)
 def run_ecc_word_analysis(chip: DramChip, config: EccWordStudyConfig) -> EccWordAnalysis:
     """Hammer count to land 1, 2 and 3 flips in one word (Figure 9).
 

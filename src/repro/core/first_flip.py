@@ -71,7 +71,7 @@ class HCFirstResult:
         return self.hcfirst is not None
 
 
-@register_study("fig8-hcfirst", config=HCFirstStudyConfig)
+@register_study("fig8-hcfirst", config=HCFirstStudyConfig, model_version=1)
 def run_hcfirst_search(chip: DramChip, config: HCFirstStudyConfig) -> HCFirstResult:
     """Minimum hammer count causing the first bit flip (Figure 8 / Table 4).
 

@@ -51,7 +51,7 @@ class ProbabilityStudyConfig:
         check_pattern(self.data_pattern)
 
 
-@register_study("table5-flip-probability", config=ProbabilityStudyConfig)
+@register_study("table5-flip-probability", config=ProbabilityStudyConfig, model_version=1)
 def run_flip_probability_study(
     chip: DramChip, config: ProbabilityStudyConfig
 ) -> ProbabilityResult:

@@ -45,7 +45,7 @@ class SpatialStudyConfig:
         check_pattern(self.data_pattern)
 
 
-@register_study("fig6-spatial", config=SpatialStudyConfig)
+@register_study("fig6-spatial", config=SpatialStudyConfig, model_version=1)
 def run_spatial_distribution(chip: DramChip, config: SpatialStudyConfig) -> SpatialResult:
     """Spatial distribution of bit flips around the victim (Figure 6).
 

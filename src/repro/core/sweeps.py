@@ -51,7 +51,7 @@ class SweepStudyConfig:
         check_pattern(self.data_pattern)
 
 
-@register_study("fig5-hc-sweep", config=SweepStudyConfig)
+@register_study("fig5-hc-sweep", config=SweepStudyConfig, model_version=1)
 def run_hammer_count_sweep(chip: DramChip, config: SweepStudyConfig) -> SweepResult:
     """Hammer-count versus bit-flip-rate sweep (Figure 5, Observations 4-5).
 

@@ -50,7 +50,7 @@ class WordDensityStudyConfig:
         check_pattern(self.data_pattern)
 
 
-@register_study("fig7-word-density", config=WordDensityStudyConfig)
+@register_study("fig7-word-density", config=WordDensityStudyConfig, model_version=1)
 def run_word_density(chip: DramChip, config: WordDensityStudyConfig) -> WordDensityResult:
     """Bit-flip density per data word (Figure 7).
 

@@ -72,6 +72,13 @@ import numpy as np
 from repro.dram.vulnerability import VulnerabilityProfile
 from repro.utils.rng import derive_seed, make_rng
 
+#: Version of the chip model: the cell law below, the row samplers and the
+#: hammer, refresh and read kernels of both chip backends.  Bump it with any
+#: change that moves what a chip study observes; every chip study's result
+#: store entries record it, so entries written at another version read as
+#: stale misses and are recomputed once (see :mod:`repro.experiments.store`).
+CHIP_MODEL_VERSION = 1
+
 
 @dataclass(frozen=True)
 class CellLaw:

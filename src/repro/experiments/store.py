@@ -6,7 +6,7 @@ function of (study name, config, chip construction parameters), because
 sessions execute studies hermetically against a copy of the chip (see
 :mod:`repro.experiments.executors`) and the copies of a pristine chip are
 themselves pristine.  Sessions bypass the store for non-pristine chips.  The
-:class:`ResultStore` exploits that: results are pickled on disk keyed by a
+:class:`ResultStore` exploits that: results are stored on disk keyed by a
 digest of (study name, config digest, profile, geometry, seed, HC_first
 target, remapper), so benchmarks that share a chip population -- for
 example Table 4 and Figure 8, or Table 2's DDR3 subset -- stop recomputing
@@ -15,9 +15,64 @@ each other's work, across processes and across runs.
 Decomposed studies are cached at *work-unit* granularity: every shard of
 the grid gets its own entry (the key gains the unit's digest), so a sweep
 killed halfway resumes from its completed units, and editing one axis of a
-config invalidates only the entries whose unit parameters changed.  An
-entry that cannot be read back, or that is not the result its key names,
-is renamed out of the way and recomputed, never a crash.
+config invalidates only the entries whose unit parameters changed.
+
+Entry format
+------------
+Each entry is one file, ``<root>/<study>/<CacheKey.filename>`` (a
+memory-only store keeps the same bytes in a dict).  Format 2 lays it out as
+a fixed 18-byte header, little-endian, then a body:
+
+======  =====  ==========================================================
+offset  bytes  field
+======  =====  ==========================================================
+0       4      magic ``b"RHSE"``
+4       4      CRC32 of every byte of the entry except these four
+8       2      format version, :data:`FORMAT_VERSION`
+10      4      the study's model version (``register_study(model_version=)``)
+14      4      the chip model's version,
+               :data:`repro.dram.columnar.CHIP_MODEL_VERSION`, for a study
+               that runs per chip; 0 for a population-level study
+18      ...    body: a pickle (protocol 5) of the tuple of the
+               :class:`~repro.experiments.study.StudyResult`'s fields in
+               declaration order, all but ``from_cache``
+======  =====  ==========================================================
+
+The magic, the CRC and the format version keep their offsets in every
+format, so any later format can tell an intact entry of another format
+from a damaged one.  The versions a lookup expects come from the study
+registry as it stands: a lookup imports nothing, and a key of a study that
+is not registered expects (and :meth:`ResultStore.put` writes) version 0
+for both.  Neither version is part of the key, so keys and filenames do not
+move when one does.
+
+Read rules
+----------
+:meth:`ResultStore.get` serves an entry only when every check passes, in
+this order, and anything else is a miss:
+
+* **Stale** (counted in :attr:`StoreStats.stale`, left in place for the
+  recompute's :meth:`~ResultStore.put` to overwrite): an entry whose first
+  byte is pickle's ``PROTO`` opcode (0x80), which opens every entry written
+  before format 2, and an intact entry -- magic and CRC good -- of another
+  format version or model version.
+* **Corrupt** (renamed to ``*.corrupt``, or dropped from memory, and counted
+  in :attr:`StoreStats.corrupt`): any other magic, a file shorter than the
+  header (an empty or torn file), a CRC mismatch, a body that fails to
+  unpickle, and a body that is not the result its key names (another
+  study's, chip's or unit's entry, or another config's whole-study entry).
+
+Either way the caller recomputes the result and ``put`` rewrites the entry.
+
+Upgrading
+---------
+A store written before format 2 holds only stale entries: its first session
+recomputes and rewrites every entry it reads, once, and reports no corrupt
+ones.  An older checkout that shares a store with this one reads each
+format-2 entry as a foreign file and quarantines it (then rewrites it in
+its own format), so share a store only between checkouts of one format.
+Bump :data:`FORMAT_VERSION` with any change to this layout or to the body's
+fields.
 """
 
 from __future__ import annotations
@@ -25,20 +80,46 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import hashlib
+import operator
 import os
 import pickle
+import struct
 import uuid
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterator, Optional, Set, Union
+from typing import Dict, Iterator, Optional, Set, Tuple, Union
 
 try:  # POSIX advisory locking; absent on some platforms (e.g. Windows)
     import fcntl
 except ImportError:  # pragma: no cover - non-POSIX fallback
     fcntl = None  # type: ignore[assignment]
 
+from repro.dram import columnar
 from repro.dram.chip import DramChip
-from repro.experiments.study import StudyResult, WorkUnit
+from repro.experiments.study import _REGISTRY, StudyResult, WorkUnit
+
+#: Version of the entry layout described in the module docstring.
+FORMAT_VERSION = 2
+#: First four bytes of every entry; its first byte is not pickle's 0x80.
+_MAGIC = b"RHSE"
+#: The header: magic, CRC32, format version, study and chip model versions.
+_HEADER = struct.Struct("<4sIHII")
+#: The header after its CRC, from ``_CRC_END`` on: the CRC covers the
+#: magic, then every byte from there to the end of the entry.
+_VERSIONS = struct.Struct("<HII")
+_CRC_END = 8
+#: Every entry's CRC starts from its magic's, which is always the same.
+_MAGIC_CRC = zlib.crc32(_MAGIC)
+#: Pinned so every supported interpreter writes the same bytes.
+_PICKLE_PROTOCOL = 5
+
+_FIELDS = [field.name for field in dataclasses.fields(StudyResult)]
+#: Where a hit's ``from_cache=True`` goes back among the body's fields,
+#: which are all of a result's fields but that one, in declaration order.
+_FROM_CACHE = _FIELDS.index("from_cache")
+_body_of = operator.attrgetter(*_FIELDS[:_FROM_CACHE], *_FIELDS[_FROM_CACHE + 1 :])
+_BODY_LENGTH = len(_FIELDS) - 1
 
 
 @dataclass(frozen=True)
@@ -47,10 +128,9 @@ class CacheKey:
 
     ``unit_digest`` distinguishes the shards of a decomposed study; the
     empty string means a whole-study result, whose filename matches the
-    pre-unit-layer layout so existing caches stay valid.  Unit entries
-    carry no config digest: a work unit's parameters must embed every
-    config field its payload depends on (see
-    :class:`~repro.experiments.study.WorkUnit`), so its digest *is* its
+    pre-unit-layer layout.  Unit entries carry no config digest: a work
+    unit's parameters must embed every config field its payload depends on
+    (see :class:`~repro.experiments.study.WorkUnit`), so its digest *is* its
     config scope -- which is what lets an edited config replay every unit
     it did not touch.
 
@@ -58,6 +138,13 @@ class CacheKey:
     population-level studies).  It is not part of :attr:`filename`, which
     ``chip_digest`` already pins; :meth:`ResultStore.get` checks it against
     the entry it reads.
+
+    The study's and the chip model's versions are not part of the key
+    either: an entry's header records them and :meth:`ResultStore.get`
+    checks them, so a version bump leaves every key and filename (and the
+    key pins) where they were and turns the study's entries stale instead.
+    A key may name a study that is not registered (tests build such keys
+    directly); its entries record version 0 for both.
     """
 
     study: str
@@ -132,19 +219,54 @@ def cache_key(
     )
 
 
-def _is_entry_for(key: CacheKey, result: Any) -> bool:
-    """Whether an unpickled entry is the result ``key`` names.
+def _model_versions(study: str) -> Tuple[int, int]:
+    """The (study, chip model) versions an entry of ``study`` must record.
 
-    Whole-study envelopes written before the unit layer lack its fields,
-    hence the ``getattr`` defaults.
+    Read from the registry as it stands, so a lookup imports nothing; a
+    study not registered in this process gets (0, 0).
     """
-    if not isinstance(result, StudyResult) or getattr(result, "study", None) != key.study:
-        return False
-    if getattr(result, "chip_id", None) != key.chip_id:
-        return False
+    spec = _REGISTRY.get(study)
+    if spec is None:
+        return 0, 0
+    return spec.model_version, columnar.CHIP_MODEL_VERSION if spec.requires_chip else 0
+
+
+def _encode(key: CacheKey, result: StudyResult) -> bytes:
+    """The bytes of ``result``'s entry under ``key`` (see the module docstring)."""
+    versions = _model_versions(key.study)
+    body = pickle.dumps(_body_of(result), protocol=_PICKLE_PROTOCOL)
+    crc = zlib.crc32(body, zlib.crc32(_VERSIONS.pack(FORMAT_VERSION, *versions), _MAGIC_CRC))
+    return _HEADER.pack(_MAGIC, crc, FORMAT_VERSION, *versions) + body
+
+
+def _decode(key: CacheKey, data: bytes) -> Optional[StudyResult]:
+    """The result an entry holds, if it is the result ``key`` names.
+
+    Returns ``None`` for a stale entry and raises for a corrupt one (see the
+    module docstring's read rules).
+    """
+    if data[:4] != _MAGIC:
+        if data[:1] == b"\x80":
+            return None  # written before format 2
+        raise ValueError("not a result store entry")
+    # A file shorter than the header raises struct.error here.
+    _, crc, *versions = _HEADER.unpack_from(data)
+    if zlib.crc32(data[_CRC_END:], _MAGIC_CRC) != crc:
+        raise ValueError("CRC mismatch")
+    if versions != [FORMAT_VERSION, *_model_versions(key.study)]:
+        return None
+    body = pickle.loads(data[_HEADER.size :])
+    if type(body) is not tuple or len(body) != _BODY_LENGTH:
+        raise ValueError("the body is not a result's fields")
+    result = StudyResult(*body[:_FROM_CACHE], True, *body[_FROM_CACHE:])
+    if result.study != key.study or result.chip_id != key.chip_id:
+        raise ValueError("another study's or chip's result")
     if key.unit_digest:
-        return getattr(result, "unit_digest", None) == key.unit_digest
-    return getattr(result, "config_digest", None) == key.config_digest
+        if result.unit_digest != key.unit_digest:
+            raise ValueError("another unit's result")
+    elif result.config_digest != key.config_digest:
+        raise ValueError("another config's result")
+    return result
 
 
 def _read_file(path: str) -> Optional[bytes]:
@@ -153,7 +275,7 @@ def _read_file(path: str) -> Optional[bytes]:
     One ``read`` of the size ``fstat`` reports (an entry file is published
     whole and never rewritten in place, see :meth:`ResultStore.put`); the
     descriptor is closed on every path.  A read that came back short would
-    fail to unpickle, so its entry would be recomputed, never served torn.
+    fail its CRC, so its entry would be recomputed, never served torn.
     """
     try:
         fd = os.open(path, os.O_RDONLY | getattr(os, "O_BINARY", 0))
@@ -170,14 +292,17 @@ class StoreStats:
     """Hit/miss counters of one :class:`ResultStore`.
 
     ``corrupt`` counts the entries that :meth:`ResultStore.get`
-    quarantined, unreadable or not the result their key names; each of
-    them was also counted as a miss.
+    quarantined, damaged or not the result their key names; ``stale``
+    counts the entries it left for a rewrite, written before format 2 or at
+    another format or model version (see the module docstring's read
+    rules).  Each of them was also counted as a miss.
     """
 
     hits: int = 0
     misses: int = 0
     puts: int = 0
     corrupt: int = 0
+    stale: int = 0
 
 
 class ResultStore:
@@ -186,15 +311,15 @@ class ResultStore:
     Parameters
     ----------
     root:
-        Directory for the on-disk pickle cache (created on first write).
+        Directory for the on-disk cache (created on first write).
         ``None`` keeps the cache purely in memory -- useful for sharing
         results between studies of one process without touching disk.
 
-    The store keeps one copy of each entry, the bytes :meth:`put` pickled:
-    in its file under ``root``, or in memory for a memory-only store.
-    Results served from the store are marked ``from_cache=True`` so callers
-    (and the zero-activation acceptance check) can tell replays from fresh
-    executions.
+    The store keeps one copy of each entry, the format-2 bytes :meth:`put`
+    encoded (see the module docstring): in its file under ``root``, or in
+    memory for a memory-only store.  Results served from the store are
+    marked ``from_cache=True`` so callers (and the zero-activation
+    acceptance check) can tell replays from fresh executions.
     """
 
     #: Name of the advisory lock file kept at the store root.
@@ -206,7 +331,7 @@ class ResultStore:
     def __init__(self, root: Optional[Union[str, os.PathLike]] = None) -> None:
         self.root = Path(root) if root is not None else None
         self.stats = StoreStats()
-        #: A memory-only store's entries: key -> the pickled bytes put made.
+        #: A memory-only store's entries: key -> the entry bytes put made.
         self._memory: Dict[CacheKey, bytes] = {}
         #: Study name -> its entry directory as a string ending in a path
         #: separator, for :meth:`_entry_path`.
@@ -262,15 +387,20 @@ class ResultStore:
     def get(self, key: CacheKey) -> Optional[StudyResult]:
         """Fetch a cached result, or ``None`` on a miss.
 
-        An entry is served only if it is the result its key names: a
-        :class:`~repro.experiments.study.StudyResult` of the key's study and
-        chip with the key's unit digest (unit entries) or config digest
-        (whole-study entries).  An entry that fails that check, or cannot be
-        unpickled at all -- a torn write, an empty file, damaged bytes, a
+        An entry is served only when every check of the module docstring's
+        read rules passes: its magic, its CRC, its format version, the
+        study's and the chip model's versions, and its identity -- a
+        :class:`~repro.experiments.study.StudyResult` of the key's study
+        and chip with the key's unit digest (unit entries) or config digest
+        (whole-study entries).  A stale entry (written before format 2, or
+        intact at another format or model version) is counted in
+        ``stats.stale`` and left for :meth:`put` to overwrite.  Any other
+        failing entry -- a torn write, an empty file, damaged bytes, a
         pickle of a class the code no longer has, another unit's or another
         chip's entry, a foreign file -- is quarantined (a memory entry is
-        dropped), counted in ``stats.corrupt`` and reported as a miss, so
-        the caller recomputes the result and :meth:`put` rewrites it.
+        dropped) and counted in ``stats.corrupt``.  Either is reported as a
+        miss, so the caller recomputes the result and :meth:`put` rewrites
+        it.
 
         Every hit is unpickled afresh from the entry's bytes, so it shares
         nothing with any other hit or with the result that was put: editing
@@ -282,7 +412,6 @@ class ResultStore:
             self.stats.misses += 1
             return None
         self.stats.hits += 1
-        result.from_cache = True
         return result
 
     def _load(self, key: CacheKey) -> Optional[StudyResult]:
@@ -296,17 +425,16 @@ class ResultStore:
         if data is None:
             return None
         try:
-            result = pickle.loads(data)
-            valid = _is_entry_for(key, result)
+            result = _decode(key, data)
         except Exception:
             # pickle on damaged bytes can raise almost anything
             # (UnicodeDecodeError, ValueError, TypeError, OverflowError,
             # MemoryError, ... besides UnpicklingError and EOFError), and
             # each of them means a corrupt entry, never a crash.
-            valid = False
-        if not valid:
             self._quarantine(key, path)
             return None
+        if result is None:
+            self.stats.stale += 1
         return result
 
     def _quarantine(self, key: CacheKey, path: Optional[str]) -> None:
@@ -322,9 +450,10 @@ class ResultStore:
         self.stats.corrupt += 1
 
     def put(self, key: CacheKey, result: StudyResult) -> None:
-        """Store a freshly executed result: its pickled bytes, on disk if
-        rooted, else in memory."""
-        data = pickle.dumps(dataclasses.replace(result, from_cache=False))
+        """Store a freshly executed result: its entry bytes (see the module
+        docstring), on disk if rooted, else in memory.  The entry replaces
+        any stale or missing one at the key's path."""
+        data = _encode(key, result)
         if self.root is None:
             self._memory[key] = data
         else:
@@ -336,7 +465,7 @@ class ResultStore:
                 self._made_dirs.add(key.study)
             with self._write_lock():
                 # Per-writer unique temp name: concurrent processes sharing
-                # one store root each publish their own complete pickle
+                # one store root each publish their own complete entry
                 # atomically even if the advisory lock is unavailable.
                 tmp = path.with_name(
                     f".{path.name}.{os.getpid()}.{uuid.uuid4().hex}.tmp"
@@ -374,4 +503,8 @@ class ResultStore:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         where = str(self.root) if self.root is not None else "memory"
-        return f"ResultStore({where!r}, hits={self.stats.hits}, misses={self.stats.misses})"
+        stats = self.stats
+        return (
+            f"ResultStore({where!r}, hits={stats.hits}, misses={stats.misses}, "
+            f"stale={stats.stale}, corrupt={stats.corrupt})"
+        )

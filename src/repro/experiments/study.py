@@ -31,7 +31,6 @@ example :mod:`repro.core.sweeps`) can import it without cycles.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import hashlib
 import importlib
 from dataclasses import dataclass, field
@@ -52,7 +51,7 @@ class DecompositionError(ValueError):
 
 #: ``unit_id`` of the implicit single unit wrapping an undecomposed study.
 #: Stores key such units exactly like the pre-unit-layer whole-study
-#: results, so existing caches stay valid.
+#: results, so their keys and filenames never moved.
 WHOLE_STUDY_UNIT = "whole-study"
 
 
@@ -80,6 +79,21 @@ class WorkUnit:
     study: str
     unit_id: str
     params: Any = ()
+    #: Stable hex digest identifying this unit's content.
+    #:
+    #: Computed over the study name, the unit id and the canonical textual
+    #: form of the parameters (keys sorted), so the digest is invariant under
+    #: parameter-dict key order and across process restarts, and two units
+    #: with different parameters never share a digest.  A unit's position is
+    #: not part of it: reordering a decomposition re-orders the merge, not
+    #: the units' cache identities.
+    #:
+    #: Computed once, when the unit is built (a unit is frozen): every unit
+    #: a session builds is keyed in the store and checked against its
+    #: outcome, so each unit pays for one hash and no lazy-attribute lookup.
+    #: It is derived from the other fields, so it takes no part in equality,
+    #: hashing or ``repr``.
+    digest: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         params = self.params
@@ -92,29 +106,15 @@ class WorkUnit:
                 sorted(((str(key), value) for key, value in items), key=lambda kv: kv[0])
             )
         object.__setattr__(self, "params", normalized)
+        text = "\x1f".join((self.study, self.unit_id, _canonical_params(normalized)))
+        object.__setattr__(
+            self, "digest", hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+        )
 
     @property
     def param_dict(self) -> Dict[str, Any]:
         """The unit's parameters as a plain dict."""
         return dict(self.params)
-
-    @functools.cached_property
-    def digest(self) -> str:
-        """Stable hex digest identifying this unit's content.
-
-        Computed over the study name, the unit id and the canonical textual
-        form of the parameters (keys sorted), so the digest is invariant
-        under parameter-dict key order and across process restarts, and two
-        units with different parameters never share a digest.  A unit's
-        position is not part of it: reordering a decomposition re-orders the
-        merge, not the units' cache identities.
-
-        Computed once per unit and cached on the instance (a unit is
-        frozen), so a unit's store lookup and its execution share one
-        hash.
-        """
-        text = "\x1f".join((self.study, self.unit_id, _canonical_params(self.params)))
-        return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
     @property
     def is_whole_study(self) -> bool:
@@ -137,6 +137,10 @@ class RegisteredStudy:
     (``decompose_fn`` / ``merge_fn``, see the module docstring) registers
     ``fn(chip, config, unit) -> unit payload`` instead; sessions execute
     and cache it shard by shard.
+
+    ``model_version`` is the version of what the study computes (see
+    :func:`register_study`); a store serves only entries written at the
+    registered version.
     """
 
     name: str
@@ -146,6 +150,7 @@ class RegisteredStudy:
     description: str = ""
     decompose_fn: Optional[Callable[[Any], Sequence["WorkUnit"]]] = None
     merge_fn: Optional[Callable[[Any, List[Any]], Any]] = None
+    model_version: int = 1
 
     def default_config(self) -> Any:
         """A default-constructed config, or ``None`` for config-less studies."""
@@ -301,6 +306,7 @@ def register_study(
     description: str = "",
     decompose: Optional[Callable[[Any], Sequence[WorkUnit]]] = None,
     merge: Optional[Callable[[Any, List[Any]], Any]] = None,
+    model_version: int = 1,
 ) -> Callable[[Callable[..., Any]], Callable[..., Any]]:
     """Decorator registering the function that runs one unit of a named study.
 
@@ -336,10 +342,25 @@ def register_study(
         :class:`WorkUnit` shards and ``merge(config, payloads)``
         deterministically reassembles the study payload from shard payloads
         in decomposition order.
+    model_version:
+        Version of what the study computes, a positive integer.  Bump it
+        with any change that moves the study's payloads: every
+        :class:`~repro.experiments.store.ResultStore` entry records the
+        version it was written at and reads as a stale miss at any other,
+        so the study's results are recomputed once rather than replayed.
+        (A change of the chip model itself bumps
+        :data:`repro.dram.columnar.CHIP_MODEL_VERSION` instead, which every
+        chip study's entries record as well.)  It is not part of any cache
+        key.
     """
     if (decompose is None) != (merge is None):
         raise DecompositionError(
             f"study {name!r}: decompose and merge must be declared together"
+        )
+    if type(model_version) is not int or not 0 < model_version < 2**32:
+        raise ValueError(
+            f"study {name!r}: model_version must be an int in [1, 2**32), "
+            f"got {model_version!r}"
         )
 
     def decorator(fn: Callable[..., Any]) -> Callable[..., Any]:
@@ -359,6 +380,7 @@ def register_study(
             description=summary,
             decompose_fn=decompose,
             merge_fn=merge,
+            model_version=model_version,
         )
         return fn
 

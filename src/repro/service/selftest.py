@@ -94,6 +94,7 @@ def _merge(
     description="Deterministic hash-work study for service fault injection",
     decompose=_decompose,
     merge=_merge,
+    model_version=1,
 )
 def _run_unit(_chip: None, config: ServiceSelfTestConfig, unit: WorkUnit) -> str:
     params = unit.param_dict

@@ -12,13 +12,15 @@
 
 Both step modes must reproduce each session digest.  A change that moves
 a digest changes Figure 10's results: never re-record these to make a
-refactor pass.
+refactor pass.  One that moves them on purpose bumps both Figure 10
+studies' model versions, pinned beside the digests in
+:data:`FIG10_MODEL_VERSIONS`, so stores recompute their entries.
 """
 
 import pytest
 
 from repro.analysis.mitigation_study import MitigationStudyConfig, run_mitigation_study
-from repro.experiments import ExperimentSession, SerialExecutor
+from repro.experiments import ExperimentSession, SerialExecutor, get_study
 from repro.experiments.study import config_digest
 from repro.sim.config import SystemConfig
 from repro.sim.timing import DDR4_2400
@@ -42,6 +44,15 @@ FIG10_STUDY_DIGESTS = {
     "session/time_scale=0.01": "a206fddc4d173529",
     "object-api": "beff101082f3a81b",
 }
+
+#: The Figure 10 studies' model versions when the digests above (and
+#: ``GOLDEN_DIGESTS`` of the simulator they run) were recorded.
+FIG10_MODEL_VERSIONS = {"fig10-mitigations": 1, "fig10-mitigations-full": 1}
+
+
+def test_digests_were_recorded_at_the_current_model_versions():
+    current = {name: get_study(name).model_version for name in FIG10_MODEL_VERSIONS}
+    assert current == FIG10_MODEL_VERSIONS
 
 
 # A cycle-mode run takes several seconds; it runs with the slow tests.

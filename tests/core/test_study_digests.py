@@ -12,6 +12,13 @@ Besides the default configs, the pins cover a word size that does not
 divide the 128-bit row (Figures 7 and 9) and Table 5 with its hammer
 counts given out of order.  A change that moves a digest changes a study's
 results: never re-record these to make a refactor pass.
+
+The digests were recorded at the model versions :data:`MODEL_VERSIONS`
+pins beside them.  A change that moves a digest on purpose bumps the
+version that covers it -- the chip model's for a change of the cell law or
+the chip kernels, a study's for a change of that study alone -- so stores
+recompute those entries instead of replaying them, and re-records both pins
+in one diff.
 """
 
 import pytest
@@ -19,8 +26,9 @@ import pytest
 from repro.core.ecc_analysis import EccWordStudyConfig
 from repro.core.probability import ProbabilityStudyConfig
 from repro.core.word_density import WordDensityStudyConfig
+from repro.dram import columnar
 from repro.dram.geometry import ChipGeometry
-from repro.experiments import ExperimentSession
+from repro.experiments import ExperimentSession, get_study
 from repro.experiments.study import config_digest
 
 GEOMETRY = ChipGeometry(banks=1, rows_per_bank=32, row_bytes=16)
@@ -60,6 +68,27 @@ CHIP_STUDY_DIGESTS = {
     "table5-flip-probability/unsorted": "c870fdc9b1474b34",
     "alg1-characterization": "87c0c978c2800af6",
 }
+
+#: The chip model's version and each chip study's, when the digests above
+#: were recorded.
+MODEL_VERSIONS = {
+    "chip model": 1,
+    "alg1-characterization": 1,
+    "fig4-coverage": 1,
+    "fig5-hc-sweep": 1,
+    "fig6-spatial": 1,
+    "fig7-word-density": 1,
+    "fig8-hcfirst": 1,
+    "fig9-ecc-words": 1,
+    "table5-flip-probability": 1,
+}
+
+
+def test_digests_were_recorded_at_the_current_model_versions():
+    studies = {study for study, _ in CASES.values()}
+    assert set(MODEL_VERSIONS) == studies | {"chip model"}
+    current = {name: get_study(name).model_version for name in studies}
+    assert {"chip model": columnar.CHIP_MODEL_VERSION, **current} == MODEL_VERSIONS
 
 
 @pytest.fixture(scope="module")

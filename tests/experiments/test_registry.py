@@ -69,6 +69,13 @@ class TestRegistry:
         finally:
             unregister_study("test-duplicate-probe")
 
+    @pytest.mark.parametrize("version", [0, -1, 2**32, True, 1.0, "1"])
+    def test_model_version_must_fit_an_entry_header(self, version):
+        """Store entries record the version as an unsigned 32-bit field."""
+        with pytest.raises(ValueError, match="model_version"):
+            register_study("test-version-probe", model_version=version)
+        assert "test-version-probe" not in list_studies()
+
     def test_unregister_removes_study(self):
         @register_study("test-unregister-probe")
         def probe(chip, config):

@@ -1,15 +1,20 @@
 """ResultStore.get fault paths: a corrupt entry becomes a recomputed miss.
 
 Each kind of damage to one unit entry of a complete Figure 10 cache -- a
-torn write, a zero-byte file, bytes that are no pickle, a pickle of a
-class or module that no longer exists, a pickle that is no study result,
-damaged bytes whose unpickling raises any other exception, and another
-unit's or another chip's entry under this entry's filename -- must
+torn write, a zero-byte file, bytes that are no entry, a body pickling a
+class or module that no longer exists, a body that is no study result,
+damaged body bytes whose unpickling raises any other exception, and
+another unit's or another chip's entry under this entry's filename -- must
 re-execute exactly that unit, merge to the payload of the clean run,
 quarantine the damaged file out of the ``*.pkl`` namespace and count it in
 ``StoreStats.corrupt``.  ``put`` then rewrites the entry, so the next run
-replays every unit.  A property test damages random bytes of a real entry
-and checks that ``get`` never raises.  A caller that mutates a hit does not
+replays every unit.  Damage meant for the unpickler is made to an entry's
+body and its CRC re-sealed, or the CRC alone would catch it.
+
+A property test damages random bytes of a real entry and checks that
+``get`` never serves it, and a session whose unit entry has one byte of a
+float damaged recomputes that unit.  An entry written before format 2 is a
+stale miss, never a corrupt one.  A caller that mutates a hit does not
 damage the next get of its key either, and a memory-only store checks its
 entries the same way.
 """
@@ -21,13 +26,15 @@ import functools
 import pickle
 import pickletools
 import shutil
+import struct
 import sys
 import tempfile
 import types
+import zlib
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from repro.analysis.mitigation_study import MitigationStudyConfig
 from repro.core.first_flip import HCFirstStudyConfig
@@ -46,6 +53,31 @@ TINY_FIG10 = MitigationStudyConfig(
     seed=3,
 )
 
+#: Format 2's header (see :mod:`repro.experiments.store`): magic, CRC32 of
+#: the rest of the entry, format version, study and chip model versions.
+HEADER = struct.Struct("<4sIHII")
+#: The body's fields: every StudyResult field but ``from_cache``, in order.
+BODY_FIELDS = [
+    field.name for field in dataclasses.fields(StudyResult) if field.name != "from_cache"
+]
+
+
+def read_body(path):
+    return path.read_bytes()[HEADER.size :]
+
+
+def write_body(path, body):
+    """Give the entry at ``path`` a new body and re-seal its CRC."""
+    header = path.read_bytes()[: HEADER.size]
+    crc = zlib.crc32(header[8:] + body, zlib.crc32(header[:4]))
+    path.write_bytes(header[:4] + struct.pack("<I", crc) + header[8:] + body)
+
+
+def replace_payload(path, payload):
+    fields = list(pickle.loads(read_body(path)))
+    fields[BODY_FIELDS.index("payload")] = payload
+    write_body(path, pickle.dumps(tuple(fields), protocol=5))
+
 
 class Vanished:
     """Payload class deleted before the entry holding it is read back."""
@@ -61,8 +93,7 @@ def zero_bytes(path, _monkeypatch):
 
 
 def removed_class(path, monkeypatch):
-    result = pickle.loads(path.read_bytes())
-    path.write_bytes(pickle.dumps(dataclasses.replace(result, payload=Vanished())))
+    replace_payload(path, Vanished())
     monkeypatch.delattr(sys.modules[__name__], "Vanished")
 
 
@@ -77,8 +108,7 @@ def removed_module(path, monkeypatch):
     Payload.__qualname__ = "Payload"
     module.Payload = Payload
     monkeypatch.setitem(sys.modules, module.__name__, module)
-    result = pickle.loads(path.read_bytes())
-    path.write_bytes(pickle.dumps(dataclasses.replace(result, payload=Payload())))
+    replace_payload(path, Payload())
     monkeypatch.delitem(sys.modules, module.__name__)
 
 
@@ -87,26 +117,27 @@ def not_a_pickle(path, _monkeypatch):
 
 
 def not_a_study_result(path, _monkeypatch):
-    """A stale or foreign pickle in the ``*.pkl`` namespace."""
-    path.write_bytes(pickle.dumps({"study": "fig10-mitigations", "payload": None}))
+    """A sealed body that pickles something other than a result's fields."""
+    write_body(path, pickle.dumps({"study": "fig10-mitigations", "payload": None}))
 
 
 def opcode_position(path, name):
-    """Byte offset of the first ``name`` opcode of the pickle in ``path``."""
+    """Byte offset of the first ``name`` opcode of the body in ``path``."""
     return next(
         pos
-        for op, arg, pos in pickletools.genops(path.read_bytes())
+        for op, arg, pos in pickletools.genops(read_body(path))
         if op.name == name and arg != ""
     )
 
 
 def damage_bytes(path, position, replacement, raised):
-    """Overwrite bytes of an entry, checking that unpickling now raises ``raised``."""
-    data = bytearray(path.read_bytes())
-    data[position : position + len(replacement)] = replacement
-    path.write_bytes(bytes(data))
-    with open(path, "rb") as handle, pytest.raises(raised):
-        pickle.load(handle)
+    """Overwrite bytes of an entry's body and re-seal it, checking that
+    unpickling the body now raises ``raised``."""
+    body = bytearray(read_body(path))
+    body[position : position + len(replacement)] = replacement
+    with pytest.raises(raised):
+        pickle.loads(bytes(body))
+    write_body(path, bytes(body))
 
 
 def invalid_utf8(path, _monkeypatch):
@@ -177,8 +208,7 @@ def test_corrupt_entry_is_quarantined_and_recomputed(tmp_path, monkeypatch, dama
     assert rerun.executed == 1
     assert rerun.cache_hits == clean.units_total - 1
     assert points_of(rerun) == points_of(clean)
-    assert store.stats.corrupt == 1
-    assert store.stats.misses == 1
+    assert (store.stats.corrupt, store.stats.misses, store.stats.stale) == (1, 1, 0)
     assert victim.with_name(victim.name + ResultStore.QUARANTINE_SUFFIX).exists()
 
     healthy = ResultStore(root)
@@ -270,16 +300,85 @@ def test_whole_study_entry_is_served_only_under_its_config_digest(tmp_path):
     assert store.get(key).payload == "clean"
 
 
-def test_whole_study_envelope_without_unit_fields_still_hits(tmp_path):
-    """Envelopes written before the unit layer lack its fields entirely."""
+def write_before_format_2(path):
+    """Rewrite an entry as ``put`` wrote it before format 2: the pickled
+    envelope, with no header."""
+    result = StudyResult(**dict(zip(BODY_FIELDS, pickle.loads(read_body(path)))))
+    path.write_bytes(pickle.dumps(result))
+
+
+def test_entries_written_before_format_2_are_stale_and_refilled_once(tmp_path):
+    """A store written before format 2 recomputes every unit once, with no
+    corrupt count and no quarantined file; the next session replays it."""
+    root = tmp_path / "store"
+    clean = run(ResultStore(root))
+    entries = ResultStore(root).entry_paths()
+    assert len(entries) == clean.units_total
+    for path in entries:
+        write_before_format_2(path)
+
+    store = ResultStore(root)
+    rerun = run(store)
+    assert (rerun.executed, rerun.cache_hits) == (clean.units_total, 0)
+    assert points_of(rerun) == points_of(clean)
+    stats = store.stats
+    assert (stats.misses, stats.stale, stats.corrupt, stats.puts) == (len(entries),) * 2 + (
+        0,
+        len(entries),
+    )
+    assert not list(root.rglob("*" + ResultStore.QUARANTINE_SUFFIX))
+    assert all(path.read_bytes()[:4] == b"RHSE" for path in entries)
+
+    healthy = ResultStore(root)
+    replay = run(healthy)
+    assert (replay.executed, healthy.stats.hits) == (0, clean.units_total)
+    assert (healthy.stats.misses, healthy.stats.stale, healthy.stats.corrupt) == (0, 0, 0)
+    assert points_of(replay) == points_of(clean)
+
+
+def test_envelope_from_before_the_unit_layer_is_stale(tmp_path):
+    """A whole-study envelope that lacks the unit layer's fields entirely is
+    a stale miss too, and ``put`` replaces it."""
     key = CacheKey(study="store-faults", config_digest="c0", chip_digest="population")
     old = envelope(key, payload="old")
     for name in ("unit_id", "unit_digest", "units_total", "units_from_cache"):
         del old.__dict__[name]
-    (tmp_path / key.study).mkdir()
-    (tmp_path / key.study / key.filename).write_bytes(pickle.dumps(old))
-    cached = ResultStore(tmp_path).get(key)
-    assert cached is not None and cached.payload == "old" and cached.from_cache
+    path = tmp_path / key.study / key.filename
+    path.parent.mkdir()
+    path.write_bytes(pickle.dumps(old))
+    store = ResultStore(tmp_path)
+    assert store.get(key) is None
+    assert (store.stats.misses, store.stats.stale, store.stats.corrupt) == (1, 1, 0)
+    assert path.exists()
+    store.put(key, envelope(key, payload="new"))
+    assert ResultStore(tmp_path).get(key).payload == "new"
+
+
+def test_a_damaged_float_of_a_unit_payload_is_recomputed(tmp_path):
+    """One byte inside one float of a cell unit's ``core_ipcs``: the entry
+    still unpickles into a result of the right unit, so only the CRC stops
+    the session from merging a different Figure 10 payload."""
+    root = tmp_path / "store"
+    clean = run(ResultStore(root))
+    unit = get_study("fig10-mitigations").units_for(TINY_FIG10)[1]
+    key = ResultStore(root).key_for("fig10-mitigations", config_digest(TINY_FIG10), None, unit)
+    path = root / key.study / key.filename
+    ipc = ResultStore(root).get(key).payload.core_ipcs[0]
+    # A BINFLOAT opcode holds its float as the 8 big-endian bytes after it;
+    # damage a high mantissa byte, which keeps the value finite and near.
+    position = HEADER.size + 1 + next(
+        pos
+        for op, arg, pos in pickletools.genops(read_body(path))
+        if op.name == "BINFLOAT" and arg == ipc
+    )
+    data = bytearray(path.read_bytes())
+    data[position + 2] ^= 0x01
+    path.write_bytes(bytes(data))
+
+    store = ResultStore(root)
+    rerun = run(store)
+    assert points_of(rerun) == points_of(clean)
+    assert (rerun.executed, store.stats.corrupt, store.stats.stale) == (1, 1, 0)
 
 
 def test_memory_only_store_drops_an_entry_that_is_not_its_keys_result():
@@ -337,23 +436,31 @@ def real_entry():
 
 @settings(max_examples=200, deadline=None)
 @given(
-    changes=st.lists(
-        st.tuples(st.integers(min_value=0), st.integers(min_value=1, max_value=255)),
-        min_size=1,
-        max_size=4,
+    changes=st.dictionaries(
+        st.integers(min_value=0), st.integers(min_value=1, max_value=255), min_size=1, max_size=4
     )
 )
+@example(changes={0: ord("R") ^ 0x80})  # the magic's first byte turned pickle's PROTO
 def test_damaged_entry_never_raises(changes):
-    """XOR-damaging 1 to 4 bytes of a real entry yields a hit or a quarantined miss."""
+    """XOR-damaging 1 to 4 bytes of a real entry always yields a miss: a
+    quarantined corrupt entry, or a stale one only when byte 0 now reads
+    0x80, the first byte of every entry written before format 2."""
     key, data = real_entry()
     damaged = bytearray(data)
-    for position, mask in changes:
+    for position, mask in changes.items():
         damaged[position % len(damaged)] ^= mask
+    assume(damaged != data)
     with tempfile.TemporaryDirectory() as root:
         path = Path(root, key.study, key.filename)
         path.parent.mkdir()
         path.write_bytes(bytes(damaged))
         store = ResultStore(root)
-        hit = store.get(key)
+        assert store.get(key) is None
         quarantined = path.with_name(path.name + ResultStore.QUARANTINE_SUFFIX).exists()
-        assert (hit is None) == quarantined == (store.stats.corrupt == 1)
+        stale = damaged[0] == 0x80
+        assert quarantined != stale
+        assert (store.stats.misses, store.stats.corrupt, store.stats.stale) == (
+            1,
+            int(quarantined),
+            int(stale),
+        )

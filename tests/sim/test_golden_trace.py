@@ -24,6 +24,7 @@ import hashlib
 
 import pytest
 
+from repro.experiments import get_study
 from repro.mitigations.base import MitigationConfig
 from repro.mitigations.registry import available_mechanisms, build_mechanism
 from repro.sim.config import SystemConfig
@@ -72,6 +73,16 @@ GOLDEN_DIGESTS = {
     "attacker-PARA": "8c8442557907e7b0",
     "refresh-rate-IncreasedRefresh": "21c5d392247b1018",
 }
+
+#: The model versions of the Figure 10 studies, which run this simulator,
+#: when the digests above were recorded.  A change that moves a digest on
+#: purpose bumps them too, so stores recompute every Figure 10 entry.
+FIG10_MODEL_VERSIONS = {"fig10-mitigations": 1, "fig10-mitigations-full": 1}
+
+
+def test_digests_were_recorded_at_the_current_model_versions():
+    current = {name: get_study(name).model_version for name in FIG10_MODEL_VERSIONS}
+    assert current == FIG10_MODEL_VERSIONS
 
 
 def build_traces(config, cores=None, requests_per_core=800, seed=GOLDEN_SEED):
