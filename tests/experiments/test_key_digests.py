@@ -3,10 +3,11 @@
 A store entry is found by its :class:`~repro.experiments.store.CacheKey`
 and the filename derived from it, so a change to how units, config digests
 or chip digests are computed silently orphans every existing store.
-:data:`STORE_KEY_DIGEST` hashes the keys and filenames of every unit of the
-decomposed studies on small configs, one whole-study key per undecomposed
-chip study, and the config digest of every built-in study's default
-config.  The property tests check the canonical text behind unit and
+:data:`STORE_KEY_DIGESTS` holds one digest per built-in study, over the keys
+and filenames of every unit of the decomposed studies on small configs, one
+whole-study key per undecomposed chip study, and the config digest of the
+study's default config; so a moved pin names the studies whose stores stop
+replaying.  The property tests check the canonical text behind unit and
 config digests against a verbatim copy of the reference ``_canonical``
 below, over scalar, nested and dataclass values.
 
@@ -31,8 +32,20 @@ from repro.experiments import ExperimentSession, WorkUnit, get_study, list_studi
 from repro.experiments.store import cache_key
 from repro.experiments.study import config_digest
 
-#: First 16 hex digits of a sha256 over every key listed by :func:`key_lines`.
-STORE_KEY_DIGEST = "fbb0c9d9aee546f2"
+#: Study -> first 16 hex digits of a sha256 over its lines of :func:`key_lines`.
+STORE_KEY_DIGESTS = {
+    "fig10-mitigations": "ce9c897530e40b27",
+    "fig10-mitigations-full": "5af4ecb6ac588898",
+    "alg1-characterization": "4b76d247f7e62acb",
+    "fig4-coverage": "6863b16bae7b250e",
+    "fig5-hc-sweep": "f793129cc13062c9",
+    "fig6-spatial": "d493d637a9a87514",
+    "fig7-word-density": "fc282450625d2dbf",
+    "fig8-hcfirst": "3418cb87a0c620db",
+    "fig9-ecc-words": "a11ccc8551029699",
+    "table5-flip-probability": "b134050e2317c3b4",
+    "service-selftest": "bc9c84903cc88aaf",
+}
 
 GEOMETRY = ChipGeometry(banks=1, rows_per_bank=32, row_bytes=16)
 CONFIGURATIONS = (("DDR4-new", "A"), ("LPDDR4-1y", "A"))
@@ -91,42 +104,43 @@ def _key_line(key) -> str:
 
 
 def key_lines():
-    """One line per pinned key or config digest, in a fixed order."""
+    """Study -> one line per pinned key or config digest, in a fixed order."""
     chips = ExperimentSession.from_table1(
         chips_per_config=1, seed=7, geometry=GEOMETRY, configurations=CONFIGURATIONS
     ).chips
     assert len(chips) == 2
-    lines = []
+    lines = collections.defaultdict(list)
     for name, config in (
         ("fig10-mitigations", MitigationStudyConfig(**FIG10_SMALL)),
         ("fig10-mitigations-full", FullMitigationStudyConfig(**FIG10_SMALL)),
     ):
         digest = config_digest(config)
         for unit in get_study(name).units_for(config):
-            lines.append(_key_line(cache_key(name, digest, None, unit)))
+            lines[name].append(_key_line(cache_key(name, digest, None, unit)))
     for name in ("alg1-characterization", "fig4-coverage"):
         spec = get_study(name)
         config = spec.default_config()
         digest = config_digest(config)
         for chip in chips:
             for unit in spec.units_for(config):
-                lines.append(_key_line(cache_key(name, digest, chip, unit)))
+                lines[name].append(_key_line(cache_key(name, digest, chip, unit)))
     for name in UNDECOMPOSED_CHIP_STUDIES:
         spec = get_study(name)
         (unit,) = spec.units_for()
         digest = config_digest(spec.default_config())
         for chip in chips:
-            lines.append(_key_line(cache_key(name, digest, chip, unit)))
+            lines[name].append(_key_line(cache_key(name, digest, chip, unit)))
     for name in BUILTIN_STUDIES:
-        lines.append(f"{name}\x1f{config_digest(get_study(name).default_config())}")
+        lines[name].append(f"{name}\x1f{config_digest(get_study(name).default_config())}")
     return lines
 
 
 def test_store_keys_and_config_digests_are_pinned():
     assert set(BUILTIN_STUDIES) <= set(list_studies())
     lines = key_lines()
-    assert len(lines) == 85
-    assert _sha16("\n".join(lines)) == STORE_KEY_DIGEST
+    assert sum(map(len, lines.values())) == 85
+    digests = {name: _sha16("\n".join(study_lines)) for name, study_lines in lines.items()}
+    assert digests == STORE_KEY_DIGESTS
 
 
 # ----------------------------------------------------------------------
