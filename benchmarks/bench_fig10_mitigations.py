@@ -32,7 +32,7 @@ HCFIRST_SWEEP = (200_000, 50_000, 25_600, 6_400, 2_000, 1_024, 256, 128, 64)
 MECHANISMS = ("IncreasedRefresh", "PARA", "ProHIT", "MRLoc", "TWiCe", "TWiCe-ideal", "Ideal")
 
 
-def test_fig10_mitigation_scaling(benchmark):
+def test_fig10_mitigation_scaling(benchmark, tmp_path):
     config = MitigationStudyConfig(
         hcfirst_values=HCFIRST_SWEEP,
         mechanisms=MECHANISMS,
@@ -42,7 +42,7 @@ def test_fig10_mitigation_scaling(benchmark):
         requests_per_core=2_500,
         seed=5,
     )
-    store = ResultStore()  # in-memory: cache shared by the replay below
+    store = ResultStore(tmp_path / "store")  # cache shared by the replay below
 
     def run():
         return ExperimentSession(store=store).run("fig10-mitigations", config)

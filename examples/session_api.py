@@ -171,7 +171,7 @@ def main() -> None:
         # Simulate a crash that lost one unit's cache entry, then resume: only
         # the missing unit re-executes and the merged payload is identical.
         shard_store = ResultStore(store_root)
-        unit_files = shard_store.entry_paths("demo-flip-sweep", units_only=True)
+        unit_files = shard_store.entry_paths("demo-flip-sweep")
         unit_files[0].unlink()
         resumed = ExperimentSession(chip, store=ResultStore(store_root)).run(
             "demo-flip-sweep"

@@ -100,6 +100,10 @@ def hammer_count_for_flip_rate(
     for _ in range(MAX_SEARCH_STEPS):
         if low <= current_rate <= high:
             return current_hc
+        if current_rate == 0.0:
+            # The step back also saw no flip, so no slope can be fitted
+            # through it: the target lies below the last count that flipped.
+            return previous[0]
         prev_hc, prev_rate = previous
         if prev_rate > 0 and prev_rate != current_rate and prev_hc != current_hc:
             slope = (math.log(current_rate) - math.log(prev_rate)) / (

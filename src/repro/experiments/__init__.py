@@ -5,13 +5,15 @@ Every paper analysis is exposed as a named *study* (see
 function that runs one unit of it.  An :class:`ExperimentSession`
 owns a chip population, fans studies out across it via pluggable executors
 (:class:`SerialExecutor`, process-pool :class:`ParallelExecutor` with
-bit-identical results), and caches results in a :class:`ResultStore` so
-work is never repeated across benchmarks or runs.
+bit-identical results), and caches every work unit's result in a
+:class:`ResultStore` so work is never repeated across benchmarks or runs.
 
 Work units: sharded execution and crash resume
 ----------------------------------------------
 A study's registered function is ``fn(chip, config) -> payload`` when
-the whole study is one unit.  Grid-shaped studies instead declare a
+the whole study is one unit: its single implicit :class:`WorkUnit`
+(``WHOLE_STUDY_UNIT``) carries the config, so the unit's digest covers
+every config field.  Grid-shaped studies instead declare a
 *decomposition* at registration time -- ``decompose(config)`` enumerating
 independent :class:`WorkUnit` shards and a deterministic ``merge(config,
 payloads)`` reassembling the study payload in decomposition order -- and
@@ -23,9 +25,10 @@ register the function that executes one shard hermetically::
         ...  # one shard, on a fresh copy of the chip
 
 Sessions then fan the *units* (not whole studies) through the executor and
-cache each unit individually, keyed by the unit's content digest; a
-decomposed study runs only through a session.  That buys three things at
-once:
+cache each unit individually: every executor outcome and every store entry
+is one unit's :class:`TaskOutcome`, keyed by the chip's and the unit's
+content digests; a decomposed study runs only through a session.  That
+buys three things at once:
 
 * **sharding** -- a process pool parallelizes across grid cells even for
   population-level (simulator-backed) studies that have no chips to shard

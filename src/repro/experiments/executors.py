@@ -1,9 +1,10 @@
 """Pluggable execution backends for fanning studies out across chips.
 
-An :class:`Executor` turns a batch of :class:`StudyTask` items -- whole
-studies or individual :class:`~repro.experiments.study.WorkUnit` shards of a
-decomposed study -- into :class:`TaskOutcome` items, each paired with the
-index of its task.  Two backends are provided:
+An :class:`Executor` turns a batch of :class:`StudyTask` items, each one
+:class:`~repro.experiments.study.WorkUnit` on one chip (an undecomposed
+study's single implicit unit, or one shard of a decomposed study), into
+:class:`TaskOutcome` items, each paired with the index of its task.  Two
+backends are provided:
 
 * :class:`SerialExecutor` runs tasks one after another in-process -- the
   reference behaviour every other backend must reproduce bit-identically.
@@ -36,11 +37,11 @@ from __future__ import annotations
 import copy
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Iterator, Optional, Sequence, Tuple
 
 from repro.dram.chip import ChipStats, DramChip
-from repro.experiments.study import StudyResult, WorkUnit, get_study
+from repro.experiments.study import WorkUnit, get_study
 
 
 @dataclass
@@ -49,40 +50,50 @@ class StudyTask:
 
     ``unit`` selects one shard of a decomposed study (see
     :class:`~repro.experiments.study.WorkUnit`); an undecomposed study runs
-    as its single implicit whole-study unit.  ``study``, ``config``,
-    ``chip`` and ``unit`` are all a task's outcome depends on: a chip's
-    behaviour follows from its construction parameters, its seed among
-    them.  ``config_digest`` is
-    :func:`~repro.experiments.study.config_digest` of ``config``, computed
-    once by the session for all of a run's tasks and stamped on each result.
+    as its single implicit whole-study unit, which carries the config.
+    ``study``, ``config``, ``chip`` and ``unit`` are all a task's outcome
+    depends on: a chip's behaviour follows from its construction
+    parameters, its seed among them.
     """
 
     study: str
     config: Any
-    config_digest: str
     chip: Optional[DramChip]
     unit: WorkUnit
 
 
 @dataclass
 class TaskOutcome:
-    """Executor output for one task: the result plus the work performed.
+    """One work unit's result on one chip: what an executor yields for a
+    task, and what a :class:`~repro.experiments.store.ResultStore` keeps.
 
-    ``attempts`` / ``requeues`` record recovery behaviour for backends that
-    can lose workers mid-task (``attempts`` = times the task was dispatched
-    until this result, ``requeues`` = leases reclaimed from dead or hung
-    workers; see :class:`repro.experiments.remote.ServiceExecutor`).  Local
-    executors always report the defaults: one attempt, no requeues.
+    ``study``, ``unit_digest`` and ``chip_id`` (``None`` for a
+    population-level study) name the unit and chip ``payload`` belongs to:
+    the session checks them against the task, the store against the key.
+    The rest is bookkeeping, excluded from equality so a replayed outcome
+    compares equal to the one that was stored: ``elapsed_s`` is the unit's
+    execution time, ``stats`` the :class:`~repro.dram.chip.ChipStats` the
+    chip copy accrued, and ``attempts`` / ``requeues`` record recovery
+    behaviour for backends that can lose workers mid-task (``attempts`` =
+    times the task was dispatched until this result, ``requeues`` = leases
+    reclaimed from dead or hung workers; see
+    :class:`repro.experiments.remote.ServiceExecutor`).  Local executors
+    always report one attempt and no requeues; a store hit has no execution
+    behind it, so it reports zero seconds and no stats.
     """
 
-    result: StudyResult
-    stats: Optional[ChipStats]
-    attempts: int = 1
-    requeues: int = 0
+    study: str
+    unit_digest: str
+    chip_id: Optional[str]
+    payload: Any
+    elapsed_s: float = field(default=0.0, compare=False)
+    stats: Optional[ChipStats] = field(default=None, compare=False)
+    attempts: int = field(default=1, compare=False)
+    requeues: int = field(default=0, compare=False)
 
 
 def execute_task(task: StudyTask) -> TaskOutcome:
-    """Execute one study task (a whole study or one work unit) hermetically.
+    """Execute one study task (one work unit on one chip) hermetically.
 
     Module-level so :class:`ParallelExecutor` can ship it to worker
     processes; the registry lookup re-imports the built-in study modules
@@ -95,18 +106,14 @@ def execute_task(task: StudyTask) -> TaskOutcome:
     started = time.perf_counter()
     payload = spec.run_unit(chip, task.config, task.unit)
     elapsed = time.perf_counter() - started
-    result = StudyResult(
+    return TaskOutcome(
         study=task.study,
-        config_digest=task.config_digest,
+        unit_digest=task.unit.digest,
         chip_id=chip.chip_id if chip is not None else None,
-        type_node=chip.profile.type_node.value if chip is not None else None,
-        manufacturer=chip.profile.manufacturer if chip is not None else None,
         payload=payload,
         elapsed_s=elapsed,
-        unit_id=task.unit.unit_id,
-        unit_digest=task.unit.digest,
+        stats=chip.stats if chip is not None else None,
     )
-    return TaskOutcome(result=result, stats=chip.stats if chip is not None else None)
 
 
 class Executor:
@@ -122,8 +129,6 @@ class Executor:
     outcome whose study, unit or chip is not its task's.
     """
 
-    name = "base"
-
     def iter_outcomes(self, tasks: Sequence[StudyTask]) -> Iterator[Tuple[int, TaskOutcome]]:
         """Yield ``(task index, outcome)`` once per task, each as it completes."""
         raise NotImplementedError
@@ -134,8 +139,6 @@ class Executor:
 
 class SerialExecutor(Executor):
     """Runs every task sequentially in the calling process."""
-
-    name = "serial"
 
     def iter_outcomes(self, tasks: Sequence[StudyTask]) -> Iterator[Tuple[int, TaskOutcome]]:
         for index, task in enumerate(tasks):
@@ -156,8 +159,6 @@ class ParallelExecutor(Executor):
     yielded in completion order; once a task raises, the tasks not yet
     started are cancelled and the error propagates.
     """
-
-    name = "parallel"
 
     def __init__(self, max_workers: Optional[int] = None) -> None:
         if max_workers is not None and max_workers < 1:

@@ -43,8 +43,6 @@ class ServiceExecutor(Executor):
         first task's study name.
     """
 
-    name = "service"
-
     def __init__(
         self,
         host: str = "127.0.0.1",

@@ -216,7 +216,6 @@ class ExperimentSession:
         spec = study if isinstance(study, RegisteredStudy) else get_study(study)
         if config is None:
             config = spec.default_config()
-        digest = config_digest(config)
         units = spec.units_for(config)
 
         if spec.requires_chip:
@@ -249,7 +248,7 @@ class ExperimentSession:
             for u_index, unit in enumerate(units):
                 key = None
                 if self.store is not None and cacheable:
-                    key = self.store.key_for(spec.name, digest, chip, unit)
+                    key = self.store.key_for(spec.name, chip, unit)
                     cached = self.store.get(key)
                     if cached is not None:
                         unit_payloads[t_index][u_index] = cached.payload
@@ -257,13 +256,7 @@ class ExperimentSession:
                         continue
                 pending_slots.append((t_index, u_index, key))
                 pending_tasks.append(
-                    StudyTask(
-                        study=spec.name,
-                        config=config,
-                        config_digest=digest,
-                        chip=chip,
-                        unit=unit,
-                    )
+                    StudyTask(study=spec.name, config=config, chip=chip, unit=unit)
                 )
 
         # Each outcome is filed under its task by index and checkpointed into
@@ -286,15 +279,14 @@ class ExperimentSession:
                 # (and store) one unit's payload under another slot.
                 chip_id = chip.chip_id if chip is not None else None
                 due = (spec.name, units[u_index].digest, chip_id)
-                result = outcome.result
-                got = (result.study, result.unit_digest, result.chip_id)
+                got = (outcome.study, outcome.unit_digest, outcome.chip_id)
                 if got != due:
                     raise RuntimeError(
                         f"executor {type(self.executor).__name__} yielded the outcome "
                         f"of (study, unit digest, chip) {got} where {due} was due"
                     )
-                unit_payloads[t_index][u_index] = result.payload
-                unit_elapsed[t_index] += result.elapsed_s
+                unit_payloads[t_index][u_index] = outcome.payload
+                unit_elapsed[t_index] += outcome.elapsed_s
                 units_retries[t_index] += max(0, outcome.attempts - 1)
                 units_requeued[t_index] += outcome.requeues
                 if chip is not None and outcome.stats is not None:
@@ -303,7 +295,7 @@ class ExperimentSession:
                     # done on a chip.
                     chip.stats.merge(outcome.stats)
                 if key is not None:
-                    self.store.put(key, result)
+                    self.store.put(key, outcome)
                 if not unreceived:
                     break
         finally:
@@ -322,6 +314,7 @@ class ExperimentSession:
                 f"{len(pending_tasks) - len(unreceived)} outcomes for {len(pending_tasks)} tasks"
             )
 
+        digest = config_digest(config)
         results: List[StudyResult] = []
         for t_index, chip in enumerate(targets):
             payload = spec.merge_units(config, unit_payloads[t_index])

@@ -12,16 +12,17 @@ Work units
 ----------
 A study's registered function runs one unit of it.  For most studies the
 unit is the whole study: ``fn(chip, config) -> payload``, which stays
-callable directly.  Long grid-shaped studies instead declare a
-*decomposition*: a ``decompose(config) -> [WorkUnit]`` enumerating
-independent shards of the grid and a deterministic ``merge(config,
-payloads)`` reassembling the study payload from shard payloads *in
-decomposition order*; their registered function is then ``fn(chip,
-config, unit)`` and runs one shard.  Sessions fan the units -- not the
-whole study -- through the executor, give each unit a fresh copy of the
-chip and cache each unit individually, so a killed sweep resumes from its
-completed units and a config edit invalidates only the units it touches.
-A decomposed study runs only through a session.
+callable directly, and the study's single implicit unit carries its config,
+so the unit's digest covers every field of it.  Long grid-shaped studies
+instead declare a *decomposition*: a ``decompose(config) -> [WorkUnit]``
+enumerating independent shards of the grid and a deterministic
+``merge(config, payloads)`` reassembling the study payload from shard
+payloads *in decomposition order*; their registered function is then
+``fn(chip, config, unit)`` and runs one shard.  Sessions fan the units --
+not the whole study -- through the executor, give each unit a fresh copy
+of the chip and cache each unit individually, so a killed sweep resumes
+from its completed units and a config edit invalidates only the units it
+touches.  A decomposed study runs only through a session.
 
 The registry deliberately knows nothing about chips or executors, so study
 implementations (which live next to the measurement code they wrap, for
@@ -33,6 +34,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import importlib
+import re
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -50,9 +52,12 @@ class DecompositionError(ValueError):
 
 
 #: ``unit_id`` of the implicit single unit wrapping an undecomposed study.
-#: Stores key such units exactly like the pre-unit-layer whole-study
-#: results, so their keys and filenames never moved.
+#: Its params are ``{"config": config}``, so its digest covers the config.
 WHOLE_STUDY_UNIT = "whole-study"
+
+#: A study name is one path component: a result store keeps the study's
+#: entries under ``<root>/<name>/``.
+_STUDY_NAME = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")
 
 
 @dataclass(frozen=True)
@@ -116,11 +121,6 @@ class WorkUnit:
         """The unit's parameters as a plain dict."""
         return dict(self.params)
 
-    @property
-    def is_whole_study(self) -> bool:
-        """Whether this is the implicit unit of an undecomposed study."""
-        return self.unit_id == WHOLE_STUDY_UNIT
-
 
 @dataclass(frozen=True)
 class RegisteredStudy:
@@ -167,13 +167,14 @@ class RegisteredStudy:
     def units_for(self, config: Any = None) -> List["WorkUnit"]:
         """The study's work units for one config, in merge order.
 
-        Undecomposed studies return a single implicit whole-study unit.
-        Unit ids must be unique within a decomposition (they key the cache).
+        Undecomposed studies return a single implicit whole-study unit whose
+        params are the config.  Unit ids must be unique within a
+        decomposition (they key the cache).
         """
         if config is None:
             config = self.default_config()
         if not self.is_decomposable:
-            return [WorkUnit(study=self.name, unit_id=WHOLE_STUDY_UNIT)]
+            return [WorkUnit(self.name, WHOLE_STUDY_UNIT, {"config": config})]
         units: List[WorkUnit] = []
         seen_ids: set = set()
         for unit in self.decompose_fn(config):
@@ -225,21 +226,17 @@ class RegisteredStudy:
 
 @dataclass
 class StudyResult:
-    """Uniform envelope around one study execution on one chip.
+    """One study's result on one chip, as a session returns it.
 
     ``payload`` is the study's domain result (sweep, HC_first, coverage,
-    ...).  The envelope adds the identity needed to aggregate, cache and
-    compare results across chips and sessions.  ``elapsed_s`` and
-    ``from_cache`` are bookkeeping and excluded from equality so a cached
-    result compares equal to the run that produced it.
-
-    The same envelope carries both granularities of the unit layer: a
-    *unit-level* result (``unit_id``/``unit_digest`` set, ``payload`` is one
-    shard's payload) is what executors produce and stores cache, while a
-    *study-level* result (``unit_id`` ``None``, ``payload`` merged) is what
-    sessions return.  ``units_total`` / ``units_from_cache`` record, on a
-    study-level result, how many units the payload was merged from and how
-    many of those were replayed from the store.
+    ...), merged from its work units' payloads.  The result adds the
+    identity needed to aggregate and compare results across chips and
+    sessions.  ``elapsed_s`` and ``from_cache`` are bookkeeping and excluded
+    from equality so a replayed result compares equal to the run that
+    produced it.  ``units_total`` / ``units_from_cache`` record how many
+    units the payload was merged from and how many of those were replayed
+    from the store.  (Executors and stores deal in single units'
+    results, :class:`~repro.experiments.executors.TaskOutcome`.)
     """
 
     study: str
@@ -250,14 +247,12 @@ class StudyResult:
     payload: Any
     elapsed_s: float = field(default=0.0, compare=False)
     from_cache: bool = field(default=False, compare=False)
-    unit_id: Optional[str] = None
-    unit_digest: Optional[str] = None
     units_total: int = field(default=1, compare=False)
     units_from_cache: int = field(default=0, compare=False)
-    #: Recovery bookkeeping on a study-level result: extra dispatch attempts
-    #: beyond the first across the merged units (``units_retries``) and
-    #: leases reclaimed from dead/hung workers (``units_requeued``).  Local
-    #: executors leave both at zero; service runs report real recovery.
+    #: Recovery bookkeeping: extra dispatch attempts beyond the first
+    #: across the merged units (``units_retries``) and leases reclaimed from
+    #: dead/hung workers (``units_requeued``).  Local executors leave both
+    #: at zero; service runs report real recovery.
     units_retries: int = field(default=0, compare=False)
     units_requeued: int = field(default=0, compare=False)
 
@@ -324,7 +319,9 @@ def register_study(
     ----------
     name:
         Unique registry name (convention: ``<artefact>-<topic>``, for
-        example ``"fig5-hc-sweep"``).
+        example ``"fig5-hc-sweep"``).  It names the study's directory in a
+        result store, so it must be one path component: a letter or digit,
+        then letters, digits, ``.``, ``_`` or ``-``.
     config:
         Frozen dataclass type describing the study's parameters; default
         constructed when a session runs the study without an explicit
@@ -353,6 +350,11 @@ def register_study(
         chip study's entries record as well.)  It is not part of any cache
         key.
     """
+    if not isinstance(name, str) or _STUDY_NAME.fullmatch(name) is None:
+        raise ValueError(
+            f"study name {name!r} must be one path component: a letter or digit, "
+            "then letters, digits, '.', '_' or '-'"
+        )
     if (decompose is None) != (merge is None):
         raise DecompositionError(
             f"study {name!r}: decompose and merge must be declared together"

@@ -24,8 +24,8 @@ Message reference
 -----------------
 Handshake (both directions of every connection)::
 
-    {"type": "hello", "role": "client"|"worker", "name": str, "protocol": 6}
-    {"type": "hello_ack", "protocol": 6}
+    {"type": "hello", "role": "client"|"worker", "name": str, "protocol": 7}
+    {"type": "hello_ack", "protocol": 7}
     {"type": "error", "error": str}          # fatal; sender closes after
     {"type": "goodbye"}                      # client or worker; no reply
 
@@ -90,7 +90,12 @@ from typing import Any, Dict, Optional
 #: taking the client's per-unit ``key`` and ``index``.  Version 6: a task
 #: blob's :class:`~repro.experiments.executors.StudyTask` carries the
 #: session's ``config_digest``, which the worker stamps on the result.
-PROTOCOL_VERSION = 6
+#: Version 7: a task blob carries no ``config_digest`` (an undecomposed
+#: study's implicit unit carries its config instead), and an outcome blob
+#: is a flat :class:`~repro.experiments.executors.TaskOutcome` -- study,
+#: unit digest, chip id, payload and bookkeeping -- with no
+#: ``StudyResult`` inside.
+PROTOCOL_VERSION = 7
 
 #: Upper bound on one framed line.  A full-scale Figure 10 submission
 #: (2304 pickled work units) is tens of MB; 256 MB leaves headroom without

@@ -23,6 +23,7 @@ from repro.core.word_density import (
     run_word_density,
     single_flip_fraction,
 )
+from repro.dram.chip import DramChip
 from repro.dram.geometry import ChipGeometry
 from repro.dram.population import make_chip
 from repro.experiments import ExperimentSession
@@ -211,6 +212,24 @@ class TestCalibration:
     def test_invalid_target_rejected(self, vulnerable_chip):
         with pytest.raises(ValueError):
             hammer_count_for_flip_rate(vulnerable_chip, target_rate=0.0)
+
+    def test_a_rate_below_one_flip_returns_the_last_count_that_flipped(self):
+        """At the paper's normalization rate, 1e-6, this chip's tested cells
+        cannot show one flip, so the search undershoots to a count with no
+        flip and its step back flips nothing either.  It returns the last
+        count that flipped instead of fitting a slope through a zero rate,
+        which raised a math domain error in Figure 6's calibration too."""
+
+        def chip():
+            return make_chip("DDR3-new", "B", seed=0)
+
+        hammer_count = hammer_count_for_flip_rate(chip(), target_rate=1e-6)
+        assert hammer_count is not None and hammer_count < DramChip.TEST_LIMIT_HC
+        assert measure_flip_rate(chip(), hammer_count) > 0
+        config = SpatialStudyConfig(target_rate=1e-6)
+        assert ExperimentSession(chip()).run("fig6-spatial", config).single().hammer_count == (
+            hammer_count
+        )
 
 
 class TestEccAnalysis:

@@ -4,12 +4,13 @@ A store entry is found by its :class:`~repro.experiments.store.CacheKey`
 and the filename derived from it, so a change to how units, config digests
 or chip digests are computed silently orphans every existing store.
 :data:`STORE_KEY_DIGESTS` holds one digest per built-in study, over the keys
-and filenames of every unit of the decomposed studies on small configs, one
-whole-study key per undecomposed chip study, and the config digest of the
-study's default config; so a moved pin names the studies whose stores stop
-replaying.  The property tests check the canonical text behind unit and
-config digests against a verbatim copy of the reference ``_canonical``
-below, over scalar, nested and dataclass values.
+and filenames of every unit of the decomposed studies on small configs, the
+key of each undecomposed chip study's implicit unit at its default config,
+and the config digest of the study's default config; so a moved pin names
+the studies whose stores stop replaying.  The property tests check the
+canonical text behind unit and config digests against a verbatim copy of
+the reference ``_canonical`` below, over scalar, nested and dataclass
+values.
 
 Never re-record these pins to make a change pass: a moved digest means
 existing stores no longer replay.
@@ -38,12 +39,12 @@ STORE_KEY_DIGESTS = {
     "fig10-mitigations-full": "5af4ecb6ac588898",
     "alg1-characterization": "4b76d247f7e62acb",
     "fig4-coverage": "6863b16bae7b250e",
-    "fig5-hc-sweep": "f793129cc13062c9",
-    "fig6-spatial": "d493d637a9a87514",
-    "fig7-word-density": "fc282450625d2dbf",
-    "fig8-hcfirst": "3418cb87a0c620db",
-    "fig9-ecc-words": "a11ccc8551029699",
-    "table5-flip-probability": "b134050e2317c3b4",
+    "fig5-hc-sweep": "08bba43c0f2d4c57",
+    "fig6-spatial": "7f08f6c20bb57f94",
+    "fig7-word-density": "ea946514ec3c49ad",
+    "fig8-hcfirst": "850b4317f7f608a8",
+    "fig9-ecc-words": "58e747805e73d51a",
+    "table5-flip-probability": "767f5d5b07ede518",
     "service-selftest": "bc9c84903cc88aaf",
 }
 
@@ -98,9 +99,9 @@ def _sha16(text: str) -> str:
 
 
 def _key_line(key) -> str:
-    return "\x1f".join(
-        (key.study, key.config_digest, key.chip_digest, key.unit_digest, key.filename)
-    )
+    # The second column held a whole-study key's config digest, which no key
+    # has any more; it stays empty so unit keys' lines keep their text.
+    return "\x1f".join((key.study, "", key.chip_digest, key.unit_digest, key.filename))
 
 
 def key_lines():
@@ -114,22 +115,18 @@ def key_lines():
         ("fig10-mitigations", MitigationStudyConfig(**FIG10_SMALL)),
         ("fig10-mitigations-full", FullMitigationStudyConfig(**FIG10_SMALL)),
     ):
-        digest = config_digest(config)
         for unit in get_study(name).units_for(config):
-            lines[name].append(_key_line(cache_key(name, digest, None, unit)))
+            lines[name].append(_key_line(cache_key(name, None, unit)))
     for name in ("alg1-characterization", "fig4-coverage"):
         spec = get_study(name)
         config = spec.default_config()
-        digest = config_digest(config)
         for chip in chips:
             for unit in spec.units_for(config):
-                lines[name].append(_key_line(cache_key(name, digest, chip, unit)))
+                lines[name].append(_key_line(cache_key(name, chip, unit)))
     for name in UNDECOMPOSED_CHIP_STUDIES:
-        spec = get_study(name)
-        (unit,) = spec.units_for()
-        digest = config_digest(spec.default_config())
+        (unit,) = get_study(name).units_for()
         for chip in chips:
-            lines[name].append(_key_line(cache_key(name, digest, chip, unit)))
+            lines[name].append(_key_line(cache_key(name, chip, unit)))
     for name in BUILTIN_STUDIES:
         lines[name].append(f"{name}\x1f{config_digest(get_study(name).default_config())}")
     return lines

@@ -2,11 +2,13 @@
 digests)."""
 
 import contextlib
+import os
 from dataclasses import dataclass
 
 import pytest
 
 from repro.experiments.study import (
+    _STUDY_NAME,
     DecompositionError,
     DuplicateStudyError,
     RegisteredStudy,
@@ -75,6 +77,22 @@ class TestRegistry:
         with pytest.raises(ValueError, match="model_version"):
             register_study("test-version-probe", model_version=version)
         assert "test-version-probe" not in list_studies()
+
+    @pytest.mark.parametrize("name", ["..", ".", "demo/x", "/abs", "", "-x", "a b", "x\\y", 7])
+    def test_a_name_the_store_cannot_hold_is_rejected(self, name):
+        """A study's name is its directory in a result store, so it must be
+        one path component: ``..`` would write into the root's parent, and
+        ``demo/x`` would fail its first put."""
+        with pytest.raises(ValueError, match="one path component"):
+            register_study(name)
+        assert name not in list_studies()
+
+    def test_every_builtin_name_is_one_path_component(self):
+        names = list_studies()
+        assert set(BUILTIN_STUDIES) <= set(names)
+        for name in names:
+            assert _STUDY_NAME.fullmatch(name), name
+            assert os.path.basename(name) == name and name not in (".", "..")
 
     def test_unregister_removes_study(self):
         @register_study("test-unregister-probe")

@@ -8,6 +8,7 @@ with zero chip activations (verified through ChipStats).
 from __future__ import annotations
 
 import copy
+import dataclasses
 
 import pytest
 
@@ -204,19 +205,18 @@ class TestResultStore:
         assert all(result.from_cache for result in second.results)
         assert second.payloads() == first.payloads()
 
-    def test_memory_only_store_caches_within_process(self):
-        store = ResultStore()
+    def test_store_caches_within_process(self, tmp_path):
+        store = ResultStore(tmp_path / "store")
         session = ExperimentSession(fresh_population(), store=store)
         session.run("fig5-hc-sweep", SWEEP)
         again = session.run("fig5-hc-sweep", SWEEP)
         assert again.cache_hits == len(session.chips)
         assert store.stats.hits == len(session.chips)
 
-    @pytest.mark.parametrize("rooted", [True, False], ids=["rooted", "memory-only"])
-    def test_editing_a_run_payload_leaves_the_store_entry_unchanged(self, tmp_path, rooted):
+    def test_editing_a_run_payload_leaves_the_store_entry_unchanged(self, tmp_path):
         """The store keeps the bytes it pickled at put, not the object the
         caller got back, so the same store replays the clean entry."""
-        store = ResultStore(tmp_path / "store" if rooted else None)
+        store = ResultStore(tmp_path / "store")
         chip = make_chip("DDR4-new", "A", seed=3, geometry=GEOMETRY)
         config = SweepStudyConfig(hammer_counts=(50_000, 150_000))
         session = ExperimentSession(chip, store=store)
@@ -236,6 +236,55 @@ class TestResultStore:
             "fig5-hc-sweep", SweepStudyConfig(hammer_counts=(50_000, 150_000))
         )
         assert other.cache_hits == 0
+
+    @pytest.mark.parametrize(
+        "study",
+        [
+            "fig5-hc-sweep",
+            "fig6-spatial",
+            "fig7-word-density",
+            "fig8-hcfirst",
+            "fig9-ecc-words",
+            "table5-flip-probability",
+        ],
+    )
+    def test_every_config_field_is_in_an_undecomposed_studys_key(self, study):
+        """An undecomposed study's implicit unit carries its config, so
+        editing any one field moves the unit's digest, and with it the
+        store key."""
+        spec = get_study(study)
+        config = spec.default_config()
+        (unit,) = spec.units_for(config)
+        fields = dataclasses.fields(config)
+        assert fields
+        for field in fields:
+            edited = copy.copy(config)
+            object.__setattr__(edited, field.name, ("edited", getattr(config, field.name)))
+            (edited_unit,) = spec.units_for(edited)
+            assert edited_unit.digest != unit.digest, field.name
+
+    def test_editing_any_config_field_re_executes_an_undecomposed_study(self, tmp_path):
+        chip = make_chip(
+            "DDR4-new", "A", seed=1, geometry=ChipGeometry(banks=2, rows_per_bank=32, row_bytes=16)
+        )
+        default = HCFirstStudyConfig()
+        edits = {
+            "hammer_limit": 100_000,
+            "data_pattern": "RowStripe0",
+            "bank": 1,
+            "victims": (10, 20),
+            "relative_precision": 0.05,
+            "max_candidates": 4,
+        }
+        assert set(edits) == {field.name for field in dataclasses.fields(default)}
+        store = ResultStore(tmp_path / "store")
+        assert ExperimentSession(chip, store=store).run("fig8-hcfirst", default).executed == 1
+        for name, value in edits.items():
+            config = dataclasses.replace(default, **{name: value})
+            outcome = ExperimentSession(chip, store=store).run("fig8-hcfirst", config)
+            assert (outcome.executed, outcome.cache_hits) == (1, 0), name
+        replay = ExperimentSession(chip, store=store).run("fig8-hcfirst", default)
+        assert (replay.executed, replay.cache_hits) == (0, 1)
 
     def test_different_chip_misses_cache(self, tmp_path):
         store = ResultStore(tmp_path / "store")

@@ -21,8 +21,6 @@ CONFIG = ServiceSelfTestConfig(units=4, rounds=50)
 class RecoveringExecutor(Executor):
     """Executes locally but stamps every outcome as a second attempt."""
 
-    name = "recovering"
-
     def __init__(self, attempts: int = 2, requeues: int = 1) -> None:
         self.attempts = attempts
         self.requeues = requeues

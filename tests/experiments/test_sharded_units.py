@@ -26,9 +26,11 @@ from repro.analysis.mitigation_study import (
 )
 from repro.core.characterization import CharacterizationConfig
 from repro.core.coverage import CoverageStudyConfig
+from repro.core.sweeps import SweepStudyConfig
 from repro.dram.geometry import ChipGeometry
 from repro.dram.population import make_chip
 from repro.experiments import (
+    WHOLE_STUDY_UNIT,
     Executor,
     ExperimentSession,
     ParallelExecutor,
@@ -58,8 +60,6 @@ GEOMETRY = ChipGeometry(banks=1, rows_per_bank=32, row_bytes=16)
 class ShuffledCompletionExecutor(Executor):
     """Executes tasks in a seeded-shuffled order and yields each outcome as
     it completes -- modelling a pool whose workers finish units out of order."""
-
-    name = "shuffled"
 
     def __init__(self, seed: int = 0) -> None:
         self.seed = seed
@@ -237,7 +237,8 @@ class TestPaperScaleDecomposition:
         spec = get_study("fig5-hc-sweep")
         units = spec.units_for(None)
         assert len(units) == 1
-        assert units[0].is_whole_study
+        assert units[0].unit_id == WHOLE_STUDY_UNIT
+        assert units[0].param_dict == {"config": SweepStudyConfig()}
 
 
 @pytest.mark.slow

@@ -1,7 +1,7 @@
-"""Store format 2: the exact bytes of an entry, and the versions it records.
+"""Store format 3: the exact bytes of an entry, and the versions it records.
 
 :data:`STORE_ENTRY_DIGEST` hashes the bytes :meth:`ResultStore.put` writes
-for one fixed result, so every interpreter the suite runs on must write the
+for one fixed outcome, so every interpreter the suite runs on must write the
 same format (header, pinned pickle protocol, field order of the body).  A
 moved pin means every existing store refills: bump
 :data:`repro.experiments.store.FORMAT_VERSION` with the change that moves
@@ -26,29 +26,28 @@ import pytest
 from repro.analysis.mitigation_study import MitigationStudyConfig
 from repro.core.first_flip import HCFirstStudyConfig
 from repro.dram import columnar
+from repro.dram.chip import ChipStats
 from repro.dram.geometry import ChipGeometry
 from repro.dram.population import flatten_population, make_population
-from repro.experiments import CacheKey, ExperimentSession, ResultStore, StudyResult, get_study
+from repro.experiments import CacheKey, ExperimentSession, ResultStore, TaskOutcome, get_study
 from repro.experiments.store import FORMAT_VERSION
 from repro.experiments.study import _REGISTRY, register_study, unregister_study
 
 #: First 16 hex digits of the sha256 of the entry :func:`pinned_entry` puts.
-STORE_ENTRY_DIGEST = "a585fcd746a90260"
+STORE_ENTRY_DIGEST = "adee808d8d1959a1"
 
 PIN_STUDY = "store-format-pin"
 PIN_KEY = CacheKey(
     study=PIN_STUDY,
-    config_digest="",
     chip_digest="0f1e2d3c4b5a6978",
     unit_digest="0123456789abcdef",
     chip_id="DDR4-new-A-0",
 )
-PIN_RESULT = StudyResult(
+#: The bookkeeping fields are set too: none of them is part of an entry.
+PIN_OUTCOME = TaskOutcome(
     study=PIN_STUDY,
-    config_digest="c0ffee0123456789",
+    unit_digest="0123456789abcdef",
     chip_id="DDR4-new-A-0",
-    type_node="DDR4-new",
-    manufacturer="A",
     payload={
         "hcfirst": (2_000, 256),
         "ipcs": [1.25, 0.5, 1 / 3, -0.0],
@@ -59,13 +58,9 @@ PIN_RESULT = StudyResult(
         "text": "é漢",
     },
     elapsed_s=0.125,
-    from_cache=True,
-    unit_id="cell/PARA/hc2000/mix00",
-    unit_digest="0123456789abcdef",
-    units_total=3,
-    units_from_cache=2,
-    units_retries=1,
-    units_requeued=4,
+    stats=ChipStats(activations=7),
+    attempts=3,
+    requeues=4,
 )
 
 TINY_FIG10 = MitigationStudyConfig(
@@ -89,7 +84,7 @@ def pin_study(monkeypatch):
 
 
 def pinned_entry(root):
-    ResultStore(root).put(PIN_KEY, PIN_RESULT)
+    ResultStore(root).put(PIN_KEY, PIN_OUTCOME)
     return (root / PIN_KEY.study / PIN_KEY.filename).read_bytes()
 
 
@@ -103,27 +98,30 @@ def test_entry_layout(tmp_path, pin_study):
     data = pinned_entry(tmp_path)
     magic, crc, version, study_version, chip_version = struct.unpack_from("<4sIHII", data)
     assert (magic, version, study_version, chip_version) == (b"RHSE", FORMAT_VERSION, 3, 5)
-    assert FORMAT_VERSION == 2
+    assert FORMAT_VERSION == 3
     assert crc == zlib.crc32(data[:4] + data[8:])
     body = data[18:]
     assert body[:2] == b"\x80\x05"  # pickle protocol 5
-    fields = dataclasses.fields(StudyResult)
-    assert pickle.loads(body) == tuple(
-        getattr(PIN_RESULT, field.name) for field in fields if field.name != "from_cache"
+    assert pickle.loads(body) == (
+        PIN_STUDY,
+        "DDR4-new-A-0",
+        "0123456789abcdef",
+        PIN_OUTCOME.payload,
     )
-    assert ResultStore(tmp_path).get(PIN_KEY) == PIN_RESULT
+    hit = ResultStore(tmp_path).get(PIN_KEY)
+    assert hit == PIN_OUTCOME
+    assert (hit.elapsed_s, hit.stats, hit.attempts, hit.requeues) == (0.0, None, 1, 0)
 
 
 def test_unregistered_study_entries_record_version_zero(tmp_path):
     """A key may name a study no module registers; it still round-trips."""
     key = dataclasses.replace(PIN_KEY, study="store-format-unregistered")
-    result = dataclasses.replace(PIN_RESULT, study=key.study)
+    outcome = dataclasses.replace(PIN_OUTCOME, study=key.study)
     store = ResultStore(tmp_path)
-    store.put(key, result)
+    store.put(key, outcome)
     data = (tmp_path / key.study / key.filename).read_bytes()
     assert struct.unpack_from("<HII", data, 8) == (FORMAT_VERSION, 0, 0)
-    hit = store.get(key)
-    assert hit == result and hit.from_cache
+    assert store.get(key) == outcome
 
 
 # ----------------------------------------------------------------------

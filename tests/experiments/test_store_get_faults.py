@@ -13,10 +13,10 @@ body and its CRC re-sealed, or the CRC alone would catch it.
 
 A property test damages random bytes of a real entry and checks that
 ``get`` never serves it, and a session whose unit entry has one byte of a
-float damaged recomputes that unit.  An entry written before format 2 is a
-stale miss, never a corrupt one.  A caller that mutates a hit does not
-damage the next get of its key either, and a memory-only store checks its
-entries the same way.
+float damaged recomputes that unit.  An entry written before format 3 is a
+stale miss, never a corrupt one, and an undecomposed study's entry from
+before format 3 sits under a filename no key names.  A caller that mutates
+a hit does not damage the next get of its key either.
 """
 
 from __future__ import annotations
@@ -39,8 +39,18 @@ from hypothesis import assume, example, given, settings, strategies as st
 from repro.analysis.mitigation_study import MitigationStudyConfig
 from repro.core.first_flip import HCFirstStudyConfig
 from repro.dram.geometry import ChipGeometry
-from repro.dram.population import flatten_population, make_population
-from repro.experiments import CacheKey, ExperimentSession, ResultStore, StudyResult, get_study
+from repro.dram.population import flatten_population, make_chip, make_population
+from repro.experiments import (
+    WHOLE_STUDY_UNIT,
+    CacheKey,
+    ExperimentSession,
+    ResultStore,
+    StudyResult,
+    TaskOutcome,
+    WorkUnit,
+    get_study,
+)
+from repro.experiments.store import cache_key, chip_digest
 from repro.experiments.study import config_digest
 
 TINY_FIG10 = MitigationStudyConfig(
@@ -53,29 +63,30 @@ TINY_FIG10 = MitigationStudyConfig(
     seed=3,
 )
 
-#: Format 2's header (see :mod:`repro.experiments.store`): magic, CRC32 of
+#: Format 3's header (see :mod:`repro.experiments.store`): magic, CRC32 of
 #: the rest of the entry, format version, study and chip model versions.
 HEADER = struct.Struct("<4sIHII")
-#: The body's fields: every StudyResult field but ``from_cache``, in order.
-BODY_FIELDS = [
-    field.name for field in dataclasses.fields(StudyResult) if field.name != "from_cache"
-]
+#: The body is the tuple (study, chip id, unit digest, payload).
+PAYLOAD = 3
 
 
 def read_body(path):
     return path.read_bytes()[HEADER.size :]
 
 
-def write_body(path, body):
-    """Give the entry at ``path`` a new body and re-seal its CRC."""
+def write_body(path, body, format_version=None):
+    """Give the entry at ``path`` a new body (and format version) and
+    re-seal its CRC."""
     header = path.read_bytes()[: HEADER.size]
+    if format_version is not None:
+        header = header[:8] + struct.pack("<H", format_version) + header[10:]
     crc = zlib.crc32(header[8:] + body, zlib.crc32(header[:4]))
     path.write_bytes(header[:4] + struct.pack("<I", crc) + header[8:] + body)
 
 
 def replace_payload(path, payload):
     fields = list(pickle.loads(read_body(path)))
-    fields[BODY_FIELDS.index("payload")] = payload
+    fields[PAYLOAD] = payload
     write_body(path, pickle.dumps(tuple(fields), protocol=5))
 
 
@@ -201,7 +212,7 @@ def test_corrupt_entry_is_quarantined_and_recomputed(tmp_path, monkeypatch, dama
     root = tmp_path / "store"
     clean = run(ResultStore(root))
     store = ResultStore(root)
-    victim = store.entry_paths("fig10-mitigations", units_only=True)[1]
+    victim = store.entry_paths("fig10-mitigations")[1]
     damage(victim, monkeypatch)
 
     rerun = run(store)
@@ -229,7 +240,7 @@ def test_entry_of_another_unit_is_quarantined_and_recomputed(tmp_path):
     units = {unit.unit_id: unit for unit in get_study("fig10-mitigations").units_for(config)}
 
     def entry(unit_id):
-        key = store.key_for("fig10-mitigations", config_digest(config), None, units[unit_id])
+        key = store.key_for("fig10-mitigations", None, units[unit_id])
         return root / key.study / key.filename
 
     victim = entry("cell/PARA/hc2000/mix00")
@@ -263,9 +274,10 @@ def test_entry_of_another_chip_is_quarantined_and_recomputed(tmp_path):
     clean = ExperimentSession(chips(), store=ResultStore(root)).run("fig8-hcfirst", config)
     assert clean.results[0].payload != clean.results[1].payload
     store = ResultStore(root)
+    (unit,) = get_study("fig8-hcfirst").units_for(config)
 
     def entry(chip):
-        key = store.key_for("fig8-hcfirst", config_digest(config), chip, None)
+        key = store.key_for("fig8-hcfirst", chip, unit)
         return root / key.study / key.filename
 
     first, second = chips()
@@ -278,21 +290,22 @@ def test_entry_of_another_chip_is_quarantined_and_recomputed(tmp_path):
     assert entry(first).with_name(entry(first).name + ResultStore.QUARANTINE_SUFFIX).exists()
 
 
-def envelope(key, payload="clean"):
-    return StudyResult(
-        study=key.study,
-        config_digest=key.config_digest,
-        chip_id=None,
-        type_node=None,
-        manufacturer=None,
-        payload=payload,
+def whole_study_key(config):
+    """The key of the implicit unit of a population-level study's config."""
+    unit = WorkUnit("store-faults", WHOLE_STUDY_UNIT, {"config": config})
+    return cache_key("store-faults", None, unit)
+
+
+def outcome(key, payload="clean"):
+    return TaskOutcome(
+        study=key.study, unit_digest=key.unit_digest, chip_id=key.chip_id, payload=payload
     )
 
 
-def test_whole_study_entry_is_served_only_under_its_config_digest(tmp_path):
-    key = CacheKey(study="store-faults", config_digest="c0", chip_digest="population")
-    edited = dataclasses.replace(key, config_digest="c1")
-    ResultStore(tmp_path).put(key, envelope(key))
+def test_whole_study_entry_is_served_only_under_its_configs_key(tmp_path):
+    key, edited = whole_study_key("c0"), whole_study_key("c1")
+    assert key.filename != edited.filename
+    ResultStore(tmp_path).put(key, outcome(key))
     shutil.copyfile(tmp_path / key.study / key.filename, tmp_path / key.study / edited.filename)
     store = ResultStore(tmp_path)
     assert store.get(edited) is None
@@ -301,21 +314,27 @@ def test_whole_study_entry_is_served_only_under_its_config_digest(tmp_path):
 
 
 def write_before_format_2(path):
-    """Rewrite an entry as ``put`` wrote it before format 2: the pickled
-    envelope, with no header."""
-    result = StudyResult(**dict(zip(BODY_FIELDS, pickle.loads(read_body(path)))))
-    path.write_bytes(pickle.dumps(result))
+    """Rewrite an entry the way every entry written before format 2 began:
+    a bare pickle, with no header."""
+    path.write_bytes(read_body(path))
 
 
-def test_entries_written_before_format_2_are_stale_and_refilled_once(tmp_path):
-    """A store written before format 2 recomputes every unit once, with no
+def write_format_2(path):
+    """Rewrite an entry as an intact entry of format 2: its header names
+    version 2 (the reader checks versions before it reads the body)."""
+    write_body(path, read_body(path), format_version=2)
+
+
+@pytest.mark.parametrize("rewrite", [write_before_format_2, write_format_2])
+def test_entries_written_before_format_3_are_stale_and_refilled_once(tmp_path, rewrite):
+    """A store written before format 3 recomputes every unit once, with no
     corrupt count and no quarantined file; the next session replays it."""
     root = tmp_path / "store"
     clean = run(ResultStore(root))
     entries = ResultStore(root).entry_paths()
     assert len(entries) == clean.units_total
     for path in entries:
-        write_before_format_2(path)
+        rewrite(path)
 
     store = ResultStore(root)
     rerun = run(store)
@@ -337,12 +356,17 @@ def test_entries_written_before_format_2_are_stale_and_refilled_once(tmp_path):
 
 
 def test_envelope_from_before_the_unit_layer_is_stale(tmp_path):
-    """A whole-study envelope that lacks the unit layer's fields entirely is
-    a stale miss too, and ``put`` replaces it."""
-    key = CacheKey(study="store-faults", config_digest="c0", chip_digest="population")
-    old = envelope(key, payload="old")
-    for name in ("unit_id", "unit_digest", "units_total", "units_from_cache"):
-        del old.__dict__[name]
+    """A pickled result envelope, as every entry was before format 2, is a
+    stale miss under a unit's key too, and ``put`` replaces it."""
+    key = whole_study_key("c0")
+    old = StudyResult(
+        study=key.study,
+        config_digest="c0",
+        chip_id=None,
+        type_node=None,
+        manufacturer=None,
+        payload="old",
+    )
     path = tmp_path / key.study / key.filename
     path.parent.mkdir()
     path.write_bytes(pickle.dumps(old))
@@ -350,8 +374,36 @@ def test_envelope_from_before_the_unit_layer_is_stale(tmp_path):
     assert store.get(key) is None
     assert (store.stats.misses, store.stats.stale, store.stats.corrupt) == (1, 1, 0)
     assert path.exists()
-    store.put(key, envelope(key, payload="new"))
+    store.put(key, outcome(key, payload="new"))
     assert ResultStore(tmp_path).get(key).payload == "new"
+
+
+def test_an_undecomposed_studys_entry_from_before_format_3_is_never_read(tmp_path):
+    """Before format 3 an undecomposed study's entry was named
+    ``<config digest>-<chip digest>.pkl``.  No key names that file any more:
+    the study recomputes under its unit's key as a plain miss, neither stale
+    nor corrupt, and the old file is left as it was."""
+    geometry = ChipGeometry(banks=1, rows_per_bank=32, row_bytes=16)
+    chip = make_chip("DDR4-new", "A", seed=1, geometry=geometry)
+    config = HCFirstStudyConfig()
+    root = tmp_path / "store"
+    clean = ExperimentSession(chip, store=ResultStore(root)).run("fig8-hcfirst", config)
+    (path,) = ResultStore(root).entry_paths()
+    write_format_2(path)
+    old = path.rename(path.with_name(f"{config_digest(config)}-{chip_digest(chip)}.pkl"))
+    old_bytes = old.read_bytes()
+
+    store = ResultStore(root)
+    rerun = ExperimentSession(chip, store=store).run("fig8-hcfirst", config)
+    assert rerun.results == clean.results
+    assert (rerun.executed, store.stats.misses, store.stats.stale, store.stats.corrupt) == (
+        1,
+        1,
+        0,
+        0,
+    )
+    assert old.read_bytes() == old_bytes
+    assert sorted(ResultStore(root).entry_paths()) == sorted([old, path])
 
 
 def test_a_damaged_float_of_a_unit_payload_is_recomputed(tmp_path):
@@ -361,7 +413,7 @@ def test_a_damaged_float_of_a_unit_payload_is_recomputed(tmp_path):
     root = tmp_path / "store"
     clean = run(ResultStore(root))
     unit = get_study("fig10-mitigations").units_for(TINY_FIG10)[1]
-    key = ResultStore(root).key_for("fig10-mitigations", config_digest(TINY_FIG10), None, unit)
+    key = ResultStore(root).key_for("fig10-mitigations", None, unit)
     path = root / key.study / key.filename
     ipc = ResultStore(root).get(key).payload.core_ipcs[0]
     # A BINFLOAT opcode holds its float as the 8 big-endian bytes after it;
@@ -381,13 +433,13 @@ def test_a_damaged_float_of_a_unit_payload_is_recomputed(tmp_path):
     assert (rerun.executed, store.stats.corrupt, store.stats.stale) == (1, 1, 0)
 
 
-def test_memory_only_store_drops_an_entry_that_is_not_its_keys_result():
-    """A memory entry gets the same identity check as a file: one put under
-    another config's key is dropped, counted once as corrupt, then missed."""
-    key = CacheKey(study="store-faults", config_digest="c0", chip_digest="population")
-    edited = dataclasses.replace(key, config_digest="c1")
-    store = ResultStore()
-    store.put(edited, envelope(key))
+def test_an_outcome_put_under_another_key_is_quarantined_once(tmp_path):
+    """``put`` writes the outcome's own identity, so an outcome put under
+    another config's key is quarantined by the first get, counted once as
+    corrupt, then missed."""
+    key, edited = whole_study_key("c0"), whole_study_key("c1")
+    store = ResultStore(tmp_path)
+    store.put(edited, outcome(key))
     assert store.get(edited) is None
     assert store.get(edited) is None
     assert (store.stats.misses, store.stats.corrupt) == (2, 1)
@@ -395,8 +447,8 @@ def test_memory_only_store_drops_an_entry_that_is_not_its_keys_result():
 
 def test_second_reader_of_a_quarantined_entry_sees_a_plain_miss(tmp_path):
     """Readers sharing a store: only the first one counts the damage."""
-    key = CacheKey(study="store-faults", config_digest="c0", chip_digest="population")
-    ResultStore(tmp_path).put(key, envelope(key))
+    key = whole_study_key("c0")
+    ResultStore(tmp_path).put(key, outcome(key))
     (tmp_path / key.study / key.filename).write_bytes(b"")
     first, second = ResultStore(tmp_path), ResultStore(tmp_path)
     assert first.get(key) is None
@@ -406,17 +458,16 @@ def test_second_reader_of_a_quarantined_entry_sees_a_plain_miss(tmp_path):
 
 
 def test_mutating_a_hit_leaves_the_next_get_unchanged(tmp_path):
-    """Every get hands out the caller's own envelope, unpickled afresh from
+    """Every get hands out the caller's own outcome, unpickled afresh from
     the entry's bytes, whether this store or another one put it."""
-    key = CacheKey(study="store-faults", config_digest="c0", chip_digest="population")
-    clean = envelope(key, payload=["clean"])
+    key = CacheKey(study="store-faults", chip_digest="population", unit_digest="u0")
+    clean = outcome(key, payload=["clean"])
     writer = ResultStore(tmp_path)
     writer.put(key, clean)
     for store in (ResultStore(tmp_path), writer):
         hit = store.get(key)
-        hit.payload, hit.config_digest, hit.from_cache = "mutated", "c1", False
-        again = store.get(key)
-        assert again == clean and again.from_cache
+        hit.payload, hit.unit_digest = "mutated", "u1"
+        assert store.get(key) == clean
     reader = ResultStore(tmp_path)
     reader.get(key).payload.append("mutated")
     assert reader.get(key).payload == ["clean"]
@@ -430,7 +481,7 @@ def real_entry():
         store = ResultStore(root)
         run(store)
         unit = get_study("fig10-mitigations").units_for(TINY_FIG10)[0]
-        key = store.key_for("fig10-mitigations", config_digest(TINY_FIG10), None, unit)
+        key = store.key_for("fig10-mitigations", None, unit)
         return key, Path(root, key.study, key.filename).read_bytes()
 
 

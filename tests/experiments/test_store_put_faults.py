@@ -1,6 +1,6 @@
 """ResultStore.put fault paths: temp-file hygiene and the no-fcntl fallback.
 
-``put`` publishes each pickle atomically through a per-writer unique temp
+``put`` publishes each entry atomically through a per-writer unique temp
 file.  Two fault paths are pinned here: a failed temp-file write (a full
 disk) must not leave ``.tmp`` litter behind (and cleanup must never mask
 the original error), and on platforms without ``fcntl`` the advisory lock
@@ -17,19 +17,16 @@ import errno
 import pytest
 
 import repro.experiments.store as store_module
+from repro.experiments.executors import TaskOutcome
 from repro.experiments.store import CacheKey, ResultStore
-from repro.experiments.study import StudyResult
 
 
-def make_result(payload, study="faults-demo"):
-    return StudyResult(
-        study=study,
-        config_digest="cfg",
-        chip_id=None,
-        type_node=None,
-        manufacturer=None,
-        payload=payload,
-    )
+def key(chip_digest, study="faults-demo"):
+    return CacheKey(study, chip_digest, "u0")
+
+
+def make_outcome(payload, study="faults-demo"):
+    return TaskOutcome(study=study, unit_digest="u0", chip_id=None, payload=payload)
 
 
 def tmp_litter(root):
@@ -51,16 +48,16 @@ class TestTempFileHygiene:
     def test_successful_put_leaves_no_tmp(self, tmp_path):
         root = tmp_path / "store"
         store = ResultStore(root)
-        store.put(CacheKey("faults-demo", "cfg", "ok"), make_result(1))
+        store.put(key("ok"), make_outcome(1))
         assert tmp_litter(root) == []
-        assert ResultStore(root).get(CacheKey("faults-demo", "cfg", "ok")) is not None
+        assert ResultStore(root).get(key("ok")) is not None
 
     def test_failed_write_cleans_up_and_raises_original_error(self, tmp_path, monkeypatch):
         root = tmp_path / "store"
         store = ResultStore(root)
         break_temp_file_writes(monkeypatch, root)
         with pytest.raises(OSError, match="No space left"):
-            store.put(CacheKey("faults-demo", "cfg", "bad"), make_result(2))
+            store.put(key("bad"), make_outcome(2))
         assert tmp_litter(root) == []
 
     def test_unremovable_tmp_does_not_mask_write_error(self, tmp_path, monkeypatch):
@@ -74,7 +71,7 @@ class TestTempFileHygiene:
         break_temp_file_writes(monkeypatch, root)
         monkeypatch.setattr(type(root), "unlink", broken_unlink)
         with pytest.raises(OSError, match="No space left"):
-            store.put(CacheKey("faults-demo", "cfg", "bad"), make_result(3))
+            store.put(key("bad"), make_outcome(3))
 
 
 class TestPutSetUp:
@@ -91,14 +88,14 @@ class TestPutSetUp:
         root = tmp_path / "store"
         store = ResultStore(root)
         for index in range(5):
-            store.put(CacheKey("faults-demo", "cfg", f"chip{index}"), make_result(index))
+            store.put(key(f"chip{index}"), make_outcome(index))
         assert calls["mkdir"] <= 2  # the root and the study's directory
         assert calls["unlink"] == 0
         assert len(store.entry_paths("faults-demo")) == 5
         assert tmp_litter(root) == []
         # A put into another study creates that study's directory.
-        other = CacheKey("faults-other", "cfg", "chip0")
-        store.put(other, make_result(5, study="faults-other"))
+        other = key("chip0", study="faults-other")
+        store.put(other, make_outcome(5, study="faults-other"))
         assert ResultStore(root).get(other).payload == 5
 
 
@@ -107,14 +104,12 @@ class TestNoFcntlFallback:
         monkeypatch.setattr(store_module, "fcntl", None)
         root = tmp_path / "store"
         store = ResultStore(root)
-        key = CacheKey("faults-demo", "cfg", "nolock")
-        store.put(key, make_result({"x": 7}))
+        store.put(key("nolock"), make_outcome({"x": 7}))
         assert tmp_litter(root) == []
         # No advisory lock file is created when fcntl is unavailable.
         assert not (root / ResultStore.LOCK_FILENAME).exists()
-        cached = ResultStore(root).get(key)
+        cached = ResultStore(root).get(key("nolock"))
         assert cached is not None and cached.payload == {"x": 7}
-        assert cached.from_cache
 
     def test_failed_write_without_fcntl_cleans_up(self, tmp_path, monkeypatch):
         monkeypatch.setattr(store_module, "fcntl", None)
@@ -122,5 +117,5 @@ class TestNoFcntlFallback:
         store = ResultStore(root)
         break_temp_file_writes(monkeypatch, root)
         with pytest.raises(OSError, match="No space left"):
-            store.put(CacheKey("faults-demo", "cfg", "bad"), make_result(4))
+            store.put(key("bad"), make_outcome(4))
         assert tmp_litter(root) == []

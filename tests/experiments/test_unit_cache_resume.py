@@ -25,7 +25,6 @@ from repro.experiments import (
     ResultStore,
     SerialExecutor,
     WorkUnit,
-    config_digest,
     get_study,
     register_study,
     unregister_study,
@@ -79,7 +78,7 @@ class TestFig10Resume:
         first = ExperimentSession(store=store).run(
             "fig10-mitigations", TINY_FIG10
         )
-        unit_files = store.entry_paths("fig10-mitigations", units_only=True)
+        unit_files = store.entry_paths("fig10-mitigations")
         assert len(unit_files) == first.units_total
 
         for path in unit_files[::2][:killed]:  # spread the damage
@@ -134,7 +133,7 @@ class TestFig10Resume:
             ExperimentSession(store=store, executor=CrashAfter(survivors)).run(
                 "fig10-mitigations", TINY_FIG10
             )
-        on_disk = store.entry_paths("fig10-mitigations", units_only=True)
+        on_disk = store.entry_paths("fig10-mitigations")
         assert len(on_disk) == survivors
 
         resumed = fig10_session(tmp_path).run("fig10-mitigations", TINY_FIG10)
@@ -162,9 +161,8 @@ class TestFig10Resume:
             ExperimentSession(store=store, executor=FirstUnitFails()).run(
                 "fig10-mitigations", TINY_FIG10
             )
-        digest = config_digest(TINY_FIG10)
         units = get_study("fig10-mitigations").units_for(TINY_FIG10)
-        stored = [store.get(store.key_for("fig10-mitigations", digest, None, u)) for u in units]
+        stored = [store.get(store.key_for("fig10-mitigations", None, u)) for u in units]
         assert [entry is not None for entry in stored] == [False] + [True] * (len(units) - 1)
 
         resumed = fig10_session(tmp_path).run("fig10-mitigations", TINY_FIG10)
@@ -180,14 +178,12 @@ class TestFig10Resume:
         spec_units = session.run("fig10-mitigations", TINY_FIG10)
         assert spec_units.executed == 0  # fully cached (memory + disk)
 
-        from repro.experiments import config_digest, get_study
-
         spec = get_study("fig10-mitigations")
         unit = spec.units_for(TINY_FIG10)[0]
         store = ResultStore(root)
-        key = store.key_for(spec.name, config_digest(TINY_FIG10), None, unit)
+        key = store.key_for(spec.name, None, unit)
         entry = root / key.study / key.filename
-        assert entry in store.entry_paths(spec.name, units_only=True)
+        assert entry in store.entry_paths(spec.name)
         entry.unlink()
         again = ExperimentSession(store=store).run("fig10-mitigations", TINY_FIG10)
         assert again.executed == 1
@@ -253,10 +249,9 @@ class TestParallelExecutorCheckpoints:
         session = ExperimentSession(store=store, executor=ParallelExecutor(max_workers=2))
         with pytest.raises(RuntimeError, match="unit 0 failed"):
             session.run(FAILING_FIRST, config)
-        digest = config_digest(config)
         units = get_study(FAILING_FIRST).units_for(config)
         fresh = ResultStore(tmp_path / "store")
-        stored = [fresh.get(fresh.key_for(FAILING_FIRST, digest, None, u)) for u in units]
+        stored = [fresh.get(fresh.key_for(FAILING_FIRST, None, u)) for u in units]
         assert [entry is not None for entry in stored] == [False, True, True, True]
         assert [entry.payload for entry in stored[1:]] == [1, 2, 3]
 
@@ -286,7 +281,7 @@ class TestChipStudyResume:
         assert first.executed == 3
 
         store = ResultStore(tmp_path / "store")
-        unit_files = store.entry_paths("alg1-characterization", units_only=True)
+        unit_files = store.entry_paths("alg1-characterization")
         assert len(unit_files) == 3
         unit_files[1].unlink()
 
@@ -335,7 +330,7 @@ class TestShortExecutor:
 
         on_disk = ResultStore(tmp_path / "store")
         keys = [
-            on_disk.key_for(study, config_digest(config), chip, unit)
+            on_disk.key_for(study, chip, unit)
             for chip in chips() or [None]
             for unit in get_study(study).units_for(config)
         ]
@@ -404,3 +399,23 @@ class TestMisorderedExecutor:
         assert rerun.executed == 2
         assert rerun.results == clean.results
         assert [r.chip_id for r in rerun.results] == ["DDR4-new-A-1", "DDR4-new-A-2"]
+
+    def test_another_configs_outcome_raises_and_stores_nothing(self, tmp_path):
+        """An executor that answers an undecomposed study's task with the
+        outcome of another config (a lower ``hammer_limit``) is refused: the
+        study's implicit unit carries its config, so the outcome's unit
+        digest is not the task's."""
+
+        class OtherConfigExecutor(SerialExecutor):
+            def iter_outcomes(self, tasks):
+                other = HCFirstStudyConfig(hammer_limit=20_000)
+                (unit,) = get_study("fig8-hcfirst").units_for(other)
+                for index, task in enumerate(tasks):
+                    yield index, execute_task(dataclasses.replace(task, config=other, unit=unit))
+
+        chip = make_chip("DDR4-new", "A", seed=1, geometry=GEOMETRY)
+        with pytest.raises(RuntimeError, match="OtherConfigExecutor yielded the outcome"):
+            ExperimentSession(
+                chip, executor=OtherConfigExecutor(), store=ResultStore(tmp_path / "store")
+            ).run("fig8-hcfirst", HCFirstStudyConfig())
+        assert ResultStore(tmp_path / "store").entry_paths() == []

@@ -8,7 +8,7 @@ import threading
 import pytest
 
 from repro.experiments.executors import StudyTask
-from repro.experiments.study import WorkUnit, config_digest
+from repro.experiments.study import WorkUnit
 from repro.service import SchedulerThread, protocol
 
 
@@ -29,12 +29,9 @@ class TestFraming:
 
     def test_blob_roundtrips_study_tasks(self):
         unit = WorkUnit(study="demo", unit_id="cell/1", params={"a": 1, "b": (2, 3)})
-        task = StudyTask(
-            study="demo", config=None, config_digest=config_digest(None), chip=None, unit=unit
-        )
+        task = StudyTask(study="demo", config=None, chip=None, unit=unit)
         clone = protocol.unpack_blob(protocol.pack_blob(task))
         assert clone.study == task.study
-        assert clone.config_digest == task.config_digest
         assert clone.unit == unit
         assert clone.unit.digest == unit.digest
 
@@ -57,13 +54,14 @@ class TestProtocolVersion:
     entries against, a version 3 client expects a scheduler that
     checkpoints the ``cache`` dict it ships, which no later scheduler does,
     a version 4 submit names its own units, which a version 5 scheduler
-    does instead, and a version 5 task blob lacks the config digest a
-    version 6 worker stamps on its result; so an older peer is refused at
-    hello rather than failing on every unit it unpickles, silently caching
-    nothing or having its submit rejected."""
+    does instead, a version 5 task blob lacks the config digest a version 6
+    worker stamps on its result, and a version 6 client reads each outcome
+    blob as a result envelope, which a version 7 worker no longer sends; so
+    an older peer is refused at hello rather than failing on every unit it
+    unpickles, silently caching nothing or having its submit rejected."""
 
-    def test_speaks_protocol_6(self):
-        assert protocol.PROTOCOL_VERSION == 6
+    def test_speaks_protocol_7(self):
+        assert protocol.PROTOCOL_VERSION == 7
 
     def test_check_hello_refuses_protocol_1(self):
         with pytest.raises(protocol.ProtocolError, match="protocol mismatch"):
@@ -109,6 +107,14 @@ class TestProtocolVersion:
         with SchedulerThread() as scheduler:
             with protocol.connect_stream(*scheduler.address, timeout=10.0) as stream:
                 stream.send(dict(protocol.hello("worker", "old"), protocol=5))
+                reply = stream.recv()
+        assert reply["type"] == "error"
+        assert "protocol mismatch" in reply["error"]
+
+    def test_scheduler_answers_protocol_6_with_an_error(self):
+        with SchedulerThread() as scheduler:
+            with protocol.connect_stream(*scheduler.address, timeout=10.0) as stream:
+                stream.send(dict(protocol.hello("client", "old"), protocol=6))
                 reply = stream.recv()
         assert reply["type"] == "error"
         assert "protocol mismatch" in reply["error"]

@@ -24,7 +24,6 @@ from repro.experiments import (
     ExperimentSession,
     ResultStore,
     ServiceExecutor,
-    config_digest,
     get_study,
 )
 from repro.service import (
@@ -62,11 +61,9 @@ def submit_selftest(client, config):
     from repro.experiments.executors import StudyTask
 
     spec = get_study("service-selftest")
-    units = spec.units_for(config)
-    digest = config_digest(config)
     tasks = [
-        StudyTask(study=spec.name, config=config, config_digest=digest, chip=None, unit=unit)
-        for unit in units
+        StudyTask(study=spec.name, config=config, chip=None, unit=unit)
+        for unit in spec.units_for(config)
     ]
     client.submit_units([protocol.pack_blob(task) for task in tasks], label="faults")
 
@@ -251,9 +248,8 @@ class TestPoisonQuarantine:
             worker.close()
         assert not submitter.is_alive()
         assert [report["index"] for report in raised[0].reports] == [1]
-        digest = config_digest(config)
         fresh = ResultStore(tmp_path / "store")
         assert [
-            fresh.get(fresh.key_for("service-selftest", digest, None, unit)) is not None
+            fresh.get(fresh.key_for("service-selftest", None, unit)) is not None
             for unit in get_study("service-selftest").units_for(config)
         ] == [True, False, True, True]

@@ -18,42 +18,37 @@ import pytest
 from repro.dram.geometry import ChipGeometry
 from repro.dram.population import make_chip
 from repro.experiments import ExperimentSession, SerialExecutor, ServiceExecutor
+from repro.experiments.executors import TaskOutcome
 from repro.experiments.store import CacheKey, ResultStore, fcntl
-from repro.experiments.study import StudyResult
 from repro.service import SchedulerThread, ServiceWorker
 from repro.service.selftest import ServiceSelfTestConfig
 
 pytestmark = pytest.mark.skipif(fcntl is None, reason="fcntl unavailable")
 
 
-def make_result(payload):
-    return StudyResult(
-        study="locking-demo",
-        config_digest="cfg",
-        chip_id=None,
-        type_node=None,
-        manufacturer=None,
-        payload=payload,
-    )
+def key(chip_digest):
+    return CacheKey("locking-demo", chip_digest, "u0")
+
+
+def make_outcome(payload):
+    return TaskOutcome(study="locking-demo", unit_digest="u0", chip_id=None, payload=payload)
 
 
 class TestAdvisoryLocking:
     def test_lock_file_appears_at_store_root(self, tmp_path):
         store = ResultStore(tmp_path / "store")
-        store.put(CacheKey("locking-demo", "cfg", "chip"), make_result(1))
+        store.put(key("chip"), make_outcome(1))
         assert (tmp_path / "store" / ResultStore.LOCK_FILENAME).exists()
 
     def test_put_blocks_while_lock_is_held(self, tmp_path):
         root = tmp_path / "store"
         store = ResultStore(root)
-        store.put(CacheKey("locking-demo", "cfg", "warmup"), make_result(0))
+        store.put(key("warmup"), make_outcome(0))
         done = threading.Event()
 
         def contended_put():
             # A different ResultStore instance, as a second process would use.
-            ResultStore(root).put(
-                CacheKey("locking-demo", "cfg", "contended"), make_result(1)
-            )
+            ResultStore(root).put(key("contended"), make_outcome(1))
             done.set()
 
         with (root / ResultStore.LOCK_FILENAME).open("a+b") as handle:
@@ -66,8 +61,10 @@ class TestAdvisoryLocking:
         # ...and complete promptly once it is released.
         assert done.wait(10.0)
         thread.join(timeout=10.0)
-        key = CacheKey("locking-demo", "cfg", "contended")
-        assert root / key.study / key.filename in ResultStore(root).entry_paths(key.study)
+        contended = key("contended")
+        assert root / contended.study / contended.filename in ResultStore(root).entry_paths(
+            contended.study
+        )
 
     def test_concurrent_writers_all_land(self, tmp_path):
         """Many writers, one root: every entry readable and complete."""
@@ -78,8 +75,7 @@ class TestAdvisoryLocking:
         def blast(writer_id):
             store = ResultStore(root)
             for n in range(puts_each):
-                key = CacheKey("locking-demo", "cfg", f"w{writer_id}-{n}")
-                store.put(key, make_result((writer_id, n)))
+                store.put(key(f"w{writer_id}-{n}"), make_outcome((writer_id, n)))
 
         threads = [
             threading.Thread(target=blast, args=(w,), daemon=True)
@@ -92,11 +88,9 @@ class TestAdvisoryLocking:
         reader = ResultStore(root)
         for writer_id in range(writers):
             for n in range(puts_each):
-                key = CacheKey("locking-demo", "cfg", f"w{writer_id}-{n}")
-                cached = reader.get(key)
+                cached = reader.get(key(f"w{writer_id}-{n}"))
                 assert cached is not None
                 assert cached.payload == (writer_id, n)
-                assert cached.from_cache
 
 
 def run_through_service(store_root, study, config=None, population=None):
@@ -128,9 +122,7 @@ class TestServiceRunCheckpointing:
         assert service.executed == service.units_total == config.units
         # Every unit now sits in the shared store directory.
         shared = ResultStore(root)
-        assert len(shared.entry_paths("service-selftest", units_only=True)) == (
-            config.units
-        )
+        assert len(shared.entry_paths("service-selftest")) == config.units
         # A purely local run against the same directory replays everything.
         local = ExperimentSession(
             executor=SerialExecutor(), store=shared
@@ -140,8 +132,8 @@ class TestServiceRunCheckpointing:
         assert local.single() == service.single()
 
     def test_local_session_replays_undecomposed_service_run(self, tmp_path):
-        """An undecomposed per-chip study is checkpointed as one whole-study
-        entry under the key a local session looks up."""
+        """An undecomposed per-chip study is checkpointed as the one entry of
+        its implicit unit, under the key a local session looks up."""
         root = tmp_path / "shared-store"
         chip = make_chip(
             "DDR4-new", "A", seed=4, geometry=ChipGeometry(banks=1, rows_per_bank=32, row_bytes=16)
